@@ -30,6 +30,11 @@ class ChainStore:
         self._genesis: Optional[CID] = None
         self.prune_depth = prune_depth
         self._state_snapshots: dict[CID, dict] = {}
+        # Every stored block (forks too) by height, and the lowest height
+        # that may still hold a snapshot: pruning visits only the heights
+        # the horizon crossed since the last head change.
+        self._by_height: dict[int, list[CID]] = {}
+        self._snapshot_floor = 0
         self._reorg_listeners: list[Callable[[Optional[CID], CID], None]] = []
         # canonical height index, rebuilt lazily after reorgs
         self._canonical: dict[int, CID] = {}
@@ -119,6 +124,11 @@ class ChainStore:
         parent_weight = self._weights.get(parent, 0)
         self._weights[cid] = parent_weight + 1 if weight is None else weight
         self._children.setdefault(parent, []).append(cid)
+        self._by_height.setdefault(block.height, []).append(cid)
+        if block.height < self._snapshot_floor:
+            # A fork block from below the horizon, arriving late: its
+            # snapshot goes at the next head change like any other.
+            self._snapshot_floor = block.height
 
         if self._head is None or self._weights[cid] > self._weights[self._head]:
             old_head = self._head
@@ -130,8 +140,6 @@ class ChainStore:
             else:
                 self._rebuild_canonical()
             self._prune_snapshots()
-            if old_head is not None and self._blocks[old_head].header.parent != ZERO_CID:
-                pass  # plain extension or reorg — listeners decide via ancestry
             for listener in self._reorg_listeners:
                 listener(old_head, cid)
             return True
@@ -180,15 +188,10 @@ class ChainStore:
         if self._head is None:
             return
         horizon = self._blocks[self._head].height - self.prune_depth
-        if horizon <= 0:
-            return
-        stale = [
-            cid
-            for cid in self._state_snapshots
-            if cid in self._blocks and self._blocks[cid].height < horizon
-        ]
-        for cid in stale:
-            del self._state_snapshots[cid]
+        for height in range(self._snapshot_floor, horizon):
+            for cid in self._by_height.get(height, ()):
+                self._state_snapshots.pop(cid, None)
+        self._snapshot_floor = max(self._snapshot_floor, horizon)
 
     # ------------------------------------------------------------------
     # Fork metrics

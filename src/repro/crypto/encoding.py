@@ -28,11 +28,17 @@ class EncodingError(TypeError):
 def canonical_encode(value: Any) -> bytes:
     """Encode *value* into canonical bytes (stable across runs)."""
     out = bytearray()
-    _encode_into(out, value)
+    encode_into(out, value)
     return bytes(out)
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
+def encode_into(out: bytearray, value: Any) -> None:
+    """Append the canonical encoding of *value* to *out*.
+
+    The incremental entry point: a caller composing a container by hand
+    (the state root's ``d<n>:`` + sorted key/value leaves) appends
+    element encodings without an intermediate ``bytes`` per element.
+    """
     handler = _HANDLERS.get(type(value))
     if handler is not None:
         handler(out, value)
@@ -73,22 +79,22 @@ def _enc_bytes(out: bytearray, value) -> None:
 def _enc_seq(out: bytearray, value) -> None:
     out += b"l%d:" % len(value)
     for item in value:
-        _encode_into(out, item)
+        encode_into(out, item)
 
 
 def _enc_dict(out: bytearray, value: dict) -> None:
     items = sorted(value.items(), key=lambda kv: str(kv[0]))
     out += b"d%d:" % len(items)
     for key, item in items:
-        _encode_into(out, key if type(key) is str else str(key))
-        _encode_into(out, item)
+        encode_into(out, key if type(key) is str else str(key))
+        encode_into(out, item)
 
 
 def _enc_set(out: bytearray, value) -> None:
     items = sorted(value, key=repr)
     out += b"e%d:" % len(items)
     for item in items:
-        _encode_into(out, item)
+        encode_into(out, item)
 
 
 _HANDLERS: Dict[type, Callable[[bytearray, Any], None]] = {
@@ -114,7 +120,7 @@ def _make_object_encoder(tp: type) -> Callable[[bytearray, Any], None]:
 
     def encode(out: bytearray, value: Any) -> None:
         out += prefix
-        _encode_into(out, value.to_canonical())
+        encode_into(out, value.to_canonical())
 
     return encode
 
@@ -145,6 +151,6 @@ def _encode_fallback(out: bytearray, value: Any) -> None:
         # to_canonical set per instance, not on the class: don't cache.
         out += b"o"
         _enc_str(out, type(value).__name__)
-        _encode_into(out, value.to_canonical())
+        encode_into(out, value.to_canonical())
     else:
         raise EncodingError(f"no canonical encoding for {type(value).__name__}: {value!r}")

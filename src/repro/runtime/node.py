@@ -353,6 +353,9 @@ class NodeRuntime:
             self.sim.metrics.gauge("state.root.buckets_rehashed").set(
                 scratch.state.last_root_rehashed
             )
+            self.sim.metrics.gauge("state.root.leaves_encoded").set(
+                scratch.state.last_root_leaves_encoded
+            )
         self.sim.metrics.gauge("state.tree.layer_depth").set(scratch.state.chain_depth)
 
         self.store.put_state(block.cid, scratch.state.fork())

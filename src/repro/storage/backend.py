@@ -9,13 +9,12 @@ may safely back any number of forks.
 The contract exists so the in-memory default can later be swapped for an
 out-of-core store (sqlite/LMDB-style, the ROADMAP's millions-of-accounts
 item) without touching the VM, chain or runtime layers: an out-of-core
-backend only has to answer point reads and (bucket-)scans.
+backend only has to answer point reads and one full scan (the tree scans
+it when it first builds, or has to rebuild, its leaf table).
 
 Keys are strings; values are treated as immutable records (the VM-wide
 convention — actors copy before mutating).  ``bucket_of`` is the single
-source of truth for the key → bucket placement the incremental state-root
-commitment uses; backends must group by the same function so per-bucket
-scans line up with the tree's cached bucket digests.
+source of truth for the key → bucket placement of the state-root commitment.
 """
 
 from __future__ import annotations
@@ -32,24 +31,12 @@ except ImportError:  # pragma: no cover - very old interpreters only
         return cls
 
 
-_BUCKET_CACHE: Dict[str, int] = {}
-_BUCKET_CACHE_N = 256  # placements cached for the default bucket count only
-
-
 def bucket_of(key: str, n_buckets: int) -> int:
     """Deterministic key → bucket placement for the sharded state root.
 
     crc32 is stable across processes and platforms (unlike ``hash()``,
-    which is salted per process).  Placements for the default bucket count
-    are memoized: state keys repeat constantly (every balance update hits
-    the same key) and the key space is bounded by the account space.
+    which is salted per process).
     """
-    if n_buckets == _BUCKET_CACHE_N:
-        bucket = _BUCKET_CACHE.get(key)
-        if bucket is None:
-            bucket = crc32(key.encode("utf-8")) % n_buckets
-            _BUCKET_CACHE[key] = bucket
-        return bucket
     return crc32(key.encode("utf-8")) % n_buckets
 
 
@@ -69,26 +56,15 @@ class StateBackend(Protocol):
         """All (key, value) pairs, in sorted key order."""
         ...
 
-    def bucket_items(self, bucket: int, n_buckets: int) -> Iterator[Tuple[str, Any]]:
-        """The pairs whose :func:`bucket_of` placement equals *bucket*."""
-        ...
-
     def __len__(self) -> int:
         ...
 
 
 class MemoryBackend:
-    """The in-memory :class:`StateBackend` (and the default: empty).
-
-    Entries are bucket-grouped at construction so the incremental root's
-    per-bucket scans cost O(bucket) rather than O(state).  The grouping is
-    recomputed lazily per ``n_buckets`` requested, since the tree owns the
-    bucket count.
-    """
+    """The in-memory :class:`StateBackend` (and the default: empty)."""
 
     def __init__(self, entries: Optional[Mapping[str, Any]] = None) -> None:
         self._entries: Dict[str, Any] = dict(entries or {})
-        self._grouped: Optional[Tuple[int, Dict[int, Dict[str, Any]]]] = None
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._entries.get(key, default)
@@ -99,18 +75,6 @@ class MemoryBackend:
     def items(self) -> Iterator[Tuple[str, Any]]:
         for key in sorted(self._entries):
             yield key, self._entries[key]
-
-    def bucket_items(self, bucket: int, n_buckets: int) -> Iterator[Tuple[str, Any]]:
-        if not self._entries:
-            return iter(())
-        grouped = self._grouped
-        if grouped is None or grouped[0] != n_buckets:
-            by_bucket: Dict[int, Dict[str, Any]] = {}
-            for key, value in self._entries.items():
-                by_bucket.setdefault(bucket_of(key, n_buckets), {})[key] = value
-            grouped = (n_buckets, by_bucket)
-            self._grouped = grouped
-        return iter(grouped[1].get(bucket, {}).items())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -20,12 +20,22 @@ copying it.  The chain is compacted once it grows past a bound, so lookup
 depth and memory stay amortised O(1) per fork.
 
 ``root()`` is the state-root commitment block headers carry.  Keys are
-sharded into ``n_buckets`` buckets (crc32, process-independent) with a
-cached digest per bucket; writes mark their bucket dirty, and ``root()``
-re-hashes only dirty buckets — O(writes × bucket-size) per block instead of
-O(state).  Bucket membership and in-bucket ordering are pure functions of
-the key, so the root is independent of write order, snapshot layering, fork
-history, and event-schedule perturbations (the DET determinism contract).
+sharded into ``n_buckets`` buckets (crc32, process-independent); a bucket's
+digest is the sha-256 of the canonical encoding of its live ``{key: value}``
+dict, and the root hashes the fixed-width digests together.  A tree carries
+the digest list and the set of *keys* written since it was computed; what
+makes a root cost O(keys written) is the leaf table: one dict per chain of
+forks, shared by reference, mapping bucket -> (tag, {key: encoded leaf
+bytes}) where the tag is the digest those leaves last produced.  ``root()``
+re-encodes only the dirty keys of a touched bucket (one ``get`` each),
+re-hashes that bucket's leaves in key order and re-tags it.  When the tag
+is not the digest this tree inherited for the bucket — another fork of the
+same parent rooted in between (a sibling block, a re-proposal), or a first
+root — the bucket is rebuilt from one merged pass over the whole state,
+the only scan left.  Bucket membership and in-bucket ordering are pure
+functions of the key, so the root is independent of write order, snapshot
+layering, fork history, and event-schedule perturbations (the DET
+determinism contract).
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Any, Iterator, Optional
 
-from repro.crypto.cid import CID, cid_of
+from repro.crypto.cid import CID
+from repro.crypto.encoding import encode_into
 from repro.storage.backend import EMPTY_BACKEND, StateBackend, bucket_of
 
 _DELETED = object()
@@ -46,28 +57,21 @@ _MAX_CHAIN_DEPTH = 32
 #: Default bucket count for the sharded root commitment.
 DEFAULT_BUCKETS = 256
 
+#: Stands in for the leaf-table entry of a bucket nobody has rooted yet:
+#: its tag matches no digest.
+_UNTAGGED = (None,)
+
 
 class _FrozenLayer:
-    """One immutable delta in a tree's shared history.
-
-    ``entries`` maps key -> value-or-tombstone for point reads; ``buckets``
-    is the same data grouped by root bucket for incremental re-hashing.
-    Never mutated after construction — forks share these by reference.
+    """One immutable delta (key -> value-or-tombstone) in a tree's shared
+    history.  Never mutated after construction — forks share these by
+    reference.
     """
 
-    __slots__ = ("entries", "buckets", "parent", "depth")
+    __slots__ = ("entries", "parent", "depth")
 
-    def __init__(
-        self,
-        entries: dict[str, Any],
-        n_buckets: int,
-        parent: Optional["_FrozenLayer"],
-    ) -> None:
+    def __init__(self, entries: dict[str, Any], parent: Optional["_FrozenLayer"]) -> None:
         self.entries = entries
-        buckets: dict[int, dict[str, Any]] = {}
-        for key, value in entries.items():
-            buckets.setdefault(bucket_of(key, n_buckets), {})[key] = value
-        self.buckets = buckets
         self.parent = parent
         self.depth = 1 + (parent.depth if parent is not None else 0)
 
@@ -85,9 +89,13 @@ class StateTree:
         self._layers: list[dict[str, Any]] = [{}]
         self._n_buckets = n_buckets
         self._digests: Optional[list[bytes]] = None  # per-bucket, None until first root()
-        self._dirty: set[int] = set()  # buckets written since digests were cached
-        #: Buckets re-hashed by the most recent ``root()`` call (perf gauge).
+        self._dirty: set[str] = set()  # keys written since digests were cached
+        #: bucket -> (tag, leaves); the same dict in every fork of this tree.
+        self._table: dict[int, tuple[Optional[bytes], dict[str, bytes]]] = {}
+        #: Buckets re-hashed / leaves encoded by the most recent ``root()``
+        #: call (perf gauges).
         self.last_root_rehashed = 0
+        self.last_root_leaves_encoded = 0
 
     # ------------------------------------------------------------------
     # Reads / writes
@@ -122,12 +130,12 @@ class StateTree:
             raise ValueError("reserved sentinel cannot be stored")
         self._layers[-1][key] = value
         if self._digests is not None:
-            self._dirty.add(bucket_of(key, self._n_buckets))
+            self._dirty.add(key)
 
     def delete(self, key: str) -> None:
         self._layers[-1][key] = _DELETED
         if self._digests is not None:
-            self._dirty.add(bucket_of(key, self._n_buckets))
+            self._dirty.add(key)
 
     def keys(self, prefix: str = "") -> Iterator[str]:
         """Yield live keys (sorted) that start with *prefix*."""
@@ -178,9 +186,8 @@ class StateTree:
         if self._digests is not None:
             # The cached digests may already reflect the discarded writes
             # (root() inside an open snapshot cleared their dirty marks), so
-            # the reverted keys' buckets must be re-marked.
-            for key in popped:
-                self._dirty.add(bucket_of(key, self._n_buckets))
+            # the reverted keys must be re-marked.
+            self._dirty.update(popped)
 
     def _check_token(self, token: Optional[int]) -> None:
         if len(self._layers) == 1:
@@ -211,57 +218,62 @@ class StateTree:
     def root(self) -> CID:
         """Content commitment over the full live state (the 'state root').
 
-        Incremental: only buckets written since the previous call are
-        re-hashed; the rest reuse cached digests.  The commitment itself is
-        a pure function of the live key/value content.
+        Incremental: only keys written since the previous call are
+        re-encoded and only their buckets re-hashed.  The commitment itself
+        is a pure function of the live key/value content.
         """
         n = self._n_buckets
-        if self._digests is None:
-            dirty: Iterator[int] = iter(range(n))
-            self._digests = [b""] * n
-            self.last_root_rehashed = n
-        else:
-            dirty = iter(sorted(self._dirty))
-            self.last_root_rehashed = len(self._dirty)
-        overlay = self._overlay()
+        table = self._table
         digests = self._digests
-        for bucket in dirty:
-            digests[bucket] = self._bucket_digest(bucket, overlay)
+        if digests is None:
+            digests = [b""] * n  # no tag is empty: a first root rebuilds every bucket
+            touched: dict[int, list[str]] = {bucket: [] for bucket in range(n)}
+        else:
+            touched = {}
+            for key in self._dirty:
+                touched.setdefault(bucket_of(key, n), []).append(key)
+        self.last_root_rehashed = len(touched)
+        missed = {b for b in touched if table.get(b, _UNTAGGED)[0] != digests[b]}
+        rebuilt = self._scan(missed) if missed else {}
+        encoded = sum(map(len, rebuilt.values()))
+        for bucket, keys in touched.items():
+            leaves = rebuilt.get(bucket)
+            resort = leaves is not None  # a scan fills them in merge order
+            if leaves is None:
+                # Untagged while mutated: no tree may take a half-applied
+                # bucket for the one its digest names, whatever raises below.
+                leaves = table.pop(bucket)[1]
+                for key in keys:
+                    value = self.get(key, _DELETED)
+                    if value is _DELETED:
+                        leaves.pop(key, None)
+                    else:
+                        resort = resort or key not in leaves
+                        leaves[key] = _leaf(key, value)
+                        encoded += 1
+            if resort:  # tagged leaves iterate in key order; only a new key breaks that
+                leaves = {key: leaves[key] for key in sorted(leaves)}
+            # Exactly the bytes canonical_encode({key: commit_value}) yields.
+            digest = sha256(b"d%d:" % len(leaves) + b"".join(leaves.values())).digest()
+            table[bucket] = (digest, leaves)
+            digests[bucket] = digest
+        self._digests = digests
         self._dirty.clear()
+        self.last_root_leaves_encoded = encoded
         # Combine per-bucket digests directly (fixed-width, fixed-count
         # bytes need no canonical framing): one sha-256 over 32*N bytes.
         return CID(sha256(b"".join(digests)).digest())
 
-    def _overlay(self) -> dict[int, dict[str, Any]]:
-        """Mutable layers merged and grouped by bucket (tombstones kept)."""
-        merged: dict[str, Any] = {}
-        for layer in self._layers:
-            merged.update(layer)
-        overlay: dict[int, dict[str, Any]] = {}
-        for key, value in merged.items():
-            overlay.setdefault(bucket_of(key, self._n_buckets), {})[key] = value
-        return overlay
-
-    def _bucket_digest(self, bucket: int, overlay: dict[int, dict[str, Any]]) -> bytes:
-        content: dict[str, Any] = dict(self._backend.bucket_items(bucket, self._n_buckets))
-        chain: list[_FrozenLayer] = []
-        frozen = self._frozen
-        while frozen is not None:
-            chain.append(frozen)
-            frozen = frozen.parent
-        for layer in reversed(chain):  # oldest first
-            entries = layer.buckets.get(bucket)
-            if entries:
-                content.update(entries)
-        entries = overlay.get(bucket)
-        if entries:
-            content.update(entries)
-        live = {
-            key: _commit_value(content[key])
-            for key in sorted(content)
-            if content[key] is not _DELETED
-        }
-        return cid_of(live).digest
+    def _scan(self, buckets: set[int]) -> dict[int, dict[str, bytes]]:
+        """Encoded live leaves of *buckets*, from one pass over everything."""
+        n = self._n_buckets
+        found: dict[int, dict[str, bytes]] = {bucket: {} for bucket in buckets}
+        for key, value in self._merged().items():
+            if value is not _DELETED:
+                leaves = found.get(bucket_of(key, n))
+                if leaves is not None:
+                    leaves[key] = _leaf(key, value)
+        return found
 
     # ------------------------------------------------------------------
     # Forks
@@ -273,8 +285,8 @@ class StateTree:
         externally-invisible repacking: reads, depth and tokens are
         unchanged) and the clone points at the same chain with a fresh
         private write layer — no key/value is copied.  Cached bucket
-        digests transfer to the clone, so its first ``root()`` after k
-        writes re-hashes only k buckets.
+        digests and the leaf table transfer to the clone, so its first
+        ``root()`` after k writes re-encodes only k leaves.
 
         Forking with open snapshots leaves this tree's transaction stack
         untouched; the clone sees the merged view at depth 0 (matching the
@@ -283,7 +295,7 @@ class StateTree:
         if len(self._layers) == 1:
             base = self._layers[0]
             if base:
-                self._frozen = _FrozenLayer(base, self._n_buckets, self._frozen)
+                self._frozen = _FrozenLayer(base, self._frozen)
                 self._layers = [{}]
             if self._frozen is not None and self._frozen.depth > _MAX_CHAIN_DEPTH:
                 self._frozen = self._compacted()
@@ -292,10 +304,11 @@ class StateTree:
             merged: dict[str, Any] = {}
             for layer in self._layers:
                 merged.update(layer)
-            shared = _FrozenLayer(merged, self._n_buckets, self._frozen) if merged else self._frozen
+            shared = _FrozenLayer(merged, self._frozen) if merged else self._frozen
 
         clone = StateTree(backend=self._backend, n_buckets=self._n_buckets)
         clone._frozen = shared
+        clone._table = self._table
         if self._digests is not None:
             clone._digests = list(self._digests)
             clone._dirty = set(self._dirty)
@@ -327,7 +340,15 @@ class StateTree:
         }
         if not merged:
             return None
-        return _FrozenLayer(merged, self._n_buckets, None)
+        return _FrozenLayer(merged, None)
+
+
+def _leaf(key: str, value: Any) -> bytes:
+    """``enc(key) + enc(commit value)``: one entry of a bucket's dict encoding."""
+    out = bytearray()
+    encode_into(out, key)
+    encode_into(out, _commit_value(value))
+    return bytes(out)
 
 
 def _commit_value(value: Any) -> Any:

@@ -116,6 +116,7 @@ METRIC_CATALOG: dict = {
     "chain.*.sync_failed": ("counter", "failed block-range sync attempts"),
     # state
     "state.root.buckets_rehashed": ("gauge", "buckets rehashed by the last incremental root"),
+    "state.root.leaves_encoded": ("gauge", "leaves re-encoded by the last incremental root"),
     "state.tree.layer_depth": ("gauge", "depth of the state hash tree"),
     # consensus engines (per-subnet)
     "consensus.*.proposed": ("counter", "blocks proposed by this engine"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.encoding import EncodingError, canonical_encode
+from repro.crypto.encoding import EncodingError, canonical_encode, encode_into
 
 
 def test_primitives_encode():
@@ -73,3 +73,41 @@ def test_encoding_is_deterministic(value):
 def test_distinct_values_encode_distinctly(a, b):
     if a != b:
         assert canonical_encode(a) != canonical_encode(b)
+
+
+class _Record:
+    """A protocol-object stand-in: encodes through ``to_canonical``."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_canonical(self):
+        return ("record", self.payload)
+
+
+leaf_values = st.recursive(
+    json_like | st.builds(_Record, json_like),
+    lambda children: st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(st.dictionaries(st.text(max_size=12), leaf_values, max_size=8))
+def test_dict_encoding_is_header_plus_sorted_leaves(mapping):
+    """The identity the incremental state root rests on: a string-keyed
+    dict encodes as ``d<n>:`` followed by ``enc(key) + enc(value)`` per key
+    in sorted key order, so per-key leaves can be cached and re-joined."""
+    out = bytearray(b"d%d:" % len(mapping))
+    for key in sorted(mapping):
+        leaf = bytearray()
+        encode_into(leaf, key)
+        encode_into(leaf, mapping[key])
+        out += bytes(leaf)
+    assert bytes(out) == canonical_encode(mapping)
+
+
+def test_encode_into_appends_and_matches_canonical_encode():
+    out = bytearray(b"prefix")
+    encode_into(out, {"k": (1, _Record([b"x"]))})
+    assert bytes(out) == b"prefix" + canonical_encode({"k": (1, _Record([b"x"]))})

@@ -133,3 +133,26 @@ def test_baselines_flow_through_instrumented_dispatch():
     baseline.sim.dispatch.publish()
     gauges = baseline.sim.metrics.snapshot()["gauges"]
     assert any(name.startswith("sim.dispatch.") for name in gauges)
+
+
+def test_state_root_work_is_published_and_the_leaf_table_shared():
+    """The executing validator reports what its root cost — a few leaves per
+    block under payments, not the state — and every validator of the chain
+    (and every retained snapshot) holds the one leaf table."""
+    from repro.workloads import PaymentWorkload, sender_fund_spec
+
+    funds = sender_fund_spec(4, scope="root-work")
+    baseline = SingleChainBaseline(
+        seed=3, validators=3, block_time=0.5, wallet_funds=funds
+    ).start()
+    senders = [baseline.wallets[name] for name in funds]
+    PaymentWorkload(baseline.sim, baseline.nodes, senders, rate=40.0).start()
+    baseline.run_for(10.25)
+    gauges = baseline.sim.metrics.snapshot()["gauges"]
+    assert 0 < gauges["state.root.buckets_rehashed"] <= gauges["state.root.leaves_encoded"]
+    assert gauges["state.root.leaves_encoded"] < 100  # ~20 payments a block
+    tables = {id(node.vm.state._table) for node in baseline.nodes}
+    tables |= {
+        id(node.store.get_state(node.store.head_cid)._table) for node in baseline.nodes
+    }
+    assert len(tables) == 1

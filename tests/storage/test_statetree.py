@@ -1,11 +1,15 @@
 """Unit and property tests for the versioned state tree."""
 
+from hashlib import sha256
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.cid import CID, cid_of
+from repro.crypto.encoding import EncodingError
 from repro.storage.backend import MemoryBackend, bucket_of
-from repro.storage.statetree import _MAX_CHAIN_DEPTH, StateTree
+from repro.storage.statetree import _MAX_CHAIN_DEPTH, StateTree, _commit_value
 
 
 def test_basic_set_get():
@@ -270,50 +274,170 @@ def test_backend_is_visible_through_tree_and_forks():
 # ----------------------------------------------------------------------
 # Incremental root
 # ----------------------------------------------------------------------
-def _scratch_root(tree):
-    """Recompute the root from scratch on a fresh tree with equal content."""
-    fresh = StateTree(n_buckets=tree._n_buckets)
+def oracle_root(tree):
+    """The reference commitment: the root as it was computed before the leaf
+    table, without any cache.  Merge the whole live state, group it by
+    bucket, hash each bucket's ``{key: commit value}`` dict through the
+    canonical encoder, hash the digests together."""
+    buckets = [{} for _ in range(tree._n_buckets)]
     for key, value in tree.flatten().items():
-        fresh.set(key, value)
-    return fresh.root()
+        buckets[bucket_of(key, tree._n_buckets)][key] = _commit_value(value)
+    return CID(sha256(b"".join(cid_of(bucket).digest for bucket in buckets)).digest())
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(
-                ["set", "delete", "snapshot", "commit", "revert", "fork", "root"]
-            ),
-            st.sampled_from(["k1", "k2", "k3", "k4"]),
-            st.integers(min_value=0, max_value=99),
-        ),
-        max_size=30,
-    )
+class _Account:
+    """A stored protocol object (commits through ``to_canonical``)."""
+
+    def __init__(self, balance):
+        self.balance = balance
+
+    def to_canonical(self):
+        return {"balance": self.balance, "history": (self.balance, [None])}
+
+
+_KEYS = ["k1", "k2", "k3", "floor", "masked"]
+_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=99),
+    st.integers(min_value=0, max_value=99).map(_Account),
+    st.integers(min_value=0, max_value=99).map(lambda i: {"n": i, "t": (i, _Account(i))}),
 )
-def test_incremental_root_equals_scratch_root(operations):
-    """After any op sequence, the cached-bucket root == from-scratch root."""
-    tree = StateTree(n_buckets=7)  # small bucket count → collisions exercised
-    depth = 0
-    for op, key, value in operations:
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["set", "delete", "snapshot", "commit", "revert", "fork", "diverge", "switch", "root"]
+        ),
+        st.sampled_from(_KEYS),
+        _VALUES,
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_OPS)
+def test_incremental_root_equals_oracle(operations):
+    """Any mix of writes, tombstones (also over backend entries),
+    transactions, roots inside open snapshots and forks that diverge while
+    sharing one leaf table: every tree's root is the oracle's."""
+    backend = MemoryBackend({"floor": 1, "masked": _Account(2)})
+    trees = [StateTree(backend=backend, n_buckets=3)]  # few buckets -> collisions
+    tree = trees[0]
+    for op, key, value, pick in operations:
         if op == "set":
             tree.set(key, value)
         elif op == "delete":
             tree.delete(key)
         elif op == "snapshot":
             tree.snapshot()
-            depth += 1
-        elif op == "commit" and depth > 0:
+        elif op == "commit" and tree.depth:
             tree.commit()
-            depth -= 1
-        elif op == "revert" and depth > 0:
+        elif op == "revert" and tree.depth:
             tree.revert()
-            depth -= 1
-        elif op == "fork":
+        elif op == "fork":  # move on to the clone, as block execution does
             tree = tree.fork()
-            depth = 0
+            trees.append(tree)
+        elif op == "diverge":  # keep writing here while a sibling lives on
+            trees.append(tree.fork())
+        elif op == "switch":
+            tree = trees[pick % len(trees)]
         elif op == "root":
-            tree.root()  # populate/refresh the digest cache mid-sequence
-        assert tree.root() == _scratch_root(tree)
+            assert tree.root() == oracle_root(tree)
+    for tree in trees:
+        assert tree.root() == oracle_root(tree)
+        assert tree.root() == oracle_root(tree)  # and with nothing dirty
+
+
+def test_root_costs_the_keys_written_not_the_state():
+    tree = StateTree()
+    for i in range(10_000):
+        tree.set(f"balance/{i:05d}", i)
+    tree.root()
+    assert tree.last_root_rehashed == 256  # the first root builds every bucket
+    assert tree.last_root_leaves_encoded == 10_000
+    block = tree.fork()
+    written = [f"balance/{i * 271:05d}" for i in range(30)] + ["new/a", "new/b"]
+    for key in written:
+        block.set(key, -1)
+    block.delete("balance/00007")
+    block.delete("never/there")
+    assert block.root() == oracle_root(block)
+    assert block.last_root_leaves_encoded == len(written)  # tombstones encode nothing
+    assert block.last_root_rehashed == len(
+        {bucket_of(key, 256) for key in written + ["balance/00007", "never/there"]}
+    )
+    block.root()
+    assert block.last_root_leaves_encoded == 0
+    assert block.last_root_rehashed == 0
+
+
+def test_sibling_forks_rebuild_on_a_tag_miss():
+    """Two blocks on one parent share the leaf table: the second to root
+    finds its buckets re-tagged by the first and rebuilds them — and so
+    does the first when it roots again."""
+    parent = StateTree()
+    for i in range(500):
+        parent.set(f"key{i}", i)
+    parent_root = parent.root()
+    left, right = parent.fork(), parent.fork()
+    left.set("key0", "left")
+    assert left.root() == oracle_root(left)
+    assert left.last_root_leaves_encoded == 1  # tag hit: one leaf
+    right.set("key0", "right")
+    assert right.root() == oracle_root(right)
+    assert right.last_root_leaves_encoded > 1  # tag miss: key0's whole bucket
+    assert right.last_root_rehashed == 1
+    left.delete("key0")
+    assert left.root() == oracle_root(left)
+    assert left.last_root_leaves_encoded > 1
+    assert left.root() != right.root() != parent_root
+    assert parent.root() == parent_root == oracle_root(parent)
+    # A tree that agrees with the table's current owner hits again.
+    child = left.fork()
+    child.set("key0", "back")
+    assert child.root() == oracle_root(child)
+    assert child.last_root_leaves_encoded == 1
+
+
+def test_roots_across_many_forks_and_compactions():
+    backend = MemoryBackend({f"floor{i}": i for i in range(20)})
+    tree = StateTree(backend=backend, n_buckets=5)
+    stale = []
+    for i in range(_MAX_CHAIN_DEPTH * 3):
+        tree.set(f"k{i % 11}", _Account(i))
+        if i % 4 == 3:
+            tree.delete(f"floor{i % 20}")  # tombstone over the backend
+        if i % 7 == 6:
+            tree.delete(f"k{(i + 3) % 11}")
+        tree = tree.fork()
+        assert tree.root() == oracle_root(tree)
+        if i % 10 == 0:
+            stale.append((tree.fork(), tree.root()))
+    assert tree.chain_depth <= _MAX_CHAIN_DEPTH + 1
+    for snapshot, root in stale:  # old snapshots, long since re-tagged over
+        snapshot.set("k0", "late")
+        assert snapshot.root() == oracle_root(snapshot) != root
+
+
+def test_failed_root_leaves_the_shared_table_consistent():
+    parent = StateTree()
+    parent.set("a", 1)
+    parent.set("b", 2)
+    parent.root()
+    broken, sibling = parent.fork(), parent.fork()
+    broken.set("a", object())  # no canonical encoding
+    with pytest.raises(EncodingError):
+        broken.root()
+    sibling.set("a", 3)
+    assert sibling.root() == oracle_root(sibling)
+    broken.set("a", 4)
+    assert broken.root() == oracle_root(broken)
+    unrooted = StateTree()
+    unrooted.set("a", object())
+    with pytest.raises(EncodingError):
+        unrooted.root()
+    unrooted.set("a", 1)
+    assert unrooted.root() == oracle_root(unrooted)
 
 
 def test_root_is_incremental_not_full_rehash():

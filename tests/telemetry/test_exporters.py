@@ -61,6 +61,8 @@ def _synthetic():
     ])
 
     sim.metrics.gauge("demo.gauge").set(2.5)
+    sim.metrics.gauge("state.root.buckets_rehashed").set(18)
+    sim.metrics.gauge("state.root.leaves_encoded").set(19)
     sim.metrics.histogram("demo.empty")  # summary must export as nulls
     series = sim.metrics.timeseries("demo.series")
     series.record(1.0, 1.0)
@@ -300,6 +302,7 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     sim.metrics.counter("cid.cache.hits").inc(90)
     sim.metrics.counter("cid.cache.misses").inc(10)
     sim.metrics.gauge("state.root.buckets_rehashed").set(7)
+    sim.metrics.gauge("state.root.leaves_encoded").set(9)
     path = str(tmp_path / "dump.json")
     write_json(path, telemetry_snapshot(sim, tracer=tracer))
     assert report_main([path]) == 0
@@ -309,6 +312,7 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     assert "caches & state-root work" in out
     assert "cid.cache.hit_rate" in out and "0.9" in out
     assert "state.root.buckets_rehashed" in out
+    assert "state.root.leaves_encoded" in out
 
     assert report_main([path, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -316,6 +320,7 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     assert summary["caches"]["cid.cache.hits"] == 90
     assert summary["caches"]["cid.cache.hit_rate"] == 0.9
     assert summary["caches"]["state.root.buckets_rehashed"] == 7
+    assert summary["caches"]["state.root.leaves_encoded"] == 9
 
 
 def test_report_renders_profile_section(tmp_path, capsys):
