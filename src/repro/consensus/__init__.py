@@ -3,8 +3,10 @@
 Central to the paper: "Each subnet can run its own independent consensus
 algorithm" (§I) and the prototype integrates Tendermint and MirBFT (§VI).
 Every engine implements :class:`~repro.consensus.base.ConsensusEngine`
-against the same node interface, so a subnet chooses its engine by name in
-its Subnet Actor's consensus spec:
+against the same node interface — the node owns block intake, an engine
+only decides which blocks are eligible — so a subnet chooses its engine by
+name in its Subnet Actor's consensus spec (``poa``, ``pos`` and ``mir`` are
+leader rules over :class:`~repro.consensus.slots.SlotLeaderEngine`):
 
 - ``poa``        — round-robin proof-of-authority (instant finality);
 - ``pos``        — stake-weighted leader lottery (instant finality);
@@ -21,8 +23,8 @@ from repro.consensus.base import (
     Validator,
     ValidatorSet,
     make_engine,
-    ENGINE_NAMES,
 )
+from repro.consensus.slots import SlotLeaderEngine
 from repro.consensus.poa import RoundRobinEngine
 from repro.consensus.pos import ProofOfStakeEngine
 from repro.consensus.pow import ProofOfWorkEngine
@@ -35,7 +37,7 @@ __all__ = [
     "Validator",
     "ValidatorSet",
     "make_engine",
-    "ENGINE_NAMES",
+    "SlotLeaderEngine",
     "RoundRobinEngine",
     "ProofOfStakeEngine",
     "ProofOfWorkEngine",

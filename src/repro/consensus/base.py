@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.keys import Address
@@ -28,14 +28,19 @@ class ValidatorSet:
         ordered = sorted(validators, key=lambda v: v.node_id)
         if not ordered:
             raise ValueError("validator set cannot be empty")
-        seen = set()
+        # The set never changes after construction, and the BFT engines
+        # ask for members and totals on every vote — derive them once.
+        self._by_node: dict[str, Validator] = {}
         for validator in ordered:
-            if validator.node_id in seen:
+            if validator.node_id in self._by_node:
                 raise ValueError(f"duplicate validator {validator.node_id}")
             if validator.power <= 0:
                 raise ValueError(f"validator {validator.node_id} has no power")
-            seen.add(validator.node_id)
+            self._by_node[validator.node_id] = validator
         self.validators = ordered
+        self.total_power = sum(v.power for v in ordered)
+        #: Power needed for a BFT quorum: > 2/3 of total.
+        self.quorum_power = self.total_power * 2 // 3 + 1
 
     def __len__(self) -> int:
         return len(self.validators)
@@ -44,27 +49,15 @@ class ValidatorSet:
         return iter(self.validators)
 
     @property
-    def total_power(self) -> int:
-        return sum(v.power for v in self.validators)
-
-    @property
-    def quorum_power(self) -> int:
-        """Power needed for a BFT quorum: > 2/3 of total."""
-        return self.total_power * 2 // 3 + 1
-
-    @property
     def max_faulty(self) -> int:
         """f such that the set tolerates f Byzantine validators (by count)."""
         return (len(self.validators) - 1) // 3
 
     def by_node(self, node_id: str) -> Optional[Validator]:
-        for validator in self.validators:
-            if validator.node_id == node_id:
-                return validator
-        return None
+        return self._by_node.get(node_id)
 
     def contains(self, node_id: str) -> bool:
-        return self.by_node(node_id) is not None
+        return node_id in self._by_node
 
     def round_robin(self, index: int) -> Validator:
         return self.validators[index % len(self.validators)]
@@ -95,7 +88,6 @@ class ConsensusParams:
     timeout_propose: float = 0.5  # Tendermint phase timeouts
     timeout_vote: float = 0.5
     mir_leaders: int = 4
-    extra: dict = field(default_factory=dict)
 
 
 class ConsensusEngine:
@@ -103,12 +95,16 @@ class ConsensusEngine:
 
     The *node* argument is the engine's window on the world; it must provide:
 
-    - ``node_id`` (str), ``miner_address`` (Address)
+    - ``node_id`` (str), ``subnet_id`` (str), ``miner_address`` (Address)
     - ``head()`` → current canonical head FullBlock
-    - ``assemble_block(height, parent_cid, consensus_data)`` → FullBlock
-      built from the node's pools against the parent state
-    - ``receive_block(block, final)`` → bool: validate + store + (if final or
-      heaviest) apply; False when invalid
+    - ``assemble_block(height, parent_cid, consensus_data,
+      message_filter=None)`` → FullBlock built from the node's pools (only
+      the messages the filter admits) against the parent state
+    - ``receive_block(block, final, sender=None)`` → bool: the one block
+      intake path — validate + store + (if final or heaviest) apply; False
+      when invalid, already known, or parked as an orphan.  Parking a block
+      *sender* delivered from beyond ``head + 1`` also fetches the missing
+      range from that peer, so engines never sync blocks themselves
     - ``broadcast(kind, payload)`` → publish on the subnet's consensus topic
       (delivered back to every validator's engine via ``handle``)
     - ``is_byzantine(behaviour)`` → bool for fault-injection experiments
@@ -168,8 +164,34 @@ class ConsensusEngine:
     def _observe_block_interval(self, block: FullBlock) -> None:
         hist = self.sim.metrics.histogram(f"consensus.{self.node.subnet_id}.block_interval")
         head = self.node.head()
-        if head is not None and block.height == head.height + 1:
+        if block.height == head.height + 1:
             hist.observe(block.header.timestamp - head.header.timestamp)
+
+    def _publish_block(self, block: FullBlock, final: bool, **where) -> None:
+        """Proposer side of a self-certifying block we just assembled.
+
+        Commit locally first, then broadcast to the subnet topic.  *where*
+        (the slot, for slot engines) is narrated on both round events.
+        """
+        self._trace_round(
+            "propose", height=block.height, **where,
+            proposer=self.node.node_id, cid=block.cid.hex()[:16],
+        )
+        self._observe_block_interval(block)
+        self.node.receive_block(block, final=final)
+        self._trace_round("commit", height=block.height, **where)
+        self.node.broadcast("block", block)
+
+    def _accept_block(self, block: FullBlock, final: bool, sender: str) -> bool:
+        """Receiver side: hand *sender*'s eligible block to the node's intake.
+
+        False covers invalid, duplicate and parked-orphan alike — the node
+        fetches any gap behind an orphan from *sender* on its own.
+        """
+        accepted = self.node.receive_block(block, final=final, sender=sender)
+        if accepted:
+            self._metric("accepted").inc()
+        return accepted
 
 
 _ENGINES: dict[str, type] = {}
@@ -189,8 +211,3 @@ def make_engine(sim, node, validators: ValidatorSet, params: ConsensusParams) ->
             f"unknown consensus engine {params.engine!r}; have {sorted(_ENGINES)}"
         )
     return engine_class(sim, node, validators, params)
-
-
-def ENGINE_NAMES() -> list:
-    """Names of all registered engines."""
-    return sorted(_ENGINES)

@@ -63,8 +63,6 @@ class ProofOfWorkEngine(ConsensusEngine):
         if power == 0:
             return  # observer node: syncs but does not mine
         head = self.node.head()
-        if head is None:
-            return
         mean = self.params.block_time * self.validators.total_power / power
         delay = self._rng.expovariate(1.0 / mean)
         self._mining_on = head.cid
@@ -80,7 +78,7 @@ class ProofOfWorkEngine(ConsensusEngine):
         if not self.running:
             return
         head = self.node.head()
-        if head is None or head.cid != parent_cid:
+        if head.cid != parent_cid:
             # Head changed while the solve event was in flight: stale work.
             self._restart_mining()
             return
@@ -97,14 +95,7 @@ class ProofOfWorkEngine(ConsensusEngine):
             },
         )
         self._metric("mined").inc()
-        self._trace_round(
-            "propose", height=block.height, proposer=self.node.node_id,
-            cid=block.cid.hex()[:16],
-        )
-        self._observe_block_interval(block)
-        self.node.receive_block(block, final=False)
-        self._trace_round("commit", height=block.height)
-        self.node.broadcast("block", block)
+        self._publish_block(block, final=False)
         self._restart_mining()
 
     # ------------------------------------------------------------------
@@ -115,26 +106,20 @@ class ProofOfWorkEngine(ConsensusEngine):
             return
         # No running guard on acceptance: a restarted node listens
         # passively (engine stopped) until its head is fresh — see
-        # RoundRobinEngine.handle.  Only mining stays gated on running.
+        # SlotLeaderEngine.handle.  Only mining stays gated on running.
         block: FullBlock = payload
         if block.header.consensus_data.get("engine") != self.NAME:
             self._metric("rejected").inc()
             return
         head_before = self.node.head()
-        accepted = self.node.receive_block(block, final=False)
-        if not accepted:
-            if block.height > self.node.head().height + 1:
-                self.node.request_block_range(
-                    sender, self.node.head().height + 1, block.height - 1
-                )
+        if not self._accept_block(block, final=False, sender=sender):
             return
-        self._metric("accepted").inc()
         head_after = self.node.head()
-        if head_before is None or head_after.cid != head_before.cid:
+        if head_after.cid != head_before.cid:
             self._trace_round("commit", height=head_after.height)
-        if self.running and (head_before is None or head_after.cid != head_before.cid):
-            # Our head moved (extension or reorg): abandon stale work.
-            self._restart_mining()
+            if self.running:
+                # Our head moved (extension or reorg): abandon stale work.
+                self._restart_mining()
 
     # ------------------------------------------------------------------
     # Introspection (stall diagnosis)
@@ -149,7 +134,7 @@ class ProofOfWorkEngine(ConsensusEngine):
                 if self._mining_on is not None else None
             ),
             "power": self._my_power(),
-            "head_height": head.height if head else None,
+            "head_height": head.height,
             "final_height": self.final_height(),
         })
         return state
@@ -159,7 +144,4 @@ class ProofOfWorkEngine(ConsensusEngine):
     # ------------------------------------------------------------------
     def final_height(self) -> int:
         """Highest height considered final (head height − finality depth)."""
-        head = self.node.head()
-        if head is None:
-            return -1
-        return head.height - self.params.finality_depth
+        return self.node.head().height - self.params.finality_depth

@@ -70,14 +70,14 @@ class TendermintEngine(ConsensusEngine):
         # books after committing and never re-send (the catch-up problem
         # block sync solves in production Tendermint).
         self._future: dict[int, list] = {}  # height -> [(kind, payload, sender)]
+        self._height_started_at = sim.now  # block-interval pacing reference
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         super().start()
-        head = self.node.head()
-        self.height = (head.height + 1) if head else 0
+        self.height = self.node.head().height + 1
         self._height_started_at = self.sim.now
         self._start_round(0)
 
@@ -90,9 +90,7 @@ class TendermintEngine(ConsensusEngine):
         self.round = round_
         self.step = PROPOSE
         proposer = self.proposer_for(self.height, round_)
-        self.sim.metrics.counter(
-            f"consensus.{self.node.subnet_id}.rounds"
-        ).inc()
+        self._metric("rounds").inc()
         self._trace_round(
             "round_skip" if skipped else "round_start",
             height=self.height, round=round_, proposer=proposer.node_id,
@@ -170,24 +168,21 @@ class TendermintEngine(ConsensusEngine):
     def _on_timeout(self, step: str, height: int, round_: int) -> None:
         if not self.running or height != self.height or round_ != self.round:
             return  # stale timeout from an older height/round
-        # Step transitions happen BEFORE the vote is cast: _cast_vote
+        if step != self.step:
+            return  # the step this timeout guarded already completed
+        self._trace_round("timeout", height=height, round=round_, step=step)
+        if step == PRECOMMIT:
+            self._start_round(round_ + 1)
+            return
+        # No acceptable proposal (or no polka): vote nil in the next step.
+        # The step transition happens BEFORE the vote is cast: _cast_vote
         # self-delivers synchronously and may advance the round or commit
         # the height — assigning self.step afterwards would clobber that
         # fresh state with a stale one (see _check_polka).
-        if step == PROPOSE and self.step == PROPOSE:
-            # No acceptable proposal: prevote nil.
-            self._trace_round("timeout", height=height, round=round_, step=step)
-            self.step = PREVOTE
-            self._schedule_timeout(PREVOTE, height, round_)
-            self._cast_vote(PREVOTE, None)
-        elif step == PREVOTE and self.step == PREVOTE:
-            self._trace_round("timeout", height=height, round=round_, step=step)
-            self.step = PRECOMMIT
-            self._schedule_timeout(PRECOMMIT, height, round_)
-            self._cast_vote(PRECOMMIT, None)
-        elif step == PRECOMMIT and self.step == PRECOMMIT:
-            self._trace_round("timeout", height=height, round=round_, step=step)
-            self._start_round(round_ + 1)
+        next_step = PREVOTE if step == PROPOSE else PRECOMMIT
+        self.step = next_step
+        self._schedule_timeout(next_step, height, round_)
+        self._cast_vote(next_step, None)
 
     # ------------------------------------------------------------------
     # Voting
@@ -254,6 +249,9 @@ class TendermintEngine(ConsensusEngine):
             if height <= self.height + 100:  # bounded buffer
                 self._future.setdefault(height, []).append((kind, payload, sender))
             return
+        self._deliver(kind, payload, sender)
+
+    def _deliver(self, kind: str, payload: Any, sender: str) -> None:
         if kind == "tm:proposal":
             self._on_proposal(payload, sender)
         elif kind == "tm:vote":
@@ -326,11 +324,10 @@ class TendermintEngine(ConsensusEngine):
             return
         if not self._record_vote(vote):
             return
-        voter = self.validators.by_node(vote.voter)
         self._trace_round(
             "vote", height=vote.height, round=vote.round,
             vote_type=vote.vote_type, voter=vote.voter,
-            power=voter.power if voter else 1,
+            power=self.validators.by_node(vote.voter).power,
             cid=vote.block_cid.hex()[:16] if vote.block_cid else None,
         )
         if vote.round > self.round and self._maybe_skip_round(vote.round):
@@ -391,16 +388,14 @@ class TendermintEngine(ConsensusEngine):
                 # never matches again).
                 self.step = PRECOMMIT
                 self._schedule_timeout(PRECOMMIT, self.height, round_)
-                if cid is None:
-                    self._cast_vote(PRECOMMIT, None)
-                else:
+                if cid is not None:
                     self.locked_cid = cid
                     self.locked_round = round_
                     self._trace_round(
                         "lock", height=self.height, round=round_,
                         cid=cid.hex()[:16],
                     )
-                    self._cast_vote(PRECOMMIT, cid)
+                self._cast_vote(PRECOMMIT, cid)
                 return
 
     def _check_commit(self, round_: int) -> None:
@@ -474,14 +469,13 @@ class TendermintEngine(ConsensusEngine):
             return
         # Strictly ahead: we are at least one full height behind.
         self._observe_block_interval(block)
-        self.node.receive_block(block, final=True)
+        self.node.receive_block(block, final=True, sender=sender)
         head = self.node.head()
         if head.height + 1 <= self.height:
-            # An orphaned future block: its ancestors never committed here
-            # and, after a long enough outage, are past gossip's IHAVE
-            # history — so fetch the gap directly from whoever sent the
-            # certificate (the orphan cascade then lands this block too).
-            self.node.request_block_range(sender, head.height + 1, block.height - 1)
+            # An orphaned future block: its ancestors never committed
+            # here.  The node parked it and is fetching the gap from
+            # whoever sent the certificate; the orphan cascade then lands
+            # this block too, and a later certificate moves the engine.
             return
         # Jump to the head the certificate (plus any retried orphans)
         # established and rejoin consensus at the next height.
@@ -490,13 +484,17 @@ class TendermintEngine(ConsensusEngine):
         self._decided_heights.update(
             range(self.height, head.height + 1)
         )
-        self.height = head.height + 1
+        self._height_started_at = self.sim.now
+        self._await_height(head.height + 1, pacing=0.0)
+
+    def _await_height(self, height: int, pacing: float) -> None:
+        """Leave the decided height behind; begin *height* after *pacing*."""
+        self.height = height
         self.locked_cid = None
         self.locked_round = -1
         self.round = -1
         self.step = "commit-wait"
-        self._height_started_at = self.sim.now
-        self.sim.schedule(0.0, self._begin_height, self.height, label="tm:pace")
+        self.sim.schedule(pacing, self._begin_height, height, label="tm:pace")
 
     def _commit(self, block: FullBlock, cert: Optional[tuple] = None) -> None:
         if block.height in self._decided_heights:
@@ -526,16 +524,9 @@ class TendermintEngine(ConsensusEngine):
         # in a few gossip round trips, so without pacing block rate would be
         # network-bound instead of the configured block_time.
         self._gc_height(self.height)
-        decided_height = self.height
-        self.height = block.height + 1
-        self.locked_cid = None
-        self.locked_round = -1
-        self.round = -1
-        self.step = "commit-wait"
-        elapsed = self.sim.now - getattr(self, "_height_started_at", self.sim.now)
-        pacing = max(0.0, self.params.block_time - elapsed)
-        self.sim.schedule(
-            pacing, self._begin_height, self.height, label="tm:pace"
+        elapsed = self.sim.now - self._height_started_at
+        self._await_height(
+            block.height + 1, pacing=max(0.0, self.params.block_time - elapsed)
         )
 
     def _begin_height(self, height: int) -> None:
@@ -545,10 +536,7 @@ class TendermintEngine(ConsensusEngine):
         self._start_round(0)
         # Replay any traffic that arrived while we lagged behind.
         for kind, payload, sender in self._future.pop(self.height, []):
-            if kind == "tm:proposal":
-                self._on_proposal(payload, sender)
-            else:
-                self._on_vote(payload)
+            self._deliver(kind, payload, sender)
         for stale in [h for h in self._future if h <= self.height]:
             del self._future[stale]
 

@@ -64,7 +64,8 @@ class NodeRuntime:
         self.vm = genesis_vm.copy()
         self.vm.epoch = 0
         self.mempool = MessagePool()
-        self._orphans: dict[CID, list[FullBlock]] = {}  # parent -> waiting blocks
+        # parent -> {cid: waiting block}; a block redelivered n times parks once
+        self._orphans: dict[CID, dict[CID, FullBlock]] = {}
         # Post-states of blocks this node assembled itself, keyed by block
         # CID: when the block comes back through receive_block unchanged,
         # the deterministic execution need not be repeated.  Bounded; an
@@ -295,17 +296,26 @@ class NodeRuntime:
     # ------------------------------------------------------------------
     # Block reception (from the engine, local or remote)
     # ------------------------------------------------------------------
-    def receive_block(self, block: FullBlock, final: bool) -> bool:
+    def receive_block(
+        self, block: FullBlock, final: bool, sender: Optional[str] = None
+    ) -> bool:
         """Validate, execute and store *block*; returns acceptance.
 
         Out-of-order blocks (parent unknown) are parked and retried when
-        the parent arrives — PoW gossip can deliver children first.
+        the parent arrives — PoW gossip can deliver children first.  When
+        the peer *sender* delivered one from beyond ``head + 1``, the gap
+        may be older than gossip's IHAVE history still covers (a long
+        outage), so the missing range is fetched from that peer directly;
+        the orphan cascade then lands the parked block too.
         """
         if self.store.has(block.cid):
             return False
         parent = self.store.get_optional(block.header.parent)
         if parent is None:
-            self._orphans.setdefault(block.header.parent, []).append(block)
+            self._orphans.setdefault(block.header.parent, {})[block.cid] = block
+            head_height = self.store.head.height
+            if sender is not None and block.height > head_height + 1:
+                self.request_block_range(sender, head_height + 1, block.height - 1)
             return False
         try:
             validate_block_shape(block, parent, self.subnet_id)
@@ -375,8 +385,8 @@ class NodeRuntime:
         return True
 
     def _retry_orphans(self, parent_cid: CID, final: bool) -> None:
-        waiting = self._orphans.pop(parent_cid, [])
-        for orphan in waiting:
+        waiting = self._orphans.pop(parent_cid, {})
+        for orphan in waiting.values():
             self.receive_block(orphan, final)
 
     def _after_head_change(self, old_head: Optional[CID], new_head_block: FullBlock) -> None:

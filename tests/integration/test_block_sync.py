@@ -30,7 +30,7 @@ def _deep_outage(engine: str, seed: int = 42) -> None:
     assert audit_system(system).ok
 
 
-@pytest.mark.parametrize("engine", ["tendermint", "poa", "pos"])
+@pytest.mark.parametrize("engine", ["tendermint", "poa", "pos", "mir", "pow"])
 def test_deep_outage_restart_catches_up(engine):
     _deep_outage(engine)
 
