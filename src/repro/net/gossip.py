@@ -16,7 +16,9 @@ core of gossipsub [Vyzovitis et al. 2020]:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from repro.sim.scheduler import Simulator
@@ -52,11 +54,12 @@ class _PeerState:
         self.peer_id = peer_id
         self.topics: dict[str, Callable[[PubsubEnvelope], None]] = {}
         self.mesh: dict[str, set[str]] = {}
-        # Sorted snapshot of each mesh set, computed lazily on first forward
-        # and invalidated by _rebuild_mesh (the only place mesh sets change).
-        self.mesh_sorted: dict[str, tuple[str, ...]] = {}
-        self.seen: dict[str, PubsubEnvelope] = {}
-        self.seen_order: list[tuple[int, str]] = []  # (heartbeat_no, msg_id)
+        # Per topic: (sorted mesh neighbours, (neighbour, its ``seen``) pairs),
+        # computed lazily on first forward and invalidated by _rebuild_mesh
+        # (the only place mesh sets change).
+        self.mesh_links: dict[str, tuple] = {}
+        self.seen: dict[str, PubsubEnvelope] = {}  # never rebound: neighbours hold it
+        self.seen_order: deque = deque()  # (heartbeat_no, msg_id)
         self.seq = 0
 
 
@@ -77,6 +80,11 @@ class GossipNetwork:
         self.transport = transport or Transport(sim)
         self.params = params or GossipParams()
         self._peers: dict[str, _PeerState] = {}
+        # A removed peer's state waits here for its return: a peer that
+        # comes back under the same id keeps its dedup history and its
+        # sequence numbers (a fresh ``seq`` would reissue old message ids).
+        self._departed: dict[str, _PeerState] = {}
+        self._peer_order: Optional[tuple] = None  # sorted ids, for the heartbeat
         self._topic_members: dict[str, set[str]] = {}
         self._rng = sim.rng("net", "gossip")
         # Hot-path metric handles, resolved once (publish/deliver run for
@@ -84,6 +92,7 @@ class GossipNetwork:
         self._published = sim.metrics.counter("gossip.published")
         self._delivered = sim.metrics.counter("gossip.delivered")
         self._latency = sim.metrics.histogram("gossip.latency")
+        self._elided = sim.metrics.counter("gossip.duplicates_elided")
         self._heartbeat_no = 0
         self._rpc: Optional[RpcChannel] = None
         self._stop_heartbeat = sim.every(
@@ -109,15 +118,19 @@ class GossipNetwork:
         """Register a peer on the fabric (idempotent)."""
         if peer_id in self._peers:
             return
-        self._peers[peer_id] = _PeerState(peer_id)
+        self._peers[peer_id] = self._departed.pop(peer_id, None) or _PeerState(peer_id)
+        self._peer_order = None
         self.transport.register(peer_id, self._on_transport_message)
 
     def remove_peer(self, peer_id: str) -> None:
-        state = self._peers.pop(peer_id, None)
+        state = self._peers.get(peer_id)
         if state is None:
             return
         for topic in list(state.topics):
-            self._leave_topic(peer_id, topic)
+            self.unsubscribe(peer_id, topic)
+        del self._peers[peer_id]
+        self._departed[peer_id] = state
+        self._peer_order = None
         self.transport.unregister(peer_id)
 
     def subscribe(
@@ -144,7 +157,7 @@ class GossipNetwork:
             # _rebuild_mesh only resets mesh entries for remaining members;
             # clear the departing peer's own view so it stops relaying.
             state.mesh.pop(topic, None)
-            state.mesh_sorted.pop(topic, None)
+            state.mesh_links.pop(topic, None)
         members = self._topic_members.get(topic)
         if members:
             members.discard(peer_id)
@@ -161,7 +174,7 @@ class GossipNetwork:
         workloads, so the simplicity beats incremental GRAFT/PRUNE.
         """
         for peer in self._peers.values():
-            peer.mesh_sorted.pop(topic, None)
+            peer.mesh_links.pop(topic, None)
         members = sorted(self._topic_members.get(topic, set()))
         for member in members:
             self._peers[member].mesh[topic] = set()
@@ -197,7 +210,7 @@ class GossipNetwork:
             published_at=self.sim.now,
         )
         self._published.inc()
-        self._accept(peer_id, envelope, deliver_locally=True)
+        self._accept(state, envelope)
         # If the publisher is not in the topic, seed the flood at a few members.
         if topic not in state.topics:
             members = sorted(self._topic_members.get(topic, set()))
@@ -206,35 +219,45 @@ class GossipNetwork:
                 fanout = members if len(members) <= self.params.degree else rng.sample(
                     members, self.params.degree
                 )
-                for member in fanout:
-                    self.transport.send(peer_id, member, "gossip:pub", envelope)
+                self.transport.fanout(peer_id, fanout, "gossip:pub", envelope)
         return msg_id
 
-    def _accept(self, peer_id: str, envelope: PubsubEnvelope, deliver_locally: bool) -> None:
-        """Record a message at a peer and forward it over its mesh."""
-        state = self._peers[peer_id]
-        if envelope.msg_id in state.seen:
+    def _accept(self, state: _PeerState, envelope: PubsubEnvelope) -> None:
+        """Record a message at a peer, deliver it and forward it over its mesh."""
+        msg_id = envelope.msg_id
+        if msg_id in state.seen:
             return
-        if envelope.topic not in state.topics:
+        topic = envelope.topic
+        handler = state.topics.get(topic)
+        if handler is None:
             # Not subscribed — a departed peer catching an in-flight
             # delivery, or a bare publisher (whose flood publish() seeds
             # explicitly).  Recording the message as seen here would make
             # IHAVE repair skip it forever once the peer (re)subscribes,
             # so drop it unrecorded.
             return
-        state.seen[envelope.msg_id] = envelope
-        state.seen_order.append((self._heartbeat_no, envelope.msg_id))
-        handler = state.topics.get(envelope.topic)
-        if handler is not None and deliver_locally:
-            self._delivered.inc()
-            self._latency.observe(self.sim.now - envelope.published_at)
-            handler(envelope)
-        neighbours = state.mesh_sorted.get(envelope.topic)
-        if neighbours is None:
-            neighbours = tuple(sorted(state.mesh.get(envelope.topic, ())))
-            state.mesh_sorted[envelope.topic] = neighbours
-        for neighbour in neighbours:
-            self.transport.send(peer_id, neighbour, "gossip:pub", envelope)
+        state.seen[msg_id] = envelope
+        state.seen_order.append((self._heartbeat_no, msg_id))
+        self._delivered.inc()
+        self._latency.observe(self.sim.now - envelope.published_at)
+        handler(envelope)
+        links = state.mesh_links.get(topic)
+        if links is None:
+            neighbours = tuple(sorted(state.mesh.get(topic, ())))
+            tables = tuple((n, self._peers[n].seen) for n in neighbours)
+            links = state.mesh_links[topic] = (neighbours, tables)
+        # A neighbour that has recorded this id will drop the copy on its
+        # first check, and a record made at or after publication outlives
+        # history_length - 1 further heartbeats: until then the copy is a
+        # proven no-op, which the transport accounts without scheduling.
+        settled = [n for n, seen in links[1] if msg_id in seen]
+        params = self.params
+        lifetime = (params.history_length - 1) * params.heartbeat_interval
+        _sent, elided = self.transport.fanout(
+            state.peer_id, links[0], "gossip:pub", envelope,
+            settled, envelope.published_at + lifetime,
+        )
+        self._elided.inc(elided)
 
     # ------------------------------------------------------------------
     # Transport plumbing
@@ -244,8 +267,7 @@ class GossipNetwork:
         if state is None:
             return
         if message.kind == "gossip:pub":
-            envelope: PubsubEnvelope = message.payload
-            self._accept(message.dst, envelope, deliver_locally=True)
+            self._accept(state, message.payload)
         elif message.kind == "gossip:ihave":
             topic, msg_ids = message.payload
             missing = [m for m in msg_ids if m not in state.seen]
@@ -263,15 +285,18 @@ class GossipNetwork:
     def _heartbeat(self) -> None:
         self._heartbeat_no += 1
         horizon = self._heartbeat_no - self.params.history_length
-        for peer_id in sorted(self._peers):
+        if self._peer_order is None:
+            self._peer_order = tuple(sorted(self._peers))
+        for peer_id in self._peer_order:
             state = self._peers[peer_id]
             # Expire old history.
             while state.seen_order and state.seen_order[0][0] < horizon:
-                _, old_id = state.seen_order.pop(0)
+                _, old_id = state.seen_order.popleft()
                 state.seen.pop(old_id, None)
             # Advertise recent ids per topic to non-mesh members.
             recent_by_topic: dict[str, list[str]] = {}
-            for _, msg_id in state.seen_order[-50:]:
+            recent = list(islice(reversed(state.seen_order), 50))
+            for _, msg_id in reversed(recent):
                 envelope = state.seen.get(msg_id)
                 if envelope is not None:
                     recent_by_topic.setdefault(envelope.topic, []).append(msg_id)

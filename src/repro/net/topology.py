@@ -102,6 +102,12 @@ class Topology:
         # draw zero extra RNG when no link is degraded.
         self._links: dict[tuple[str, str], LinkProfile] = {}
 
+    @property
+    def is_clean(self) -> bool:
+        """No partition, no link override, no loss: every send gets through
+        and only the latency model draws from the RNG."""
+        return not (self.loss_rate or self._links or any(self._partitions))
+
     @staticmethod
     def _link_key(a: str, b: str) -> tuple[str, str]:
         return (a, b) if a <= b else (b, a)

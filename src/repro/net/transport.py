@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Collection, Iterable, Optional
 
 from repro.sim.scheduler import Simulator
 from repro.net.topology import Topology
 
 
-@dataclass(frozen=True)
 class NetMessage:
     """A delivered network message."""
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any
-    sent_at: float
-    msg_id: int = field(default=0)
+    __slots__ = ("src", "dst", "kind", "payload", "sent_at", "msg_id")
+
+    def __init__(
+        self, src: str, dst: str, kind: str, payload: Any, sent_at: float, msg_id: int = 0
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.sent_at = sent_at
+        self.msg_id = msg_id
+
+
+def _link_name(endpoint: str) -> str:
+    """Endpoint namespaces (rpc:<peer>) share the peer's physical link:
+    partitions, loss and latency overrides keyed by the bare peer id must
+    apply to its RPC traffic too."""
+    return endpoint[4:] if endpoint.startswith("rpc:") else endpoint
 
 
 class Transport:
@@ -35,6 +45,7 @@ class Transport:
         self.sim = sim
         self.topology = topology or Topology()
         self._handlers: dict[str, Callable[[NetMessage], None]] = {}
+        self._link_of: dict[str, str] = {}  # registered endpoint -> link name
         self._next_msg_id = 0
         self._rng = sim.rng("net", "transport")
         # Hot-path metric handles, resolved once (send/deliver run for
@@ -42,6 +53,8 @@ class Transport:
         self._sent = sim.metrics.counter("net.sent")
         self._delivered = sim.metrics.counter("net.delivered")
         self._latency = sim.metrics.histogram("net.latency")
+        self._partitioned_drops = sim.metrics.counter("net.partitioned_drops")
+        self._lost = sim.metrics.counter("net.lost")
         self._labels: dict[str, str] = {}
 
     def register(self, peer_id: str, handler: Callable[[NetMessage], None]) -> None:
@@ -49,9 +62,11 @@ class Transport:
         if peer_id in self._handlers:
             raise ValueError(f"peer {peer_id} already registered")
         self._handlers[peer_id] = handler
+        self._link_of[peer_id] = _link_name(peer_id)
 
     def unregister(self, peer_id: str) -> None:
         self._handlers.pop(peer_id, None)
+        self._link_of.pop(peer_id, None)
 
     def is_registered(self, peer_id: str) -> bool:
         return peer_id in self._handlers
@@ -66,35 +81,63 @@ class Transport:
         Delivery happens asynchronously through the simulator queue after a
         sampled latency.
         """
-        if dst not in self._handlers:
-            return False
-        # Endpoint namespaces (rpc:<peer>) share the peer's physical link:
-        # partitions, loss and latency overrides keyed by the bare peer id
-        # must apply to its RPC traffic too.
-        link_src = src[4:] if src.startswith("rpc:") else src
-        link_dst = dst[4:] if dst.startswith("rpc:") else dst
-        if not self.topology.can_communicate(link_src, link_dst):
-            self.sim.metrics.counter("net.partitioned_drops").inc()
-            return False
-        if self.topology.is_lost(link_src, link_dst, self._rng):
-            self.sim.metrics.counter("net.lost").inc()
-            return False
-        latency = self.topology.sample_latency(link_src, link_dst, self._rng)
-        message = NetMessage(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            sent_at=self.sim.now,
-            msg_id=self._next_msg_id,
-        )
-        self._next_msg_id += 1
-        self._sent.inc()
-        label = self._labels.get(kind)
-        if label is None:
-            label = self._labels[kind] = f"net:{kind}"
-        self.sim.schedule(latency, self._deliver, message, label=label)
-        return True
+        return self.fanout(src, (dst,), kind, payload)[0] == 1
+
+    def fanout(
+        self,
+        src: str,
+        dsts: Iterable[str],
+        kind: str,
+        payload: Any,
+        settled: Collection[str] = (),
+        settled_until: float = 0.0,
+    ) -> tuple[int, int]:
+        """Send *payload* to each of *dsts*, in order; returns ``(sent, elided)``.
+
+        Every link is modelled alike: partition check, loss draw, latency
+        draw, in that order on the one RNG stream, counted in ``net.sent``
+        and ``net.latency``.  A copy to a peer in *settled* that lands
+        before *settled_until* is one the caller has proved a no-op at its
+        receiver: it is accounted, but never becomes a message or an event.
+        """
+        link_of = self._link_of
+        link_src = link_of.get(src) or _link_name(src)
+        topology = self.topology
+        clean = topology.is_clean
+        sample = topology.latency.sample
+        rng = self._rng
+        now = self.sim.now
+        push = self.sim.queue.push
+        deliver = self._deliver
+        label = self._labels.get(kind) or self._labels.setdefault(kind, f"net:{kind}")
+        first_id = self._next_msg_id
+        sent = 0
+        elided = []  # latencies of the copies that stay off the queue
+        for dst in dsts:
+            link_dst = link_of.get(dst)
+            if link_dst is None:
+                continue
+            if clean:
+                arrival = now + sample(link_src, link_dst, rng)
+            elif not topology.can_communicate(link_src, link_dst):
+                self._partitioned_drops.inc()
+                continue
+            elif topology.is_lost(link_src, link_dst, rng):
+                self._lost.inc()
+                continue
+            else:
+                arrival = now + topology.sample_latency(link_src, link_dst, rng)
+            if dst in settled and arrival < settled_until:
+                elided.append(arrival - now)
+            else:
+                message = NetMessage(src, dst, kind, payload, now, first_id + sent)
+                push(arrival, deliver, (message,), None, label)
+            sent += 1
+        self._next_msg_id = first_id + sent
+        self._sent.inc(sent)
+        if elided:
+            self._latency.observe_many(elided)
+        return sent, len(elided)
 
     def _deliver(self, message: NetMessage) -> None:
         handler = self._handlers.get(message.dst)

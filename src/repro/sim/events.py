@@ -16,6 +16,7 @@ seed so that hidden tie-order dependence becomes detectable (see
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Iterator, Optional
 
 _MIX_MULT = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier (splitmix64)
@@ -64,7 +65,8 @@ class Event:
         self.tie = tie
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs or {}
+        # None (not a fresh dict) when there are none: almost every event.
+        self.kwargs = kwargs or None
         self.cancelled = False
         self.label = label
         self.popped = False
@@ -75,6 +77,8 @@ class Event:
 
     def fire(self) -> Any:
         """Run the event's callback.  The queue calls this, not users."""
+        if self.kwargs is None:
+            return self.callback(*self.args)
         return self.callback(*self.args, **self.kwargs)
 
     def __lt__(self, other: "Event") -> bool:
@@ -138,10 +142,11 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Schedule *callback* at absolute simulated *time*."""
-        tie = 0 if self._tie_shuffle is None else tie_mix(self._tie_shuffle, self._seq)
-        event = Event(time, self._seq, callback, args, kwargs, label, tie=tie)
-        heapq.heappush(self._heap, (time, tie, self._seq, event))
-        self._seq += 1
+        seq = self._seq
+        tie = 0 if self._tie_shuffle is None else tie_mix(self._tie_shuffle, seq)
+        event = Event(time, seq, callback, args, kwargs, label, tie)
+        heapq.heappush(self._heap, (time, tie, seq, event))
+        self._seq = seq + 1
         self._live += 1
         return event
 
@@ -150,14 +155,22 @@ class EventQueue:
 
         Raises :class:`IndexError` when the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
-                continue
-            self._live -= 1
-            event.popped = True
-            return event
-        raise IndexError("pop from empty EventQueue")
+        event = self.pop_due(math.inf)
+        if event is None:
+            raise IndexError("pop from empty EventQueue")
+        return event
+
+    def pop_due(self, horizon: float) -> Optional[Event]:
+        """Remove and return the earliest live event at or before *horizon*
+        (``None`` when there is none) — the run loop's one call per event."""
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            event = heapq.heappop(heap)[3]
+            if not event.cancelled:
+                self._live -= 1
+                event.popped = True
+                return event
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event, or ``None``."""

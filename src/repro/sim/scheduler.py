@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time as _wallclock
@@ -25,6 +26,14 @@ class SimulationError(RuntimeError):
 #: event label the sim thread is running right now.  A stack, not a single
 #: slot, so nested dispatches attribute to the innermost label.
 _DISPATCH_LABEL_STACKS: dict[int, list] = {}
+#: The executing thread's own stack: dispatch runs per event, so it resolves
+#: its stack once per thread rather than by ``get_ident()`` lookup each time.
+_OWN_STACK = threading.local()
+
+
+def _register_label_stack() -> list:
+    stack = _OWN_STACK.stack = _DISPATCH_LABEL_STACKS.setdefault(threading.get_ident(), [])
+    return stack
 
 
 def current_dispatch_label(thread_id: Optional[int] = None) -> Optional[str]:
@@ -126,7 +135,10 @@ class DispatchBus:
             if self.trace is not None:
                 self.trace.emit("dispatch.suppressed", label)
             return None
-        label_stack = _DISPATCH_LABEL_STACKS.setdefault(threading.get_ident(), [])
+        try:
+            label_stack = _OWN_STACK.stack
+        except AttributeError:
+            label_stack = _register_label_stack()
         label_stack.append(label)
         start = _wallclock.perf_counter()
         try:
@@ -254,7 +266,7 @@ class Simulator:
         """Schedule *callback* to run *delay* simulated seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.queue.push(self.now + delay, callback, args, kwargs, label=label)
+        return self.queue.push(self.now + delay, callback, args, kwargs, label)
 
     def schedule_at(
         self,
@@ -267,7 +279,7 @@ class Simulator:
         """Schedule *callback* at an absolute simulated *time* (>= now)."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < now={self.now}")
-        return self.queue.push(time, callback, args, kwargs, label=label)
+        return self.queue.push(time, callback, args, kwargs, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Safe on already-fired events (no-op for
@@ -349,17 +361,29 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _drain(self, horizon: float, limit: Optional[int]) -> int:
+        """The run loop: pop, advance the clock, dispatch — until no event
+        is due by *horizon*, *limit* events ran, or one of them halted."""
+        pop_due = self.queue.pop_due
+        dispatch = self.dispatch.dispatch
+        executed = 0
+        while executed != limit:
+            event = pop_due(horizon)
+            if event is None:
+                break
+            if event.time < self.now:
+                raise SimulationError("event queue produced an event in the past")
+            self.now = event.time
+            self._events_executed += 1
+            executed += 1
+            dispatch(event)
+            if self._halted:
+                break
+        return executed
+
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` if the queue is empty."""
-        if not self.queue:
-            return False
-        event = self.queue.pop()
-        if event.time < self.now:
-            raise SimulationError("event queue produced an event in the past")
-        self.now = event.time
-        self._events_executed += 1
-        self.dispatch.dispatch(event)
-        return True
+        return self._drain(math.inf, 1) == 1
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events until simulated *time* (inclusive of events at *time*).
@@ -369,30 +393,22 @@ class Simulator:
         scheduling is relative to the requested horizon; a :meth:`halt`
         leaves the clock at the halting event's time.
         """
-        executed = 0
         self._halted = False
-        while not self._halted:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > time:
-                break
-            self.step()
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} before reaching t={time}"
-                )
+        executed = self._drain(time, max_events)
+        if executed == max_events:
+            raise SimulationError(
+                f"exceeded max_events={max_events} before reaching t={time}"
+            )
         if not self._halted and self.now < time:
             self.now = time
         return executed
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue is exhausted.  Returns events executed."""
-        executed = 0
         self._halted = False
-        while not self._halted and self.step():
-            executed += 1
-            if executed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+        executed = self._drain(math.inf, max_events)
+        if executed == max_events:
+            raise SimulationError(f"exceeded max_events={max_events}")
         return executed
 
     def halt(self) -> None:

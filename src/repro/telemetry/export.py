@@ -97,7 +97,7 @@ def write_json(path: str, snapshot: dict) -> str:
 METRIC_CATALOG: dict = {
     # net/transport
     "net.sent": ("counter", "messages handed to the transport"),
-    "net.delivered": ("counter", "messages delivered to a registered peer"),
+    "net.delivered": ("counter", "materialised deliveries: queued messages handed to a registered peer"),
     "net.latency": ("summary", "per-message simulated delivery latency"),
     "net.partitioned_drops": ("counter", "messages dropped by an active partition"),
     "net.lost": ("counter", "messages dropped by random loss"),
@@ -105,6 +105,9 @@ METRIC_CATALOG: dict = {
     "gossip.published": ("counter", "pubsub messages published"),
     "gossip.delivered": ("counter", "pubsub deliveries to subscriber handlers"),
     "gossip.latency": ("summary", "publish-to-handler simulated latency"),
+    "gossip.duplicates_elided": (
+        "counter", "mesh copies to peers that already recorded the id: sent, never queued"
+    ),
     # chain/runtime (per-subnet)
     "chain.*.blocks": ("gauge", "blocks committed (event series)"),
     "chain.*.txs": ("gauge", "transactions committed (event series)"),
