@@ -159,9 +159,10 @@ def _e1_scenario_cpu(profile: bool, seed: int, run_id: int):
     finally:
         gc.enable()
     samples = 0
-    if system.profiler is not None:
-        system.profiler.stop()
-        samples = system.profiler.snapshot()["samples"]
+    profiler = system.sim.planes.get("profile")
+    if profiler is not None:
+        profiler.stop()
+        samples = profiler.snapshot()["samples"]
     return cpu, samples, system
 
 
@@ -238,7 +239,7 @@ def test_e10_profiler_sampling_overhead(benchmark):
     )
 
     # The profiled runs really sampled, and attribution covers everything.
-    profiler = profiled_system.profiler
+    profiler = profiled_system.sim.planes.get("profile")
     assert profiler is not None and profiler.snapshot()["samples"] > 0
     shares = profiler.label_shares()
     assert abs(sum(shares.values()) - 1.0) < 1e-9

@@ -58,11 +58,12 @@ def _hierarchical_throughput(k: int):
     system.run_for(MEASURE_SECONDS)
     perf = perf_snapshot(system.sim, time.perf_counter() - wall_start)
     committed = sum(w.stats.committed for w in workloads)
-    if system.profiler is not None:
+    profiler = system.sim.planes.get("profile")
+    if profiler is not None:
         # End attribution here: the baseline runs that follow share the
         # process, and their samples must not pollute this run's profile
         # (write_bench_json's stop() is then a no-op).
-        system.profiler.stop()
+        profiler.stop()
     return committed / (system.sim.now - start), dispatch_rows(system.sim), perf
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
 from repro.telemetry import (
+    enable_telemetry,
     telemetry_snapshot,
     write_chrome_trace,
     write_json,
@@ -53,8 +54,8 @@ def _build_deep_system():
     # E3 is the telemetry flagship: causal spans for every cross-net
     # transfer below, per-subnet health samples, and live invariant
     # monitors (an honest run must finish with zero violations).
-    system.enable_telemetry(
-        health_interval=2.0, monitors=True, postmortem_dir=bench_out_dir()
+    enable_telemetry(
+        system, health_interval=2.0, monitors=True, postmortem_dir=bench_out_dir()
     )
     capture_system(system)
     _SYSTEM = system
@@ -145,27 +146,23 @@ def test_e3_crossmsg_latency_vs_depth(benchmark):
     # a JSON dump for `python -m repro.telemetry.report`, a Prometheus
     # text file, and a Perfetto-loadable Chrome trace.
     system = _SYSTEM
-    tracer = system.span_tracer
+    tracer = system.sim.planes["spans"]
     out = bench_out_dir()
     write_bench_json(
         "e3_crossmsgs",
         rows=rows,
         extra={"perf": perf_snapshot(system.sim, common.LAST_WALL_SECONDS)},
     )
-    dump = telemetry_snapshot(
-        system.sim, tracer=tracer, probe=system.health_probe,
-        monitor=system.invariant_monitor,
-        wall_seconds=common.LAST_WALL_SECONDS,
-    )
+    dump = telemetry_snapshot(system.sim, wall_seconds=common.LAST_WALL_SECONDS)
     write_json(os.path.join(out, "TELEMETRY_e3.json"), dump)
     write_prometheus(os.path.join(out, "TELEMETRY_e3.prom"), system.sim)
-    write_chrome_trace(os.path.join(out, "TRACE_e3.json"), system.sim, tracer)
+    write_chrome_trace(os.path.join(out, "TRACE_e3.json"), system.sim)
     # Spawn-time funding also traces, so at least the measured transfers.
     assert tracer.delivered_count() >= len(rows), "every transfer should be spanned"
     assert dump["histograms"].get("xnet.hop.topdown.L1", {}).get("count", 0) > 0
     assert dump["histograms"].get("checkpoint.lag", {}).get("count", 0) > 0
     # An honest deep-hierarchy run trips no live invariant.
-    assert dump["invariants"]["violations"] == 0, system.invariant_monitor.summary()
+    assert dump["invariants"]["violations"] == 0, dump["invariants"]
 
     by = {(r["kind"], r["depth"]): r["latency"] for r in rows}
     # Everything arrived.

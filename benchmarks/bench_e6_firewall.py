@@ -48,7 +48,7 @@ def _hc_attack_rows():
         system.run_for(60.0)
         extracted = system.balance(ROOTNET, attacker)
         audit = audit_system(system)
-        monitor = system.invariant_monitor
+        monitor = system.sim.planes["invariants"]
         rows.append({
             "claimed": supply * multiplier,
             "supply": supply,

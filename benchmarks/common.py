@@ -17,7 +17,7 @@ import time
 from repro.analysis import Table
 from repro.crypto.cid import cid_cache_stats
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
-from repro.telemetry import write_chrome_trace
+from repro.telemetry import enable_telemetry, write_chrome_trace
 from repro.workloads import PaymentWorkload
 
 # Stashed by run_once / capture_sim so write_bench_json can snapshot the
@@ -45,7 +45,7 @@ def capture_system(system):
     if previous is not None and previous is not system:
         # A lingering sampler from an earlier system in the same process
         # would keep profiling (and taxing) this run's thread.
-        profiler = getattr(previous, "profiler", None)
+        profiler = previous.sim.planes.get("profile")
         if profiler is not None:
             profiler.stop()
     LAST_SYSTEM = system
@@ -75,7 +75,9 @@ def run_once(benchmark, fn):
         try:
             result = fn()
         except BaseException:
-            recorder = getattr(LAST_SYSTEM, "flight_recorder", None)
+            recorder = None
+            if LAST_SYSTEM is not None:
+                recorder = LAST_SYSTEM.sim.planes.get("recorder")
             if recorder is not None:
                 recorder.dump(reason="benchmark-exception")
             raise
@@ -118,9 +120,7 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
     }
     if extra:
         document["extra"] = _json_sanitize(extra)
-    profiler = None
-    if LAST_SYSTEM is not None and sim is not None and LAST_SYSTEM.sim is sim:
-        profiler = getattr(LAST_SYSTEM, "profiler", None)
+    profiler = sim.planes.get("profile") if sim is not None else None
     if profiler is not None:
         # Stop before snapshotting so mem/alloc accounting is final, then
         # export gauges ahead of the metrics snapshot below.
@@ -129,12 +129,7 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
         document["profile"] = _json_sanitize(profiler.snapshot())
         out = bench_out_dir()
         profiler.write_collapsed(os.path.join(out, f"PROFILE_{name}.collapsed"))
-        write_chrome_trace(
-            os.path.join(out, f"TRACE_{name}_profile.json"),
-            sim,
-            getattr(LAST_SYSTEM, "span_tracer", None),
-            profiler=profiler,
-        )
+        write_chrome_trace(os.path.join(out, f"TRACE_{name}_profile.json"), sim)
     if sim is not None:
         sim.dispatch.publish()
         # CID memoization effectiveness.  The underlying stats are
@@ -263,8 +258,8 @@ def build_hierarchy(
     if profile is None:
         profile = profile_enabled()
     if monitors or profile:
-        system.enable_telemetry(
-            monitors=monitors, postmortem_dir=bench_out_dir(), profile=profile
+        enable_telemetry(
+            system, monitors=monitors, postmortem_dir=bench_out_dir(), profile=profile
         )
     subnets = []
     for i in range(n_subnets):

@@ -7,6 +7,7 @@ from typing import Any, Optional
 
 from repro.crypto.keys import Address
 from repro.chain.block import FullBlock
+from repro.sim.observe import RoundEvent
 
 
 @dataclass(frozen=True)
@@ -148,18 +149,11 @@ class ConsensusEngine:
         return self.sim.metrics.counter(f"consensus.{self.node.subnet_id}.{name}")
 
     def _trace_round(self, kind: str, **fields) -> None:
-        """Feed one round/view transition to the installed RoundTracer.
-
-        Duck-typed against ``sim.round_tracer`` (None = tracing off) so
-        the consensus layer never imports telemetry; a single attribute
-        read on the disabled path keeps engines digest-neutral and cheap.
-        """
-        tracer = self.sim.round_tracer
-        if tracer is not None:
-            tracer.on_round_event(
-                self.node.subnet_id, self.node.node_id, kind,
-                self.sim.now, fields,
-            )
+        """Report one round/view transition on the observation stream."""
+        self.sim.observe(
+            RoundEvent, self.node.subnet_id, self.node.node_id, kind,
+            self.sim.now, fields,
+        )
 
     def _observe_block_interval(self, block: FullBlock) -> None:
         hist = self.sim.metrics.histogram(f"consensus.{self.node.subnet_id}.block_interval")

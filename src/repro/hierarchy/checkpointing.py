@@ -34,6 +34,7 @@ from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint
 from repro.hierarchy.gateway import SCA_ADDRESS
 from repro.hierarchy.subnet_actor import SignaturePolicy, threshold_scheme_for
 from repro.hierarchy.wallet import Wallet
+from repro.sim.observe import CheckpointSubmitted
 
 
 @dataclass
@@ -291,10 +292,9 @@ class CheckpointService:
             "checkpoint.submit", str(self.node.subnet_id),
             f"window={window}", checkpoint.cid.short(),
         )
-        if self.sim.span_tracer is not None:
-            self.sim.span_tracer.checkpoint_submitted(
-                checkpoint.cid.hex(), str(self.node.subnet_id), window
-            )
+        self.sim.observe(
+            CheckpointSubmitted, checkpoint.cid.hex(), str(self.node.subnet_id), window
+        )
         self._push_contents(checkpoint)
 
     def _push_contents(self, checkpoint: Checkpoint) -> None:

@@ -41,6 +41,7 @@ from repro.hierarchy.subnet_id import ROOTNET, SubnetID
 from repro.hierarchy.wallet import Wallet
 from repro.net.gossip import GossipParams
 from repro.runtime import NetworkStack, ValidatorCluster, cluster_members
+from repro.sim.observe import CrossMsgSubmitted, WaitTimedOut
 from repro.vm.builtin.init_actor import INIT_ACTOR_ADDRESS, derive_actor_address
 
 TREASURY_FUNDS = 10**15
@@ -120,13 +121,6 @@ class HierarchicalSystem:
             root_validators, root_engine, root_block_time, genesis_allocations
         )
         self._started = False
-        self.span_tracer = None
-        self.health_probe = None
-        self.invariant_monitor = None
-        self.flight_recorder = None
-        self.profiler = None
-        self.round_tracer = None
-        self.stall_diagnoser = None
         self.last_timeout: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -212,10 +206,11 @@ class HierarchicalSystem:
         """Advance simulated time until *predicate* holds; False on timeout.
 
         A timeout self-diagnoses: the predicate *label*, the sim time and a
-        per-subnet health snapshot land on :attr:`last_timeout`, and — when
-        monitors are enabled — the flight recorder dumps a postmortem
-        bundle tagged ``wait-timeout:<label>``, so a stalled campaign or
-        spawn leaves evidence instead of a bare ``False``.
+        per-subnet health snapshot land on :attr:`last_timeout`, along with
+        whatever the attached planes add to a
+        :class:`~repro.sim.observe.WaitTimedOut` (stall reports, a
+        postmortem bundle tagged ``wait-timeout:<label>``), so a stalled
+        campaign or spawn leaves evidence instead of a bare ``False``.
         """
         ok = self.stack.wait_for(predicate, timeout=timeout, step=step)
         if not ok:
@@ -229,71 +224,6 @@ class HierarchicalSystem:
         for cluster in self.clusters.values():
             cluster.stop()
         self.stack.shutdown()
-
-    # ------------------------------------------------------------------
-    # Telemetry (opt-in; digest-neutral — see DESIGN.md § Observability)
-    # ------------------------------------------------------------------
-    def enable_telemetry(
-        self,
-        health_interval: Optional[float] = None,
-        monitors: bool = False,
-        postmortem_dir: Optional[str] = None,
-        profile: bool = False,
-        profile_interval: float = 0.01,
-        profile_memory: bool = False,
-    ):
-        """Install causal span tracing (and, optionally, health sampling
-        and live invariant monitors).
-
-        ``monitors=True`` additionally installs the
-        :class:`~repro.telemetry.monitor.InvariantMonitor` (all five
-        default auditors) and a
-        :class:`~repro.telemetry.recorder.FlightRecorder` that dumps a
-        postmortem bundle into *postmortem_dir* (or ``$REPRO_POSTMORTEM_DIR``)
-        on every violation.  ``profile=True`` starts a
-        :class:`~repro.telemetry.profiler.SamplingProfiler` on ``self.profiler``
-        — background-thread CPU sampling every *profile_interval* wall
-        seconds, attributed to dispatch labels, plus ``mem.*`` resource
-        gauges; ``profile_memory=True`` adds per-label tracemalloc
-        allocation accounting (noticeably more overhead — keep it off for
-        perf-gated runs).  Stop/export via ``self.profiler`` (benchmarks do
-        this in ``write_bench_json``).  All of it is digest-neutral.
-
-        Imported lazily so the hierarchy layer carries no telemetry
-        dependency unless a run asks for it.  Idempotent; returns the
-        :class:`~repro.telemetry.spans.SpanTracer`.
-        """
-        if self.span_tracer is None:
-            from repro.telemetry import SpanTracer
-
-            self.span_tracer = SpanTracer(self.sim).install()
-        if self.round_tracer is None:
-            from repro.telemetry import RoundTracer, StallDiagnoser
-
-            self.round_tracer = RoundTracer(self.sim).install()
-            self.stall_diagnoser = StallDiagnoser(self)
-        if health_interval is not None and self.health_probe is None:
-            from repro.telemetry import HealthProbe
-
-            self.health_probe = HealthProbe(self, interval=health_interval).start()
-        if monitors and self.invariant_monitor is None:
-            from repro.telemetry import FlightRecorder, InvariantMonitor
-
-            self.flight_recorder = FlightRecorder(
-                self.sim, system=self, out_dir=postmortem_dir
-            ).install()
-            self.invariant_monitor = InvariantMonitor(
-                self, recorder=self.flight_recorder
-            ).install()
-            if self.health_probe is not None:
-                self.health_probe.on_sample(self.flight_recorder.note_health)
-        if profile and self.profiler is None:
-            from repro.telemetry import SamplingProfiler
-
-            self.profiler = SamplingProfiler(
-                self.sim, interval=profile_interval, memory=profile_memory
-            ).start()
-        return self.span_tracer
 
     # ------------------------------------------------------------------
     # Inspection
@@ -357,11 +287,11 @@ class HierarchicalSystem:
         return hasher.hexdigest()
 
     def health_snapshot(self) -> dict:
-        """Per-subnet vitals read directly off the nodes (no probe needed).
+        """Per-subnet vitals read directly off the nodes.
 
-        Same fields as :class:`~repro.telemetry.health.HealthProbe` plus
-        ``min_height`` across the subnet's validators — the spread exposes
-        a partitioned or crashed laggard at a glance.
+        ``height`` is the frontier and ``min_height`` the laggard across
+        the subnet's validators — the spread exposes a partitioned or
+        crashed one at a glance.
         """
         snapshot: dict[str, dict] = {}
         for subnet in self.subnets:
@@ -400,21 +330,8 @@ class HierarchicalSystem:
             "time": self.sim.now,
             "health": self.health_snapshot(),
         }
-        if self.stall_diagnoser is not None:
-            # A stall report per subnet: the timed-out predicate does not
-            # say which subnet it was watching, and a fully stalled subnet
-            # is indistinguishable from a healthy one in a single health
-            # sample — so snapshot them all (a bounded pure read).
-            diagnosis["stall_reports"] = [
-                self.stall_diagnoser.diagnose(path)
-                for path in sorted(diagnosis["health"])
-            ]
+        self.sim.observe(WaitTimedOut, diagnosis)
         self.last_timeout = diagnosis
-        if self.flight_recorder is not None:
-            self.flight_recorder.dump(
-                reason=f"wait-timeout:{label}",
-                stall_reports=diagnosis.get("stall_reports"),
-            )
         return diagnosis
 
     def timeout_detail(self) -> str:
@@ -444,8 +361,8 @@ class HierarchicalSystem:
                     f" {quorum.get('held_power')}/{quorum.get('needed_power')}"
                     f" power, silent={quorum.get('silent') or []}"
                 )
-        if self.flight_recorder is not None and self.flight_recorder.paths:
-            lines.append(f"  postmortem: {self.flight_recorder.paths[-1]}")
+        if diagnosis.get("postmortem"):
+            lines.append(f"  postmortem: {diagnosis['postmortem']}")
         return "\n".join(lines)
 
     def sca_state(self, subnet, key: str, default=None):
@@ -494,9 +411,9 @@ class HierarchicalSystem:
             params={"subnet_path": child.path, "to_addr": to.raw},
             value=value,
         )
-        if self.span_tracer is not None and signed is not None:
-            self.span_tracer.note_submit(
-                child.parent().path, child.path, to.raw, value
+        if signed is not None:
+            self.sim.observe(
+                CrossMsgSubmitted, child.parent().path, child.path, to.raw, value
             )
         return signed
 
@@ -523,9 +440,10 @@ class HierarchicalSystem:
             },
             value=value,
         )
-        if self.span_tracer is not None and signed is not None:
-            self.span_tracer.note_submit(
-                SubnetID(from_subnet).path, SubnetID(to_subnet).path, to.raw, value
+        if signed is not None:
+            self.sim.observe(
+                CrossMsgSubmitted,
+                SubnetID(from_subnet).path, SubnetID(to_subnet).path, to.raw, value,
             )
         return signed
 

@@ -17,8 +17,8 @@ the assumption into a checked one:
   (``hierarchy/firewall.py``, ``hierarchy/crossmsg*``,
   ``hierarchy/gateway.py``);
 - **LAY001** — the import-layering contract (see
-  :data:`repro.lint.config.LAYERS`): no upward or skipped-contract edges
-  at module scope;
+  :data:`repro.lint.config.LAYERS`): no upward or skipped-contract edges,
+  at module scope or inside a function;
 - **SIM001** — event handlers must not mutate scheduler state
   (``sim.now``, the queue's internals) except through the dispatch API
   (``schedule``/``schedule_at``/``cancel``/``every``/``halt``).

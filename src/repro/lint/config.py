@@ -10,12 +10,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 #: The import-layering contract, lowest layer first.  A module in package P
-#: may import (at module scope) only packages with rank <= its own; equal
-#: ranks are one architectural layer (e.g. chain/consensus) and may
-#: interdepend.  Function-local lazy imports are the sanctioned escape
-#: hatch for optional upward wiring (e.g. hierarchy's enable_telemetry)
-#: and are exempt — they cannot create import cycles and keep the lower
-#: layer free of the dependency unless a run opts in.
+#: may import — at module scope or inside a function — only packages with
+#: rank <= its own; equal ranks are one architectural layer (e.g.
+#: chain/consensus) and may interdepend.
 LAYERS: dict[str, int] = {
     # pure leaf libraries — no simulation, no protocol state
     "crypto": 0,

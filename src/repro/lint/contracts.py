@@ -1,12 +1,12 @@
 """Pass 1 of the whole-program analyzer: extract the contract graph.
 
 The protocol's string-keyed seams — gossip topics, RPC endpoint names,
-metric families, scheduler dispatch labels, duck-typed simulator slots,
-auditor names and fault kinds — are matched by string equality across
-packages, so a typo fails silently (a publish nobody receives, a metric
-the exporter never declares).  This module walks every linted file once
-and assembles a :class:`ContractGraph` of those interface points; the
-MSG/MET/SCN rule family (pass 2) then checks the graph's edges.
+metric families, scheduler dispatch labels, auditor names and fault
+kinds — are matched by string equality across packages, so a typo fails
+silently (a publish nobody receives, a metric the exporter never
+declares).  This module walks every linted file once and assembles a
+:class:`ContractGraph` of those interface points; the MSG/MET/SCN rule
+family (pass 2) then checks the graph's edges.
 
 Strings are resolved **dataflow-lite**: literals, f-strings (interpolated
 pieces become ``*`` wildcards), ``+`` concatenation, conditional
@@ -33,9 +33,6 @@ import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
-
-#: Duck-typed simulator observer slots (installed/read by attribute name).
-SIMULATOR_SLOTS = ("span_tracer", "invariant_monitor", "round_tracer")
 
 #: Methods that create/fetch a metric on a registry, and the family kind.
 _METRIC_METHODS = {
@@ -84,8 +81,6 @@ class ContractGraph:
     metrics_emitted: list = field(default_factory=list)
     metric_catalog: list = field(default_factory=list)
     dispatch_labels: list = field(default_factory=list)
-    slot_reads: list = field(default_factory=list)
-    slot_writes: list = field(default_factory=list)
     auditors_declared: list = field(default_factory=list)
     auditors_referenced: list = field(default_factory=list)
     fault_kinds_declared: list = field(default_factory=list)
@@ -123,10 +118,6 @@ class ContractGraph:
                 "declared": keyed(self.metric_catalog),
             },
             "dispatch_labels": keyed(self.dispatch_labels),
-            "slots": {
-                "write": keyed(self.slot_writes),
-                "read": keyed(self.slot_reads),
-            },
             "auditors": {
                 "declared": keyed(self.auditors_declared),
                 "referenced": keyed(self.auditors_referenced),
@@ -680,16 +671,6 @@ def _extract_scope(
 
     def visit_call(node: ast.Call) -> None:
         func = node.func
-        # getattr(sim, "round_tracer", None) is a slot read too.
-        if (
-            isinstance(func, ast.Name)
-            and func.id == "getattr"
-            and len(node.args) >= 2
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value in SIMULATOR_SLOTS
-        ):
-            graph.slot_reads.append(mod.site(node, node.args[1].value))
-            return
         if isinstance(func, ast.Attribute):
             receiver = func.value
             if func.attr in ("publish", "subscribe") and _receiver_ends(
@@ -815,14 +796,6 @@ def _extract_scope(
                 continue  # nested classes/lambdas: out of scope for resolution
             if isinstance(child, ast.Call):
                 visit_call(child)
-            elif isinstance(child, ast.Attribute) and child.attr in SIMULATOR_SLOTS:
-                if _receiver_ends(child.value, ("sim", "simulator")):
-                    bucket = (
-                        graph.slot_writes
-                        if isinstance(child.ctx, ast.Store)
-                        else graph.slot_reads
-                    )
-                    bucket.append(mod.site(child, child.attr))
             visit(child)
 
     visit(scope)

@@ -7,16 +7,13 @@ DESIGN.md diagram)::
                          < runtime < hierarchy < workloads/baselines
                          < telemetry
 
-A module may import, at module scope, only packages at its own rank or
-below.  Equal ranks form one architectural layer and may interdepend
-(chain ↔ consensus).  Upward module-scope edges create import cycles,
-drag heavy layers under light ones, and let observability code leak into
-protocol logic.
-
-Function-local lazy imports are exempt by design: they are the sanctioned
-escape hatch for *optional* upward wiring (``enable_telemetry`` pulling in
-``repro.telemetry`` only when a run opts in) — they cannot create import
-cycles and keep the lower layer dependency-free by default.
+A module may import only packages at its own rank or below — at module
+scope or inside a function body, where an upward edge is the same
+dependency, only harder to see.  Equal ranks form one architectural layer
+and may interdepend (chain ↔ consensus).  Upward edges create import
+cycles, drag heavy layers under light ones, and let observability code
+leak into protocol logic; a lower layer that wants to be watched reports
+on the observation stream (``repro.sim.observe``) instead.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from repro.lint.rules.base import Rule, has_noqa
 
 
 def _imported_repro_package(node: ast.AST) -> Optional[str]:
-    """The top-level repro package a module-scope import pulls in."""
+    """The top-level repro package an import statement pulls in."""
     if isinstance(node, ast.Import):
         for alias in node.names:
             parts = alias.name.split(".")
@@ -52,8 +49,8 @@ def _imported_repro_package(node: ast.AST) -> Optional[str]:
 class Lay001Layering(Rule):
     rule_id = "LAY001"
     fix_hint = (
-        "depend downward only; if the upward wiring is optional, import "
-        "lazily inside the function that needs it"
+        "depend downward only; to be watched by a higher layer, report on "
+        "the observation stream (repro.sim.observe) and let it attach"
     )
 
     def applies(self, path: str) -> bool:
@@ -64,10 +61,7 @@ class Lay001Layering(Rule):
         this_pkg = package_of(path)
         this_rank = LAYERS[this_pkg]
         findings: list[Finding] = []
-        # Module scope only: walk top-level statements (including inside
-        # top-level try/if blocks, which still execute at import time) but
-        # never descend into function bodies.
-        for node in self._module_scope_nodes(tree):
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             pkg = _imported_repro_package(node)
@@ -81,22 +75,8 @@ class Lay001Layering(Rule):
                     self.finding(
                         path, node,
                         f"{this_pkg} (layer {this_rank}) imports {pkg} "
-                        f"(layer {rank}) at module scope — upward edge",
+                        f"(layer {rank}) — upward edge",
                         lines,
                     )
                 )
         return findings
-
-    def _module_scope_nodes(self, tree: ast.Module):
-        """Yield statements that run at import time (no function bodies)."""
-        stack = list(tree.body)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.If, ast.Try, ast.With)):
-                for attr in ("body", "orelse", "finalbody", "handlers", "items"):
-                    for child in getattr(node, attr, []):
-                        if isinstance(child, ast.ExceptHandler):
-                            stack.extend(child.body)
-                        elif isinstance(child, ast.stmt):
-                            stack.append(child)

@@ -24,6 +24,7 @@ from repro.chain.message_pool import MessagePool
 from repro.chain.validation import ValidationError, validate_block_shape
 from repro.consensus.base import ConsensusParams, ValidatorSet, make_engine
 from repro.net.gossip import GossipNetwork, PubsubEnvelope
+from repro.sim.observe import BlockCommitted, ChainReorg
 from repro.vm.builtin.reward import REWARD_ACTOR_ADDRESS
 from repro.vm.message import SignedMessage
 from repro.vm.vm import SYSTEM_ADDRESS, VM
@@ -369,7 +370,7 @@ class NodeRuntime:
         self.sim.metrics.gauge("state.tree.layer_depth").set(scratch.state.chain_depth)
 
         self.store.put_state(block.cid, scratch.state.fork())
-        if self.sim.span_tracer is not None or self.sim.invariant_monitor is not None:
+        if self.sim.observed(BlockCommitted):
             self._block_events[block.cid] = tuple(events)
             # Forked/orphaned blocks are never announced, so cap the buffer
             # rather than letting dead entries accumulate forever.
@@ -405,9 +406,7 @@ class NodeRuntime:
                     break
                 depth += 1
             self.sim.metrics.histogram(f"chain.{self.subnet_id}.reorg.depth").observe(depth)
-            monitor = self.sim.invariant_monitor
-            if monitor is not None:
-                monitor.on_reorg(self, old_head, new_head_block, depth)
+            self.sim.observe(ChainReorg, self, old_head, new_head_block, depth)
         # Newly canonical segment, oldest first.  Each block is announced to
         # commit listeners at most once ever, even across reorgs (listeners
         # receive no "un-commit" signal; fork-capable engines therefore act
@@ -428,14 +427,9 @@ class NodeRuntime:
                 "block.commit", self.subnet_id,
                 f"h={block.height}", block.cid.short(), f"msgs={len(block.messages)}",
             )
-            tracer = self.sim.span_tracer
-            monitor = self.sim.invariant_monitor
-            if tracer is not None or monitor is not None:
-                events = self._block_events.pop(block.cid, ())
-                if tracer is not None:
-                    tracer.on_block_commit(self.subnet_id, self.node_id, block, events)
-                if monitor is not None:
-                    monitor.on_block_commit(self, block, events)
+            self.sim.observe(
+                BlockCommitted, self, block, self._block_events.pop(block.cid, ())
+            )
             for listener in self._commit_listeners:
                 listener(block)
         self.mempool.drop_stale(self.vm.nonce_of)

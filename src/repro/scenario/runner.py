@@ -37,6 +37,7 @@ from repro.scenario.spec import (
     VERDICT_UNEXPECTED,
     Scenario,
 )
+from repro.telemetry import enable_telemetry
 from repro.workloads import CrossNetWorkload, PaymentWorkload
 
 SPAM_FUNDS = 10**9
@@ -96,7 +97,7 @@ class ProgressWatchdog:
             if now - since >= self.stall_after and path not in self._flagged:
                 self._flagged.add(path)
                 stall = {"subnet": path, "height": height, "since": since, "time": now}
-                diagnoser = getattr(self.system, "stall_diagnoser", None)
+                diagnoser = self.system.sim.planes.get("stall")
                 if diagnoser is not None:
                     # Diagnose at flag time, while the wedged round state
                     # is live — by classification time the fault may have
@@ -184,8 +185,8 @@ class ScenarioRunner:
             checkpoint_period=spec.checkpoint_period,
         ).start()
         if self.monitors:
-            system.enable_telemetry(
-                monitors=True, postmortem_dir=self.postmortem_dir,
+            enable_telemetry(
+                system, monitors=True, postmortem_dir=self.postmortem_dir,
                 health_interval=1.0,
             )
         for subnet in spec.subnets:
@@ -290,7 +291,7 @@ class ScenarioRunner:
     def _classify(self) -> ScenarioOutcome:
         scenario = self.scenario
         system = self.system
-        monitor = system.invariant_monitor
+        monitor = system.sim.planes.get("invariants")
         violations = list(monitor.violations) if monitor is not None else []
         tripped = sorted({violation.auditor for violation in violations})
         stalls = list(self.watchdog.stalls)
@@ -348,7 +349,7 @@ class ScenarioRunner:
                 verdict = VERDICT_EXPECTED
                 notes.append(f"SLO {expect.slo!r} degraded as expected")
 
-        recorder = system.flight_recorder
+        recorder = system.sim.planes.get("recorder")
         if recorder is not None and verdict not in OK_VERDICTS:
             recorder.dump(
                 reason=f"scenario:{scenario.name}:{verdict}",

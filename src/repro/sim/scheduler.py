@@ -198,8 +198,10 @@ class Simulator:
     The simulator owns the simulated clock (:attr:`now`, in seconds), the
     event queue, the root :class:`~repro.sim.rng.SeedSequence` from which all
     component RNGs are derived, a :class:`~repro.sim.metrics.MetricsRegistry`,
-    a :class:`~repro.sim.tracing.TraceLog` and a :class:`DispatchBus` through
-    which every executed event flows.
+    a :class:`~repro.sim.tracing.TraceLog`, a :class:`DispatchBus` through
+    which every executed event flows, and the observation stream
+    (:meth:`attach` / :meth:`observe`) through which components report what
+    happened to whatever planes are watching.
 
     Typical use::
 
@@ -233,17 +235,11 @@ class Simulator:
         self.metrics = MetricsRegistry(clock=lambda: self.now)
         self.trace = TraceLog(clock=lambda: self.now)
         self.dispatch = DispatchBus(metrics=self.metrics, trace=self.trace)
-        # Slot for a repro.telemetry.SpanTracer (duck-typed so sim/ never
-        # imports the telemetry layer).  None = span tracing disabled; the
-        # tracer writes only to self.metrics, never to the trace log, so
-        # installing one cannot perturb the determinism digest.
-        self.span_tracer = None
-        # Sibling slot for a repro.telemetry.InvariantMonitor, under the
-        # same contract: duck-typed, metrics-only, digest-neutral.
-        self.invariant_monitor = None
-        # Sibling slot for a repro.telemetry.RoundTracer: consensus
-        # engines feed round/view transitions here (same contract).
-        self.round_tracer = None
+        # The observation stream (repro.sim.observe): attached planes by
+        # section, and derived from them, record type -> handlers in attach
+        # order (no entry for a type nobody handles).
+        self.planes: dict = {}
+        self._handlers: dict = {}
         # Scratch space for cross-component memoization of deterministic
         # computations (e.g. the runtime's shared block-execution cache).
         # Contents must never influence observable simulation behaviour —
@@ -419,6 +415,44 @@ class Simulator:
     def events_executed(self) -> int:
         """Total number of events executed so far."""
         return self._events_executed
+
+    # ------------------------------------------------------------------
+    # Observation (record types and the plane contract: repro.sim.observe)
+    # ------------------------------------------------------------------
+    def attach(self, plane):
+        """Register *plane* on :attr:`planes` under ``plane.section`` and
+        subscribe its handlers, after those already attached."""
+        if plane.section in self.planes:
+            raise SimulationError(f"a {plane.section!r} plane is already attached")
+        self.planes[plane.section] = plane
+        self._subscribe()
+        return plane
+
+    def detach(self, plane) -> None:
+        """Undo :meth:`attach`; a plane that is not attached is left alone."""
+        if self.planes.get(plane.section) is plane:
+            del self.planes[plane.section]
+            self._subscribe()
+
+    def _subscribe(self) -> None:
+        handlers: dict = {}
+        for plane in self.planes.values():
+            for kind, name in plane.observes.items():
+                handlers.setdefault(kind, []).append(getattr(plane, name))
+        self._handlers = handlers
+
+    def observed(self, kind) -> bool:
+        """Whether any attached plane handles *kind* records."""
+        return kind in self._handlers
+
+    def observe(self, kind, *fields) -> None:
+        """Say that something happened: one *kind* record built from
+        *fields* for every subscribed handler — or, with none, nothing."""
+        handlers = self._handlers.get(kind)
+        if handlers is not None:
+            record = kind(*fields)
+            for handler in handlers:
+                handler(record)
 
     # ------------------------------------------------------------------
     # Randomness

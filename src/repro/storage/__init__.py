@@ -3,8 +3,6 @@
 - :class:`~repro.storage.blockstore.Blockstore` — CID → object store, the
   backing store for chain data and for the CrossMsgMeta registry the content
   resolution protocol reads (§IV-C).
-- :class:`~repro.storage.dag.DagStore` — linked objects (a lite IPLD): lets
-  the resolution protocol push/pull "the whole DAG belonging to the CID".
 - :class:`~repro.storage.statetree.StateTree` — versioned key/value state
   with O(1) snapshot/revert and O(1) ``fork()`` (structural sharing), used
   by the VM for transactional message application and by the runtime for
@@ -13,23 +11,16 @@
   state tree bottoms out on; :class:`~repro.storage.backend.MemoryBackend`
   is the in-memory default, and an out-of-core implementation can slot in
   without touching the VM/chain/runtime layers.
-- :class:`~repro.storage.datastore.Datastore` — a plain namespaced KV store
-  for node-local bookkeeping.
 """
 
 from repro.storage.backend import MemoryBackend, StateBackend, bucket_of
 from repro.storage.blockstore import Blockstore
-from repro.storage.datastore import Datastore
 from repro.storage.statetree import StateTree
-from repro.storage.dag import DagNode, DagStore
 
 __all__ = [
     "Blockstore",
-    "Datastore",
     "StateTree",
     "StateBackend",
     "MemoryBackend",
     "bucket_of",
-    "DagNode",
-    "DagStore",
 ]

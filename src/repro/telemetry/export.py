@@ -3,8 +3,9 @@
 Three consumers, three formats:
 
 - :func:`telemetry_snapshot` / :func:`write_json` — one JSON document with
-  everything a post-hoc report needs (metrics, dispatch profile, span and
-  health summaries).  ``python -m repro.telemetry.report`` renders it.
+  everything a post-hoc report needs (metrics, dispatch profile, and one
+  section per plane attached to the simulator).  ``python -m
+  repro.telemetry.report`` renders it.
 - :func:`to_prometheus` / :func:`write_prometheus` — Prometheus text
   exposition (counters, gauges, histogram summaries with quantile labels)
   for scraping or offline ``promtool`` analysis.
@@ -13,6 +14,8 @@ Three consumers, three formats:
   track per subnet carrying the cross-net hop spans and checkpoint
   anchoring spans (simulated time), plus a DispatchBus profile track
   (wall-clock CPU attribution per event label).
+
+All of them take the simulator and find the planes on ``sim.planes``.
 """
 
 from __future__ import annotations
@@ -28,15 +31,12 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 def telemetry_snapshot(
     sim,
-    tracer=None,
-    probe=None,
-    monitor=None,
-    profiler=None,
     wall_seconds: Optional[float] = None,
     extra: Optional[dict] = None,
-    rounds=None,
 ) -> dict:
-    """One JSON-safe document describing a finished (or running) run."""
+    """One JSON-safe document describing a finished (or running) run:
+    the simulator's own numbers plus every attached plane's summary under
+    its section name."""
     metrics = sim.metrics
     snapshot = {
         "schema": "repro.telemetry/v1",
@@ -60,18 +60,10 @@ def telemetry_snapshot(
         "dispatch": sim.dispatch.summary(),
         "trace_log": {"records": len(sim.trace), "dropped": sim.trace.dropped},
     }
-    if tracer is not None:
-        snapshot["spans"] = tracer.summary()
-    if probe is not None:
-        snapshot["health"] = {path: dict(s) for path, s in sorted(probe.latest.items())}
-    if monitor is not None:
-        snapshot["invariants"] = monitor.summary()
-    if profiler is not None:
-        snapshot["profile"] = profiler.snapshot()
-    if rounds is None:
-        rounds = getattr(sim, "round_tracer", None)
-    if rounds is not None:
-        snapshot["rounds"] = rounds.summary()
+    for section, plane in sorted(sim.planes.items()):
+        summary = plane.summary()
+        if summary is not None:
+            snapshot[section] = summary
     if extra:
         snapshot["extra"] = extra
     return snapshot
@@ -325,23 +317,24 @@ _PROFILE_PID = 3
 _ROUNDS_PID = 4
 
 
-def to_chrome_trace(
-    sim, tracer=None, top_dispatch: int = 16, profiler=None, rounds=None
-) -> dict:
+def to_chrome_trace(sim, top_dispatch: int = 16) -> dict:
     """Chrome trace-event JSON: subnet span tracks + a dispatch profile.
 
-    Cross-net/checkpoint spans use **simulated** microseconds; the
-    dispatch track lays each label's cumulative **wall-clock** time
-    end-to-end (a profile, not a timeline).  Passing a
-    :class:`~repro.telemetry.profiler.SamplingProfiler` adds a third
-    process: per-label sampled-CPU slices (samples × interval laid
+    Cross-net/checkpoint spans (an attached
+    :class:`~repro.telemetry.spans.SpanTracer`) use **simulated**
+    microseconds; the dispatch track lays each label's cumulative
+    **wall-clock** time end-to-end (a profile, not a timeline).  An
+    attached :class:`~repro.telemetry.profiler.SamplingProfiler` adds a
+    third process: per-label sampled-CPU slices (samples × interval laid
     end-to-end, top leaf frames in the args) and an RSS counter track on
-    the profiler's real wall-clock timeline.  A
-    :class:`~repro.telemetry.rounds.RoundTracer` (passed explicitly or
-    found on ``sim.round_tracer``) adds a fourth process: one track per
-    validator carrying its consensus rounds as slices (``h12 r0`` …) with
-    votes, locks, timeouts and commits as instant events inside them.
+    the profiler's real wall-clock timeline.  An attached
+    :class:`~repro.telemetry.rounds.RoundTracer` adds a fourth: one track
+    per validator carrying its consensus rounds as slices (``h12 r0`` …)
+    with votes, locks, timeouts and commits as instant events inside them.
     """
+    tracer = sim.planes.get("spans")
+    profiler = sim.planes.get("profile")
+    rounds = sim.planes.get("rounds")
     events: list[dict] = []
     events.append(_meta(_SUBNET_PID, "process_name", name="subnets (simulated time)"))
 
@@ -461,8 +454,6 @@ def to_chrome_trace(
                 "args": {"bytes": rss},
             })
 
-    if rounds is None:
-        rounds = getattr(sim, "round_tracer", None)
     if rounds is not None:
         events.extend(_round_events(rounds))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -539,14 +530,8 @@ def _meta(pid: int, kind: str, tid: int = 0, name: str = "") -> dict:
     }
 
 
-def write_chrome_trace(
-    path: str, sim, tracer=None, top_dispatch: int = 16, profiler=None, rounds=None
-) -> str:
+def write_chrome_trace(path: str, sim, top_dispatch: int = 16) -> str:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            to_chrome_trace(sim, tracer, top_dispatch, profiler=profiler, rounds=rounds),
-            handle,
-            allow_nan=False,
-        )
+        json.dump(to_chrome_trace(sim, top_dispatch), handle, allow_nan=False)
         handle.write("\n")
     return path

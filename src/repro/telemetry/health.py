@@ -1,14 +1,21 @@
 """Periodic per-subnet health sampling.
 
-:class:`HealthProbe` rides the simulator's ``every()`` timer and samples
+:class:`HealthProbe` rides the simulator's ``every()`` timer, takes
+:meth:`HierarchicalSystem.health_snapshot()
+<repro.hierarchy.network.HierarchicalSystem.health_snapshot>` and records
 each subnet's vital signs onto :class:`~repro.sim.metrics.TimeSeries`:
 
-- ``health.<subnet>.height`` — chain height of a representative node;
+- ``health.<subnet>.height`` — the frontier: the highest head among the
+  subnet's validators (one crashed validator does not freeze it);
 - ``health.<subnet>.mempool`` — pending user messages;
 - ``health.<subnet>.pending_crossmsgs`` — cross-msg pool depth
   (unapplied top-down messages + unresolved bottom-up metas);
 - ``health.<subnet>.checkpoint_lag`` — windows sealed locally but not yet
   recorded by the parent's SA (0 = fully anchored).
+
+Each sample also carries ``min_height`` (the laggard) and its ``time``, and
+every completed round is reported as a
+:class:`~repro.sim.observe.HealthSampled`.
 
 Sampling is read-only: it never touches chain state, RNG streams or the
 trace log, so enabling the probe cannot change the determinism digest.
@@ -16,15 +23,15 @@ trace log, so enabling the probe cannot change the determinism digest.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.sim.observe import HealthSampled, Plane
 
 FIELDS = ("height", "mempool", "pending_crossmsgs", "checkpoint_lag")
 
 
-class HealthProbe:
+class HealthProbe(Plane):
     """Samples per-subnet health onto the sim's metrics time series."""
+
+    section = "health"
 
     def __init__(self, system, interval: float = 1.0) -> None:
         self.system = system
@@ -32,11 +39,6 @@ class HealthProbe:
         self.interval = interval
         self.latest: dict[str, dict] = {}
         self._stop = None
-        self._listeners: list = []
-
-    def on_sample(self, callback) -> None:
-        """Call *callback(latest)* after every completed sample round."""
-        self._listeners.append(callback)
 
     def start(self) -> "HealthProbe":
         if self._stop is None:
@@ -55,39 +57,16 @@ class HealthProbe:
         """Take one sample of every subnet; returns {path: sample}."""
         now = self.sim.now
         metrics = self.sim.metrics
-        for subnet in sorted(self.system.nodes_by_subnet):
-            node = self.system.nodes_by_subnet[subnet][0]
-            path = subnet.path
-            crosspool = getattr(node, "crosspool", None)
-            pending = 0
-            if crosspool is not None:
-                pending = crosspool.pending_topdown + crosspool.pending_bottomup
-            sample = {
-                "time": now,
-                "height": node.head().height,
-                "mempool": len(node.mempool),
-                "pending_crossmsgs": pending,
-                "checkpoint_lag": self._checkpoint_lag(node),
-            }
-            self.latest[path] = sample
+        latest = self.system.health_snapshot()
+        for path, sample in latest.items():
+            sample["time"] = now
             for field in FIELDS:
                 value = sample[field]
                 if value is not None:
                     metrics.timeseries(f"health.{path}.{field}").record(now, value)
-        for listener in self._listeners:
-            listener(self.latest)
-        return self.latest
+        self.latest = latest  # a fresh dict per round: records never alias
+        self.sim.observe(HealthSampled, latest)
+        return latest
 
-    def _checkpoint_lag(self, node) -> Optional[int]:
-        """Windows this subnet has sealed beyond what its parent recorded."""
-        parent = getattr(node, "parent_node", None)
-        service = getattr(node, "checkpoints", None)
-        if parent is None or service is None:
-            return None  # the rootnet anchors to nothing
-        sealed = node.vm.state.get(
-            f"actor/{SCA_ADDRESS.raw}/last_window_sealed", -1
-        )
-        committed = parent.vm.state.get(
-            f"actor/{service.config.sa_addr}/last_ckpt_window", -1
-        )
-        return max(sealed - committed, 0)
+    def summary(self) -> dict:
+        return {path: dict(sample) for path, sample in sorted(self.latest.items())}

@@ -4,10 +4,10 @@ The paper's safety claims — the §II firewall bound, checkpoint-chain
 integrity (§III-B) and exactly-once cross-net application (§IV-A) — are
 checked after the fact by :func:`repro.hierarchy.firewall.audit_system`
 and the test suite.  :class:`InvariantMonitor` checks them *while the
-simulation runs*: it sits on the ``sim.invariant_monitor`` slot (the same
-duck-typed observer slot family as ``sim.span_tracer``) and is fed every
-newly-canonical block, its receipt events, and every reorg by
-:class:`~repro.runtime.node.NodeRuntime`.
+simulation runs*: attached to the simulator, it receives every
+:class:`~repro.sim.observe.BlockCommitted` (a newly-canonical block with
+its receipt events) and :class:`~repro.sim.observe.ChainReorg` that a
+:class:`~repro.runtime.node.NodeRuntime` reports.
 
 Five auditors ship by default:
 
@@ -49,6 +49,7 @@ from repro.crypto.threshold import ThresholdSignature
 from repro.hierarchy.gateway import SCA_ADDRESS
 from repro.hierarchy.subnet_actor import threshold_scheme_for
 from repro.hierarchy.subnet_id import SubnetID
+from repro.sim.observe import BlockCommitted, ChainReorg, Plane
 
 _ZERO_CID_HEX = "00" * 32
 
@@ -88,16 +89,19 @@ class Auditor:
         """The node abandoned *depth* blocks of its previous canonical chain."""
 
 
-class InvariantMonitor:
+class InvariantMonitor(Plane):
     """Registry of auditors fed from commit-time events.
 
-    Install with :meth:`install` (sets ``sim.invariant_monitor``); every
-    node then feeds it alongside the span tracer.  ``system`` is the
+    ``sim.attach(InvariantMonitor(system))`` and every node's commits and
+    reorgs reach the auditors.  ``system`` is the
     :class:`~repro.hierarchy.network.HierarchicalSystem` under audit —
     auditors that need cross-subnet state (supply, membership) no-op
     without it, so a bare ``InvariantMonitor(sim=sim, auditors=[...])``
     works for unit tests.
     """
+
+    section = "invariants"
+    observes = {BlockCommitted: "on_block_commit", ChainReorg: "on_reorg"}
 
     def __init__(
         self,
@@ -133,21 +137,10 @@ class InvariantMonitor:
         self._commit_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Feed
     # ------------------------------------------------------------------
-    def install(self) -> "InvariantMonitor":
-        """Attach to the simulator; nodes start feeding commits at once."""
-        self.sim.invariant_monitor = self
-        return self
-
-    def uninstall(self) -> None:
-        if self.sim.invariant_monitor is self:
-            self.sim.invariant_monitor = None
-
-    # ------------------------------------------------------------------
-    # Feed (duck-typed calls from NodeRuntime)
-    # ------------------------------------------------------------------
-    def on_block_commit(self, node, block, events) -> None:
+    def on_block_commit(self, commit: BlockCommitted) -> None:
+        node, block, events = commit
         for auditor in self.auditors:
             auditor.on_block_commit(self, node, block, events)
         count = self._commit_counts.get(node.subnet_id, 0) + 1
@@ -156,9 +149,9 @@ class InvariantMonitor:
             for auditor in self.auditors:
                 auditor.on_periodic(self, node)
 
-    def on_reorg(self, node, old_head, new_head_block, depth: int) -> None:
+    def on_reorg(self, reorg: ChainReorg) -> None:
         for auditor in self.auditors:
-            auditor.on_reorg(self, node, old_head, new_head_block, depth)
+            auditor.on_reorg(self, *reorg)
 
     # ------------------------------------------------------------------
     # Recording

@@ -43,6 +43,7 @@ import time
 import tracemalloc
 from typing import Optional
 
+from repro.sim.observe import Plane
 from repro.sim.scheduler import current_dispatch_label
 
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -75,15 +76,17 @@ def read_rss_bytes() -> Optional[int]:
         return None
 
 
-class SamplingProfiler:
+class SamplingProfiler(Plane):
     """Low-overhead CPU sampler + memory accountant for one simulator.
 
     Construct on the thread that drives the simulation (that thread is the
     sampling target), then :meth:`start`/:meth:`stop` around the measured
-    region — or let ``HierarchicalSystem.enable_telemetry(profile=True)``
+    region — or let ``repro.telemetry.enable_telemetry(system, profile=True)``
     and ``benchmarks/common.py`` do the wiring.  Both are idempotent, and
     a stopped profiler can be restarted (statistics accumulate).
     """
+
+    section = "profile"
 
     def __init__(
         self,
@@ -286,6 +289,9 @@ class SamplingProfiler:
                 leafs[leaf] = leafs.get(leaf, 0) + count
         ranked = sorted(leafs.items(), key=lambda kv: (-kv[1], kv[0]))
         return [[frame, count] for frame, count in ranked[:top]]
+
+    def summary(self) -> dict:
+        return self.snapshot()
 
     def snapshot(self, top_frames: int = 8) -> dict:
         """The ``repro.profile/v1`` document (JSON-safe plain data)."""

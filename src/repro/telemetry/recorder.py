@@ -25,6 +25,8 @@ import os
 from collections import deque
 from typing import Optional
 
+from repro.sim.observe import HealthSampled, Plane, WaitTimedOut
+
 _SCHEMA = "repro.postmortem/v1"
 
 
@@ -41,8 +43,12 @@ def _plain(value):
     return repr(value)
 
 
-class FlightRecorder:
-    """Bounded recent-history rings with on-demand postmortem dumps."""
+class FlightRecorder(Plane):
+    """Bounded recent-history rings with on-demand postmortem dumps (which
+    read the attached invariant monitor and span tracer, if any)."""
+
+    section = "recorder"
+    observes = {HealthSampled: "note_health", WaitTimedOut: "on_wait_timeout"}
 
     def __init__(
         self,
@@ -85,11 +91,17 @@ class FlightRecorder:
         # receives must stay out of anything a bundle serializes.
         self._dispatch_ring.append((self.sim.now, self.sim.dispatch.label_of(event)))
 
-    def note_health(self, latest: dict) -> None:
-        """Hooked to ``HealthProbe.on_sample``; copies the latest samples."""
-        self._health_ring.append(
-            {path: dict(sample) for path, sample in latest.items()}
+    def note_health(self, sampled: HealthSampled) -> None:
+        self._health_ring.append(sampled.latest)
+
+    def on_wait_timeout(self, timed_out: WaitTimedOut) -> None:
+        diagnosis = timed_out.diagnosis
+        self.dump(
+            reason=f"wait-timeout:{diagnosis['label']}",
+            stall_reports=diagnosis.get("stall_reports"),
         )
+        if self.out_dir:
+            diagnosis["postmortem"] = self.paths[-1]
 
     # ------------------------------------------------------------------
     # Bundles
@@ -108,7 +120,7 @@ class FlightRecorder:
         quorum, not just the stuck heights.
         """
         sim = self.sim
-        monitor = getattr(sim, "invariant_monitor", None)
+        monitor = sim.planes.get("invariants")
         bundle = {
             "schema": _SCHEMA,
             "reason": reason or ("invariant-violation" if violation else "on-demand"),
@@ -146,7 +158,7 @@ class FlightRecorder:
         return bundle
 
     def _open_spans(self, cap: int = 64) -> list:
-        tracer = getattr(self.sim, "span_tracer", None)
+        tracer = self.sim.planes.get("spans")
         if tracer is None:
             return []
         spans = []

@@ -4,10 +4,8 @@ Observability so far stops at *committed blocks*: span tracing (PR 2),
 invariant auditors (PR 3) and the CPU profiler (PR 6) all watch the
 chain, never the rounds that produce it.  This module watches the rounds.
 
-:class:`RoundTracer` installs on the simulator's duck-typed
-``sim.round_tracer`` slot (the ``span_tracer`` / ``invariant_monitor``
-pattern: sim/ never imports telemetry, ``None`` = disabled) and is fed by
-every consensus engine through
+:class:`RoundTracer` receives the :class:`~repro.sim.observe.RoundEvent`
+every consensus engine reports through
 :meth:`~repro.consensus.base.ConsensusEngine._trace_round` at each
 round/view transition — round start, proposal, vote arrival, lock,
 commit, timeout, round skip — with the leader identity attached.  It
@@ -43,6 +41,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from repro.hierarchy.subnet_id import SubnetID
+from repro.sim.observe import Plane, RoundEvent, WaitTimedOut
+
 STALL_SCHEMA = "repro.stall/v1"
 
 #: Event kinds engines feed (see ConsensusEngine._trace_round):
@@ -61,13 +62,16 @@ EVENT_KINDS = (
 )
 
 
-class RoundTracer:
+class RoundTracer(Plane):
     """Collects per-validator consensus-round events from every engine.
 
-    Install with :meth:`install` (sets ``sim.round_tracer``); engines feed
-    it via ``ConsensusEngine._trace_round``.  Metrics-only writes keep it
+    ``sim.attach(RoundTracer(sim))`` and every engine's
+    ``_trace_round`` reaches it.  Metrics-only writes keep it
     digest-neutral; timelines live in bounded per-validator rings.
     """
+
+    section = "rounds"
+    observes = {RoundEvent: "on_round_event"}
 
     def __init__(self, sim, timeline_capacity: int = 512) -> None:
         self.sim = sim
@@ -88,23 +92,10 @@ class RoundTracer:
         self._counts: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Feed
     # ------------------------------------------------------------------
-    def install(self) -> "RoundTracer":
-        """Attach to the simulator; engines start feeding at once."""
-        self.sim.round_tracer = self
-        return self
-
-    def uninstall(self) -> None:
-        if getattr(self.sim, "round_tracer", None) is self:
-            self.sim.round_tracer = None
-
-    # ------------------------------------------------------------------
-    # Feed (called by ConsensusEngine._trace_round)
-    # ------------------------------------------------------------------
-    def on_round_event(
-        self, subnet: str, node_id: str, kind: str, time: float, fields: dict
-    ) -> None:
+    def on_round_event(self, event: RoundEvent) -> None:
+        subnet, node_id, kind, time, fields = event
         key = (subnet, node_id)
         ring = self.timelines.get(key)
         if ring is None:
@@ -234,7 +225,7 @@ class RoundTracer:
 # ----------------------------------------------------------------------
 # Stall diagnosis
 # ----------------------------------------------------------------------
-class StallDiagnoser:
+class StallDiagnoser(Plane):
     """Builds quorum-aware stall reports for a stuck subnet.
 
     A report is a pure read of live state: every validator's
@@ -242,18 +233,29 @@ class StallDiagnoser:
     link-degradation state, plus a quorum analysis at the subnet's working
     height — who voted, who is silent, who is misaligned.  Constructed
     with the :class:`~repro.hierarchy.network.HierarchicalSystem` it
-    inspects; the tracer is optional (round frontiers enrich the report
-    but engine vote books alone suffice).
+    inspects; an attached :class:`RoundTracer` is optional (round frontiers
+    enrich the report but engine vote books alone suffice).
     """
+
+    section = "stall"
+    observes = {WaitTimedOut: "on_wait_timeout"}
 
     def __init__(self, system) -> None:
         self.system = system
 
+    def on_wait_timeout(self, timed_out: WaitTimedOut) -> None:
+        # A report per subnet: the timed-out predicate does not say which
+        # subnet it was watching, and a fully stalled subnet is
+        # indistinguishable from a healthy one in a single health sample —
+        # so snapshot them all (a bounded pure read).
+        diagnosis = timed_out.diagnosis
+        diagnosis["stall_reports"] = [
+            self.diagnose(path) for path in sorted(diagnosis["health"])
+        ]
+
     # ------------------------------------------------------------------
     def diagnose(self, subnet_path: str) -> dict:
         """One ``repro.stall/v1`` report for *subnet_path*."""
-        from repro.hierarchy.subnet_id import SubnetID
-
         system = self.system
         subnet = SubnetID(subnet_path)
         nodes = system.nodes_by_subnet[subnet]
@@ -279,7 +281,7 @@ class StallDiagnoser:
             "quorum": self._missing_quorum(nodes, validators),
             "network": self._network_state(nodes),
         }
-        tracer = getattr(system.sim, "round_tracer", None)
+        tracer = system.sim.planes.get("rounds")
         if tracer is not None:
             report["frontier"] = tracer.frontier(subnet.path)
             report["recent_events"] = {

@@ -28,9 +28,9 @@ Hop latencies land as simulated-time histograms on the simulator's
   commit; ``checkpoint.hop.seal_to_submit`` / ``.submit_to_commit`` split
   the signature-gathering wait from the parent-chain inclusion wait.
 
-Determinism: the tracer is installed on ``sim.span_tracer`` and is fed at
-block-commit time by every node.  Observations are deduplicated on
-``(trace id, phase, subnet)`` — the first committing node wins, which is
+Determinism: the tracer receives every node's
+:class:`~repro.sim.observe.BlockCommitted`.  Observations are deduplicated
+on ``(trace id, phase, subnet)`` — the first committing node wins, which is
 deterministic on a deterministic simulator.  The tracer writes **only**
 to ``sim.metrics``; it never touches ``sim.trace``, so the determinism
 digest is byte-identical with tracing enabled or disabled.
@@ -41,6 +41,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.sim.observe import (
+    BlockCommitted,
+    CheckpointSubmitted,
+    CrossMsgSubmitted,
+    Plane,
+)
 
 
 def subnet_level(path: str) -> int:
@@ -66,13 +73,20 @@ class SpanEvent:
     subnet: str
 
 
-class SpanTracer:
+class SpanTracer(Plane):
     """Collects causal cross-net spans from committed-block receipt events.
 
-    Install with :meth:`install` (sets ``sim.span_tracer``); every
-    :class:`~repro.runtime.node.NodeRuntime` then feeds it newly-canonical
-    blocks via :meth:`on_block_commit`.
+    ``sim.attach(SpanTracer(sim))`` and every
+    :class:`~repro.runtime.node.NodeRuntime`'s newly-canonical blocks,
+    every checkpoint submission and every wallet's cross-net send reach it.
     """
+
+    section = "spans"
+    observes = {
+        BlockCommitted: "on_block_commit",
+        CheckpointSubmitted: "checkpoint_submitted",
+        CrossMsgSubmitted: "note_submit",
+    }
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -88,23 +102,9 @@ class SpanTracer:
         self._pending_submits: dict[tuple, deque] = {}
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def install(self) -> "SpanTracer":
-        """Attach to the simulator; nodes start feeding commits at once."""
-        self.sim.span_tracer = self
-        return self
-
-    def uninstall(self) -> None:
-        if self.sim.span_tracer is self:
-            self.sim.span_tracer = None
-
-    # ------------------------------------------------------------------
     # Submission notes (trace-context origination)
     # ------------------------------------------------------------------
-    def note_submit(
-        self, source_subnet: str, to_subnet: str, to_addr: str, value: int
-    ) -> None:
+    def note_submit(self, submit: CrossMsgSubmitted) -> None:
         """Record that a user just submitted a cross-net send.
 
         The resulting :class:`CrossMsg`'s CID is only assigned when the
@@ -112,15 +112,15 @@ class SpanTracer:
         FIFO keyed by the route and bound to the first matching ``enqueue``
         observation — giving the span its true submit-time start.
         """
-        key = (source_subnet, to_subnet, to_addr, value)
-        self._pending_submits.setdefault(key, deque()).append(self.sim.now)
+        self._pending_submits.setdefault(tuple(submit), deque()).append(self.sim.now)
 
     # ------------------------------------------------------------------
-    # Commit-time feed (called by every node; first observation wins)
+    # Commit-time feed (from every node; first observation wins)
     # ------------------------------------------------------------------
-    def on_block_commit(self, subnet_id: str, node_id: str, block, events) -> None:
+    def on_block_commit(self, commit: BlockCommitted) -> None:
         now = self.sim.now
-        for kind, payload in events:
+        subnet_id = commit.node.subnet_id
+        for kind, payload in commit.events:
             if kind == "crossmsg.topdown" or kind == "crossmsg.bottomup":
                 _a, _b, value, cid, to_subnet, to_addr, mkind = payload
                 self._observe_msg(
@@ -140,9 +140,10 @@ class SpanTracer:
                 child_path, ckpt_hex = payload
                 self._observe_ckpt(ckpt_hex, "commit", subnet_id, now, child=child_path)
 
-    def checkpoint_submitted(self, ckpt_hex: str, subnet: str, window: int) -> None:
-        """Called by the checkpoint service when a validator submits to the
-        parent SA (designated submitter or fallback; first one wins)."""
+    def checkpoint_submitted(self, submitted: CheckpointSubmitted) -> None:
+        """A validator submitted to the parent SA (designated submitter or
+        fallback; first one wins)."""
+        ckpt_hex, subnet, window = submitted
         key = (ckpt_hex, "submit")
         if key in self._seen:
             return

@@ -1,8 +1,8 @@
 """Every engine feeds the round tracer; Tendermint's hard paths too.
 
-The tracer is duck-typed (``sim.round_tracer``), so these tests install a
-real :class:`~repro.telemetry.rounds.RoundTracer` on the cluster simulator
-and assert the engines narrate their round/slot machinery into it —
+These tests attach a real :class:`~repro.telemetry.rounds.RoundTracer` to
+the cluster simulator's observation stream and assert the engines narrate
+their round/slot machinery into it —
 including the paths that only fire under faults: propose timeouts and the
 f+1 round catch-up skip.
 """
@@ -16,7 +16,7 @@ from repro.telemetry import RoundTracer
 @pytest.mark.parametrize("engine", ["poa", "pos", "pow", "mir", "tendermint"])
 def test_every_engine_feeds_the_round_tracer(make_cluster, engine):
     cluster = make_cluster(4, engine=engine, block_time=0.5)
-    tracer = RoundTracer(cluster.sim).install()
+    tracer = cluster.sim.attach(RoundTracer(cluster.sim))
     cluster.start().run(10.0)
     assert min(cluster.heights()) >= 1
 
@@ -38,7 +38,7 @@ def test_tendermint_timeouts_are_traced(make_cluster):
     cluster = make_cluster(
         4, engine="tendermint", byzantine={"n0": {"withhold_block"}}
     )
-    tracer = RoundTracer(cluster.sim).install()
+    tracer = cluster.sim.attach(RoundTracer(cluster.sim))
     cluster.start().run(20.0)
     # n0's proposer slots time out: the propose-timeout path narrates.
     assert cluster.sim.metrics.counter("consensus.round./root.timeouts").value > 0
@@ -54,7 +54,7 @@ def test_tendermint_round_skip_on_f_plus_1_future_votes(make_cluster):
     at a higher round pulls a stale validator forward — and the jump is
     traced as ``round_skip``, not ``round_start``."""
     cluster = make_cluster(4, engine="tendermint")
-    tracer = RoundTracer(cluster.sim).install()
+    tracer = cluster.sim.attach(RoundTracer(cluster.sim))
     cluster.start()
     engine = cluster.nodes[0].engine
     # Land in an active step (not the commit-wait pacing gap).

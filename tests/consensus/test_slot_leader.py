@@ -87,7 +87,7 @@ def test_slot_engines_keep_their_wire_and_trace_shape(make_cluster, engine):
         3, engine=engine, block_time=1.0, seed=21,
         consensus_overrides={"mir_leaders": 2},
     )
-    tracer = RoundTracer(cluster.sim).install()
+    tracer = cluster.sim.attach(RoundTracer(cluster.sim))
     labels = set()
     dispatch = cluster.sim.dispatch
     dispatch.on_pre_dispatch(lambda event: labels.add(dispatch.label_of(event)))

@@ -2,6 +2,7 @@
 behaviours, asserting the system degrades and recovers as designed."""
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
+from repro.telemetry import enable_telemetry
 
 
 def test_subnet_recovers_from_internal_partition():
@@ -109,7 +110,7 @@ def test_partition_with_monitors_keeps_supply_invariants():
     system = HierarchicalSystem(
         seed=81, root_validators=3, root_block_time=0.5, checkpoint_period=5,
     ).start()
-    system.enable_telemetry(monitors=True)
+    enable_telemetry(system, monitors=True)
     sub = system.spawn_subnet(
         SubnetConfig(name="part", validators=3, block_time=0.25, checkpoint_period=5)
     )
@@ -121,7 +122,7 @@ def test_partition_with_monitors_keeps_supply_invariants():
     assert audit_system(system).ok  # books stay sound while split
     transport.heal(handle)
     system.run_for(10.0)
-    monitor = system.invariant_monitor
+    monitor = system.sim.planes["invariants"]
     # Partitions may legitimately trip liveness-adjacent auditors (e.g. a
     # quorum-less engine producing solo blocks), but never value safety.
     assert monitor.violations_for("supply") == []
@@ -136,7 +137,7 @@ def test_audit_holds_mid_reorg_on_pow_subnet():
     system = HierarchicalSystem(
         seed=93, root_validators=3, root_block_time=0.5, checkpoint_period=5,
     ).start()
-    system.enable_telemetry(monitors=True)
+    enable_telemetry(system, monitors=True)
     sub = system.spawn_subnet(
         SubnetConfig(name="fork", validators=3, engine="pow", block_time=0.4,
                      checkpoint_period=5)
@@ -153,7 +154,7 @@ def test_audit_holds_mid_reorg_on_pow_subnet():
         assert audit_system(system).ok
     system.run_for(8.0)
     assert audit_system(system).ok
-    monitor = system.invariant_monitor
+    monitor = system.sim.planes["invariants"]
     assert monitor.violations_for("supply") == []
     assert monitor.violations_for("checkpoint-chain") == []
     reorgs = system.sim.metrics.counters.get(f"chain.{sub.path}.reorgs")

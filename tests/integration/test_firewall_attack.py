@@ -10,6 +10,7 @@ from repro.hierarchy import (
     SubnetConfig,
     audit_system,
 )
+from repro.telemetry import enable_telemetry
 
 
 def build_system(seed=31):
@@ -74,7 +75,7 @@ def test_supply_monitor_flags_forged_extraction_with_postmortem():
     forged release hits the parent, and the flight recorder dumps a
     renderable postmortem bundle."""
     system = build_system()
-    system.enable_telemetry(monitors=True)
+    enable_telemetry(system, monitors=True)
     sub = ROOTNET.child("victim")
     alice = system.wallets["alice"]
     system.fund_subnet(alice, sub, alice.address, 10_000)
@@ -85,7 +86,7 @@ def test_supply_monitor_flags_forged_extraction_with_postmortem():
     CompromisedSubnet(system, sub).forge_extraction(attacker, value=circulating * 100)
     system.run_for(60.0)
 
-    monitor = system.invariant_monitor
+    monitor = system.sim.planes["invariants"]
     supply_violations = monitor.violations_for("supply")
     assert supply_violations, "live supply auditor missed the forged extraction"
     assert any("circulating supply" in v.description for v in supply_violations)
@@ -97,7 +98,7 @@ def test_supply_monitor_flags_forged_extraction_with_postmortem():
     # The violation produced a postmortem bundle that renders.
     from repro.telemetry.postmortem import render
 
-    bundles = system.flight_recorder.bundles
+    bundles = system.sim.planes["recorder"].bundles
     assert bundles, "violation should have dumped a bundle"
     text = render(bundles[0])
     assert "postmortem: reason=invariant-violation" in text

@@ -1,4 +1,5 @@
-"""LAY001 golden fixture: an upward module-scope import (fires).
+"""LAY001 golden fixture: upward imports, at module scope and inside a
+function body (both fire).
 
 Checked under a fake path inside ``repro/sim/`` — the bottom layer
 importing the top one.
@@ -7,4 +8,11 @@ from repro.telemetry import SpanTracer
 
 
 def install(sim):
-    return SpanTracer(sim).install()
+    return sim.attach(SpanTracer(sim))
+
+
+def enable_telemetry(system):
+    # A lazy import is still an upward edge.
+    from repro.telemetry import RoundTracer
+
+    return system.sim.attach(RoundTracer(system.sim))

@@ -1,4 +1,4 @@
-"""LAY001 golden fixture: downward + lazy-upward imports (must stay silent).
+"""LAY001 golden fixture: downward imports only (must stay silent).
 
 Checked under a fake path inside ``repro/hierarchy/``.
 """
@@ -6,12 +6,7 @@ from repro.chain.block import FullBlock
 from repro.crypto.cid import cid_of
 
 
-def enable_telemetry(system):
-    # The sanctioned escape hatch: optional upward wiring imports lazily.
-    from repro.telemetry import SpanTracer
-
-    return SpanTracer(system.sim).install()
-
-
 def head_cid(block: FullBlock):
-    return cid_of(block)
+    from repro.sim.observe import BlockCommitted  # downward, wherever it sits
+
+    return cid_of(block), BlockCommitted

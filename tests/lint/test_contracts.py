@@ -136,16 +136,12 @@ def test_local_metric_alias_is_recognised():
     assert site.detail == "gauge"
 
 
-def test_dispatch_labels_and_simulator_slots():
+def test_dispatch_labels():
     graph = graph_of(
-        "def install(sim, tracer, fn):\n"
-        "    sim.round_tracer = tracer\n"
+        "def install(sim, fn):\n"
         "    sim.schedule(1.0, fn, label='tick:block')\n"
-        "    return getattr(sim, 'round_tracer', None)\n"
     )
     assert [s.pattern for s in graph.dispatch_labels] == ["tick:block"]
-    assert [s.pattern for s in graph.slot_writes] == ["round_tracer"]
-    assert [s.pattern for s in graph.slot_reads] == ["round_tracer"]
 
 
 def test_catalog_extracted_with_kind_detail():

@@ -15,7 +15,7 @@ CASES = {
     "DET001": ("src/repro/hierarchy/fixture.py", 4),
     "DET002": ("src/repro/consensus/fixture.py", 3),
     "DET003": ("src/repro/hierarchy/gateway.py", 3),
-    "LAY001": ("src/repro/sim/fixture.py", 1),
+    "LAY001": ("src/repro/sim/fixture.py", 2),  # module scope + function body
     "SIM001": ("src/repro/runtime/fixture.py", 3),
 }
 

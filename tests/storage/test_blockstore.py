@@ -1,10 +1,9 @@
-"""Unit tests for the blockstore and datastore."""
+"""Unit tests for the blockstore."""
 
 import pytest
 
 from repro.crypto.cid import cid_of
 from repro.storage.blockstore import Blockstore
-from repro.storage.datastore import Datastore
 
 
 def test_put_returns_content_cid():
@@ -49,45 +48,3 @@ def test_put_many():
     store = Blockstore()
     cids = store.put_many([1, 2, 3])
     assert [store.get(c) for c in cids] == [1, 2, 3]
-
-
-def test_datastore_put_get_delete():
-    store = Datastore()
-    store.put("k", 1)
-    assert store.get("k") == 1
-    assert store.has("k")
-    assert store.delete("k")
-    assert store.get("k", "default") == "default"
-
-
-def test_datastore_require_raises():
-    store = Datastore()
-    with pytest.raises(KeyError):
-        store.require("nope")
-
-
-def test_datastore_namespaces_share_backing():
-    store = Datastore()
-    sub = store.namespace("sub")
-    sub.put("k", "v")
-    assert store.get("sub/k") == "v"
-    assert sub.get("k") == "v"
-
-
-def test_datastore_keys_prefix_listing():
-    store = Datastore()
-    store.put("a/1", 1)
-    store.put("a/2", 2)
-    store.put("b/1", 3)
-    assert list(store.keys("a/")) == ["a/1", "a/2"]
-    sub = store.namespace("a")
-    assert list(sub.keys()) == ["1", "2"]
-
-
-def test_datastore_len():
-    store = Datastore()
-    store.put("x", 1)
-    sub = store.namespace("ns")
-    sub.put("y", 2)
-    assert len(store) == 2
-    assert len(sub) == 1

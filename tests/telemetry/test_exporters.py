@@ -1,8 +1,9 @@
 """Exporter golden files + report CLI.
 
-The scenario is synthetic — the tracer is fed hand-written observations at
-hand-set simulated times, with no scheduled events — so every exporter
-output is byte-deterministic and can be compared against a golden file.
+The scenario is synthetic — hand-written observations go down the stream
+at hand-set simulated times, with no scheduled events, to an attached span
+tracer and round tracer — so every exporter output is byte-deterministic
+and can be compared against a golden file.
 Regenerate with ``UPDATE_GOLDENS=1 pytest tests/telemetry/test_exporters.py``.
 """
 
@@ -10,6 +11,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.sim.observe import CheckpointSubmitted, CrossMsgSubmitted, RoundEvent
 from repro.sim.scheduler import Simulator
 from repro.telemetry import (
     RoundTracer,
@@ -20,6 +22,7 @@ from repro.telemetry import (
     write_json,
 )
 from repro.telemetry.report import main as report_main
+from tests.telemetry.feeds import commit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -32,31 +35,32 @@ def _synthetic():
     """One delivered top-down transfer, one failed bottom-up message, one
     fully-anchored checkpoint — all at hand-picked simulated times."""
     sim = Simulator(seed=5)
-    tracer = SpanTracer(sim).install()
+    sim.attach(SpanTracer(sim))
+    root, child = ("/root", "n0"), ("/root/a", "m0")
 
     sim.now = 1.0
-    tracer.note_submit("/root", "/root/a", "addr-1", 100)
+    sim.observe(CrossMsgSubmitted, "/root", "/root/a", "addr-1", 100)
     sim.now = 2.0
-    tracer.on_block_commit("/root", "n0", None, [
+    commit(sim, root, [
         ("crossmsg.topdown", ("/root/a", 0, 100, MSG_A, "/root/a", "addr-1", "user")),
     ])
     sim.now = 3.5
-    tracer.on_block_commit("/root/a", "m0", None, [
+    commit(sim, child, [
         ("crossmsg.delivered", ("addr-1", 100, MSG_A)),
         ("checkpoint.sealed", (0, CKPT)),
     ])
     sim.now = 3.75
-    tracer.checkpoint_submitted(CKPT, "/root/a", 0)
+    sim.observe(CheckpointSubmitted, CKPT, "/root/a", 0)
     sim.now = 4.5
-    tracer.on_block_commit("/root", "n0", None, [
+    commit(sim, root, [
         ("checkpoint.committed", ("/root/a", CKPT)),
     ])
     sim.now = 5.0
-    tracer.on_block_commit("/root/a", "m0", None, [
+    commit(sim, child, [
         ("crossmsg.bottomup", (0, 0, 50, MSG_B, "/root", "addr-2", "user")),
     ])
     sim.now = 6.0
-    tracer.on_block_commit("/root", "n0", None, [
+    commit(sim, root, [
         ("crossmsg.failed", ("addr-2", "out of gas", MSG_B)),
     ])
 
@@ -81,11 +85,11 @@ def _synthetic():
     # A consensus round on /root/a: validator 0 times out of round 0,
     # skips to round 1 (f+1 catch-up), then the proposal arrives, the
     # quorum prevotes, the polka locks and the height commits.
-    rounds = RoundTracer(sim).install()
+    sim.attach(RoundTracer(sim))
     val = "/root/a#0"
 
     def feed(time, kind, **fields):
-        rounds.on_round_event("/root/a", val, kind, time, fields)
+        sim.observe(RoundEvent, "/root/a", val, kind, time, fields)
 
     feed(1.0, "round_start", height=3, round=0, proposer=val,
          quorum=3, total=4)
@@ -99,7 +103,7 @@ def _synthetic():
              voter=f"/root/a#{i}", power=1, cid="dd" * 8)
     feed(2.6, "lock", height=3, round=1, cid="dd" * 8)
     feed(2.7, "commit", height=3, round=1, cid="dd" * 8)
-    return sim, tracer
+    return sim
 
 
 def _check_golden(name: str, text: str) -> None:
@@ -112,13 +116,13 @@ def _check_golden(name: str, text: str) -> None:
 
 
 def test_prometheus_golden():
-    sim, _tracer = _synthetic()
+    sim = _synthetic()
     _check_golden("synthetic.prom", to_prometheus(sim))
 
 
 def test_chrome_trace_golden():
-    sim, tracer = _synthetic()
-    document = to_chrome_trace(sim, tracer)
+    sim = _synthetic()
+    document = to_chrome_trace(sim)
     _check_golden(
         "synthetic_trace.json",
         json.dumps(document, indent=2, allow_nan=False) + "\n",
@@ -126,8 +130,8 @@ def test_chrome_trace_golden():
 
 
 def test_chrome_trace_shape():
-    sim, tracer = _synthetic()
-    document = to_chrome_trace(sim, tracer)
+    sim = _synthetic()
+    document = to_chrome_trace(sim)
     events = document["traceEvents"]
     spans = [e for e in events if e["ph"] == "X" and e.get("cat") == "xnet"]
     # submit→enqueue and enqueue→deliver of MSG_A, enqueue→fail of MSG_B
@@ -145,8 +149,8 @@ def test_chrome_trace_shape():
 
 
 def test_snapshot_json_round_trip(tmp_path):
-    sim, tracer = _synthetic()
-    snapshot = telemetry_snapshot(sim, tracer=tracer, wall_seconds=0.5)
+    sim = _synthetic()
+    snapshot = telemetry_snapshot(sim, wall_seconds=0.5)
     path = write_json(str(tmp_path / "dump.json"), snapshot)
     loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     assert loaded["schema"] == "repro.telemetry/v1"
@@ -165,7 +169,7 @@ def test_snapshot_json_round_trip(tmp_path):
 def test_prometheus_declares_profiler_families():
     """mem.*/profile.* gauges export with HELP/TYPE and sanitised names —
     the dispatch label's /, # survive only in the HELP line."""
-    sim, _tracer = _synthetic()
+    sim = _synthetic()
     text = to_prometheus(sim)
     assert "# TYPE mem_rss_bytes gauge" in text
     assert "mem_rss_bytes 42000000" in text
@@ -177,7 +181,7 @@ def test_prometheus_declares_profiler_families():
 
 def test_prometheus_declares_round_families():
     """consensus.round.* gauges/counters/histograms export with HELP/TYPE."""
-    sim, _tracer = _synthetic()
+    sim = _synthetic()
     text = to_prometheus(sim)
     assert "# TYPE consensus_round__root_a_height gauge" in text
     assert "# HELP consensus_round__root_a_height consensus.round./root/a.height" in text
@@ -198,8 +202,8 @@ def test_prometheus_declares_round_families():
 def test_chrome_trace_round_tracks():
     """Round events render as one pid-4 track per validator: slices for
     rounds, instants for votes/locks/commits inside them."""
-    sim, tracer = _synthetic()
-    events = to_chrome_trace(sim, tracer)["traceEvents"]
+    sim = _synthetic()
+    events = to_chrome_trace(sim)["traceEvents"]
     rounds = [e for e in events if e["pid"] == 4]
     names = {
         e["args"]["name"] for e in rounds
@@ -216,7 +220,7 @@ def test_chrome_trace_round_tracks():
 
 
 def test_prometheus_sanitizes_names():
-    sim, _tracer = _synthetic()
+    sim = _synthetic()
     sim.metrics.counter("weird.name-with/slash").inc()
     text = to_prometheus(sim)
     assert "weird_name_with_slash 1" in text
@@ -226,7 +230,7 @@ def test_prometheus_sanitizes_names():
 
 def test_prometheus_lint_clean():
     """Every family has HELP before TYPE and nothing else starts with #."""
-    sim, _tracer = _synthetic()
+    sim = _synthetic()
     lines = to_prometheus(sim).strip().splitlines()
     families = set()
     for i, line in enumerate(lines):
@@ -257,9 +261,9 @@ def test_prometheus_escaping_helpers():
 
 
 def test_report_cli_renders_dump(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim = _synthetic()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer))
+    write_json(path, telemetry_snapshot(sim))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "cross-net spans: 2 traced, 1 delivered, 1 failed" in out
@@ -283,9 +287,9 @@ def test_report_cli_unparseable_file(tmp_path, capsys):
 
 
 def test_report_cli_json_flag(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim = _synthetic()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer, wall_seconds=0.5))
+    write_json(path, telemetry_snapshot(sim, wall_seconds=0.5))
     assert report_main([path, "--json"]) == 0
     out = capsys.readouterr().out
     summary = json.loads(out)  # machine-readable
@@ -297,14 +301,14 @@ def test_report_cli_json_flag(tmp_path, capsys):
 
 
 def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim = _synthetic()
     sim.metrics.counter("invariant.supply.violations").inc(2)
     sim.metrics.counter("cid.cache.hits").inc(90)
     sim.metrics.counter("cid.cache.misses").inc(10)
     sim.metrics.gauge("state.root.buckets_rehashed").set(7)
     sim.metrics.gauge("state.root.leaves_encoded").set(9)
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer))
+    write_json(path, telemetry_snapshot(sim))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "invariant counters" in out
@@ -326,13 +330,13 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
 def test_report_renders_profile_section(tmp_path, capsys):
     from repro.telemetry import SamplingProfiler
 
-    sim, tracer = _synthetic()
-    profiler = SamplingProfiler(sim, interval=0.001).start()
+    sim = _synthetic()
+    profiler = sim.attach(SamplingProfiler(sim, interval=0.001).start())
     sim.schedule(1.0, lambda: __import__("time").sleep(0.03), label="busy")
     sim.run()
     profiler.stop()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer, profiler=profiler))
+    write_json(path, telemetry_snapshot(sim))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "CPU profile —" in out and "samples" in out
@@ -346,9 +350,9 @@ def test_report_renders_profile_section(tmp_path, capsys):
 
 
 def test_report_renders_rounds_section(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim = _synthetic()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer))
+    write_json(path, telemetry_snapshot(sim))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "consensus rounds per subnet" in out
@@ -366,13 +370,13 @@ def test_report_renders_rounds_section(tmp_path, capsys):
 
 
 def test_report_renders_invariants_section(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim = _synthetic()
     from repro.telemetry import InvariantMonitor
 
-    monitor = InvariantMonitor(sim=sim, auditors=[]).install()
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[]))
     monitor.record("supply", "/root", "demo violation")
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer, monitor=monitor))
+    write_json(path, telemetry_snapshot(sim))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "invariants: 1 violation(s) across 0 auditors" in out

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.observe import ChainReorg
 from repro.sim.scheduler import Simulator
 from repro.telemetry import (
     ExactlyOnceAuditor,
     FinalityAuditor,
     InvariantMonitor,
     SupplyAuditor,
+    enable_telemetry,
 )
+from tests.telemetry.feeds import commit, stub_node
 
 
 def _run_system(monitors: bool):
@@ -17,7 +20,7 @@ def _run_system(monitors: bool):
     system = HierarchicalSystem(seed=11)
     system.start()
     if monitors:
-        system.enable_telemetry(monitors=True)
+        enable_telemetry(system, monitors=True)
     alice = system.create_wallet("alice", fund=500_000)
     sub = system.spawn_subnet(SubnetConfig(name="fast", validators=3, block_time=0.5))
     system.fund_subnet(alice, sub, alice.address, 50_000)
@@ -36,7 +39,7 @@ def monitored_system():
 # Honest end-to-end run
 # ----------------------------------------------------------------------
 def test_honest_run_has_zero_violations(monitored_system):
-    monitor = monitored_system.invariant_monitor
+    monitor = monitored_system.sim.planes["invariants"]
     assert monitor.ok
     assert monitor.violations == []
     summary = monitor.summary()
@@ -47,7 +50,7 @@ def test_honest_run_has_zero_violations(monitored_system):
         "supply", "checkpoint-chain", "exactly-once", "finality", "membership",
     }
     # No violations → no postmortem bundles.
-    assert monitored_system.flight_recorder.bundles == []
+    assert monitored_system.sim.planes["recorder"].bundles == []
 
 
 def test_digest_unchanged_with_monitors(monitored_system):
@@ -57,19 +60,19 @@ def test_digest_unchanged_with_monitors(monitored_system):
 
 
 def test_enable_telemetry_is_idempotent(monitored_system):
-    monitor = monitored_system.invariant_monitor
-    recorder = monitored_system.flight_recorder
-    monitored_system.enable_telemetry(monitors=True)
-    assert monitored_system.invariant_monitor is monitor
-    assert monitored_system.flight_recorder is recorder
+    before = dict(monitored_system.sim.planes)
+    planes = enable_telemetry(monitored_system, monitors=True)
+    assert planes == before  # the same plane objects under the same sections
 
 
 def test_install_uninstall():
     sim = Simulator(seed=1)
-    monitor = InvariantMonitor(sim=sim, auditors=[]).install()
-    assert sim.invariant_monitor is monitor
-    monitor.uninstall()
-    assert sim.invariant_monitor is None
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[SupplyAuditor()]))
+    assert sim.planes["invariants"] is monitor
+    sim.detach(monitor)
+    assert "invariants" not in sim.planes
+    commit(sim, stub_node(), [("firewall.refused", ("/root/victim", 2, 1))])
+    assert monitor.ok  # detached: the refusal never reached the auditor
 
 
 # ----------------------------------------------------------------------
@@ -115,20 +118,12 @@ def test_violation_triggers_recorder_dump_up_to_cap():
 # ----------------------------------------------------------------------
 # Supply auditor (event path)
 # ----------------------------------------------------------------------
-class _StubNode:
-    def __init__(self, subnet_id="/root", node_id="n0", store=None, engine=None):
-        self.subnet_id = subnet_id
-        self.node_id = node_id
-        self.store = store
-        self.engine = engine
-
-
 def test_supply_auditor_flags_firewall_refusal():
     sim = Simulator(seed=1)
-    monitor = InvariantMonitor(sim=sim, auditors=[SupplyAuditor()])
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[SupplyAuditor()]))
     events = [("firewall.refused", ("/root/victim", 1_000_000, 10_000))]
-    monitor.on_block_commit(_StubNode(), None, events)
-    monitor.on_block_commit(_StubNode(node_id="n1"), None, events)  # dedups
+    commit(sim, stub_node(), events)
+    commit(sim, stub_node(node_id="n1"), events)  # dedups
     (violation,) = monitor.violations
     assert violation.auditor == "supply"
     assert "exceeds its circulating supply" in violation.description
@@ -155,49 +150,49 @@ class _StubChainStore:
 
 def test_exactly_once_flags_double_delivery_on_one_chain():
     sim = Simulator(seed=1)
-    monitor = InvariantMonitor(sim=sim, auditors=[ExactlyOnceAuditor()])
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[ExactlyOnceAuditor()]))
     store = _StubChainStore({"b1": "main", "b2": "main"})
-    node = _StubNode(store=store)
+    node = stub_node(store=store)
     deliver = [("crossmsg.delivered", ("addr", 5, "cd" * 16))]
-    monitor.on_block_commit(node, _StubBlock("b1", 3), deliver)
-    monitor.on_block_commit(node, _StubBlock("b1", 3), deliver)  # same block: ok
+    commit(sim, node, deliver, _StubBlock("b1", 3))
+    commit(sim, node, deliver, _StubBlock("b1", 3))  # same block: ok
     assert monitor.ok
-    monitor.on_block_commit(node, _StubBlock("b2", 4), deliver)  # same chain: bad
+    commit(sim, node, deliver, _StubBlock("b2", 4))  # same chain: bad
     (violation,) = monitor.violations
     assert "applied twice" in violation.description
 
 
 def test_exactly_once_tolerates_fork_replay():
     sim = Simulator(seed=1)
-    monitor = InvariantMonitor(sim=sim, auditors=[ExactlyOnceAuditor()])
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[ExactlyOnceAuditor()]))
     store = _StubChainStore({"b1": "fork-a", "b2": "fork-b"})
-    node = _StubNode(store=store)
+    node = stub_node(store=store)
     deliver = [("crossmsg.delivered", ("addr", 5, "cd" * 16))]
-    monitor.on_block_commit(node, _StubBlock("b1", 3), deliver)
-    monitor.on_block_commit(node, _StubBlock("b2", 3), deliver)
+    commit(sim, node, deliver, _StubBlock("b1", 3))
+    commit(sim, node, deliver, _StubBlock("b2", 3))
     assert monitor.ok  # rival forks may both apply; not a violation
     assert sim.metrics.counter("invariant.exactly_once.fork_replays").value == 1
 
 
 def test_exactly_once_nonce_rules():
     sim = Simulator(seed=1)
-    monitor = InvariantMonitor(sim=sim, auditors=[ExactlyOnceAuditor()])
-    node = _StubNode()
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[ExactlyOnceAuditor()]))
+    node = stub_node()
 
     def topdown(nonce, cid):
         return [("crossmsg.topdown",
                  ("/root/a", nonce, 7, cid, "/root/a", "addr", "user"))]
 
-    monitor.on_block_commit(node, None, topdown(0, "aa" * 16))
-    monitor.on_block_commit(node, None, topdown(1, "bb" * 16))
-    monitor.on_block_commit(node, None, topdown(1, "bb" * 16))  # re-observation
+    commit(sim, node, topdown(0, "aa" * 16))
+    commit(sim, node, topdown(1, "bb" * 16))
+    commit(sim, node, topdown(1, "bb" * 16))  # re-observation
     assert monitor.ok
-    monitor.on_block_commit(node, None, topdown(1, "cc" * 16))  # reuse, new cid
-    monitor.on_block_commit(node, None, topdown(0, "dd" * 16))  # also reuse
+    commit(sim, node, topdown(1, "cc" * 16))  # reuse, new cid
+    commit(sim, node, topdown(0, "dd" * 16))  # also reuse
     assert len(monitor.violations) == 2
     assert all("nonce" in v.description for v in monitor.violations)
     # A forward gap is counted, not convicted (monitor may attach mid-run).
-    monitor.on_block_commit(node, None, topdown(5, "ee" * 16))
+    commit(sim, node, topdown(5, "ee" * 16))
     assert len(monitor.violations) == 2
     assert sim.metrics.counter("invariant.exactly_once.nonce_gaps").value == 1
 
@@ -214,11 +209,11 @@ class _StubEngine:
 
 def test_finality_auditor_flags_deep_reorg():
     sim = Simulator(seed=1)
-    monitor = InvariantMonitor(sim=sim, auditors=[FinalityAuditor()])
-    node = _StubNode(engine=_StubEngine())
-    monitor.on_reorg(node, "old", _StubBlock("new", 30), depth=3)
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[FinalityAuditor()]))
+    node = stub_node(engine=_StubEngine())
+    sim.observe(ChainReorg, node, "old", _StubBlock("new", 30), 3)
     assert monitor.ok  # within finality depth
-    monitor.on_reorg(node, "old", _StubBlock("new", 40), depth=9)
+    sim.observe(ChainReorg, node, "old", _StubBlock("new", 40), 9)
     (violation,) = monitor.violations
     assert violation.auditor == "finality"
     assert "deeper than the finality depth" in violation.description

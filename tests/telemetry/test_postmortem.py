@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.telemetry import enable_telemetry
 from repro.telemetry.postmortem import main as postmortem_main
 from repro.telemetry.postmortem import render
 
@@ -13,8 +14,8 @@ from repro.telemetry.postmortem import render
 def _run_system(postmortem_dir=None, poke=False):
     system = HierarchicalSystem(seed=23)
     system.start()
-    system.enable_telemetry(
-        health_interval=2.0, monitors=True, postmortem_dir=postmortem_dir
+    enable_telemetry(
+        system, health_interval=2.0, monitors=True, postmortem_dir=postmortem_dir
     )
     alice = system.create_wallet("alice", fund=500_000)
     sub = system.spawn_subnet(SubnetConfig(name="pm", validators=3, block_time=0.5))
@@ -23,7 +24,7 @@ def _run_system(postmortem_dir=None, poke=False):
     if poke:
         # Inject a synthetic violation mid-run so the dump happens at a
         # deterministic simulated time with live rings.
-        system.invariant_monitor.record(
+        system.sim.planes["invariants"].record(
             "supply", "/root", "synthetic violation for the recorder test"
         )
     system.run_for(8)
@@ -38,7 +39,7 @@ def poked(tmp_path_factory):
 
 def test_violation_dumps_bundle_to_disk(poked):
     system, _out = poked
-    recorder = system.flight_recorder
+    recorder = system.sim.planes["recorder"]
     assert len(recorder.bundles) == 1
     assert len(recorder.paths) == 1
     bundle = recorder.bundles[0]
@@ -60,25 +61,25 @@ def test_bundle_body_is_deterministic(poked):
     """Same seed, same poke → byte-identical bundle (no wall clock inside)."""
     system, _out = poked
     repeat = _run_system(poke=True)
-    a = json.dumps(system.flight_recorder.bundles[0], sort_keys=True, default=str)
-    b = json.dumps(repeat.flight_recorder.bundles[0], sort_keys=True, default=str)
+    a = json.dumps(system.sim.planes["recorder"].bundles[0], sort_keys=True, default=str)
+    b = json.dumps(repeat.sim.planes["recorder"].bundles[0], sort_keys=True, default=str)
     assert a == b
 
 
 def test_on_demand_dump(poked):
     system, _out = poked
-    before = len(system.flight_recorder.bundles)
-    bundle = system.flight_recorder.dump(reason="benchmark-exception")
+    before = len(system.sim.planes["recorder"].bundles)
+    bundle = system.sim.planes["recorder"].dump(reason="benchmark-exception")
     assert bundle["reason"] == "benchmark-exception"
     assert bundle["violation"] is None
     # An on-demand dump still carries the run's accumulated violations.
     assert bundle["violations"]
-    assert len(system.flight_recorder.bundles) == before + 1
+    assert len(system.sim.planes["recorder"].bundles) == before + 1
 
 
 def test_render_sections(poked):
     system, _out = poked
-    text = render(system.flight_recorder.bundles[0])
+    text = render(system.sim.planes["recorder"].bundles[0])
     assert "postmortem: reason=invariant-violation" in text
     assert "synthetic violation for the recorder test" in text
     assert "subnet heads" in text
@@ -88,7 +89,7 @@ def test_render_sections(poked):
 
 def test_cli_renders_bundle(poked, capsys):
     system, out = poked
-    path = system.flight_recorder.paths[0]
+    path = system.sim.planes["recorder"].paths[0]
     assert Path(path).parent == Path(str(out))
     assert postmortem_main([str(path)]) == 0
     captured = capsys.readouterr()
@@ -106,9 +107,23 @@ def test_cli_missing_file_is_one_line_error(capsys):
 
 def test_health_ring_fed_by_probe(poked):
     system, _out = poked
-    # enable_telemetry wired HealthProbe.on_sample → recorder.note_health.
-    bundle = system.flight_recorder.dump(reason="health-check")
+    # The recorder subscribes to HealthSampled; nobody wires probe to recorder.
+    bundle = system.sim.planes["recorder"].dump(reason="health-check")
     assert bundle["health_recent"], "health samples should reach the ring"
     latest = bundle["health_recent"][-1]
     assert "/root/pm" in latest
     assert "height" in latest["/root/pm"]
+
+
+@pytest.mark.parametrize("monitors_first", [True, False])
+def test_health_ring_fed_whichever_plane_is_enabled_first(monitors_first):
+    """The recorder subscribes to the stream, not to a probe that may not
+    exist yet: every health round reaches its ring whether monitors or
+    health sampling was asked for first."""
+    system = HierarchicalSystem(seed=23).start()
+    steps = [{"monitors": True}, {"health_interval": 1.0}]
+    for options in steps if monitors_first else reversed(steps):
+        enable_telemetry(system, **options)
+    system.run_for(5)
+    bundle = system.sim.planes["recorder"].dump(reason="health-check")
+    assert len(bundle["health_recent"]) == 5

@@ -12,7 +12,12 @@ import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
 from repro.sim.scheduler import Simulator
-from repro.telemetry import SamplingProfiler, to_chrome_trace
+from repro.telemetry import (
+    SamplingProfiler,
+    enable_telemetry,
+    telemetry_snapshot,
+    to_chrome_trace,
+)
 from repro.telemetry.profiler import OUTSIDE_DISPATCH, PROFILE_SCHEMA, read_rss_bytes
 
 
@@ -178,7 +183,8 @@ def test_collapsed_stack_format(tmp_path):
 
 def test_perfetto_export_grows_profiler_track():
     sim, profiler = _run_hot_cold(hot_s=0.1, cold_s=0.02)
-    trace = to_chrome_trace(sim, profiler=profiler)
+    sim.attach(profiler)
+    trace = to_chrome_trace(sim)
     prof = [e for e in trace["traceEvents"] if e.get("pid") == 3]
     assert prof, "profiler track missing from Perfetto export"
     slices = [e for e in prof if e.get("ph") == "X"]
@@ -191,8 +197,20 @@ def test_perfetto_export_grows_profiler_track():
     if profiler.rss_series():
         assert counters and all(e["args"]["bytes"] > 0 for e in counters)
     # Without a profiler the track is absent entirely.
+    sim.detach(profiler)
     bare = to_chrome_trace(sim)
     assert not [e for e in bare["traceEvents"] if e.get("pid") == 3]
+
+
+def test_enable_telemetry_profile_starts_and_registers_a_sampler():
+    system = HierarchicalSystem(seed=1).start()
+    profiler = enable_telemetry(system, profile=True)["profile"]
+    try:
+        assert profiler.running
+        system.run_for(2)
+    finally:
+        profiler.stop()
+    assert telemetry_snapshot(system.sim)["profile"]["schema"] == PROFILE_SCHEMA
 
 
 def _digest_scenario(monkeypatch, tie_shuffle, profile: bool) -> str:
@@ -206,9 +224,13 @@ def _digest_scenario(monkeypatch, tie_shuffle, profile: bool) -> str:
         checkpoint_period=4, wallet_funds={"alice": 10_000},
     ).start()
     if profile:
-        system.enable_telemetry(profile=True, profile_interval=0.001,
-                                profile_memory=True)
-        assert system.profiler is not None and system.profiler.running
+        # The planes enable_telemetry(profile=True) attaches, with a
+        # faster sampler and allocation accounting on.
+        enable_telemetry(system)
+        profiler = system.sim.attach(
+            SamplingProfiler(system.sim, interval=0.001, memory=True).start()
+        )
+        assert profiler.running
     subnet = system.spawn_subnet(
         SubnetConfig(name="s0", validators=3, block_time=0.25, checkpoint_period=4)
     )
@@ -224,12 +246,12 @@ def _digest_scenario(monkeypatch, tie_shuffle, profile: bool) -> str:
     )
     system.run_until(25.0)
     if profile:
-        system.profiler.stop()
+        profiler.stop()
     return system.end_state_digest()
 
 
 def test_profiling_is_digest_neutral_across_tie_orders(monkeypatch):
-    """enable_telemetry(profile=True) must not move the end-state digest —
+    """An attached, sampling profiler must not move the end-state digest —
     neither under FIFO tie order nor under shuffled schedules."""
     digests = set()
     for tie_shuffle in (None, 1, 2):

@@ -11,8 +11,9 @@ import json
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.scenario.runner import ProgressWatchdog
+from repro.sim.observe import RoundEvent
 from repro.sim.scheduler import Simulator
-from repro.telemetry import RoundTracer, render_stall_report
+from repro.telemetry import RoundTracer, enable_telemetry, render_stall_report
 from repro.telemetry.postmortem import main as postmortem_main
 from repro.telemetry.postmortem import render as render_postmortem
 from repro.telemetry.rounds import STALL_SCHEMA
@@ -23,11 +24,11 @@ VAL = "/root/a#0"
 
 def _tracer(**kwargs):
     sim = Simulator(seed=3)
-    return sim, RoundTracer(sim, **kwargs).install()
+    return sim, sim.attach(RoundTracer(sim, **kwargs))
 
 
 def _feed(tracer, kind, time=0.0, node=VAL, **fields):
-    tracer.on_round_event(SUBNET, node, kind, time, fields)
+    tracer.sim.observe(RoundEvent, SUBNET, node, kind, time, fields)
 
 
 # ----------------------------------------------------------------------
@@ -35,13 +36,15 @@ def _feed(tracer, kind, time=0.0, node=VAL, **fields):
 # ----------------------------------------------------------------------
 def test_install_sets_and_uninstall_clears_the_slot():
     sim, tracer = _tracer()
-    assert sim.round_tracer is tracer
-    tracer.uninstall()
-    assert sim.round_tracer is None
-    # Uninstalling somebody else's tracer is a no-op.
-    other = RoundTracer(sim).install()
-    tracer.uninstall()
-    assert sim.round_tracer is other
+    assert sim.planes["rounds"] is tracer
+    sim.detach(tracer)
+    assert "rounds" not in sim.planes
+    _feed(tracer, "round_start", height=1, round=0)
+    assert tracer.summary()["events"] == 0  # detached: nothing arrives
+    # Detaching a tracer that is not the attached one is a no-op.
+    other = sim.attach(RoundTracer(sim))
+    sim.detach(tracer)
+    assert sim.planes["rounds"] is other
 
 
 def test_frontier_advances_and_never_regresses():
@@ -127,7 +130,7 @@ def _workload_digest(monkeypatch, tie_shuffle, tracing):
         seed=11, root_validators=3, wallet_funds={"alice": 10_000}
     ).start()
     if tracing:
-        RoundTracer(system.sim).install()
+        system.sim.attach(RoundTracer(system.sim))
     subnet = system.spawn_subnet(
         SubnetConfig(name="s0", engine="tendermint", validators=4,
                      block_time=0.5)
@@ -137,7 +140,7 @@ def _workload_digest(monkeypatch, tie_shuffle, tracing):
     system.run_until(15.0)
     if tracing:
         # The tracer really saw the run it must not perturb.
-        assert system.sim.round_tracer.summary()["events"] > 0
+        assert system.sim.planes["rounds"].summary()["events"] > 0
     return system.end_state_digest()
 
 
@@ -157,7 +160,7 @@ def test_round_tracing_is_digest_neutral(monkeypatch):
 # ----------------------------------------------------------------------
 def test_partitioned_tendermint_subnet_yields_named_stall_report(tmp_path, capsys):
     system = HierarchicalSystem(seed=7, root_validators=3).start()
-    system.enable_telemetry(monitors=True, health_interval=1.0)
+    enable_telemetry(system, monitors=True, health_interval=1.0)
     sub = system.spawn_subnet(
         SubnetConfig(name="s0", engine="tendermint", validators=4)
     )
@@ -214,7 +217,7 @@ def test_partitioned_tendermint_subnet_yields_named_stall_report(tmp_path, capsy
     assert system.last_timeout["stall_reports"]
     detail = system.timeout_detail()
     assert "quorum at h" in detail
-    bundle = system.flight_recorder.bundles[-1]
+    bundle = system.sim.planes["recorder"].bundles[-1]
     assert bundle["stall_reports"]
     assert "stall report: /root/s0" in render_postmortem(bundle)
 
@@ -231,11 +234,11 @@ def test_on_demand_diagnosis_of_a_healthy_slot_subnet():
     """Slot engines have no vote books: the report falls back to the
     leader-schedule analysis instead of inventing a quorum."""
     system = HierarchicalSystem(seed=3, root_validators=3).start()
-    system.enable_telemetry()
+    enable_telemetry(system)
     system.spawn_subnet(SubnetConfig(name="s0", validators=3))  # PoA
     system.run_for(5.0)
 
-    report = system.stall_diagnoser.diagnose("/root/s0")
+    report = system.sim.planes["stall"].diagnose("/root/s0")
     quorum = report["quorum"]
     assert quorum["kind"] == "leader-schedule"
     assert quorum["expected_leader"]

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.observe import CrossMsgSubmitted
 from repro.sim.scheduler import Simulator
-from repro.telemetry import SpanTracer, route_shape, subnet_level
+from repro.telemetry import SpanTracer, enable_telemetry, route_shape, subnet_level
+from tests.telemetry.feeds import commit
 
 
 def _run_system(telemetry: bool):
@@ -12,7 +14,7 @@ def _run_system(telemetry: bool):
     system = HierarchicalSystem(seed=11)
     system.start()
     if telemetry:
-        system.enable_telemetry()
+        enable_telemetry(system)
     alice = system.create_wallet("alice", fund=500_000)
     sub = system.spawn_subnet(SubnetConfig(name="fast", validators=3, block_time=0.5))
     system.fund_subnet(alice, sub, alice.address, 50_000)
@@ -53,7 +55,7 @@ def test_route_shape():
 # Lifecycle across a 2-level hierarchy
 # ----------------------------------------------------------------------
 def test_topdown_span_lifecycle(traced_system):
-    events, info = _trace_by_value(traced_system.span_tracer, 50_000)
+    events, info = _trace_by_value(traced_system.sim.planes["spans"], 50_000)
     assert [e.phase for e in events] == ["submit", "enqueue", "deliver"]
     assert [e.subnet for e in events] == ["/root", "/root", "/root/fast"]
     assert info["status"] == "delivered"
@@ -64,7 +66,7 @@ def test_topdown_span_lifecycle(traced_system):
 
 
 def test_bottomup_span_lifecycle(traced_system):
-    events, info = _trace_by_value(traced_system.span_tracer, 5_000)
+    events, info = _trace_by_value(traced_system.sim.planes["spans"], 5_000)
     assert [e.phase for e in events] == ["submit", "enqueue", "deliver"]
     assert [e.subnet for e in events] == ["/root/fast", "/root/fast", "/root"]
     assert info["status"] == "delivered"
@@ -94,7 +96,7 @@ def test_hop_histograms_populated(traced_system):
 
 
 def test_span_counters_consistent(traced_system):
-    tracer = traced_system.span_tracer
+    tracer = traced_system.sim.planes["spans"]
     metrics = traced_system.sim.metrics
     assert metrics.counter("xnet.spans.started").value == len(tracer.traces)
     assert metrics.counter("xnet.spans.delivered").value == tracer.delivered_count()
@@ -104,7 +106,7 @@ def test_span_counters_consistent(traced_system):
 
 
 def test_checkpoints_observed_seal_submit_commit(traced_system):
-    entries = traced_system.span_tracer.checkpoints.values()
+    entries = traced_system.sim.planes["spans"].checkpoints.values()
     complete = [
         e for e in entries
         if e.get("sealed") is not None
@@ -123,7 +125,7 @@ def test_checkpoints_observed_seal_submit_commit(traced_system):
 # ----------------------------------------------------------------------
 def test_hop_latencies_deterministic_under_fixed_seed(traced_system):
     def shape(system):
-        tracer = system.span_tracer
+        tracer = system.sim.planes["spans"]
         return {
             trace_id: [(e.phase, e.subnet, e.time) for e in events]
             for trace_id, events in tracer.traces.items()
@@ -149,11 +151,19 @@ def _topdown_event(cid="ab" * 16, value=7, kind="user"):
     )
 
 
-def test_duplicate_commits_deduplicate():
+def _traced_sim():
     sim = Simulator(seed=1)
-    tracer = SpanTracer(sim).install()
+    return sim, sim.attach(SpanTracer(sim))
+
+
+def _submit(sim):
+    sim.observe(CrossMsgSubmitted, "/root", "/root/a", "addr-1", 7)
+
+
+def test_duplicate_commits_deduplicate():
+    sim, tracer = _traced_sim()
     for node in ("n0", "n1", "n2"):
-        tracer.on_block_commit("/root", node, None, [_topdown_event()])
+        commit(sim, ("/root", node), [_topdown_event()])
     assert len(tracer.traces) == 1
     (events,) = tracer.traces.values()
     assert len(events) == 1
@@ -161,15 +171,14 @@ def test_duplicate_commits_deduplicate():
 
 
 def test_note_submit_binds_fifo_to_first_user_enqueue():
-    sim = Simulator(seed=1)
-    tracer = SpanTracer(sim).install()
+    sim, tracer = _traced_sim()
     sim.now = 1.0
-    tracer.note_submit("/root", "/root/a", "addr-1", 7)
+    _submit(sim)
     sim.now = 2.0
-    tracer.note_submit("/root", "/root/a", "addr-1", 7)
+    _submit(sim)
     sim.now = 5.0
-    tracer.on_block_commit("/root", "n0", None, [_topdown_event(cid="aa" * 16)])
-    tracer.on_block_commit("/root", "n0", None, [_topdown_event(cid="bb" * 16)])
+    commit(sim, ("/root", "n0"), [_topdown_event(cid="aa" * 16)])
+    commit(sim, ("/root", "n0"), [_topdown_event(cid="bb" * 16)])
     first = tracer.trace("aa" * 16)
     second = tracer.trace("bb" * 16)
     assert [e.phase for e in first] == ["submit", "enqueue"]
@@ -179,22 +188,20 @@ def test_note_submit_binds_fifo_to_first_user_enqueue():
 
 
 def test_internal_messages_get_no_submit_binding():
-    sim = Simulator(seed=1)
-    tracer = SpanTracer(sim).install()
+    sim, tracer = _traced_sim()
     sim.now = 1.0
-    tracer.note_submit("/root", "/root/a", "addr-1", 7)
+    _submit(sim)
     sim.now = 3.0
-    tracer.on_block_commit(
-        "/root", "n0", None, [_topdown_event(kind="revert")]
-    )
+    commit(sim, ("/root", "n0"), [_topdown_event(kind="revert")])
     (events,) = tracer.traces.values()
     assert [e.phase for e in events] == ["enqueue"]  # submission not consumed
     assert tracer._pending_submits  # still waiting for a user enqueue
 
 
 def test_uninstall_detaches():
-    sim = Simulator(seed=1)
-    tracer = SpanTracer(sim).install()
-    assert sim.span_tracer is tracer
-    tracer.uninstall()
-    assert sim.span_tracer is None
+    sim, tracer = _traced_sim()
+    assert sim.planes["spans"] is tracer
+    sim.detach(tracer)
+    assert "spans" not in sim.planes
+    commit(sim, ("/root", "n0"), [_topdown_event()])
+    assert tracer.traces == {}
