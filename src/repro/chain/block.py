@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.crypto.cid import CID, cached_cid
+from repro.crypto.encoding import canonical_body, memo
 from repro.crypto.keys import Address
 from repro.crypto.merkle import MerkleTree
 
@@ -29,6 +30,7 @@ class BlockHeader:
     timestamp: float
     miner: Address
     consensus_data: dict = field(default_factory=dict)
+    _cid: Optional[CID] = memo()  # cached_cid's
 
     def to_canonical(self):
         return (
@@ -67,6 +69,7 @@ class FullBlock:
     header: BlockHeader
     messages: tuple = field(default_factory=tuple)
     cross_messages: tuple = field(default_factory=tuple)
+    _mr_ok: Optional[bool] = memo()  # messages_root_matches' (True only)
 
     @property
     def cid(self) -> CID:
@@ -78,9 +81,9 @@ class FullBlock:
 
     def to_canonical(self):
         return (
-            self.header.to_canonical(),
-            tuple(m.to_canonical() for m in self.messages),
-            tuple(m.to_canonical() for m in self.cross_messages),
+            canonical_body(self.header),
+            tuple(canonical_body(m) for m in self.messages),
+            tuple(canonical_body(m) for m in self.cross_messages),
         )
 
     @staticmethod
@@ -95,7 +98,7 @@ class FullBlock:
         # validator re-checks the same gossiped instance.  A failing check
         # is not cached — it costs nothing extra and keeps the negative
         # path simple.
-        if self.__dict__.get("_mr_ok"):
+        if self._mr_ok:
             return True
         ok = (
             self.compute_messages_root(self.messages, self.cross_messages)

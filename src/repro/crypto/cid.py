@@ -31,6 +31,9 @@ class CID:
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("CID is immutable")
 
+    def __reduce__(self):  # copy/pickle rebuild through __init__, not setattr
+        return (CID, (self.digest,))
+
     @classmethod
     def from_hex(cls, text: str) -> "CID":
         if text.startswith(_PREFIX):
@@ -75,23 +78,20 @@ _cache_misses = 0
 def cached_cid(value: Any) -> CID:
     """``cid_of`` with per-object memoization for immutable values.
 
-    The CID is stashed in the object's ``__dict__`` (works on frozen
-    dataclasses via ``object.__setattr__``; dataclass ``__eq__``/``repr``
-    only look at declared fields, so the stash is invisible).  The same
+    The CID is kept on the instance when its class declares
+    ``_cid = memo()`` (dataclass ``__eq__``/``repr`` ignore it).  The same
     block or message gossiped to V validators is then hashed once, not V
     times.  Callers must only use this for values that are immutable after
     construction — everything content-addressed in this codebase is.
     """
     global _cache_hits, _cache_misses
-    attrs = getattr(value, "__dict__", None)
-    if attrs is not None:
-        cached = attrs.get("_cid")
-        if cached is not None:
-            _cache_hits += 1
-            return cached
+    kept = getattr(value, "_cid", False)
+    if kept:
+        _cache_hits += 1
+        return kept
     _cache_misses += 1
     cid = cid_of(value)
-    if attrs is not None:
+    if kept is None:  # declared and still cold
         object.__setattr__(value, "_cid", cid)
     return cid
 

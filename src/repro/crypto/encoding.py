@@ -13,11 +13,17 @@ every CID computation recurses through here), falling back to an
 ``to_canonical`` arm are promoted into the table with a precomputed name
 prefix, so each protocol object class pays the slow path once per process.
 Both paths produce identical bytes.
+
+The encoding is prefix-free TLV, so a parent's bytes are the concatenation
+of its children's.  A parent's ``to_canonical`` embeds each child through
+:func:`canonical_body`; a child class that declares ``_body = memo()``
+then carries its bytes and is encoded once per lifetime.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import field
 from typing import Any, Callable, Dict
 
 
@@ -44,6 +50,51 @@ def encode_into(out: bytearray, value: Any) -> None:
         handler(out, value)
     else:
         _encode_fallback(out, value)
+
+
+def memo() -> Any:
+    """Dataclass field for what an immutable value carries once computed.
+
+    Not an ``__init__`` argument (``dataclasses.replace`` starts cold) and
+    invisible to ``==``/``hash``/``repr``.  ``__init__`` fills it with
+    ``None``, so every instance owns the slot from construction and the
+    one later write never makes it grow an attribute dict.
+    """
+    return field(default_factory=lambda: None, init=False, repr=False, compare=False)
+
+
+class _Fragment(bytes):
+    """Canonical bytes the encoder appends verbatim.
+
+    Private to this module and dispatched on exact type only — any other
+    ``bytes`` subclass still gets its ``b<n>:`` header — so a fragment can
+    only be what :func:`canonical_body` encoded.
+    """
+
+    __slots__ = ()
+
+
+def canonical_body(value: Any) -> Any:
+    """What a parent's ``to_canonical`` embeds for its child *value*.
+
+    The child's ``to_canonical()`` tuple — or, when its class declares
+    ``_body = memo()``, that tuple's encoding as a fragment, made on first
+    use and carried by the (immutable) instance from then on.  The parent
+    encodes to the same bytes either way.
+    """
+    body = getattr(value, "_body", False)
+    if body is False:  # the class keeps no bytes
+        return value.to_canonical()
+    if body is None:
+        out = bytearray()
+        encode_into(out, value.to_canonical())
+        body = _Fragment(out)
+        object.__setattr__(value, "_body", body)
+    return body
+
+
+def _enc_fragment(out: bytearray, value: _Fragment) -> None:
+    out += value
 
 
 def _enc_none(out: bytearray, value: None) -> None:
@@ -85,8 +136,15 @@ def _enc_seq(out: bytearray, value) -> None:
 def _enc_dict(out: bytearray, value: dict) -> None:
     items = sorted(value.items(), key=lambda kv: str(kv[0]))
     out += b"d%d:" % len(items)
+    last = None
     for key, item in items:
-        encode_into(out, key if type(key) is str else str(key))
+        if type(key) is not str:
+            text = str(key)
+            # Equal key text would leave the order to insertion history.
+            if text == last or (text != key and text in value):
+                raise EncodingError(f"mapping keys collide once stringified: {text!r}")
+            last = key = text
+        encode_into(out, key)
         encode_into(out, item)
 
 
@@ -110,6 +168,7 @@ _HANDLERS: Dict[type, Callable[[bytearray, Any], None]] = {
     dict: _enc_dict,
     set: _enc_set,
     frozenset: _enc_set,
+    _Fragment: _enc_fragment,
 }
 
 
@@ -117,10 +176,17 @@ def _make_object_encoder(tp: type) -> Callable[[bytearray, Any], None]:
     """Handler for a ``to_canonical`` type, name prefix baked in."""
     name = tp.__name__.encode("utf-8")
     prefix = b"os%d:" % len(name) + name
+    if "_body" in getattr(tp, "__dataclass_fields__", ()):  # carries its bytes: join them
 
-    def encode(out: bytearray, value: Any) -> None:
-        out += prefix
-        encode_into(out, value.to_canonical())
+        def encode(out: bytearray, value: Any) -> None:
+            out += prefix
+            out += canonical_body(value)
+
+    else:
+
+        def encode(out: bytearray, value: Any) -> None:
+            out += prefix
+            encode_into(out, value.to_canonical())
 
     return encode
 

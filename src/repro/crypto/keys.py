@@ -26,6 +26,9 @@ class Address:
     def __setattr__(self, name, value):
         raise AttributeError("Address is immutable")
 
+    def __reduce__(self):  # copy/pickle rebuild through __init__, not setattr
+        return (Address, (self.raw,))
+
     @classmethod
     def from_pubkey(cls, pubkey: bytes) -> "Address":
         return cls("f1" + hashlib.sha256(pubkey).hexdigest()[:20])

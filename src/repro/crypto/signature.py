@@ -59,19 +59,18 @@ _REGISTRY = SignatureRegistry()
 def message_digest(message: Any) -> bytes:
     """The digest that gets signed: sha256 of the canonical encoding.
 
-    Memoized on the object's ``__dict__`` when it has one: everything
-    signed in this codebase is immutable after construction (frozen
-    dataclasses, strings, tuples), and the same message is re-digested by
-    every verifying node.  The stash never leaks into the canonical
-    encoding (objects encode via ``to_canonical()`` only).
+    Memoized on the instance when its class declares
+    ``_msg_digest = memo()``: everything signed in this codebase is
+    immutable after construction (frozen dataclasses, strings, tuples), and
+    the same message is re-digested by every verifying node.  The memo never
+    leaks into the canonical encoding (objects encode via ``to_canonical()``
+    only).
     """
-    attrs = getattr(message, "__dict__", None)
-    if attrs is not None:
-        cached = attrs.get("_msg_digest")
-        if cached is not None:
-            return cached
+    kept = getattr(message, "_msg_digest", False)
+    if kept:
+        return kept
     digest = hashlib.sha256(canonical_encode(message)).digest()
-    if attrs is not None:
+    if kept is None:  # declared and still cold
         object.__setattr__(message, "_msg_digest", digest)
     return digest
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.crypto.cid import CID, cached_cid
+from repro.crypto.encoding import canonical_body, memo
 from repro.hierarchy.subnet_id import SubnetID
 
 ZERO_CHECKPOINT = CID(b"\x00" * 32)
@@ -42,6 +43,7 @@ class CrossMsgMeta:
     msgs_cid: CID
     count: int = 0
     value: int = 0
+    _cid: Optional[CID] = memo()  # cached_cid's
 
     def to_canonical(self):
         return (
@@ -69,6 +71,7 @@ class Checkpoint:
     cross_meta: tuple = field(default_factory=tuple)  # (CrossMsgMeta, …)
     window: int = 0  # checkpoint period index, for traceability
     epoch: int = 0  # subnet chain height at sealing
+    _cid: Optional[CID] = memo()  # cached_cid's
 
     def to_canonical(self):
         return (
@@ -76,7 +79,7 @@ class Checkpoint:
             self.proof.to_canonical(),
             self.prev.to_canonical(),
             tuple((path, cid.to_canonical()) for path, cid in self.children),
-            tuple(meta.to_canonical() for meta in self.cross_meta),
+            tuple(canonical_body(meta) for meta in self.cross_meta),
             self.window,
             self.epoch,
         )
@@ -109,7 +112,7 @@ class SignedCheckpoint:
     def to_canonical(self):
         signatures = self.signatures
         if isinstance(signatures, tuple):
-            signatures = tuple(s.to_canonical() for s in signatures)
+            signatures = tuple(canonical_body(s) for s in signatures)
         elif hasattr(signatures, "to_canonical"):
-            signatures = signatures.to_canonical()
-        return (self.checkpoint.to_canonical(), signatures)
+            signatures = canonical_body(signatures)
+        return (canonical_body(self.checkpoint), signatures)

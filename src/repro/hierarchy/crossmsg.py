@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.crypto.cid import CID, cid_of
+from repro.crypto.cid import CID, cached_cid, cid_of
+from repro.crypto.encoding import canonical_body, memo
 from repro.crypto.keys import Address
 from repro.hierarchy.subnet_id import SubnetID
 
@@ -54,6 +55,10 @@ class CrossMsg:
     params: Any = None
     kind: str = "user"
     origin_nonce: int = 0  # disambiguates otherwise-identical messages
+    _cid: Optional[CID] = memo()  # cached_cid's
+    # Re-hashed at every hop (payload CIDs, batch CIDs, registry leaves),
+    # so a cross-msg carries its bytes as well: canonical_body's.
+    _body: Optional[bytes] = memo()
 
     def __post_init__(self):
         if self.value < 0:
@@ -79,7 +84,7 @@ class CrossMsg:
 
     @property
     def cid(self) -> CID:
-        return cid_of(self)
+        return cached_cid(self)
 
     def direction_at(self, subnet: SubnetID) -> Direction:
         return classify(subnet, self.to_subnet)
@@ -114,13 +119,14 @@ class ApplyTopDown:
 
     message: CrossMsg
     nonce: int
+    _cid: Optional[CID] = memo()  # cached_cid's
 
     def to_canonical(self):
-        return ("apply-topdown", self.message.to_canonical(), self.nonce)
+        return ("apply-topdown", canonical_body(self.message), self.nonce)
 
     @property
     def cid(self) -> CID:
-        return cid_of(self)
+        return cached_cid(self)
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,21 @@ class ApplyBottomUp:
 
     nonce: int
     messages: tuple
+    _cid: Optional[CID] = memo()  # cached_cid's
 
     def to_canonical(self):
         return (
             "apply-bottomup",
             self.nonce,
-            tuple(m.to_canonical() for m in self.messages),
+            tuple(canonical_body(m) for m in self.messages),
         )
 
     @property
     def cid(self) -> CID:
-        return cid_of(self)
+        return cached_cid(self)
+
+
+def batch_cid(messages) -> CID:
+    """The ``msgsCid`` of an ordered cross-msg batch (§III-B): hashed over
+    the complete batch bytes, joined from the messages' own."""
+    return cid_of(tuple(messages))

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.crypto.cid import CID, cid_of
+from repro.crypto.cid import CID
 from repro.crypto.keys import Address
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.hierarchy.checkpoint import Checkpoint, CrossMsgMeta, ZERO_CHECKPOINT
-from repro.hierarchy.crossmsg import CrossMsg, Direction, classify
+from repro.hierarchy.crossmsg import CrossMsg, Direction, batch_cid, classify
 from repro.hierarchy.subnet_id import SubnetID
 from repro.vm.actor import Actor, export
 from repro.vm.exitcode import ExitCode
@@ -400,7 +400,7 @@ class SubnetCoordinatorActor(Actor):
         meta: CrossMsgMeta = entry["meta"]
         via_child: str = entry["via_child"]
         ctx.require(
-            cid_of(tuple(messages)) == meta.msgs_cid,
+            batch_cid(messages) == meta.msgs_cid,
             "resolved messages do not match the meta's msgsCid",
         )
         ctx.state_set("bu_applied_nonce", expected + 1)
@@ -565,7 +565,7 @@ class SubnetCoordinatorActor(Actor):
         bu_out_nonce = ctx.state_get("bu_out_nonce", 0)
         for destination_path in sorted(by_destination):
             batch = tuple(by_destination[destination_path])
-            msgs_cid = cid_of(batch)
+            msgs_cid = batch_cid(batch)
             ctx.state_set(f"registry/{msgs_cid.hex()}", batch)
             metas.append(
                 CrossMsgMeta(

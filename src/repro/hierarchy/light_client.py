@@ -26,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.crypto.cid import CID, cid_of
+from repro.crypto.cid import CID
 from repro.crypto.keys import Address
 from repro.crypto.signature import verify
 from repro.crypto.threshold import ThresholdSignature
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint, ZERO_CHECKPOINT
+from repro.hierarchy.crossmsg import batch_cid
 from repro.hierarchy.subnet_actor import SignaturePolicy, threshold_scheme_for
 from repro.hierarchy.subnet_id import SubnetID
 
@@ -146,10 +147,10 @@ class CheckpointLightClient:
         matches the batch — the check a destination subnet's light view
         performs before trusting pushed content.
         """
-        batch_cid = cid_of(tuple(messages))
+        msgs_cid = batch_cid(messages)
         for verified in self.chain:
             for meta in verified.checkpoint.cross_meta:
-                if meta.msgs_cid == batch_cid:
+                if meta.msgs_cid == msgs_cid:
                     return True
         return False
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.crypto.cid import CID, cid_of
+from repro.crypto.cid import CID
+from repro.hierarchy.crossmsg import batch_cid
 from repro.hierarchy.gateway import SCA_ADDRESS
 from repro.hierarchy.subnet_id import SubnetID
 from repro.net.gossip import GossipNetwork, PubsubEnvelope
@@ -72,12 +73,13 @@ class ResolutionService:
 
     def store(self, msgs_cid: CID, messages: tuple) -> bool:
         """Cache a batch after verifying it hashes to its CID."""
-        if cid_of(tuple(messages)) != msgs_cid:
+        messages = tuple(messages)
+        if batch_cid(messages) != msgs_cid:
             self.sim.metrics.counter("resolution.bad_content").inc()
             return False
-        self._cache[msgs_cid] = tuple(messages)
+        self._cache[msgs_cid] = messages
         for callback in self._waiting.pop(msgs_cid, []):
-            callback(tuple(messages))
+            callback(messages)
         return True
 
     # ------------------------------------------------------------------

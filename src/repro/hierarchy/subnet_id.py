@@ -17,40 +17,55 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-_SEGMENT = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
+_NAME = "[a-z0-9][a-z0-9_-]*"
+_SEGMENT = re.compile(f"^{_NAME}$")
+_PATH = re.compile(f"^(?:/{_NAME})+$")
+
+
+def _check_segment(segment: str) -> None:
+    if not _SEGMENT.match(segment):
+        raise ValueError(f"invalid subnet path segment {segment!r}")
 
 
 class SubnetID:
     """An immutable, path-structured subnet identifier."""
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "path")
 
     def __init__(self, path) -> None:
         if isinstance(path, SubnetID):
-            segments = path.segments
+            segments, path = path.segments, path.path  # validated when it was built
         elif isinstance(path, str):
-            if not path.startswith("/"):
-                raise ValueError(f"subnet path must start with '/': {path!r}")
+            if not _PATH.match(path):
+                raise ValueError(f"invalid subnet path {path!r} (want '/seg/seg', seg ~ {_NAME})")
             segments = tuple(path[1:].split("/"))
         else:
             segments = tuple(path)
-        if not segments:
-            raise ValueError("empty subnet path")
-        for segment in segments:
-            if not _SEGMENT.match(segment):
-                raise ValueError(f"invalid subnet path segment {segment!r}")
+            if not segments:
+                raise ValueError("empty subnet path")
+            for segment in segments:
+                _check_segment(segment)
+            path = "/" + "/".join(segments)
         object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "path", path)
+
+    @classmethod
+    def _of(cls, segments: tuple) -> "SubnetID":
+        """Over segments an existing SubnetID has already validated."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "segments", segments)
+        object.__setattr__(new, "path", "/" + "/".join(segments))
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("SubnetID is immutable")
 
+    def __reduce__(self):  # copy/pickle rebuild through __init__, not setattr
+        return (SubnetID, (self.path,))
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    @property
-    def path(self) -> str:
-        return "/" + "/".join(self.segments)
-
     @property
     def name(self) -> str:
         """The final segment (the SA-derived name within the parent)."""
@@ -68,10 +83,11 @@ class SubnetID:
     def parent(self) -> "SubnetID":
         if self.is_root:
             raise ValueError("the rootnet has no parent")
-        return SubnetID(self.segments[:-1])
+        return SubnetID._of(self.segments[:-1])
 
     def child(self, name: str) -> "SubnetID":
-        return SubnetID(self.segments + (name,))
+        _check_segment(name)
+        return SubnetID._of(self.segments + (name,))
 
     def ancestors(self) -> list:
         """All proper ancestors, nearest first (parent, …, root)."""
@@ -106,7 +122,7 @@ class SubnetID:
             raise ValueError(
                 f"{self} and {other} share no root — different hierarchies"
             )
-        return SubnetID(tuple(common))
+        return SubnetID._of(tuple(common))
 
     def down_path(self, descendant: "SubnetID") -> list:
         """Subnets stepping from self toward *descendant*, nearest first.
@@ -118,7 +134,7 @@ class SubnetID:
             raise ValueError(f"{descendant} is not under {self}")
         steps = []
         for i in range(len(self.segments) + 1, len(descendant.segments) + 1):
-            steps.append(SubnetID(descendant.segments[:i]))
+            steps.append(SubnetID._of(descendant.segments[:i]))
         return steps
 
     def next_hop_down(self, destination: "SubnetID") -> "SubnetID":

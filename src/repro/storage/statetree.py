@@ -44,7 +44,7 @@ from hashlib import sha256
 from typing import Any, Iterator, Optional
 
 from repro.crypto.cid import CID
-from repro.crypto.encoding import encode_into
+from repro.crypto.encoding import canonical_body, encode_into
 from repro.storage.backend import EMPTY_BACKEND, StateBackend, bucket_of
 
 _DELETED = object()
@@ -354,7 +354,7 @@ def _leaf(key: str, value: Any) -> bytes:
 def _commit_value(value: Any) -> Any:
     """Reduce a stored value to something canonically encodable."""
     if hasattr(value, "to_canonical"):
-        return value.to_canonical()
+        return canonical_body(value)
     if isinstance(value, dict):
         return {k: _commit_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.crypto.cid import CID, cached_cid
+from repro.crypto.encoding import canonical_body, memo
 from repro.crypto.keys import Address, KeyPair
 from repro.crypto.signature import Signature, sign, verify
 from repro.vm.exitcode import ExitCode
@@ -29,6 +30,8 @@ class Message:
     params: Any = None
     nonce: int = 0
     gas_limit: int = DEFAULT_GAS_LIMIT
+    _cid: Optional[CID] = memo()  # cached_cid's
+    _msg_digest: Optional[bytes] = memo()  # message_digest's
 
     def __post_init__(self):
         if self.value < 0:
@@ -63,6 +66,8 @@ class SignedMessage:
 
     message: Message
     signature: Signature
+    _cid: Optional[CID] = memo()  # cached_cid's
+    _sig_ok: Optional[bool] = memo()  # verify_signature's (True only)
 
     @classmethod
     def create(cls, message: Message, keypair: KeyPair) -> "SignedMessage":
@@ -76,7 +81,7 @@ class SignedMessage:
         # later (its sign() not yet recorded), so failures are re-checked.
         # Every validator re-verifies each gossiped message; this caches
         # that work per object.
-        if self.__dict__.get("_sig_ok"):
+        if self._sig_ok:
             return True
         if self.signature.signer != self.message.from_addr:
             return False
@@ -86,7 +91,7 @@ class SignedMessage:
         return ok
 
     def to_canonical(self):
-        return (self.message.to_canonical(), self.signature.to_canonical())
+        return (canonical_body(self.message), canonical_body(self.signature))
 
     @property
     def cid(self) -> CID:
