@@ -149,7 +149,7 @@ def test_e1_horizontal_scaling(benchmark):
     # fractions of the sample total and must account for ~100% of samples.
     from common import LAST_SYSTEM
 
-    profiler = getattr(LAST_SYSTEM, "profiler", None)
+    profiler = LAST_SYSTEM.sim.planes.get("profile")
     if profiler is not None and profiler.label_shares():
         total_share = sum(profiler.label_shares().values())
         assert abs(total_share - 1.0) < 1e-9, total_share

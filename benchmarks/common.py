@@ -15,7 +15,6 @@ import os
 import time
 
 from repro.analysis import Table
-from repro.crypto.cid import cid_cache_stats
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.telemetry import enable_telemetry, write_chrome_trace
 from repro.workloads import PaymentWorkload
@@ -132,13 +131,6 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
         write_chrome_trace(os.path.join(out, f"TRACE_{name}_profile.json"), sim)
     if sim is not None:
         sim.dispatch.publish()
-        # CID memoization effectiveness.  The underlying stats are
-        # process-global, so publish them as catch-up deltas onto this
-        # sim's monotone counters (single publish point per run).
-        stats = cid_cache_stats()
-        for kind in ("hits", "misses"):
-            counter = sim.metrics.counter(f"cid.cache.{kind}")
-            counter.inc(max(0, stats[kind] - counter.value))
         document["sim"] = {
             "now": sim.now,
             "events_executed": sim.events_executed,

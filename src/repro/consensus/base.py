@@ -145,8 +145,9 @@ class ConsensusEngine:
         return {"engine": self.NAME, "running": self.running}
 
     # -- helpers --------------------------------------------------------
-    def _metric(self, name: str):
-        return self.sim.metrics.counter(f"consensus.{self.node.subnet_id}.{name}")
+    def _metric(self, family: str):
+        """This subnet's counter of a ``consensus.*.<event>`` family."""
+        return self.sim.metrics.counter(family, self.node.subnet_id)
 
     def _trace_round(self, kind: str, **fields) -> None:
         """Report one round/view transition on the observation stream."""
@@ -156,7 +157,7 @@ class ConsensusEngine:
         )
 
     def _observe_block_interval(self, block: FullBlock) -> None:
-        hist = self.sim.metrics.histogram(f"consensus.{self.node.subnet_id}.block_interval")
+        hist = self.sim.metrics.histogram("consensus.*.block_interval", self.node.subnet_id)
         head = self.node.head()
         if block.height == head.height + 1:
             hist.observe(block.header.timestamp - head.header.timestamp)
@@ -184,7 +185,7 @@ class ConsensusEngine:
         """
         accepted = self.node.receive_block(block, final=final, sender=sender)
         if accepted:
-            self._metric("accepted").inc()
+            self._metric("consensus.*.accepted").inc()
         return accepted
 
 

@@ -83,7 +83,7 @@ class ProofOfWorkEngine(ConsensusEngine):
             self._restart_mining()
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("withheld").inc()
+            self._metric("consensus.*.withheld").inc()
             self._restart_mining()
             return
         block = self.node.assemble_block(
@@ -94,7 +94,7 @@ class ProofOfWorkEngine(ConsensusEngine):
                 "ticket": self._rng.getrandbits(64),
             },
         )
-        self._metric("mined").inc()
+        self._metric("consensus.*.mined").inc()
         self._publish_block(block, final=False)
         self._restart_mining()
 
@@ -109,7 +109,7 @@ class ProofOfWorkEngine(ConsensusEngine):
         # SlotLeaderEngine.handle.  Only mining stays gated on running.
         block: FullBlock = payload
         if block.header.consensus_data.get("engine") != self.NAME:
-            self._metric("rejected").inc()
+            self._metric("consensus.*.rejected").inc()
             return
         head_before = self.node.head()
         if not self._accept_block(block, final=False, sender=sender):

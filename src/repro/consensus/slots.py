@@ -73,7 +73,7 @@ class SlotLeaderEngine(ConsensusEngine):
         if self.leader_for_slot(slot).node_id != self.node.node_id:
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("withheld").inc()
+            self._metric("consensus.*.withheld").inc()
             return
         head = self.node.head()
         block = self.node.assemble_block(
@@ -82,7 +82,7 @@ class SlotLeaderEngine(ConsensusEngine):
             consensus_data=self._consensus_data(slot),
             message_filter=self._message_filter(slot),
         )
-        self._metric("proposed").inc()
+        self._metric("consensus.*.proposed").inc()
         self._publish_block(block, final=True, slot=slot)
 
     def handle(self, kind: str, payload: Any, sender: str) -> None:
@@ -96,11 +96,11 @@ class SlotLeaderEngine(ConsensusEngine):
         block: FullBlock = payload
         slot = block.header.consensus_data.get(self.SLOT_KEY)
         if slot is None:
-            self._metric("rejected").inc()
+            self._metric("consensus.*.rejected").inc()
             return
         expected = self.leader_for_slot(slot)
         if block.header.miner != expected.address:
-            self._metric("rejected").inc()
+            self._metric("consensus.*.rejected").inc()
             return
         if self._accept_block(block, final=True, sender=sender):
             self._trace_round(

@@ -90,7 +90,7 @@ class TendermintEngine(ConsensusEngine):
         self.round = round_
         self.step = PROPOSE
         proposer = self.proposer_for(self.height, round_)
-        self._metric("rounds").inc()
+        self._metric("consensus.*.rounds").inc()
         self._trace_round(
             "round_skip" if skipped else "round_start",
             height=self.height, round=round_, proposer=proposer.node_id,
@@ -116,7 +116,7 @@ class TendermintEngine(ConsensusEngine):
 
     def _propose(self) -> None:
         if self.node.is_byzantine("withhold_block"):
-            self._metric("withheld").inc()
+            self._metric("consensus.*.withheld").inc()
             return
         head = self.node.head()
         valid_round = None
@@ -142,7 +142,7 @@ class TendermintEngine(ConsensusEngine):
                 parent_cid=head.cid,
                 consensus_data={"engine": self.NAME, "round": self.round},
             )
-        self._metric("proposed").inc()
+        self._metric("consensus.*.proposed").inc()
         self._trace_round(
             "propose", height=self.height, round=self.round,
             cid=block.cid.hex()[:16],
@@ -191,7 +191,7 @@ class TendermintEngine(ConsensusEngine):
         if not self.validators.contains(self.node.node_id):
             return  # observers do not vote
         if self.node.is_byzantine("withhold_vote"):
-            self._metric("votes_withheld").inc()
+            self._metric("consensus.*.votes_withheld").inc()
             return
         vote = Vote(self.height, self.round, vote_type, block_cid, self.node.node_id)
         self._on_vote(vote)
@@ -199,7 +199,7 @@ class TendermintEngine(ConsensusEngine):
         if self.node.is_byzantine("equivocate_vote") and block_cid is not None:
             # Double-vote: also vote nil for the same (h, r, type).
             conflicting = Vote(self.height, self.round, vote_type, None, self.node.node_id)
-            self._metric("equivocations_sent").inc()
+            self._metric("consensus.*.equivocations_sent").inc()
             self.node.broadcast("tm:vote", conflicting)
 
     def _vote_book(self, vote_type: str, height: int, round_: int) -> dict:
@@ -215,7 +215,7 @@ class TendermintEngine(ConsensusEngine):
         if existing is not _ABSENT:
             if existing != vote.block_cid:
                 self._equivocations.append((vote.voter, existing, vote.block_cid))
-                self._metric("equivocations_observed").inc()
+                self._metric("consensus.*.equivocations_observed").inc()
             return False  # first vote stands
         book[vote.voter] = vote.block_cid
         return True
@@ -272,7 +272,7 @@ class TendermintEngine(ConsensusEngine):
             valid_round = None
             expected = self.proposer_for(height, round_)
         if block.header.miner != expected.address:
-            self._metric("rejected").inc()
+            self._metric("consensus.*.rejected").inc()
             return
         self._proposals[(height, round_)] = block
         self._blocks[block.cid] = block
@@ -358,7 +358,7 @@ class TendermintEngine(ConsensusEngine):
             self.validators.total_power // 3 + 1
         ):
             return False
-        self._metric("round_skips").inc()
+        self._metric("consensus.*.round_skips").inc()
         height = self.height
         self._start_round(round_, skipped=True)
         if self.height != height:
@@ -456,7 +456,7 @@ class TendermintEngine(ConsensusEngine):
         block: FullBlock = payload["block"]
         votes = payload["votes"]
         if not self._verify_commit_cert(block, votes):
-            self._metric("rejected").inc()
+            self._metric("consensus.*.rejected").inc()
             return
         if block.height < self.height:
             return  # already decided locally
@@ -479,7 +479,7 @@ class TendermintEngine(ConsensusEngine):
             return
         # Jump to the head the certificate (plus any retried orphans)
         # established and rejoin consensus at the next height.
-        self._metric("caught_up").inc()
+        self._metric("consensus.*.caught_up").inc()
         self._gc_height(head.height)
         self._decided_heights.update(
             range(self.height, head.height + 1)
@@ -502,7 +502,7 @@ class TendermintEngine(ConsensusEngine):
         self._decided_heights.add(block.height)
         self._observe_block_interval(block)
         self.node.receive_block(block, final=True)
-        self._metric("committed").inc()
+        self._metric("consensus.*.committed").inc()
         # Re-broadcast the certificate we received, or build one from our
         # own precommit book (a commit reached via peer certificate may
         # hold fewer than quorum local precommits).  A stopped engine
@@ -513,7 +513,7 @@ class TendermintEngine(ConsensusEngine):
                 {"block": block, "votes": cert or self._commit_certificate(block)},
             )
         self.sim.metrics.histogram(
-            f"consensus.{self.node.subnet_id}.commit_round"
+            "consensus.*.commit_round", self.node.subnet_id
         ).observe(self.round)
         self._trace_round(
             "commit", height=block.height, round=max(self.round, 0),

@@ -127,7 +127,7 @@ class CheckpointService:
             )
             forged_sig = self._produce_signature(forged.cid.hex())
             self.sim.metrics.counter(
-                f"checkpoint.{self.node.subnet_id}.equivocations"
+                "checkpoint.*.equivocations", self.node.subnet_id
             ).inc()
             self.node.broadcast(
                 "ckpt:sig", (window, forged.cid, self.node.node_id, forged_sig)
@@ -287,7 +287,7 @@ class CheckpointService:
             params={"signed": signed},
         )
         self._submitted.add(window)
-        self.sim.metrics.counter(f"checkpoint.{self.node.subnet_id}.submitted").inc()
+        self.sim.metrics.counter("checkpoint.*.submitted", self.node.subnet_id).inc()
         self.sim.trace.emit(
             "checkpoint.submit", str(self.node.subnet_id),
             f"window={window}", checkpoint.cid.short(),
@@ -357,5 +357,5 @@ class CheckpointService:
             method="submit_fraud_proof",
             params={"first": proof_a, "second": proof_b},
         )
-        self.sim.metrics.counter(f"checkpoint.{self.node.subnet_id}.fraud_proofs").inc()
+        self.sim.metrics.counter("checkpoint.*.fraud_proofs", self.node.subnet_id).inc()
         self.sim.trace.emit("checkpoint.fraud_proof", str(self.node.subnet_id), f"window={window}")

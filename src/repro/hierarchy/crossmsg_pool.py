@@ -78,7 +78,7 @@ class CrossMsgPool:
             self._td_scanned += 1
             found += 1
         if found:
-            self.sim.metrics.counter(f"crosspool.{self.subnet_id}.topdown_seen").inc(found)
+            self.sim.metrics.counter("crosspool.*.topdown_seen", self.subnet_id).inc(found)
         return found
 
     def scan_own(self, node) -> int:
@@ -97,7 +97,7 @@ class CrossMsgPool:
             # Fetch the raw messages (push may already have cached them).
             self.resolution.request(meta.from_subnet, meta.msgs_cid)
         if found:
-            self.sim.metrics.counter(f"crosspool.{self.subnet_id}.bottomup_seen").inc(found)
+            self.sim.metrics.counter("crosspool.*.bottomup_seen", self.subnet_id).inc(found)
         return found
 
     # ------------------------------------------------------------------

@@ -137,19 +137,20 @@ class SubnetNode(NodeRuntime):
                 SYSTEM_ADDRESS, SCA_ADDRESS, "apply_topdown",
                 {"message": cross.message, "nonce": cross.nonce},
             )
-            metric = "topdown"
+            direction = "topdown"
+            family = "crossmsg.*.topdown_ok" if receipt.ok else "crossmsg.*.topdown_failed"
         elif isinstance(cross, ApplyBottomUp):
             receipt = vm.apply_implicit(
                 SYSTEM_ADDRESS, SCA_ADDRESS, "apply_bottomup",
                 {"nonce": cross.nonce, "messages": cross.messages},
             )
-            metric = "bottomup"
+            direction = "bottomup"
+            family = "crossmsg.*.bottomup_ok" if receipt.ok else "crossmsg.*.bottomup_failed"
         else:
             raise ValidationError(f"unknown cross-msg payload {type(cross).__name__}")
-        name = f"crossmsg.{self.subnet_id}.{metric}_" + ("ok" if receipt.ok else "failed")
-        self.sim.metrics.counter(name).inc()
+        self.sim.metrics.counter(family, self.subnet_id).inc()
         if not receipt.ok:
-            self.sim.trace.emit("crossmsg.apply_failed", self.subnet_id, metric, receipt.error)
+            self.sim.trace.emit("crossmsg.apply_failed", self.subnet_id, direction, receipt.error)
         return receipt
 
     # ------------------------------------------------------------------

@@ -21,25 +21,21 @@ the assumption into a checked one:
   at module scope or inside a function;
 - **SIM001** — event handlers must not mutate scheduler state
   (``sim.now``, the queue's internals) except through the dispatch API
-  (``schedule``/``schedule_at``/``cancel``/``every``/``halt``).
+  (``schedule``/``schedule_at``/``cancel``/``every``/``halt``);
+- **MET001** — a metric family is spelled once, the way the exporter's
+  ``METRIC_CATALOG`` spells it: a computed string as a metric name is a
+  finding, a literal name must be a catalog key, and every catalog key
+  must be spelled somewhere outside the catalog.
 
-On top of the per-file rules sits a **whole-program pass**: every linted
-module (plus TOML scenario specs) is folded into a contract graph of the
-tree's string-keyed seams (:mod:`repro.lint.contracts`), and graph rules
-check its edges:
-
-- **MSG001** — a gossip publish whose topic no subscriber matches;
-- **MSG002** — a subscription on a topic nothing publishes;
-- **MSG003** — an RPC call to a method no ``expose()`` registers;
-- **MET001** — emitted metric families and the exporter's
-  ``METRIC_CATALOG`` must agree, in both directions;
-- **SCN001** — scenario auditor/fault-kind references (Python or TOML)
-  must name a registered class.
+The other seams are names too, so no rule has to re-derive them: a gossip
+topic is the return value of one helper shared by its publisher and its
+subscriber, the RPC endpoint is one module constant, and a scenario's
+auditor and fault-kind names are checked by the constructor they are
+handed to.
 
 Run it with ``python -m repro.lint src/repro``.  Findings not in the
 committed baseline (``LINT_BASELINE.txt``) fail the run; the baseline
 grandfathers provably-benign findings, one justifying comment per entry.
-``--contracts PATH`` dumps the extracted graph as JSON;
 ``--format=github`` emits workflow-command annotations for CI.
 
 The static pass is paired with a *runtime* race detector:
@@ -52,7 +48,6 @@ out hidden tie-order dependence that no syntactic rule can see.
 from repro.lint.findings import Finding, Severity
 from repro.lint.engine import LintEngine, lint_paths, iter_python_files
 from repro.lint.baseline import Baseline, load_baseline, format_baseline_entry
-from repro.lint.contracts import ContractGraph, Site, build_contract_graph
 from repro.lint.rules import ALL_RULES
 
 __all__ = [
@@ -64,8 +59,5 @@ __all__ = [
     "Baseline",
     "load_baseline",
     "format_baseline_entry",
-    "ContractGraph",
-    "Site",
-    "build_contract_graph",
     "ALL_RULES",
 ]

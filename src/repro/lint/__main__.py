@@ -57,9 +57,6 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("text", "json", "github"), default="text")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument("--contracts", default=None, metavar="PATH",
-                        help="dump the extracted contract graph as JSON to PATH "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
 
     rules = ALL_RULES
@@ -74,17 +71,6 @@ def main(argv=None) -> int:
     baseline = None if args.no_baseline else load_baseline(baseline_path)
 
     report = lint_paths(args.paths, baseline=baseline, rules=rules)
-
-    if args.contracts:
-        if report.graph is None:
-            parser.error("--contracts requires at least one graph rule "
-                         "(MSG*/MET*/SCN*) to be enabled")
-        document = json.dumps(report.graph.to_json(), indent=2, sort_keys=True)
-        if args.contracts == "-":
-            print(document)
-        else:
-            with open(args.contracts, "w", encoding="utf-8") as handle:
-                handle.write(document + "\n")
 
     if args.write_baseline:
         count = write_baseline(baseline_path, report.findings + report.baselined)

@@ -97,3 +97,8 @@ DET003_FILES = (
 
 #: SIM001 applies everywhere outside the simulator package itself.
 SIM001_EXEMPT_PACKAGES = ("sim",)
+
+#: MET001 looks at the first argument of a call to any of these names: the
+#: ``MetricsRegistry`` accessors, plus the helpers that forward their own
+#: first argument to one (``ConsensusEngine._metric(family)``).
+METRIC_CALLS = ("counter", "gauge", "histogram", "timeseries", "mark", "_metric")

@@ -1,11 +1,9 @@
 """The rule engine: walk files, parse once, run every applicable rule.
 
-Two passes.  The file sweep parses each module once and runs the
-per-file :class:`Rule`s on it; the parsed trees are retained and, plus
-any ``.toml`` scenario specs under the linted paths, assembled into a
-:class:`~repro.lint.contracts.ContractGraph` over which the whole-program
-:class:`GraphRule`s run.  Baseline filtering and staleness detection see
-the union of both passes' findings.
+One sweep: each module is parsed once and every :class:`Rule` that applies
+to its path checks it; after the last file each rule's ``finish()`` hands
+over what it could only decide with the whole sweep behind it.  Baseline
+filtering and staleness detection see all of it.
 """
 
 from __future__ import annotations
@@ -16,10 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.lint.baseline import Baseline
-from repro.lint.contracts import ContractGraph, build_contract_graph, iter_toml_files
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import ALL_RULES
-from repro.lint.rules.base import GraphRule, Rule
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -46,7 +42,6 @@ class LintReport:
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
     stale_baseline: list[str] = field(default_factory=list)
-    graph: Optional[ContractGraph] = None
 
     @property
     def errors(self) -> list[Finding]:
@@ -66,29 +61,27 @@ class LintEngine:
         baseline: Optional[Baseline] = None,
     ) -> None:
         self.rules: tuple = tuple(rules if rules is not None else ALL_RULES)
-        self.file_rules: tuple = tuple(
-            r for r in self.rules if not isinstance(r, GraphRule)
-        )
-        self.graph_rules: tuple = tuple(
-            r for r in self.rules if isinstance(r, GraphRule)
-        )
         self.baseline = baseline or Baseline()
 
-    def check_source(self, path: str, source: str) -> list[Finding]:
-        """Lint one in-memory source blob with the per-file rules only
-        (fixtures use this directly; graph rules need a whole tree)."""
-        tree = ast.parse(source, filename=path)
-        lines = source.splitlines()
+    def _sweep(self, modules) -> list[Finding]:
+        """Every finding over ``(path, tree, lines)`` *modules*, sorted."""
         findings: list[Finding] = []
-        for rule in self.file_rules:
-            if rule.applies(path):
-                findings.extend(rule.check(path, tree, lines))
+        for path, tree, lines in modules:
+            for rule in self.rules:
+                if rule.applies(path):
+                    findings.extend(rule.check(path, tree, lines))
+        for rule in self.rules:
+            findings.extend(rule.finish())
         findings.sort(key=lambda f: f.sort_key())
         return findings
 
+    def check_source(self, path: str, source: str) -> list[Finding]:
+        """Lint one in-memory source blob (fixtures use this directly)."""
+        tree = ast.parse(source, filename=path)
+        return self._sweep([(path, tree, source.splitlines())])
+
     def run(self, paths: Sequence[str]) -> LintReport:
         report = LintReport()
-        all_findings: list[Finding] = []
         modules: list[tuple] = []
         for filepath in iter_python_files(paths):
             norm = filepath.replace(os.sep, "/")
@@ -99,27 +92,10 @@ class LintEngine:
             except (SyntaxError, UnicodeDecodeError, OSError) as err:
                 report.parse_errors.append((norm, str(err)))
                 continue
-            lines = source.splitlines()
-            modules.append((norm, tree, lines))
-            for rule in self.file_rules:
-                if rule.applies(norm):
-                    all_findings.extend(rule.check(norm, tree, lines))
-            report.files_checked += 1
+            modules.append((norm, tree, source.splitlines()))
+        report.files_checked = len(modules)
 
-        if self.graph_rules:
-            toml_docs: list[tuple] = []
-            for toml_path in iter_toml_files(paths):
-                norm = toml_path.replace(os.sep, "/")
-                try:
-                    with open(toml_path, "r", encoding="utf-8") as handle:
-                        toml_docs.append((norm, handle.read()))
-                except (UnicodeDecodeError, OSError):
-                    continue
-            report.graph = build_contract_graph(modules, toml_docs)
-            for rule in self.graph_rules:
-                all_findings.extend(rule.check_graph(report.graph))
-
-        all_findings.sort(key=lambda f: f.sort_key())
+        all_findings = self._sweep(modules)
         for finding in all_findings:
             if self.baseline.matches(finding):
                 report.baselined.append(finding)

@@ -1,30 +1,21 @@
 """The rule registry: one module per rule id."""
 
-from repro.lint.rules.base import GraphRule, Rule
+from repro.lint.rules.base import Rule
 from repro.lint.rules.det001_entropy import Det001Entropy
 from repro.lint.rules.det002_setiter import Det002SetIteration
 from repro.lint.rules.det003_float import Det003FloatAccounting
 from repro.lint.rules.lay001_layering import Lay001Layering
 from repro.lint.rules.met001_metric_catalog import Met001MetricCatalog
-from repro.lint.rules.msg001_orphan_publish import Msg001OrphanPublish
-from repro.lint.rules.msg002_dead_subscription import Msg002DeadSubscription
-from repro.lint.rules.msg003_unserved_rpc import Msg003UnservedRpc
-from repro.lint.rules.scn001_scenario_refs import Scn001ScenarioRefs
 from repro.lint.rules.sim001_scheduler import Sim001SchedulerMutation
 
-#: Every rule the engine runs, in report order.  Per-file rules run
-#: during the file sweep; graph rules run once over the contract graph.
+#: Every rule the engine runs, in report order.
 ALL_RULES: tuple = (
     Det001Entropy(),
     Det002SetIteration(),
     Det003FloatAccounting(),
     Lay001Layering(),
     Sim001SchedulerMutation(),
-    Msg001OrphanPublish(),
-    Msg002DeadSubscription(),
-    Msg003UnservedRpc(),
     Met001MetricCatalog(),
-    Scn001ScenarioRefs(),
 )
 
-__all__ = ["Rule", "GraphRule", "ALL_RULES"]
+__all__ = ["Rule", "ALL_RULES"]

@@ -23,6 +23,11 @@ class Rule:
         """Return every violation of this rule in the parsed file."""
         raise NotImplementedError
 
+    def finish(self) -> list[Finding]:
+        """Findings that need the whole sweep; called once after the last
+        file.  A rule that keeps state across files hands it over here."""
+        return []
+
     # -- helpers -------------------------------------------------------
     def finding(
         self,
@@ -45,46 +50,6 @@ class Rule:
             fix_hint=self.fix_hint if fix_hint is None else fix_hint,
             source_line=source,
         )
-
-
-class GraphRule:
-    """A whole-program rule: checks the assembled contract graph.
-
-    Graph rules run once per engine invocation (not per file) and see
-    every extracted interface point at once — that is what lets them
-    pair a publish in ``runtime`` with its subscribe in ``hierarchy``.
-    Pragma suppression is per *endpoint*: a ``# lint: disable=<ID>``
-    comment on either side of a broken edge silences the finding.
-    """
-
-    rule_id: str = "GRAPH000"
-    severity: Severity = Severity.ERROR
-    fix_hint: str = ""
-
-    def check_graph(self, graph) -> list[Finding]:
-        """Return every violation over the contract *graph*."""
-        raise NotImplementedError
-
-    # -- helpers -------------------------------------------------------
-    def site_finding(
-        self, site, message: str, fix_hint: Optional[str] = None
-    ) -> Finding:
-        """A finding anchored at one contract :class:`~repro.lint.contracts.Site`."""
-        return Finding(
-            rule_id=self.rule_id,
-            severity=self.severity,
-            path=site.path,
-            line=site.line,
-            col=site.col,
-            message=message,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
-            source_line=site.raw,
-        )
-
-
-def endpoints(sites) -> str:
-    """Render the far endpoints of an edge for a finding message."""
-    return ", ".join(sorted({site.where() for site in sites}))
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

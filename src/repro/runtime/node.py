@@ -35,6 +35,10 @@ def subnet_topic(subnet_id: str) -> str:
     return f"subnet:{subnet_id}"
 
 
+#: The one RPC endpoint a node serves: canonical-chain blocks in [start, end].
+BLOCK_RANGE_RPC = "chain:blocks"
+
+
 class NodeRuntime:
     """A full node validating one subnet chain."""
 
@@ -93,7 +97,7 @@ class NodeRuntime:
         # Direct block-range sync for peers that fall further behind than
         # gossip's IHAVE history window covers (e.g. a long outage).
         self._sync_inflight = False
-        gossip.rpc.expose(node_id, "chain:blocks", self._serve_block_range)
+        gossip.rpc.expose(node_id, BLOCK_RANGE_RPC, self._serve_block_range)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -229,9 +233,9 @@ class NodeRuntime:
         def _on_blocks(result, error) -> None:
             self._sync_inflight = False
             if error is not None or not result:
-                self.sim.metrics.counter(f"chain.{self.subnet_id}.sync_failed").inc()
+                self.sim.metrics.counter("chain.*.sync_failed", self.subnet_id).inc()
                 return
-            self.sim.metrics.counter(f"chain.{self.subnet_id}.sync_blocks").inc(
+            self.sim.metrics.counter("chain.*.sync_blocks", self.subnet_id).inc(
                 len(result)
             )
             # Synced blocks adopt the engine's own finality semantics —
@@ -242,7 +246,7 @@ class NodeRuntime:
                 self.receive_block(block, final=final)
 
         self.gossip.rpc.call(
-            self.node_id, peer, "chain:blocks", (start, end), _on_blocks
+            self.node_id, peer, BLOCK_RANGE_RPC, (start, end), _on_blocks
         )
         return True
 
@@ -321,7 +325,7 @@ class NodeRuntime:
         try:
             validate_block_shape(block, parent, self.subnet_id)
         except ValidationError as err:
-            self.sim.metrics.counter(f"chain.{self.subnet_id}.invalid_blocks").inc()
+            self.sim.metrics.counter("chain.*.invalid_blocks", self.subnet_id).inc()
             self.sim.trace.emit("block.invalid", self.subnet_id, block.cid.short(), err)
             return False
 
@@ -351,7 +355,7 @@ class NodeRuntime:
                 block.header.miner, block.height, block.header.parent,
             )
             if scratch.state_root() != block.header.state_root:
-                self.sim.metrics.counter(f"chain.{self.subnet_id}.state_mismatch").inc()
+                self.sim.metrics.counter("chain.*.state_mismatch", self.subnet_id).inc()
                 self.sim.trace.emit(
                     "block.state_mismatch", self.subnet_id, block.cid.short()
                 )
@@ -394,7 +398,7 @@ class NodeRuntime:
         """Housekeeping when the canonical head moves."""
         new_head = new_head_block.cid
         if old_head is not None and not self.store.is_extension(old_head, new_head):
-            self.sim.metrics.counter(f"chain.{self.subnet_id}.reorgs").inc()
+            self.sim.metrics.counter("chain.*.reorgs", self.subnet_id).inc()
             self.sim.trace.emit(
                 "chain.reorg", self.subnet_id, old_head.short(), new_head.short()
             )
@@ -405,7 +409,7 @@ class NodeRuntime:
                 if self.store.is_canonical(block.cid):
                     break
                 depth += 1
-            self.sim.metrics.histogram(f"chain.{self.subnet_id}.reorg.depth").observe(depth)
+            self.sim.metrics.histogram("chain.*.reorg.depth", self.subnet_id).observe(depth)
             self.sim.observe(ChainReorg, self, old_head, new_head_block, depth)
         # Newly canonical segment, oldest first.  Each block is announced to
         # commit listeners at most once ever, even across reorgs (listeners
@@ -419,10 +423,11 @@ class NodeRuntime:
         added.reverse()
         for block in added:
             self._notified.add(block.cid)
+        now, metrics = self.sim.now, self.sim.metrics
         for block in added:
             self.mempool.remove_included(block.messages)
-            self.sim.metrics.mark(f"chain.{self.subnet_id}.txs", len(block.messages))
-            self.sim.metrics.mark(f"chain.{self.subnet_id}.blocks", 1)
+            metrics.timeseries("chain.*.txs", self.subnet_id).record(now, len(block.messages))
+            metrics.timeseries("chain.*.blocks", self.subnet_id).record(now, 1)
             self.sim.trace.emit(
                 "block.commit", self.subnet_id,
                 f"h={block.height}", block.cid.short(), f"msgs={len(block.messages)}",

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.scenario.errors import ScenarioError
 from repro.scenario.faults import Fault, fault_from_spec
+from repro.telemetry.monitor import AUDITORS
 
 VERDICT_CLEAN = "clean"
 VERDICT_EXPECTED = "expected-violation"
@@ -46,6 +47,16 @@ class Expectation:
     auditors: tuple = ()  # for "violates": auditors that MUST trip
     tolerate: tuple = ()  # extra auditors allowed to trip alongside
     slo: Optional[str] = None  # for "degrades": e.g. "progress:/root/s0"
+
+    def __post_init__(self) -> None:
+        # A name no armed auditor answers to can never trip, so an expectation
+        # carrying one does not mean what it says.
+        known = [auditor.name for auditor in AUDITORS]
+        unknown = sorted((set(self.auditors) | set(self.tolerate)) - set(known))
+        if unknown:
+            raise ScenarioError(
+                f"unknown auditor(s) {', '.join(unknown)}; known: {', '.join(known)}"
+            )
 
     @classmethod
     def safe(cls) -> "Expectation":

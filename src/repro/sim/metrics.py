@@ -185,8 +185,27 @@ class TimeSeries:
         return len(points) / span
 
 
+def _expand(family: str, parts: tuple) -> str:
+    """*family* with its ``*``s replaced, in order, by ``str()`` of *parts*."""
+    pieces = family.split("*")
+    if len(pieces) != len(parts) + 1:
+        raise ValueError(
+            f"metric family {family!r} has {len(pieces) - 1} '*' "
+            f"but {len(parts)} part(s) were given"
+        )
+    return pieces[0] + "".join(f"{part}{piece}" for part, piece in zip(parts, pieces[1:]))
+
+
 class MetricsRegistry:
-    """Namespace of metrics owned by a :class:`~repro.sim.scheduler.Simulator`."""
+    """Namespace of metrics owned by a :class:`~repro.sim.scheduler.Simulator`.
+
+    The accessors take a metric *family*, spelled exactly as its key in
+    ``repro.telemetry.export.METRIC_CATALOG``, and one positional part per
+    ``*`` in it: ``counter("chain.*.reorgs", subnet)`` is the counter named
+    ``chain.<subnet>.reorgs``.  A full name (no ``*``, no parts) is its own
+    family.  A ``*`` count that differs from the part count is a
+    ``ValueError``.
+    """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
@@ -194,27 +213,43 @@ class MetricsRegistry:
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
         self.series: dict[str, TimeSeries] = {}
+        self._names: dict[tuple, str] = {}  # (family, parts) -> expanded name
 
     @property
     def now(self) -> float:
         return self._clock()
 
-    def counter(self, name: str) -> Counter:
+    def _name(self, family: str, parts: tuple) -> str:
+        """The name of *family* with *parts*, expanded once per registry: a
+        plane names the same few metrics on every event it sees.  A part is
+        looked up (by equality) before it is printed, so equal parts must
+        print alike — ``1`` and ``1.0`` under one family would not."""
+        try:
+            return self._names[family, parts]
+        except KeyError:
+            name = self._names[family, parts] = _expand(family, parts)
+            return name
+
+    def counter(self, family: str, *parts) -> Counter:
+        name = self._name(family, parts) if parts or "*" in family else family
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
 
-    def gauge(self, name: str) -> Gauge:
+    def gauge(self, family: str, *parts) -> Gauge:
+        name = self._name(family, parts) if parts or "*" in family else family
         if name not in self.gauges:
             self.gauges[name] = Gauge(name)
         return self.gauges[name]
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, family: str, *parts) -> Histogram:
+        name = self._name(family, parts) if parts or "*" in family else family
         if name not in self.histograms:
             self.histograms[name] = Histogram(name)
         return self.histograms[name]
 
-    def timeseries(self, name: str) -> TimeSeries:
+    def timeseries(self, family: str, *parts) -> TimeSeries:
+        name = self._name(family, parts) if parts or "*" in family else family
         if name not in self.series:
             self.series[name] = TimeSeries(name)
         return self.series[name]

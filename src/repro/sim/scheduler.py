@@ -178,10 +178,10 @@ class DispatchBus:
         if registry is None:
             raise SimulationError("DispatchBus has no metrics registry to publish to")
         for row in self.summary():
-            prefix = f"sim.dispatch.{row['label']}"
-            registry.gauge(f"{prefix}.events").set(row["events"])
-            registry.gauge(f"{prefix}.wall_s").set(row["wall_s"])
-            registry.gauge(f"{prefix}.wall_max_s").set(row["max_s"])
+            label = row["label"]
+            registry.gauge("sim.dispatch.*.events", label).set(row["events"])
+            registry.gauge("sim.dispatch.*.wall_s", label).set(row["wall_s"])
+            registry.gauge("sim.dispatch.*.wall_max_s", label).set(row["max_s"])
         return registry
 
     def reset(self) -> None:
@@ -336,7 +336,7 @@ class Simulator:
                     raise
                 name = label or getattr(callback, "__name__", "?")
                 self.trace.emit("timer.error", name, type(err).__name__, err)
-                self.metrics.counter(f"sim.timer.errors.{name}").inc()
+                self.metrics.counter("sim.timer.errors.*", name).inc()
                 if on_error == "stop":
                     state["stopped"] = True
                     return

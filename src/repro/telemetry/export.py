@@ -205,27 +205,27 @@ METRIC_CATALOG: dict = {
     "sim.dispatch.*.wall_s": ("gauge", "cumulative wall time per dispatch label"),
     "sim.dispatch.*.wall_max_s": ("gauge", "max single-event wall time per label"),
     "sim.timer.errors.*": ("counter", "exceptions raised by a recurring timer"),
-    # storage CID cache (emitted by the benchmark harness)
-    "cid.cache.*": ("counter", "content-id cache hits/misses by kind"),
 }
 
 
-def _catalog_entry(raw: str):
-    """The ``(type, help)`` catalog entry a raw metric name falls under.
+#: The wildcard families as compiled patterns, most specific (longest)
+#: first.  ``*`` matches any run: a part may itself contain dots.
+_WILDCARD_FAMILIES = tuple(
+    (re.compile(re.escape(family).replace("\\*", ".*")), METRIC_CATALOG[family])
+    for family in sorted(METRIC_CATALOG, key=lambda f: (-len(f), f))
+    if "*" in family
+)
 
-    Exact match wins; otherwise the most specific (longest) wildcard
-    pattern, with ``*`` matching any run — good enough for HELP lookup
-    since interpolated values never contain dots.
-    """
+
+def _catalog_entry(raw: str):
+    """The ``(type, help)`` catalog entry a raw metric name falls under:
+    its exact key, else the most specific wildcard family matching it."""
     entry = METRIC_CATALOG.get(raw)
     if entry is not None:
         return entry
-    for pattern in sorted(METRIC_CATALOG, key=lambda p: (-len(p), p)):
-        if "*" not in pattern:
-            continue
-        regex = re.escape(pattern).replace("\\*", ".*")
-        if re.fullmatch(regex, raw):
-            return METRIC_CATALOG[pattern]
+    for pattern, entry in _WILDCARD_FAMILIES:
+        if pattern.fullmatch(raw):
+            return entry
     return None
 
 

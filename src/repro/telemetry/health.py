@@ -25,7 +25,14 @@ from __future__ import annotations
 
 from repro.sim.observe import HealthSampled, Plane
 
-FIELDS = ("height", "mempool", "pending_crossmsgs", "checkpoint_lag")
+#: Sample field -> the time-series family it is recorded on.
+_SERIES = {
+    "height": "health.*.height",
+    "mempool": "health.*.mempool",
+    "pending_crossmsgs": "health.*.pending_crossmsgs",
+    "checkpoint_lag": "health.*.checkpoint_lag",
+}
+FIELDS = tuple(_SERIES)
 
 
 class HealthProbe(Plane):
@@ -60,10 +67,10 @@ class HealthProbe(Plane):
         latest = self.system.health_snapshot()
         for path, sample in latest.items():
             sample["time"] = now
-            for field in FIELDS:
+            for field, family in _SERIES.items():
                 value = sample[field]
                 if value is not None:
-                    metrics.timeseries(f"health.{path}.{field}").record(now, value)
+                    metrics.timeseries(family, path).record(now, value)
         self.latest = latest  # a fresh dict per round: records never alias
         self.sim.observe(HealthSampled, latest)
         return latest

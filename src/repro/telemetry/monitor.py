@@ -122,15 +122,7 @@ class InvariantMonitor(Plane):
         self.recorder = recorder
         self.max_bundles = max_bundles
         self.auditors = list(
-            auditors
-            if auditors is not None
-            else (
-                SupplyAuditor(),
-                CheckpointAuditor(),
-                ExactlyOnceAuditor(),
-                FinalityAuditor(),
-                MembershipAuditor(),
-            )
+            auditors if auditors is not None else (auditor() for auditor in AUDITORS)
         )
         self.violations: list[InvariantViolation] = []
         self._seen: set = set()
@@ -177,7 +169,7 @@ class InvariantMonitor(Plane):
         )
         self.violations.append(violation)
         self.sim.metrics.counter("invariant.violations").inc()
-        self.sim.metrics.counter(f"invariant.{auditor}.violations").inc()
+        self.sim.metrics.counter("invariant.*.violations", auditor).inc()
         if self.recorder is not None and len(self.recorder.bundles) < self.max_bundles:
             self.recorder.dump(violation=violation)
         return violation
@@ -606,3 +598,10 @@ class MembershipAuditor(Auditor):
                         tuple(missing), tuple(extra),
                     ),
                 )
+
+
+#: What a monitor arms unless told otherwise — so also the ``name``s a
+#: scenario's expectation may refer to.
+AUDITORS = (
+    SupplyAuditor, CheckpointAuditor, ExactlyOnceAuditor, FinalityAuditor, MembershipAuditor,
+)

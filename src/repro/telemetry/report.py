@@ -48,21 +48,13 @@ def _invariant_counters(counters: dict) -> dict:
     }
 
 
-def _cache_stats(counters: dict, gauges: dict) -> dict:
-    """CID-cache counters and state-root work gauges (PR 5 hot paths)."""
-    stats = {
-        name: counters[name]
-        for name in sorted(counters)
-        if name.startswith("cid.cache.")
+def _cache_stats(gauges: dict) -> dict:
+    """State-root work gauges."""
+    return {
+        name: gauges[name]
+        for name in sorted(gauges)
+        if name.startswith("state.root.") or name.startswith("state.tree.")
     }
-    hits = stats.get("cid.cache.hits")
-    misses = stats.get("cid.cache.misses")
-    if hits is not None and misses is not None and hits + misses:
-        stats["cid.cache.hit_rate"] = hits / (hits + misses)
-    for name in sorted(gauges):
-        if name.startswith("state.root.") or name.startswith("state.tree."):
-            stats[name] = gauges[name]
-    return stats
 
 
 def summarize(snapshot: dict) -> dict:
@@ -76,7 +68,7 @@ def summarize(snapshot: dict) -> dict:
         "spans": snapshot.get("spans"),
         "invariants": snapshot.get("invariants"),
         "invariant_counters": _invariant_counters(counters),
-        "caches": _cache_stats(counters, gauges),
+        "caches": _cache_stats(gauges),
         "profile": snapshot.get("profile"),
         "rounds": snapshot.get("rounds"),
         "round_histograms": {
@@ -153,7 +145,7 @@ def render(snapshot: dict) -> str:
             table.add_row(name, value)
         sections.append(table.render())
 
-    caches = _cache_stats(counters, gauges)
+    caches = _cache_stats(gauges)
     if caches:
         table = Table("caches & state-root work", ["metric", "value"])
         for name, value in caches.items():

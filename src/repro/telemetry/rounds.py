@@ -102,9 +102,9 @@ class RoundTracer(Plane):
             ring = self.timelines[key] = deque(maxlen=self.timeline_capacity)
         ring.append((time, kind, fields))
 
-        counts = self._counts.setdefault(
-            subnet, {k: 0 for k in EVENT_KINDS}
-        )
+        counts = self._counts.get(subnet)
+        if counts is None:
+            counts = self._counts[subnet] = dict.fromkeys(EVENT_KINDS, 0)
         counts[kind] = counts.get(kind, 0) + 1
 
         height = fields.get("height")
@@ -114,18 +114,18 @@ class RoundTracer(Plane):
             started = self._round_started.get(key)
             if started is not None:
                 self.metrics.histogram(
-                    f"consensus.round.{subnet}.duration"
+                    "consensus.round.*.duration", subnet
                 ).observe(time - started)
             self._round_started[key] = time
             quorum, total = fields.get("quorum"), fields.get("total")
             if quorum is not None:
                 self._quorum[subnet] = (quorum, total)
             if kind == "round_skip":
-                self.metrics.counter(f"consensus.round.{subnet}.skips").inc()
+                self.metrics.counter("consensus.round.*.skips", subnet).inc()
         elif kind == "timeout":
-            self.metrics.counter(f"consensus.round.{subnet}.timeouts").inc()
+            self.metrics.counter("consensus.round.*.timeouts", subnet).inc()
         elif kind == "lock":
-            self.metrics.counter(f"consensus.round.{subnet}.locks").inc()
+            self.metrics.counter("consensus.round.*.locks", subnet).inc()
         elif kind == "vote":
             voter = fields.get("voter")
             book = self._votes.setdefault(
@@ -137,7 +137,7 @@ class RoundTracer(Plane):
             # Rounds are 0-based; a height that committed at round r took
             # r+1 rounds.  Slot engines commit at "round" 0 (their slot).
             self.metrics.histogram(
-                f"consensus.round.{subnet}.per_height"
+                "consensus.round.*.per_height", subnet
             ).observe((round_ or 0) + 1)
             self._round_started.pop(key, None)
 
@@ -161,16 +161,19 @@ class RoundTracer(Plane):
         if frontier is None:
             return
         height, round_ = frontier
-        gauge = self.metrics.gauge
-        gauge(f"consensus.round.{subnet}.height").set(height)
-        gauge(f"consensus.round.{subnet}.number").set(round_)
+        metrics = self.metrics
+        metrics.gauge("consensus.round.*.height", subnet).set(height)
+        metrics.gauge("consensus.round.*.number", subnet).set(round_)
         quorum = self._quorum.get(subnet)
         if quorum is not None and quorum[0] is not None:
-            gauge(f"consensus.round.{subnet}.quorum_power").set(quorum[0])
-        for vote_type in ("prevote", "precommit"):
+            metrics.gauge("consensus.round.*.quorum_power", subnet).set(quorum[0])
+        for vote_type, family in (
+            ("prevote", "consensus.round.*.prevote_power"),
+            ("precommit", "consensus.round.*.precommit_power"),
+        ):
             book = self._votes.get((subnet, height, round_, vote_type))
             held = sum(book.values()) if book else 0
-            gauge(f"consensus.round.{subnet}.{vote_type}_power").set(held)
+            metrics.gauge(family, subnet).set(held)
 
     # ------------------------------------------------------------------
     # Introspection

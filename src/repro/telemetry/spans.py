@@ -64,6 +64,14 @@ def route_shape(source: str, destination: str) -> str:
     return "path"
 
 
+#: Route shape -> the family its end-to-end delivery time is observed on.
+_E2E_FAMILY = {
+    "topdown": "xnet.e2e.topdown",
+    "bottomup": "xnet.e2e.bottomup",
+    "path": "xnet.e2e.path",
+}
+
+
 @dataclass
 class SpanEvent:
     """One observed point in a message's (or checkpoint's) lifecycle."""
@@ -155,13 +163,11 @@ class SpanTracer(Plane):
         entry.setdefault("window", window)
         sealed = entry.get("sealed")
         if sealed is not None:
-            self._hist("checkpoint.hop.seal_to_submit", now - sealed)
+            self.metrics.histogram("checkpoint.hop.seal_to_submit").observe(now - sealed)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _hist(self, name: str, value: float) -> None:
-        self.metrics.histogram(name).observe(value)
 
     def _observe_msg(
         self,
@@ -198,24 +204,28 @@ class SpanTracer(Plane):
             if pending:
                 t_submit = pending.popleft()
                 events.append(SpanEvent(t_submit, "submit", subnet))
-                self._hist(f"xnet.hop.submit.L{subnet_level(subnet)}", now - t_submit)
-                self._hist("xnet.hop.submit", now - t_submit)
+                hop = now - t_submit
+                self.metrics.histogram("xnet.hop.submit.L*", subnet_level(subnet)).observe(hop)
+                self.metrics.histogram("xnet.hop.submit").observe(hop)
 
         prev = events[-1] if events else None
         events.append(SpanEvent(now, phase, subnet))
 
         if prev is not None and prev.phase != "submit" and phase in ("enqueue", "deliver"):
-            level = subnet_level(subnet)
-            direction = "topdown" if level > subnet_level(prev.subnet) else "bottomup"
-            self._hist(f"xnet.hop.{direction}.L{level}", now - prev.time)
-            self._hist(f"xnet.hop.{direction}", now - prev.time)
+            level, hop = subnet_level(subnet), now - prev.time
+            if level > subnet_level(prev.subnet):
+                self.metrics.histogram("xnet.hop.topdown.L*", level).observe(hop)
+                self.metrics.histogram("xnet.hop.topdown").observe(hop)
+            else:
+                self.metrics.histogram("xnet.hop.bottomup.L*", level).observe(hop)
+                self.metrics.histogram("xnet.hop.bottomup").observe(hop)
 
         if phase == "deliver":
             info["status"] = "delivered"
             first = events[0]
             shape = route_shape(first.subnet, subnet)
             info.setdefault("shape", shape)
-            self._hist(f"xnet.e2e.{shape}", now - first.time)
+            self.metrics.histogram(_E2E_FAMILY[shape]).observe(now - first.time)
             self.metrics.counter("xnet.spans.delivered").inc()
         elif phase == "fail":
             info["status"] = "failed"
@@ -247,11 +257,15 @@ class SpanTracer(Plane):
             sealed = entry.get("sealed")
             if sealed is not None:
                 lag = now - sealed
-                self._hist("checkpoint.lag", lag)
-                self._hist(f"checkpoint.lag.L{subnet_level(entry['source'])}", lag)
+                self.metrics.histogram("checkpoint.lag").observe(lag)
+                self.metrics.histogram(
+                    "checkpoint.lag.L*", subnet_level(entry["source"])
+                ).observe(lag)
             submitted = entry.get("submitted")
             if submitted is not None:
-                self._hist("checkpoint.hop.submit_to_commit", now - submitted)
+                self.metrics.histogram("checkpoint.hop.submit_to_commit").observe(
+                    now - submitted
+                )
 
     # ------------------------------------------------------------------
     # Introspection

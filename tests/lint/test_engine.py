@@ -18,6 +18,13 @@ def _write(tmp_path, rel, content):
     return str(path)
 
 
+def _cli(*argv):
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.lint", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def test_run_collects_and_sorts_findings(tmp_path):
     _write(tmp_path, "repro/hierarchy/b.py", BAD_SOURCE)
     _write(tmp_path, "repro/hierarchy/a.py", BAD_SOURCE)
@@ -134,28 +141,38 @@ def test_engine_rule_subset():
 
 def test_cli_exit_codes(tmp_path):
     _write(tmp_path, "repro/hierarchy/mod.py", BAD_SOURCE)
-    env = dict(os.environ, PYTHONPATH="src")
-    bad = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(tmp_path), "--no-baseline"],
-        capture_output=True, text=True, env=env,
-    )
+    bad = _cli(str(tmp_path), "--no-baseline")
     assert bad.returncode == 1
     assert "DET001" in bad.stdout
 
-    clean = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(tmp_path), "--rules", "LAY001"],
-        capture_output=True, text=True, env=env,
-    )
+    clean = _cli(str(tmp_path), "--rules", "LAY001")
     assert clean.returncode == 0, clean.stdout
 
-    as_json = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(tmp_path), "--no-baseline",
-         "--format", "json"],
-        capture_output=True, text=True, env=env,
-    )
+    as_json = _cli(str(tmp_path), "--no-baseline", "--format", "json")
     assert as_json.returncode == 1
     import json
 
     payload = json.loads(as_json.stdout)
     assert payload["findings"][0]["rule"] == "DET001"
     assert payload["ok"] is False
+
+
+def test_cli_github_format_annotations(tmp_path):
+    _write(tmp_path, "repro/hierarchy/mod.py", BAD_SOURCE)
+    got = _cli(str(tmp_path), "--no-baseline", "--format", "github")
+    assert got.returncode == 1
+    (line,) = [row for row in got.stdout.splitlines() if row.startswith("::")]
+    assert line.startswith("::error file=")
+    assert "title=DET001" in line
+    assert "mod.py" in line
+    assert "line=5" in line
+    # Messages must be single-line; the fix hint rides along in brackets.
+    assert line.endswith("]") and " [" in line
+
+
+def test_cli_github_format_clean_tree_exits_zero(tmp_path):
+    _write(tmp_path, "repro/hierarchy/mod.py", "x = 1\n")
+    got = _cli(str(tmp_path), "--no-baseline", "--format", "github")
+    assert got.returncode == 0, got.stdout + got.stderr
+    assert "::error" not in got.stdout
+

@@ -16,6 +16,7 @@ CASES = {
     "DET002": ("src/repro/consensus/fixture.py", 3),
     "DET003": ("src/repro/hierarchy/gateway.py", 3),
     "LAY001": ("src/repro/sim/fixture.py", 2),  # module scope + function body
+    "MET001": ("src/repro/telemetry/fixture.py", 5),  # f-string, +, .format, alias, %
     "SIM001": ("src/repro/runtime/fixture.py", 3),
 }
 
@@ -24,6 +25,7 @@ CLEAN_PATHS = {
     "DET002": "src/repro/consensus/fixture.py",
     "DET003": "src/repro/hierarchy/gateway.py",
     "LAY001": "src/repro/hierarchy/fixture.py",
+    "MET001": "src/repro/consensus/fixture.py",
     "SIM001": "src/repro/runtime/fixture.py",
 }
 

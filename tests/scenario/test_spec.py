@@ -58,6 +58,32 @@ def test_expectation_violates_needs_an_auditor():
         Expectation.violates()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Expectation.violates("suply"),
+        lambda: Expectation.violates("supply", tolerate=("fnality",)),
+        lambda: Expectation.parse("violates(supply, fnality)"),
+        lambda: Expectation(kind="violates", auditors=["supply"], tolerate=["fnality"]),
+        lambda: scenario_from_dict(
+            {"scenario": {"name": "doc", "expect": "violates(supply)", "tolerate": ["fnality"]}}
+        ),
+    ],
+)
+def test_expectation_refuses_an_auditor_no_monitor_arms(build):
+    with pytest.raises(ScenarioError) as refused:
+        build()
+    assert "known: supply, checkpoint-chain, exactly-once, finality, membership" in str(
+        refused.value
+    )
+
+
+def test_every_library_scenario_still_constructs():
+    from repro.scenario import library
+
+    assert len([library.get(name)() for name in library.names()]) == 14
+
+
 # ----------------------------------------------------------------------
 # Scenario validation
 # ----------------------------------------------------------------------

@@ -128,6 +128,27 @@ def test_registry_reuses_instances():
     assert registry.timeseries("d") is registry.timeseries("d")
 
 
+def test_registry_substitutes_parts_for_stars_in_order():
+    registry = MetricsRegistry()
+    assert registry.counter("a.*.b", "x") is registry.counter("a.x.b")
+    assert registry.histogram("hop.L*", 2) is registry.histogram("hop.L2")  # partial segment
+    assert registry.gauge("d.*.e.*", "x", "y") is registry.gauge("d.x.e.y")
+    assert registry.gauge("d.*.e.*", "*", "y").name == "d.*.e.y"  # a part is never re-read
+    assert registry.timeseries("s.*", 3.5) is registry.timeseries("s.3.5")  # str() of the part
+    assert set(registry.counters) == {"a.x.b"}
+
+
+@pytest.mark.parametrize(
+    "family, parts", [("a.*.b", ()), ("a.*.b", ("x", "y")), ("a.b", ("x",)), ("*.*", ("x",))]
+)
+def test_registry_refuses_a_part_count_that_differs_from_the_star_count(family, parts):
+    registry = MetricsRegistry()
+    for accessor in (registry.counter, registry.gauge, registry.histogram, registry.timeseries):
+        with pytest.raises(ValueError, match="part"):
+            accessor(family, *parts)
+    assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
+
+
 def test_registry_mark_uses_clock():
     time = {"now": 0.0}
     registry = MetricsRegistry(clock=lambda: time["now"])
