@@ -14,7 +14,8 @@ Flagged outside the sim package:
   receiver (``sim``, ``self.sim``, ``*.sim``) or to ``.queue``;
 - any access to private simulator/queue internals through a sim-like
   receiver (``sim._halted``, ``sim.queue._heap``, ``queue._seq`` …);
-- direct calls to ``<anything>.queue.push(...)`` / ``.queue.pop(...)``.
+- any load of ``<anything>.queue.push`` / ``.queue.pop``: the direct call,
+  and the hoisted form (``push = self.sim.queue.push`` … ``push(...)``).
 """
 
 from __future__ import annotations
@@ -80,16 +81,14 @@ class Sim001SchedulerMutation(Rule):
                         node,
                         f"access to scheduler internal .{node.attr} — use the dispatch API",
                     )
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                func = node.func
-                if (
-                    func.attr in ("push", "pop")
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "queue"
+                elif (
+                    node.attr in ("push", "pop")
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "queue"
                 ):
                     flag(
                         node,
-                        f"direct queue.{func.attr}() bypasses the dispatch bus — "
-                        "use sim.schedule/schedule_at",
+                        f"queue.{node.attr} reached directly (called or hoisted) bypasses "
+                        "the dispatch bus — use sim.schedule/schedule_at",
                     )
         return findings

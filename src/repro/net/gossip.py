@@ -222,11 +222,15 @@ class GossipNetwork:
                 self.transport.fanout(peer_id, fanout, "gossip:pub", envelope)
         return msg_id
 
-    def _accept(self, state: _PeerState, envelope: PubsubEnvelope) -> None:
-        """Record a message at a peer, deliver it and forward it over its mesh."""
+    def _accept(self, state: _PeerState, envelope: PubsubEnvelope) -> bool:
+        """Record a message at a peer, deliver it and forward it over its mesh.
+
+        Returns whether the peer now holds the id on record — what the
+        transport needs to know about the copies that rode behind this one.
+        """
         msg_id = envelope.msg_id
         if msg_id in state.seen:
-            return
+            return True
         topic = envelope.topic
         handler = state.topics.get(topic)
         if handler is None:
@@ -235,7 +239,7 @@ class GossipNetwork:
             # explicitly).  Recording the message as seen here would make
             # IHAVE repair skip it forever once the peer (re)subscribes,
             # so drop it unrecorded.
-            return
+            return False
         state.seen[msg_id] = envelope
         state.seen_order.append((self._heartbeat_no, msg_id))
         self._delivered.inc()
@@ -255,19 +259,20 @@ class GossipNetwork:
         lifetime = (params.history_length - 1) * params.heartbeat_interval
         _sent, elided = self.transport.fanout(
             state.peer_id, links[0], "gossip:pub", envelope,
-            settled, envelope.published_at + lifetime,
+            settled, envelope.published_at + lifetime, msg_id,
         )
         self._elided.inc(elided)
+        return True
 
     # ------------------------------------------------------------------
     # Transport plumbing
     # ------------------------------------------------------------------
-    def _on_transport_message(self, message: NetMessage) -> None:
+    def _on_transport_message(self, message: NetMessage) -> Optional[bool]:
         state = self._peers.get(message.dst)
         if state is None:
             return
         if message.kind == "gossip:pub":
-            self._accept(state, message.payload)
+            return self._accept(state, message.payload)
         elif message.kind == "gossip:ihave":
             topic, msg_ids = message.payload
             missing = [m for m in msg_ids if m not in state.seen]

@@ -9,12 +9,18 @@ from repro.net.topology import Topology
 
 
 class NetMessage:
-    """A delivered network message."""
+    """A delivered network message.
 
-    __slots__ = ("src", "dst", "kind", "payload", "sent_at", "msg_id")
+    A copy sent under a *key* (:meth:`Transport.fanout`) also knows when it
+    lands, and holds its ``riders``: ``(arrival, src, sent_at, msg_id)`` of
+    each later-landing copy of the key that was accounted behind it.
+    """
+
+    __slots__ = ("src", "dst", "kind", "payload", "sent_at", "msg_id", "key", "arrival", "riders")
 
     def __init__(
-        self, src: str, dst: str, kind: str, payload: Any, sent_at: float, msg_id: int = 0
+        self, src: str, dst: str, kind: str, payload: Any, sent_at: float, msg_id: int = 0,
+        key: Any = None, arrival: float = 0.0,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -22,6 +28,9 @@ class NetMessage:
         self.payload = payload
         self.sent_at = sent_at
         self.msg_id = msg_id
+        self.key = key
+        self.arrival = arrival
+        self.riders: Optional[list] = None
 
 
 def _link_name(endpoint: str) -> str:
@@ -44,8 +53,11 @@ class Transport:
     def __init__(self, sim: Simulator, topology: Optional[Topology] = None) -> None:
         self.sim = sim
         self.topology = topology or Topology()
-        self._handlers: dict[str, Callable[[NetMessage], None]] = {}
+        self._handlers: dict[str, Callable[[NetMessage], Any]] = {}
         self._link_of: dict[str, str] = {}  # registered endpoint -> link name
+        # Registered endpoint -> key -> the earliest-landing copy of that key
+        # still queued for it: the one later copies ride behind.
+        self._queued: dict[str, dict[Any, NetMessage]] = {}
         self._next_msg_id = 0
         self._rng = sim.rng("net", "transport")
         # Hot-path metric handles, resolved once (send/deliver run for
@@ -57,16 +69,23 @@ class Transport:
         self._lost = sim.metrics.counter("net.lost")
         self._labels: dict[str, str] = {}
 
-    def register(self, peer_id: str, handler: Callable[[NetMessage], None]) -> None:
-        """Attach *handler* for messages addressed to *peer_id*."""
+    def register(self, peer_id: str, handler: Callable[[NetMessage], Any]) -> None:
+        """Attach *handler* for messages addressed to *peer_id*.
+
+        Its return matters for copies sent under a key (:meth:`fanout`):
+        true says the peer holds the key on record, anything else that the
+        copy was dropped unrecorded.
+        """
         if peer_id in self._handlers:
             raise ValueError(f"peer {peer_id} already registered")
         self._handlers[peer_id] = handler
         self._link_of[peer_id] = _link_name(peer_id)
+        self._queued[peer_id] = {}
 
     def unregister(self, peer_id: str) -> None:
         self._handlers.pop(peer_id, None)
         self._link_of.pop(peer_id, None)
+        self._queued.pop(peer_id, None)
 
     def is_registered(self, peer_id: str) -> bool:
         return peer_id in self._handlers
@@ -91,6 +110,7 @@ class Transport:
         payload: Any,
         settled: Collection[str] = (),
         settled_until: float = 0.0,
+        key: Any = None,
     ) -> tuple[int, int]:
         """Send *payload* to each of *dsts*, in order; returns ``(sent, elided)``.
 
@@ -99,6 +119,14 @@ class Transport:
         and ``net.latency``.  A copy to a peer in *settled* that lands
         before *settled_until* is one the caller has proved a no-op at its
         receiver: it is accounted, but never becomes a message or an event.
+
+        *key* names what the copies are idempotent under: once a receiver's
+        handler has returned true for one copy, every other copy of the key
+        landing before *settled_until* is a no-op there.  Which of two
+        queued copies lands first is fixed when the second is sent, so a
+        keyed copy landing no earlier than one already queued for its
+        receiver is accounted the same way and *rides* on that copy until
+        :meth:`_deliver` learns whether the key was recorded.
         """
         link_of = self._link_of
         link_src = link_of.get(src) or _link_name(src)
@@ -107,8 +135,13 @@ class Transport:
         sample = topology.latency.sample
         rng = self._rng
         now = self.sim.now
-        push = self.sim.queue.push
+        # PR 16's short path onto the heap: EventQueue.push assigns tie/seq
+        # exactly as under sim.schedule_at; skipped are its kwargs packing and
+        # its past-time check (arrival >= now by construction).
+        push = self.sim.queue.push  # lint: disable=SIM001
         deliver = self._deliver
+        queued = self._queued
+        riding_until = settled_until if key is not None else 0.0
         label = self._labels.get(kind) or self._labels.setdefault(kind, f"net:{kind}")
         first_id = self._next_msg_id
         sent = 0
@@ -129,6 +162,20 @@ class Transport:
                 arrival = now + topology.sample_latency(link_src, link_dst, rng)
             if dst in settled and arrival < settled_until:
                 elided.append(arrival - now)
+            elif arrival < riding_until:
+                table = queued[dst]
+                ahead = table.get(key)
+                if ahead is not None and ahead.arrival <= arrival:
+                    rider = (arrival, src, now, first_id + sent)
+                    if ahead.riders is None:
+                        ahead.riders = [rider]
+                    else:
+                        ahead.riders.append(rider)
+                    elided.append(arrival - now)
+                else:  # the first copy on its way, or one that overtakes it
+                    message = NetMessage(src, dst, kind, payload, now, first_id + sent, key, arrival)
+                    table[key] = message
+                    push(arrival, deliver, (message,), None, label)
             else:
                 message = NetMessage(src, dst, kind, payload, now, first_id + sent)
                 push(arrival, deliver, (message,), None, label)
@@ -140,12 +187,33 @@ class Transport:
         return sent, len(elided)
 
     def _deliver(self, message: NetMessage) -> None:
-        handler = self._handlers.get(message.dst)
+        dst = message.dst
+        key = message.key
+        if key is not None:
+            table = self._queued.get(dst)
+            if table is not None and table.get(key) is message:
+                del table[key]
+        handler = self._handlers.get(dst)
         if handler is None:
-            return  # peer left between send and delivery
-        self._delivered.inc()
-        self._latency.observe(self.sim.now - message.sent_at)
-        handler(message)
+            recorded = False  # peer left between send and delivery
+        else:
+            self._delivered.inc()
+            self._latency.observe(self.sim.now - message.sent_at)
+            recorded = handler(message)
+        if message.riders and not recorded:
+            # Dropped unrecorded, so its riders are not proven no-ops: each
+            # becomes the event it would have been, at the time it drew.
+            for arrival, src, sent_at, msg_id in message.riders:
+                rider = NetMessage(src, dst, message.kind, message.payload, sent_at, msg_id)
+                self.sim.schedule_at(
+                    arrival, self._deliver_rider, rider, label=self._labels[message.kind]
+                )
+
+    def _deliver_rider(self, message: NetMessage) -> None:
+        """A re-queued rider lands; it was counted and observed when sent."""
+        handler = self._handlers.get(message.dst)
+        if handler is not None:
+            handler(message)
 
     # ------------------------------------------------------------------
     # Fault-injection conveniences (deterministic ordering throughout)

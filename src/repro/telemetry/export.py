@@ -98,7 +98,7 @@ METRIC_CATALOG: dict = {
     "gossip.delivered": ("counter", "pubsub deliveries to subscriber handlers"),
     "gossip.latency": ("summary", "publish-to-handler simulated latency"),
     "gossip.duplicates_elided": (
-        "counter", "mesh copies to peers that already recorded the id: sent, never queued"
+        "counter", "mesh copies sent, not queued: peer has the id or an earlier-landing copy queued"
     ),
     # chain/runtime (per-subnet)
     "chain.*.blocks": ("gauge", "blocks committed (event series)"),

@@ -9,5 +9,11 @@ def sneak_event(sim, callback):
     sim.queue.push(sim.now + 1.0, callback)
 
 
+def sneak_events(sim, callbacks):
+    push = sim.queue.push
+    for callback in callbacks:
+        push(sim.now + 1.0, callback)
+
+
 def purge(sim):
     sim.queue._heap.clear()

@@ -17,7 +17,7 @@ CASES = {
     "DET003": ("src/repro/hierarchy/gateway.py", 3),
     "LAY001": ("src/repro/sim/fixture.py", 2),  # module scope + function body
     "MET001": ("src/repro/telemetry/fixture.py", 5),  # f-string, +, .format, alias, %
-    "SIM001": ("src/repro/runtime/fixture.py", 3),
+    "SIM001": ("src/repro/runtime/fixture.py", 4),  # incl. the hoisted queue.push
 }
 
 CLEAN_PATHS = {
