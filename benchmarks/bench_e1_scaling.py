@@ -9,8 +9,6 @@ Expected shape: HC throughput grows ≈linearly in the subnet count; the
 single chain stays flat; sharding tracks HC minus reshuffle overhead.
 """
 
-import time
-
 import pytest
 
 from repro.baselines import ShardedBaseline, SingleChainBaseline
@@ -21,8 +19,6 @@ from common import (
     build_hierarchy,
     dispatch_rows,
     fund_subnet_senders,
-    perf_snapshot,
-    profile_enabled,
     run_once,
     show_table,
     start_subnet_payments,
@@ -43,20 +39,13 @@ def _hierarchical_throughput(k: int):
         subnet_block_time=BLOCK_TIME,
         max_block_messages=BLOCK_CAPACITY,
         checkpoint_period=20,
-        # Continuous profiling on the run that feeds the perf trajectory
-        # (the largest hierarchy): BENCH_e1_scaling.json gains a `profile`
-        # section and perfcheck can name culprits when the gate trips.
-        # BENCH_PROFILE=0 opts out.
-        profile=profile_enabled(default=k == max(SUBNET_COUNTS)),
     )
     workloads = []
     for subnet in subnets:
         wallets = fund_subnet_senders(system, subnet, 4, 10**9, tag=f"e1k{k}")
         workloads.append(start_subnet_payments(system, subnet, wallets, PER_CHAIN_LOAD))
     start = system.sim.now
-    wall_start = time.perf_counter()
     system.run_for(MEASURE_SECONDS)
-    perf = perf_snapshot(system.sim, time.perf_counter() - wall_start)
     committed = sum(w.stats.committed for w in workloads)
     profiler = system.sim.planes.get("profile")
     if profiler is not None:
@@ -64,7 +53,7 @@ def _hierarchical_throughput(k: int):
         # process, and their samples must not pollute this run's profile
         # (write_bench_json's stop() is then a no-op).
         profiler.stop()
-    return committed / (system.sim.now - start), dispatch_rows(system.sim), perf
+    return committed / (system.sim.now - start), dispatch_rows(system.sim)
 
 
 def _single_chain_throughput(offered: float) -> float:
@@ -106,24 +95,20 @@ def test_e1_horizontal_scaling(benchmark):
     def experiment():
         rows = []
         dispatch = None
-        perf = None
         single = _single_chain_throughput(PER_CHAIN_LOAD * max(SUBNET_COUNTS))
         for k in SUBNET_COUNTS:
-            hierarchical, dispatch, perf = _hierarchical_throughput(k)
+            hierarchical, dispatch = _hierarchical_throughput(k)
             rows.append(
                 {
                     "subnets": k,
                     "hierarchical": hierarchical,
                     "single_chain": single,
                     "sharded": _sharded_throughput(k),
-                    # Simulation-speed figures of the hierarchical run —
-                    # the largest k's entry feeds the perf trajectory.
-                    **{f"hierarchical_{key}": value for key, value in perf.items()},
                 }
             )
-        return rows, dispatch, perf
+        return rows, dispatch
 
-    rows, dispatch, largest_perf = run_once(benchmark, experiment)
+    rows, dispatch = run_once(benchmark, experiment)
 
     show_table(
         "E1 — throughput (tx/s) vs number of subnets "
@@ -141,18 +126,9 @@ def test_e1_horizontal_scaling(benchmark):
         DISPATCH_COLUMNS,
         dispatch,
     )
-    write_bench_json("e1_scaling", rows=rows, extra={"perf": largest_perf})
+    write_bench_json("e1_scaling", rows=rows)
     assert dispatch, "dispatch bus recorded no events"
     assert all(events > 0 for _, events, *_ in dispatch)
-
-    # Profiling (on by default for the largest run): label CPU shares are
-    # fractions of the sample total and must account for ~100% of samples.
-    from common import LAST_SYSTEM
-
-    profiler = LAST_SYSTEM.sim.planes.get("profile")
-    if profiler is not None and profiler.label_shares():
-        total_share = sum(profiler.label_shares().values())
-        assert abs(total_share - 1.0) < 1e-9, total_share
 
     by_k = {row["subnets"]: row for row in rows}
     capacity = BLOCK_CAPACITY / BLOCK_TIME

@@ -31,7 +31,6 @@ import common
 from common import (
     bench_out_dir,
     capture_system,
-    perf_snapshot,
     run_once,
     show_table,
     write_bench_json,
@@ -148,11 +147,7 @@ def test_e3_crossmsg_latency_vs_depth(benchmark):
     system = _SYSTEM
     tracer = system.sim.planes["spans"]
     out = bench_out_dir()
-    write_bench_json(
-        "e3_crossmsgs",
-        rows=rows,
-        extra={"perf": perf_snapshot(system.sim, common.LAST_WALL_SECONDS)},
-    )
+    write_bench_json("e3_crossmsgs", rows=rows)
     dump = telemetry_snapshot(system.sim, wall_seconds=common.LAST_WALL_SECONDS)
     write_json(os.path.join(out, "TELEMETRY_e3.json"), dump)
     write_prometheus(os.path.join(out, "TELEMETRY_e3.prom"), system.sim)

@@ -52,14 +52,6 @@ def capture_system(system):
     return system
 
 
-def profile_enabled(default: bool = False) -> bool:
-    """Whether benches should profile: $BENCH_PROFILE overrides *default*."""
-    flag = os.environ.get("BENCH_PROFILE")
-    if flag is None or flag == "":
-        return default
-    return flag != "0"
-
-
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing.
 
@@ -152,36 +144,6 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
     return path
 
 
-def committed_blocks(sim) -> int:
-    """Total blocks committed across every chain in *sim*.
-
-    Sums the ``chain.<subnet>.blocks`` commit marks, so forked/orphaned
-    blocks don't count — this is canonical chain growth.
-    """
-    total = 0.0
-    for name, series in sim.metrics.series.items():
-        if name.startswith("chain.") and name.endswith(".blocks"):
-            total += sum(v for _, v in series.points)
-    return int(total)
-
-
-def perf_snapshot(sim, wall_seconds) -> dict:
-    """The committed-perf-trajectory metrics for one run.
-
-    ``blocks_per_wall_sec`` — simulated blocks committed per wall-clock
-    second — is the simulation-speed figure the CI perf-compare job diffs
-    against the trajectory committed at the repo root.
-    """
-    blocks = committed_blocks(sim)
-    return {
-        "wall_seconds": wall_seconds,
-        "blocks_committed": blocks,
-        "blocks_per_wall_sec": (
-            blocks / wall_seconds if wall_seconds else None
-        ),
-    }
-
-
 def show_table(title, columns, rows) -> Table:
     """Build, print and return a result table — the shared emitter every
     bench uses instead of repeating the Table/add_row/show boilerplate."""
@@ -248,7 +210,7 @@ def build_hierarchy(
     ).start()
     capture_system(system)
     if profile is None:
-        profile = profile_enabled()
+        profile = os.environ.get("BENCH_PROFILE", "") not in ("", "0")
     if monitors or profile:
         enable_telemetry(
             system, monitors=monitors, postmortem_dir=bench_out_dir(), profile=profile

@@ -64,7 +64,6 @@ class TendermintEngine(ConsensusEngine):
         self._prevotes: dict[tuple, dict] = {}  # (h, r) -> voter -> cid/None
         self._precommits: dict[tuple, dict] = {}
         self._equivocations: list[tuple] = []  # (voter, vote_a, vote_b)
-        self._decided_heights: set[int] = set()
         # Future-height traffic buffer: a lagging validator must not drop
         # votes/proposals for heights it has not reached — peers GC their
         # books after committing and never re-send (the catch-up problem
@@ -481,9 +480,6 @@ class TendermintEngine(ConsensusEngine):
         # established and rejoin consensus at the next height.
         self._metric("consensus.*.caught_up").inc()
         self._gc_height(head.height)
-        self._decided_heights.update(
-            range(self.height, head.height + 1)
-        )
         self._height_started_at = self.sim.now
         self._await_height(head.height + 1, pacing=0.0)
 
@@ -497,9 +493,6 @@ class TendermintEngine(ConsensusEngine):
         self.sim.schedule(pacing, self._begin_height, height, label="tm:pace")
 
     def _commit(self, block: FullBlock, cert: Optional[tuple] = None) -> None:
-        if block.height in self._decided_heights:
-            return
-        self._decided_heights.add(block.height)
         self._observe_block_interval(block)
         self.node.receive_block(block, final=True)
         self._metric("consensus.*.committed").inc()

@@ -1,7 +1,7 @@
 """Adversarial scenario campaign engine.
 
-Declarative fault DSL (:mod:`repro.scenario.faults`), scenario specs and
-TOML loading (:mod:`repro.scenario.spec`), the instrumented runner with
+Declarative fault DSL (:mod:`repro.scenario.faults`), scenario specs
+(:mod:`repro.scenario.spec`), the instrumented runner with
 verdict classification (:mod:`repro.scenario.runner`), the seeded
 campaign grid (:mod:`repro.scenario.campaign`) and the canonical library
 (:mod:`repro.scenario.library`).  CLI entry points:
@@ -21,13 +21,11 @@ from repro.scenario.faults import (
     EquivocationFault,
     Fault,
     FaultInjector,
-    FAULT_KINDS,
     ForgedCheckpointFault,
     LinkDegradeFault,
     PartitionFault,
     ReorgFault,
     Trigger,
-    fault_from_spec,
     select_validators,
 )
 from repro.scenario.runner import (
@@ -49,9 +47,6 @@ from repro.scenario.spec import (
     SubnetSpec,
     TopologySpec,
     WorkloadSpec,
-    load_toml,
-    loads_toml,
-    scenario_from_dict,
 )
 
 # NOTE: repro.scenario.library and repro.scenario.report are imported
@@ -69,7 +64,6 @@ __all__ = [
     "EngineSwapFault",
     "EquivocationFault",
     "Expectation",
-    "FAULT_KINDS",
     "Fault",
     "FaultInjector",
     "ForgedCheckpointFault",
@@ -91,10 +85,6 @@ __all__ = [
     "VERDICT_STALL",
     "VERDICT_UNEXPECTED",
     "WorkloadSpec",
-    "fault_from_spec",
-    "load_toml",
-    "loads_toml",
     "run_scenario",
-    "scenario_from_dict",
     "select_validators",
 ]

@@ -7,10 +7,9 @@ resolution/SA path (forged checkpoints), or the workload layer (spam) —
 so injecting a fault never forks protocol code.
 
 A fault is *armed* by the :class:`FaultInjector` according to its
-:class:`Trigger` (a sim-time offset, or a predicate such as
-``"height >= 30 in /root/s0"`` polled on a fixed cadence), *injected*
-once, and — if the trigger carries a ``duration`` — *healed* that many
-simulated seconds later, reverting whatever it changed.
+:class:`Trigger` (a sim-time offset, or a predicate polled on a fixed
+cadence), *injected* once, and — if the trigger carries a ``duration`` —
+*healed* that many simulated seconds later, reverting whatever it changed.
 
 Validator selectors resolve over the live topology at injection time:
 ``"all"``, ``"leader"`` (index 0), ``"minority"`` (largest strict
@@ -21,7 +20,7 @@ minority, taken from the tail so index 0 stays honest), ``"majority"``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.consensus.base import ConsensusParams, make_engine
 from repro.scenario.errors import ScenarioError
@@ -35,84 +34,30 @@ class Trigger:
     """When a fault fires and for how long it stays active.
 
     Exactly one of ``at`` (seconds after the scenario's fault clock
-    starts) or ``when`` (predicate) must be set.  ``when`` is either a
-    callable ``predicate(system) -> bool`` or a string in the mini-DSL:
-
-    - ``"time >= 12.5"``
-    - ``"height >= 30 in /root/s0"``
-    - ``"window >= 2 in /root/s0"``  (checkpoint windows committed at the
-      subnet's parent)
-
-    ``duration=None`` means the fault is never healed.
+    starts) or ``when`` (a callable ``predicate(system) -> bool``) must be
+    set.  ``duration=None`` means the fault is never healed.
     """
 
     at: Optional[float] = None
-    when: Union[None, str, Callable] = None
+    when: Optional[Callable] = None
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
         if (self.at is None) == (self.when is None):
             raise ScenarioError("trigger needs exactly one of at= or when=")
+        if self.when is not None and not callable(self.when):
+            raise ScenarioError(f"trigger when= must be callable, got {self.when!r}")
         if self.at is not None and self.at < 0:
             raise ScenarioError("trigger offset cannot be negative")
         if self.duration is not None and self.duration <= 0:
             raise ScenarioError("trigger duration must be positive")
 
-    def predicate(self, start_time: float) -> Optional[Callable]:
-        """The armed predicate (``fn(system) -> bool``), or None for at=."""
-        if self.when is None:
-            return None
-        if callable(self.when):
-            return self.when
-        return parse_predicate(self.when, start_time)
-
     def as_dict(self) -> dict:
         return {
             "at": self.at,
-            "when": self.when if isinstance(self.when, str) else (
-                None if self.when is None else "<callable>"
-            ),
+            "when": None if self.when is None else "<callable>",
             "duration": self.duration,
         }
-
-
-def parse_predicate(spec: str, start_time: float = 0.0) -> Callable:
-    """Compile a trigger predicate string into ``fn(system) -> bool``."""
-    words = spec.split()
-    try:
-        if words[0] == "time" and words[1] == ">=" and len(words) == 3:
-            offset = float(words[2])
-            return lambda system: system.sim.now >= start_time + offset
-        if (
-            len(words) == 5
-            and words[0] in ("height", "window")
-            and words[1] == ">="
-            and words[3] == "in"
-        ):
-            bound = int(words[2])
-            subnet = words[4]
-            if words[0] == "height":
-                return lambda system: system.node(subnet).head().height >= bound
-            return lambda system: _committed_window(system, subnet) >= bound
-    except (ValueError, IndexError):
-        pass
-    raise ScenarioError(
-        f"cannot parse trigger predicate {spec!r}; expected "
-        "'time >= T', 'height >= H in <subnet>' or 'window >= W in <subnet>'"
-    )
-
-
-def _committed_window(system, subnet) -> int:
-    """The last checkpoint window the parent's SA recorded for *subnet*."""
-    from repro.hierarchy.subnet_id import SubnetID
-
-    subnet = SubnetID(subnet)
-    if subnet.is_root:
-        raise ScenarioError("the rootnet checkpoints to nothing")
-    sa_addr = system.sa_address(subnet)
-    return system.node(subnet.parent()).vm.state.get(
-        f"actor/{sa_addr.raw}/last_ckpt_window", -1
-    )
 
 
 # ----------------------------------------------------------------------
@@ -174,33 +119,6 @@ class Fault:
             and isinstance(value, (str, int, float, bool, list, tuple, type(None)))
         }
         return {"kind": self.KIND, "trigger": self.trigger.as_dict(), **detail}
-
-    # -- spec loading ---------------------------------------------------
-    @classmethod
-    def from_spec(cls, spec: dict) -> "Fault":
-        """Build a fault from a plain dict (the TOML loader's contract)."""
-        spec = dict(spec)
-        trigger = Trigger(
-            at=spec.pop("at", None),
-            when=spec.pop("when", None),
-            duration=spec.pop("duration", None),
-        )
-        return cls(trigger=trigger, **spec)
-
-
-def fault_from_spec(spec: dict) -> Fault:
-    """Dispatch a ``{"kind": ..., ...}`` dict to the right fault class."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    fault_class = FAULT_KINDS.get(kind)
-    if fault_class is None:
-        raise ScenarioError(
-            f"unknown fault kind {kind!r}; have {sorted(FAULT_KINDS)}"
-        )
-    try:
-        return fault_class.from_spec(spec)
-    except TypeError as err:
-        raise ScenarioError(f"bad {kind} fault spec {spec}: {err}") from None
 
 
 # ----------------------------------------------------------------------
@@ -666,24 +584,6 @@ class EngineSwapFault(Fault):
         self._originals = []
 
 
-FAULT_KINDS: dict[str, type] = {
-    fault_class.KIND: fault_class
-    for fault_class in (
-        PartitionFault,
-        LinkDegradeFault,
-        CrashFault,
-        ChurnFault,
-        ByzantineFault,
-        EquivocationFault,
-        CheckpointWithholdFault,
-        ForgedCheckpointFault,
-        ReorgFault,
-        CrossMsgSpamFault,
-        EngineSwapFault,
-    )
-}
-
-
 # ----------------------------------------------------------------------
 # The injector
 # ----------------------------------------------------------------------
@@ -702,22 +602,19 @@ class FaultInjector:
         self.faults = list(faults)
         self.poll_interval = poll_interval
         self.log: list[dict] = []
-        self.start_time: Optional[float] = None
-        self._pending: list = []  # (fault, predicate) awaiting their when=
+        self._pending: list = []  # faults awaiting their when=
         self._stop_poll = None
 
     def arm(self) -> "FaultInjector":
         sim = self.system.sim
-        self.start_time = sim.now
         for fault in self.faults:
-            predicate = fault.trigger.predicate(self.start_time)
-            if predicate is None:
+            if fault.trigger.when is None:
                 sim.schedule(
                     fault.trigger.at, self._fire, fault,
                     label=f"fault:{fault.KIND}",
                 )
             else:
-                self._pending.append((fault, predicate))
+                self._pending.append(fault)
         if self._pending:
             self._stop_poll = sim.every(
                 self.poll_interval, self._poll, label="fault:poll", on_error="log"
@@ -736,13 +633,9 @@ class FaultInjector:
                     self._heal(fault)
 
     def _poll(self) -> None:
-        fired = [
-            (fault, predicate)
-            for fault, predicate in self._pending
-            if predicate(self.system)
-        ]
-        for fault, predicate in fired:
-            self._pending.remove((fault, predicate))
+        fired = [fault for fault in self._pending if fault.trigger.when(self.system)]
+        for fault in fired:
+            self._pending.remove(fault)
             self._fire(fault)
         if not self._pending and self._stop_poll is not None:
             self._stop_poll()

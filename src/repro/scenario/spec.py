@@ -12,10 +12,6 @@ against the scenario's :class:`Expectation`:
   auditors whose collateral violations are acceptable side effects;
 - ``Expectation.degrades("progress:<subnet>")`` — the named SLO must be
   breached (currently: a progress stall on the named subnet).
-
-Scenarios load from Python or TOML (:func:`load_toml` — requires the
-stdlib ``tomllib``, Python 3.11+; loading fails gracefully on older
-interpreters, everything else here works everywhere).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.scenario.errors import ScenarioError
-from repro.scenario.faults import Fault, fault_from_spec
+from repro.scenario.faults import Fault
 from repro.telemetry.monitor import AUDITORS
 
 VERDICT_CLEAN = "clean"
@@ -75,23 +71,6 @@ class Expectation:
                 f"unknown SLO {slo!r}; supported: 'progress:<subnet>'"
             )
         return cls(kind="degrades", slo=slo)
-
-    @classmethod
-    def parse(cls, text: str, tolerate=()) -> "Expectation":
-        """Parse ``"safe"``, ``"violates(a, b)"`` or ``"degrades(slo)"``."""
-        text = text.strip()
-        if text == "safe":
-            return cls.safe()
-        for kind in ("violates", "degrades"):
-            if text.startswith(f"{kind}(") and text.endswith(")"):
-                inner = text[len(kind) + 1:-1]
-                parts = [part.strip() for part in inner.split(",") if part.strip()]
-                if kind == "violates":
-                    return cls.violates(*parts, tolerate=tolerate)
-                if len(parts) != 1:
-                    raise ScenarioError(f"degrades() takes one SLO, got {text!r}")
-                return cls.degrades(parts[0])
-        raise ScenarioError(f"cannot parse expectation {text!r}")
 
     def render(self) -> str:
         if self.kind == "safe":
@@ -214,65 +193,3 @@ class Scenario:
             "subnets": [vars(spec) for spec in self.topology.subnets],
             "faults": [fault.describe() for fault in self.faults],
         }
-
-
-# ----------------------------------------------------------------------
-# TOML loading (Python 3.11+; gated import, everything else is 3.9-safe)
-# ----------------------------------------------------------------------
-def _load_tomllib():
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - version-dependent
-        raise ScenarioError(
-            "TOML scenario loading needs the stdlib 'tomllib' (Python 3.11+); "
-            "build the Scenario in Python instead"
-        ) from None
-    return tomllib
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    """Build a :class:`Scenario` from plain data (the TOML document shape)."""
-    data = dict(data)
-    meta = dict(data.pop("scenario", {}))
-    topology_data = dict(data.pop("topology", {}))
-    workload_data = dict(data.pop("workload", {}))
-    fault_specs = list(data.pop("faults", []))
-    if data:
-        raise ScenarioError(f"unknown top-level scenario sections: {sorted(data)}")
-
-    subnets = [
-        SubnetSpec(**spec) for spec in topology_data.pop("subnets", [{}])
-    ]
-    topology = TopologySpec(subnets=subnets, **topology_data)
-    workload = WorkloadSpec(
-        payments=[PaymentSpec(**spec) for spec in workload_data.pop("payments", [])],
-        crossnet=[CrossNetSpec(**spec) for spec in workload_data.pop("crossnet", [])],
-    )
-    if workload_data:
-        raise ScenarioError(f"unknown workload keys: {sorted(workload_data)}")
-    expect = Expectation.parse(
-        meta.pop("expect", "safe"), tolerate=tuple(meta.pop("tolerate", ()))
-    )
-    try:
-        return Scenario(
-            topology=topology,
-            workload=workload,
-            faults=[fault_from_spec(spec) for spec in fault_specs],
-            expect=expect,
-            **meta,
-        )
-    except TypeError as err:
-        raise ScenarioError(f"bad [scenario] section: {err}") from None
-
-
-def load_toml(path: str) -> Scenario:
-    """Load a scenario from a TOML file (see tests for the format)."""
-    tomllib = _load_tomllib()
-    with open(path, "rb") as handle:
-        return scenario_from_dict(tomllib.load(handle))
-
-
-def loads_toml(text: str) -> Scenario:
-    """Load a scenario from TOML source text."""
-    tomllib = _load_tomllib()
-    return scenario_from_dict(tomllib.loads(text))

@@ -2,19 +2,15 @@
 
 Ranks per-dispatch-label CPU-share and allocation deltas between two
 profiled runs and names the top regressed frames — the "why" behind a
-``repro.perfcheck`` regression verdict (perfcheck prints this report
-automatically when its tolerance gate fails and both sides carry
-profiles).
+regressed wall-clock row.
 
 Either argument may be:
 
 - a ``BENCH_<name>.json`` (``repro.bench/v1``) or telemetry dump
   (``repro.telemetry/v1``) whose ``profile`` section was written by a
-  profiled run,
+  profiled run, or
 - a raw ``repro.profile/v1`` document
-  (:meth:`repro.telemetry.profiler.SamplingProfiler.snapshot`), or
-- a committed ``repro.perf-trajectory/v1`` file whose newest entry embeds
-  a ``profile`` summary.
+  (:meth:`repro.telemetry.profiler.SamplingProfiler.snapshot`).
 
 CPU shares are fractions of each run's own sample total, so runs of
 different lengths diff meaningfully; deltas are reported in percentage
@@ -48,12 +44,6 @@ def extract_profile(document: dict) -> Optional[dict]:
     profile = document.get("profile")
     if isinstance(profile, dict):
         return profile
-    if document.get("schema") == "repro.perf-trajectory/v1":
-        trajectory = document.get("trajectory") or []
-        if trajectory and isinstance(trajectory[-1], dict):
-            profile = trajectory[-1].get("profile")
-            if isinstance(profile, dict):
-                return profile
     return None
 
 
@@ -209,8 +199,8 @@ def main(argv=None) -> int:
         prog="python -m repro.telemetry.profdiff",
         description="Rank per-label CPU/alloc deltas between two profiled runs.",
     )
-    parser.add_argument("old", help="baseline: BENCH_*.json, telemetry dump, "
-                        "profile snapshot or perf-trajectory file")
+    parser.add_argument("old", help="baseline: BENCH_*.json, telemetry dump "
+                        "or profile snapshot")
     parser.add_argument("new", help="candidate run, same accepted shapes")
     parser.add_argument("--top", type=int, default=12,
                         help="rows per table (default 12)")

@@ -1,7 +1,7 @@
 """Continuous profiling & resource attribution (`repro.telemetry.profiler`).
 
-The perf trajectory (``repro.perfcheck``) can say *that* a run got slower;
-this module says *why*.  Three pillars, all observers of the simulation:
+The ledger's ``--compare`` can say *that* a run got slower; this module
+says *why*.  Three pillars, all observers of the simulation:
 
 - **Sampling CPU profiler** — a daemon thread samples the sim thread's
   Python stack (``sys._current_frames()``) at a configurable wall-clock

@@ -13,13 +13,10 @@ from repro.scenario.faults import (
     CheckpointWithholdFault,
     CrashFault,
     EquivocationFault,
-    FAULT_KINDS,
     FaultInjector,
     LinkDegradeFault,
     PartitionFault,
     Trigger,
-    fault_from_spec,
-    parse_predicate,
     select_validators,
 )
 
@@ -77,13 +74,17 @@ class StubSystem:
 # ----------------------------------------------------------------------
 # Triggers
 # ----------------------------------------------------------------------
+def _always(system):
+    return True
+
+
 def test_trigger_needs_exactly_one_of_at_or_when():
     with pytest.raises(ScenarioError):
         Trigger()
     with pytest.raises(ScenarioError):
-        Trigger(at=1.0, when="time >= 2")
+        Trigger(at=1.0, when=_always)
     assert Trigger(at=0.0).at == 0.0
-    assert Trigger(when="time >= 2").when == "time >= 2"
+    assert Trigger(when=_always).when is _always
 
 
 def test_trigger_rejects_bad_numbers():
@@ -96,49 +97,9 @@ def test_trigger_rejects_bad_numbers():
 
 
 def test_trigger_predicate_forms():
-    assert Trigger(at=3.0).predicate(start_time=0.0) is None
-
-    marker = lambda system: True  # noqa: E731
-    assert Trigger(when=marker).predicate(start_time=0.0) is marker
-
-    class Clock:
-        class sim:
-            now = 9.0
-
-    predicate = Trigger(when="time >= 4").predicate(start_time=6.0)
-    assert not predicate(Clock)  # 9 < 6 + 4
-    Clock.sim.now = 10.5
-    assert predicate(Clock)
-
-
-def test_parse_predicate_height_form():
-    class Head:
-        height = 31
-
-    class Node:
-        @staticmethod
-        def head():
-            return Head
-
-    class System:
-        @staticmethod
-        def node(subnet):
-            assert subnet == "/root/s0"
-            return Node
-
-    predicate = parse_predicate("height >= 30 in /root/s0")
-    assert predicate(System)
-    Head.height = 29
-    assert not predicate(System)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["", "time > 5", "height >= x in /root/s0", "height >= 5", "frobnicate"],
-)
-def test_parse_predicate_rejects_garbage(bad):
+    assert Trigger(at=3.0).when is None
     with pytest.raises(ScenarioError):
-        parse_predicate(bad)
+        Trigger(when="time >= 4")  # the string grammar is gone, not ignored
 
 
 def test_trigger_as_dict_masks_callables():
@@ -271,45 +232,6 @@ def test_specialized_byzantine_faults_set_their_vocabulary():
 
 
 # ----------------------------------------------------------------------
-# Spec loading and description
-# ----------------------------------------------------------------------
-def test_fault_from_spec_round_trip():
-    fault = fault_from_spec(
-        {
-            "kind": "partition",
-            "at": 4.0,
-            "duration": 8.0,
-            "subnet": "/root/s0",
-            "select": "minority",
-        }
-    )
-    assert isinstance(fault, PartitionFault)
-    assert fault.trigger.at == 4.0
-    assert fault.trigger.duration == 8.0
-    assert fault.subnet == "/root/s0"
-    described = fault.describe()
-    assert described["kind"] == "partition"
-    assert described["trigger"]["at"] == 4.0
-    assert described["select"] == "minority"
-
-
-def test_fault_from_spec_rejects_unknown_kind_and_bad_kwargs():
-    with pytest.raises(ScenarioError):
-        fault_from_spec({"kind": "meteor-strike", "at": 1.0})
-    with pytest.raises(ScenarioError):
-        fault_from_spec({"kind": "crash", "at": 1.0, "subnet": "/root/s0",
-                         "warp_factor": 9})
-
-
-def test_fault_kinds_registry_is_complete():
-    assert set(FAULT_KINDS) == {
-        "partition", "link-degrade", "crash", "churn", "byzantine",
-        "equivocation", "checkpoint-withhold", "forged-checkpoint",
-        "reorg", "crossmsg-spam", "engine-swap",
-    }
-
-
-# ----------------------------------------------------------------------
 # The injector (against a real simulator, stub faults)
 # ----------------------------------------------------------------------
 class _ProbeFault(PartitionFault):
@@ -335,7 +257,7 @@ def test_injector_polls_predicate_triggers():
 
     system = StubSystem()
     system.sim = Simulator(seed=1)
-    fault = _ProbeFault(Trigger(when="time >= 1.6"), "/root/s0")
+    fault = _ProbeFault(Trigger(when=lambda system: system.sim.now >= 1.6), "/root/s0")
     FaultInjector(system, [fault], poll_interval=0.5).arm()
     system.sim.run_until(5.0)
     assert fault.injected_at == 2.0  # first poll tick past 1.6

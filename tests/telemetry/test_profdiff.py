@@ -123,12 +123,7 @@ def test_cli_top_truncates_tables(tmp_path, capsys):
 
 def test_accepts_bench_and_trajectory_wrappers(tmp_path):
     bench = {"schema": "repro.bench/v1", "bench": "x", "profile": OLD}
-    trajectory = {
-        "schema": "repro.perf-trajectory/v1",
-        "trajectory": [{"note": "older, unprofiled"}, {"profile": NEW}],
-    }
     assert extract_profile(bench) is OLD
-    assert extract_profile(trajectory) is NEW
     assert extract_profile(OLD) is OLD
     assert extract_profile({"schema": "repro.bench/v1"}) is None
     assert load_profile(_write(tmp_path, "b.json", bench)) == OLD
