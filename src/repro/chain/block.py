@@ -13,7 +13,7 @@ from repro.crypto.merkle import MerkleTree
 ZERO_CID = CID(b"\x00" * 32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     """A subnet chain block header.
 
@@ -55,7 +55,7 @@ class BlockHeader:
         return self.height == 0 and self.parent == ZERO_CID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullBlock:
     """A header plus its message payloads.
 

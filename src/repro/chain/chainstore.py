@@ -25,7 +25,6 @@ class ChainStore:
     def __init__(self, prune_depth: int = 64) -> None:
         self._blocks: dict[CID, FullBlock] = {}
         self._weights: dict[CID, int] = {}
-        self._children: dict[CID, list[CID]] = {}
         self._head: Optional[CID] = None
         self._genesis: Optional[CID] = None
         self.prune_depth = prune_depth
@@ -123,7 +122,6 @@ class ChainStore:
         self._blocks[cid] = block
         parent_weight = self._weights.get(parent, 0)
         self._weights[cid] = parent_weight + 1 if weight is None else weight
-        self._children.setdefault(parent, []).append(cid)
         self._by_height.setdefault(block.height, []).append(cid)
         if block.height < self._snapshot_floor:
             # A fork block from below the horizon, arriving late: its

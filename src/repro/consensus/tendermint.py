@@ -28,7 +28,7 @@ from repro.consensus.base import ConsensusEngine, register_engine
 PROPOSE, PREVOTE, PRECOMMIT = "propose", "prevote", "precommit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vote:
     """A prevote or precommit.  ``block_cid`` of None is a nil vote."""
 

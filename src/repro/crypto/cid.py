@@ -18,15 +18,12 @@ _PREFIX = "bafy"  # cosmetic, to make CIDs recognisable in traces
 class CID:
     """An immutable content identifier."""
 
-    __slots__ = ("digest", "_hash")
+    __slots__ = ("digest",)
 
     def __init__(self, digest: bytes) -> None:
         if not isinstance(digest, bytes) or len(digest) != 32:
             raise ValueError("CID requires a 32-byte digest")
         object.__setattr__(self, "digest", digest)
-        # CIDs key mempools, chain stores and dedup sets: hashing happens
-        # far more often than construction, so pay for it once here.
-        object.__setattr__(self, "_hash", hash(digest))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("CID is immutable")
@@ -54,7 +51,10 @@ class CID:
         return isinstance(other, CID) and other.digest == self.digest
 
     def __hash__(self) -> int:
-        return self._hash
+        # CIDs key mempools, chain stores and dedup sets: hashing happens far
+        # more often than construction — and a bytes object keeps its own
+        # hash once computed, so a second copy here would be 40 B per CID.
+        return hash(self.digest)
 
     def __lt__(self, other: "CID") -> bool:
         return self.digest < other.digest

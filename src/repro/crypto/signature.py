@@ -21,7 +21,7 @@ from repro.crypto.encoding import canonical_encode
 from repro.crypto.keys import Address, KeyPair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A signature over a message by one public key."""
 
@@ -37,17 +37,18 @@ class SignatureRegistry:
     """Record of genuinely-produced (tag, message-digest) pairs.
 
     Stands in for the public-key math that makes real signatures verifiable
-    without the secret.
+    without the secret.  A tag is a hash over its digest, so it is recorded
+    for exactly one: tag -> digest holds the pairs without a tuple apiece.
     """
 
     def __init__(self) -> None:
-        self._seen: set[tuple[bytes, bytes]] = set()
+        self._seen: dict[bytes, bytes] = {}
 
     def record(self, tag: bytes, digest: bytes) -> None:
-        self._seen.add((tag, digest))
+        self._seen[tag] = digest
 
     def check(self, tag: bytes, digest: bytes) -> bool:
-        return (tag, digest) in self._seen
+        return self._seen.get(tag) == digest
 
     def clear(self) -> None:
         self._seen.clear()

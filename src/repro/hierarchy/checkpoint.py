@@ -25,7 +25,7 @@ from repro.hierarchy.subnet_id import SubnetID
 ZERO_CHECKPOINT = CID(b"\x00" * 32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossMsgMeta:
     """Metadata for one batch of bottom-up cross-msgs (§III-B).
 
@@ -60,7 +60,7 @@ class CrossMsgMeta:
         return cached_cid(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Checkpoint:
     """One subnet checkpoint, committed to the parent chain via the SA."""
 
@@ -97,7 +97,7 @@ class Checkpoint:
         return [m for m in self.cross_meta if m.to_subnet != subnet]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedCheckpoint:
     """A checkpoint plus the signature bundle required by the SA policy.
 

@@ -36,7 +36,7 @@ def classify(at: SubnetID, destination: SubnetID) -> Direction:
     return Direction.BOTTOM_UP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossMsg:
     """One cross-net message.
 
@@ -108,7 +108,7 @@ class CrossMsg:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyTopDown:
     """Block payload entry: apply one parent-committed top-down message.
 
@@ -129,7 +129,7 @@ class ApplyTopDown:
         return cached_cid(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyBottomUp:
     """Block payload entry: apply one resolved bottom-up batch.
 

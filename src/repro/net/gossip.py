@@ -36,7 +36,7 @@ class GossipParams:
     history_length: int = 120  # heartbeats a message id stays advertisable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubsubEnvelope:
     """What subscribers receive: topic, data, original publisher, msg id."""
 
@@ -59,7 +59,10 @@ class _PeerState:
         # (the only place mesh sets change).
         self.mesh_links: dict[str, tuple] = {}
         self.seen: dict[str, PubsubEnvelope] = {}  # never rebound: neighbours hold it
-        self.seen_order: deque = deque()  # (heartbeat_no, msg_id)
+        # Ids in the order they were recorded (what IHAVE advertises), and
+        # [heartbeat_no, ids recorded during it] runs that drive expiry.
+        self.seen_order: deque = deque()
+        self.seen_runs: deque = deque()
         self.seq = 0
 
 
@@ -241,7 +244,12 @@ class GossipNetwork:
             # so drop it unrecorded.
             return False
         state.seen[msg_id] = envelope
-        state.seen_order.append((self._heartbeat_no, msg_id))
+        state.seen_order.append(msg_id)
+        runs = state.seen_runs
+        if runs and runs[-1][0] == self._heartbeat_no:
+            runs[-1][1] += 1
+        else:
+            runs.append([self._heartbeat_no, 1])
         self._delivered.inc()
         self._latency.observe(self.sim.now - envelope.published_at)
         handler(envelope)
@@ -295,13 +303,14 @@ class GossipNetwork:
         for peer_id in self._peer_order:
             state = self._peers[peer_id]
             # Expire old history.
-            while state.seen_order and state.seen_order[0][0] < horizon:
-                _, old_id = state.seen_order.popleft()
-                state.seen.pop(old_id, None)
+            runs = state.seen_runs
+            while runs and runs[0][0] < horizon:
+                for _ in range(runs.popleft()[1]):
+                    state.seen.pop(state.seen_order.popleft(), None)
             # Advertise recent ids per topic to non-mesh members.
             recent_by_topic: dict[str, list[str]] = {}
             recent = list(islice(reversed(state.seen_order), 50))
-            for _, msg_id in reversed(recent):
+            for msg_id in reversed(recent):
                 envelope = state.seen.get(msg_id)
                 if envelope is not None:
                     recent_by_topic.setdefault(envelope.topic, []).append(msg_id)

@@ -8,6 +8,7 @@ deterministic given a deterministic run.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable, Iterable, Optional
 
 
@@ -55,18 +56,33 @@ class Histogram:
     """Stores raw observations; computes summary statistics on demand.
 
     Simulation runs are small enough (≤ millions of samples) that keeping raw
-    values is simpler and more accurate than bucketing.
+    values is simpler and more accurate than bucketing — but a run makes one
+    ``net.latency`` observation per link copy, so they are kept unboxed:
+    ``samples`` is an ``array`` of C int64s while every observation has been
+    an ``int`` (round counts, reorg depths: they summarise as ints) and of C
+    doubles from the first float on (ints already held, and any that follow,
+    are then read back as floats of equal value).  Eight bytes per sample and
+    nothing for the garbage collector to walk.  Iterate it, ``len`` it,
+    ``list`` it; rebound on promotion, so do not hold on to it.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples: list[float] = []
+        self.samples = array("q")
 
     def observe(self, value: float) -> None:
-        self.samples.append(value)
+        try:
+            self.samples.append(value)
+        except (TypeError, OverflowError):  # first float (or an int past 63 bits)
+            self.samples = array("d", self.samples)
+            self.samples.append(value)
 
     def observe_many(self, values: Iterable[float]) -> None:
-        self.samples.extend(values)
+        if self.samples.typecode == "d":
+            self.samples.extend(values)
+        else:  # a failed extend would keep what came before the float
+            for value in values:
+                self.observe(value)
 
     @property
     def count(self) -> int:
@@ -90,20 +106,27 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Return the q-th percentile (0 <= q <= 100), linear interpolation."""
+        return self._percentiles(q)[0]
+
+    def _percentiles(self, *qs: float) -> list:
+        """Every one of *qs* from one sort; the boxed, sorted copy (four
+        times the samples' own size) lives no longer than this call."""
         if not self.samples:
-            return math.nan
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
+            return [math.nan] * len(qs)
         ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        found = []
+        for q in qs:
+            if not 0 <= q <= 100:
+                raise ValueError("percentile must be in [0, 100]")
+            rank = (q / 100) * (len(ordered) - 1)
+            low = int(math.floor(rank))
+            high = int(math.ceil(rank))
+            if low == high:
+                found.append(ordered[low])
+            else:
+                frac = rank - low
+                found.append(ordered[low] * (1 - frac) + ordered[high] * frac)
+        return found
 
     def min(self) -> float:
         return min(self.samples) if self.samples else math.nan
@@ -118,7 +141,9 @@ class Histogram:
         distribution before summarising; returns ``self`` for chaining.
         """
         for other in others:
-            self.samples.extend(other.samples)
+            # An iterator, because ``array.extend`` refuses an array of the
+            # other typecode outright instead of converting its items.
+            self.observe_many(iter(other.samples))
         return self
 
     def summary(self) -> dict:
@@ -128,13 +153,14 @@ class Histogram:
         as ``None`` rather than NaN so the dict is JSON-serialisable —
         ``json.dumps`` renders NaN as the invalid token ``NaN``.
         """
+        p50, p95, p99 = self._percentiles(50, 95, 99)
         return {
             "count": self.count,
             "mean": _json_safe(self.mean()),
             "stdev": _json_safe(self.stdev()) if self.count else None,
-            "p50": _json_safe(self.percentile(50)),
-            "p95": _json_safe(self.percentile(95)),
-            "p99": _json_safe(self.percentile(99)),
+            "p50": _json_safe(p50),
+            "p95": _json_safe(p95),
+            "p99": _json_safe(p99),
             "min": _json_safe(self.min()),
             "max": _json_safe(self.max()),
         }
@@ -144,20 +170,28 @@ class Histogram:
 
 
 class TimeSeries:
-    """(time, value) observations, e.g. throughput over a run."""
+    """(time, value) observations, e.g. throughput over a run: two columns,
+    each kept unboxed the way :class:`Histogram` keeps its samples."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.points: list[tuple[float, float]] = []
+        self._times = Histogram(name)
+        self._values = Histogram(name)
 
     def record(self, time: float, value: float) -> None:
-        self.points.append((time, value))
+        self._times.observe(time)
+        self._values.observe(value)
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The observations as a fresh list of pairs, in recording order."""
+        return list(zip(self._times.samples, self._values.samples))
 
     def values(self) -> list[float]:
-        return [v for _, v in self.points]
+        return list(self._values.samples)
 
     def times(self) -> list[float]:
-        return [t for t, _ in self.points]
+        return list(self._times.samples)
 
     def rate(self, window: Optional[tuple[float, float]] = None) -> Optional[float]:
         """Events per second: count of points over the covered interval.
@@ -169,20 +203,20 @@ class TimeSeries:
         zero (a positive-span window covering no points of a non-empty
         series) still reads 0.0.
         """
-        if not self.points:
+        times = self._times.samples
+        if not times:
             return None
-        points = self.points
         if window is not None:
             lo, hi = window
-            points = [(t, v) for t, v in points if lo <= t <= hi]
+            count = sum(1 for t in times if lo <= t <= hi)
             span = hi - lo
         else:
-            if len(points) < 2:
+            if len(times) < 2:
                 return None
-            span = points[-1][0] - points[0][0]
+            count, span = len(times), times[-1] - times[0]
         if span <= 0:
             return None
-        return len(points) / span
+        return count / span
 
 
 def _expand(family: str, parts: tuple) -> str:

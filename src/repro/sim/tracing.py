@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One timestamped structured trace entry."""
 

@@ -232,6 +232,8 @@ class StateTree:
             touched = {}
             for key in self._dirty:
                 touched.setdefault(bucket_of(key, n), []).append(key)
+            if touched:
+                digests = list(digests)  # forks hold the old list by reference
         self.last_root_rehashed = len(touched)
         missed = {b for b in touched if table.get(b, _UNTAGGED)[0] != digests[b]}
         rebuilt = self._scan(missed) if missed else {}
@@ -310,7 +312,7 @@ class StateTree:
         clone._frozen = shared
         clone._table = self._table
         if self._digests is not None:
-            clone._digests = list(self._digests)
+            clone._digests = self._digests  # shared until either side's root() writes
             clone._dirty = set(self._dirty)
         return clone
 

@@ -51,11 +51,12 @@ def telemetry_snapshot(
         "histograms": {n: h.summary() for n, h in sorted(metrics.histograms.items())},
         "series": {
             n: {
-                "points": len(s.points),
-                "first": list(s.points[0]) if s.points else None,
-                "last": list(s.points[-1]) if s.points else None,
+                "points": len(points),
+                "first": list(points[0]) if points else None,
+                "last": list(points[-1]) if points else None,
             }
             for n, s in sorted(metrics.series.items())
+            for points in [s.points]  # a fresh list per read: build it once
         },
         "dispatch": sim.dispatch.summary(),
         "trace_log": {"records": len(sim.trace), "dropped": sim.trace.dropped},
@@ -291,8 +292,9 @@ def to_prometheus(sim) -> str:
         emit(name, raw, "summary", body)
     for raw, series in sorted(metrics.series.items()):
         name = _prom_name(raw)
-        if series.points:
-            emit(name, raw, "gauge", [f"{name} {_fmt(series.points[-1][1])}"])
+        values = series.values()
+        if values:
+            emit(name, raw, "gauge", [f"{name} {_fmt(values[-1])}"])
     return "\n".join(lines) + "\n"
 
 

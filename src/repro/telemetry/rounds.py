@@ -90,6 +90,10 @@ class RoundTracer(Plane):
         self._round_started: dict[tuple, float] = {}
         # per-subnet counts for summary()
         self._counts: dict[str, dict] = {}
+        # subnet -> its five gauges, and the subnets whose frontier, quorum
+        # or frontier vote books moved since their gauges were last set
+        self._gauges: dict[str, tuple] = {}
+        self._stale: set[str] = set()
 
     # ------------------------------------------------------------------
     # Feed
@@ -118,8 +122,9 @@ class RoundTracer(Plane):
                 ).observe(time - started)
             self._round_started[key] = time
             quorum, total = fields.get("quorum"), fields.get("total")
-            if quorum is not None:
+            if quorum is not None and self._quorum.get(subnet) != (quorum, total):
                 self._quorum[subnet] = (quorum, total)
+                self._stale.add(subnet)
             if kind == "round_skip":
                 self.metrics.counter("consensus.round.*.skips", subnet).inc()
         elif kind == "timeout":
@@ -133,6 +138,8 @@ class RoundTracer(Plane):
             )
             if voter not in book:
                 book[voter] = fields.get("power", 1)
+                if (height, round_) == self._frontier.get(subnet):
+                    self._stale.add(subnet)
         elif kind == "commit":
             # Rounds are 0-based; a height that committed at round r took
             # r+1 rounds.  Slot engines commit at "round" 0 (their slot).
@@ -150,30 +157,37 @@ class RoundTracer(Plane):
             return
         candidate = (height, round_ or 0)
         frontier = self._frontier.get(subnet)
-        if frontier is not None and candidate <= frontier:
+        if frontier is None or candidate > frontier:
+            self._frontier[subnet] = candidate
+            self._stale.add(subnet)
+        if subnet in self._stale:
+            self._stale.remove(subnet)
             self._refresh_gauges(subnet)
-            return
-        self._frontier[subnet] = candidate
-        self._refresh_gauges(subnet)
 
     def _refresh_gauges(self, subnet: str) -> None:
-        frontier = self._frontier.get(subnet)
-        if frontier is None:
-            return
-        height, round_ = frontier
-        metrics = self.metrics
-        metrics.gauge("consensus.round.*.height", subnet).set(height)
-        metrics.gauge("consensus.round.*.number", subnet).set(round_)
-        quorum = self._quorum.get(subnet)
-        if quorum is not None and quorum[0] is not None:
-            metrics.gauge("consensus.round.*.quorum_power", subnet).set(quorum[0])
-        for vote_type, family in (
-            ("prevote", "consensus.round.*.prevote_power"),
-            ("precommit", "consensus.round.*.precommit_power"),
-        ):
+        height, round_ = self._frontier[subnet]
+        quorum = self._quorum.get(subnet, (None,))[0]
+        gauges = self._gauges.get(subnet)
+        if gauges is None or (gauges[2] is None and quorum is not None):
+            # Named here only, in the order an export lists them:
+            # quorum_power exists from the first quorum an engine reports.
+            metrics = self.metrics
+            gauges = self._gauges[subnet] = (
+                metrics.gauge("consensus.round.*.height", subnet),
+                metrics.gauge("consensus.round.*.number", subnet),
+                None if quorum is None
+                else metrics.gauge("consensus.round.*.quorum_power", subnet),
+                metrics.gauge("consensus.round.*.prevote_power", subnet),
+                metrics.gauge("consensus.round.*.precommit_power", subnet),
+            )
+        at_height, at_round, needed, prevotes, precommits = gauges
+        at_height.set(height)
+        at_round.set(round_)
+        if quorum is not None:
+            needed.set(quorum)
+        for gauge, vote_type in ((prevotes, "prevote"), (precommits, "precommit")):
             book = self._votes.get((subnet, height, round_, vote_type))
-            held = sum(book.values()) if book else 0
-            metrics.gauge(family, subnet).set(held)
+            gauge.set(sum(book.values()) if book else 0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,7 +14,7 @@ from repro.vm.exitcode import ExitCode
 DEFAULT_GAS_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """An unsigned transaction.
 
@@ -60,7 +60,7 @@ class Message:
         return cached_cid(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedMessage:
     """A message plus its sender's signature."""
 
@@ -98,7 +98,7 @@ class SignedMessage:
         return cached_cid(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """The result of applying one message."""
 

@@ -13,13 +13,13 @@ import gc
 import hashlib
 import pickle
 import struct
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader, FullBlock
+from repro.consensus.tendermint import Vote
 from repro.crypto.cid import CID, cid_of
 from repro.crypto.encoding import EncodingError, canonical_encode
 from repro.crypto.keys import KeyPair
@@ -33,8 +33,11 @@ from repro.hierarchy.checkpoint import (
 )
 from repro.hierarchy.crossmsg import ApplyBottomUp, ApplyTopDown, CrossMsg, batch_cid
 from repro.hierarchy.subnet_id import SubnetID
+from repro.net.gossip import PubsubEnvelope
+from repro.sim.tracing import TraceRecord
 from repro.storage.statetree import StateTree
-from repro.vm.message import Message, SignedMessage
+from repro.vm.exitcode import ExitCode
+from repro.vm.message import Message, Receipt, SignedMessage
 
 KEYS = [KeyPair(name) for name in ("alice", "bob", "carol")]
 ALICE, BOB = KEYS[0], KEYS[1]
@@ -361,6 +364,43 @@ def test_replace_is_cold_and_copies_keep_the_cid():
     assert copy.deepcopy(signed).cid.hex() == PINNED["signed_message"]
 
 
+def _one_of_each_per_op_value():
+    values = _fixed_values()
+    signed, checkpoint = values["signed_message"], values["checkpoint"]
+    header = BlockHeader(
+        "/root", 1, ZERO_CHECKPOINT, ZERO_CHECKPOINT,
+        FullBlock.compute_messages_root((signed,), ()), 1.0, ALICE.address,
+    )
+    return [
+        signed.message, signed, signed.signature, Receipt(ExitCode.OK, gas_used=3),
+        PubsubEnvelope("topic", ("block", 1), "p0", "p0:0", 0.5), header,
+        FullBlock(header, (signed,)), Vote(1, 0, "prevote", header.cid, "v0"),
+        TraceRecord(1.0, "block.commit", "/root", ("h=1",)), values["crossmsg"],
+        values["topdown"], values["bottomup"], checkpoint.cross_meta[0], checkpoint,
+        SignedCheckpoint(checkpoint, (signed.signature,)),
+    ]
+
+
+@pytest.mark.parametrize("value", _one_of_each_per_op_value(), ids=lambda v: type(v).__name__)
+def test_per_op_values_are_slotted_frozen_and_still_copy(value):
+    """What a run makes per operation carries no attribute dict — and gives
+    up nothing a frozen dataclass offered for it."""
+    assert not hasattr(value, "__dict__") and not hasattr(value, "__weakref__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, dataclasses.fields(value)[0].name, None)
+    with pytest.raises((AttributeError, TypeError)):  # TypeError: CPython 3.11's frozen + slots
+        value.annotation = 1
+    memos = [f.name for f in dataclasses.fields(value) if not f.init]
+    assert set(memos) <= set(MEMO_NAMES)
+    if "_cid" in memos:
+        assert value.cid is value._cid  # cached_cid's object.__setattr__ reaches the slot
+    replaced = dataclasses.replace(value)
+    assert replaced == value and replaced is not value
+    assert all(getattr(replaced, name) is None for name in memos)
+    for clone in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and clone is not value
+
+
 def test_memos_are_invisible_to_eq_hash_and_repr():
     cold, warm = _fixed_values()["batch"][0], _fixed_values()["batch"][0]
     warm.cid
@@ -399,7 +439,6 @@ def test_fragment_type_is_not_exported():
 # ----------------------------------------------------------------------
 # (vii) Memos live in the instance's own slots: no attribute dict appears
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="inline instance values are CPython >= 3.11")
 def test_memos_never_materialise_an_instance_dict():
     # Enough earlier instances that the class's shared keys are settled:
     # a memo that was not set at construction would grow a dict below.

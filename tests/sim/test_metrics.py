@@ -1,8 +1,12 @@
 """Unit tests for metrics."""
 
+import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 
@@ -97,6 +101,102 @@ def test_histogram_merge_combines_samples():
     assert a.count == 4
     assert a.mean() == pytest.approx(2.5)
     assert b.count == 2  # sources untouched
+
+
+class ListHistogram:
+    """The reference: a histogram over a plain list of whatever was observed
+    (how ``Histogram`` kept its samples), one sort per statistic."""
+
+    def __init__(self, values=()):
+        self.samples = list(values)
+
+    def percentile(self, q):
+        if not self.samples:
+            return math.nan
+        ordered = sorted(self.samples)
+        rank = (q / 100) * (len(ordered) - 1)
+        low, high = int(math.floor(rank)), int(math.ceil(rank))
+        if low == high:
+            return ordered[low]
+        return ordered[low] * (1 - (rank - low)) + ordered[high] * (rank - low)
+
+    def summary(self):
+        samples, n = self.samples, len(self.samples)
+        mean = sum(samples) / n if n else math.nan
+        stdev = math.sqrt(sum((x - mean) ** 2 for x in samples) / (n - 1)) if n > 1 else 0.0
+        values = {
+            "count": n, "mean": mean, "stdev": stdev if n else None,
+            "p50": self.percentile(50), "p95": self.percentile(95), "p99": self.percentile(99),
+            "min": min(samples) if n else math.nan, "max": max(samples) if n else math.nan,
+        }
+        return {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in values.items()
+        }
+
+
+# Finite values stay where squaring them (stdev) cannot overflow.
+FLOATS = st.lists(
+    st.one_of(st.floats(-1e150, 1e150), st.sampled_from([math.nan, math.inf, -math.inf])),
+    max_size=40,
+)
+INTS = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40)
+EXACT_INTS = st.integers(-(2**53), 2**53)  # what a double holds exactly
+MIXED = st.lists(st.one_of(st.floats(-1e150, 1e150), EXACT_INTS), max_size=40)
+
+
+def _filled(*batches):
+    histogram = Histogram("h")
+    for index, batch in enumerate(batches):  # both ways in
+        if index % 2:
+            histogram.observe_many(batch)
+        else:
+            for value in batch:
+                histogram.observe(value)
+    return histogram
+
+
+@given(st.one_of(FLOATS, INTS), st.floats(0, 100))
+def test_histogram_reads_like_a_list_of_its_observations(values, q):
+    """Same values of the same types, NaN and infinities included: an
+    all-int histogram still summarises and exports as ints."""
+    histogram, reference = _filled(values[:7], values[7:]), ListHistogram(values)
+    assert repr(histogram.summary()) == repr(reference.summary())
+    assert repr(histogram.percentile(q)) == repr(reference.percentile(q))
+    assert repr(histogram.total) == repr(sum(values)) and histogram.count == len(values)
+    json.dumps(histogram.summary(), allow_nan=False)
+
+
+@given(MIXED, st.one_of(FLOATS, st.lists(EXACT_INTS, max_size=40)), st.floats(0, 100))
+def test_histogram_merge_and_mixed_observations_keep_every_value(values, more, q):
+    """Ints read back as floats of equal value once a float has been seen."""
+    merged = _filled(values).merge(_filled(more[:5]), Histogram("empty"), _filled(more[5:]))
+    reference = ListHistogram(values + more)
+    summary, expected = merged.summary(), reference.summary()
+    assert summary == expected or repr(summary) == repr(expected)  # NaN != NaN
+    got, want = merged.percentile(q), reference.percentile(q)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    if all(type(value) is int for value in values + more):
+        assert merged.samples.typecode == "q"
+
+
+def test_histogram_takes_an_int_past_63_bits_as_a_float():
+    histogram = _filled([1, 2**70, 3])
+    assert list(histogram.samples) == [1.0, float(2**70), 3.0]
+    assert histogram.max() == 2**70
+
+
+def test_histogram_keeps_eight_bytes_per_observation():
+    histogram = Histogram("net.latency")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(100_000):
+            histogram.observe(index * 1e-6)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert histogram.count == 100_000 and retained < 2**20
 
 
 def test_timeseries_rate():

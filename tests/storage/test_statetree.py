@@ -1,5 +1,6 @@
 """Unit and property tests for the versioned state tree."""
 
+import tracemalloc
 from hashlib import sha256
 
 import pytest
@@ -397,6 +398,37 @@ def test_sibling_forks_rebuild_on_a_tag_miss():
     child.set("key0", "back")
     assert child.root() == oracle_root(child)
     assert child.last_root_leaves_encoded == 1
+
+
+def test_forks_share_the_digest_list_until_a_root_writes():
+    """``fork()`` hands the cached digests over by reference; the first
+    ``root()`` that changes one copies the list, on whichever side."""
+    parent = StateTree()
+    for i in range(500):
+        parent.set(f"key{i}", i)
+    parent_root = parent.root()
+    kept = list(parent._digests)
+    child, sibling = parent.fork(), parent.fork()
+    assert child._digests is sibling._digests is parent._digests
+    child.set("key0", "child")
+    assert child.root() == oracle_root(child) != parent_root
+    assert child._digests is not parent._digests
+    assert parent._digests is sibling._digests and parent._digests == kept
+    assert parent.root() == sibling.root() == parent_root  # nothing dirty: no copy either
+    assert parent._digests is sibling._digests
+    # The parent writing after a fork leaves its forks' view alone too.
+    parent.set("key1", "parent")
+    assert parent.root() == oracle_root(parent) != parent_root
+    assert sibling._digests == kept and sibling.root() == parent_root == oracle_root(sibling)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forks = [sibling.fork() for _ in range(64)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / len(forks) < 512  # nothing proportional to n_buckets (256 x 8 B)
 
 
 def test_roots_across_many_forks_and_compactions():

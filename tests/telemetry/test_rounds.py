@@ -89,10 +89,10 @@ def test_round_duration_and_per_height_histograms():
     _feed(tracer, "round_start", 1.0, height=2, round=0, quorum=3, total=4)
     _feed(tracer, "round_skip", 3.5, height=2, round=2, quorum=3, total=4)
     duration = sim.metrics.histogram(f"consensus.round.{SUBNET}.duration")
-    assert duration.samples == [2.5]
+    assert list(duration.samples) == [2.5]
     _feed(tracer, "commit", 4.0, height=2, round=2)
     per_height = sim.metrics.histogram(f"consensus.round.{SUBNET}.per_height")
-    assert per_height.samples == [3]  # rounds are 0-based: r2 = 3 rounds
+    assert list(per_height.samples) == [3]  # rounds are 0-based: r2 = 3 rounds
     assert sim.metrics.counter(f"consensus.round.{SUBNET}.skips").value == 1
 
 
