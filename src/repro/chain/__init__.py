@@ -7,7 +7,7 @@ and reorgs (needed by the PoW engine), a nonce-ordered message pool, and
 stateless block validation rules.
 """
 
-from repro.chain.block import BlockHeader, FullBlock, ZERO_CID
+from repro.chain.block import BlockHeader, FullBlock, HeaderOnly, ZERO_CID
 from repro.chain.chainstore import ChainStore
 from repro.chain.message_pool import MessagePool
 from repro.chain.validation import ValidationError, validate_block_shape
@@ -16,6 +16,7 @@ from repro.chain.genesis import GenesisParams, build_genesis
 __all__ = [
     "BlockHeader",
     "FullBlock",
+    "HeaderOnly",
     "ZERO_CID",
     "ChainStore",
     "MessagePool",

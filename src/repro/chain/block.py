@@ -56,6 +56,26 @@ class BlockHeader:
 
 
 @dataclass(frozen=True, slots=True)
+class HeaderOnly:
+    """What a store keeps of a block below its horizon: the header alone.
+
+    Deliberately *not* a :class:`FullBlock` with empty payloads — it has no
+    ``messages`` / ``cross_messages`` attribute at all, so a reader that
+    scans bodies past the horizon fails loudly instead of under-counting.
+    """
+
+    header: BlockHeader
+
+    @property
+    def cid(self) -> CID:
+        return self.header.cid
+
+    @property
+    def height(self) -> int:
+        return self.header.height
+
+
+@dataclass(frozen=True, slots=True)
 class FullBlock:
     """A header plus its message payloads.
 

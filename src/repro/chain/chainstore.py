@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from repro.crypto.cid import CID
-from repro.chain.block import FullBlock, ZERO_CID
+from repro.chain.block import BlockHeader, FullBlock, HeaderOnly, ZERO_CID
 
 
 class ChainStore:
@@ -17,24 +17,36 @@ class ChainStore:
     head so chain watchers (mempool, checkpointing, cross-msg pool) can
     react.
 
-    ``state_snapshots`` optionally caches the flattened VM state after each
-    block, enabling cheap head switches for fork-capable engines; entries
-    older than ``prune_depth`` below the head are discarded.
+    One horizon, ``prune_depth`` below the head, bounds what a block costs
+    to remember.  At or above it (:attr:`floor`) a block keeps its payload,
+    its fork-choice weight and (``put_state``) its post-state; below it a
+    block — canonical or fork — is a :class:`HeaderOnly`, so every
+    header-level query (``block_at_height``, ``ancestors``,
+    ``canonical_chain``, ``is_canonical``, ``is_extension``,
+    ``fork_count``) answers as if nothing had been dropped, while reading
+    a forgotten body raises ``AttributeError``.  History below the horizon
+    is final for this store: a block arriving there is kept as a header
+    and is never a head candidate.  An owner that must stay able to serve
+    some block (the last one its parent has checkpointed) sets
+    :attr:`hold` to that height, and the floor does not pass it.
     """
 
     def __init__(self, prune_depth: int = 64) -> None:
-        self._blocks: dict[CID, FullBlock] = {}
+        self._blocks: dict[CID, FullBlock | HeaderOnly] = {}
         self._weights: dict[CID, int] = {}
         self._head: Optional[CID] = None
         self._genesis: Optional[CID] = None
         self.prune_depth = prune_depth
         self._state_snapshots: dict[CID, dict] = {}
-        # Every stored block (forks too) by height, and the lowest height
-        # that may still hold a snapshot: pruning visits only the heights
-        # the horizon crossed since the last head change.
+        # Blocks that still have a body (forks too) by height, and the
+        # lowest such height: pruning visits only the heights the horizon
+        # crossed since the last head change.
         self._by_height: dict[int, list[CID]] = {}
-        self._snapshot_floor = 0
+        self._floor = 0
+        self._base = 0  # height of the lowest header held (see adopt)
+        self.hold: Optional[int] = None
         self._reorg_listeners: list[Callable[[Optional[CID], CID], None]] = []
+        self._forget_listeners: list[Callable[[CID], None]] = []
         # canonical height index, rebuilt lazily after reorgs
         self._canonical: dict[int, CID] = {}
 
@@ -58,10 +70,20 @@ class ChainStore:
         head = self.head
         return head.height if head else -1
 
-    def get(self, cid: CID) -> FullBlock:
+    @property
+    def floor(self) -> int:
+        """Lowest height whose blocks still carry their bodies."""
+        return self._floor
+
+    @property
+    def base(self) -> int:
+        """Height of the lowest header held: 0, or the adopted snapshot's."""
+        return self._base
+
+    def get(self, cid: CID) -> FullBlock | HeaderOnly:
         return self._blocks[cid]
 
-    def get_optional(self, cid: CID) -> Optional[FullBlock]:
+    def get_optional(self, cid: CID) -> Optional[FullBlock | HeaderOnly]:
         return self._blocks.get(cid)
 
     def has(self, cid: CID) -> bool:
@@ -70,13 +92,13 @@ class ChainStore:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def block_at_height(self, height: int) -> Optional[FullBlock]:
+    def block_at_height(self, height: int) -> Optional[FullBlock | HeaderOnly]:
         """Canonical-chain block at *height* (walks back from the head)."""
         cid = self._canonical.get(height)
         return self._blocks.get(cid) if cid else None
 
-    def ancestors(self, cid: CID) -> Iterator[FullBlock]:
-        """Yield the chain from *cid* back to genesis (inclusive)."""
+    def ancestors(self, cid: CID) -> Iterator[FullBlock | HeaderOnly]:
+        """Yield the chain from *cid* back to the lowest block held."""
         current = cid
         while current != ZERO_CID:
             block = self._blocks.get(current)
@@ -86,7 +108,7 @@ class ChainStore:
             current = block.header.parent
 
     def canonical_chain(self) -> list:
-        """The canonical chain, genesis first."""
+        """The canonical chain, lowest block held first."""
         if self._head is None:
             return []
         chain = list(self.ancestors(self._head))
@@ -120,13 +142,13 @@ class ChainStore:
         elif parent not in self._blocks:
             raise KeyError(f"orphan block: parent {parent.short()} unknown")
         self._blocks[cid] = block
+        if block.height < self._floor:
+            # A fork block arriving below the horizon: counted, not kept.
+            self._forget(cid)
+            return False
         parent_weight = self._weights.get(parent, 0)
         self._weights[cid] = parent_weight + 1 if weight is None else weight
         self._by_height.setdefault(block.height, []).append(cid)
-        if block.height < self._snapshot_floor:
-            # A fork block from below the horizon, arriving late: its
-            # snapshot goes at the next head change like any other.
-            self._snapshot_floor = block.height
 
         if self._head is None or self._weights[cid] > self._weights[self._head]:
             old_head = self._head
@@ -137,7 +159,7 @@ class ChainStore:
                 self._canonical[block.height] = cid
             else:
                 self._rebuild_canonical()
-            self._prune_snapshots()
+            self._prune()
             for listener in self._reorg_listeners:
                 listener(old_head, cid)
             return True
@@ -156,15 +178,60 @@ class ChainStore:
         """True when *new_head* is a descendant of *old_head* (no reorg)."""
         if old_head is None:
             return True
+        old = self._blocks.get(old_head)
+        if old is None:
+            return False  # not a block of this store (dropped by adopt)
         for block in self.ancestors(new_head):
             if block.cid == old_head:
                 return True
-            if block.height <= self._blocks[old_head].height:
+            if block.height <= old.height:
                 break
         return False
 
     # ------------------------------------------------------------------
-    # State snapshots (for fork-capable engines)
+    # The horizon
+    # ------------------------------------------------------------------
+    def on_forget(self, listener: Callable[[CID], None]) -> None:
+        """Register ``listener(cid)``, called as a block drops to its header."""
+        self._forget_listeners.append(listener)
+
+    def _forget(self, cid: CID) -> None:
+        self._blocks[cid] = HeaderOnly(self._blocks[cid].header)
+        self._weights.pop(cid, None)
+        self._state_snapshots.pop(cid, None)
+        for listener in self._forget_listeners:
+            listener(cid)
+
+    def _prune(self) -> None:
+        horizon = self._blocks[self._head].height - self.prune_depth
+        if self.hold is not None:
+            horizon = min(horizon, self.hold)
+        for height in range(self._floor, horizon):
+            for cid in self._by_height.pop(height, ()):
+                self._forget(cid)
+        self._floor = max(self._floor, horizon)
+
+    def adopt(self, header: BlockHeader) -> None:
+        """Restart the store at *header*, a block whose post-state the
+        caller has verified against a source it trusts.
+
+        Everything held before is dropped: it cannot be connected to the
+        new floor, and what lies below a floor is final.  The header is
+        the new head and the lowest block held; its weight is what the
+        default rule (parent + 1 from a genesis of 1) gives its height.
+        """
+        cid = header.cid
+        self._blocks = {cid: HeaderOnly(header)}
+        self._weights = {cid: header.height + 1}
+        self._state_snapshots = {}
+        self._by_height = {}
+        self._canonical = {header.height: cid}
+        self._head = cid
+        self._base = header.height
+        self._floor = header.height + 1
+
+    # ------------------------------------------------------------------
+    # Post-states (validating off any block above the horizon)
     # ------------------------------------------------------------------
     def put_state(self, cid: CID, state: object) -> None:
         """Store the post-state of block *cid*.
@@ -172,24 +239,15 @@ class ChainStore:
         The store is agnostic to the snapshot representation; the runtime
         passes frozen :class:`~repro.storage.statetree.StateTree` forks, so
         a snapshot costs O(delta) and shares structure with its neighbours.
-        Pruning drops a fork's reference; deltas no longer reachable from
-        any retained fork are reclaimed (the trees compact their shared
-        chains as they grow).
+        The horizon drops a fork's reference; deltas no longer reachable
+        from any retained fork are reclaimed (the trees compact their
+        shared chains as they grow).
         """
         self._state_snapshots[cid] = state
 
     def get_state(self, cid: CID) -> Optional[object]:
         """The stored post-state of block *cid*, or None if pruned."""
         return self._state_snapshots.get(cid)
-
-    def _prune_snapshots(self) -> None:
-        if self._head is None:
-            return
-        horizon = self._blocks[self._head].height - self.prune_depth
-        for height in range(self._snapshot_floor, horizon):
-            for cid in self._by_height.get(height, ()):
-                self._state_snapshots.pop(cid, None)
-        self._snapshot_floor = max(self._snapshot_floor, horizon)
 
     # ------------------------------------------------------------------
     # Fork metrics

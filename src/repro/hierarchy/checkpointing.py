@@ -100,6 +100,11 @@ class CheckpointService:
             self._last_processed_window = next_window
             self._sign_and_gossip(next_window, checkpoint)
 
+    def resume_after(self, window: int) -> None:
+        """Restart at an adopted state whose anchor is *window*'s ``proof``:
+        the parent already holds every window up to it."""
+        self._last_processed_window = max(self._last_processed_window, window)
+
     def _sign_and_gossip(self, window: int, checkpoint: Checkpoint) -> None:
         self._checkpoints[window] = checkpoint
         # Replay signatures that arrived before we processed the seal —

@@ -136,6 +136,14 @@ class CrossMsgPool:
         for nonce in [n for n in self._bu_metas if n < bu_applied]:
             del self._bu_metas[nonce]
 
+    def resume_from(self, vm) -> None:
+        """Restart at an adopted state: nothing *vm* has applied is pending,
+        and the bottom-up scan need not revisit what it queued."""
+        self.prune_applied(vm)
+        self._bu_scanned = max(
+            self._bu_scanned, vm.state.get(_sca_key("bu_applied_nonce"), 0)
+        )
+
     @property
     def pending_topdown(self) -> int:
         return len(self._topdown)

@@ -32,6 +32,7 @@ genuinely injected — the firewall bound enforced in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Optional
 
 from repro.crypto.cid import CID
@@ -48,6 +49,13 @@ SCA_ADDRESS = Address.actor(64)
 STATUS_ACTIVE = "active"
 STATUS_INACTIVE = "inactive"
 STATUS_KILLED = "killed"
+
+
+@lru_cache(maxsize=1024)
+def _parsed_subnet(path: str) -> SubnetID:
+    """``SubnetID(path)``, validated once per distinct stored string (an SCA
+    reads its own ``self_id`` on nearly every call; SubnetIDs are immutable)."""
+    return SubnetID(path)
 
 
 class SubnetCoordinatorActor(Actor):
@@ -82,7 +90,7 @@ class SubnetCoordinatorActor(Actor):
     # Internal helpers
     # ==================================================================
     def _self_id(self, ctx) -> SubnetID:
-        return SubnetID(ctx.state_get("self_id"))
+        return _parsed_subnet(ctx.state_get("self_id"))
 
     def _child_key(self, path: str) -> str:
         return f"child/{path}"

@@ -165,25 +165,23 @@ class CheckpointLightClient:
 
 
 def follow_parent_chain(parent_node, sa_addr: Address, subnet, policy, validators) -> CheckpointLightClient:
-    """Build a light client by scanning a parent node's canonical chain for
-    ``submit_checkpoint`` transactions to the subnet's SA.
+    """Build a light client from the checkpoints the subnet's SA holds in a
+    parent node's state (``ckpt_history/<window>``, every window the SA ever
+    accepted) — which survive the parent pruning the blocks that carried them.
 
-    This is exactly what a light client does against the parent: read
-    committed transactions, verify everything locally.
+    This is what a light client does against the parent: read what is
+    committed there, verify everything locally — the SA's acceptance is not
+    taken on trust.
     """
     client = CheckpointLightClient(subnet, policy, validators)
-    for block in parent_node.store.canonical_chain():
-        for signed_msg in block.messages:
-            message = signed_msg.message
-            if message.to_addr != sa_addr or message.method != "submit_checkpoint":
-                continue
-            signed_ckpt = (message.params or {}).get("signed")
-            if signed_ckpt is None:
-                continue
-            try:
-                client.observe(signed_ckpt)
-            except VerificationError:
-                # Failed submissions also land in blocks (the SA rejected
-                # them); the light client skips what it cannot verify.
-                continue
+    state = parent_node.vm.state
+    last_window = state.get(f"actor/{sa_addr.raw}/last_ckpt_window", -1)
+    for window in range(last_window + 1):
+        signed_ckpt = state.get(f"actor/{sa_addr.raw}/ckpt_history/{window}")
+        if signed_ckpt is None:
+            continue  # windows may be skipped; the SA only requires them to advance
+        try:
+            client.observe(signed_ckpt)
+        except VerificationError:
+            continue  # the light client skips what it cannot verify
     return client

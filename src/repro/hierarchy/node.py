@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.crypto.cid import CID
 from repro.crypto.keys import Address
+from repro.chain.block import ZERO_CID
 from repro.chain.validation import ValidationError
 from repro.hierarchy.checkpointing import CheckpointConfig, CheckpointService
 from repro.hierarchy.crossmsg import ApplyBottomUp, ApplyTopDown
@@ -104,6 +105,44 @@ class SubnetNode(NodeRuntime):
         self.crosspool.prune_applied(self.vm)
         if self.checkpoints is not None:
             self.checkpoints.on_block(block)
+            if block.height % self.checkpoint_period == 0:
+                # Forget nothing the parent has not checkpointed: the anchor
+                # a peer behind our floor will ask for stays servable.  Read
+                # once a window; a stale hold only keeps a little more.
+                checkpoint = self._parent_checkpoint()
+                self.store.hold = -1 if checkpoint is None else checkpoint.epoch - 1
+
+    # ------------------------------------------------------------------
+    # Snapshot sync: the parent names the anchor (§III-B)
+    # ------------------------------------------------------------------
+    def _parent_checkpoint(self):
+        """This subnet's last checkpoint as the parent's SA holds it."""
+        sa_key = f"actor/{self.checkpoints.config.sa_addr}"
+        state = self.parent_node.vm.state
+        window = state.get(f"{sa_key}/last_ckpt_window", -1)
+        signed = state.get(f"{sa_key}/ckpt_history/{window}")
+        return None if signed is None else signed.checkpoint
+
+    def snapshot_anchor(self) -> Optional[CID]:
+        """``proof`` of this subnet's last checkpoint in the parent — the
+        child block the parent chain commits to.  While the parent holds no
+        checkpoint yet that is a CID no header has; the rootnet has no
+        parent to ask (None)."""
+        if self.checkpoints is None:
+            return None
+        checkpoint = self._parent_checkpoint()
+        return ZERO_CID if checkpoint is None else checkpoint.proof
+
+    def adopt_snapshot(self, header, items) -> bool:
+        if not super().adopt_snapshot(header, items):
+            return False
+        # The services that follow the chain by cursor restart at the floor.
+        self.crosspool.resume_from(self.vm)
+        if self.checkpoints is not None:
+            self.checkpoints.resume_after(
+                (header.height + 1) // self.checkpoint_period - 1
+            )
+        return True
 
     # ------------------------------------------------------------------
     # Pubsub routing (checkpoint traffic shares the subnet topic)

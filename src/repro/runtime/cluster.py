@@ -111,11 +111,19 @@ class ValidatorCluster:
             node.stop()
 
     def replay_chain(self, source: NodeRuntime) -> None:
-        """Sync every node from *source*'s canonical chain (state handoff)."""
-        blocks = source.store.canonical_chain()[1:]
+        """Sync every node from *source*'s canonical chain (state handoff).
+
+        The ladder a restarted node climbs, minus the network and with
+        *source* trusted: its blocks from the node's head on, or — when
+        those start below *source*'s floor — its snapshot and the tail.
+        """
         for node in self.nodes:
-            for block in blocks:
+            if node.head().height + 1 < source.store.floor:
+                node.adopt_snapshot(*source.snapshot_at(node.snapshot_anchor()))
+            tail = source.blocks_in_range(node.head().height + 1, source.head().height)
+            for block in tail:
                 node.receive_block(block, final=True)
+            node.committed_txs = source.committed_txs  # same chain, same count
 
     # ------------------------------------------------------------------
     # Inspection / measurement
@@ -136,4 +144,4 @@ class ValidatorCluster:
 
     def committed_tx_count(self) -> int:
         """User transactions on the primary's canonical chain."""
-        return sum(len(b.messages) for b in self.primary.store.canonical_chain())
+        return self.primary.committed_txs

@@ -25,6 +25,8 @@ from repro.chain.validation import ValidationError, validate_block_shape
 from repro.consensus.base import ConsensusParams, ValidatorSet, make_engine
 from repro.net.gossip import GossipNetwork, PubsubEnvelope
 from repro.sim.observe import BlockCommitted, ChainReorg
+from repro.storage.backend import MemoryBackend
+from repro.storage.statetree import StateTree
 from repro.vm.builtin.reward import REWARD_ACTOR_ADDRESS
 from repro.vm.message import SignedMessage
 from repro.vm.vm import SYSTEM_ADDRESS, VM
@@ -35,8 +37,15 @@ def subnet_topic(subnet_id: str) -> str:
     return f"subnet:{subnet_id}"
 
 
-#: The one RPC endpoint a node serves: canonical-chain blocks in [start, end].
+#: The RPC endpoints a node serves: canonical-chain blocks in [start, end],
+#: and — for a requester further behind than this node's floor — the header
+#: and flat state at a block the requester can check against its parent.
 BLOCK_RANGE_RPC = "chain:blocks"
+SNAPSHOT_RPC = "chain:snapshot"
+
+
+class BelowFloor(LookupError):
+    """A range request reached below the bodies the serving node still holds."""
 
 
 class NodeRuntime:
@@ -79,11 +88,15 @@ class NodeRuntime:
         self._assembled: dict[CID, tuple[VM, tuple]] = {}
         self._commit_listeners: list[Callable[[FullBlock], None]] = []
         self._restart_epoch = 0  # invalidates pending restart resumes
-        self._notified: set[CID] = {genesis_block.cid}  # blocks already announced
-        # Protocol events (receipt events) per executed-but-not-yet-committed
-        # block, kept only while a commit-time observer (span tracer or
-        # invariant monitor) is installed on the simulator.
+        # Blocks already announced, and the protocol events (receipt events)
+        # of executed-but-not-yet-announced ones — the latter kept only while
+        # a commit-time observer (span tracer or invariant monitor) is
+        # installed on the simulator.  Both forget a block when the store does.
+        self._notified: set[CID] = {genesis_block.cid}
         self._block_events: dict[CID, tuple] = {}
+        self.store.on_forget(self._forget_block)
+        #: User transactions on this node's canonical chain, counted at commit.
+        self.committed_txs = 0
 
         self.engine = make_engine(sim, self, validators, consensus_params)
         # State snapshots are kept for every engine (pruned by depth): even
@@ -94,10 +107,12 @@ class NodeRuntime:
 
         self.topic = subnet_topic(subnet_id)
         gossip.subscribe(node_id, self.topic, self._on_pubsub)
-        # Direct block-range sync for peers that fall further behind than
-        # gossip's IHAVE history window covers (e.g. a long outage).
+        # Direct sync for peers that fall further behind than gossip's IHAVE
+        # history window covers: a block range, or past the server's floor a
+        # snapshot.  One request in flight at a time.
         self._sync_inflight = False
         gossip.rpc.expose(node_id, BLOCK_RANGE_RPC, self._serve_block_range)
+        gossip.rpc.expose(node_id, SNAPSHOT_RPC, self._serve_snapshot)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -198,20 +213,23 @@ class NodeRuntime:
         return self.store.head
 
     # ------------------------------------------------------------------
-    # Direct block sync (RPC; for gaps beyond gossip's IHAVE history)
+    # Direct sync (RPC; for gaps beyond gossip's IHAVE history).  The rungs
+    # above gossip and IWANT: ``chain:blocks`` while the gap lies above the
+    # server's floor, ``chain:snapshot`` + the tail once it does not.
     # ------------------------------------------------------------------
-    _SYNC_BATCH_LIMIT = 256
-
     def _serve_block_range(self, caller: str, params) -> list:
         """RPC ``chain:blocks``: canonical-chain blocks in [start, end]."""
         if not self.engine.running:
             raise RuntimeError("node not serving")  # down/syncing nodes abstain
-        start, end = params
-        head = self.store.head
-        end = min(end, head.height)
-        start = max(start, 0, end - self._SYNC_BATCH_LIMIT + 1)
+        return self.blocks_in_range(*params)
+
+    def blocks_in_range(self, start: int, end: int) -> list:
+        """Canonical blocks [start, min(end, head)] — all of them, or
+        :class:`BelowFloor`: a range is never served short."""
+        if start < self.store.floor:
+            raise BelowFloor(f"bodies start at {self.store.floor}, asked for {start}")
         blocks: list[FullBlock] = []
-        cursor: Optional[FullBlock] = head
+        cursor = self.store.head
         while cursor is not None and cursor.height >= start:
             if cursor.height <= end:
                 blocks.append(cursor)
@@ -224,7 +242,9 @@ class NodeRuntime:
 
         Used when a commit certificate proves a future block but the
         ancestors are no longer advertisable over gossip.  One request in
-        flight at a time; the parked orphan cascade applies the rest.
+        flight at a time; the parked orphan cascade applies the rest.  A
+        peer whose floor lies above *start* says so, and the request moves
+        to :meth:`request_snapshot`.
         """
         if self._sync_inflight or end < start or peer == self.node_id:
             return False
@@ -232,7 +252,11 @@ class NodeRuntime:
 
         def _on_blocks(result, error) -> None:
             self._sync_inflight = False
-            if error is not None or not result:
+            if error is not None and error.startswith(BelowFloor.__name__):
+                self.request_snapshot(peer, end)
+                return
+            # A list that does not begin where we asked cannot connect.
+            if error is not None or not result or result[0].height != start:
                 self.sim.metrics.counter("chain.*.sync_failed", self.subnet_id).inc()
                 return
             self.sim.metrics.counter("chain.*.sync_blocks", self.subnet_id).inc(
@@ -247,6 +271,127 @@ class NodeRuntime:
 
         self.gossip.rpc.call(
             self.node_id, peer, BLOCK_RANGE_RPC, (start, end), _on_blocks
+        )
+        return True
+
+    # -- snapshot sync --------------------------------------------------
+    def snapshot_anchor(self) -> Optional[CID]:
+        """The block a snapshot must be taken at, as someone this node
+        trusts more than the serving peer names it.  The base chain has
+        nobody above it (None: its validator set vouches instead); the
+        hierarchy node reads its parent."""
+        return None
+
+    def _serve_snapshot(self, caller: str, anchor: Optional[CID]) -> tuple:
+        """RPC ``chain:snapshot``: see :meth:`snapshot_at`."""
+        if not self.engine.running:
+            raise RuntimeError("node not serving")
+        return self.snapshot_at(anchor)
+
+    def snapshot_at(self, anchor: Optional[CID]) -> tuple:
+        """``(header, flat state)`` at block *anchor*; without one,
+        at the block this node reports final: the last final height that is
+        a multiple of half the horizon, so validators a block or two apart
+        name the same header."""
+        if anchor is None:
+            lag = self.engine.params.finality_depth if self.engine.SUPPORTS_FORKS else 0
+            final = self.store.height - lag
+            block = self.store.block_at_height(final - final % (self.store.prune_depth // 2))
+        else:
+            block = self.store.get_optional(anchor)
+        state = None if block is None else self._state_at(block.cid)
+        if state is None:
+            raise LookupError("no state held at the anchor")
+        return block.header, state.flatten()
+
+    def request_snapshot(self, peer: str, tail_end: int) -> bool:
+        """The last rung: adopt the state at the anchor, then range-sync
+        (anchor, *tail_end*] from *peer*.
+
+        With a parent, *peer* alone is asked, for the block the parent's
+        checkpoint names; without one, every other validator is asked for
+        the header it reports final.  The first reply whose header is
+        trusted (:meth:`_anchor_trusted`) and whose state checks out
+        (:meth:`adopt_snapshot`) is adopted; the rest are ignored.
+        """
+        if self._sync_inflight:
+            return False
+        anchor = self.snapshot_anchor()
+        if anchor is not None:
+            servers = [peer]
+        else:
+            servers = [
+                v.node_id for v in self.validators.validators if v.node_id != self.node_id
+            ]
+        if not servers:
+            return False
+        self._sync_inflight = True
+        pending = len(servers)
+        adopted = False
+        vouchers: dict[CID, list[str]] = {}  # header -> the servers that served it
+
+        def _on_reply(server: str, result, error) -> None:
+            nonlocal pending, adopted
+            pending -= 1
+            if adopted:
+                return
+            if error is None:
+                header, items = result
+                vouchers.setdefault(header.cid, []).append(server)
+                if self._anchor_trusted(header, vouchers[header.cid]) and (
+                    self.adopt_snapshot(header, items)
+                ):
+                    adopted = True
+                    self._sync_inflight = False
+                    self._retry_orphans(header.cid, self.engine.INSTANT_FINALITY)
+                    self.request_block_range(peer, self.head().height + 1, tail_end)
+                    return
+            if pending == 0:
+                self._sync_inflight = False
+                self.sim.metrics.counter("chain.*.sync_failed", self.subnet_id).inc()
+
+        for server in servers:
+            self.gossip.rpc.call(
+                self.node_id, server, SNAPSHOT_RPC, anchor,
+                lambda result, error, server=server: _on_reply(server, result, error),
+            )
+        return True
+
+    def _anchor_trusted(self, header: BlockHeader, served_by: list) -> bool:
+        """Is *header* a block to restart from?  With a parent: only if it
+        is what the parent's checkpoint names *now* — a checkpoint
+        superseded while the reply was in flight is stale.  Without one:
+        once the servers that reported it hold a majority of the validator
+        set's power."""
+        proof = self.snapshot_anchor()
+        if proof is not None:
+            return header.cid == proof
+        return 2 * self.validators.power_of(served_by) > self.validators.total_power
+
+    def adopt_snapshot(self, header: BlockHeader, items: dict) -> bool:
+        """Make *header* and the state *items* this node's floor — if the
+        state, rebuilt from nothing, has the root the header commits to.
+
+        Whether *header* itself is to be believed is the caller's question
+        (:meth:`request_snapshot`); this answers whether *items* is the
+        state it names.
+        """
+        ahead = header.subnet_id == self.subnet_id and header.height > self.store.height
+        tree = StateTree(backend=MemoryBackend(items))
+        if not ahead or tree.root() != header.state_root:
+            self.sim.metrics.counter("chain.*.snapshot_refused", self.subnet_id).inc()
+            self.sim.trace.emit("snapshot.refused", self.subnet_id, header.cid.short())
+            return False
+        self.store.adopt(header)
+        self.vm = self._vm_from_state(tree)
+        self.vm.epoch = header.height
+        self._notified = {header.cid}
+        self._block_events.clear()
+        self._assembled.clear()
+        self.mempool.drop_stale(self.vm.nonce_of)
+        self.sim.metrics.counter("chain.*.snapshot_adopted", self.subnet_id).inc()
+        self.sim.trace.emit(
+            "snapshot.adopted", self.subnet_id, f"h={header.height}", header.cid.short()
         )
         return True
 
@@ -375,11 +520,8 @@ class NodeRuntime:
 
         self.store.put_state(block.cid, scratch.state.fork())
         if self.sim.observed(BlockCommitted):
+            # A fork that is never announced leaves with its block.
             self._block_events[block.cid] = tuple(events)
-            # Forked/orphaned blocks are never announced, so cap the buffer
-            # rather than letting dead entries accumulate forever.
-            while len(self._block_events) > 4096:
-                self._block_events.pop(next(iter(self._block_events)))
 
         old_head = self.store.head_cid
         head_changed = self.store.add_block(block)
@@ -416,8 +558,9 @@ class NodeRuntime:
         # receive no "un-commit" signal; fork-capable engines therefore act
         # only on finalized depths).
         added: list[FullBlock] = []
+        floor = self.store.floor  # below it nothing is left to announce
         for block in self.store.ancestors(new_head):
-            if block.cid in self._notified:
+            if block.cid in self._notified or block.height < floor:
                 break
             added.append(block)
         added.reverse()
@@ -426,6 +569,7 @@ class NodeRuntime:
         now, metrics = self.sim.now, self.sim.metrics
         for block in added:
             self.mempool.remove_included(block.messages)
+            self.committed_txs += len(block.messages)
             metrics.timeseries("chain.*.txs", self.subnet_id).record(now, len(block.messages))
             metrics.timeseries("chain.*.blocks", self.subnet_id).record(now, 1)
             self.sim.trace.emit(
@@ -438,6 +582,10 @@ class NodeRuntime:
             for listener in self._commit_listeners:
                 listener(block)
         self.mempool.drop_stale(self.vm.nonce_of)
+
+    def _forget_block(self, cid: CID) -> None:
+        self._notified.discard(cid)
+        self._block_events.pop(cid, None)
 
     def on_commit(self, listener: Callable[[FullBlock], None]) -> None:
         """Register a callback fired for every newly canonical block."""

@@ -1,7 +1,7 @@
 """The canonical scenario library (E12's campaign corpus).
 
-Fourteen scenarios: nine honest-fault cases that must ride out their
-faults ``safe``, and five adversarial cases that must trip *exactly* the
+Fifteen scenarios: eleven honest-fault cases that must ride out their
+faults ``safe``, and four adversarial cases that must trip *exactly* the
 auditor their attack targets.  Every entry is a **factory** — faults are
 stateful, so each run builds fresh objects.
 
@@ -21,6 +21,10 @@ Honest corpus:
 - ``leader_crash`` — validator 0 crashes and restarts; PoA skips its
   slots;
 - ``validator_churn`` — rolling crash/restart churn;
+- ``long_outage`` — a validator stays down for more than ``prune_depth``
+  blocks under load; its peers have dropped the bodies it lacks, so it
+  adopts the state at the checkpoint its parent holds and range-syncs
+  the tail;
 - ``crossmsg_spam`` — a cross-msg flood toward the rootnet (legitimate
   value flow, so the books stay balanced);
 - ``equivocating_checkpointer`` — one validator signs conflicting
@@ -212,6 +216,27 @@ def validator_churn() -> Scenario:
     )
 
 
+def long_outage() -> Scenario:
+    """The one scenario on the far side of the sync ladder's last choice.
+
+    Three of four PoA validators keep three blocks a second going for
+    30 s: about 90 blocks, past the 64-block horizon, so ``chain:blocks``
+    is refused (``BelowFloor``) and only ``chain:snapshot`` closes the gap.
+    """
+    return Scenario(
+        name="long-outage",
+        description="one validator is down for more than prune_depth "
+        "blocks under load and recovers from the checkpoint its parent holds",
+        topology=_topology(validators=4),
+        workload=_payments(),
+        faults=[
+            CrashFault(Trigger(at=3.0, duration=30.0), SUBNET, select="minority"),
+        ],
+        duration=45.0,
+        expect=Expectation.safe(),
+    )
+
+
 def crossmsg_spam() -> Scenario:
     return Scenario(
         name="crossmsg-spam",
@@ -325,6 +350,7 @@ CANONICAL = (
     latency_spike,
     leader_crash,
     validator_churn,
+    long_outage,
     crossmsg_spam,
     equivocating_checkpointer,
     checkpoint_withholding,
@@ -333,10 +359,12 @@ CANONICAL = (
     engine_swap,
 )
 
-#: The PR-gating subset: one honest control, one honest fault, two attacks.
+#: The PR-gating subset: one honest control, two honest faults (one inside
+#: the sync horizon, one past it), two attacks.
 SMOKE = (
     baseline_healthy,
     partition_minority,
+    long_outage,
     checkpoint_withholding,
     forged_extraction,
 )

@@ -109,7 +109,9 @@ METRIC_CATALOG: dict = {
     "chain.*.reorg.depth": ("summary", "depth of applied reorgs"),
     "chain.*.state_mismatch": ("counter", "blocks rejected on state-root mismatch"),
     "chain.*.sync_blocks": ("counter", "blocks applied via range sync"),
-    "chain.*.sync_failed": ("counter", "failed block-range sync attempts"),
+    "chain.*.sync_failed": ("counter", "failed range or snapshot sync attempts"),
+    "chain.*.snapshot_adopted": ("counter", "snapshots adopted as the chain's floor"),
+    "chain.*.snapshot_refused": ("counter", "served snapshots that failed verification"),
     # state
     "state.root.buckets_rehashed": ("gauge", "buckets rehashed by the last incremental root"),
     "state.root.leaves_encoded": ("gauge", "leaves re-encoded by the last incremental root"),

@@ -529,7 +529,9 @@ class FinalityAuditor(Auditor):
             return
         final_height = store.height - self._finality_lag(node)
         key = (node.subnet_id, node.node_id)
-        height = self._checked.get(key, 0) + 1  # genesis is trivially agreed
+        # Genesis is trivially agreed; a node that adopted a snapshot holds
+        # nothing below its base, and is audited from there on.
+        height = max(self._checked.get(key, 0) + 1, store.base)
         while height <= final_height:
             final_block = store.block_at_height(height)
             if final_block is None:

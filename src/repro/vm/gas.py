@@ -9,6 +9,7 @@ subnets are rewarded with fees for the transactions executed in the subnet"
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto.encoding import canonical_encode
 
@@ -46,13 +47,19 @@ class GasTracker:
         self.schedule = schedule
         self.used = 0
 
-    def charge(self, amount: int, reason: str = "") -> None:
-        """Consume *amount* gas; raises :class:`OutOfGas` past the limit."""
+    def charge(self, amount: int, reason: str = "", subject: Optional[str] = None) -> None:
+        """Consume *amount* gas; raises :class:`OutOfGas` past the limit.
+
+        *reason* (a verb) and *subject* (what it acted on) are only put
+        together when the limit is hit — state access charges on every
+        read and write, and the text is read on none of them.
+        """
         if amount < 0:
             raise ValueError("gas charge cannot be negative")
         self.used += amount
         if self.used > self.limit:
-            raise OutOfGas(f"gas limit {self.limit} exceeded ({reason or 'charge'})")
+            what = (reason or "charge") if subject is None else f"{reason} {subject}"
+            raise OutOfGas(f"gas limit {self.limit} exceeded ({what})")
 
     @property
     def remaining(self) -> int:

@@ -56,23 +56,23 @@ class InvocationContext:
         return f"actor/{self.actor_addr.raw}/{key}"
 
     def state_get(self, key: str, default: Any = None) -> Any:
-        self.gas.charge(self._vm.gas_schedule.state_read, f"read {key}")
+        self.gas.charge(self._vm.gas_schedule.state_read, "read", key)
         return self._vm.state.get(self._scoped(key), default)
 
     def state_set(self, key: str, value: Any) -> None:
-        self.gas.charge(self._vm.gas_schedule.state_write, f"write {key}")
+        self.gas.charge(self._vm.gas_schedule.state_write, "write", key)
         self._vm.state.set(self._scoped(key), value)
 
     def state_delete(self, key: str) -> None:
-        self.gas.charge(self._vm.gas_schedule.state_write, f"delete {key}")
+        self.gas.charge(self._vm.gas_schedule.state_write, "delete", key)
         self._vm.state.delete(self._scoped(key))
 
     def state_has(self, key: str) -> bool:
-        self.gas.charge(self._vm.gas_schedule.state_read, f"has {key}")
+        self.gas.charge(self._vm.gas_schedule.state_read, "has", key)
         return self._vm.state.has(self._scoped(key))
 
     def state_keys(self, prefix: str = "") -> list:
-        self.gas.charge(self._vm.gas_schedule.state_read, f"list {prefix}")
+        self.gas.charge(self._vm.gas_schedule.state_read, "list", prefix)
         scope = self._scoped(prefix)
         strip = len(self._scoped(""))
         return [k[strip:] for k in self._vm.state.keys(scope)]
@@ -132,7 +132,7 @@ class InvocationContext:
             raise ActorError(
                 ExitCode.USR_FORBIDDEN, "caller impersonation is system-only"
             )
-        self.gas.charge(self._vm.gas_schedule.nested_send, f"send {method}")
+        self.gas.charge(self._vm.gas_schedule.nested_send, "send", method)
         return self._vm.internal_send(self, to, method, params, value, caller=caller)
 
     def create_actor(self, addr: Address, code: str, params: Optional[dict] = None) -> None:

@@ -65,12 +65,14 @@ def _range_requests(cluster):
 def test_gap_is_fetched_once_from_the_sender_and_the_cascade_lands(
     make_cluster, engine
 ):
+    # 10 s keeps Mir (6 blocks a second here) inside the 64-block horizon:
+    # past it the gap is a snapshot's to close, not one range request's.
     cluster, straggler, by_height = _straggler_and_published(
-        make_cluster, engine, run_for=12.0
+        make_cluster, engine, run_for=10.0
     )
     assert not straggler.engine.running and straggler.head().height == 0
     height = max(by_height)
-    assert height >= 4
+    assert 4 <= height < straggler.store.prune_depth
     kind, payload, sender = by_height[height]
     block = _block_of(payload)
     requests = _range_requests(cluster)

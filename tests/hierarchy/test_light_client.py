@@ -177,3 +177,47 @@ def test_follow_parent_chain_end_to_end():
     # The light-client head matches the SCA's recorded last checkpoint.
     record = system.child_record(ROOTNET, subnet)
     assert client.head.checkpoint.cid.hex() == record["last_ckpt_cid"]
+
+
+def test_follow_parent_chain_survives_the_parent_pruning_its_blocks():
+    """The client is read from what the SA holds, not from block bodies: a
+    parent that has dropped the blocks carrying the submissions yields the
+    same verified chain as scanning every ``submit_checkpoint`` transaction
+    as it commits.  Mutant: a reader that walks the parent's bodies (it
+    raises on the first header-only block — or, were a forgotten body an
+    empty one, silently returns a shorter chain)."""
+    from repro.chain.block import HeaderOnly
+    from repro.hierarchy import HierarchicalSystem, SubnetConfig
+
+    system = HierarchicalSystem(
+        seed=95, root_validators=3, root_block_time=0.5, checkpoint_period=4,
+    ).start()
+    root = system.node(ROOTNET)
+    root.store.prune_depth = 8
+    subnet = system.spawn_subnet(
+        SubnetConfig(name="watched3", validators=3, block_time=0.25,
+                     checkpoint_period=4, policy=SignaturePolicy("multisig", 2))
+    )
+    sa_addr = system.sa_address(subnet)
+    policy = SignaturePolicy("multisig", 2)
+    validators = [w.address for w in system.validator_wallets(subnet)]
+    by_scan = CheckpointLightClient(subnet, policy, validators)
+
+    def scan(block):  # what the body-walking reader saw, taken at commit
+        for signed in block.messages:
+            message = signed.message
+            if message.to_addr == sa_addr and message.method == "submit_checkpoint":
+                try:
+                    by_scan.observe(message.params["signed"])
+                except VerificationError:
+                    pass
+
+    root.on_commit(scan)
+    system.run_for(15.0)
+    assert isinstance(root.store.block_at_height(root.store.floor - 1), HeaderOnly)
+    client = follow_parent_chain(root, sa_addr, subnet, policy, validators)
+    assert len(client.chain) >= 2
+    assert [v.checkpoint.cid for v in client.chain] == [
+        v.checkpoint.cid for v in by_scan.chain
+    ]
+    assert [v.signers for v in client.chain] == [v.signers for v in by_scan.chain]

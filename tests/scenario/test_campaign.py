@@ -145,7 +145,7 @@ def test_library_registry_names_and_lookup():
     from repro.scenario import library
 
     names = library.names()
-    assert len(names) == len(library.CANONICAL) == 14
+    assert len(names) == len(library.CANONICAL) == 15
     assert "baseline-healthy" in names
     assert "round-desync" in names
     assert library.get("baseline-healthy")().name == "baseline-healthy"

@@ -56,7 +56,7 @@ def test_expectation_refuses_an_auditor_no_monitor_arms(build):
 def test_every_library_scenario_still_constructs():
     from repro.scenario import library
 
-    assert len([library.get(name)() for name in library.names()]) == 14
+    assert len([library.get(name)() for name in library.names()]) == 15
 
 
 # ----------------------------------------------------------------------

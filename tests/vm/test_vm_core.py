@@ -139,6 +139,26 @@ def test_out_of_gas_reverts(vm, alice, bob):
     assert vm.balance_of(bob) == 0
 
 
+def test_out_of_gas_names_the_charge_that_hit_the_limit():
+    """The reason is put together only on the raise, and reads as it did
+    when every charge formatted it: ``(verb subject)``, ``(verb)`` without
+    a subject, ``(charge)`` without either.  Catches a mutant that drops
+    the subject, or that formats ``None`` into the text."""
+    from repro.vm.gas import GasSchedule, GasTracker, OutOfGas
+
+    def text(*reason) -> str:
+        with pytest.raises(OutOfGas) as raised:
+            GasTracker(limit=4, schedule=GasSchedule()).charge(5, *reason)
+        return str(raised.value)
+
+    assert text("read", "actor/f064/self_id") == (
+        "gas limit 4 exceeded (read actor/f064/self_id)"
+    )
+    assert text("list", "") == "gas limit 4 exceeded (list )"
+    assert text("transfer") == "gas limit 4 exceeded (transfer)"
+    assert text() == "gas limit 4 exceeded (charge)"
+
+
 def test_implicit_message_skips_nonce(vm, alice):
     vm.mint(SYSTEM_ADDRESS, 100)
     receipt = vm.apply_implicit(SYSTEM_ADDRESS, alice, "send", value=25)
