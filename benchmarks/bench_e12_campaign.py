@@ -2,10 +2,10 @@
 
 The robustness counterpart to the performance experiments: the canonical
 scenario library (repro.scenario.library) drives the full instrumented
-system through honest faults (partitions, loss, latency, crash/churn,
-spam, sub-quorum equivocation) and through the paper's attacks
-(checkpoint withholding + forged epoch regression, the §II forged
-extraction, deep reorgs, a rogue engine swap).  Every honest scenario
+system through honest faults (partitions, loss, latency, crash/churn, a
+past-the-horizon outage, spam, sub-quorum equivocation) and through the
+paper's attacks (checkpoint withholding + forged epoch regression, the
+§II forged extraction, deep reorgs, a rogue engine swap).  Every honest scenario
 must classify ``clean``; every attack must trip *exactly* the auditor it
 targets (``expected-violation``).
 
@@ -15,7 +15,7 @@ UNEXPECTED, dump a postmortem bundle, and ``python -m
 repro.scenario.report`` must exit non-zero on its campaign file — proof
 the nightly pipeline would actually page on a novel violation.
 
-Expected shape: 13/13 library verdicts correct; the drill produces ≥1
+Expected shape: 15/15 library verdicts correct; the drill produces ≥1
 bundle and a failing triage exit code; whole thing in well under a
 minute of wall time.
 """

@@ -16,7 +16,7 @@ constant signature/commit/application tail.
 
 import pytest
 
-from repro.hierarchy import ROOTNET, SCA_ADDRESS
+from repro.hierarchy import ROOTNET
 
 from common import (
     build_hierarchy,
@@ -54,8 +54,9 @@ def _measure_offsets():
         system.cross_send(sender, subnet, ROOTNET, sink.address, 100)
 
         # (a) wait until the window that accepted the msg is sealed.
-        seal_key = f"actor/{SCA_ADDRESS.raw}/ckpt/{window}"
-        system.wait_for(lambda: node.vm.state.get(seal_key) is not None, timeout=60.0)
+        system.wait_for(
+            lambda: system.sca_state(subnet, f"ckpt/{window}") is not None, timeout=60.0
+        )
         seal_wait = system.sim.now - submit_time
         # (b) end-to-end until the value lands on the parent.
         system.wait_for(

@@ -63,7 +63,7 @@ def main() -> None:
     print(f"verified checkpoint chain length: {len(client.chain)}")
     print(f"latest proven subnet chain commitment: {client.latest_proof.short()}")
     print(f"trust weight behind the head checkpoint: "
-          f"{client.trust_weight} validator signatures (policy needs 2)")
+          f"{client.trust_weight} validator signatures (policy needs {policy.quorum})")
     # The light client can certify that the merchant's payment batch was
     # genuinely emitted by the subnet.
     for verified in client.chain:

@@ -46,25 +46,30 @@ def aggregate(signatures: Iterable[Signature]) -> MultiSignature:
     return MultiSignature(signatures=ordered)
 
 
+def valid_signers(
+    signatures: Iterable[Signature], message: Any, authorized: Iterable[Address]
+) -> set:
+    """The authorised addresses that validly signed *message*.
+
+    Signatures from unauthorised addresses are ignored rather than causing
+    rejection — a quorum of honest signatures should not be invalidated by
+    appended junk.
+    """
+    allowed = set(authorized)
+    return {
+        signature.signer
+        for signature in signatures
+        if signature.signer in allowed and verify(signature, message)
+    }
+
+
 def verify_multisig(
     multisig: MultiSignature,
     message: Any,
     authorized: Sequence[Address],
     threshold: int,
 ) -> bool:
-    """Check that at least *threshold* authorised signers validly signed.
-
-    Signatures from unauthorised addresses are ignored rather than causing
-    rejection — a quorum of honest signatures should not be invalidated by
-    appended junk.
-    """
+    """Check that at least *threshold* authorised signers validly signed."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    allowed = set(authorized)
-    valid_signers = set()
-    for signature in multisig.signatures:
-        if signature.signer not in allowed:
-            continue
-        if verify(signature, message):
-            valid_signers.add(signature.signer)
-    return len(valid_signers) >= threshold
+    return len(valid_signers(multisig.signatures, message, authorized)) >= threshold

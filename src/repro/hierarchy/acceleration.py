@@ -35,7 +35,7 @@ from repro.crypto.cid import CID
 from repro.crypto.keys import Address
 from repro.crypto.signature import Signature, sign, verify
 from repro.hierarchy.crossmsg import ApplyBottomUp, ApplyTopDown, CrossMsg
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import sca_key
 from repro.hierarchy.subnet_id import SubnetID
 from repro.net.gossip import PubsubEnvelope
 
@@ -106,10 +106,10 @@ class AccelerationService:
         for w in (window - 1, window):
             if w < 0:
                 continue
-            count = state.get(f"actor/{SCA_ADDRESS.raw}/out_count/{w}", 0)
+            count = state.get(sca_key(f"out_count/{w}"), 0)
             start = self._scanned.get(w, 0)
             for seq in range(start, count):
-                message: CrossMsg = state.get(f"actor/{SCA_ADDRESS.raw}/out/{w}/{seq}")
+                message: CrossMsg = state.get(sca_key(f"out/{w}/{seq}"))
                 if message is None:
                     continue
                 certificate = PendingCertificate.create(self.node.keypair, message, w)

@@ -103,14 +103,11 @@ class AtomicExecutionClient:
 
     def _all_locked(self) -> bool:
         for party in self.parties:
-            state = self.system.node(party.subnet).vm.state
             for asset in party.assets:
-                record = state.get(f"actor/{SCA_ADDRESS.raw}/asset/{asset}")
+                record = self.system.sca_state(party.subnet, f"asset/{asset}")
                 if record is None or record["locked_by"] != self.exec_id:
                     return False
-        if self.system.sca_state(self.lca, f"atomic/{self.exec_id}") is None:
-            return False
-        return True
+        return self.system.sca_state(self.lca, f"atomic/{self.exec_id}") is not None
 
     # ------------------------------------------------------------------
     # Phase 2: off-chain execution
@@ -126,9 +123,8 @@ class AtomicExecutionClient:
         """
         inputs = {}
         for party in self.parties:
-            state = self.system.node(party.subnet).vm.state
             for asset in party.assets:
-                record = state.get(f"actor/{SCA_ADDRESS.raw}/asset/{asset}")
+                record = self.system.sca_state(party.subnet, f"asset/{asset}")
                 inputs[asset] = {
                     "owner": record["owner"],
                     "subnet": party.subnet.path,
@@ -183,11 +179,10 @@ class AtomicExecutionClient:
 
     def applied_everywhere(self) -> bool:
         """True once every party subnet has applied the result."""
-        for party in self.parties:
-            state = self.system.node(party.subnet).vm.state
-            if state.get(f"actor/{SCA_ADDRESS.raw}/atomic_result/{self.exec_id}") is None:
-                return False
-        return True
+        return all(
+            self.system.sca_state(party.subnet, f"atomic_result/{self.exec_id}") is not None
+            for party in self.parties
+        )
 
     def wait_terminated(self, timeout: float = 120.0) -> bool:
         return self.system.wait_for(self.applied_everywhere, timeout=timeout)

@@ -24,15 +24,15 @@ also sign a forged conflicting checkpoint (the attack E8 measures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto.cid import CID, cid_of
-from repro.crypto.signature import Signature, sign
-from repro.crypto.threshold import ThresholdScheme
+from repro.crypto.keys import Address
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint
-from repro.hierarchy.gateway import SCA_ADDRESS
-from repro.hierarchy.subnet_actor import SignaturePolicy, threshold_scheme_for
+from repro.hierarchy.gateway import sca_key
+from repro.hierarchy.subnet_actor import SignaturePolicy, last_committed_window
 from repro.hierarchy.wallet import Wallet
 from repro.sim.observe import CheckpointSubmitted
 
@@ -44,9 +44,8 @@ class CheckpointConfig:
     period: int  # blocks per checkpoint window
     policy: SignaturePolicy
     sa_addr: str  # the SA's address on the parent chain
-    validator_index: int  # this validator's position in the sorted set
+    validator_index: int  # position in the sorted set; share index - 1
     validator_count: int
-    threshold_share_index: int = 0  # 1-based share index for threshold policy
     submit_fallback_delay: float = 10.0  # seconds before backups also submit
     # How long the designated submitter waits for stragglers before
     # submitting a partial (but still quorum-satisfying) signature set.
@@ -57,25 +56,38 @@ class CheckpointConfig:
     submit_grace_delay: float = 2.0
 
 
-def _sca_key(key: str) -> str:
-    return f"actor/{SCA_ADDRESS.raw}/{key}"
+@dataclass
+class _WindowBook:
+    """What one validator knows about one checkpoint window."""
+
+    genuine: Optional[Checkpoint] = None  # what this chain sealed, once final
+    # ckpt cid hex -> {"sigs": {signer id -> signature/partial}, "body": Checkpoint?}
+    # for every checkpoint anyone signed: a second complete one is equivocation.
+    seen: dict = field(default_factory=dict)
+    submitted: bool = False
+    fraud_reported: bool = False
+
+    def entry(self, ckpt_cid: CID) -> dict:
+        return self.seen.setdefault(ckpt_cid.hex(), {"sigs": {}, "body": None})
+
+    @property
+    def signatures(self) -> dict:
+        """Contributions over the genuine checkpoint, in arrival order."""
+        return self.entry(self.genuine.cid)["sigs"]
 
 
 class CheckpointService:
-    """Drives a subnet validator's checkpoint duties."""
+    """Drives the checkpoint duties of a subnet validator (one that has a
+    parent: the rootnet runs none)."""
 
     def __init__(self, sim, node, config: CheckpointConfig) -> None:
         self.sim = sim
         self.node = node
         self.config = config
         self.wallet = Wallet(node.keypair)
-        self._signatures: dict[int, dict] = {}  # window -> {signer -> sig/partial}
-        self._checkpoints: dict[int, Checkpoint] = {}
-        self._submitted: set[int] = set()
-        self._fraud_reported: set[int] = set()
+        # window -> what we hold for it (created on first mention)
+        self._books: defaultdict[int, _WindowBook] = defaultdict(_WindowBook)
         self._last_processed_window = -1
-        # window -> {ckpt_cid_hex -> signatures} for equivocation detection
-        self._seen_by_window: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # Block-driven progress
@@ -94,7 +106,7 @@ class CheckpointService:
             seal_height = (next_window + 1) * self.config.period
             if seal_height > final_height:
                 break
-            checkpoint = self.node.vm.state.get(_sca_key(f"ckpt/{next_window}"))
+            checkpoint = self.node.vm.state.get(sca_key(f"ckpt/{next_window}"))
             if checkpoint is None:
                 break  # not sealed yet (chain shorter than expected)
             self._last_processed_window = next_window
@@ -105,13 +117,19 @@ class CheckpointService:
         the parent already holds every window up to it."""
         self._last_processed_window = max(self._last_processed_window, window)
 
+    def forget_below(self, window: int) -> None:
+        """The parent holds *window*: drop the books of every earlier one.
+        *window* itself and anything newer stay, so a late conflicting
+        signature can still become a fraud proof."""
+        for stale in [w for w in self._books if w < window]:
+            del self._books[stale]
+
     def _sign_and_gossip(self, window: int, checkpoint: Checkpoint) -> None:
-        self._checkpoints[window] = checkpoint
-        # Replay signatures that arrived before we processed the seal —
-        # gossip can outrun a node's own block pipeline.
-        stashed = self._seen_by_window.get(window, {}).get(checkpoint.cid.hex())
-        if stashed:
-            self._signatures.setdefault(window, {}).update(stashed["sigs"])
+        # Signatures that arrived before we processed the seal — gossip can
+        # outrun a node's own block pipeline — are already in the book.
+        book = self._books[window]
+        book.genuine = checkpoint
+        book.entry(checkpoint.cid)["body"] = checkpoint
         payload = checkpoint.cid.hex()
         signature = self._produce_signature(payload)
         if signature is None:
@@ -153,8 +171,9 @@ class CheckpointService:
             # the submitted bundle never depends on delivery tie order.
             self.sim.schedule(
                 self.config.submit_grace_delay,
-                self._grace_submit,
+                self._maybe_submit,
                 window,
+                True,
                 label="ckpt:grace",
             )
         self._maybe_submit(window)
@@ -162,13 +181,9 @@ class CheckpointService:
     def _produce_signature(self, payload: str):
         if self.node.is_byzantine("withhold_checkpoint_sig"):
             return None
-        if self.config.policy.kind == "threshold":
-            scheme = threshold_scheme_for(f"tss:{self.node.subnet_id}")
-            if scheme is None:
-                return None
-            share = scheme.share_for(self.config.threshold_share_index)
-            return ThresholdScheme.partial_sign(share, payload)
-        return sign(self.node.keypair, payload)
+        return self.config.policy.sign(
+            self.node.keypair, self.config.validator_index + 1, self.node.subnet_id, payload
+        )
 
     # ------------------------------------------------------------------
     # Signature aggregation
@@ -182,45 +197,18 @@ class CheckpointService:
             self._maybe_submit(window)
         elif kind == "ckpt:body":
             window, checkpoint = payload
-            by_cid = self._seen_by_window.setdefault(window, {})
-            entry = by_cid.setdefault(checkpoint.cid.hex(), {"sigs": {}, "body": None})
-            entry["body"] = checkpoint
+            self._books[window].entry(checkpoint.cid)["body"] = checkpoint
             self._check_equivocation(window)
 
     def _record_signature(self, window: int, ckpt_cid: CID, signer_id: str, signature) -> None:
-        if signature is None:
-            return
-        book = self._signatures.setdefault(window, {})
-        genuine = self._checkpoints.get(window)
-        if genuine is not None and ckpt_cid == genuine.cid:
-            book[signer_id] = signature
-        by_cid = self._seen_by_window.setdefault(window, {})
-        entry = by_cid.setdefault(ckpt_cid.hex(), {"sigs": {}, "body": None})
-        entry["sigs"][signer_id] = signature
-        if genuine is not None and ckpt_cid == genuine.cid:
-            entry["body"] = genuine
+        if signature is not None:
+            self._books[window].entry(ckpt_cid)["sigs"][signer_id] = signature
 
-    def _quorum(self) -> int:
-        policy = self.config.policy
-        if policy.kind == "single":
-            return 1
-        return policy.threshold
-
-    def _bundle(self, window: int):
-        """The policy-appropriate signature bundle, or None below quorum."""
-        book = self._signatures.get(window, {})
-        if len(book) < self._quorum():
-            return None
-        if self.config.policy.kind == "threshold":
-            scheme = threshold_scheme_for(f"tss:{self.node.subnet_id}")
-            if scheme is None:
-                return None
-            checkpoint = self._checkpoints[window]
-            try:
-                return scheme.combine(list(book.values()), checkpoint.cid.hex())
-            except ValueError:
-                return None
-        return tuple(sorted(book.values(), key=lambda s: s.signer))
+    def _bundle(self, checkpoint: Checkpoint, contributions: dict):
+        """The policy's signature bundle over *checkpoint*, or None below quorum."""
+        return self.config.policy.bundle(
+            contributions.values(), self.node.subnet_id, checkpoint.cid.hex()
+        )
 
     # ------------------------------------------------------------------
     # Submission to the parent
@@ -228,28 +216,19 @@ class CheckpointService:
     def _is_designated_submitter(self, window: int) -> bool:
         return window % self.config.validator_count == self.config.validator_index
 
-    def _maybe_submit(self, window: int) -> None:
-        if window in self._submitted or window not in self._checkpoints:
-            return
-        if not self._is_designated_submitter(window):
-            return
+    def _maybe_submit(self, window: int, grace_over: bool = False) -> None:
         # Only the *complete* signature set is submitted eagerly.  A partial
         # set that merely satisfies quorum would depend on which deliveries
         # happened to fire first among same-timestamp events — a tie-order
         # race (caught by ``Simulator(tie_shuffle=...)``).  Incomplete sets
         # wait for the deterministic grace deadline instead.
-        book = self._signatures.get(window, {})
-        if len(book) < self.config.validator_count:
-            return
-        self._try_submit(window)
-
-    def _grace_submit(self, window: int) -> None:
-        """Grace deadline: submit the (now stable) quorum-satisfying set."""
-        if window in self._submitted or window not in self._checkpoints:
+        book = self._books.get(window)
+        if book is None or book.genuine is None or book.submitted:
             return
         if not self._is_designated_submitter(window):
             return
-        self._try_submit(window)
+        if grace_over or len(book.signatures) >= self.config.validator_count:
+            self._try_submit(window, book)
 
     def _fallback_submit(self, window: int, attempt: int = 0) -> None:
         """Backup path: while the parent still lacks this window, (re)submit.
@@ -258,15 +237,13 @@ class CheckpointService:
         (e.g. a predecessor window landed late): the SA's recorded window is
         the ground truth, so we keep retrying with backoff until it shows.
         """
-        if self.node.parent_node is None or attempt > 10:
+        book = self._books.get(window)  # gone: the parent holds a later one
+        if attempt > 10 or book is None:
             return
-        sa_state = self.node.parent_node.vm.state.get(
-            f"actor/{self.config.sa_addr}/last_ckpt_window", -1
-        )
-        if sa_state >= window:
-            self._submitted.add(window)
+        if last_committed_window(self.node.parent_node.vm.state, self.config.sa_addr) >= window:
+            book.submitted = True
             return
-        self._try_submit(window)
+        self._try_submit(window, book)
         self.sim.schedule(
             self.config.submit_fallback_delay,
             self._fallback_submit,
@@ -275,23 +252,21 @@ class CheckpointService:
             label="ckpt:fallback",
         )
 
-    def _try_submit(self, window: int) -> None:
-        if self.node.parent_node is None or self.node.is_byzantine("withhold_checkpoint"):
+    def _try_submit(self, window: int, book: _WindowBook) -> None:
+        if self.node.is_byzantine("withhold_checkpoint"):
             return
-        bundle = self._bundle(window)
+        checkpoint = book.genuine
+        bundle = self._bundle(checkpoint, book.signatures)
         if bundle is None:
             return
-        checkpoint = self._checkpoints[window]
         signed = SignedCheckpoint(checkpoint=checkpoint, signatures=bundle)
-        from repro.crypto.keys import Address
-
         self.wallet.send(
             self.node.parent_node,
             Address(self.config.sa_addr),
             method="submit_checkpoint",
             params={"signed": signed},
         )
-        self._submitted.add(window)
+        book.submitted = True
         self.sim.metrics.counter("checkpoint.*.submitted", self.node.subnet_id).inc()
         self.sim.trace.emit(
             "checkpoint.submit", str(self.node.subnet_id),
@@ -308,9 +283,7 @@ class CheckpointService:
         The final destination applies the messages, and for path messages
         the parent (as LCA or relay hop) applies them first — push to both.
         """
-        resolution = getattr(self.node, "resolution", None)
-        if resolution is None:
-            return
+        resolution = self.node.resolution
         parent = self.node.subnet.parent()
         for meta in checkpoint.cross_meta:
             messages = resolution.resolve_local(meta.msgs_cid)
@@ -325,42 +298,34 @@ class CheckpointService:
     # ------------------------------------------------------------------
     def _check_equivocation(self, window: int) -> None:
         """Two policy-signed conflicting checkpoints → submit a fraud proof."""
-        if window in self._fraud_reported or self.node.parent_node is None:
+        book = self._books[window]
+        if book.fraud_reported or len(book.seen) < 2:
             return
-        if self.config.policy.kind == "threshold":
-            return  # combining partials for a forged cid needs k colluders
-        by_cid = self._seen_by_window.get(window, {})
         # Sort by checkpoint CID so the proof pair (and its order inside the
         # fraud-proof transaction) is independent of gossip arrival order.
-        complete = sorted(
-            (
-                (cid_hex, entry)
-                for cid_hex, entry in by_cid.items()
-                if entry["body"] is not None and len(entry["sigs"]) >= self._quorum()
-            ),
-            key=lambda item: item[0],
-        )
-        if len(complete) < 2:
+        quorum = self.config.policy.quorum
+        complete = [
+            entry
+            for _cid_hex, entry in sorted(book.seen.items())
+            if entry["body"] is not None and len(entry["sigs"]) >= quorum
+        ]
+        if len(complete) < 2 or complete[0]["body"].prev != complete[1]["body"].prev:
             return
-        first, second = complete[0][1], complete[1][1]
-        if first["body"].prev != second["body"].prev:
-            return
-        self._fraud_reported.add(window)
-        from repro.crypto.keys import Address
-
-        proof_a = SignedCheckpoint(
-            checkpoint=first["body"],
-            signatures=tuple(sorted(first["sigs"].values(), key=lambda s: s.signer)),
-        )
-        proof_b = SignedCheckpoint(
-            checkpoint=second["body"],
-            signatures=tuple(sorted(second["sigs"].values(), key=lambda s: s.signer)),
-        )
+        proofs = [
+            SignedCheckpoint(
+                checkpoint=entry["body"],
+                signatures=self._bundle(entry["body"], entry["sigs"]),
+            )
+            for entry in complete[:2]
+        ]
+        if any(proof.signatures is None for proof in proofs):
+            return  # shares that do not combine attribute nothing
+        book.fraud_reported = True
         self.wallet.send(
             self.node.parent_node,
             Address(self.config.sa_addr),
             method="submit_fraud_proof",
-            params={"first": proof_a, "second": proof_b},
+            params={"first": proofs[0], "second": proofs[1]},
         )
         self.sim.metrics.counter("checkpoint.*.fraud_proofs", self.node.subnet_id).inc()
         self.sim.trace.emit("checkpoint.fraud_proof", str(self.node.subnet_id), f"window={window}")

@@ -21,17 +21,11 @@ SCA's total order).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hierarchy.crossmsg import ApplyBottomUp, ApplyTopDown, CrossMsg
 from repro.hierarchy.checkpoint import CrossMsgMeta
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import sca_key
 from repro.hierarchy.resolution import ResolutionService
 from repro.hierarchy.subnet_id import SubnetID
-
-
-def _sca_key(key: str) -> str:
-    return f"actor/{SCA_ADDRESS.raw}/{key}"
 
 
 class CrossMsgPool:
@@ -70,7 +64,7 @@ class CrossMsgPool:
         state = self.parent_node.vm.state
         found = 0
         while True:
-            key = _sca_key(f"td_msg/{self.subnet_id.path}/{self._td_scanned}")
+            key = sca_key(f"td_msg/{self.subnet_id.path}/{self._td_scanned}")
             message = state.get(key)
             if message is None:
                 break
@@ -87,7 +81,7 @@ class CrossMsgPool:
         state = node.vm.state
         found = 0
         while True:
-            entry = state.get(_sca_key(f"bu_meta/{self._bu_scanned}"))
+            entry = state.get(sca_key(f"bu_meta/{self._bu_scanned}"))
             if entry is None:
                 break
             meta: CrossMsgMeta = entry["meta"]
@@ -111,11 +105,11 @@ class CrossMsgPool:
         runs starting there.
         """
         selected = []
-        td_next = scratch_vm.state.get(_sca_key("td_applied_nonce"), 0)
+        td_next = scratch_vm.state.get(sca_key("td_applied_nonce"), 0)
         while td_next in self._topdown and len(selected) < self.max_per_block:
             selected.append(ApplyTopDown(message=self._topdown[td_next], nonce=td_next))
             td_next += 1
-        bu_next = scratch_vm.state.get(_sca_key("bu_applied_nonce"), 0)
+        bu_next = scratch_vm.state.get(sca_key("bu_applied_nonce"), 0)
         while bu_next in self._bu_metas and len(selected) < self.max_per_block:
             meta = self._bu_metas[bu_next]
             messages = self.resolution.resolve_local(meta.msgs_cid)
@@ -129,10 +123,10 @@ class CrossMsgPool:
 
     def prune_applied(self, vm) -> None:
         """Drop entries the chain has already applied (post-commit)."""
-        td_applied = vm.state.get(_sca_key("td_applied_nonce"), 0)
+        td_applied = vm.state.get(sca_key("td_applied_nonce"), 0)
         for nonce in [n for n in self._topdown if n < td_applied]:
             del self._topdown[nonce]
-        bu_applied = vm.state.get(_sca_key("bu_applied_nonce"), 0)
+        bu_applied = vm.state.get(sca_key("bu_applied_nonce"), 0)
         for nonce in [n for n in self._bu_metas if n < bu_applied]:
             del self._bu_metas[nonce]
 
@@ -141,13 +135,10 @@ class CrossMsgPool:
         and the bottom-up scan need not revisit what it queued."""
         self.prune_applied(vm)
         self._bu_scanned = max(
-            self._bu_scanned, vm.state.get(_sca_key("bu_applied_nonce"), 0)
+            self._bu_scanned, vm.state.get(sca_key("bu_applied_nonce"), 0)
         )
 
     @property
-    def pending_topdown(self) -> int:
-        return len(self._topdown)
-
-    @property
-    def pending_bottomup(self) -> int:
-        return len(self._bu_metas)
+    def pending(self) -> int:
+        """Cached entries, both directions, not yet applied by the chain."""
+        return len(self._topdown) + len(self._bu_metas)

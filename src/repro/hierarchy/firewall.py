@@ -8,8 +8,10 @@ transactions leaving the subnet."
 
 Two tools here:
 
-- :func:`audit_system` checks the supply invariants across a running
-  :class:`~repro.hierarchy.network.HierarchicalSystem`;
+- :func:`books_findings` holds the supply rules over one SCA's books, and
+  :func:`audit_system` runs them across a
+  :class:`~repro.hierarchy.network.HierarchicalSystem` (the live
+  ``SupplyAuditor`` runs the same function as the chain grows);
 - :class:`CompromisedSubnet` mounts the §II attack: validators of a subnet
   (whose keys the adversary holds) forge a checkpoint claiming arbitrary
   bottom-up value and submit it with genuine policy signatures.  E6
@@ -19,43 +21,23 @@ Two tools here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator
 
-from repro.crypto.cid import cid_of
+from repro.crypto.cid import CID, cid_of
 from repro.crypto.keys import Address
 from repro.crypto.signature import sign
 from repro.hierarchy.checkpoint import Checkpoint, CrossMsgMeta, SignedCheckpoint
 from repro.hierarchy.crossmsg import CrossMsg
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import SCA_ADDRESS, child_records
+from repro.hierarchy.subnet_actor import last_committed_window
 from repro.hierarchy.subnet_id import SubnetID
 from repro.hierarchy.wallet import Wallet
-from repro.vm.vm import BURN_ADDRESS
-
-
-@dataclass
-class SubnetSupply:
-    """One subnet's supply picture from its parent's books and its own VM."""
-
-    subnet: str
-    collateral: int = 0
-    circulating_at_parent: int = 0
-    injected_total: int = 0
-    released_total: int = 0
-    minted_in_subnet: int = 0
-    burned_in_subnet: int = 0
-    frozen_pool_at_parent: int = 0
-    status: str = "?"
-
-    @property
-    def net_minted(self) -> int:
-        return self.minted_in_subnet - self.burned_in_subnet
 
 
 @dataclass
 class SupplyAudit:
     """Outcome of :func:`audit_system`."""
 
-    subnets: dict = field(default_factory=dict)  # path -> SubnetSupply
     violations: list = field(default_factory=list)
 
     @property
@@ -63,71 +45,69 @@ class SupplyAudit:
         return not self.violations
 
 
-def audit_system(system) -> SupplyAudit:
-    """Check the hierarchy-wide supply invariants.
+def books_findings(
+    pool: int, children: Iterable[tuple[str, dict]], system=None
+) -> Iterator[tuple[tuple, str]]:
+    """What is wrong with one SCA's books, as ``(rule key, description)``.
 
-    For every subnet P with children C₁…Cₙ:
+    *pool* is the SCA's balance — the frozen funds — and *children* its
+    child records (:func:`~repro.hierarchy.gateway.child_records`).  For
+    every child Cᵢ:
 
-    1. **Frozen-pool solvency**: SCA_P's balance ≥ Σ collateral(Cᵢ) +
-       Σ circulating(Cᵢ).  Every promised release is backed by frozen funds.
-    2. **Cumulative firewall bound**: released_total(Cᵢ) ≤
+    1. **Cumulative firewall bound**: released_total(Cᵢ) ≤
        injected_total(Cᵢ) — no child subtree has ever extracted more value
-       from P than was genuinely injected into it (the §II bound).
-    3. **Ledger consistency**: circulating = injected − released, ≥ 0.
-    4. **Child mint bound**: tokens minted inside Cᵢ's chain ≤
-       injected_total(Cᵢ) — a subnet chain only materialises value its
-       parent froze for it.  (Relay traffic makes the parent's *circulating*
-       an upper bound rather than an exact mirror of the child's net supply
-       — the paper relays intermediate metas unverified, Fig. 3 — so the
-       sound per-child invariants are the cumulative ones above.)
+       than was genuinely injected into it (the §II bound).
+    2. **Ledger consistency**: circulating = injected − released, ≥ 0.
+    3. **Child mint bound** (needs *system*, to see Cᵢ's chain): tokens
+       minted inside Cᵢ ≤ injected_total(Cᵢ) — a subnet chain only
+       materialises value its parent froze for it.  (Relay traffic makes
+       the parent's *circulating* an upper bound rather than an exact
+       mirror of the child's net supply — the paper relays intermediate
+       metas unverified, Fig. 3 — so the sound per-child invariants are
+       the cumulative ones.)
+
+    and over all of them, **frozen-pool solvency**: pool ≥ Σ collateral(Cᵢ)
+    + Σ circulating(Cᵢ) — every promised release is backed by frozen funds.
     """
+    backing = 0
+    for child_path, record in children:
+        injected = record["injected_total"]
+        released = record["released_total"]
+        circulating = record["circulating"]
+        backing += record["collateral"] + circulating
+        if released > injected:
+            yield ("released>injected", child_path), (
+                f"{child_path}: released {released} exceeds injected "
+                f"{injected} — §II firewall bound breached"
+            )
+        if circulating != injected - released or circulating < 0:
+            yield ("ledger", child_path), (
+                f"{child_path}: circulating {circulating} != injected "
+                f"{injected} - released {released}"
+            )
+        nodes = () if system is None else system.nodes_by_subnet.get(SubnetID(child_path))
+        if nodes:
+            minted = max(node.vm.total_minted for node in nodes)
+            if minted > injected:
+                yield ("mint", child_path), (
+                    f"{child_path}: minted {minted} exceeds injected {injected}"
+                )
+    if pool < backing:
+        yield ("solvency",), (
+            f"SCA pool {pool} cannot back collateral+circulating {backing}"
+        )
+
+
+def audit_system(system) -> SupplyAudit:
+    """Are the books sound?  :func:`books_findings` for every subnet's SCA,
+    each finding prefixed with the subnet whose books they are."""
     audit = SupplyAudit()
     for subnet in system.subnets:
-        parent_node = system.node(subnet)
-        sca_balance = parent_node.vm.balance_of(SCA_ADDRESS)
-        total_backing = 0
-        prefix = f"actor/{SCA_ADDRESS.raw}/child/"
-        for key in parent_node.vm.state.keys(prefix):
-            child_path = key[len(prefix):]
-            record = parent_node.vm.state.get(key)
-            supply = SubnetSupply(
-                subnet=child_path,
-                collateral=record["collateral"],
-                circulating_at_parent=record["circulating"],
-                injected_total=record["injected_total"],
-                released_total=record["released_total"],
-                frozen_pool_at_parent=sca_balance,
-                status=record["status"],
-            )
-            total_backing += record["collateral"] + record["circulating"]
-            if supply.released_total > supply.injected_total:
-                audit.violations.append(
-                    f"{child_path}: released {supply.released_total} exceeds "
-                    f"injected {supply.injected_total} — firewall breached"
-                )
-            if supply.circulating_at_parent != supply.injected_total - supply.released_total:
-                audit.violations.append(
-                    f"{child_path}: circulating {supply.circulating_at_parent} != "
-                    f"injected - released"
-                )
-            if supply.circulating_at_parent < 0:
-                audit.violations.append(f"{child_path}: negative circulating supply")
-            child_id = SubnetID(child_path)
-            if child_id in system.nodes_by_subnet:
-                child_vm = system.node(child_id).vm
-                supply.minted_in_subnet = child_vm.total_minted
-                supply.burned_in_subnet = child_vm.total_burned
-                if supply.minted_in_subnet > supply.injected_total:
-                    audit.violations.append(
-                        f"{child_path}: minted {supply.minted_in_subnet} exceeds "
-                        f"injected {supply.injected_total}"
-                    )
-            audit.subnets[child_path] = supply
-        if sca_balance < total_backing:
-            audit.violations.append(
-                f"{subnet}: SCA pool {sca_balance} cannot back "
-                f"collateral+circulating {total_backing}"
-            )
+        vm = system.node(subnet).vm
+        findings = books_findings(
+            vm.balance_of(SCA_ADDRESS), child_records(vm.state), system
+        )
+        audit.violations.extend(f"{subnet}: {description}" for _, description in findings)
     return audit
 
 
@@ -186,14 +166,9 @@ class CompromisedSubnet:
         )
         msgs_cid = cid_of(forged_messages)
         record = self.system.child_record(self.parent, self.subnet) or {}
-        parent_node = self.system.node(self.parent)
-        last_window = parent_node.vm.state.get(
-            f"actor/{self.sa_addr.raw}/last_ckpt_window", -1
-        )
-        window = last_window + 1 + self._window_bump
+        parent_state = self.system.node(self.parent).vm.state
+        window = last_committed_window(parent_state, self.sa_addr) + 1 + self._window_bump
         self._window_bump += 1
-        from repro.crypto.cid import CID
-
         meta = CrossMsgMeta(
             from_subnet=self.subnet,
             to_subnet=self.parent,
@@ -216,8 +191,7 @@ class CompromisedSubnet:
             epoch=0 if break_epoch else (window + 1) * 10,
         )
         # Genuine quorum signatures — the adversary holds the keys.
-        config = self.system.configs[self.subnet]
-        quorum = 1 if config.policy.kind == "single" else config.policy.threshold
+        quorum = self.system.configs[self.subnet].policy.quorum
         signatures = tuple(
             sign(node.keypair, checkpoint.cid.hex()) for node in self.nodes[:quorum]
         )
@@ -234,6 +208,3 @@ class CompromisedSubnet:
             params={"signed": signed},
         )
         return meta
-
-    def extracted_so_far(self, attacker: Address) -> int:
-        return self.system.balance(self.parent, attacker)

@@ -33,7 +33,7 @@ genuinely injected — the firewall bound enforced in
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.crypto.cid import CID
 from repro.crypto.keys import Address
@@ -43,12 +43,37 @@ from repro.hierarchy.crossmsg import CrossMsg, Direction, batch_cid, classify
 from repro.hierarchy.subnet_id import SubnetID
 from repro.vm.actor import Actor, export
 from repro.vm.exitcode import ExitCode
+from repro.vm.runtime import actor_key
 
 SCA_ADDRESS = Address.actor(64)
+_SCA_SCOPE = actor_key(SCA_ADDRESS, "")
 
 STATUS_ACTIVE = "active"
 STATUS_INACTIVE = "inactive"
 STATUS_KILLED = "killed"
+
+
+def sca_key(key: str) -> str:
+    """Where a subnet's state tree keeps the SCA's *key* — for the readers
+    outside the VM (the pools and services that watch a node's ``vm.state``)."""
+    return _SCA_SCOPE + key
+
+
+def _child_key(path: str) -> str:
+    return f"child/{path}"
+
+
+def child_key(path: str) -> str:
+    """Where a subnet's state tree keeps its SCA's record of child *path*."""
+    return sca_key(_child_key(path))
+
+
+def child_records(state) -> Iterator[tuple[str, dict]]:
+    """``(child path, registry record)`` for every child subnet registered
+    with the SCA whose chain state *state* is, in path order."""
+    prefix = child_key("")
+    for key, record in state.items(prefix):
+        yield key[len(prefix):], record
 
 
 @lru_cache(maxsize=1024)
@@ -92,17 +117,14 @@ class SubnetCoordinatorActor(Actor):
     def _self_id(self, ctx) -> SubnetID:
         return _parsed_subnet(ctx.state_get("self_id"))
 
-    def _child_key(self, path: str) -> str:
-        return f"child/{path}"
-
     def _child(self, ctx, path: str, required: bool = True) -> Optional[dict]:
-        record = ctx.state_get(self._child_key(path))
+        record = ctx.state_get(_child_key(path))
         if record is None and required:
             ctx.abort(ExitCode.USR_NOT_FOUND, f"unknown child subnet {path}")
         return record
 
     def _put_child(self, ctx, path: str, record: dict) -> None:
-        ctx.state_set(self._child_key(path), record)
+        ctx.state_set(_child_key(path), record)
 
     def _require_sa(self, ctx, record: dict, path: str) -> None:
         ctx.require(
@@ -134,7 +156,7 @@ class SubnetCoordinatorActor(Actor):
             f"{subnet_path} is not a direct child of {self_id}",
         )
         ctx.require(
-            ctx.state_get(self._child_key(subnet_path)) is None,
+            ctx.state_get(_child_key(subnet_path)) is None,
             f"{subnet_path} already registered",
             exit_code=ExitCode.USR_ILLEGAL_STATE,
         )

@@ -23,16 +23,14 @@ the ``prev``-linkage of the checkpoint chain, and can then answer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.crypto.cid import CID
 from repro.crypto.keys import Address
-from repro.crypto.signature import verify
-from repro.crypto.threshold import ThresholdSignature
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint, ZERO_CHECKPOINT
 from repro.hierarchy.crossmsg import batch_cid
-from repro.hierarchy.subnet_actor import SignaturePolicy, threshold_scheme_for
+from repro.hierarchy.subnet_actor import SignaturePolicy, committed_checkpoints
 from repro.hierarchy.subnet_id import SubnetID
 
 
@@ -65,40 +63,6 @@ class CheckpointLightClient:
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
-    @property
-    def _expected_prev(self) -> CID:
-        if not self.chain:
-            return ZERO_CHECKPOINT
-        return self.chain[-1].checkpoint.cid
-
-    def _verify_signatures(self, signed: SignedCheckpoint) -> tuple:
-        """Return the verified signer identities, or raise."""
-        payload = signed.checkpoint.cid.hex()
-        if self.policy.kind == "threshold":
-            signature = signed.signatures
-            if not isinstance(signature, ThresholdSignature):
-                raise VerificationError("threshold policy requires a ThresholdSignature")
-            scheme = threshold_scheme_for(f"tss:{self.subnet.path}")
-            if scheme is None or signature.group_id != f"tss:{self.subnet.path}":
-                raise VerificationError("unknown or mismatched threshold group")
-            if not scheme.verify(signature, payload):
-                raise VerificationError("threshold signature invalid")
-            return tuple(signature.participants)
-        signatures = signed.signatures
-        if not isinstance(signatures, tuple):
-            signatures = (signatures,)
-        valid = []
-        allowed = set(self.validators)
-        for signature in signatures:
-            if signature.signer in allowed and verify(signature, payload):
-                valid.append(signature.signer)
-        needed = 1 if self.policy.kind == "single" else self.policy.threshold
-        if len(set(valid)) < needed:
-            raise VerificationError(
-                f"policy needs {needed} validator signatures, got {len(set(valid))}"
-            )
-        return tuple(sorted(set(valid), key=lambda a: a.raw))
-
     def observe(self, signed: SignedCheckpoint) -> VerifiedCheckpoint:
         """Verify and append the next checkpoint of the subnet's chain.
 
@@ -110,15 +74,18 @@ class CheckpointLightClient:
             raise VerificationError(
                 f"checkpoint for {checkpoint.source}, tracking {self.subnet}"
             )
-        if self.chain and checkpoint.cid == self.chain[-1].checkpoint.cid:
-            return self.chain[-1]
-        if checkpoint.prev != self._expected_prev:
+        head = self.head
+        if head is not None and checkpoint.cid == head.checkpoint.cid:
+            return head
+        if checkpoint.prev != (head.checkpoint.cid if head else ZERO_CHECKPOINT):
             raise VerificationError(
                 "checkpoint does not chain from the last verified checkpoint"
             )
-        if self.chain and checkpoint.window <= self.chain[-1].checkpoint.window:
+        if head is not None and checkpoint.window <= head.checkpoint.window:
             raise VerificationError("checkpoint window did not advance")
-        signers = self._verify_signatures(signed)
+        signers = self.policy.signers(signed, self.validators, self.subnet.path)
+        if signers is None:
+            raise VerificationError("checkpoint signatures do not satisfy the policy")
         verified = VerifiedCheckpoint(checkpoint=checkpoint, signers=signers)
         self.chain.append(verified)
         return verified
@@ -174,12 +141,7 @@ def follow_parent_chain(parent_node, sa_addr: Address, subnet, policy, validator
     taken on trust.
     """
     client = CheckpointLightClient(subnet, policy, validators)
-    state = parent_node.vm.state
-    last_window = state.get(f"actor/{sa_addr.raw}/last_ckpt_window", -1)
-    for window in range(last_window + 1):
-        signed_ckpt = state.get(f"actor/{sa_addr.raw}/ckpt_history/{window}")
-        if signed_ckpt is None:
-            continue  # windows may be skipped; the SA only requires them to advance
+    for signed_ckpt in committed_checkpoints(parent_node.vm.state, sa_addr):
         try:
             client.observe(signed_ckpt)
         except VerificationError:

@@ -30,13 +30,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.crypto.keys import Address, KeyPair
-from repro.crypto.threshold import ThresholdScheme
 from repro.consensus.base import ConsensusParams
 from repro.hierarchy.checkpointing import CheckpointConfig
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import SCA_ADDRESS, child_key, child_records, sca_key
 from repro.hierarchy.genesis import hierarchy_registry, subnet_genesis
 from repro.hierarchy.node import SubnetNode
-from repro.hierarchy.subnet_actor import SignaturePolicy, register_threshold_scheme
+from repro.hierarchy.subnet_actor import (
+    SignaturePolicy,
+    last_committed_window,
+    registered_validators,
+)
 from repro.hierarchy.subnet_id import ROOTNET, SubnetID
 from repro.hierarchy.wallet import Wallet
 from repro.net.gossip import GossipParams
@@ -273,10 +276,10 @@ class HierarchicalSystem:
             )
             for key, value in vm.state.items("balance/"):
                 hasher.update(f"  {key}={value}\n".encode("utf-8"))
-            for key, record in vm.state.items(f"actor/{SCA_ADDRESS.raw}/child/"):
+            for child_path, record in child_records(vm.state):
                 hasher.update(
                     (
-                        f"  {key}|circ={record['circulating']}"
+                        f"  {child_key(child_path)}|circ={record['circulating']}"
                         f"|inj={record['injected_total']}"
                         f"|rel={record['released_total']}"
                         f"|coll={record['collateral']}"
@@ -297,29 +300,23 @@ class HierarchicalSystem:
         for subnet in self.subnets:
             nodes = self.nodes_by_subnet[subnet]
             node = nodes[0]
-            crosspool = getattr(node, "crosspool", None)
-            pending = 0
-            if crosspool is not None:
-                pending = crosspool.pending_topdown + crosspool.pending_bottomup
             heights = [n.head().height for n in nodes]
             snapshot[subnet.path] = {
                 "height": max(heights),
                 "min_height": min(heights),
                 "mempool": len(node.mempool),
-                "pending_crossmsgs": pending,
+                "pending_crossmsgs": node.crosspool.pending,
                 "checkpoint_lag": self._checkpoint_lag(node),
             }
         return snapshot
 
     def _checkpoint_lag(self, node) -> Optional[int]:
         """Windows sealed locally beyond what the parent's SA recorded."""
-        parent = getattr(node, "parent_node", None)
-        service = getattr(node, "checkpoints", None)
-        if parent is None or service is None:
+        if node.checkpoints is None:
             return None  # the rootnet anchors to nothing
-        sealed = node.vm.state.get(f"actor/{SCA_ADDRESS.raw}/last_window_sealed", -1)
-        committed = parent.vm.state.get(
-            f"actor/{service.config.sa_addr}/last_ckpt_window", -1
+        sealed = node.vm.state.get(sca_key("last_window_sealed"), -1)
+        committed = last_committed_window(
+            node.parent_node.vm.state, node.checkpoints.config.sa_addr
         )
         return max(sealed - committed, 0)
 
@@ -366,12 +363,10 @@ class HierarchicalSystem:
         return "\n".join(lines)
 
     def sca_state(self, subnet, key: str, default=None):
-        return self.node(subnet).vm.state.get(
-            f"actor/{SCA_ADDRESS.raw}/{key}", default
-        )
+        return self.node(subnet).vm.state.get(sca_key(key), default)
 
     def child_record(self, parent, child) -> Optional[dict]:
-        return self.sca_state(parent, f"child/{SubnetID(child).path}")
+        return self.node(parent).vm.state.get(child_key(SubnetID(child).path))
 
     def sa_address(self, subnet) -> Address:
         return derive_actor_address("subnet-actor", SubnetID(subnet).path)
@@ -607,9 +602,7 @@ class HierarchicalSystem:
         keys = [wallet.keypair for wallet in validator_wallets]
         # Stake-weighted engines (pos, pow) read each validator's power from
         # the stake recorded in the SA; equal-vote engines ignore power.
-        sa_validators = self.node(parent).vm.state.get(
-            f"actor/{sa_addr.raw}/validators", {}
-        )
+        sa_validators = registered_validators(self.node(parent).vm.state, sa_addr)
         powers = [
             max(1, sa_validators.get(wallet.address.raw, config.stake_per_validator))
             for wallet in validator_wallets
@@ -629,15 +622,9 @@ class HierarchicalSystem:
             mir_leaders=config.mir_leaders,
             max_block_messages=config.max_block_messages,
         )
-        if config.policy.kind == "threshold":
-            register_threshold_scheme(
-                ThresholdScheme(
-                    f"tss:{subnet.path}",
-                    threshold=config.policy.threshold,
-                    participants=config.validators,
-                    seed=self.sim.seeds.seed_for("tss", subnet.path),
-                )
-            )
+        config.policy.deal(
+            subnet.path, config.validators, self.sim.seeds.seed_for("tss", subnet.path)
+        )
         parent_nodes = self.nodes_by_subnet[parent]
 
         def subnet_node(i, member, validators):
@@ -650,7 +637,6 @@ class HierarchicalSystem:
                 sa_addr=sa_addr.raw,
                 validator_index=i,
                 validator_count=config.validators,
-                threshold_share_index=i + 1,
             )
             return SubnetNode(
                 sim=self.sim,

@@ -24,8 +24,9 @@ from repro.chain.validation import ValidationError
 from repro.hierarchy.checkpointing import CheckpointConfig, CheckpointService
 from repro.hierarchy.crossmsg import ApplyBottomUp, ApplyTopDown
 from repro.hierarchy.crossmsg_pool import CrossMsgPool
-from repro.hierarchy.gateway import SCA_ADDRESS
-from repro.hierarchy.resolution import ResolutionService, sca_registry_reader
+from repro.hierarchy.gateway import SCA_ADDRESS, sca_key
+from repro.hierarchy.resolution import ResolutionService
+from repro.hierarchy.subnet_actor import last_committed_checkpoint
 from repro.hierarchy.subnet_id import SubnetID
 from repro.runtime.node import NodeRuntime
 from repro.vm.vm import SYSTEM_ADDRESS, VM
@@ -52,7 +53,6 @@ class SubnetNode(NodeRuntime):
         cache_pushes: bool = True,
         push_drop_probability: float = 0.0,
         accelerate: bool = False,
-        acceleration_quorum: int = 2,
     ) -> None:
         super().__init__(
             sim=sim,
@@ -74,7 +74,8 @@ class SubnetNode(NodeRuntime):
             node_id=node_id,
             subnet_id=subnet,
             gossip=gossip,
-            state_reader=sca_registry_reader(self),
+            # the SCA's registry in this node's own chain state
+            state_reader=lambda cid_hex: self.vm.state.get(sca_key(f"registry/{cid_hex}")),
             cache_pushes=cache_pushes,
             push_drop_rng=sim.rng("resolution-drop", node_id),
             push_drop_probability=push_drop_probability,
@@ -92,9 +93,7 @@ class SubnetNode(NodeRuntime):
         if accelerate:
             from repro.hierarchy.acceleration import AccelerationService
 
-            self.acceleration = AccelerationService(
-                sim, self, quorum=acceleration_quorum
-            )
+            self.acceleration = AccelerationService(sim, self)
         self.on_commit(self._on_own_block)
 
     # ------------------------------------------------------------------
@@ -111,17 +110,17 @@ class SubnetNode(NodeRuntime):
                 # once a window; a stale hold only keeps a little more.
                 checkpoint = self._parent_checkpoint()
                 self.store.hold = -1 if checkpoint is None else checkpoint.epoch - 1
+                if checkpoint is not None:
+                    self.checkpoints.forget_below(checkpoint.window)
 
     # ------------------------------------------------------------------
     # Snapshot sync: the parent names the anchor (§III-B)
     # ------------------------------------------------------------------
     def _parent_checkpoint(self):
         """This subnet's last checkpoint as the parent's SA holds it."""
-        sa_key = f"actor/{self.checkpoints.config.sa_addr}"
-        state = self.parent_node.vm.state
-        window = state.get(f"{sa_key}/last_ckpt_window", -1)
-        signed = state.get(f"{sa_key}/ckpt_history/{window}")
-        return None if signed is None else signed.checkpoint
+        return last_committed_checkpoint(
+            self.parent_node.vm.state, self.checkpoints.config.sa_addr
+        )
 
     def snapshot_anchor(self) -> Optional[CID]:
         """``proof`` of this subnet's last checkpoint in the parent — the

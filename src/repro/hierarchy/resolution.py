@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 from repro.crypto.cid import CID
 from repro.hierarchy.crossmsg import batch_cid
-from repro.hierarchy.gateway import SCA_ADDRESS
 from repro.hierarchy.subnet_id import SubnetID
 from repro.net.gossip import GossipNetwork, PubsubEnvelope
 
@@ -144,12 +143,3 @@ class ResolutionService:
 
     def detach(self) -> None:
         self.gossip.unsubscribe(self.node_id, resolution_topic(self.subnet_id))
-
-
-def sca_registry_reader(node) -> Callable[[str], Optional[tuple]]:
-    """A state_reader backed by a node's SCA registry (its own chain state)."""
-
-    def read(cid_hex: str) -> Optional[tuple]:
-        return node.vm.state.get(f"actor/{SCA_ADDRESS.raw}/registry/{cid_hex}")
-
-    return read

@@ -25,16 +25,32 @@ and the checkpoint signature policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional, Sequence
 
-from repro.crypto.keys import Address
-from repro.crypto.multisig import MultiSignature, verify_multisig
+from repro.crypto.keys import Address, KeyPair
+from repro.crypto.multisig import valid_signers
+from repro.crypto.signature import Signature, sign
 from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint
 from repro.hierarchy.gateway import SCA_ADDRESS
 from repro.hierarchy.subnet_id import SubnetID
 from repro.vm.actor import Actor, export
 from repro.vm.exitcode import ExitCode
+from repro.vm.runtime import actor_key
+
+# Stand-in for distributed key generation: threshold schemes dealt per
+# subnet, addressable by group id.  A real deployment runs DKG among subnet
+# validators; the experiments need only the verification semantics.
+_THRESHOLD_SCHEMES: dict[str, ThresholdScheme] = {}
+
+
+def register_threshold_scheme(scheme: ThresholdScheme) -> None:
+    _THRESHOLD_SCHEMES[scheme.group_id] = scheme
+
+
+def _group_id(subnet_path) -> str:
+    """The id a subnet's threshold group is dealt and looked up under."""
+    return f"tss:{subnet_path}"
 
 
 @dataclass(frozen=True)
@@ -44,6 +60,9 @@ class SignaturePolicy:
     ``kind`` is ``"single"`` (any one validator), ``"multisig"`` (at least
     ``threshold`` distinct validator signatures) or ``"threshold"``
     (a combined k-of-n threshold signature for the subnet's group).
+
+    Whatever depends on the kind is a method here; :meth:`signers` is the
+    one verification the SA, a light client and the auditors all run.
     """
 
     kind: str = "multisig"
@@ -58,19 +77,116 @@ class SignaturePolicy:
     def to_canonical(self):
         return (self.kind, self.threshold)
 
+    @property
+    def quorum(self) -> int:
+        """How many distinct validators must contribute."""
+        return 1 if self.kind == "single" else self.threshold
 
-# Stand-in for distributed key generation: threshold schemes dealt per
-# subnet, addressable by group id.  A real deployment runs DKG among subnet
-# validators; the experiments need only the verification semantics.
-_THRESHOLD_SCHEMES: dict[str, ThresholdScheme] = {}
+    @property
+    def grouped(self) -> bool:
+        """Validators sign as one dealt group, not each under their own key."""
+        return self.kind == "threshold"
+
+    @staticmethod
+    def _group(subnet_path) -> Optional[ThresholdScheme]:
+        return _THRESHOLD_SCHEMES.get(_group_id(subnet_path))
+
+    def deal(self, subnet_path: str, participants: int, seed: int) -> None:
+        """Deal the subnet's threshold group, if the policy has one."""
+        if self.grouped:
+            register_threshold_scheme(
+                ThresholdScheme(_group_id(subnet_path), self.threshold, participants, seed)
+            )
+
+    def sign(self, keypair: KeyPair, share_index: int, subnet_path, payload: Any):
+        """One validator's contribution over *payload*: its own signature,
+        or the partial of its 1-based group share (None: no group dealt)."""
+        if not self.grouped:
+            return sign(keypair, payload)
+        scheme = self._group(subnet_path)
+        if scheme is None:
+            return None
+        return ThresholdScheme.partial_sign(scheme.share_for(share_index), payload)
+
+    def bundle(self, contributions, subnet_path, payload: Any):
+        """What ``SignedCheckpoint.signatures`` carries for *contributions*
+        (in collection order), or None below quorum."""
+        contributions = list(contributions)
+        if len(contributions) < self.quorum:
+            return None
+        if not self.grouped:
+            return tuple(sorted(contributions, key=lambda s: s.signer))
+        scheme = self._group(subnet_path)
+        if scheme is None:
+            return None
+        try:
+            return scheme.combine(contributions, payload)
+        except ValueError:
+            return None
+
+    def signers(
+        self, signed: SignedCheckpoint, validators: Sequence[Address], subnet_path
+    ) -> Optional[tuple]:
+        """Who validly signed *signed* — sorted validator addresses, or the
+        share indices behind a threshold signature — or None when that does
+        not satisfy the policy.  Every authorised signature is verified;
+        signatures by anyone else are ignored, not fatal."""
+        payload = signed.checkpoint.cid.hex()
+        signatures = signed.signatures
+        if self.grouped:
+            scheme = self._group(subnet_path)
+            if (
+                scheme is None
+                or not isinstance(signatures, ThresholdSignature)
+                or not scheme.verify(signatures, payload)
+            ):
+                return None
+            return tuple(signatures.participants)
+        if not isinstance(signatures, tuple):
+            signatures = (signatures,)
+        if not all(isinstance(signature, Signature) for signature in signatures):
+            return None
+        valid = valid_signers(signatures, payload, validators)
+        return tuple(sorted(valid)) if len(valid) >= self.quorum else None
 
 
-def register_threshold_scheme(scheme: ThresholdScheme) -> None:
-    _THRESHOLD_SCHEMES[scheme.group_id] = scheme
+# Reading an SA's books from outside the VM (a parent node's ``vm.state``).
+def last_committed_window(state, sa_addr) -> int:
+    """The newest window the SA at *sa_addr* accepted (-1: none yet)."""
+    return state.get(actor_key(sa_addr, "last_ckpt_window"), -1)
 
 
-def threshold_scheme_for(group_id: str) -> Optional[ThresholdScheme]:
-    return _THRESHOLD_SCHEMES.get(group_id)
+def committed_checkpoints(state, sa_addr, after: int = -1) -> Iterator[SignedCheckpoint]:
+    """The signed checkpoints the SA accepted for windows past *after*, in
+    window order (the SA only requires windows to advance, so some are
+    skipped); they outlive the parent blocks that carried them."""
+    for window in range(after + 1, last_committed_window(state, sa_addr) + 1):
+        signed = state.get(actor_key(sa_addr, f"ckpt_history/{window}"))
+        if signed is not None:
+            yield signed
+
+
+def last_committed_checkpoint(state, sa_addr) -> Optional[Checkpoint]:
+    """The subnet's newest checkpoint as the SA holds it."""
+    window = last_committed_window(state, sa_addr)
+    signed = state.get(actor_key(sa_addr, f"ckpt_history/{window}"))
+    return None if signed is None else signed.checkpoint
+
+
+def registered_validators(state, sa_addr) -> dict:
+    """The SA's validator registry: raw address -> stake."""
+    return state.get(actor_key(sa_addr, "validators"), {})
+
+
+def policy_signers(state, sa_addr, signed: SignedCheckpoint) -> Optional[tuple]:
+    """:meth:`SignaturePolicy.signers` of *signed* under the policy and
+    registry the SA holds now — the SA's own check, re-run by a reader."""
+    policy = state.get(actor_key(sa_addr, "policy"))
+    return policy.signers(
+        signed,
+        [Address(a) for a in registered_validators(state, sa_addr)],
+        state.get(actor_key(sa_addr, "subnet_path")),
+    )
 
 
 class SubnetActor(Actor):
@@ -271,30 +387,13 @@ class SubnetActor(Actor):
     # ==================================================================
     # Checkpoints (§III-B)
     # ==================================================================
-    def _verify_policy(self, ctx, signed: SignedCheckpoint) -> bool:
+    def _policy_met(self, ctx, signed: SignedCheckpoint) -> bool:
         """Check the checkpoint's signatures against the SA policy."""
         policy: SignaturePolicy = ctx.state_get("policy")
-        validators = ctx.state_get("validators")
-        authorized = [Address(a) for a in validators]
-        payload = signed.checkpoint.cid.hex()
-        if policy.kind == "threshold":
-            if not isinstance(signed.signatures, ThresholdSignature):
-                return False
-            scheme = threshold_scheme_for(signed.signatures.group_id)
-            expected_group = f"tss:{ctx.state_get('subnet_path')}"
-            if scheme is None or signed.signatures.group_id != expected_group:
-                return False
-            return scheme.verify(signed.signatures, payload)
-        signatures = signed.signatures
-        if not isinstance(signatures, tuple):
-            signatures = (signatures,)
-        threshold = 1 if policy.kind == "single" else policy.threshold
-        return verify_multisig(
-            MultiSignature(signatures=tuple(sorted(signatures, key=lambda s: s.signer))),
-            payload,
-            authorized,
-            threshold,
-        )
+        validators = [Address(a) for a in ctx.state_get("validators")]
+        # Read (and charged) only when the policy names a group by it.
+        subnet_path = ctx.state_get("subnet_path") if policy.grouped else None
+        return policy.signers(signed, validators, subnet_path) is not None
 
     @export
     def submit_checkpoint(self, ctx, signed: SignedCheckpoint = None) -> None:
@@ -319,7 +418,7 @@ class SubnetActor(Actor):
             exit_code=ExitCode.USR_ILLEGAL_STATE,
         )
         ctx.require(
-            self._verify_policy(ctx, signed),
+            self._policy_met(ctx, signed),
             "signature policy not satisfied",
             exit_code=ExitCode.USR_FORBIDDEN,
         )
@@ -364,7 +463,7 @@ class SubnetActor(Actor):
             "checkpoints do not conflict (different prev)",
         )
         ctx.require(
-            self._verify_policy(ctx, first) and self._verify_policy(ctx, second),
+            self._policy_met(ctx, first) and self._policy_met(ctx, second),
             "evidence not policy-signed — cannot attribute fraud",
         )
         amount = slash_amount or ctx.state_get("activation_collateral")

@@ -53,9 +53,5 @@ class Wallet:
         self._next_nonce[node.subnet_id] = nonce + 1
         return signed
 
-    def reset_nonce(self, subnet_id: str) -> None:
-        """Forget local nonce state (e.g. after a failed send was dropped)."""
-        self._next_nonce.pop(subnet_id, None)
-
     def __repr__(self) -> str:
         return f"Wallet({self.keypair.name}, {self.address})"

@@ -33,10 +33,10 @@ subscriber, the RPC endpoint is one module constant, and a scenario's
 auditor and fault-kind names are checked by the constructor they are
 handed to.
 
-Run it with ``python -m repro.lint src/repro``.  Findings not in the
-committed baseline (``LINT_BASELINE.txt``) fail the run; the baseline
-grandfathers provably-benign findings, one justifying comment per entry.
-``--format=github`` emits workflow-command annotations for CI.
+Run it with ``python -m repro.lint src/repro``.  Any ERROR finding fails
+the run; the one way to exempt a line is a ``# lint: disable=<RULE>``
+pragma on it, with the reason beside it.  ``--format=github`` emits
+workflow-command annotations for CI.
 
 The static pass is paired with a *runtime* race detector:
 ``Simulator(tie_shuffle=<seed>)`` (or ``$REPRO_TIE_SHUFFLE``)
@@ -47,7 +47,6 @@ out hidden tie-order dependence that no syntactic rule can see.
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.engine import LintEngine, lint_paths, iter_python_files
-from repro.lint.baseline import Baseline, load_baseline, format_baseline_entry
 from repro.lint.rules import ALL_RULES
 
 __all__ = [
@@ -56,8 +55,5 @@ __all__ = [
     "LintEngine",
     "lint_paths",
     "iter_python_files",
-    "Baseline",
-    "load_baseline",
-    "format_baseline_entry",
     "ALL_RULES",
 ]

@@ -2,8 +2,7 @@
 
 One sweep: each module is parsed once and every :class:`Rule` that applies
 to its path checks it; after the last file each rule's ``finish()`` hands
-over what it could only decide with the whole sweep behind it.  Baseline
-filtering and staleness detection see all of it.
+over what it could only decide with the whole sweep behind it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import ALL_RULES
 
@@ -38,10 +36,8 @@ class LintReport:
     """Everything one engine run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
 
     @property
     def errors(self) -> list[Finding]:
@@ -53,15 +49,10 @@ class LintReport:
 
 
 class LintEngine:
-    """Runs a rule set over a file tree, with optional baseline filtering."""
+    """Runs a rule set over a file tree."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence] = None,
-        baseline: Optional[Baseline] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence] = None) -> None:
         self.rules: tuple = tuple(rules if rules is not None else ALL_RULES)
-        self.baseline = baseline or Baseline()
 
     def _sweep(self, modules) -> list[Finding]:
         """Every finding over ``(path, tree, lines)`` *modules*, sorted."""
@@ -95,23 +86,10 @@ class LintEngine:
             modules.append((norm, tree, source.splitlines()))
         report.files_checked = len(modules)
 
-        all_findings = self._sweep(modules)
-        for finding in all_findings:
-            if self.baseline.matches(finding):
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
-        report.stale_baseline = self.baseline.unused(all_findings)
+        report.findings = self._sweep(modules)
         return report
 
 
-def lint_paths(
-    paths: Sequence[str],
-    baseline: Optional[Baseline] = None,
-    rules: Optional[Iterable] = None,
-) -> LintReport:
+def lint_paths(paths: Sequence[str], rules: Optional[Iterable] = None) -> LintReport:
     """One-call API: lint *paths* and return the report."""
-    engine = LintEngine(
-        rules=tuple(rules) if rules is not None else None, baseline=baseline
-    )
-    return engine.run(paths)
+    return LintEngine(rules=tuple(rules) if rules is not None else None).run(paths)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Severity(enum.Enum):
     """How bad a finding is.
 
     ``ERROR`` findings break determinism or the architecture outright and
-    fail the run unless baselined; ``WARNING`` findings are suspicious
+    fail the run; ``WARNING`` findings are suspicious
     constructs worth a look but tolerated (reported, never fatal).
     """
 
@@ -32,9 +32,6 @@ class Finding:
     col: int  # 0-based, as reported by ast
     message: str
     fix_hint: str = ""
-    # The stripped source line, used for content-based baseline matching so
-    # grandfathered entries survive unrelated line-number drift.
-    source_line: str = field(default="", compare=False)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col + 1}: {self.rule_id} [{self.severity}] {self.message}"

@@ -34,21 +34,16 @@ class Rule:
         path: str,
         node: ast.AST,
         message: str,
-        lines: Sequence[str],
         fix_hint: Optional[str] = None,
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        source = lines[line - 1].strip() if 0 < line <= len(lines) else ""
         return Finding(
             rule_id=self.rule_id,
             severity=self.severity,
             path=path,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
             fix_hint=self.fix_hint if fix_hint is None else fix_hint,
-            source_line=source,
         )
 
 

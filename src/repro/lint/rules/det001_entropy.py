@@ -82,7 +82,7 @@ class Det001Entropy(Rule):
                         )
                 if reason is not None and not has_noqa(lines, node, self.rule_id):
                     findings.append(
-                        self.finding(path, node, f"{name}(): {reason}", lines)
+                        self.finding(path, node, f"{name}(): {reason}")
                     )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "random":
@@ -93,7 +93,6 @@ class Det001Entropy(Rule):
                                 path, node,
                                 f"from random import {', '.join(bad)}: module-level "
                                 "random draws; use sim.rng(*scope)",
-                                lines,
                             )
                         )
                 elif node.module == "secrets" and not has_noqa(lines, node, self.rule_id):
@@ -101,7 +100,6 @@ class Det001Entropy(Rule):
                         self.finding(
                             path, node,
                             "import of secrets: OS entropy; use sim.rng(*scope)",
-                            lines,
                         )
                     )
             elif isinstance(node, ast.Import):
@@ -111,7 +109,6 @@ class Det001Entropy(Rule):
                             self.finding(
                                 path, node,
                                 "import of secrets: OS entropy; use sim.rng(*scope)",
-                                lines,
                             )
                         )
         return findings

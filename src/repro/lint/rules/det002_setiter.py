@@ -105,7 +105,7 @@ class _ScopeVisitor(ast.NodeVisitor):
     # -- iteration sites ------------------------------------------------
     def _flag(self, node: ast.AST, what: str) -> None:
         if not has_noqa(self.lines, node, self.rule.rule_id):
-            self.findings.append(self.rule.finding(self.path, node, what, self.lines))
+            self.findings.append(self.rule.finding(self.path, node, what))
 
     def visit_For(self, node: ast.For) -> None:
         self.generic_visit(node)

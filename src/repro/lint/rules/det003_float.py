@@ -55,7 +55,7 @@ class Det003FloatAccounting(Rule):
 
         def flag(node: ast.AST, message: str) -> None:
             if not has_noqa(lines, node, self.rule_id):
-                findings.append(self.finding(path, node, message, lines))
+                findings.append(self.finding(path, node, message))
 
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITH):

@@ -76,7 +76,6 @@ class Lay001Layering(Rule):
                         path, node,
                         f"{this_pkg} (layer {this_rank}) imports {pkg} "
                         f"(layer {rank}) — upward edge",
-                        lines,
                     )
                 )
         return findings

@@ -77,7 +77,7 @@ class Met001MetricCatalog(Rule):
         def flag(node: ast.AST, message: str, fix_hint: Optional[str] = None):
             if has_noqa(lines, node, self.rule_id):
                 return None
-            return self.finding(path, node, message, lines, fix_hint)
+            return self.finding(path, node, message, fix_hint)
 
         computed: list[Optional[Finding]] = []
         todo: list[ast.AST] = [tree]

@@ -63,7 +63,7 @@ class Sim001SchedulerMutation(Rule):
 
         def flag(node: ast.AST, message: str) -> None:
             if not has_noqa(lines, node, self.rule_id):
-                findings.append(self.finding(path, node, message, lines))
+                findings.append(self.finding(path, node, message))
 
         for node in ast.walk(tree):
             if isinstance(node, (ast.Assign, ast.AugAssign)):

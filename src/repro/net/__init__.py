@@ -14,7 +14,7 @@ layer", §III-A).  Here:
   by the content resolution protocol.
 """
 
-from repro.net.topology import Topology, UniformLatency, RegionLatency
+from repro.net.topology import Topology, UniformLatency
 from repro.net.transport import Transport, NetMessage
 from repro.net.gossip import GossipNetwork, GossipParams
 from repro.net.rpc import RpcChannel
@@ -22,7 +22,6 @@ from repro.net.rpc import RpcChannel
 __all__ = [
     "Topology",
     "UniformLatency",
-    "RegionLatency",
     "Transport",
     "NetMessage",
     "GossipNetwork",

@@ -45,36 +45,6 @@ class UniformLatency(LatencyModel):
         return rng.uniform(self.base - self.jitter, self.base + self.jitter)
 
 
-class RegionLatency(LatencyModel):
-    """Region-matrix latency: intra-region fast, inter-region slower.
-
-    Peers are assigned to regions; latency between regions r1, r2 is the
-    matrix entry plus small jitter.
-    """
-
-    def __init__(
-        self,
-        regions: dict,
-        matrix: dict,
-        jitter_fraction: float = 0.1,
-        default: float = 0.15,
-    ) -> None:
-        self.regions = dict(regions)  # peer_id -> region name
-        self.matrix = dict(matrix)  # (r1, r2) sorted tuple -> seconds
-        self.jitter_fraction = jitter_fraction
-        self.default = default
-
-    def sample(self, src: str, dst: str, rng: random.Random) -> float:
-        r1 = self.regions.get(src, "?")
-        r2 = self.regions.get(dst, "?")
-        key = tuple(sorted((r1, r2)))
-        base = self.matrix.get(key, self.default)
-        jitter = base * self.jitter_fraction
-        if jitter == 0:
-            return base
-        return max(0.0, rng.uniform(base - jitter, base + jitter))
-
-
 class Topology:
     """Who can talk to whom, at what latency, with what loss.
 

@@ -12,7 +12,7 @@ its receipt events) and :class:`~repro.sim.observe.ChainReorg` that a
 Five auditors ship by default:
 
 - :class:`SupplyAuditor` — continuous firewall/supply conservation: the
-  incremental form of ``audit_system`` every K commits per subnet, plus
+  books rules of ``audit_system`` every K commits per subnet, plus
   two live-only checks: a ``firewall.refused`` receipt event (an attempted
   over-extraction the firewall stopped) and a cumulative
   released-vs-subtree-burn bound that catches forged bottom-up value the
@@ -43,11 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.crypto.keys import Address
-from repro.crypto.multisig import MultiSignature, verify_multisig
-from repro.crypto.threshold import ThresholdSignature
-from repro.hierarchy.gateway import SCA_ADDRESS
-from repro.hierarchy.subnet_actor import threshold_scheme_for
+from repro.hierarchy.firewall import books_findings
+from repro.hierarchy.gateway import SCA_ADDRESS, child_key, child_records
+from repro.hierarchy.subnet_actor import (
+    committed_checkpoints,
+    policy_signers,
+    registered_validators,
+)
 from repro.hierarchy.subnet_id import SubnetID
 from repro.sim.observe import BlockCommitted, ChainReorg, Plane
 
@@ -201,15 +203,14 @@ class InvariantMonitor(Plane):
 # Auditor 1 — firewall/supply conservation (§II)
 # ======================================================================
 class SupplyAuditor(Auditor):
-    """Incremental :func:`~repro.hierarchy.firewall.audit_system`.
+    """:func:`~repro.hierarchy.firewall.books_findings` as the chain grows.
 
-    Per-child books on every K-th commit (released ≤ injected, circulating
-    = injected − released ≥ 0, frozen-pool solvency, child mint bound) plus
-    two live-only signals: a ``firewall.refused`` event means someone just
-    tried to extract beyond the circulating supply, and cumulative
+    The rules ``audit_system`` checks after the fact, on every K-th commit,
+    plus two live-only signals: a ``firewall.refused`` event means someone
+    just tried to extract beyond the circulating supply, and cumulative
     ``released_total`` must never exceed what the child *subtree* actually
     burned — the check that catches a forged checkpoint even when its claim
-    stays within the circulating supply.
+    stays within the circulating supply (sound books, stolen value).
     """
 
     name = "supply"
@@ -229,76 +230,36 @@ class SupplyAuditor(Auditor):
 
     def on_periodic(self, monitor, node) -> None:
         system = monitor.system
-        vm = node.vm
-        sca_balance = vm.balance_of(SCA_ADDRESS)
-        total_backing = 0
-        prefix = f"actor/{SCA_ADDRESS.raw}/child/"
-        for key in vm.state.keys(prefix):
-            child_path = key[len(prefix):]
-            record = vm.state.get(key)
-            injected = record["injected_total"]
-            released = record["released_total"]
-            circulating = record["circulating"]
-            total_backing += record["collateral"] + circulating
-            if released > injected:
-                monitor.record(
-                    self.name, node.subnet_id,
-                    f"{child_path}: released {released} exceeds injected "
-                    f"{injected} — §II firewall bound breached",
-                    dedup_key=("released>injected", child_path),
-                )
-            if circulating != injected - released or circulating < 0:
-                monitor.record(
-                    self.name, node.subnet_id,
-                    f"{child_path}: circulating {circulating} != injected "
-                    f"{injected} - released {released}",
-                    dedup_key=("ledger", child_path),
-                )
-            if system is not None and record["status"] != "killed":
-                self._check_live_child(monitor, node, child_path, record)
-        if sca_balance < total_backing:
-            monitor.record(
-                self.name, node.subnet_id,
-                f"SCA pool {sca_balance} cannot back collateral+circulating "
-                f"{total_backing}",
-                dedup_key=("solvency",),
-            )
-
-    def _check_live_child(self, monitor, node, child_path: str, record: dict) -> None:
-        """Cross-check the parent's books against the child's live chain."""
-        system = monitor.system
-        child_id = SubnetID(child_path)
-        if child_id in system.nodes_by_subnet:
-            minted = max(
-                n.vm.total_minted for n in system.nodes_by_subnet[child_id]
-            )
-            if minted > record["injected_total"]:
-                monitor.record(
-                    self.name, node.subnet_id,
-                    f"{child_path}: minted {minted} exceeds injected "
-                    f"{record['injected_total']}",
-                    dedup_key=("mint", child_path),
-                )
+        children = list(child_records(node.vm.state))
+        pool = node.vm.balance_of(SCA_ADDRESS)
+        for key, description in books_findings(pool, children, system):
+            monitor.record(self.name, node.subnet_id, description, dedup_key=key)
+        if system is None:
+            return
         # Every genuine bottom-up release was burned somewhere in the
         # child's subtree first (relayed metas burn at their origin, Fig. 3).
-        subtree = [
-            s for s in system.nodes_by_subnet
-            if s == child_id or child_id.is_ancestor_of(s)
-        ]
-        if not subtree:
-            return  # subnet chain not instantiated locally; cannot see burns
-        burned = sum(
-            max(n.vm.total_burned for n in system.nodes_by_subnet[s])
-            for s in subtree
-        )
-        if record["released_total"] > burned:
-            monitor.record(
-                self.name, node.subnet_id,
-                f"{child_path}: released {record['released_total']} exceeds "
-                f"the {burned} ever burned in its subtree — forged bottom-up "
-                "value",
-                dedup_key=("released>burned", child_path),
+        for child_path, record in children:
+            if record["status"] == "killed":
+                continue
+            child_id = SubnetID(child_path)
+            subtree = [
+                s for s in system.nodes_by_subnet
+                if s == child_id or child_id.is_ancestor_of(s)
+            ]
+            if not subtree:
+                continue  # subnet chain not instantiated locally; cannot see burns
+            burned = sum(
+                max(n.vm.total_burned for n in system.nodes_by_subnet[s])
+                for s in subtree
             )
+            if record["released_total"] > burned:
+                monitor.record(
+                    self.name, node.subnet_id,
+                    f"{child_path}: released {record['released_total']} exceeds "
+                    f"the {burned} ever burned in its subtree — forged bottom-up "
+                    "value",
+                    dedup_key=("released>burned", child_path),
+                )
 
 
 # ======================================================================
@@ -326,22 +287,15 @@ class CheckpointAuditor(Auditor):
 
     def _verify_chain(self, monitor, node, child_path: str) -> None:
         state = node.vm.state
-        record = state.get(f"actor/{SCA_ADDRESS.raw}/child/{child_path}")
+        record = state.get(child_key(child_path))
         if record is None:
             return
         sa_raw = record["sa_addr"]
-        last_window = state.get(f"actor/{sa_raw}/last_ckpt_window", -1)
         key = (node.subnet_id, child_path)
-        tracked = self._chains.setdefault(
-            key, {"window": -1, "cid": _ZERO_CID_HEX, "epoch": -1}
-        )
-        window = tracked["window"] + 1
-        while window <= last_window:
-            signed = state.get(f"actor/{sa_raw}/ckpt_history/{window}")
-            if signed is None:
-                window += 1  # window never committed (superseded); no link
-                continue
+        tracked = self._chains.get(key, {"window": -1, "cid": _ZERO_CID_HEX, "epoch": -1})
+        for signed in committed_checkpoints(state, sa_raw, after=tracked["window"]):
             checkpoint = signed.checkpoint
+            window = checkpoint.window
             if checkpoint.prev.hex() != tracked["cid"]:
                 monitor.record(
                     self.name, node.subnet_id,
@@ -356,7 +310,8 @@ class CheckpointAuditor(Auditor):
                     f"not greater than previous epoch {tracked['epoch']}",
                     dedup_key=("epoch", child_path, window),
                 )
-            if not self._policy_satisfied(state, sa_raw, child_path, signed):
+            # Re-run the SA's signature check against its current registry.
+            if policy_signers(state, sa_raw, signed) is None:
                 monitor.record(
                     self.name, node.subnet_id,
                     f"{child_path} window {window}: committed checkpoint does "
@@ -368,37 +323,7 @@ class CheckpointAuditor(Auditor):
                 "cid": checkpoint.cid.hex(),
                 "epoch": checkpoint.epoch,
             }
-            window += 1
         self._chains[key] = tracked
-
-    @staticmethod
-    def _policy_satisfied(state, sa_raw: str, child_path: str, signed) -> bool:
-        """Re-run the SA's signature check against its current registry."""
-        policy = state.get(f"actor/{sa_raw}/policy")
-        validators = state.get(f"actor/{sa_raw}/validators", {})
-        if policy is None:
-            return True
-        payload = signed.checkpoint.cid.hex()
-        if policy.kind == "threshold":
-            signatures = signed.signatures
-            if not isinstance(signatures, ThresholdSignature):
-                return False
-            scheme = threshold_scheme_for(signatures.group_id)
-            if scheme is None or signatures.group_id != f"tss:{child_path}":
-                return False
-            return scheme.verify(signatures, payload)
-        signatures = signed.signatures
-        if not isinstance(signatures, tuple):
-            signatures = (signatures,)
-        threshold = 1 if policy.kind == "single" else policy.threshold
-        return verify_multisig(
-            MultiSignature(
-                signatures=tuple(sorted(signatures, key=lambda s: s.signer))
-            ),
-            payload,
-            [Address(a) for a in validators],
-            threshold,
-        )
 
 
 # ======================================================================
@@ -575,16 +500,13 @@ class MembershipAuditor(Auditor):
         if system is None:
             return
         state = node.vm.state
-        prefix = f"actor/{SCA_ADDRESS.raw}/child/"
-        for key in state.keys(prefix):
-            child_path = key[len(prefix):]
-            record = state.get(key)
+        for child_path, record in child_records(state):
             if record["status"] != "active":
                 continue
             child_id = SubnetID(child_path)
             if child_id not in system.nodes_by_subnet:
                 continue
-            registered = set(state.get(f"actor/{record['sa_addr']}/validators", {}))
+            registered = set(registered_validators(state, record["sa_addr"]))
             live = {
                 n.keypair.address.raw for n in system.nodes_by_subnet[child_id]
             }

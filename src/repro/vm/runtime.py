@@ -9,6 +9,13 @@ from repro.vm.exitcode import ActorError, ExitCode
 from repro.vm.gas import GasTracker
 
 
+def actor_key(addr, key: str) -> str:
+    """Where the state tree keeps *key* of the actor at *addr* (an
+    :class:`Address` or its raw string).  An actor reaches its own state
+    through its context; this is the same layout for readers outside the VM."""
+    return f"actor/{addr}/{key}"
+
+
 class InvocationContext:
     """Everything an actor may touch during one method invocation.
 
@@ -53,6 +60,7 @@ class InvocationContext:
     # Actor state (scoped)
     # ------------------------------------------------------------------
     def _scoped(self, key: str) -> str:
+        # actor_key(), inlined: every state operation of every actor pays this.
         return f"actor/{self.actor_addr.raw}/{key}"
 
     def state_get(self, key: str, default: Any = None) -> Any:

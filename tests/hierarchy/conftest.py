@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.keys import Address, KeyPair
-from repro.hierarchy.gateway import SCA_ADDRESS, SubnetCoordinatorActor
+from repro.hierarchy.gateway import SCA_ADDRESS, SubnetCoordinatorActor, sca_key
 from repro.hierarchy.subnet_actor import SubnetActor
 from repro.vm.builtin import default_registry
 from repro.vm.message import Message
@@ -60,7 +60,7 @@ def system_call(vm, to, method, params=None):
 
 
 def sca_state(vm, key, default=None):
-    return vm.state.get(f"actor/{SCA_ADDRESS.raw}/{key}", default)
+    return vm.state.get(sca_key(f"{key}"), default)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 
 from repro.crypto.cid import cid_of
 from repro.crypto.keys import Address, KeyPair
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import SCA_ADDRESS, sca_key
 from repro.vm.exitcode import ExitCode
 from repro.vm.vm import SYSTEM_ADDRESS, VM
 
@@ -47,7 +47,7 @@ def init(vm, key, exec_id, parties):
 
 
 def atomic_state(vm, exec_id):
-    return vm.state.get(f"actor/{SCA_ADDRESS.raw}/atomic/{exec_id}")
+    return vm.state.get(sca_key(f"atomic/{exec_id}"))
 
 
 def test_init_and_commit_happy_path(lca_vm, alice, bob):
@@ -145,7 +145,7 @@ def test_asset_lifecycle(lca_vm, alice, bob):
     # Plain transfer.
     assert call(lca_vm, alice, SCA_ADDRESS, "transfer_asset",
                 params={"name": "nft-1", "to_addr": bob.address.raw}).ok
-    asset = lca_vm.state.get(f"actor/{SCA_ADDRESS.raw}/asset/nft-1")
+    asset = lca_vm.state.get(sca_key("asset/nft-1"))
     assert asset["owner"] == bob.address.raw
 
 
@@ -189,7 +189,7 @@ def test_apply_committed_result_reassigns_owners(lca_vm, alice, bob):
          "output": {"owners": {"nft-1": bob.address.raw}}},
     )
     assert receipt.ok, receipt.error
-    asset = lca_vm.state.get(f"actor/{SCA_ADDRESS.raw}/asset/nft-1")
+    asset = lca_vm.state.get(sca_key("asset/nft-1"))
     assert asset["owner"] == bob.address.raw
     assert asset["locked_by"] is None
 
@@ -204,7 +204,7 @@ def test_apply_aborted_result_unlocks_unchanged(lca_vm, alice, bob):
         {"exec_id": "e1", "status": "aborted", "output": None},
     )
     assert receipt.ok
-    asset = lca_vm.state.get(f"actor/{SCA_ADDRESS.raw}/asset/nft-1")
+    asset = lca_vm.state.get(sca_key("asset/nft-1"))
     assert asset["owner"] == alice.address.raw
     assert asset["locked_by"] is None
 

@@ -5,15 +5,20 @@ import pytest
 from repro.crypto.cid import cid_of
 from repro.crypto.keys import Address, KeyPair
 from repro.crypto.signature import sign
-from repro.crypto.threshold import ThresholdScheme
+from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint, ZERO_CHECKPOINT
 from repro.hierarchy.gateway import SCA_ADDRESS, STATUS_INACTIVE
+from repro.hierarchy.light_client import CheckpointLightClient, VerificationError
 from repro.hierarchy.subnet_actor import SignaturePolicy, register_threshold_scheme
 from repro.hierarchy.subnet_id import SubnetID
+from repro.sim.scheduler import Simulator
+from repro.telemetry import CheckpointAuditor, InvariantMonitor
 from repro.vm.exitcode import ExitCode
+from repro.vm.runtime import actor_key
 from repro.vm.vm import VM
 
 from tests.hierarchy.conftest import call, fund, hierarchy_registry, sca_state
+from tests.telemetry.feeds import commit, stub_node
 
 SUB = SubnetID("/root/sub")
 
@@ -201,3 +206,99 @@ def test_slashing_burns_from_frozen_pool():
         params={"first": signed_a, "second": signed_b, "slash_amount": 100},
     )
     assert vm.total_burned == burned_before + 100
+
+
+# ----------------------------------------------------------------------
+# One policy, three readers: the SA, a light client and the live auditor
+# run SignaturePolicy.signers and must agree on every bundle.
+# ----------------------------------------------------------------------
+POLICIES = {
+    "single": SignaturePolicy(kind="single"),
+    "multisig": SignaturePolicy(kind="multisig", threshold=2),
+    "threshold": SignaturePolicy(kind="threshold", threshold=2),
+}
+BUNDLES = (
+    "quorum met", "one short", "outsiders appended", "duplicate signer",
+    "wrong group id", "wrong signature type",
+)
+
+
+def _bundle(kind, case, miners, payload):
+    """``(signatures, the signers a verifier must report or None)``."""
+    policy = POLICIES[kind]
+    group = ThresholdScheme("tss:/root/sub", threshold=2, participants=3, seed=7)
+    foreign = ThresholdScheme("tss:/root/evil", threshold=2, participants=3, seed=9)
+    register_threshold_scheme(group)
+    register_threshold_scheme(foreign)
+
+    def combined(scheme, *shares):
+        partials = [ThresholdScheme.partial_sign(scheme.share_for(i), payload) for i in shares]
+        return scheme.combine(partials, payload)
+
+    def signed_by(*keys):
+        return tuple(sign(key, payload) for key in keys)
+
+    quorum = miners[: policy.quorum]
+    honest = tuple(sorted(key.address for key in quorum))
+    if kind == "threshold":
+        return {
+            "quorum met": (combined(group, 1, 3), (1, 3)),
+            # One share cannot combine; all its holder can do is fabricate.
+            "one short": (ThresholdSignature("tss:/root/sub", b"\0" * 32, (1,)), None),
+            "outsiders appended": (
+                group.combine(
+                    [ThresholdScheme.partial_sign(s.share_for(i), payload)
+                     for s, i in ((group, 1), (foreign, 2), (group, 3))],
+                    payload,
+                ),
+                (1, 3),
+            ),
+            "duplicate signer": (
+                ThresholdSignature("tss:/root/sub", combined(group, 1, 3).tag[::-1], (1, 1)),
+                None,
+            ),
+            "wrong group id": (combined(foreign, 1, 2), None),
+            "wrong signature type": (signed_by(*miners), None),
+        }[case]
+    outsiders = [KeyPair(f"outsider-{i}") for i in range(2)]
+    twice = signed_by(miners[0]) * 2
+    return {
+        "quorum met": (signed_by(*quorum), honest),
+        "one short": (signed_by(*quorum[:-1]), None),
+        "outsiders appended": (signed_by(*quorum, *outsiders), honest),
+        "duplicate signer": (twice, (miners[0].address,) if policy.quorum == 1 else None),
+        "wrong group id": (combined(foreign, 1, 2), None),
+        "wrong signature type": (combined(group, 1, 3), None),
+    }[case]
+
+
+@pytest.mark.parametrize("case", BUNDLES)
+@pytest.mark.parametrize("kind", sorted(POLICIES))
+def test_sa_light_client_and_auditor_agree_on_every_bundle(kind, case):
+    policy = POLICIES[kind]
+    vm, sa_addr, miners = make_parent(policy)
+    validators = [miner.address for miner in miners]
+    checkpoint = make_checkpoint()
+    signatures, expected = _bundle(kind, case, miners, checkpoint.cid.hex())
+    signed = SignedCheckpoint(checkpoint, signatures)
+    assert policy.signers(signed, validators, SUB.path) == expected
+
+    # What the auditor sees: the bundle as if the SA had stored it.
+    audited = vm.copy()
+    audited.state.set(actor_key(sa_addr, "ckpt_history/0"), signed)
+    audited.state.set(actor_key(sa_addr, "last_ckpt_window"), 0)
+    sim = Simulator(seed=1)
+    monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[CheckpointAuditor()]))
+    commit(sim, stub_node(vm=audited), [("checkpoint.committed", (SUB.path, checkpoint.cid.hex()))])
+    auditor_accepts = not any("signature policy" in v.description for v in monitor.violations)
+
+    client = CheckpointLightClient(SUB, policy, validators)
+    try:
+        light_client_signers = client.observe(signed).signers
+    except VerificationError:
+        light_client_signers = None
+
+    receipt = submit(vm, sa_addr, miners[0], signed)
+    assert receipt.ok or receipt.exit_code == ExitCode.USR_FORBIDDEN, receipt.error
+    assert receipt.ok == auditor_accepts == (expected is not None)
+    assert light_client_signers == expected

@@ -13,7 +13,7 @@ from repro.crypto.cid import cid_of
 from repro.crypto.keys import Address, KeyPair
 from repro.hierarchy.checkpoint import Checkpoint, CrossMsgMeta, ZERO_CHECKPOINT
 from repro.hierarchy.crossmsg import CrossMsg
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import SCA_ADDRESS, sca_key
 from repro.hierarchy.subnet_id import SubnetID
 from repro.vm.exitcode import ExitCode
 from repro.vm.vm import SYSTEM_ADDRESS, VM
@@ -56,9 +56,9 @@ def pair(users):
 def pump_topdown(parent, child, child_path="/root/sub"):
     """Manually play the consensus role: apply parent-queued top-down msgs."""
     applied = []
-    next_apply = child.state.get(f"actor/{SCA_ADDRESS.raw}/td_applied_nonce", 0)
+    next_apply = child.state.get(sca_key("td_applied_nonce"), 0)
     while True:
-        message = parent.state.get(f"actor/{SCA_ADDRESS.raw}/td_msg/{child_path}/{next_apply}")
+        message = parent.state.get(sca_key(f"td_msg/{child_path}/{next_apply}"))
         if message is None:
             break
         receipt = child.apply_implicit(
@@ -77,7 +77,7 @@ def seal_child_window(child, window=0, proof=None):
         {"window": window, "proof_cid": proof or cid_of(("block", window))},
     )
     assert receipt.ok, receipt.error
-    return child.state.get(f"actor/{SCA_ADDRESS.raw}/ckpt/{window}")
+    return child.state.get(sca_key(f"ckpt/{window}"))
 
 
 def commit_checkpoint_via_sa(parent, sa_addr, checkpoint):
@@ -112,9 +112,9 @@ def test_fund_freezes_and_assigns_nonce(pair, users):
     assert parent.balance_of(SCA_ADDRESS) == 600
     record = sca_state(parent, "child//root/sub")
     assert record["circulating"] == 400
-    queued = parent.state.get(f"actor/{SCA_ADDRESS.raw}/td_msg//root/sub/0")
+    queued = parent.state.get(sca_key("td_msg//root/sub/0"))
     assert queued.value == 400
-    assert parent.state.get(f"actor/{SCA_ADDRESS.raw}/td_nonce//root/sub") == 1
+    assert parent.state.get(sca_key("td_nonce//root/sub")) == 1
 
 
 def test_topdown_application_mints_in_child(pair, users):
@@ -140,7 +140,7 @@ def test_topdown_nonce_order_enforced(pair, users):
             params={"subnet_path": "/root/sub", "to_addr": users["bob"].address.raw},
             value=value,
         )
-    msg1 = parent.state.get(f"actor/{SCA_ADDRESS.raw}/td_msg//root/sub/1")
+    msg1 = parent.state.get(sca_key("td_msg//root/sub/1"))
     # Applying nonce 1 before 0 must fail.
     receipt = child.apply_implicit(
         SYSTEM_ADDRESS, SCA_ADDRESS, "apply_topdown", {"message": msg1, "nonce": 1}
@@ -185,7 +185,7 @@ def test_bottomup_burn_and_release_roundtrip(pair, users):
     entry = sca_state(parent, "bu_meta/0")
     assert entry["via_child"] == "/root/sub"
 
-    messages = child.state.get(f"actor/{SCA_ADDRESS.raw}/registry/{meta.msgs_cid.hex()}")
+    messages = child.state.get(sca_key(f"registry/{meta.msgs_cid.hex()}"))
     receipt = apply_bottomup(parent, 0, messages)
     assert receipt.ok, receipt.error
     assert receipt.return_value["delivered"] == 1
@@ -351,13 +351,13 @@ def test_failed_delivery_triggers_revert(pair, users):
     checkpoint = seal_child_window(child, window=0)
     commit_checkpoint_via_sa(parent, sa_addr, checkpoint)
     meta = checkpoint.cross_meta[0]
-    messages = child.state.get(f"actor/{SCA_ADDRESS.raw}/registry/{meta.msgs_cid.hex()}")
+    messages = child.state.get(sca_key(f"registry/{meta.msgs_cid.hex()}"))
     receipt = apply_bottomup(parent, 0, messages)
     assert receipt.ok
     # Delivery failed; bob got nothing; a revert top-down msg was enqueued
     # back toward the child carrying the 120.
     assert parent.balance_of(users["bob"].address) == 0
-    revert = parent.state.get(f"actor/{SCA_ADDRESS.raw}/td_msg//root/sub/1")
+    revert = parent.state.get(sca_key("td_msg//root/sub/1"))
     assert revert is not None
     assert revert.kind == "revert"
     assert revert.value == 120

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from repro.hierarchy import ROOTNET, HierarchicalSystem, SCA_ADDRESS, SubnetConfig, SubnetID
+from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, SubnetID
+from repro.hierarchy.gateway import sca_key
 from repro.hierarchy.checkpoint import Checkpoint, CrossMsgMeta, ZERO_CHECKPOINT
 from repro.hierarchy.crossmsg import CrossMsg, batch_cid
 from repro.vm.exitcode import ExitCode
@@ -64,7 +65,7 @@ def test_a_crossmsg_is_encoded_once_along_its_whole_route(system, monkeypatch):
     assert system.sim.metrics.counter("resolution.push_stored").value > stored_before
     # It did reach a registry leaf on the way up and a top-down queue on the way down.
     root_state = system.node(ROOTNET).vm.state
-    prefix = f"actor/{SCA_ADDRESS.raw}/"
+    prefix = sca_key("")
     assert any(
         m in travelled for _key, batch in root_state.items(prefix + "registry/") for m in batch
     )

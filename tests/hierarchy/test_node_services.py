@@ -8,10 +8,11 @@ from repro.hierarchy import (
     ROOTNET,
     CrossMsg,
     HierarchicalSystem,
-    SCA_ADDRESS,
     SubnetConfig,
     SubnetID,
 )
+from repro.hierarchy.gateway import sca_key
+from repro.hierarchy.subnet_actor import last_committed_window
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def test_crosspool_prunes_applied_entries(system):
     system.wait_for(lambda: system.balance(SUB, alice.address) > balance, timeout=20.0)
     system.run_for(2.0)
     # Applied entries are dropped from the cache.
-    applied = node.vm.state.get(f"actor/{SCA_ADDRESS.raw}/td_applied_nonce")
+    applied = node.vm.state.get(sca_key("td_applied_nonce"))
     assert all(nonce >= applied for nonce in node.crosspool._topdown)
 
 
@@ -111,16 +112,16 @@ def test_checkpoint_service_rotates_designated_submitter(system):
 def test_checkpoint_windows_seal_sequentially(system):
     system.run_for(10.0)
     node = system.node(SUB)
-    sealed = node.vm.state.get(f"actor/{SCA_ADDRESS.raw}/last_window_sealed")
+    sealed = node.vm.state.get(sca_key("last_window_sealed"))
     assert sealed >= 1
     for window in range(sealed + 1):
-        checkpoint = node.vm.state.get(f"actor/{SCA_ADDRESS.raw}/ckpt/{window}")
+        checkpoint = node.vm.state.get(sca_key(f"ckpt/{window}"))
         assert checkpoint is not None
         assert checkpoint.window == window
     # The checkpoint chain links prev -> cid in order.
     previous = None
     for window in range(sealed + 1):
-        checkpoint = node.vm.state.get(f"actor/{SCA_ADDRESS.raw}/ckpt/{window}")
+        checkpoint = node.vm.state.get(sca_key(f"ckpt/{window}"))
         if previous is not None:
             assert checkpoint.prev == previous.cid
         previous = checkpoint
@@ -130,11 +131,11 @@ def test_all_validators_derive_identical_checkpoints(system):
     system.run_for(5.0)
     nodes = system.nodes(SUB)
     sealed = min(
-        n.vm.state.get(f"actor/{SCA_ADDRESS.raw}/last_window_sealed") for n in nodes
+        n.vm.state.get(sca_key("last_window_sealed")) for n in nodes
     )
     for window in range(sealed + 1):
         cids = {
-            n.vm.state.get(f"actor/{SCA_ADDRESS.raw}/ckpt/{window}").cid
+            n.vm.state.get(sca_key(f"ckpt/{window}")).cid
             for n in nodes
         }
         assert len(cids) == 1, f"window {window} diverged across validators"
@@ -146,3 +147,33 @@ def test_subnet_node_rejects_unknown_cross_payload(system):
     node = system.node(SUB)
     with pytest.raises(ValidationError):
         node.apply_cross_message(node.vm, "garbage", node.miner_address)
+
+
+def test_checkpoint_books_keep_only_windows_the_parent_may_still_need():
+    """ROADMAP 6b: 30 windows on a 3-validator PoA child leave a validator
+    the newest window its parent holds and the ones it does not yet — not
+    one book per window ever sealed."""
+    period, windows = 4, 30
+    system = HierarchicalSystem(
+        seed=72, root_validators=3, root_block_time=0.5, checkpoint_period=period,
+    ).start()
+    subnet = system.spawn_subnet(
+        SubnetConfig(name="books", validators=3, block_time=0.25, checkpoint_period=period)
+    )
+    node = system.node(subnet)
+    system.wait_for(
+        lambda: node.checkpoints._last_processed_window >= windows - 1, timeout=120.0
+    )
+    system.run_for(5.0)  # the parent commits the tail, the next boundary prunes
+    committed = last_committed_window(
+        system.node(ROOTNET).vm.state, system.sa_address(subnet)
+    )
+    assert committed >= windows - 2
+    for validator in system.nodes(subnet):
+        service = validator.checkpoints
+        assert service._last_processed_window >= windows - 1
+        assert len(service._books) <= 3, sorted(service._books)
+        # Nothing the parent lacks was dropped, and its newest stays for
+        # a late conflicting signature to become a fraud proof.
+        kept = range(committed, service._last_processed_window + 1)
+        assert all(window in service._books for window in kept)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.cid import cid_of
 from repro.crypto.keys import Address, KeyPair
-from repro.hierarchy.gateway import SCA_ADDRESS
+from repro.hierarchy.gateway import SCA_ADDRESS, sca_key
 from repro.hierarchy.subnet_id import SubnetID
 from repro.vm.message import Message
 from repro.vm.vm import SYSTEM_ADDRESS, VM
@@ -91,7 +91,7 @@ class Harness:
     def pump_topdown(self):
         while True:
             message = self.parent.state.get(
-                f"actor/{SCA_ADDRESS.raw}/td_msg/{SUB.path}/{self.td_applied}"
+                sca_key(f"td_msg/{SUB.path}/{self.td_applied}")
             )
             if message is None:
                 return
@@ -124,7 +124,7 @@ class Harness:
         self.next_window += 1
         # Advance the child epoch into the new window so later sends land there.
         self.child.epoch = self.next_window * 10
-        checkpoint = self.child.state.get(f"actor/{SCA_ADDRESS.raw}/ckpt/{window}")
+        checkpoint = self.child.state.get(sca_key(f"ckpt/{window}"))
         commit = self.parent.apply_implicit(
             self.sa_addr, SCA_ADDRESS, "commit_child_checkpoint",
             {"checkpoint": checkpoint},
@@ -133,13 +133,13 @@ class Harness:
 
     def apply_bottomups(self):
         while True:
-            nonce = self.parent.state.get(f"actor/{SCA_ADDRESS.raw}/bu_applied_nonce")
-            entry = self.parent.state.get(f"actor/{SCA_ADDRESS.raw}/bu_meta/{nonce}")
+            nonce = self.parent.state.get(sca_key("bu_applied_nonce"))
+            entry = self.parent.state.get(sca_key(f"bu_meta/{nonce}"))
             if entry is None:
                 return
             meta = entry["meta"]
             messages = self.child.state.get(
-                f"actor/{SCA_ADDRESS.raw}/registry/{meta.msgs_cid.hex()}"
+                sca_key(f"registry/{meta.msgs_cid.hex()}")
             )
             receipt = self.parent.apply_implicit(
                 SYSTEM_ADDRESS, SCA_ADDRESS, "apply_bottomup",
@@ -149,7 +149,7 @@ class Harness:
 
     # -- invariants -------------------------------------------------------
     def check_invariants(self):
-        record = self.parent.state.get(f"actor/{SCA_ADDRESS.raw}/child/{SUB.path}")
+        record = self.parent.state.get(sca_key(f"child/{SUB.path}"))
         circulating = record["circulating"]
         injected = record["injected_total"]
         released = record["released_total"]
@@ -173,7 +173,7 @@ class Harness:
         nonce = self.td_applied
         while True:
             message = self.parent.state.get(
-                f"actor/{SCA_ADDRESS.raw}/td_msg/{SUB.path}/{nonce}"
+                sca_key(f"td_msg/{SUB.path}/{nonce}")
             )
             if message is None:
                 return total
@@ -226,7 +226,7 @@ def test_forged_extraction_never_exceeds_supply(injected, claimed):
 
     harness = Harness()
     harness.fund(0, min(injected, 10_000))
-    record = harness.parent.state.get(f"actor/{SCA_ADDRESS.raw}/child/{SUB.path}")
+    record = harness.parent.state.get(sca_key(f"child/{SUB.path}"))
     supply = record["circulating"]
     attacker = KeyPair("prop-attacker").address
     forged = (

@@ -5,6 +5,7 @@ import pytest
 
 from repro.crypto.keys import Address
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SCA_ADDRESS, SubnetConfig
+from repro.hierarchy.gateway import sca_key
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +54,12 @@ def test_topdown_actor_call_with_value(system):
     )
     assert system.wait_for(
         lambda: (system.node(subnet).vm.state.get(
-            f"actor/{SCA_ADDRESS.raw}/asset/topdown-deed") or {}).get("owner")
+            sca_key("asset/topdown-deed")) or {}).get("owner")
         is not None,
         timeout=60.0,
     )
     record = system.node(subnet).vm.state.get(
-        f"actor/{SCA_ADDRESS.raw}/asset/topdown-deed"
+        sca_key("asset/topdown-deed")
     )
     assert record["owner"] == bob.address.raw
 

@@ -2,6 +2,7 @@
 behaviours, asserting the system degrades and recovers as designed."""
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
+from repro.hierarchy.subnet_actor import last_committed_window
 from repro.telemetry import enable_telemetry
 
 
@@ -58,8 +59,8 @@ def test_checkpointing_survives_parent_partition():
         SubnetConfig(name="cut", validators=3, block_time=0.25, checkpoint_period=4)
     )
     system.run_for(5.0)
-    window_before = system.node(ROOTNET).vm.state.get(
-        f"actor/{system.sa_address(sub).raw}/last_ckpt_window", -1
+    window_before = last_committed_window(
+        system.node(ROOTNET).vm.state, system.sa_address(sub)
     )
     transport = system.stack.transport
     subnet_ids = {n.node_id for n in system.nodes(sub)}
@@ -67,8 +68,8 @@ def test_checkpointing_survives_parent_partition():
     system.run_for(10.0)
     transport.heal(handle)
     system.run_for(30.0)
-    window_after = system.node(ROOTNET).vm.state.get(
-        f"actor/{system.sa_address(sub).raw}/last_ckpt_window", -1
+    window_after = last_committed_window(
+        system.node(ROOTNET).vm.state, system.sa_address(sub)
     )
     assert window_after > window_before, "checkpointing never recovered"
 

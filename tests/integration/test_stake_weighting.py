@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
+from repro.hierarchy.subnet_actor import registered_validators
 
 
 def test_pos_subnet_weights_leaders_by_join_stake():
@@ -24,8 +25,8 @@ def test_pos_subnet_weights_leaders_by_join_stake():
     # where stakes differ from the start (join amounts are uniform through
     # spawn_subnet, so we check the recorded powers match SA stakes).
     node = system.node(subnet)
-    sa_validators = system.node(ROOTNET).vm.state.get(
-        f"actor/{system.sa_address(subnet).raw}/validators"
+    sa_validators = registered_validators(
+        system.node(ROOTNET).vm.state, system.sa_address(subnet)
     )
     assert sa_validators[heavy.address.raw] == 1000
     recorded = {v.address.raw: v.power for v in node.validators}

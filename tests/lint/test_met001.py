@@ -54,7 +54,6 @@ def test_catalog_key_must_be_spelled_outside_the_catalog(tmp_path):
         "MET001", "catalog.py", 3,
     )
     assert "'app.stale' is declared but spelled nowhere else" in finding.message
-    assert finding.source_line.startswith('"app.stale"')  # what a baseline entry matches
 
     # Any verbatim spelling counts — a table the emit site indexes, say.
     _write(tmp_path, "table.py", 'FAMILY = {"old": "app.stale"}\n')

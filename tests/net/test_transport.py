@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.topology import RegionLatency, Topology, UniformLatency
+from repro.net.topology import Topology, UniformLatency
 from repro.net.transport import Transport
 from repro.sim.scheduler import Simulator
 
@@ -116,23 +116,6 @@ def test_uniform_latency_zero_jitter_is_constant():
 def test_uniform_latency_rejects_negative():
     with pytest.raises(ValueError):
         UniformLatency(base=0.01, jitter=0.05)
-
-
-def test_region_latency_matrix():
-    import random
-
-    model = RegionLatency(
-        regions={"a": "us", "b": "us", "c": "eu"},
-        matrix={("us", "us"): 0.01, ("eu", "us"): 0.1},
-        jitter_fraction=0.0,
-    )
-    rng = random.Random(0)
-    assert model.sample("a", "b", rng) == 0.01
-    assert model.sample("a", "c", rng) == 0.1
-    assert model.sample("c", "a", rng) == 0.1  # symmetric
-    # Unknown pair falls back to the default.
-    model.regions["d"] = "asia"
-    assert model.sample("a", "d", rng) == model.default
 
 
 def test_metrics_are_recorded():

@@ -12,6 +12,7 @@ import pytest
 
 from repro.baselines import SingleChainBaseline
 from repro.hierarchy import HierarchicalSystem, SubnetConfig, audit_system
+from repro.hierarchy.subnet_actor import committed_checkpoints
 from repro.runtime.node import BelowFloor
 
 
@@ -53,11 +54,13 @@ def test_a_node_behind_the_floor_recovers_from_its_parents_checkpoint(outage):
     anchor = store.block_at_height(store.base)
     period = straggler.checkpoint_period
     assert (anchor.height + 1) % period == 0
-    signed = straggler.parent_node.vm.state.get(
-        f"actor/{straggler.checkpoints.config.sa_addr}"
-        f"/ckpt_history/{(anchor.height + 1) // period - 1}"
-    )
-    assert signed.checkpoint.proof == anchor.cid
+    anchored = {
+        signed.checkpoint.window: signed.checkpoint.proof
+        for signed in committed_checkpoints(
+            straggler.parent_node.vm.state, straggler.checkpoints.config.sa_addr
+        )
+    }
+    assert anchored[(anchor.height + 1) // period - 1] == anchor.cid
     # Its state is the chain's: same root as the peer that never stopped.
     system.run_for(5.0)
     height = min(node.head().height for node in system.nodes(sub))

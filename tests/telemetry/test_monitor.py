@@ -1,8 +1,12 @@
 """Invariant monitor: honest-run silence, digest neutrality, auditor units."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.hierarchy import HierarchicalSystem, SubnetConfig, SubnetID, audit_system
+from repro.hierarchy.gateway import SCA_ADDRESS, child_key
+from repro.hierarchy.genesis import hierarchy_registry
 from repro.sim.observe import ChainReorg
 from repro.sim.scheduler import Simulator
 from repro.telemetry import (
@@ -12,6 +16,7 @@ from repro.telemetry import (
     SupplyAuditor,
     enable_telemetry,
 )
+from repro.vm.vm import VM
 from tests.telemetry.feeds import commit, stub_node
 
 
@@ -127,6 +132,68 @@ def test_supply_auditor_flags_firewall_refusal():
     (violation,) = monitor.violations
     assert violation.auditor == "supply"
     assert "exceeds its circulating supply" in violation.description
+
+
+# ----------------------------------------------------------------------
+# Supply auditor (books path): the rules are firewall.books_findings, so
+# the live auditor and the after-the-fact audit_system cannot disagree.
+# ----------------------------------------------------------------------
+def _books(record, pool, minted, burned):
+    """A rootnet whose SCA holds *pool* and one hand-written child record,
+    beside a child chain that minted / burned so much: (system, node)."""
+    vm = VM(subnet_id="/root", registry=hierarchy_registry())
+    vm.mint(SCA_ADDRESS, pool)
+    vm.state.set(child_key("/root/a"), dict(_SOUND, **record))
+    sim = Simulator(seed=1)
+    node = stub_node(vm=vm)
+    child = stub_node("/root/a", vm=SimpleNamespace(total_minted=minted, total_burned=burned))
+    system = SimpleNamespace(
+        sim=sim, subnets=["/root"], node=lambda subnet: node,
+        nodes_by_subnet={SubnetID("/root/a"): [child]},
+    )
+    return system, node
+
+
+_SOUND = {
+    "status": "active", "collateral": 100, "circulating": 10,
+    "injected_total": 10, "released_total": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "record, pool, minted, rules",
+    [
+        ({}, 110, 10, set()),
+        ({"released_total": 15, "circulating": -5}, 110, 10, {"released>injected", "ledger"}),
+        ({"released_total": 4, "circulating": 7}, 110, 10, {"ledger"}),
+        ({}, 110, 11, {"mint"}),
+        ({}, 109, 10, {"solvency"}),
+    ],
+    ids=["sound", "firewall-bound", "ledger", "mint-bound", "pool-solvency"],
+)
+def test_supply_auditor_and_audit_system_report_the_same_books(record, pool, minted, rules):
+    system, node = _books(record, pool, minted, burned=record.get("released_total", 0))
+    monitor = system.sim.attach(
+        InvariantMonitor(system, auditors=[SupplyAuditor()], check_interval=1)
+    )
+    commit(system.sim, node, [])
+    audit = audit_system(system)
+    assert audit.ok == monitor.ok == (not rules)
+    assert audit.violations == [f"/root: {v.description}" for v in monitor.violations]
+    assert {key[2][0] for key in monitor._seen} == rules
+
+
+def test_books_stay_sound_under_a_forgery_only_the_live_burn_check_sees():
+    # Released within the circulating supply, but never burned below:
+    # audit_system means "the books are sound" and they are.
+    system, node = _books({"released_total": 5, "circulating": 5}, 110, 10, burned=0)
+    monitor = system.sim.attach(
+        InvariantMonitor(system, auditors=[SupplyAuditor()], check_interval=1)
+    )
+    commit(system.sim, node, [])
+    assert audit_system(system).ok
+    (violation,) = monitor.violations
+    assert "ever burned in its subtree" in violation.description
 
 
 # ----------------------------------------------------------------------
