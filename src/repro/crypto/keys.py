@@ -1,14 +1,22 @@
 """Key pairs and addresses.
 
 A :class:`KeyPair`'s secret is derived deterministically from a seed path so
-that simulations are reproducible, but the secret never leaves the object:
-all protocol code handles only :class:`Address` and public key bytes.
+that simulations are reproducible, but the secret never reaches protocol
+code: it handles only :class:`Address` and public key bytes.  Besides the
+object, the secret is held only by this module's key table, which
+:func:`repro.crypto.signature.verify` consults in place of public-key math.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, Optional
+
+# Public key -> secret of every KeyPair built in this process: the
+# simulation's stand-in for the public-key math that lets anyone check a
+# tag against a public key.  One entry per key, so it is bounded by the
+# deployment, not by its traffic.
+_SECRETS: dict[bytes, bytes] = {}
 
 
 class Address:
@@ -76,6 +84,7 @@ class KeyPair:
         self.public = hashlib.sha256(b"pub:" + self._secret).digest()
         self.address = Address.from_pubkey(self.public)
         self.name = name or self.address.raw
+        _SECRETS[self.public] = self._secret
 
     def secret_for_signing(self) -> bytes:
         """Return the private bytes.  Only :mod:`repro.crypto.signature` and
@@ -84,3 +93,10 @@ class KeyPair:
 
     def __repr__(self) -> str:
         return f"KeyPair({self.name}, addr={self.address})"
+
+
+def secret_for_public(public: bytes) -> Optional[bytes]:
+    """The secret behind *public*, or None for a key no KeyPair holds.
+    Only :func:`repro.crypto.signature.verify` calls this (the full-tree
+    lint test holds every other module to that)."""
+    return _SECRETS.get(public)

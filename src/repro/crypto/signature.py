@@ -1,14 +1,16 @@
 """Single-key signatures (simulated).
 
-A signature tag is ``sha256(pub || secret || message_digest)``.  Producing a
-tag therefore requires the :class:`~repro.crypto.keys.KeyPair` object, while
-verification must work with public data only — as with real asymmetric
-signatures.  Public verifiability is emulated by a global
-:class:`SignatureRegistry` that records genuinely-produced tags at signing
-time: a tag verifies iff :func:`sign` actually produced it for that
-(signer, message).  Attackers in the experiments fabricate tags without
-calling :func:`sign`, and those fail verification — exactly the behaviour
-real signatures provide.
+A signature tag is ``sha256("sig:" || pub || secret || message_digest)``.
+Producing a tag requires the :class:`~repro.crypto.keys.KeyPair` object,
+while verification must work with public data only — as with real
+asymmetric signatures.  Public verifiability is emulated by a *key oracle*:
+:mod:`repro.crypto.keys` keeps one public -> secret entry per key pair, and
+:func:`verify` recomputes the tag from the signature's own public key and
+the message, the way :meth:`ThresholdScheme.verify` checks a group tag
+against the group secret.  A tag therefore verifies only for the key that
+produced it and the message it was produced over: a fabricated tag fails,
+and so does a genuine one relabelled with another signer's address and
+public key.  Nothing is kept per signature.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.encoding import canonical_encode
-from repro.crypto.keys import Address, KeyPair
+from repro.crypto.keys import Address, KeyPair, secret_for_public
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,30 +33,6 @@ class Signature:
 
     def to_canonical(self):
         return (self.signer.raw, self.public, self.tag)
-
-
-class SignatureRegistry:
-    """Record of genuinely-produced (tag, message-digest) pairs.
-
-    Stands in for the public-key math that makes real signatures verifiable
-    without the secret.  A tag is a hash over its digest, so it is recorded
-    for exactly one: tag -> digest holds the pairs without a tuple apiece.
-    """
-
-    def __init__(self) -> None:
-        self._seen: dict[bytes, bytes] = {}
-
-    def record(self, tag: bytes, digest: bytes) -> None:
-        self._seen[tag] = digest
-
-    def check(self, tag: bytes, digest: bytes) -> bool:
-        return self._seen.get(tag) == digest
-
-    def clear(self) -> None:
-        self._seen.clear()
-
-
-_REGISTRY = SignatureRegistry()
 
 
 def message_digest(message: Any) -> bytes:
@@ -76,13 +54,13 @@ def message_digest(message: Any) -> bytes:
     return digest
 
 
+def _tag(public: bytes, secret: bytes, digest: bytes) -> bytes:
+    return hashlib.sha256(b"sig:" + public + secret + digest).digest()
+
+
 def sign(keypair: KeyPair, message: Any) -> Signature:
     """Sign *message* (any canonically-encodable value) with *keypair*."""
-    digest = message_digest(message)
-    tag = hashlib.sha256(
-        b"sig:" + keypair.public + keypair.secret_for_signing() + digest
-    ).digest()
-    _REGISTRY.record(tag, digest)
+    tag = _tag(keypair.public, keypair.secret_for_signing(), message_digest(message))
     return Signature(signer=keypair.address, public=keypair.public, tag=tag)
 
 
@@ -90,20 +68,15 @@ def verify(signature: Signature, message: Any, keypair: Optional[KeyPair] = None
     """Verify *signature* over *message* using public data.
 
     The signer address must match the embedded public key, and the tag must
-    have genuinely been produced for this exact message.  When *keypair* is
-    supplied (a node re-checking its own output), the tag is additionally
-    recomputed.
+    be the one that key produces for this exact message.  When *keypair* is
+    supplied (a node re-checking its own output), it must also be the key
+    that signed.
     """
-    if Address.from_pubkey(signature.public) != signature.signer:
-        return False
-    if len(signature.tag) != 32:
+    public = signature.public
+    if Address.from_pubkey(public) != signature.signer:
         return False
     digest = message_digest(message)
-    if not _REGISTRY.check(signature.tag, digest):
+    if keypair is not None and keypair.public != public:
         return False
-    if keypair is not None:
-        expected = hashlib.sha256(
-            b"sig:" + keypair.public + keypair.secret_for_signing() + digest
-        ).digest()
-        return expected == signature.tag and keypair.address == signature.signer
-    return True
+    secret = secret_for_public(public)
+    return secret is not None and _tag(public, secret, digest) == signature.tag

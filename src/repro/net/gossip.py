@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Callable, Optional
 
 from repro.sim.scheduler import Simulator
 from repro.net.rpc import RpcChannel
 from repro.net.transport import NetMessage, Transport
+
+#: Ids one heartbeat advertises per peer: its newest, across all topics.
+ADVERTISED = 50
 
 
 @dataclass
@@ -58,11 +60,16 @@ class _PeerState:
         # computed lazily on first forward and invalidated by _rebuild_mesh
         # (the only place mesh sets change).
         self.mesh_links: dict[str, tuple] = {}
-        self.seen: dict[str, PubsubEnvelope] = {}  # never rebound: neighbours hold it
-        # Ids in the order they were recorded (what IHAVE advertises), and
-        # [heartbeat_no, ids recorded during it] runs that drive expiry.
+        # msg id -> topic: what dedups, and what an IWANT is answered from.
+        self.seen: dict[str, str] = {}  # never rebound: neighbours hold it
+        # Ids in the order they were recorded, and [heartbeat_no, ids
+        # recorded during it] runs that drive expiry.
         self.seen_order: deque = deque()
         self.seen_runs: deque = deque()
+        # The envelopes of the newest ADVERTISED ids of seen_order, which
+        # is all IHAVE advertises: payloads leave the peer long before
+        # their ids do.
+        self.recent: deque = deque(maxlen=ADVERTISED)
         self.seq = 0
 
 
@@ -243,8 +250,9 @@ class GossipNetwork:
             # IHAVE repair skip it forever once the peer (re)subscribes,
             # so drop it unrecorded.
             return False
-        state.seen[msg_id] = envelope
+        state.seen[msg_id] = topic
         state.seen_order.append(msg_id)
+        state.recent.append(envelope)
         runs = state.seen_runs
         if runs and runs[-1][0] == self._heartbeat_no:
             runs[-1][1] += 1
@@ -282,14 +290,20 @@ class GossipNetwork:
         if message.kind == "gossip:pub":
             return self._accept(state, message.payload)
         elif message.kind == "gossip:ihave":
-            topic, msg_ids = message.payload
-            missing = [m for m in msg_ids if m not in state.seen]
+            # The wire carries ids; the envelopes ride along because every
+            # peer holds the same immutable object and the transport models
+            # no bytes, so the IWANT can hand them back to their advertiser.
+            topic, envelopes = message.payload
+            seen = state.seen
+            missing = [e for e in envelopes if e.msg_id not in seen]
             if missing and topic in state.topics:
                 self.transport.send(message.dst, message.src, "gossip:iwant", missing)
         elif message.kind == "gossip:iwant":
-            for msg_id in message.payload:
-                envelope = state.seen.get(msg_id)
-                if envelope is not None:
+            # Built from an IHAVE this peer sent: answered iff the id is
+            # still in its history, as if the payload had been kept there.
+            seen = state.seen
+            for envelope in message.payload:
+                if envelope.msg_id in seen:
                     self.transport.send(message.dst, message.src, "gossip:pub", envelope)
 
     # ------------------------------------------------------------------
@@ -307,14 +321,15 @@ class GossipNetwork:
             while runs and runs[0][0] < horizon:
                 for _ in range(runs.popleft()[1]):
                     state.seen.pop(state.seen_order.popleft(), None)
+            # ... and the payloads of expired ids with them.
+            recent = state.recent
+            while len(recent) > len(state.seen_order):
+                recent.popleft()
             # Advertise recent ids per topic to non-mesh members.
-            recent_by_topic: dict[str, list[str]] = {}
-            recent = list(islice(reversed(state.seen_order), 50))
-            for msg_id in reversed(recent):
-                envelope = state.seen.get(msg_id)
-                if envelope is not None:
-                    recent_by_topic.setdefault(envelope.topic, []).append(msg_id)
-            for topic, msg_ids in recent_by_topic.items():
+            recent_by_topic: dict[str, list[PubsubEnvelope]] = {}
+            for envelope in state.recent:
+                recent_by_topic.setdefault(envelope.topic, []).append(envelope)
+            for topic, envelopes in recent_by_topic.items():
                 members = self._topic_members.get(topic, set())
                 candidates = sorted(members - state.mesh.get(topic, set()) - {peer_id})
                 if not candidates:
@@ -326,7 +341,7 @@ class GossipNetwork:
                     continue
                 sample_size = min(self.params.lazy_degree, len(candidates))
                 for target in self._rng.sample(candidates, sample_size):
-                    self.transport.send(peer_id, target, "gossip:ihave", (topic, msg_ids))
+                    self.transport.send(peer_id, target, "gossip:ihave", (topic, envelopes))
 
     def shutdown(self) -> None:
         """Stop the heartbeat (ends the simulation cleanly)."""

@@ -1,16 +1,29 @@
 """Structured trace log.
 
 Every protocol-relevant action (block committed, checkpoint submitted,
-cross-msg applied, …) is appended as a :class:`TraceRecord`.  The log's
+cross-msg applied, …) is emitted as a :class:`TraceRecord`.  The log's
 digest makes determinism testable: two runs with the same seed must produce
 identical digests.
+
+The log keeps what is read of it, and no more per record: the digest rolls
+forward at each emit (over the same rendered lines a pass over every record
+would hash), the number of records and the number per kind are counted,
+and the records themselves live in a ring of the newest :data:`RING` — the
+flight recorder's trace tail.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Iterator, Optional
+
+#: Records the log holds: the newest, at least the flight recorder's tail.
+RING = 1024
+#: One rendered record: time, kind, subject, details (what the digest hashes).
+_LINE = "[%12.6f] %-24s %s %s"
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,53 +36,36 @@ class TraceRecord:
     detail: tuple = field(default_factory=tuple)
 
     def render(self) -> str:
-        parts = ", ".join(str(d) for d in self.detail)
-        return f"[{self.time:12.6f}] {self.kind:<24} {self.subject} {parts}"
+        return _LINE % (self.time, self.kind, self.subject, ", ".join(map(str, self.detail)))
 
 
 class TraceLog:
-    """Append-only log of :class:`TraceRecord` entries.
+    """A rolling digest and exact counts over every :class:`TraceRecord`
+    emitted, and a ring of the newest :data:`RING` records."""
 
-    A bounded log (``capacity`` set) never loses records silently: the
-    first overflow appends one ``trace.capacity`` warning record, and every
-    dropped record is counted in :attr:`dropped`.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None, capacity: Optional[int] = None) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
-        self.records: list[TraceRecord] = []
-        self.capacity = capacity
+        self.records: deque = deque(maxlen=RING)
         self.enabled = True
-        self.dropped = 0
+        self._emitted = 0
+        self._counts: dict[str, int] = {}
+        self._hasher = hashlib.sha256()
 
     def emit(self, kind: str, subject: str, *detail: Any) -> None:
-        """Append a record at the current simulated time."""
+        """Record an entry at the current simulated time."""
         if not self.enabled:
             return
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            if self.dropped == 1:
-                # One warning record (the log's only overshoot past capacity)
-                # so a truncated log is distinguishable from a complete one.
-                self.records.append(
-                    TraceRecord(
-                        time=self._clock(),
-                        kind="trace.capacity",
-                        subject=f"capacity={self.capacity}",
-                        detail=("further records dropped",),
-                    )
-                )
-            return
-        record = TraceRecord(
-            time=self._clock(),
-            kind=kind,
-            subject=str(subject),
-            detail=tuple(str(d) for d in detail),
-        )
-        self.records.append(record)
+        now, subject, detail = self._clock(), str(subject), tuple(map(str, detail))
+        self.records.append(TraceRecord(now, kind, subject, detail))
+        self._emitted += 1
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        # render(), spelled inline: this runs for every record.
+        line = _LINE % (now, kind, subject, ", ".join(detail)) + "\n"
+        self._hasher.update(line.encode("utf-8"))
 
     def filter(self, kind: Optional[str] = None, subject: Optional[str] = None) -> Iterator[TraceRecord]:
-        """Yield records matching the given kind and/or subject."""
+        """Yield the ring's records matching the given kind and/or subject."""
         for record in self.records:
             if kind is not None and record.kind != kind:
                 continue
@@ -77,16 +73,18 @@ class TraceLog:
                 continue
             yield record
 
+    def tail(self, n: int) -> list:
+        """The newest *n* records still in the ring, oldest first."""
+        records = self.records
+        return list(islice(records, max(0, len(records) - n), None))
+
     def count(self, kind: str) -> int:
-        return sum(1 for _ in self.filter(kind=kind))
+        """Records of *kind* ever emitted."""
+        return self._counts.get(kind, 0)
 
     def digest(self) -> str:
         """SHA-256 over the full rendered log — the determinism fingerprint."""
-        hasher = hashlib.sha256()
-        for record in self.records:
-            hasher.update(record.render().encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        return self._hasher.copy().hexdigest()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._emitted

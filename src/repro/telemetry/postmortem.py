@@ -109,10 +109,8 @@ def render(bundle: dict, tail: int = 20) -> str:
 
     trace = bundle.get("trace_tail") or []
     if trace:
-        dropped = bundle.get("trace_dropped") or 0
-        suffix = f", {dropped} dropped upstream" if dropped else ""
         out.append("")
-        out.append(f"-- trace tail ({min(tail, len(trace))} of {len(trace)}{suffix}) --")
+        out.append(f"-- trace tail ({min(tail, len(trace))} of {len(trace)}) --")
         out.extend(f"  {line}" for line in trace[-tail:])
 
     return "\n".join(out)

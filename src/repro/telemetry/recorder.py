@@ -26,6 +26,7 @@ from collections import deque
 from typing import Optional
 
 from repro.sim.observe import HealthSampled, Plane, WaitTimedOut
+from repro.sim.tracing import RING
 
 _SCHEMA = "repro.postmortem/v1"
 
@@ -57,6 +58,8 @@ class FlightRecorder(Plane):
         capacity: int = 256,
         out_dir: Optional[str] = None,
     ) -> None:
+        if capacity > RING:
+            raise ValueError(f"capacity {capacity} exceeds the trace log's ring of {RING}")
         self.sim = sim
         self.system = system
         self.capacity = capacity
@@ -133,10 +136,7 @@ class FlightRecorder(Plane):
             "violations": (
                 [v.as_dict() for v in monitor.violations] if monitor is not None else []
             ),
-            "trace_tail": [
-                r.render() for r in sim.trace.records[-self.capacity:]
-            ],
-            "trace_dropped": sim.trace.dropped,
+            "trace_tail": [r.render() for r in sim.trace.tail(self.capacity)],
             "dispatch_recent": [list(entry) for entry in self._dispatch_ring],
             "health_recent": _plain(list(self._health_ring)),
             "open_spans": self._open_spans(),

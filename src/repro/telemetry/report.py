@@ -275,10 +275,7 @@ def render(snapshot: dict) -> str:
 
     log = snapshot.get("trace_log")
     if log:
-        line = f"trace log: {log.get('records', 0)} records"
-        if log.get("dropped"):
-            line += f" ({log['dropped']} dropped at capacity)"
-        sections.append(line)
+        sections.append(f"trace log: {log.get('records', 0)} records")
 
     return "\n\n".join(sections)
 

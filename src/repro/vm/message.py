@@ -67,7 +67,7 @@ class SignedMessage:
     message: Message
     signature: Signature
     _cid: Optional[CID] = memo()  # cached_cid's
-    _sig_ok: Optional[bool] = memo()  # verify_signature's (True only)
+    _sig_ok: Optional[bool] = memo()  # verify_signature's
 
     @classmethod
     def create(cls, message: Message, keypair: KeyPair) -> "SignedMessage":
@@ -76,18 +76,16 @@ class SignedMessage:
         return cls(message=message, signature=sign(keypair, message))
 
     def verify_signature(self) -> bool:
-        # Memoized (True only): the registry is append-only, so a signature
-        # that verified once stays valid — but a failing one may verify
-        # later (its sign() not yet recorded), so failures are re-checked.
-        # Every validator re-verifies each gossiped message; this caches
-        # that work per object.
-        if self._sig_ok:
-            return True
-        if self.signature.signer != self.message.from_addr:
-            return False
-        ok = verify(self.signature, self.message)
-        if ok:
-            object.__setattr__(self, "_sig_ok", True)
+        # Memoized, either way: verify() recomputes the tag from the
+        # signer's key and the message, both fixed for this object's
+        # lifetime, so its answer cannot change.  Every validator
+        # re-verifies each gossiped message; this caches that work per
+        # object.
+        ok = self._sig_ok
+        if ok is None:
+            signature = self.signature
+            ok = signature.signer == self.message.from_addr and verify(signature, self.message)
+            object.__setattr__(self, "_sig_ok", ok)
         return ok
 
     def to_canonical(self):

@@ -1,5 +1,8 @@
 """Unit tests for keys, signatures and multisignatures."""
 
+import gc
+import tracemalloc
+
 from repro.crypto.keys import Address, KeyPair
 from repro.crypto.multisig import aggregate, verify_multisig
 from repro.crypto.signature import Signature, sign, verify
@@ -97,3 +100,45 @@ def test_multisig_threshold_must_be_positive():
 
     with pytest.raises(ValueError):
         verify_multisig(aggregate([]), "m", [], threshold=0)
+
+
+# A tag is checked against the key it claims, so it is bound to that key.
+# Each test below fails if verify() accepts any tag that was once produced
+# for the message (a ledger of every signature, looked up by tag), whoever
+# produced it.
+
+
+def test_a_genuine_tag_relabelled_with_another_key_does_not_verify():
+    alice, bob = KeyPair("alice"), KeyPair("bob")
+    genuine = sign(alice, "msg")
+    relabelled = Signature(signer=bob.address, public=bob.public, tag=genuine.tag)
+    assert verify(genuine, "msg")
+    assert not verify(relabelled, "msg")
+
+
+def test_one_tag_relabelled_three_times_is_not_a_three_of_three_multisig():
+    keys = [KeyPair(f"k{i}") for i in range(3)]
+    tag = sign(keys[0], "m").tag
+    forged = aggregate(Signature(signer=k.address, public=k.public, tag=tag) for k in keys)
+    authorized = [k.address for k in keys]
+    assert len(forged) == 3
+    assert not verify_multisig(forged, "m", authorized, threshold=3)
+    assert verify_multisig(forged, "m", authorized, threshold=1)  # keys[0]'s own is genuine
+
+
+def test_signing_and_verifying_keep_nothing_per_signature():
+    """Fails if sign() or verify() records anything per signature: 10^4 of
+    each leave under 64 KiB of traced growth."""
+    keypair = KeyPair("alice")
+    assert verify(sign(keypair, -1), -1)  # warm every code path once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            assert verify(sign(keypair, i), i)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.cid import cid_of
 from repro.crypto.keys import Address, KeyPair
-from repro.crypto.signature import sign
+from repro.crypto.signature import Signature, sign
 from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint, ZERO_CHECKPOINT
 from repro.hierarchy.gateway import SCA_ADDRESS, STATUS_INACTIVE
@@ -72,6 +72,23 @@ def test_multisig_policy_rejects_below_threshold():
     signatures = tuple(sign(m, checkpoint.cid.hex()) for m in miners[:2])
     receipt = submit(vm, sa_addr, miners[0], SignedCheckpoint(checkpoint, signatures))
     assert receipt.exit_code == ExitCode.USR_FORBIDDEN
+
+
+def test_multisig_policy_refuses_one_tag_relabelled_as_every_validator():
+    """One validator's genuine signature over the checkpoint, relabelled
+    with each other validator's address and public key, is one signer, not
+    three: the SA refuses it (it accepted it while tags were looked up in a
+    ledger of every signature instead of checked against their key)."""
+    vm, sa_addr, miners = make_parent(SignaturePolicy(kind="multisig", threshold=3))
+    checkpoint = make_checkpoint()
+    tag = sign(miners[0], checkpoint.cid.hex()).tag
+    relabelled = tuple(
+        Signature(signer=miner.address, public=miner.public, tag=tag) for miner in miners
+    )
+    receipt = submit(vm, sa_addr, miners[0], SignedCheckpoint(checkpoint, relabelled))
+    assert receipt.exit_code == ExitCode.USR_FORBIDDEN
+    honest = tuple(sign(miner, checkpoint.cid.hex()) for miner in miners)
+    assert submit(vm, sa_addr, miners[0], SignedCheckpoint(checkpoint, honest)).ok
 
 
 def test_multisig_rejects_outsider_signatures():

@@ -48,3 +48,10 @@ def test_the_actor_state_layout_is_spelled_in_the_vm_only():
 def test_only_the_signature_policy_branches_on_its_kind():
     pattern = r"""policy\.kind\b|\bkind\s*[!=]=\s*["'](single|multisig|threshold)["']"""
     assert _spellings(pattern, home="hierarchy/subnet_actor.py") == []
+
+
+def test_only_verify_reads_the_key_table():
+    # crypto.keys defines the public -> secret oracle; anything else reading
+    # it could forge a tag for any key.
+    found = _spellings(r"\bsecret_for_public\b|\b_SECRETS\b", home="crypto/signature.py")
+    assert [line for line in found if not line.startswith("crypto/keys.py:")] == []

@@ -52,7 +52,8 @@ class Audited(Run):
 
         def audited_send(src, dst, kind, payload):
             if kind == "gossip:ihave":
-                topic, ids = payload
+                topic, envelopes = payload
+                ids = [envelope.msg_id for envelope in envelopes]
                 assert self.ihaves.setdefault(src, {}).setdefault(topic, ids) == ids
             return send(src, dst, kind, payload)
 

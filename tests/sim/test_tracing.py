@@ -1,7 +1,9 @@
 """Unit tests for the trace log."""
 
+import hashlib
+
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import RING, TraceLog
 
 
 def test_emit_records_time_and_details():
@@ -43,39 +45,20 @@ def test_digest_equal_for_equal_logs():
     assert log_a.digest() == log_b.digest()
 
 
-def test_capacity_limits_records():
-    log = TraceLog(capacity=2)
-    for i in range(5):
-        log.emit("k", "s", i)
-    # 2 real records + the one-time capacity warning marker.
-    assert len(log) == 3
-    assert log.dropped == 3
-
-
-def test_capacity_drop_is_counted_and_announced_once():
-    log = TraceLog(capacity=1)
-    log.emit("k", "s", "kept")
-    assert log.dropped == 0
-    for i in range(4):
-        log.emit("k", "s", i)
-    assert log.dropped == 4
-    warnings = list(log.filter(kind="trace.capacity"))
-    assert len(warnings) == 1
-    assert warnings[0].subject == "capacity=1"
-    # The kept record is untouched and the digest stays stable under
-    # further over-capacity emits.
-    digest = log.digest()
-    log.emit("k", "s", "late")
-    assert log.dropped == 5
-    assert log.digest() == digest
-
-
 def test_unbounded_log_never_drops():
+    """Past the ring, the log still counts and digests every record: the
+    digest is the one a pass over every rendered record gives."""
     log = TraceLog()
-    for i in range(100):
-        log.emit("k", "s", i)
-    assert log.dropped == 0
-    assert log.count("trace.capacity") == 0
+    lines = []
+    for i in range(RING + 100):
+        log.emit("even" if i % 2 == 0 else "odd", "s", i)
+        lines.append(log.records[-1].render())
+    assert len(log) == RING + 100
+    assert log.count("even") == log.count("odd") == (RING + 100) // 2
+    assert len(log.records) == RING and log.records[0].detail == ("100",)
+    assert log.digest() == hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+    assert [r.detail for r in log.tail(2)] == [(str(RING + 98),), (str(RING + 99),)]
+    assert log.tail(0) == [] and len(log.tail(RING + 100)) == RING
 
 
 def test_disabled_log_drops_records():
@@ -83,7 +66,7 @@ def test_disabled_log_drops_records():
     log.enabled = False
     log.emit("k", "s")
     assert len(log) == 0
-    assert log.dropped == 0  # disabled is intentional, not capacity pressure
+    assert log.count("k") == 0
 
 
 def test_identical_simulations_have_identical_digests():

@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.scheduler import Simulator
+from repro.sim.tracing import RING
 from repro.telemetry import enable_telemetry
 from repro.telemetry.postmortem import main as postmortem_main
 from repro.telemetry.postmortem import render
+from repro.telemetry.recorder import FlightRecorder
 
 
 def _run_system(postmortem_dir=None, poke=False):
@@ -127,3 +130,12 @@ def test_health_ring_fed_whichever_plane_is_enabled_first(monitors_first):
     system.run_for(5)
     bundle = system.sim.planes["recorder"].dump(reason="health-check")
     assert len(bundle["health_recent"]) == 5
+
+
+def test_recorder_tail_cannot_outgrow_the_trace_ring():
+    """A trace tail longer than the log's ring would be cut short without
+    notice, so the recorder refuses to be built for one."""
+    sim = Simulator(seed=1)
+    assert FlightRecorder(sim, capacity=RING).capacity == RING
+    with pytest.raises(ValueError):
+        FlightRecorder(sim, capacity=RING + 1)
