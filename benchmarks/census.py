@@ -1,7 +1,9 @@
 """Retention census: what a ledger workload holds alive at the end of its
-measured region, and where the heap grew during the region.
+measured region, and where the heap grew during the region — and, given two
+region lengths, a gate on what must not grow with the length.
 
     python3 benchmarks/census.py pay-k8 --seconds 8 [--seed 1]
+    python3 benchmarks/census.py pay-k8 --seconds 1 3
 
 Builds, warms and runs one workload of ``benchmarks/ledger/workloads.py``
 the way ``benchmarks/ledger/run.py`` sizes it (one set-up, untraced; the
@@ -11,6 +13,12 @@ at the region's start and end, and prints at the region's end:
 - live instances of the types a run makes per operation;
 - the number of objects the cyclic collector tracks (what a full pass walks);
 - the :data:`TOP` largest heap growths over the region by file:line.
+
+With two lengths it runs the deployment once for each and exits non-zero
+when one of the :func:`bounded` quantities grew by more than :data:`GROWTH`
+from the first to the second: live ``HeaderOnly`` and ``FullBlock`` blocks
+and the bytes the histograms hold.  Time series keep every point by design
+and are not counted.
 
 Tracing allocations makes the run 2-3x slower in wall time; the simulated
 work is the same as the benchmark's.
@@ -31,6 +39,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(HERE, "ledger")]
 
 #: Heap-growth rows printed, largest first.
 TOP = 15
+#: How much a bounded quantity may grow from the first region length to the
+#: second.
+GROWTH = 0.10
 
 
 def per_op_types() -> tuple:
@@ -57,8 +68,36 @@ def live_counts(types: tuple) -> tuple:
     return len(objects), counts
 
 
-def run(workload_name: str, seed: int, seconds: float) -> list:
-    """The report's lines for one census."""
+def held_bytes(root) -> int:
+    """``sys.getsizeof`` summed over *root* and everything it reaches."""
+    seen, todo, size = set(), [root], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            size += sys.getsizeof(obj)
+            todo.extend(gc.get_referents(obj))
+    return size
+
+
+def bounded(counts: dict, histograms) -> dict:
+    """The quantities that must not grow with the region's length.  A
+    histogram counts its bucket table as it stands and its buffer at its
+    bound, since the buffer refills and folds as the run goes."""
+    from repro.chain.block import FullBlock, HeaderOnly
+    from repro.sim.metrics import BUFFER_SIZE
+
+    return {
+        "HeaderOnly": counts[HeaderOnly],
+        "FullBlock": counts[FullBlock],
+        "histogram bytes": sum(
+            8 * BUFFER_SIZE + held_bytes(histogram._buckets) for histogram in histograms
+        ),
+    }
+
+
+def run(workload_name: str, seed: int, seconds: float) -> tuple:
+    """(the report's lines, the :func:`bounded` quantities) for one census."""
     from workloads import WORKLOADS
 
     cls = WORKLOADS[workload_name]
@@ -77,6 +116,7 @@ def run(workload_name: str, seed: int, seconds: float) -> list:
         end = tracemalloc.take_snapshot()
         tracked, counts = live_counts(types)
         tracemalloc.stop()
+        held = bounded(counts, workload.sim.metrics.histograms.values())
         workload.end_region()
         workload.close()
     lines = [
@@ -86,6 +126,7 @@ def run(workload_name: str, seed: int, seconds: float) -> list:
     ]
     lines += [f"  {cls.__name__:<16}{count:>10}" for cls, count in counts.items()]
     lines.append(f"  {'gc-tracked':<16}{tracked:>10}")
+    lines.append(f"  {'histogram bytes':<16}{held['histogram bytes']:>10}")
     growth = sorted(end.compare_to(start, "lineno"), key=lambda stat: -stat.size_diff)
     lines.append(f"heap growth over the region, top {TOP} by file:line:")
     for stat in growth[:TOP]:
@@ -94,18 +135,44 @@ def run(workload_name: str, seed: int, seconds: float) -> list:
         lines.append(
             f"  {stat.size_diff / 1024:>+10.1f} KiB {stat.count_diff:>+9} blocks  {where}:{frame.lineno}"
         )
-    return lines
+    return lines, held
+
+
+def gate(lengths: list, first: dict, second: dict) -> tuple:
+    """(lines, ok): every bounded quantity within :data:`GROWTH` of itself."""
+    lines = [f"bounded growth, {lengths[0]:g} s -> {lengths[1]:g} s "
+             f"(limit +{GROWTH:.0%}):"]
+    ok = True
+    for name, before in first.items():
+        after = second[name]
+        grew = after > before * (1 + GROWTH)
+        ok = ok and not grew
+        change = f"{after / before - 1:+.1%}" if before else ("+inf" if after else "+0.0%")
+        lines.append(f"  {name:<16}{before:>10} -> {after:>10}  {change:>7}"
+                     + ("  GREW" if grew else ""))
+    return lines, ok
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", help="a ledger workload name, e.g. pay-k8")
-    parser.add_argument("--seconds", type=float, default=8.0,
-                        help="region length as run.py counts it (default 8)")
+    parser.add_argument("--seconds", type=float, nargs="+", default=[8.0],
+                        help="region length as run.py counts it (default 8); "
+                             "two lengths run the bounded-growth gate")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    print("\n".join(run(args.workload, args.seed, args.seconds)))
-    return 0
+    if len(args.seconds) > 2:
+        parser.error("--seconds takes one region length, or two for the gate")
+    held = []
+    for seconds in args.seconds:
+        lines, quantities = run(args.workload, args.seed, seconds)
+        print("\n".join(lines))
+        held.append(quantities)
+    if len(held) == 1:
+        return 0
+    lines, ok = gate(args.seconds, *held)
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -57,11 +57,12 @@ class BlockHeader:
 
 @dataclass(frozen=True, slots=True)
 class HeaderOnly:
-    """What a store keeps of a block below its horizon: the header alone.
+    """What a store keeps of the block it adopted a snapshot at: the header
+    alone (:meth:`~repro.chain.chainstore.ChainStore.adopt`).
 
     Deliberately *not* a :class:`FullBlock` with empty payloads — it has no
     ``messages`` / ``cross_messages`` attribute at all, so a reader that
-    scans bodies past the horizon fails loudly instead of under-counting.
+    scans bodies past the anchor fails loudly instead of under-counting.
     """
 
     header: BlockHeader

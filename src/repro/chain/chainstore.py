@@ -19,16 +19,18 @@ class ChainStore:
 
     One horizon, ``prune_depth`` below the head, bounds what a block costs
     to remember.  At or above it (:attr:`floor`) a block keeps its payload,
-    its fork-choice weight and (``put_state``) its post-state; below it a
-    block — canonical or fork — is a :class:`HeaderOnly`, so every
-    header-level query (``block_at_height``, ``ancestors``,
-    ``canonical_chain``, ``is_canonical``, ``is_extension``,
-    ``fork_count``) answers as if nothing had been dropped, while reading
-    a forgotten body raises ``AttributeError``.  History below the horizon
-    is final for this store: a block arriving there is kept as a header
-    and is never a head candidate.  An owner that must stay able to serve
-    some block (the last one its parent has checkpointed) sets
-    :attr:`hold` to that height, and the floor does not pass it.
+    its fork-choice weight and (``put_state``) its post-state; below it
+    the store keeps nothing — canonical block or fork, header included —
+    so every header-level query (``block_at_height``, ``ancestors``,
+    ``canonical_chain``, ``is_canonical``) answers from the floor up, and
+    ``fork_count`` still counts the forks it dropped.  History below the
+    horizon is final and held elsewhere: by the parent's checkpoints, and
+    by the snapshot every peer serves at or above its floor.  A block
+    arriving there has no parent left to connect to.  An owner that must
+    stay able to serve some block (the last one its parent has
+    checkpointed) sets :attr:`hold` to that height, and the floor does not
+    pass it.  The one header held without its body is the anchor
+    :meth:`adopt` installs, until the floor passes it too.
     """
 
     def __init__(self, prune_depth: int = 64) -> None:
@@ -43,7 +45,8 @@ class ChainStore:
         # crossed since the last head change.
         self._by_height: dict[int, list[CID]] = {}
         self._floor = 0
-        self._base = 0  # height of the lowest header held (see adopt)
+        self._base = 0  # height of the lowest block held (see adopt)
+        self._forks_dropped = 0
         self.hold: Optional[int] = None
         self._reorg_listeners: list[Callable[[Optional[CID], CID], None]] = []
         self._forget_listeners: list[Callable[[CID], None]] = []
@@ -77,7 +80,9 @@ class ChainStore:
 
     @property
     def base(self) -> int:
-        """Height of the lowest header held: 0, or the adopted snapshot's."""
+        """Height of the lowest block held: the floor, or the adopted
+        anchor's until the floor passes it.  Nothing at or below it can
+        join this store again."""
         return self._base
 
     def get(self, cid: CID) -> FullBlock | HeaderOnly:
@@ -142,10 +147,6 @@ class ChainStore:
         elif parent not in self._blocks:
             raise KeyError(f"orphan block: parent {parent.short()} unknown")
         self._blocks[cid] = block
-        if block.height < self._floor:
-            # A fork block arriving below the horizon: counted, not kept.
-            self._forget(cid)
-            return False
         parent_weight = self._weights.get(parent, 0)
         self._weights[cid] = parent_weight + 1 if weight is None else weight
         self._by_height.setdefault(block.height, []).append(cid)
@@ -192,11 +193,15 @@ class ChainStore:
     # The horizon
     # ------------------------------------------------------------------
     def on_forget(self, listener: Callable[[CID], None]) -> None:
-        """Register ``listener(cid)``, called as a block drops to its header."""
+        """Register ``listener(cid)``, called as a block leaves the store."""
         self._forget_listeners.append(listener)
 
     def _forget(self, cid: CID) -> None:
-        self._blocks[cid] = HeaderOnly(self._blocks[cid].header)
+        height = self._blocks.pop(cid).height
+        if self._canonical.get(height) == cid:
+            del self._canonical[height]
+        else:
+            self._forks_dropped += 1
         self._weights.pop(cid, None)
         self._state_snapshots.pop(cid, None)
         for listener in self._forget_listeners:
@@ -206,9 +211,12 @@ class ChainStore:
         horizon = self._blocks[self._head].height - self.prune_depth
         if self.hold is not None:
             horizon = min(horizon, self.hold)
-        for height in range(self._floor, horizon):
+        if horizon <= self._base:
+            return
+        for height in range(self._base, horizon):
             for cid in self._by_height.pop(height, ()):
                 self._forget(cid)
+        self._base = horizon
         self._floor = max(self._floor, horizon)
 
     def adopt(self, header: BlockHeader) -> None:
@@ -217,18 +225,20 @@ class ChainStore:
 
         Everything held before is dropped: it cannot be connected to the
         new floor, and what lies below a floor is final.  The header is
-        the new head and the lowest block held; its weight is what the
-        default rule (parent + 1 from a genesis of 1) gives its height.
+        the new head and the lowest block held, the one
+        :class:`HeaderOnly` a store keeps; its weight is what the default
+        rule (parent + 1 from a genesis of 1) gives its height.
         """
         cid = header.cid
         self._blocks = {cid: HeaderOnly(header)}
         self._weights = {cid: header.height + 1}
         self._state_snapshots = {}
-        self._by_height = {}
+        self._by_height = {header.height: [cid]}
         self._canonical = {header.height: cid}
         self._head = cid
         self._base = header.height
         self._floor = header.height + 1
+        self._forks_dropped = 0
 
     # ------------------------------------------------------------------
     # Post-states (validating off any block above the horizon)
@@ -254,7 +264,8 @@ class ChainStore:
     # ------------------------------------------------------------------
     def fork_count(self) -> int:
         """Number of blocks ever stored that are not on the canonical chain."""
-        return sum(1 for cid in self._blocks if not self.is_canonical(cid))
+        held = sum(1 for cid in self._blocks if not self.is_canonical(cid))
+        return self._forks_dropped + held
 
     def weight_of(self, cid: CID) -> int:
         return self._weights.get(cid, 0)

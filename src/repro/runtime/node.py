@@ -456,9 +456,11 @@ class NodeRuntime:
         the peer *sender* delivered one from beyond ``head + 1``, the gap
         may be older than gossip's IHAVE history still covers (a long
         outage), so the missing range is fetched from that peer directly;
-        the orphan cascade then lands the parked block too.
+        the orphan cascade then lands the parked block too.  A block at or
+        below the store's base is final history that nothing will ever
+        connect: refused, never parked.
         """
-        if self.store.has(block.cid):
+        if self.store.has(block.cid) or block.height <= self.store.base:
             return False
         parent = self.store.get_optional(block.header.parent)
         if parent is None:

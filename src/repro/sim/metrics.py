@@ -8,8 +8,13 @@ deterministic given a deterministic run.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from array import array
-from typing import Callable, Iterable, Optional
+from bisect import bisect_right
+from collections import Counter as _Tally
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Optional
 
 
 def _json_safe(value: float) -> Optional[float]:
@@ -52,99 +57,255 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class Histogram:
-    """Stores raw observations; computes summary statistics on demand.
+#: Observations a histogram keeps exactly, in arrival order; one more and it
+#: folds them into its bucket table.
+BUFFER_SIZE = 4096
+#: Relative error of a float quantile (and of ``stdev``) once a histogram
+#: has folded: a bucket keeps a double's sign, exponent and top seven
+#: mantissa bits, so it spans at most 2**-7 of its lower edge and its
+#: midpoint lies within 2**-8 of every value in it.
+EPSILON = 2.0**-8
 
-    Simulation runs are small enough (≤ millions of samples) that keeping raw
-    values is simpler and more accurate than bucketing — but a run makes one
-    ``net.latency`` observation per link copy, so they are kept unboxed:
-    ``samples`` is an ``array`` of C int64s while every observation has been
-    an ``int`` (round counts, reorg depths: they summarise as ints) and of C
-    doubles from the first float on (ints already held, and any that follow,
-    are then read back as floats of equal value).  Eight bytes per sample and
-    nothing for the garbage collector to walk.  Iterate it, ``len`` it,
-    ``list`` it; rebound on promotion, so do not hold on to it.
+# A bucket key is the upper 32 bits of a double with the 45 low mantissa
+# bits cleared: byte _DROP of the native double cleared, byte _CUT masked
+# to its top three bits, and 32-bit half _HALF read as an unsigned int.
+_DROP, _CUT, _HALF = (4, 5, 1) if sys.byteorder == "little" else (3, 2, 0)
+_TOP3 = bytes(byte & 0xE0 for byte in range(256))
+_BUCKET = 1 << 13  # one bucket's width, in key units
+_EXPONENT = 0x7FF00000
+_DOUBLE, _BITS, _KEY = struct.Struct("<d"), struct.Struct("<Q"), struct.Struct("=I")
+# Buckets a fold can count by one-byte offsets from a histogram's origin,
+# and where the low byte of a native 32-bit field is.
+_WINDOW = 256
+_LOW_BYTE = 0 if sys.byteorder == "little" else 3
+
+
+def _bucket_keys(values: array):
+    """The bucket key of each double in *values*, one C pass per step."""
+    raw = values.tobytes()
+    keys = bytearray(raw)
+    keys[_DROP::8] = bytes(len(values))
+    keys[_CUT::8] = raw[_CUT::8].translate(_TOP3)
+    return memoryview(keys).cast("I")[_HALF::2]
+
+
+def _offsets(values: array, origin: int) -> Optional[bytes]:
+    """Each double's bucket as one byte, counted in buckets from the key
+    *origin* — or None unless every one lies in the :data:`_WINDOW` buckets
+    from there.  The keys, packed into one integer, are shifted all at
+    once: a key below the origin borrows from its neighbour, and an offset
+    past the window, like the borrow, leaves a field's upper bytes set."""
+    n = len(values)
+    packed = int.from_bytes(_bucket_keys(values).tobytes(), sys.byteorder)
+    spread = packed - int.from_bytes(_KEY.pack(origin) * n, sys.byteorder)
+    if spread < 0:
+        return None
+    fields = (spread >> 13).to_bytes(4 * n, sys.byteorder)
+    offsets = fields[_LOW_BYTE::4]
+    if fields.count(0) - offsets.count(0) != 3 * n:
+        return None
+    return offsets
+
+
+def _members(values: array, offsets: bytes, offset: int) -> Iterator[float]:
+    """The values whose byte in *offsets* is *offset*."""
+    mark = bytes((offset,))
+    at = offsets.find(mark)
+    while at >= 0:
+        yield values[at]
+        at = offsets.find(mark, at + 1)
+
+
+def _origin(low: float, high: float) -> Optional[int]:
+    """The key a window over ``[low, high]`` starts at, if one holds them:
+    positive, finite, and no further apart than the window (clear of the
+    keys of infinity and NaN)."""
+    if not 0 < low <= high < math.inf:
+        return None
+    first, last = _bucket_keys(array("d", (low, high)))
+    reach = _WINDOW * _BUCKET
+    return first if last - first < reach and first + reach <= _EXPONENT else None
+
+
+def _key_value(key: int) -> float:
+    """The double a bucket key reads as: its midpoint; the lower edge for
+    zero and subnormals (so a zero reads as zero); ±inf and NaN as such."""
+    low = _DOUBLE.unpack(_BITS.pack(key << 32))[0]
+    if key & _EXPONENT in (0, _EXPONENT):
+        return low
+    return (low + _DOUBLE.unpack(_BITS.pack((key + _BUCKET) << 32))[0]) / 2
+
+
+class Histogram:
+    """Summary statistics over a run's observations, in bounded space.
+
+    The first :data:`BUFFER_SIZE` observations are kept exactly, unboxed, in
+    arrival order: C int64s while every observation has been an ``int``
+    (round counts, reorg depths: they summarise as ints), C doubles from the
+    first float on (ints already seen, and any that follow, then read back
+    as floats of equal value).  Up to there every statistic is the one a
+    plain list of the observations gives.
+
+    One more and the buffer folds into a table of buckets, and again every
+    time it refills: ints count by exact value, so an all-int histogram
+    keeps every statistic but ``stdev``'s last bits; floats count by
+    logarithmic bucket, so a quantile (interpolated between bucket
+    midpoints, clamped to ``[min, max]``) and ``stdev`` are within
+    :data:`EPSILON` of the exact ones — relative to the order statistics
+    interpolated, and to the quadratic mean, respectively.  ``count``,
+    ``min`` and ``max`` stay exact, ``total`` stays the left-to-right sum.
+    A NaN makes every quantile past the buffer NaN; ±inf read as
+    themselves.  The table grows with the range of values seen, never with
+    their number.
     """
+
+    __slots__ = (
+        "name", "_buffer", "_buckets", "_folded", "_total", "_low", "_high", "_origin",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples = array("q")
+        self._buffer = array("q")
+        self._buckets = _Tally()  # value (ints) or bucket key (floats) -> n
+        self._folded = 0  # observations in the table
+        self._total = 0  # their left-to-right sum
+        self._low: tuple = ()  # (their min,), kept as min() would fold it
+        self._high: tuple = ()
+        self._origin: Optional[int] = None  # see _offsets: set by the first float fold
 
     def observe(self, value: float) -> None:
+        buffer = self._buffer
         try:
-            self.samples.append(value)
+            buffer.append(value)
         except (TypeError, OverflowError):  # first float (or an int past 63 bits)
-            self.samples = array("d", self.samples)
-            self.samples.append(value)
+            buffer = self._promote()
+            buffer.append(value)
+        if len(buffer) > BUFFER_SIZE:
+            self._fold()
 
     def observe_many(self, values: Iterable[float]) -> None:
-        if self.samples.typecode == "d":
-            self.samples.extend(values)
+        buffer = self._buffer
+        if buffer.typecode == "d":
+            buffer.extend(values)
+            if len(buffer) > BUFFER_SIZE:
+                self._fold()
         else:  # a failed extend would keep what came before the float
             for value in values:
                 self.observe(value)
 
+    def _promote(self) -> array:
+        """Doubles from here on: the buffer, the extremes and the table."""
+        self._buffer = array("d", self._buffer)
+        self._low, self._high = tuple(map(float, self._low)), tuple(map(float, self._high))
+        if self._buckets:  # ints already folded: recount them by bucket
+            ints, table = self._buckets, _Tally()
+            for key, n in zip(_bucket_keys(array("d", ints)), ints.values()):
+                table[key] += n
+            self._buckets = table
+        return self._buffer
+
+    def _fold(self) -> None:
+        buffer = self._buffer
+        self._total = sum(buffer, self._total)
+        self._folded += len(buffer)
+        offsets = None if self._origin is None else _offsets(buffer, self._origin)
+        if offsets is not None:
+            # The cheap fold: one-byte counts, and the extremes looked for
+            # only among the values of the lowest and highest buckets.
+            counts, table, origin = _Tally(offsets), self._buckets, self._origin
+            for offset, n in counts.items():
+                table[origin + offset * _BUCKET] += n
+            self._low = (min(chain(self._low, _members(buffer, offsets, min(counts)))),)
+            self._high = (max(chain(self._high, _members(buffer, offsets, max(counts)))),)
+        else:
+            self._low = (min(chain(self._low, buffer)),)
+            self._high = (max(chain(self._high, buffer)),)
+            if buffer.typecode == "q":
+                self._buckets.update(buffer)
+            else:
+                self._buckets.update(_bucket_keys(buffer))
+                self._origin = _origin(self._low[0], self._high[0])
+        del buffer[:]
+
+    def _table(self) -> list:
+        """``(value, n)`` for everything observed, ascending by value, the
+        buffer counted as if folded (so it does not depend on the order of
+        observation); a float bucket reads as :func:`_key_value`."""
+        buffer, table = self._buffer, self._buckets.copy()
+        if buffer.typecode == "q":
+            table.update(buffer)
+            return sorted(table.items())
+        table.update(_bucket_keys(buffer))
+        return sorted((_key_value(key), n) for key, n in table.items())
+
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return self._folded + len(self._buffer)
 
     @property
     def total(self) -> float:
-        return sum(self.samples)
+        return sum(self._buffer, self._total)
 
     def mean(self) -> float:
-        if not self.samples:
+        if not self.count:
             return math.nan
-        return self.total / len(self.samples)
+        return self.total / self.count
 
     def stdev(self) -> float:
-        n = len(self.samples)
+        n = self.count
         if n < 2:
             return 0.0
         mu = self.mean()
-        return math.sqrt(sum((x - mu) ** 2 for x in self.samples) / (n - 1))
+        if not self._folded:
+            return math.sqrt(sum((x - mu) ** 2 for x in self._buffer) / (n - 1))
+        return math.sqrt(sum(k * (x - mu) ** 2 for x, k in self._table()) / (n - 1))
 
     def percentile(self, q: float) -> float:
         """Return the q-th percentile (0 <= q <= 100), linear interpolation."""
         return self._percentiles(q)[0]
 
+    def _ranked(self) -> Callable[[int], float]:
+        """``index -> the index-th smallest observation`` (a bucket's value
+        once the histogram has folded), from one sort that lives as long
+        as the function."""
+        if not self._folded:
+            return sorted(self._buffer).__getitem__
+        table = self._table()
+        values = [value for value, _ in table]
+        if any(value != value for value in values):  # a NaN: nothing to order
+            return lambda index: math.nan
+        ends = list(accumulate(n for _, n in table))
+        return lambda index: values[bisect_right(ends, index)]
+
     def _percentiles(self, *qs: float) -> list:
-        """Every one of *qs* from one sort; the boxed, sorted copy (four
-        times the samples' own size) lives no longer than this call."""
-        if not self.samples:
+        """Every one of *qs* from one :meth:`_ranked`."""
+        n = self.count
+        if not n:
             return [math.nan] * len(qs)
-        ordered = sorted(self.samples)
+        at = self._ranked()
+        ends = self._folded and (self.min(), self.max())
         found = []
         for q in qs:
             if not 0 <= q <= 100:
                 raise ValueError("percentile must be in [0, 100]")
-            rank = (q / 100) * (len(ordered) - 1)
+            rank = (q / 100) * (n - 1)
             low = int(math.floor(rank))
             high = int(math.ceil(rank))
             if low == high:
-                found.append(ordered[low])
+                value = at(low)
             else:
                 frac = rank - low
-                found.append(ordered[low] * (1 - frac) + ordered[high] * frac)
+                value = at(low) * (1 - frac) + at(high) * frac
+            if ends:
+                value = min(max(value, ends[0]), ends[1])
+            found.append(value)
         return found
 
     def min(self) -> float:
-        return min(self.samples) if self.samples else math.nan
+        return min(chain(self._low, self._buffer)) if self.count else math.nan
 
     def max(self) -> float:
-        return max(self.samples) if self.samples else math.nan
-
-    def merge(self, *others: "Histogram") -> "Histogram":
-        """Fold the samples of *others* into this histogram (in place).
-
-        Used to combine per-node histograms into one system-wide
-        distribution before summarising; returns ``self`` for chaining.
-        """
-        for other in others:
-            # An iterator, because ``array.extend`` refuses an array of the
-            # other typecode outright instead of converting its items.
-            self.observe_many(iter(other.samples))
-        return self
+        return max(chain(self._high, self._buffer)) if self.count else math.nan
 
     def summary(self) -> dict:
         """Return a dict of the usual summary statistics.
@@ -169,29 +330,41 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean():.4f})"
 
 
+def _appended(column: array, value: float) -> array:
+    """*column* with *value* appended: C int64s while every value has been
+    an ``int``, a copy of C doubles from the first float on."""
+    try:
+        column.append(value)
+    except (TypeError, OverflowError):  # first float (or an int past 63 bits)
+        column = array("d", column)
+        column.append(value)
+    return column
+
+
 class TimeSeries:
-    """(time, value) observations, e.g. throughput over a run: two columns,
-    each kept unboxed the way :class:`Histogram` keeps its samples."""
+    """(time, value) observations, e.g. throughput over a run: every point
+    is exported, so both columns keep every value, unboxed the way a
+    :class:`Histogram` buffers its first observations."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._times = Histogram(name)
-        self._values = Histogram(name)
+        self._times = array("q")
+        self._values = array("q")
 
     def record(self, time: float, value: float) -> None:
-        self._times.observe(time)
-        self._values.observe(value)
+        self._times = _appended(self._times, time)
+        self._values = _appended(self._values, value)
 
     @property
     def points(self) -> list[tuple[float, float]]:
         """The observations as a fresh list of pairs, in recording order."""
-        return list(zip(self._times.samples, self._values.samples))
+        return list(zip(self._times, self._values))
 
     def values(self) -> list[float]:
-        return list(self._values.samples)
+        return list(self._values)
 
     def times(self) -> list[float]:
-        return list(self._times.samples)
+        return list(self._times)
 
     def rate(self, window: Optional[tuple[float, float]] = None) -> Optional[float]:
         """Events per second: count of points over the covered interval.
@@ -203,7 +376,7 @@ class TimeSeries:
         zero (a positive-span window covering no points of a non-empty
         series) still reads 0.0.
         """
-        times = self._times.samples
+        times = self._times
         if not times:
             return None
         if window is not None:

@@ -88,7 +88,11 @@ def write_json(path: str, snapshot: dict) -> str:
 #: type and HELP text.  ``repro.lint``'s MET001 cross-checks this table
 #: against every emit site in the tree — both ways — so keep it in sync
 #: when adding or renaming metrics.  Interpolated values (subnet paths,
-#: node ids, dispatch labels) never contain dots.
+#: node ids, dispatch labels) never contain dots.  A ``summary`` is a
+#: :class:`~repro.sim.metrics.Histogram`: exact up to ``BUFFER_SIZE``
+#: (4 096) observations; past that, count, sum, min and max stay exact, and
+#: a quantile is exact over ints and within ``EPSILON`` (2**-8, 0.39 %) of
+#: the exact one over floats.
 METRIC_CATALOG: dict = {
     # net/transport
     "net.sent": ("counter", "messages handed to the transport"),

@@ -159,8 +159,8 @@ def test_state_snapshots_pruned(store_with_genesis):
 
 def test_fork_snapshots_below_the_horizon_are_pruned(store_with_genesis):
     """Pruning is by height, not by canonicity: a fork block's snapshot goes
-    once the horizon passes it — also when the block arrives after the
-    horizon already has."""
+    once the horizon passes it; a block arriving after the horizon has
+    passed its parent cannot be stored at all."""
     store, genesis = store_with_genesis
     store.prune_depth = 3
     chain = [genesis]
@@ -169,23 +169,23 @@ def test_fork_snapshots_below_the_horizon_are_pruned(store_with_genesis):
         store.put_state(block.cid, {"h": height})
         store.add_block(block)
         chain.append(block)
-    fork = make_block(2, chain[1].cid, tag="fork")
-    store.put_state(fork.cid, {"fork": 2})
+    fork = make_block(3, chain[2].cid, tag="fork")
+    store.put_state(fork.cid, {"fork": 3})
     assert not store.add_block(fork)  # lighter: no head change, no pruning yet
-    assert store.get_state(fork.cid) == {"fork": 2}
+    assert store.get_state(fork.cid) == {"fork": 3}
     assert store.get_state(chain[1].cid) is None  # head 5, horizon 2
     assert store.get_state(chain[2].cid) == {"h": 2}
     tip = make_block(6, chain[-1].cid)
     store.add_block(tip)  # horizon 3
-    assert store.get_state(fork.cid) is None
+    assert store.get_state(fork.cid) == {"fork": 3}
     assert store.get_state(chain[2].cid) is None
-    assert store.get_state(chain[3].cid) == {"h": 3}
-    late = make_block(1, genesis.cid, tag="late")  # below the horizon on arrival
-    store.put_state(late.cid, {"late": 1})
-    store.add_block(late)
-    store.add_block(make_block(7, tip.cid))
-    assert store.get_state(late.cid) is None
+    store.add_block(make_block(7, tip.cid))  # horizon 4
+    assert store.get_state(fork.cid) is None
+    assert store.get_state(chain[3].cid) is None
     assert store.get_state(chain[4].cid) == {"h": 4}
+    late = make_block(2, chain[1].cid, tag="late")  # its parent is gone
+    with pytest.raises(KeyError, match="orphan"):
+        store.add_block(late)
 
 
 def test_weight_of_unknown_is_zero(store_with_genesis):

@@ -1,16 +1,18 @@
 """The store's horizon against a store that never forgets.
 
 A pruned :class:`ChainStore` and an unpruned one are fed the same generated
-script — extensions, forks inside the horizon, forks that outgrow the head
-(reorgs) and forks that arrive *below* the horizon — and must agree on every
-header-level query after every step, while the pruned one holds a body
-exactly for the blocks at or above ``head - prune_depth``.
+script — extensions, forks inside the horizon and forks that outgrow the
+head (reorgs) — and must agree on every header-level query from the pruned
+store's base up after every step, while the pruned one holds nothing below
+``head - prune_depth`` and a body for every block at or above it.  A fork
+arriving below the horizon has no parent left in the pruned store, which
+refuses it.
 
-Mutants this catches: forgetting only canonical blocks (a fork body
-survives), forgetting by age of arrival instead of height (a late fork
-keeps its body), dropping the header with the body (``block_at_height`` /
-``ancestors`` stop short), a canonical-index rebuild that stops at the first
-header-only block, a late fork that becomes a head candidate.
+Mutants this catches: forgetting only canonical blocks (a fork survives),
+forgetting by age of arrival instead of height (a late fork keeps its
+body), keeping a header below the floor, a canonical index that keeps the
+heights it dropped, a ``fork_count`` that forgets the forks it dropped, a
+late fork that is taken in.
 """
 
 import random
@@ -25,20 +27,20 @@ from tests.chain.test_chainstore import make_block
 DEPTH = 8
 
 
-def _header_view(store: ChainStore, cids) -> dict:
+def _header_view(store: ChainStore, base: int, recent) -> dict:
+    """Every header-level answer about heights at or above *base*."""
     head = store.head_cid
     return {
         "head": head,
         "height": store.height,
-        "len": len(store),
         "forks": store.fork_count(),
         "by_height": [
-            store.block_at_height(h).cid for h in range(store.height + 1)
+            store.block_at_height(h).cid for h in range(base, store.height + 1)
         ],
-        "ancestors": [b.cid for b in store.ancestors(head)],
-        "chain": [b.height for b in store.canonical_chain()],
-        "canonical": [store.is_canonical(cid) for cid in cids],
-        "extends": [store.is_extension(cid, head) for cid in cids[-12:]],
+        "ancestors": [b.cid for b in store.ancestors(head) if b.height >= base],
+        "chain": [b.height for b in store.canonical_chain() if b.height >= base],
+        "canonical": [store.is_canonical(cid) for cid in recent],
+        "extends": [store.is_extension(cid, head) for cid in recent[-12:]],
     }
 
 
@@ -80,20 +82,23 @@ def _run_script(seed: int, blocks: int = 300):
                 add(parent)
                 canonical.append(parent)
             forks += back
-        else:  # a fork (and its child) arriving below the horizon
+        else:  # a fork arriving below the horizon: final history, refused
             at = rng.randrange(0, head.height - DEPTH - 1)
             late = make_block(at + 1, canonical[at].cid, tag=f"l{step}")
-            add(late)
-            add(make_block(at + 2, late.cid, tag=f"l{step}.1"))
-            forks += 2
-        assert _header_view(pruned, cids) == _header_view(model, cids), (seed, step, kind)
-        floor = pruned.height - DEPTH
-        assert pruned.floor == max(0, floor)
-        for cid in cids:
-            block = pruned.get(cid)
-            kept = block.height >= floor
-            assert isinstance(block, FullBlock if kept else HeaderOnly)
-            assert (pruned.get_state(cid) is not None) == kept
+            assert late.height <= pruned.base
+            with pytest.raises(KeyError, match="orphan"):
+                pruned.add_block(late)
+        floor = max(0, pruned.height - DEPTH)
+        assert (pruned.base, pruned.floor) == (floor, floor)
+        recent = [cid for cid in cids if model.get(cid).height >= floor]
+        assert _header_view(pruned, floor, recent) == _header_view(model, floor, recent), (
+            seed, step, kind,
+        )
+        assert pruned.block_at_height(floor - 1) is None
+        assert len(pruned) == len(recent)
+        for cid in recent:
+            assert isinstance(pruned.get(cid), FullBlock)
+            assert pruned.get_state(cid) is not None
     return pruned, model, forks
 
 
@@ -101,24 +106,47 @@ def _run_script(seed: int, blocks: int = 300):
 def test_pruned_store_answers_like_one_that_never_forgets(seed):
     pruned, model, forks = _run_script(seed)
     assert pruned.height >= 300
-    bodies = [b for b in map(pruned.get, pruned._blocks) if isinstance(b, FullBlock)]
-    assert len(bodies) <= DEPTH + 1 + forks
-    # The per-block entries that only serve recent blocks went with them.
-    assert len(pruned._weights) == len(bodies)
-    assert sum(map(len, pruned._by_height.values())) == len(bodies)
-    assert len(pruned._state_snapshots) == len(bodies)
-    assert len(model._weights) == len(model) == len(pruned)
+    assert model.fork_count() == pruned.fork_count() == forks
+    # The per-block entries go with the blocks.
+    assert len(pruned._weights) == len(pruned._state_snapshots) == len(pruned)
+    assert sum(map(len, pruned._by_height.values())) == len(pruned)
+    assert len(pruned._canonical) == DEPTH + 1
+    assert len(model._weights) == len(model)
+
+
+def test_a_store_holds_its_horizon_and_nothing_below_it():
+    """Ten horizons past genesis, a store holds one horizon's blocks."""
+    store = ChainStore(prune_depth=DEPTH)
+    block = make_block(0, ZERO_CID)
+    for height in range(10 * DEPTH + 1):
+        if height:
+            block = make_block(height, block.cid)
+        store.put_state(block.cid, {"h": height})
+        store.add_block(block)
+    held = DEPTH + 1  # heights head - DEPTH .. head
+    assert len(store) == len(store._canonical) == len(store._weights) == held
+    assert len(store._state_snapshots) == len(store._by_height) == held
+    assert store.base == store.floor == store.height - DEPTH
+    assert store.genesis is None and store.block_at_height(store.base - 1) is None
+    assert [b.height for b in store.canonical_chain()] == list(
+        range(store.base, store.height + 1)
+    )
 
 
 def test_a_forgotten_body_is_not_an_empty_one():
-    """Reading payload past the horizon raises; it never reads as ``()``."""
+    """Below the horizon there is no block at all; the one header a store
+    holds without its body, an adopted anchor, raises on a payload read.
+    Neither ever reads as ``()``."""
     pruned, _, _ = _run_script(seed=4, blocks=40)
-    old = pruned.block_at_height(1)
-    assert old.header.height == old.height == 1 and old.cid == old.header.cid
+    assert pruned.block_at_height(1) is None
+    anchor = make_block(60, ZERO_CID, tag="anchor")
+    pruned.adopt(anchor.header)
+    old = pruned.block_at_height(60)
+    assert isinstance(old, HeaderOnly)
+    assert old.header.height == old.height == 60 and old.cid == old.header.cid
     for name in ("messages", "cross_messages"):
         with pytest.raises(AttributeError):
             getattr(old, name)
-    assert pruned.head.messages == ()
 
 
 def test_forget_listeners_hear_every_block_once_as_it_drops():
@@ -130,10 +158,18 @@ def test_forget_listeners_hear_every_block_once_as_it_drops():
     for height in range(1, 6):
         chain.append(make_block(height, chain[-1].cid))
         store.add_block(chain[-1])
+    fork = make_block(4, chain[3].cid, tag="fork")
+    store.add_block(fork)  # as heavy as the head's parent: not a head
     assert heard == [b.cid for b in chain[:3]]  # head 5, floor 3
+    for height in (6, 7):
+        chain.append(make_block(height, chain[-1].cid))
+        store.add_block(chain[-1])
+    assert heard[3:] == [chain[3].cid, chain[4].cid, fork.cid]  # floor 5
+    assert store.fork_count() == 1 and not store.has(fork.cid)
     late = make_block(1, chain[0].cid, tag="late")
-    assert not store.add_block(late)
-    assert heard[-1] == late.cid and isinstance(store.get(late.cid), HeaderOnly)
+    with pytest.raises(KeyError, match="orphan"):
+        store.add_block(late)
+    assert len(heard) == 6
 
 
 def test_hold_keeps_the_floor_at_the_height_the_owner_must_serve():
@@ -164,3 +200,10 @@ def test_adopt_restarts_the_store_at_a_header():
     child = make_block(41, anchor.cid)
     assert store.add_block(child) and store.head_cid == child.cid
     assert [b.height for b in store.ancestors(child.cid)] == [41, 40]
+    # The anchor is held until the floor passes it, like any block.
+    parent = child
+    for height in range(42, 45):
+        parent = make_block(height, parent.cid)
+        store.add_block(parent)
+    assert (store.base, store.floor, len(store)) == (42, 42, 3)
+    assert not store.has(anchor.cid)

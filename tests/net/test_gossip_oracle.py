@@ -154,8 +154,11 @@ def assert_equivalent(config, script, churn=False):
     # Drained: no queued copy is left for a later one to ride behind.
     assert not any(shipped.transport._queued.values())
     arrived = shipped.counter("net.delivered") + shipped.counter("gossip.duplicates_elided")
-    latencies = [sorted(run.sim.metrics.histogram("net.latency").samples)
-                 for run in (shipped, oracle)]
+    # What the histogram holds regardless of observation order (elided
+    # copies are observed at send time, events at arrival): equal whenever
+    # the multisets of latencies are.
+    latencies = [(h.count, h.min(), h.max(), h._table())
+                 for h in (run.sim.metrics.histogram("net.latency") for run in (shipped, oracle))]
     if churn:
         # A copy in flight to a peer that is removed is dropped uncounted
         # by the oracle; the shipped fabric may have accounted it already.

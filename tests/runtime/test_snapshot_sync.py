@@ -41,26 +41,30 @@ def test_a_node_behind_the_floor_recovers_from_its_parents_checkpoint(outage):
     system, sub, straggler, server = outage
     old_head = straggler.head().height
     straggler.restart()
-    system.run_for(3.0)
+    restarted = system.sim.now
+    # Read the adoption off the trace ring before newer records push it out.
+    assert system.wait_for(lambda: _counter(system, sub, "snapshot_adopted") == 1, timeout=3.0)
+    (adopted,) = system.sim.trace.filter("snapshot.adopted", str(sub))
+    height, short_cid = int(adopted.detail[0].removeprefix("h=")), adopted.detail[1]
+    system.run_until(restarted + 3.0)
     heads = [node.head().height for node in system.nodes(sub)]
     assert max(heads) - min(heads) <= 1
     assert _counter(system, sub, "snapshot_adopted") == 1
     assert _counter(system, sub, "sync_blocks") > 0  # the tail, by range
-    # It holds the anchor as a header and nothing older; the anchor is the
-    # proof of a checkpoint the parent committed.
+    # It restarted at the proof of a checkpoint the parent committed, and
+    # holds nothing older.
     store = straggler.store
-    assert store.base > old_head + store.prune_depth // 2
-    assert store.block_at_height(store.base - 1) is None
-    anchor = store.block_at_height(store.base)
+    assert height > old_head + store.prune_depth // 2
+    assert store.base >= height and store.block_at_height(store.base - 1) is None
     period = straggler.checkpoint_period
-    assert (anchor.height + 1) % period == 0
+    assert (height + 1) % period == 0
     anchored = {
         signed.checkpoint.window: signed.checkpoint.proof
         for signed in committed_checkpoints(
             straggler.parent_node.vm.state, straggler.checkpoints.config.sa_addr
         )
     }
-    assert anchored[(anchor.height + 1) // period - 1] == anchor.cid
+    assert anchored[(height + 1) // period - 1].short() == short_cid
     # Its state is the chain's: same root as the peer that never stopped.
     system.run_for(5.0)
     height = min(node.head().height for node in system.nodes(sub))
@@ -69,6 +73,21 @@ def test_a_node_behind_the_floor_recovers_from_its_parents_checkpoint(outage):
         == server.store.block_at_height(height).header.state_root
     )
     assert audit_system(system).ok
+
+
+def test_a_block_from_below_the_base_is_refused_not_parked(outage):
+    """Final history that nothing will ever connect.  Mutant: parking every
+    block whose parent is unknown (it waits in ``_orphans`` for ever)."""
+    system, sub, straggler, server = outage
+    straggler.restart()
+    system.run_for(3.0)
+    assert _counter(system, sub, "snapshot_adopted") == 1
+    base = straggler.store.base
+    old = [server.store.block_at_height(h) for h in (base - 1, base)]
+    assert all(old)  # the server's floor is held back further
+    for block in old:
+        assert not straggler.receive_block(block, final=True, sender=server.node_id)
+    assert straggler._orphans == {}
 
 
 def test_range_below_the_floor_is_refused_not_served_short(outage):

@@ -1,14 +1,21 @@
 """Unit tests for metrics."""
 
+import gc
 import json
 import math
-import tracemalloc
+import random
+import sys
+from array import array
+from collections import Counter as Tally
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.sim import metrics
+from repro.sim.metrics import (
+    BUFFER_SIZE, EPSILON, Counter, Gauge, Histogram, MetricsRegistry, TimeSeries,
+)
 
 
 def test_counter_increments():
@@ -90,19 +97,6 @@ def test_histogram_summary_values_round_trip():
     json.dumps(summary, allow_nan=False)
 
 
-def test_histogram_merge_combines_samples():
-    a = Histogram("a")
-    a.observe_many([1.0, 2.0])
-    b = Histogram("b")
-    b.observe_many([3.0, 4.0])
-    c = Histogram("c")
-    merged = a.merge(b, c)
-    assert merged is a
-    assert a.count == 4
-    assert a.mean() == pytest.approx(2.5)
-    assert b.count == 2  # sources untouched
-
-
 class ListHistogram:
     """The reference: a histogram over a plain list of whatever was observed
     (how ``Histogram`` kept its samples), one sort per statistic."""
@@ -168,35 +162,129 @@ def test_histogram_reads_like_a_list_of_its_observations(values, q):
 
 
 @given(MIXED, st.one_of(FLOATS, st.lists(EXACT_INTS, max_size=40)), st.floats(0, 100))
-def test_histogram_merge_and_mixed_observations_keep_every_value(values, more, q):
+def test_histogram_mixed_observations_keep_every_value(values, more, q):
     """Ints read back as floats of equal value once a float has been seen."""
-    merged = _filled(values).merge(_filled(more[:5]), Histogram("empty"), _filled(more[5:]))
+    histogram = _filled(values, more[:5], [], more[5:])
     reference = ListHistogram(values + more)
-    summary, expected = merged.summary(), reference.summary()
+    summary, expected = histogram.summary(), reference.summary()
     assert summary == expected or repr(summary) == repr(expected)  # NaN != NaN
-    got, want = merged.percentile(q), reference.percentile(q)
+    got, want = histogram.percentile(q), reference.percentile(q)
     assert got == want or (math.isnan(got) and math.isnan(want))
     if all(type(value) is int for value in values + more):
-        assert merged.samples.typecode == "q"
+        assert repr(summary) == repr(expected)  # ints summarise as ints
 
 
 def test_histogram_takes_an_int_past_63_bits_as_a_float():
     histogram = _filled([1, 2**70, 3])
-    assert list(histogram.samples) == [1.0, float(2**70), 3.0]
-    assert histogram.max() == 2**70
+    assert repr((histogram.min(), histogram.max())) == repr((1.0, float(2**70)))
+    assert histogram.total == 1.0 + float(2**70) + 3.0
 
 
-def test_histogram_keeps_eight_bytes_per_observation():
+DRAWS = {
+    "uniform": lambda rng: rng.uniform(0.02, 0.04),
+    "lognormal": lambda rng: rng.lognormvariate(-3.0, 1.5),
+    "int": lambda rng: rng.randrange(0, 40),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DRAWS))
+def test_histogram_past_its_buffer_is_within_epsilon(shape):
+    """Past BUFFER_SIZE: count, min, max and total exact, every quantile
+    within EPSILON of the order statistics interpolated (ints: equal), and
+    stdev within EPSILON of the quadratic mean."""
+    rng = random.Random(7)
+    values = [DRAWS[shape](rng) for _ in range(3 * BUFFER_SIZE + 123)]
+    histogram = _filled(values[:5000], values[5000:])
+    reference = ListHistogram(values)
+    assert histogram.count == len(values)
+    assert (histogram.min(), histogram.max()) == (min(values), max(values))
+    # One left-to-right sum per fold: equal to the whole list's where sum()
+    # adds plainly, within an ulp where it compensates (CPython 3.12+).
+    assert histogram.total == pytest.approx(sum(values), rel=1e-12)
+    tolerance = 0 if shape == "int" else EPSILON * (1 + 1e-9)
+    for q in [0, 0.5, 1, 5, 25, 50, 75, 90, 95, 99, 99.9, 100] + [rng.uniform(0, 100) for _ in range(20)]:
+        got, want = histogram.percentile(q), reference.percentile(q)
+        assert abs(got - want) <= tolerance * abs(want), (q, got, want)
+    rms = math.sqrt(sum(x * x for x in values) / (len(values) - 1))
+    assert abs(histogram.stdev() - reference.summary()["stdev"]) <= EPSILON * rms
+    summary = histogram.summary()
+    assert summary["mean"] == pytest.approx(sum(values) / len(values), rel=1e-12)
+    if shape == "int":
+        assert type(summary["p50"]) is type(reference.summary()["p50"])
+
+
+def test_histogram_is_exact_through_its_buffer_and_folds_one_later():
+    rng = random.Random(11)
+    values = [rng.expovariate(30.0) for _ in range(BUFFER_SIZE + 1)]
+    histogram = _filled(values[:BUFFER_SIZE])
+    assert repr(histogram.summary()) == repr(ListHistogram(values[:BUFFER_SIZE]).summary())
+    histogram.observe(values[-1])
+    assert len(histogram._buffer) == 0  # folded
+    assert histogram.count == len(values) and histogram.max() == max(values)
+
+
+def test_histogram_past_its_buffer_keeps_infinities_and_nan():
+    histogram = _filled([1.0] * BUFFER_SIZE, [math.inf, -math.inf, 2.0])
+    assert (histogram.min(), histogram.max()) == (-math.inf, math.inf)
+    assert histogram.percentile(0) == -math.inf and histogram.percentile(100) == math.inf
+    assert abs(histogram.percentile(50) - 1.0) <= EPSILON
+    assert math.isnan(histogram.mean())  # inf - inf
+    histogram.observe(math.nan)
+    assert math.isnan(histogram.percentile(50))
+    json.dumps(histogram.summary(), allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.floats(1e-300, 1e300),
+    st.sampled_from([None, 0.0, -1.0, 0.99, 4.5, math.inf, 5e-324, 1e300]),
+)
+def test_histogram_counts_a_fold_the_same_whichever_way_it_counts_it(seed, base, outlier):
+    """Once every value of the folds so far sits within a window of 256
+    buckets, a fold counts one-byte offsets and looks for the extremes in
+    the end buckets only; a value outside the window (*outlier*, scaled by
+    *base* where finite and nonzero) sends that fold the general way.  The
+    table and the extremes come out the same either way."""
+    rng = random.Random(seed)
+    values = [base * rng.uniform(1, 3) for _ in range(4 * BUFFER_SIZE)]
+    if outlier is not None:  # into the third fold, the second the one-byte way may count
+        third = range(2 * BUFFER_SIZE + 2, 3 * BUFFER_SIZE + 3)
+        at = rng.choice([third[0], third[-1], rng.choice(third)])
+        scale = base if math.isfinite(outlier) and abs(outlier) not in (0, 5e-324, 1e300) else 1
+        values[at] = outlier * scale
+    histogram = _filled(values)
+    keys = Tally(metrics._bucket_keys(array("d", values)))
+    assert histogram._table() == sorted((metrics._key_value(k), n) for k, n in keys.items())
+    assert (histogram.min(), histogram.max()) == (min(values), max(values))
+    if outlier is None:
+        assert histogram._origin is not None  # the one-byte way was taken
+
+
+def held_bytes(root) -> int:
+    """``sys.getsizeof`` summed over *root* and everything it reaches."""
+    seen, todo, size = set(), [root], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            size += sys.getsizeof(obj)
+            todo.extend(gc.get_referents(obj))
+    return size
+
+
+def test_histogram_holds_the_same_after_a_million_observations_as_after_ten_thousand():
+    """The bucket table grows with the range of values, not their number."""
+    draws = random.Random(5)
     histogram = Histogram("net.latency")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for index in range(100_000):
-            histogram.observe(index * 1e-6)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert histogram.count == 100_000 and retained < 2**20
+    histogram.observe(draws.uniform(0.020, 0.021))  # doubles from here: a chunk folds whole
+    held = []
+    for total in (10_000, 1_000_000):
+        while histogram.count < total:
+            chunk = min(10_000, total - histogram.count)
+            histogram.observe_many([draws.uniform(0.020, 0.021) for _ in range(chunk)])
+        held.append(held_bytes(histogram))
+    assert held[0] == held[1] < 8 * 10_000
 
 
 def test_timeseries_rate():
