@@ -17,7 +17,8 @@ the nightly pipeline would actually page on a novel violation.
 
 Expected shape: 15/15 library verdicts correct; the drill produces ≥1
 bundle and a failing triage exit code; whole thing in well under a
-minute of wall time.
+minute of wall time.  The two ``CAMPAIGN_*.json`` files are the
+experiment's record: it spans many runs, so it writes no run document.
 """
 
 import os
@@ -41,7 +42,7 @@ from repro.scenario import report as triage
 from repro.scenario.campaign import CampaignRunner
 from repro.scenario.spec import Expectation, VERDICT_UNEXPECTED
 
-from common import bench_out_dir, run_once, show_table, write_bench_json
+from common import bench_out_dir, run_once, show_table
 
 SEED = 7
 
@@ -124,36 +125,6 @@ def _show(result):
             )
             for run in report["runs"] + result["drill"]["runs"]
         ],
-    )
-    rows = [
-        {
-            "scenario": run["scenario"],
-            "campaign": name,
-            "seed": run["seed"],
-            "expected": run["expected"],
-            "verdict": run["verdict"],
-            "ok": run["ok"],
-            "tripped": run["tripped"],
-            "heights": run["heights"],
-            "events_executed": run["sim"].get("events_executed"),
-            "bundles": len(run["bundles"]),
-        }
-        for name, runs in (
-            ("e12_library", report["runs"]),
-            ("e12_triage_drill", result["drill"]["runs"]),
-        )
-        for run in runs
-    ]
-    write_bench_json(
-        "e12_campaign",
-        rows=rows,
-        extra={
-            "library_summary": report["summary"],
-            "library_ok": report["ok"],
-            "drill_summary": result["drill"]["summary"],
-            "drill_flagged": not result["drill"]["ok"],
-            "campaign_files": [result["library_path"], result["drill_path"]],
-        },
     )
 
 

@@ -14,20 +14,14 @@ grows by ≈window-length per level; the path message costs roughly the sum
 of its bottom-up and top-down legs.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
-from repro.telemetry import (
-    enable_telemetry,
-    telemetry_snapshot,
-    write_chrome_trace,
-    write_json,
-    write_prometheus,
-)
+from repro.telemetry import enable_telemetry, write_chrome_trace, write_prometheus
 
-import common
 from common import (
     bench_out_dir,
     capture_system,
@@ -141,15 +135,14 @@ def test_e3_crossmsg_latency_vs_depth(benchmark):
         [(row["kind"], row["depth"], row["latency"]) for row in rows],
     )
 
-    # Export the full telemetry of the run: machine-readable bench rows,
-    # a JSON dump for `python -m repro.telemetry.report`, a Prometheus
+    # Export the full telemetry of the run: the run document with the bench
+    # rows (`python -m repro.telemetry.report` renders it), a Prometheus
     # text file, and a Perfetto-loadable Chrome trace.
     system = _SYSTEM
     tracer = system.sim.planes["spans"]
     out = bench_out_dir()
-    write_bench_json("e3_crossmsgs", rows=rows)
-    dump = telemetry_snapshot(system.sim, wall_seconds=common.LAST_WALL_SECONDS)
-    write_json(os.path.join(out, "TELEMETRY_e3.json"), dump)
+    with open(write_bench_json("e3_crossmsgs", rows=rows), encoding="utf-8") as handle:
+        dump = json.load(handle)
     write_prometheus(os.path.join(out, "TELEMETRY_e3.prom"), system.sim)
     write_chrome_trace(os.path.join(out, "TRACE_e3.json"), system.sim)
     # Spawn-time funding also traces, so at least the measured transfers.

@@ -9,14 +9,12 @@ crossovers are — not absolute numbers, since the substrate is a simulator.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import time
 
 from repro.analysis import Table
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
-from repro.telemetry import enable_telemetry, write_chrome_trace
+from repro.telemetry import enable_telemetry, telemetry_snapshot, write_chrome_trace, write_json
 from repro.workloads import PaymentWorkload
 
 # Stashed by run_once / capture_sim so write_bench_json can snapshot the
@@ -85,61 +83,30 @@ def bench_out_dir() -> str:
     return path
 
 
-def _json_sanitize(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {str(k): _json_sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_sanitize(v) for v in value]
-    return value
-
-
 def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
-    """Write ``BENCH_<name>.json``: result rows + metrics snapshot + timing.
+    """Write ``BENCH_<name>.json``: the run document of *sim* (default: the
+    last captured simulator, see :func:`capture_sim`) with the bench name,
+    its result rows and *extra* under ``extra``.
 
     Machine-readable companion to the printed tables, so CI can archive
-    every run and regressions are diffable.  *sim* defaults to the last
-    captured simulator (see :func:`capture_sim`).
+    every run and regressions are diffable.
     """
     sim = sim if sim is not None else LAST_SIM
-    document = {
-        "schema": "repro.bench/v1",
-        "bench": name,
-        "wall_seconds": LAST_WALL_SECONDS,
-        "rows": _json_sanitize(rows),
-    }
-    if extra:
-        document["extra"] = _json_sanitize(extra)
-    profiler = sim.planes.get("profile") if sim is not None else None
+    extra = {"bench": name, "rows": rows, **(extra or {})}
+    profiler = sim.planes.get("profile")
     if profiler is not None:
-        # Stop before snapshotting so mem/alloc accounting is final, then
-        # export gauges ahead of the metrics snapshot below.
+        # Stop before snapshotting so mem/alloc accounting is final.
         profiler.stop()
-        profiler.publish(sim.metrics)
-        document["profile"] = _json_sanitize(profiler.snapshot())
         out = bench_out_dir()
         profiler.write_collapsed(os.path.join(out, f"PROFILE_{name}.collapsed"))
         write_chrome_trace(os.path.join(out, f"TRACE_{name}_profile.json"), sim)
-    if sim is not None:
-        sim.dispatch.publish()
-        document["sim"] = {
-            "now": sim.now,
-            "events_executed": sim.events_executed,
-            "seed": sim.seed,
-            "tie_shuffle": getattr(sim, "tie_shuffle", None),
-        }
-        if LAST_SYSTEM is not None and LAST_SYSTEM.sim is sim:
-            # Semantic end-state digest (heads, state roots, supplies):
-            # invariant across tie-shuffle seeds — CI's sanitize job runs a
-            # bench under several REPRO_TIE_SHUFFLE values and diffs this.
-            document["sim"]["state_digest"] = LAST_SYSTEM.end_state_digest()
-        document["metrics"] = _json_sanitize(sim.metrics.snapshot())
-        document["dispatch"] = _json_sanitize(sim.dispatch.summary()[:16])
-    path = os.path.join(bench_out_dir(), f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    if LAST_SYSTEM is not None and LAST_SYSTEM.sim is sim:
+        # Semantic end-state digest (heads, state roots, supplies):
+        # invariant across tie-shuffle seeds — CI's sanitize job runs a
+        # bench under several REPRO_TIE_SHUFFLE values and diffs this.
+        extra["state_digest"] = LAST_SYSTEM.end_state_digest()
+    document = telemetry_snapshot(sim, wall_seconds=LAST_WALL_SECONDS, extra=extra)
+    path = write_json(os.path.join(bench_out_dir(), f"BENCH_{name}.json"), document)
     print(f"\n[bench] wrote {path}")
     return path
 
@@ -158,12 +125,8 @@ DISPATCH_COLUMNS = ("event label", "events", "wall ms", "mean µs", "max µs")
 
 
 def dispatch_rows(sim, top: int = 8) -> list[tuple]:
-    """Busiest per-label dispatch stats from the sim's instrumented bus.
-
-    Also publishes them as ``sim.dispatch.*`` gauges on ``sim.metrics`` so
-    the run's metrics snapshot carries per-event-label counts/timings.
-    """
-    sim.dispatch.publish()
+    """Busiest per-label dispatch stats from the sim's instrumented bus
+    (the run document's ``dispatch`` section carries them all)."""
     return [
         (
             row["label"],

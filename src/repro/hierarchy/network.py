@@ -350,14 +350,7 @@ class HierarchicalSystem:
                 f" checkpoint_lag={health['checkpoint_lag']}"
             )
         for report in diagnosis.get("stall_reports") or []:
-            quorum = report.get("quorum") or {}
-            if quorum.get("kind") == "vote-quorum":
-                lines.append(
-                    f"  {report['subnet']} quorum at h{quorum.get('height')}"
-                    f" r{quorum.get('round')}:"
-                    f" {quorum.get('held_power')}/{quorum.get('needed_power')}"
-                    f" power, silent={quorum.get('silent') or []}"
-                )
+            lines.append(f"  {report['subnet']} {report['quorum']['line']}")
         if diagnosis.get("postmortem"):
             lines.append(f"  postmortem: {diagnosis['postmortem']}")
         return "\n".join(lines)

@@ -64,32 +64,14 @@ def _triage_detail(run: dict) -> str:
             f"  stall {stall['subnet']}: height {stall['height']} since "
             f"t={stall['since']:.2f}"
         )
-        quorum = (stall.get("report") or {}).get("quorum") or {}
-        if quorum.get("kind") == "vote-quorum":
-            missing = (
-                list(quorum.get("silent") or ())
-                + list(quorum.get("unreachable") or ())
-                + [m["voter"] for m in quorum.get("misaligned") or ()]
-            )
-            lines.append(
-                f"    quorum at h{quorum.get('height')} r{quorum.get('round')}: "
-                f"{quorum.get('held_power')}/{quorum.get('needed_power')} power; "
-                f"missing: {', '.join(missing) or '-'}"
-            )
-        elif quorum.get("kind") == "leader-schedule":
-            lines.append(
-                f"    slot engine: expected leader "
-                f"{quorum.get('expected_leader')}, head spread "
-                f"{quorum.get('head_spread')}"
-            )
+        if stall.get("report"):
+            lines.append(f"    {stall['report']['quorum']['line']}")
     for entry in run["fault_log"]:
         lines.append(
             f"  fault t={entry['time']:.2f} {entry['event']} {entry['kind']}"
         )
     for path in run["bundles"]:
         lines.append(f"  bundle: {path}")
-    for path in run.get("stall_files") or []:
-        lines.append(f"  stall report: {path}")
     return "\n".join(lines)
 
 

@@ -17,13 +17,12 @@ and classifies the outcome:
   didn't declare that degradation).
 
 Anything not ``clean``/``expected-violation`` dumps a postmortem bundle
-tagged with the scenario and verdict, so triage starts from evidence.
+tagged with the scenario and verdict, carrying the watchdog's stall
+reports, so triage starts from evidence.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -122,7 +121,6 @@ class ScenarioOutcome:
     fault_log: list = field(default_factory=list)
     heights: dict = field(default_factory=dict)
     bundles: list = field(default_factory=list)  # postmortem paths
-    stall_files: list = field(default_factory=list)  # repro.stall/v1 paths
     sim: dict = field(default_factory=dict)
 
     @property
@@ -143,7 +141,6 @@ class ScenarioOutcome:
             "fault_log": list(self.fault_log),
             "heights": dict(self.heights),
             "bundles": list(self.bundles),
-            "stall_files": list(self.stall_files),
             "sim": dict(self.sim),
         }
 
@@ -358,25 +355,6 @@ class ScenarioRunner:
                 ],
             )
 
-        # On a liveness stall, also save each stall report standalone
-        # (schema repro.stall/v1) — CI uploads these as artifacts and
-        # `python -m repro.telemetry.postmortem stall_*.json` renders them.
-        stall_files: list = []
-        if verdict == VERDICT_STALL and self.postmortem_dir:
-            os.makedirs(self.postmortem_dir, exist_ok=True)
-            for stall in stalls:
-                report = stall.get("report")
-                if not report:
-                    continue
-                slug = report["subnet"].strip("/").replace("/", "_")
-                path = os.path.join(
-                    self.postmortem_dir,
-                    f"stall_{scenario.name}_s{self.seed}_{slug}.json",
-                )
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(report, handle, indent=2, default=str)
-                stall_files.append(path)
-
         return ScenarioOutcome(
             scenario=scenario.name,
             seed=self.seed,
@@ -392,7 +370,6 @@ class ScenarioRunner:
                 for subnet in system.subnets
             },
             bundles=list(recorder.paths) if recorder is not None else [],
-            stall_files=stall_files,
             sim={
                 "now": system.sim.now,
                 "seed": system.sim.seed,

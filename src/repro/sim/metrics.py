@@ -17,11 +17,19 @@ from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Optional
 
 
-def _json_safe(value: float) -> Optional[float]:
-    """NaN/inf → None so metric exports stay valid JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def json_safe(value):
+    """*value* as plain JSON data: NaN and ±inf become None, a mapping's keys
+    strings, a tuple a list, and anything else that JSON cannot hold its
+    ``repr``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (str, int)) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return repr(value)
 
 
 class Counter:
@@ -317,13 +325,13 @@ class Histogram:
         p50, p95, p99 = self._percentiles(50, 95, 99)
         return {
             "count": self.count,
-            "mean": _json_safe(self.mean()),
-            "stdev": _json_safe(self.stdev()) if self.count else None,
-            "p50": _json_safe(p50),
-            "p95": _json_safe(p95),
-            "p99": _json_safe(p99),
-            "min": _json_safe(self.min()),
-            "max": _json_safe(self.max()),
+            "mean": json_safe(self.mean()),
+            "stdev": json_safe(self.stdev()) if self.count else None,
+            "p50": json_safe(p50),
+            "p95": json_safe(p95),
+            "p99": json_safe(p99),
+            "min": json_safe(self.min()),
+            "max": json_safe(self.max()),
         }
 
     def __repr__(self) -> str:
@@ -365,6 +373,17 @@ class TimeSeries:
 
     def times(self) -> list[float]:
         return list(self._times)
+
+    def summary(self) -> dict:
+        """How many points, and the first and last as ``[time, value]``."""
+        times, values = self._times, self._values
+        if not times:
+            return {"points": 0, "first": None, "last": None}
+        return {
+            "points": len(times),
+            "first": [times[0], values[0]],
+            "last": [times[-1], values[-1]],
+        }
 
     def rate(self, window: Optional[tuple[float, float]] = None) -> Optional[float]:
         """Events per second: count of points over the covered interval.
@@ -466,15 +485,13 @@ class MetricsRegistry:
         self.timeseries(name).record(self.now, value)
 
     def snapshot(self) -> dict:
-        """Return all metric values as plain JSON-safe data.
-
-        Gauge values pass through :func:`_json_safe` so a NaN/inf gauge
-        becomes null instead of poisoning ``json.dumps`` consumers —
-        histograms already get this via ``Histogram.summary()``.
+        """Every metric as plain JSON-safe data, by sorted name: a counter
+        or gauge as its value (a NaN/inf gauge as null), a histogram as its
+        :meth:`Histogram.summary`, a series as its :meth:`TimeSeries.summary`.
         """
         return {
-            "counters": {n: c.value for n, c in self.counters.items()},
-            "gauges": {n: _json_safe(g.value) for n, g in self.gauges.items()},
-            "histograms": {n: h.summary() for n, h in self.histograms.items()},
-            "series": {n: len(s.points) for n, s in self.series.items()},
+            "counters": {n: c.value for n, c in sorted(self.counters.items())},
+            "gauges": {n: json_safe(g.value) for n, g in sorted(self.gauges.items())},
+            "histograms": {n: h.summary() for n, h in sorted(self.histograms.items())},
+            "series": {n: s.summary() for n, s in sorted(self.series.items())},
         }

@@ -46,11 +46,11 @@ WaitTimedOut = namedtuple("WaitTimedOut", "diagnosis")
 class Plane:
     """What ``Simulator.attach`` accepts."""
 
-    #: Key on ``sim.planes`` and in the ``repro.telemetry/v1`` document.
+    #: Key on ``sim.planes`` and of the plane's section of the run document.
     section: str = ""
     #: Record type -> name of the handler method (looked up when attaching).
     observes: dict = {}
 
     def summary(self) -> Optional[dict]:
-        """This plane's section of the telemetry document; ``None`` = none."""
+        """This plane's section of the run document; ``None`` = none."""
         return None

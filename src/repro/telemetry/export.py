@@ -1,11 +1,13 @@
-"""Telemetry exporters: JSON dump, Prometheus text format, Chrome trace.
+"""Telemetry exporters: the run document, Prometheus text format, Chrome trace.
 
 Three consumers, three formats:
 
-- :func:`telemetry_snapshot` / :func:`write_json` — one JSON document with
-  everything a post-hoc report needs (metrics, dispatch profile, and one
-  section per plane attached to the simulator).  ``python -m
-  repro.telemetry.report`` renders it.
+- :func:`telemetry_snapshot` / :func:`write_json` — the run document
+  (``repro.run/v1``), the one serialization of a run: metrics, dispatch
+  profile, one section per plane attached to the simulator, and what the
+  caller adds under ``extra`` (a postmortem bundle's reason, violation and
+  stall reports; a benchmark's rows and end-state digest).  ``python -m
+  repro.telemetry.report`` renders whichever sections it carries.
 - :func:`to_prometheus` / :func:`write_prometheus` — Prometheus text
   exposition (counters, gauges, histogram summaries with quantile labels)
   for scraping or offline ``promtool`` analysis.
@@ -24,9 +26,15 @@ import json
 import re
 from typing import Optional
 
-from repro.sim.metrics import _json_safe
+from repro.sim.metrics import json_safe
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+RUN_SCHEMA = "repro.run/v1"
+#: The keys of a run document that read the wall clock.  Everything else is
+#: simulated time or committed state, so two runs of one seed and workload
+#: give documents equal outside these keys.
+WALL_CLOCK_KEYS = ("wall_seconds", "dispatch", "profile")
 
 
 def telemetry_snapshot(
@@ -34,42 +42,29 @@ def telemetry_snapshot(
     wall_seconds: Optional[float] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """One JSON-safe document describing a finished (or running) run:
-    the simulator's own numbers plus every attached plane's summary under
-    its section name."""
-    metrics = sim.metrics
-    snapshot = {
-        "schema": "repro.telemetry/v1",
+    """The run document of a finished (or running) run: the simulator's own
+    numbers, every attached plane's summary under its section name, and
+    *extra* — all of it JSON-safe."""
+    document = {
+        "schema": RUN_SCHEMA,
         "sim": {
             "now": sim.now,
             "events_executed": sim.events_executed,
             "seed": sim.seed,
+            "tie_shuffle": sim.tie_shuffle,
         },
         "wall_seconds": wall_seconds,
-        "counters": {n: c.value for n, c in sorted(metrics.counters.items())},
-        "gauges": {n: _json_safe(g.value) for n, g in sorted(metrics.gauges.items())},
-        "histograms": {n: h.summary() for n, h in sorted(metrics.histograms.items())},
-        "series": {
-            n: {
-                "points": len(points),
-                "first": list(points[0]) if points else None,
-                "last": list(points[-1]) if points else None,
-            }
-            for n, s in sorted(metrics.series.items())
-            for points in [s.points]  # a fresh list per read: build it once
-        },
+        **sim.metrics.snapshot(),
         "dispatch": sim.dispatch.summary(),
-        # The log counts and digests every record it is given, so it drops
-        # none; "dropped" stays so repro.telemetry/v1 documents keep one shape.
-        "trace_log": {"records": len(sim.trace), "dropped": 0},
+        "trace_log": {"records": len(sim.trace)},
     }
     for section, plane in sorted(sim.planes.items()):
         summary = plane.summary()
         if summary is not None:
-            snapshot[section] = summary
+            document[section] = summary
     if extra:
-        snapshot["extra"] = extra
-    return snapshot
+        document["extra"] = extra
+    return json_safe(document)
 
 
 def write_json(path: str, snapshot: dict) -> str:

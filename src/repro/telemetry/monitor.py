@@ -196,6 +196,8 @@ class InvariantMonitor(Plane):
             "violations": len(self.violations),
             "by_auditor": by_auditor,
             "latest": self.violations[-1].as_dict() if self.violations else None,
+            # Bounded: record() keeps only the first observation of a breach.
+            "all": [v.as_dict() for v in self.violations],
         }
 
 

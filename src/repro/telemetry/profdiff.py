@@ -4,13 +4,9 @@ Ranks per-dispatch-label CPU-share and allocation deltas between two
 profiled runs and names the top regressed frames — the "why" behind a
 regressed wall-clock row.
 
-Either argument may be:
-
-- a ``BENCH_<name>.json`` (``repro.bench/v1``) or telemetry dump
-  (``repro.telemetry/v1``) whose ``profile`` section was written by a
-  profiled run, or
-- a raw ``repro.profile/v1`` document
-  (:meth:`repro.telemetry.profiler.SamplingProfiler.snapshot`).
+Each argument is a run document (a ``BENCH_<name>.json``, a telemetry
+dump or a postmortem bundle) of a profiled run; its ``profile`` section is
+:meth:`repro.telemetry.profiler.SamplingProfiler.snapshot`.
 
 CPU shares are fractions of each run's own sample total, so runs of
 different lengths diff meaningfully; deltas are reported in percentage
@@ -23,10 +19,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from repro.analysis.report import Table
-from repro.telemetry.profiler import PROFILE_SCHEMA
 
 DIFF_SCHEMA = "repro.profdiff/v1"
 
@@ -35,26 +29,15 @@ class ProfDiffError(Exception):
     """Unreadable input or input without a profile section."""
 
 
-def extract_profile(document: dict) -> Optional[dict]:
-    """The ``repro.profile/v1`` section of any supported document shape."""
-    if not isinstance(document, dict):
-        return None
-    if document.get("schema") == PROFILE_SCHEMA:
-        return document
-    profile = document.get("profile")
-    if isinstance(profile, dict):
-        return profile
-    return None
-
-
 def load_profile(path: str) -> dict:
+    """The ``profile`` section of the run document at *path*."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except (OSError, ValueError) as exc:
         raise ProfDiffError(f"cannot read {path}: {exc}") from exc
-    profile = extract_profile(document)
-    if profile is None:
+    profile = document.get("profile") if isinstance(document, dict) else None
+    if not isinstance(profile, dict):
         raise ProfDiffError(
             f"{path} carries no profile section — was the run profiled? "
             "(enable_telemetry(profile=True) / BENCH_PROFILE=1)"
@@ -199,9 +182,8 @@ def main(argv=None) -> int:
         prog="python -m repro.telemetry.profdiff",
         description="Rank per-label CPU/alloc deltas between two profiled runs.",
     )
-    parser.add_argument("old", help="baseline: BENCH_*.json, telemetry dump "
-                        "or profile snapshot")
-    parser.add_argument("new", help="candidate run, same accepted shapes")
+    parser.add_argument("old", help="baseline: a profiled run document (BENCH_*.json)")
+    parser.add_argument("new", help="candidate: a profiled run document")
     parser.add_argument("--top", type=int, default=12,
                         help="rows per table (default 12)")
     parser.add_argument("--json", action="store_true",

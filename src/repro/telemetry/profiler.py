@@ -15,13 +15,13 @@ says *why*.  Three pillars, all observers of the simulation:
   pre/post-dispatch hooks, and a whole-run top-allocation-site table is
   captured at stop.  Independently of tracemalloc, the sampler records a
   periodic whole-process RSS series and O(1) allocated-block counts.
-- **Exporters** — :meth:`SamplingProfiler.snapshot` is the
-  ``repro.profile/v1`` document embedded as the ``profile`` section of
-  every ``BENCH_<name>.json``; :meth:`publish` exports ``mem.*`` and
+- **Exporters** — :meth:`SamplingProfiler.snapshot` is the ``profile``
+  section of the run document (so of every profiled
+  ``BENCH_<name>.json``); :meth:`publish` exports ``mem.*`` and
   ``profile.*`` gauges into the run's MetricsRegistry;
   :meth:`collapsed_stacks` feeds flamegraph tooling and the Perfetto
   exporter grows a profiler track.  ``python -m repro.telemetry.profdiff``
-  diffs two snapshots.
+  diffs the profile sections of two run documents.
 
 **Determinism contract** (DESIGN.md § Observability): the profiler writes
 only to its own structures and — on explicit :meth:`publish` — to
@@ -45,8 +45,6 @@ from typing import Optional
 
 from repro.sim.observe import Plane
 from repro.sim.scheduler import current_dispatch_label
-
-PROFILE_SCHEMA = "repro.profile/v1"
 
 #: Label for samples taken while the sim thread is outside any dispatch
 #: (queue machinery, test/bench driver code, idle waits).
@@ -283,7 +281,8 @@ class SamplingProfiler(Plane):
     def _top_frames(self, wanted_label: str, top: int) -> list:
         """Hottest *leaf* frames (self time) of one label's samples."""
         leafs: dict = {}
-        for (label, stack), count in self._samples.items():
+        # A copy: the sampler thread may add a stack while a live run is read.
+        for (label, stack), count in list(self._samples.items()):
             if label == wanted_label and stack:
                 leaf = stack[-1]
                 leafs[leaf] = leafs.get(leaf, 0) + count
@@ -294,7 +293,7 @@ class SamplingProfiler(Plane):
         return self.snapshot()
 
     def snapshot(self, top_frames: int = 8) -> dict:
-        """The ``repro.profile/v1`` document (JSON-safe plain data)."""
+        """The ``profile`` section of the run document (plain data)."""
         total = self._total_samples
         active = self._active_seconds
         if self._thread is not None and self._started_wall is not None:
@@ -331,7 +330,6 @@ class SamplingProfiler(Plane):
         if self._traced is not None:
             mem["traced_bytes"], mem["traced_peak_bytes"] = self._traced
         document = {
-            "schema": PROFILE_SCHEMA,
             "interval_s": self.interval,
             "memory": self.memory,
             "samples": total,

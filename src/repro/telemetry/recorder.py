@@ -3,50 +3,36 @@
 The :class:`FlightRecorder` keeps what a crashed benchmark or a tripped
 invariant needs for a diagnosis — the tail of the trace log, recent
 dispatch activity, recent health samples — in bounded ring buffers, and
-on demand (or automatically on every
-:class:`~repro.telemetry.monitor.InvariantViolation`) freezes them into a
-*postmortem bundle*: one JSON document with the violation, the rings, the
-open cross-net span states, a full metrics snapshot and every subnet's
-head.  Render a bundle with ``python -m repro.telemetry.postmortem``.
+reports them, with every subnet's head and the open cross-net spans, as
+its ``recorder`` section of the run document.  On demand (or
+automatically on every :class:`~repro.telemetry.monitor.InvariantViolation`
+and ``wait_for`` timeout) it takes a *postmortem bundle*: the run document
+at that moment, with the reason, the violation and any stall reports under
+``extra``.  Render one with ``python -m repro.telemetry.report``.
 
-Determinism: everything stored in a bundle body is simulated time or
-committed state — never wall-clock, never RNG — so producing bundles
-cannot perturb the run and re-running a seed reproduces the bundle
-byte-for-byte.  The recorder observes the dispatch bus through a
-post-dispatch hook that only appends to a Python deque; it writes nothing
-back into the simulation.
+Determinism: the rings hold simulated time and committed state — never
+wall-clock, never RNG — so producing bundles cannot perturb the run and
+re-running a seed reproduces a bundle outside the document's wall-clock
+keys.  The recorder observes the dispatch bus through a post-dispatch hook
+that only appends to a Python deque; it writes nothing back into the
+simulation.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from collections import deque
 from typing import Optional
 
 from repro.sim.observe import HealthSampled, Plane, WaitTimedOut
 from repro.sim.tracing import RING
-
-_SCHEMA = "repro.postmortem/v1"
-
-
-def _plain(value):
-    """Recursively coerce *value* into JSON-safe plain data."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
+from repro.telemetry.export import telemetry_snapshot, write_json
 
 
 class FlightRecorder(Plane):
-    """Bounded recent-history rings with on-demand postmortem dumps (which
-    read the attached invariant monitor and span tracer, if any)."""
+    """Bounded recent-history rings, reported as the ``recorder`` section
+    (with the open spans of an attached span tracer), and postmortem
+    bundles on demand."""
 
     section = "recorder"
     observes = {HealthSampled: "note_health", WaitTimedOut: "on_wait_timeout"}
@@ -109,41 +95,33 @@ class FlightRecorder(Plane):
     # ------------------------------------------------------------------
     # Bundles
     # ------------------------------------------------------------------
+    def summary(self) -> dict:
+        return {
+            "trace_tail": [r.render() for r in self.sim.trace.tail(self.capacity)],
+            "dispatch_tail": list(self._dispatch_ring),
+            "health_ring": list(self._health_ring),
+            "heads": self._heads(),
+            "open_spans": self._open_spans(),
+        }
+
     def dump(
         self,
         violation=None,
         reason: Optional[str] = None,
         stall_reports: Optional[list] = None,
     ) -> dict:
-        """Freeze the rings into a bundle; write it if an out dir is set.
+        """Take a bundle; write it if an out dir is set.
 
-        *stall_reports* is a list of ``repro.stall/v1`` documents (see
-        :class:`~repro.telemetry.rounds.StallDiagnoser`) — watchdogs and
-        ``wait_for`` timeouts attach them so the bundle names the missing
-        quorum, not just the stuck heights.
+        *stall_reports* are :meth:`~repro.telemetry.rounds.StallDiagnoser.
+        diagnose` reports — watchdogs and ``wait_for`` timeouts attach them
+        so the bundle names the missing quorum, not just the stuck heights.
         """
         sim = self.sim
-        monitor = sim.planes.get("invariants")
-        bundle = {
-            "schema": _SCHEMA,
+        bundle = telemetry_snapshot(sim, extra={
             "reason": reason or ("invariant-violation" if violation else "on-demand"),
             "violation": violation.as_dict() if violation is not None else None,
-            "sim": {
-                "now": sim.now,
-                "seed": sim.seed,
-                "events_executed": sim.events_executed,
-            },
-            "violations": (
-                [v.as_dict() for v in monitor.violations] if monitor is not None else []
-            ),
-            "trace_tail": [r.render() for r in sim.trace.tail(self.capacity)],
-            "dispatch_recent": [list(entry) for entry in self._dispatch_ring],
-            "health_recent": _plain(list(self._health_ring)),
-            "open_spans": self._open_spans(),
-            "metrics": _plain(sim.metrics.snapshot()),
-            "heads": self._heads(),
-            "stall_reports": _plain(list(stall_reports or [])),
-        }
+            "stall_reports": stall_reports or [],
+        })
         self.bundles.append(bundle)
         if self.out_dir:
             path = os.path.join(
@@ -151,10 +129,7 @@ class FlightRecorder(Plane):
                 f"postmortem_s{sim.seed}_{len(self.bundles) - 1:03d}.json",
             )
             os.makedirs(self.out_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(_plain(bundle), fh, indent=2, allow_nan=False)
-                fh.write("\n")
-            self.paths.append(path)
+            self.paths.append(write_json(path, bundle))
         return bundle
 
     def _open_spans(self, cap: int = 64) -> list:
@@ -168,7 +143,7 @@ class FlightRecorder(Plane):
             spans.append(
                 {
                     "trace_id": trace_id,
-                    "info": _plain(info),
+                    "info": info,
                     "events": [
                         {"phase": e.phase, "subnet": e.subnet, "time": e.time}
                         for e in tracer.traces.get(trace_id, ())

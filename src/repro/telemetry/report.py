@@ -1,11 +1,14 @@
-"""Run-report CLI: ``python -m repro.telemetry.report <dump.json>``.
+"""Run-report CLI: ``python -m repro.telemetry.report <run.json>``.
 
-Renders a human-readable summary from a telemetry JSON dump produced by
-:func:`repro.telemetry.export.telemetry_snapshot` / ``write_json`` (the
-benchmarks write one next to their ``BENCH_*.json``): per-hop cross-net
+Renders whichever sections a run document carries
+(:func:`repro.telemetry.export.telemetry_snapshot`: a telemetry dump, a
+``BENCH_*.json`` or a ``postmortem_*.json`` bundle): a bundle's reason,
+violation and stall reports, the invariant violations, per-hop cross-net
 latency percentiles by hierarchy level and direction, end-to-end latency
-by route shape, checkpoint anchoring lag, the hottest dispatch labels,
-and the final health sample of every subnet.
+by route shape, checkpoint anchoring lag, the hottest dispatch labels, the
+final health sample of every subnet, and the flight recorder's heads, open
+spans and dispatch and trace tails.  A missing or unreadable path exits 1
+with a one-line error instead of a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ import os
 import sys
 
 from repro.analysis.report import Table
+from repro.telemetry.export import RUN_SCHEMA
+from repro.telemetry.rounds import render_stall_report
+
+#: Lines of the recorder's dispatch and trace tails a report shows.
+TAIL = 20
 
 _HOP_PREFIXES = (
     ("xnet.hop.submit.", "submit"),
@@ -93,6 +101,7 @@ def summarize(snapshot: dict) -> dict:
         "dispatch": (snapshot.get("dispatch") or [])[:10],
         "health": snapshot.get("health"),
         "trace_log": snapshot.get("trace_log"),
+        "extra": snapshot.get("extra"),
     }
 
 
@@ -100,11 +109,25 @@ def render(snapshot: dict) -> str:
     sections = []
     sim = snapshot.get("sim", {})
     header = (
-        f"telemetry report — sim time {sim.get('now', '?')}s, "
+        f"run report — sim time {sim.get('now', '?')}s, "
         f"{sim.get('events_executed', '?')} events, seed {sim.get('seed', '?')}"
     )
     if snapshot.get("wall_seconds") is not None:
         header += f", wall {snapshot['wall_seconds']:.2f}s"
+    extra = snapshot.get("extra") or {}
+    if extra.get("bench"):
+        header += f"\nbench: {extra['bench']}"
+    if extra.get("state_digest"):
+        header += f"\nend-state digest: {extra['state_digest']}"
+    if extra.get("reason"):
+        header += f"\npostmortem: reason={extra['reason']}"
+    violation = extra.get("violation")
+    if violation:
+        header += (
+            f"\nviolation #{violation['seq']} [{violation['auditor']}] "
+            f"at t={violation['time']} in {violation['subnet']}: "
+            f"{violation['description']}"
+        )
     sections.append(header)
 
     spans = snapshot.get("spans")
@@ -127,13 +150,14 @@ def render(snapshot: dict) -> str:
         if by_auditor:
             detail = ", ".join(f"{k}={v}" for k, v in sorted(by_auditor.items()))
             line += f" ({detail})"
-        latest = invariants.get("latest")
-        if latest:
-            line += (
-                f"\nlatest: [{latest.get('auditor')}] t={latest.get('time')} "
-                f"{latest.get('subnet')}: {latest.get('description')}"
-            )
         sections.append(line)
+        if invariants.get("all"):
+            table = Table("violations", ["seq", "time", "auditor", "subnet", "description"])
+            for v in invariants["all"]:
+                table.add_row(v["seq"], v["time"], v["auditor"], v["subnet"], v["description"])
+            sections.append(table.render())
+
+    sections.extend(render_stall_report(report) for report in extra.get("stall_reports") or ())
 
     counters = snapshot.get("counters", {}) or {}
     gauges = snapshot.get("gauges", {}) or {}
@@ -273,6 +297,35 @@ def render(snapshot: dict) -> str:
             )
         sections.append(table.render())
 
+    recorder = snapshot.get("recorder") or {}
+    heads = recorder.get("heads")
+    if heads:
+        table = Table("subnet heads", ["subnet", "height", "cid"])
+        for path in sorted(heads):
+            table.add_row(path, heads[path]["height"], heads[path]["cid"])
+        sections.append(table.render())
+    open_spans = recorder.get("open_spans")
+    if open_spans:
+        table = Table("open spans", ["trace", "shape", "to", "value", "last phase"])
+        for span in open_spans:
+            info = span["info"]
+            last = span["events"][-1]["phase"] if span["events"] else "-"
+            table.add_row(
+                span["trace_id"][:16], info.get("shape"), info.get("to_subnet"),
+                info.get("value"), last,
+            )
+        sections.append(table.render())
+    for name, lines in (
+        ("dispatch tail", [f"[{t:12.6f}] {label}" for t, label in recorder.get("dispatch_tail") or ()]),
+        ("trace tail", recorder.get("trace_tail") or []),
+    ):
+        if lines:
+            shown = lines[-TAIL:]
+            sections.append(
+                f"-- {name} ({len(shown)} of {len(lines)}) --\n"
+                + "\n".join(f"  {line}" for line in shown)
+            )
+
     log = snapshot.get("trace_log")
     if log:
         sections.append(f"trace log: {log.get('records', 0)} records")
@@ -283,9 +336,9 @@ def render(snapshot: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.report",
-        description="Render a run summary from a telemetry JSON dump.",
+        description="Render a run document.",
     )
-    parser.add_argument("dump", help="path to a telemetry JSON dump (see repro.telemetry.export.write_json)")
+    parser.add_argument("dump", help="path to a run document: a telemetry dump, BENCH_*.json or postmortem_*.json")
     parser.add_argument(
         "--json", action="store_true",
         help="emit the parsed summary as JSON instead of tables",
@@ -295,9 +348,9 @@ def main(argv=None) -> int:
         with open(args.dump, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read telemetry dump {args.dump!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot read run document {args.dump!r}: {exc}", file=sys.stderr)
         return 1
-    if snapshot.get("schema") != "repro.telemetry/v1":
+    if snapshot.get("schema") != RUN_SCHEMA:
         print(
             f"warning: unrecognised schema {snapshot.get('schema')!r}; "
             "rendering best-effort", file=sys.stderr,

@@ -19,16 +19,17 @@ produces:
 - round-duration and rounds-per-height **histograms**, plus timeout /
   round-skip / lock counters.
 
-:class:`StallDiagnoser` turns a stalled subnet into a *stall report*
-(schema ``repro.stall/v1``): it snapshots every validator's live engine
-state (:meth:`~repro.consensus.base.ConsensusEngine.debug_state` —
+:class:`StallDiagnoser` turns a stalled subnet into a *stall report*: it
+snapshots every validator's live engine state
+(:meth:`~repro.consensus.base.ConsensusEngine.debug_state` —
 height/round/step, locked value, vote books, head CID), the gossip mesh,
 partition state and degraded links, and names the **missing quorum**: who
 holds the frontier, who voted, who is *silent* (no vote at the working
 height) and who is *misaligned* (votes exist but at other rounds or for
-another head — a round-desync signature).  The scenario
-:class:`~repro.scenario.runner.ProgressWatchdog`, ``wait_for`` timeouts
-and the flight recorder all attach these reports to their diagnostics.
+another head — a round-desync signature), summed up in the report's one
+quorum line.  The scenario :class:`~repro.scenario.runner.ProgressWatchdog`
+and ``wait_for`` timeouts attach these reports to their diagnostics, and a
+postmortem bundle carries them under ``extra.stall_reports``.
 
 Determinism: the tracer writes only to ``sim.metrics`` (never the trace
 log, never RNG, never wall clock) and the diagnoser is a pure read of
@@ -43,8 +44,6 @@ from typing import Optional
 
 from repro.hierarchy.subnet_id import SubnetID
 from repro.sim.observe import Plane, RoundEvent, WaitTimedOut
-
-STALL_SCHEMA = "repro.stall/v1"
 
 #: Event kinds engines feed (see ConsensusEngine._trace_round):
 #:   round_start  — a validator entered (height, round); fields carry the
@@ -82,10 +81,11 @@ class RoundTracer(Plane):
         # subnet -> frontier bookkeeping
         self._frontier: dict[str, tuple] = {}  # subnet -> (height, round)
         self._quorum: dict[str, tuple] = {}  # subnet -> (quorum, total)
-        # (subnet, height, round, vote_type) -> {voter: power} (dedup across
+        # subnet -> (height, round, vote_type) -> {voter: power}, at the
+        # frontier height only: nothing reads a book below it.  Dedup across
         # observers: the first validator to record a voter's vote wins,
-        # which is deterministic on a deterministic simulator)
-        self._votes: dict[tuple, dict] = {}
+        # which is deterministic on a deterministic simulator.
+        self._votes: dict[str, dict] = {}
         # (subnet, node_id) -> time the current round started
         self._round_started: dict[tuple, float] = {}
         # per-subnet counts for summary()
@@ -132,14 +132,17 @@ class RoundTracer(Plane):
         elif kind == "lock":
             self.metrics.counter("consensus.round.*.locks", subnet).inc()
         elif kind == "vote":
-            voter = fields.get("voter")
-            book = self._votes.setdefault(
-                (subnet, height, round_, fields.get("vote_type")), {}
-            )
-            if voter not in book:
-                book[voter] = fields.get("power", 1)
-                if (height, round_) == self._frontier.get(subnet):
-                    self._stale.add(subnet)
+            frontier = self._frontier.get(subnet)
+            if height is not None and (frontier is None or height >= frontier[0]):
+                voter = fields.get("voter")
+                books = self._votes.get(subnet)
+                if books is None:
+                    books = self._votes[subnet] = {}
+                book = books.setdefault((height, round_, fields.get("vote_type")), {})
+                if voter not in book:
+                    book[voter] = fields.get("power", 1)
+                    if (height, round_) == frontier:
+                        self._stale.add(subnet)
         elif kind == "commit":
             # Rounds are 0-based; a height that committed at round r took
             # r+1 rounds.  Slot engines commit at "round" 0 (their slot).
@@ -160,6 +163,10 @@ class RoundTracer(Plane):
         if frontier is None or candidate > frontier:
             self._frontier[subnet] = candidate
             self._stale.add(subnet)
+            books = self._votes.get(subnet)
+            if books and frontier is not None and height > frontier[0]:
+                for key in [key for key in books if key[0] < height]:
+                    del books[key]
         if subnet in self._stale:
             self._stale.remove(subnet)
             self._refresh_gauges(subnet)
@@ -185,8 +192,9 @@ class RoundTracer(Plane):
         at_round.set(round_)
         if quorum is not None:
             needed.set(quorum)
+        books = self._votes.get(subnet, {})
         for gauge, vote_type in ((prevotes, "prevote"), (precommits, "precommit")):
-            book = self._votes.get((subnet, height, round_, vote_type))
+            book = books.get((height, round_, vote_type))
             gauge.set(sum(book.values()) if book else 0)
 
     # ------------------------------------------------------------------
@@ -197,8 +205,9 @@ class RoundTracer(Plane):
         return self._frontier.get(subnet)
 
     def votes_at(self, subnet: str, height: int, round_: int, vote_type: str) -> dict:
-        """``voter -> power`` recorded at ``(height, round, vote_type)``."""
-        return dict(self._votes.get((subnet, height, round_, vote_type), ()))
+        """``voter -> power`` recorded at ``(height, round, vote_type)`` —
+        empty below the frontier height."""
+        return dict(self._votes.get(subnet, {}).get((height, round_, vote_type), ()))
 
     def timeline(self, subnet: str, node_id: str) -> list:
         """The (time, kind, fields) ring of one validator, oldest first."""
@@ -226,11 +235,8 @@ class RoundTracer(Plane):
             }
             if frontier is not None:
                 for vote_type in ("prevote", "precommit"):
-                    book = self._votes.get(
-                        (subnet, frontier[0], frontier[1], vote_type)
-                    )
-                    entry[f"{vote_type}_power"] = (
-                        sum(book.values()) if book else 0
+                    entry[f"{vote_type}_power"] = sum(
+                        self.votes_at(subnet, *frontier, vote_type).values()
                     )
             per_subnet[subnet] = entry
         return {
@@ -272,7 +278,7 @@ class StallDiagnoser(Plane):
 
     # ------------------------------------------------------------------
     def diagnose(self, subnet_path: str) -> dict:
-        """One ``repro.stall/v1`` report for *subnet_path*."""
+        """One stall report for *subnet_path*."""
         system = self.system
         subnet = SubnetID(subnet_path)
         nodes = system.nodes_by_subnet[subnet]
@@ -289,13 +295,14 @@ class StallDiagnoser(Plane):
                 "state": node.engine.debug_state(),
             })
 
+        quorum = self._missing_quorum(nodes, validators)
+        quorum["line"] = _quorum_line(quorum)
         report = {
-            "schema": STALL_SCHEMA,
             "subnet": subnet.path,
             "time": system.sim.now,
             "engine": engine_name,
             "validators": validators,
-            "quorum": self._missing_quorum(nodes, validators),
+            "quorum": quorum,
             "network": self._network_state(nodes),
         }
         tracer = system.sim.planes.get("rounds")
@@ -479,6 +486,26 @@ class StallDiagnoser(Plane):
         }
 
 
+def _quorum_line(quorum: dict) -> str:
+    """A stall report's quorum analysis in one line: the power held against
+    the power needed and who is missing, or a slot engine's leader."""
+    if quorum["kind"] == "leader-schedule":
+        return (
+            f"slot engine: expected leader {quorum['expected_leader']}, "
+            f"head spread {quorum['head_spread']}"
+        )
+    missing = (
+        quorum["silent"] + quorum["unreachable"]
+        + [entry["voter"] for entry in quorum["misaligned"]]
+    )
+    return (
+        f"quorum at h{quorum['height']} r{quorum['round']}: "
+        f"{quorum['held_power']}/{quorum['needed_power']} power "
+        f"(of {quorum['total_power']}), short {quorum['missing_power']}; "
+        f"missing: {', '.join(missing) or '-'}"
+    )
+
+
 def render_stall_report(report: dict) -> str:
     """Human-readable multi-line view of one stall report."""
     out = [
@@ -486,14 +513,10 @@ def render_stall_report(report: dict) -> str:
         f"engine={report.get('engine')} t={report.get('time')}"
     ]
     quorum = report.get("quorum") or {}
+    if quorum.get("line"):
+        out.append(f"  {quorum['line']}")
     if quorum.get("kind") == "vote-quorum":
-        out.append(
-            f"  best view ({quorum.get('observer')}) at height "
-            f"{quorum.get('height')} round {quorum.get('round')}: "
-            f"{quorum.get('held_power')}/{quorum.get('needed_power')} power "
-            f"(of {quorum.get('total_power')}) — "
-            f"short {quorum.get('missing_power')}"
-        )
+        out.append(f"  best view:   {quorum.get('observer')}")
         if quorum.get("voted"):
             out.append(f"  voted:       {', '.join(quorum['voted'])}")
         if quorum.get("unreachable"):
@@ -510,11 +533,6 @@ def render_stall_report(report: dict) -> str:
             )
         if quorum.get("rounds_active"):
             out.append(f"  rounds with votes: {quorum['rounds_active']}")
-    elif quorum.get("kind") == "leader-schedule":
-        out.append(
-            f"  slot engine: expected leader {quorum.get('expected_leader')}, "
-            f"head spread {quorum.get('head_spread')}"
-        )
     for v in report.get("validators") or []:
         state = v.get("state") or {}
         detail = " ".join(

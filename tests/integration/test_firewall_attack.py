@@ -96,7 +96,7 @@ def test_supply_monitor_flags_forged_extraction_with_postmortem():
     assert audit_system(system).ok
 
     # The violation produced a postmortem bundle that renders.
-    from repro.telemetry.postmortem import render
+    from repro.telemetry.report import render
 
     bundles = system.sim.planes["recorder"].bundles
     assert bundles, "violation should have dumped a bundle"

@@ -198,13 +198,13 @@ def test_fault_log_records_inject_and_heal():
     assert outcome.verdict == "clean"
 
 
-def test_liveness_stall_writes_standalone_stall_reports(tmp_path, capsys):
-    """An undeclared full-subnet stall: the verdict is liveness-stall and
-    each stall report is saved standalone (the CI artifact shape) with
-    schema repro.stall/v1, renderable by the postmortem CLI."""
+def test_liveness_stall_bundle_carries_stall_reports(tmp_path, capsys):
+    """An undeclared full-subnet stall: the verdict is liveness-stall, and
+    the bundle it dumps carries each stall report (the CI artifact shape),
+    renderable by the report CLI."""
     import json
 
-    from repro.telemetry.postmortem import main as postmortem_main
+    from repro.telemetry.report import main as report_main
 
     scenario = _tiny_scenario(
         name="wedged",
@@ -215,16 +215,19 @@ def test_liveness_stall_writes_standalone_stall_reports(tmp_path, capsys):
         scenario, seed=13, postmortem_dir=str(tmp_path)
     ).run()
     assert outcome.verdict == "liveness-stall"
-    assert outcome.stall_files
-    for path in outcome.stall_files:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-        assert report["schema"] == "repro.stall/v1"
-        assert report["subnet"] == "/root/s0"
-        assert postmortem_main([path]) == 0
-    assert "stall report: /root/s0" in capsys.readouterr().out
-    # The outcome dict (what lands in campaign JSON) carries the paths.
-    assert outcome.as_dict()["stall_files"] == outcome.stall_files
+    (path,) = outcome.bundles
+    with open(path, encoding="utf-8") as handle:
+        bundle = json.load(handle)
+    assert bundle["extra"]["reason"] == "scenario:wedged:liveness-stall"
+    reports = bundle["extra"]["stall_reports"]
+    assert [report["subnet"] for report in reports] == ["/root/s0"]
+    assert reports == json.loads(json.dumps([stall["report"] for stall in outcome.stalls]))
+    assert report_main([path]) == 0
+    out = capsys.readouterr().out
+    assert "stall report: /root/s0" in out
+    assert reports[0]["quorum"]["line"] in out
+    # The bundle is the stall's one artifact beside the campaign JSON.
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 def test_degrades_expectation_matches_stall():

@@ -352,11 +352,17 @@ def test_registry_snapshot_shape():
     registry.gauge("g").set(1.0)
     registry.histogram("h").observe(1.0)
     registry.mark("s")
+    registry.timeseries("empty")
+    registry.counter("a").inc(2)
     snapshot = registry.snapshot()
-    assert snapshot["counters"] == {"c": 1}
+    assert snapshot["counters"] == {"a": 2, "c": 1}
+    assert list(snapshot["counters"]) == ["a", "c"]  # sorted by name
     assert snapshot["gauges"] == {"g": 1.0}
     assert snapshot["histograms"]["h"]["count"] == 1
-    assert snapshot["series"] == {"s": 1}
+    assert snapshot["series"] == {
+        "empty": {"points": 0, "first": None, "last": None},
+        "s": {"points": 1, "first": [0.0, 1.0], "last": [0.0, 1.0]},
+    }
 
 
 def test_registry_snapshot_is_nan_safe():

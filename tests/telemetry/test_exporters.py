@@ -153,7 +153,9 @@ def test_snapshot_json_round_trip(tmp_path):
     snapshot = telemetry_snapshot(sim, wall_seconds=0.5)
     path = write_json(str(tmp_path / "dump.json"), snapshot)
     loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-    assert loaded["schema"] == "repro.telemetry/v1"
+    assert loaded == snapshot
+    assert loaded["schema"] == "repro.run/v1"
+    assert loaded["wall_seconds"] == 0.5
     assert loaded["spans"] == {
         "traces": 2, "delivered": 1, "failed": 1, "in_flight": 0, "checkpoints": 1,
     }
@@ -338,7 +340,6 @@ def test_report_renders_profile_section(tmp_path, capsys):
 
     assert report_main([path, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["profile"]["schema"] == "repro.profile/v1"
     assert summary["profile"]["samples"] == sum(
         row["samples"] for row in summary["profile"]["labels"].values()
     )

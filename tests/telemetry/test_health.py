@@ -83,6 +83,6 @@ def test_crashed_validator_zero_does_not_freeze_a_live_subnet():
     heights = system.sim.metrics.series[f"health.{sub.path}.height"]
     assert heights.points[-1][1] == sample["height"]
     # And the same frontier reaches every postmortem's health ring.
-    recent = planes["recorder"].dump(reason="health-check")["health_recent"][-1]
+    recent = planes["recorder"].dump(reason="health-check")["recorder"]["health_ring"][-1]
     assert recent[sub.path]["height"] == sample["height"]
     assert recent[sub.path]["min_height"] == frozen

@@ -1,4 +1,4 @@
-"""Flight recorder bundles and the postmortem CLI."""
+"""Flight recorder bundles: run documents, rendered by the report CLI."""
 
 import json
 from pathlib import Path
@@ -8,10 +8,11 @@ import pytest
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.sim.scheduler import Simulator
 from repro.sim.tracing import RING
-from repro.telemetry import enable_telemetry
-from repro.telemetry.postmortem import main as postmortem_main
-from repro.telemetry.postmortem import render
+from repro.telemetry import enable_telemetry, telemetry_snapshot
+from repro.telemetry.export import RUN_SCHEMA, WALL_CLOCK_KEYS
 from repro.telemetry.recorder import FlightRecorder
+from repro.telemetry.report import main as report_main
+from repro.telemetry.report import render
 
 
 def _run_system(postmortem_dir=None, poke=False):
@@ -46,37 +47,48 @@ def test_violation_dumps_bundle_to_disk(poked):
     assert len(recorder.bundles) == 1
     assert len(recorder.paths) == 1
     bundle = recorder.bundles[0]
-    assert bundle["schema"] == "repro.postmortem/v1"
-    assert bundle["reason"] == "invariant-violation"
-    assert bundle["violation"]["auditor"] == "supply"
+    assert bundle["schema"] == RUN_SCHEMA
+    assert bundle["extra"]["reason"] == "invariant-violation"
+    assert bundle["extra"]["violation"]["auditor"] == "supply"
     assert bundle["sim"]["seed"] == 23
-    assert bundle["trace_tail"], "trace ring should not be empty mid-run"
-    assert bundle["dispatch_recent"], "dispatch ring should not be empty"
-    assert bundle["heads"]["/root"]["height"] > 0
-    assert bundle["heads"]["/root/pm"]["height"] > 0
+    ring = bundle["recorder"]
+    assert ring["trace_tail"], "trace ring should not be empty mid-run"
+    assert ring["dispatch_tail"], "dispatch ring should not be empty"
+    assert ring["heads"]["/root"]["height"] > 0
+    assert ring["heads"]["/root/pm"]["height"] > 0
     # The on-disk artifact round-trips.
     with open(recorder.paths[0], encoding="utf-8") as fh:
         loaded = json.load(fh)
-    assert loaded["violation"]["description"] == bundle["violation"]["description"]
+    assert loaded == bundle
+
+
+def _without_wall_clock(document: dict) -> str:
+    return json.dumps(
+        {k: v for k, v in document.items() if k not in WALL_CLOCK_KEYS}, sort_keys=True
+    )
 
 
 def test_bundle_body_is_deterministic(poked):
-    """Same seed, same poke → byte-identical bundle (no wall clock inside)."""
+    """Same seed, same poke → the same bundle and the same plain dump,
+    byte for byte outside the named wall-clock keys."""
     system, _out = poked
     repeat = _run_system(poke=True)
-    a = json.dumps(system.sim.planes["recorder"].bundles[0], sort_keys=True, default=str)
-    b = json.dumps(repeat.sim.planes["recorder"].bundles[0], sort_keys=True, default=str)
-    assert a == b
+    for a, b in (
+        (system.sim.planes["recorder"].bundles[0], repeat.sim.planes["recorder"].bundles[0]),
+        (telemetry_snapshot(system.sim), telemetry_snapshot(repeat.sim)),
+    ):
+        assert set(WALL_CLOCK_KEYS) & set(a)
+        assert _without_wall_clock(a) == _without_wall_clock(b)
 
 
 def test_on_demand_dump(poked):
     system, _out = poked
     before = len(system.sim.planes["recorder"].bundles)
     bundle = system.sim.planes["recorder"].dump(reason="benchmark-exception")
-    assert bundle["reason"] == "benchmark-exception"
-    assert bundle["violation"] is None
+    assert bundle["extra"]["reason"] == "benchmark-exception"
+    assert bundle["extra"]["violation"] is None
     # An on-demand dump still carries the run's accumulated violations.
-    assert bundle["violations"]
+    assert bundle["invariants"]["all"]
     assert len(system.sim.planes["recorder"].bundles) == before + 1
 
 
@@ -94,17 +106,17 @@ def test_cli_renders_bundle(poked, capsys):
     system, out = poked
     path = system.sim.planes["recorder"].paths[0]
     assert Path(path).parent == Path(str(out))
-    assert postmortem_main([str(path)]) == 0
+    assert report_main([str(path)]) == 0
     captured = capsys.readouterr()
     assert "postmortem: reason=invariant-violation" in captured.out
-    assert postmortem_main([str(path), "--tail", "5"]) == 0
+    assert captured.err == ""  # a bundle is a run document: no schema warning
 
 
 def test_cli_missing_file_is_one_line_error(capsys):
-    assert postmortem_main(["/nonexistent/bundle.json"]) == 1
+    assert report_main(["/nonexistent/bundle.json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "cannot read postmortem bundle" in captured.err
+    assert "cannot read run document" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -112,8 +124,8 @@ def test_health_ring_fed_by_probe(poked):
     system, _out = poked
     # The recorder subscribes to HealthSampled; nobody wires probe to recorder.
     bundle = system.sim.planes["recorder"].dump(reason="health-check")
-    assert bundle["health_recent"], "health samples should reach the ring"
-    latest = bundle["health_recent"][-1]
+    assert bundle["recorder"]["health_ring"], "health samples should reach the ring"
+    latest = bundle["recorder"]["health_ring"][-1]
     assert "/root/pm" in latest
     assert "height" in latest["/root/pm"]
 
@@ -129,7 +141,7 @@ def test_health_ring_fed_whichever_plane_is_enabled_first(monitors_first):
         enable_telemetry(system, **options)
     system.run_for(5)
     bundle = system.sim.planes["recorder"].dump(reason="health-check")
-    assert len(bundle["health_recent"]) == 5
+    assert len(bundle["recorder"]["health_ring"]) == 5
 
 
 def test_recorder_tail_cannot_outgrow_the_trace_ring():

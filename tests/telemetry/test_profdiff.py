@@ -1,8 +1,8 @@
 """Profdiff CLI: golden output + document-shape handling + error paths.
 
-The inputs are hand-written ``repro.profile/v1`` documents (no sampling
-involved), so the rendered culprit report is byte-deterministic and lives
-as a golden file.  Regenerate with
+The inputs are run documents carrying hand-written ``profile`` sections
+(no sampling involved), so the rendered culprit report is
+byte-deterministic and lives as a golden file.  Regenerate with
 ``UPDATE_GOLDENS=1 pytest tests/telemetry/test_profdiff.py``.
 """
 
@@ -15,7 +15,6 @@ import pytest
 from repro.telemetry import diff_profiles, render_diff
 from repro.telemetry.profdiff import (
     ProfDiffError,
-    extract_profile,
     load_profile,
     main as profdiff_main,
 )
@@ -24,9 +23,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _profile(samples, active_s, labels):
-    """A minimal repro.profile/v1 document: {label: (samples, alloc, frames)}."""
+    """A minimal profile section: {label: (samples, alloc, frames)}."""
     return {
-        "schema": "repro.profile/v1",
         "interval_s": 0.005,
         "memory": False,
         "samples": samples,
@@ -73,7 +71,11 @@ def _check_golden(name: str, text: str) -> None:
     assert text == golden, f"{name} drifted from golden (UPDATE_GOLDENS=1 to accept)"
 
 
-def _write(tmp_path, name, document):
+def _write(tmp_path, name, profile=None):
+    """A bench's run document at *name*, profiled when *profile* is given."""
+    document = {"schema": "repro.run/v1", "extra": {"bench": "x", "rows": []}}
+    if profile is not None:
+        document["profile"] = profile
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
@@ -122,11 +124,13 @@ def test_cli_top_truncates_tables(tmp_path, capsys):
 
 
 def test_accepts_bench_and_trajectory_wrappers(tmp_path):
-    bench = {"schema": "repro.bench/v1", "bench": "x", "profile": OLD}
-    assert extract_profile(bench) is OLD
-    assert extract_profile(OLD) is OLD
-    assert extract_profile({"schema": "repro.bench/v1"}) is None
-    assert load_profile(_write(tmp_path, "b.json", bench)) == OLD
+    """A bench's run document is read for its profile section; a bare
+    profile, outside a run document, is not one."""
+    assert load_profile(_write(tmp_path, "b.json", OLD)) == OLD
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(OLD), encoding="utf-8")
+    with pytest.raises(ProfDiffError, match="no profile section"):
+        load_profile(str(bare))
 
 
 def test_no_regressed_frames_message():
@@ -147,7 +151,7 @@ def test_cli_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_cli_unprofiled_input_exits_2(tmp_path, capsys):
-    bare = _write(tmp_path, "bare.json", {"schema": "repro.bench/v1", "rows": []})
+    bare = _write(tmp_path, "bare.json")
     new = _write(tmp_path, "new.json", NEW)
     assert profdiff_main([bare, new]) == 2
     assert "carries no profile section" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from repro.telemetry import (
     telemetry_snapshot,
     to_chrome_trace,
 )
-from repro.telemetry.profiler import OUTSIDE_DISPATCH, PROFILE_SCHEMA, read_rss_bytes
+from repro.telemetry.profiler import OUTSIDE_DISPATCH, read_rss_bytes
 
 
 def _spin(seconds: float) -> None:
@@ -139,7 +139,6 @@ def test_suppressed_events_do_not_corrupt_memory_accounting():
 def test_snapshot_schema_and_share_normalization():
     _, profiler = _run_hot_cold(hot_s=0.1, cold_s=0.05)
     snap = profiler.snapshot(top_frames=3)
-    assert snap["schema"] == PROFILE_SCHEMA
     assert snap["interval_s"] == 0.001
     assert snap["memory"] is False
     assert snap["samples"] == sum(row["samples"] for row in snap["labels"].values())
@@ -210,7 +209,7 @@ def test_enable_telemetry_profile_starts_and_registers_a_sampler():
         system.run_for(2)
     finally:
         profiler.stop()
-    assert telemetry_snapshot(system.sim)["profile"]["schema"] == PROFILE_SCHEMA
+    assert telemetry_snapshot(system.sim)["profile"]["samples"] == profiler.snapshot()["samples"]
 
 
 def _digest_scenario(monkeypatch, tie_shuffle, profile: bool) -> str:

@@ -3,8 +3,8 @@ partitioned-subnet integration contract.
 
 The integration test is the acceptance scenario for the stall plane: a
 Tendermint subnet is split 2-2 (no side holds the 2f+1 quorum), the
-progress watchdog flags the stall, and the attached ``repro.stall/v1``
-report must *name* the missing quorum members and the unreachable links.
+progress watchdog flags the stall, and the attached stall report must
+*name* the missing quorum members and the unreachable links.
 """
 
 import json
@@ -14,9 +14,8 @@ from repro.scenario.runner import ProgressWatchdog
 from repro.sim.observe import RoundEvent
 from repro.sim.scheduler import Simulator
 from repro.telemetry import RoundTracer, enable_telemetry, render_stall_report
-from repro.telemetry.postmortem import main as postmortem_main
-from repro.telemetry.postmortem import render as render_postmortem
-from repro.telemetry.rounds import STALL_SCHEMA
+from repro.telemetry.report import main as report_main
+from repro.telemetry.report import render as render_report
 
 SUBNET = "/root/a"
 VAL = "/root/a#0"
@@ -73,6 +72,23 @@ def test_votes_deduplicate_per_voter_and_round():
     assert book == {"/root/a#2": 3, "/root/a#3": 1}
     # Same voter at another round is a distinct entry.
     assert tracer.votes_at(SUBNET, 5, 2, "prevote") == {}
+
+
+def test_vote_books_are_kept_for_the_frontier_height_only():
+    """A book below the frontier height is never read again: it is dropped
+    when the frontier's height moves past it, and a late vote for it does
+    not bring it back."""
+    _sim, tracer = _tracer()
+    for height in range(1, 121):
+        for i in range(4):
+            _feed(tracer, "vote", float(height), height=height, round=0,
+                  vote_type="prevote", voter=f"/root/a#{i}", power=1)
+        _feed(tracer, "vote", float(height), height=height - 1, round=0,
+              vote_type="precommit", voter=VAL, power=1)
+    assert tracer.frontier(SUBNET) == (120, 0)
+    assert tracer.votes_at(SUBNET, 119, 0, "precommit") == {}
+    assert sum(tracer.votes_at(SUBNET, 120, 0, "prevote").values()) == 4
+    assert {height for height, _, _ in tracer._votes[SUBNET]} == {120}
 
 
 def test_timeline_ring_is_bounded():
@@ -182,7 +198,6 @@ def test_partitioned_tendermint_subnet_yields_named_stall_report(tmp_path, capsy
     stalls = [s for s in watchdog.stalls if s["subnet"] == "/root/s0"]
     assert stalls, "watchdog never flagged the partitioned subnet"
     report = stalls[0]["report"]
-    assert report["schema"] == STALL_SCHEMA
     assert report["engine"] == "tendermint"
 
     # The quorum analysis: no single view holds 2f+1, and the missing
@@ -208,29 +223,30 @@ def test_partitioned_tendermint_subnet_yields_named_stall_report(tmp_path, capsy
     assert report["frontier"] is not None
     assert any(report["recent_events"].values())
 
-    # The human rendering names the subnet and every missing member.
+    # The human rendering names the subnet and every missing member, and
+    # its quorum line is the one the report carries.
     rendered = render_stall_report(report)
     assert "stall report: /root/s0" in rendered
-    assert "short" in rendered
+    assert quorum["line"] in rendered
+    assert "short" in quorum["line"]
     for member in missing:
-        assert member in rendered
+        assert member in quorum["line"]
 
     # wait_for timeout diagnostics carry the same reports end to end:
     # last_timeout -> timeout_detail() -> flight-recorder bundle ->
-    # postmortem rendering.
+    # report rendering.
     assert not system.wait_for(lambda: False, timeout=2.0, label="stall-test")
     assert system.last_timeout["stall_reports"]
     detail = system.timeout_detail()
-    assert "quorum at h" in detail
+    assert "/root/s0 quorum at h" in detail
     bundle = system.sim.planes["recorder"].bundles[-1]
-    assert bundle["stall_reports"]
-    assert "stall report: /root/s0" in render_postmortem(bundle)
+    assert bundle["extra"]["stall_reports"]
+    assert "stall report: /root/s0" in render_report(bundle)
 
-    # The CLI renders a standalone stall-report file (the CI artifact
-    # shape) without complaint.
-    path = tmp_path / "stall_root_s0.json"
-    path.write_text(json.dumps(report), encoding="utf-8")
-    assert postmortem_main([str(path)]) == 0
+    # The CLI renders the bundle, the one artifact a stall leaves.
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert report_main([str(path)]) == 0
     out = capsys.readouterr().out
     assert "stall report: /root/s0" in out
 
