@@ -18,7 +18,7 @@ import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
 
-from common import capture_sim, run_once, show_table, write_bench_json
+from common import RUN, run_once, show_table, write_bench_json
 
 BLOCK_TIME = 0.25
 PERIODS = (8, 16, 32)
@@ -31,7 +31,7 @@ def _run_period(period: int, seed: int):
         checkpoint_period=period, accelerate_root=True,
         wallet_funds={"payer": 10**9},
     ).start()
-    capture_sim(system.sim)
+    RUN.capture(system.sim)
     subnet = system.spawn_subnet(
         SubnetConfig(name="acc", validators=3, block_time=BLOCK_TIME,
                      checkpoint_period=period, accelerate=True)

@@ -23,8 +23,8 @@ from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
 from repro.telemetry import enable_telemetry, write_chrome_trace, write_prometheus
 
 from common import (
+    RUN,
     bench_out_dir,
-    capture_system,
     run_once,
     show_table,
     write_bench_json,
@@ -50,7 +50,7 @@ def _build_deep_system():
     enable_telemetry(
         system, health_interval=2.0, monitors=True, postmortem_dir=bench_out_dir()
     )
-    capture_system(system)
+    RUN.capture(system.sim, system)
     _SYSTEM = system
     parent = ROOTNET
     chain = []

@@ -18,7 +18,7 @@ import pytest
 from repro.hierarchy import SCA_ADDRESS, HierarchicalSystem, SubnetConfig
 from repro.hierarchy.atomic import AtomicExecutionClient, AtomicParty, asset_owner
 
-from common import capture_sim, run_once, show_table, write_bench_json
+from common import RUN, run_once, show_table, write_bench_json
 
 BLOCK_TIME = 0.25
 PERIOD = 8
@@ -30,7 +30,7 @@ def _system_with_parties(seed: int, n_parties: int):
         checkpoint_period=PERIOD,
         wallet_funds={f"party{i}": 10**9 for i in range(n_parties)},
     ).start()
-    capture_sim(system.sim)
+    RUN.capture(system.sim)
     parties = []
     for i in range(n_parties):
         subnet = system.spawn_subnet(

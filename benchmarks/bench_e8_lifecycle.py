@@ -20,7 +20,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.hierarchy import ROOTNET, SCA_ADDRESS, SignaturePolicy, SubnetConfig
 from repro.hierarchy import HierarchicalSystem
 
-from common import capture_sim, run_once, show_table, write_bench_json
+from common import RUN, run_once, show_table, write_bench_json
 
 BLOCK_TIME = 0.25
 PERIOD = 4
@@ -101,7 +101,7 @@ def _save_and_claim_scenario():
         seed=805, root_validators=3, root_block_time=0.5, checkpoint_period=PERIOD,
         wallet_funds={"saver": 10**6},
     ).start()
-    capture_sim(system.sim)
+    RUN.capture(system.sim)
     subnet = system.spawn_subnet(
         SubnetConfig(name="dying", validators=3, block_time=BLOCK_TIME,
                      checkpoint_period=PERIOD)

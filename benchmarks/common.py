@@ -17,60 +17,53 @@ from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.telemetry import enable_telemetry, telemetry_snapshot, write_chrome_trace, write_json
 from repro.workloads import PaymentWorkload
 
-# Stashed by run_once / capture_sim so write_bench_json can snapshot the
-# run without every experiment function having to thread them through.
-LAST_WALL_SECONDS = None
-LAST_SIM = None
-LAST_SYSTEM = None
+class RunContext:
+    """The run the next ``BENCH_<name>.json`` describes, so no experiment
+    function has to thread it through: ``build_hierarchy`` and
+    :meth:`capture` set the run, ``run_once`` its wall time, and
+    ``write_bench_json`` reads all three."""
+
+    def __init__(self) -> None:
+        self.sim = None
+        # The HierarchicalSystem behind sim, when its end-state digest
+        # belongs in the document; a crashing bench dumps its postmortem.
+        self.system = None
+        self.wall_seconds = None
+
+    def capture(self, sim, system=None):
+        """Make *sim* (run by *system*, if given) the run to write."""
+        previous = self.system
+        if previous is not None and previous is not system:
+            # A lingering sampler from an earlier system in the same process
+            # would keep profiling (and taxing) this run's thread.
+            profiler = previous.sim.planes.get("profile")
+            if profiler is not None:
+                profiler.stop()
+        self.sim, self.system = sim, system
+        return sim
 
 
-def capture_sim(sim):
-    """Remember *sim* as the run to snapshot in ``write_bench_json``.
-
-    ``build_hierarchy`` captures automatically; benches that build systems
-    or baselines directly call this on the run they want exported.
-    """
-    global LAST_SIM
-    LAST_SIM = sim
-    return sim
-
-
-def capture_system(system):
-    """Remember *system* so a crashing bench can dump a postmortem bundle."""
-    global LAST_SYSTEM
-    previous = LAST_SYSTEM
-    if previous is not None and previous is not system:
-        # A lingering sampler from an earlier system in the same process
-        # would keep profiling (and taxing) this run's thread.
-        profiler = previous.sim.planes.get("profile")
-        if profiler is not None:
-            profiler.stop()
-    LAST_SYSTEM = system
-    capture_sim(system.sim)
-    return system
+RUN = RunContext()
 
 
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing.
 
-    If the experiment raises and the last captured system has a flight
+    If the experiment raises and the captured system has a flight
     recorder, a postmortem bundle is dumped before the error propagates —
     the crash site's recent history lands next to the BENCH artifacts.
     """
 
     def timed():
-        global LAST_WALL_SECONDS
         started = time.perf_counter()
         try:
             result = fn()
         except BaseException:
-            recorder = None
-            if LAST_SYSTEM is not None:
-                recorder = LAST_SYSTEM.sim.planes.get("recorder")
+            recorder = None if RUN.system is None else RUN.system.sim.planes.get("recorder")
             if recorder is not None:
                 recorder.dump(reason="benchmark-exception")
             raise
-        LAST_WALL_SECONDS = time.perf_counter() - started
+        RUN.wall_seconds = time.perf_counter() - started
         return result
 
     return benchmark.pedantic(timed, rounds=1, iterations=1)
@@ -85,13 +78,13 @@ def bench_out_dir() -> str:
 
 def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
     """Write ``BENCH_<name>.json``: the run document of *sim* (default: the
-    last captured simulator, see :func:`capture_sim`) with the bench name,
-    its result rows and *extra* under ``extra``.
+    captured run, see :class:`RunContext`) with the bench name, its result
+    rows and *extra* under ``extra``.
 
     Machine-readable companion to the printed tables, so CI can archive
     every run and regressions are diffable.
     """
-    sim = sim if sim is not None else LAST_SIM
+    sim = sim if sim is not None else RUN.sim
     extra = {"bench": name, "rows": rows, **(extra or {})}
     profiler = sim.planes.get("profile")
     if profiler is not None:
@@ -100,12 +93,12 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
         out = bench_out_dir()
         profiler.write_collapsed(os.path.join(out, f"PROFILE_{name}.collapsed"))
         write_chrome_trace(os.path.join(out, f"TRACE_{name}_profile.json"), sim)
-    if LAST_SYSTEM is not None and LAST_SYSTEM.sim is sim:
+    if RUN.system is not None and RUN.system.sim is sim:
         # Semantic end-state digest (heads, state roots, supplies):
         # invariant across tie-shuffle seeds — CI's sanitize job runs a
         # bench under several REPRO_TIE_SHUFFLE values and diffs this.
-        extra["state_digest"] = LAST_SYSTEM.end_state_digest()
-    document = telemetry_snapshot(sim, wall_seconds=LAST_WALL_SECONDS, extra=extra)
+        extra["state_digest"] = RUN.system.end_state_digest()
+    document = telemetry_snapshot(sim, wall_seconds=RUN.wall_seconds, extra=extra)
     path = write_json(os.path.join(bench_out_dir(), f"BENCH_{name}.json"), document)
     print(f"\n[bench] wrote {path}")
     return path
@@ -171,7 +164,7 @@ def build_hierarchy(
         checkpoint_period=checkpoint_period,
         wallet_funds=wallet_funds or {},
     ).start()
-    capture_system(system)
+    RUN.capture(system.sim, system)
     if profile is None:
         profile = os.environ.get("BENCH_PROFILE", "") not in ("", "0")
     if monitors or profile:

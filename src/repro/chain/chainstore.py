@@ -11,15 +11,13 @@ from repro.chain.block import BlockHeader, FullBlock, HeaderOnly, ZERO_CID
 class ChainStore:
     """Stores a subnet's blocks and tracks the canonical head.
 
-    Fork choice is "heaviest chain" by a per-block weight supplied at add
-    time (PoW uses accumulated work ≈ height; BFT engines never fork, so
-    weight is just height).  Reorg notifications fire with the old and new
-    head so chain watchers (mempool, checkpointing, cross-msg pool) can
-    react.
+    Fork choice is "longest chain": the highest tip is the head (BFT
+    engines never fork, and every PoW block is one unit of work).  Reorg
+    notifications fire with the old and new head.
 
     One horizon, ``prune_depth`` below the head, bounds what a block costs
-    to remember.  At or above it (:attr:`floor`) a block keeps its payload,
-    its fork-choice weight and (``put_state``) its post-state; below it
+    to remember.  At or above it (:attr:`floor`) a block keeps its payload
+    and (``put_state``) its post-state; below it
     the store keeps nothing — canonical block or fork, header included —
     so every header-level query (``block_at_height``, ``ancestors``,
     ``canonical_chain``, ``is_canonical``) answers from the floor up, and
@@ -35,7 +33,6 @@ class ChainStore:
 
     def __init__(self, prune_depth: int = 64) -> None:
         self._blocks: dict[CID, FullBlock | HeaderOnly] = {}
-        self._weights: dict[CID, int] = {}
         self._head: Optional[CID] = None
         self._genesis: Optional[CID] = None
         self.prune_depth = prune_depth
@@ -129,12 +126,11 @@ class ChainStore:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_block(self, block: FullBlock, weight: Optional[int] = None) -> bool:
+    def add_block(self, block: FullBlock) -> bool:
         """Store *block*; returns True if the canonical head changed.
 
-        *weight* defaults to parent weight + 1 (≈ height).  The heaviest
-        known tip becomes the head; ties keep the incumbent (first-seen
-        wins, as in most longest-chain implementations).
+        The highest known tip becomes the head; ties keep the incumbent
+        (first-seen wins, as in most longest-chain implementations).
         """
         cid = block.cid
         if cid in self._blocks:
@@ -147,11 +143,9 @@ class ChainStore:
         elif parent not in self._blocks:
             raise KeyError(f"orphan block: parent {parent.short()} unknown")
         self._blocks[cid] = block
-        parent_weight = self._weights.get(parent, 0)
-        self._weights[cid] = parent_weight + 1 if weight is None else weight
         self._by_height.setdefault(block.height, []).append(cid)
 
-        if self._head is None or self._weights[cid] > self._weights[self._head]:
+        if self._head is None or block.height > self._blocks[self._head].height:
             old_head = self._head
             self._head = cid
             if old_head is not None and parent == old_head:
@@ -202,7 +196,6 @@ class ChainStore:
             del self._canonical[height]
         else:
             self._forks_dropped += 1
-        self._weights.pop(cid, None)
         self._state_snapshots.pop(cid, None)
         for listener in self._forget_listeners:
             listener(cid)
@@ -226,12 +219,10 @@ class ChainStore:
         Everything held before is dropped: it cannot be connected to the
         new floor, and what lies below a floor is final.  The header is
         the new head and the lowest block held, the one
-        :class:`HeaderOnly` a store keeps; its weight is what the default
-        rule (parent + 1 from a genesis of 1) gives its height.
+        :class:`HeaderOnly` a store keeps.
         """
         cid = header.cid
         self._blocks = {cid: HeaderOnly(header)}
-        self._weights = {cid: header.height + 1}
         self._state_snapshots = {}
         self._by_height = {header.height: [cid]}
         self._canonical = {header.height: cid}
@@ -266,6 +257,3 @@ class ChainStore:
         """Number of blocks ever stored that are not on the canonical chain."""
         held = sum(1 for cid in self._blocks if not self.is_canonical(cid))
         return self._forks_dropped + held
-
-    def weight_of(self, cid: CID) -> int:
-        return self._weights.get(cid, 0)

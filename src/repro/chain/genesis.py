@@ -17,7 +17,6 @@ from repro.crypto.keys import Address
 from repro.chain.block import BlockHeader, FullBlock, ZERO_CID
 from repro.vm.actor import ActorRegistry
 from repro.vm.builtin import default_registry
-from repro.vm.builtin.reward import REWARD_ACTOR_ADDRESS
 from repro.vm.vm import VM
 
 GENESIS_MINER = Address.actor(1)
@@ -36,8 +35,6 @@ class GenesisParams:
     subnet_id: str = "/root"
     allocations: dict = field(default_factory=dict)
     system_actors: list = field(default_factory=list)
-    block_reward: int = 0
-    reward_reserve: int = 0
     gas_price: int = 0
     timestamp: float = 0.0
 
@@ -52,13 +49,6 @@ def build_genesis(
         registry=registry or default_registry(),
         gas_price=params.gas_price,
     )
-    if params.block_reward or params.reward_reserve:
-        vm.create_actor(
-            REWARD_ACTOR_ADDRESS,
-            "reward",
-            params={"per_block": params.block_reward},
-            balance=params.reward_reserve,
-        )
     for address, code, actor_params, balance in params.system_actors:
         receipt = vm.create_actor(address, code, params=actor_params, balance=balance)
         if not receipt.ok:

@@ -49,11 +49,6 @@ class ValidatorSet:
     def __iter__(self):
         return iter(self.validators)
 
-    @property
-    def max_faulty(self) -> int:
-        """f such that the set tolerates f Byzantine validators (by count)."""
-        return (len(self.validators) - 1) // 3
-
     def by_node(self, node_id: str) -> Optional[Validator]:
         return self._by_node.get(node_id)
 
@@ -86,8 +81,6 @@ class ConsensusParams:
     block_time: float = 1.0  # target seconds between blocks
     max_block_messages: int = 500
     finality_depth: int = 5  # PoW probabilistic finality
-    timeout_propose: float = 0.5  # Tendermint phase timeouts
-    timeout_vote: float = 0.5
     mir_leaders: int = 4
 
 
@@ -102,7 +95,7 @@ class ConsensusEngine:
       message_filter=None)`` → FullBlock built from the node's pools (only
       the messages the filter admits) against the parent state
     - ``receive_block(block, final, sender=None)`` → bool: the one block
-      intake path — validate + store + (if final or heaviest) apply; False
+      intake path — validate + store + (if final or longest) apply; False
       when invalid, already known, or parked as an orphan.  Parking a block
       *sender* delivered from beyond ``head + 1`` also fetches the missing
       range from that peer, so engines never sync blocks themselves
@@ -112,7 +105,8 @@ class ConsensusEngine:
     """
 
     NAME = "base"
-    SUPPORTS_FORKS = False
+    #: A committed block is final at once; False for fork-capable engines,
+    #: whose blocks are final only :meth:`final_height` deep.
     INSTANT_FINALITY = True
 
     def __init__(self, sim, node, validators: ValidatorSet, params: ConsensusParams) -> None:
@@ -132,6 +126,11 @@ class ConsensusEngine:
     # -- network --------------------------------------------------------
     def handle(self, kind: str, payload: Any, sender: str) -> None:
         """Process a consensus message published by *sender*."""
+
+    # -- finality -------------------------------------------------------
+    def final_height(self) -> int:
+        """Highest height this engine considers final: the head itself."""
+        return self.node.head().height
 
     # -- introspection --------------------------------------------------
     def debug_state(self) -> dict:

@@ -5,7 +5,7 @@ total ``P`` finds its next block after ``Exp(mean = block_time · P / p)``
 seconds, restarted whenever its head changes.  This reproduces the
 properties the hierarchy layer must cope with on PoW subnets and the
 rootnet: probabilistic finality, forks when two miners solve close together
-relative to propagation delay, and reorgs resolved by the heaviest chain.
+relative to propagation delay, and reorgs resolved by the longest chain.
 
 Finality is depth-based: a block is final once ``finality_depth`` blocks
 build on it; the node only acts on final blocks for checkpointing.
@@ -13,7 +13,7 @@ build on it; the node only acts on final blocks for checkpointing.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.chain.block import FullBlock
 from repro.consensus.base import ConsensusEngine, register_engine
@@ -21,10 +21,9 @@ from repro.consensus.base import ConsensusEngine, register_engine
 
 @register_engine
 class ProofOfWorkEngine(ConsensusEngine):
-    """Exponential-race PoW with heaviest-chain fork choice."""
+    """Exponential-race PoW with longest-chain fork choice."""
 
     NAME = "pow"
-    SUPPORTS_FORKS = True
     INSTANT_FINALITY = False
 
     def __init__(self, sim, node, validators, params) -> None:

@@ -92,7 +92,7 @@ class SlotLeaderEngine(ConsensusEngine):
         # eligibility below), and a restarted node listens passively —
         # engine stopped — until its head is fresh.  Dropping deliveries
         # here would mark them gossip-seen yet never applied, wedging the
-        # node until the max_sync_wait fallback.
+        # node until the MAX_SYNC_WAIT fallback.
         block: FullBlock = payload
         slot = block.header.consensus_data.get(self.SLOT_KEY)
         if slot is None:

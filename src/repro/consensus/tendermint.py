@@ -26,6 +26,9 @@ from repro.chain.block import FullBlock
 from repro.consensus.base import ConsensusEngine, register_engine
 
 PROPOSE, PREVOTE, PRECOMMIT = "propose", "prevote", "precommit"
+#: Phase timeouts (simulated seconds) of round 0; later rounds back off.
+TIMEOUT_PROPOSE = 0.5
+TIMEOUT_VOTE = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +51,6 @@ class TendermintEngine(ConsensusEngine):
     """Propose/prevote/precommit BFT with locking and round changes."""
 
     NAME = "tendermint"
-    SUPPORTS_FORKS = False
-    INSTANT_FINALITY = True
 
     def __init__(self, sim, node, validators, params) -> None:
         super().__init__(sim, node, validators, params)
@@ -156,7 +157,7 @@ class TendermintEngine(ConsensusEngine):
     # Timeouts
     # ------------------------------------------------------------------
     def _schedule_timeout(self, step: str, height: int, round_: int) -> None:
-        delay = self.params.timeout_propose if step == PROPOSE else self.params.timeout_vote
+        delay = TIMEOUT_PROPOSE if step == PROPOSE else TIMEOUT_VOTE
         # Linear back-off keeps lagging validators able to catch up.
         delay *= 1 + 0.5 * round_
         self.sim.schedule(

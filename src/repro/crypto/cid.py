@@ -99,9 +99,3 @@ def cached_cid(value: Any) -> CID:
 def cid_cache_stats() -> dict:
     """Process-wide hit/miss totals of :func:`cached_cid` (perf telemetry)."""
     return {"hits": _cache_hits, "misses": _cache_misses}
-
-
-def reset_cid_cache_stats() -> None:
-    global _cache_hits, _cache_misses
-    _cache_hits = 0
-    _cache_misses = 0

@@ -17,7 +17,7 @@ more windows.  Destination nodes aggregate signers per message and expose
 :meth:`AccelerationService.pending_for`: tentative credits backed by at
 least ``quorum`` certifying validators.  Tentative entries clear when the
 real settlement lands (the cross-msg is applied or the recipient balance
-reflects it), or expire after ``ttl`` seconds.
+reflects it), or expire after ``TTL`` seconds.
 
 Trust model: exactly the paper's — the destination decides how much
 finality it needs.  Certificates prove that *the source subnet's
@@ -29,7 +29,6 @@ actual settlement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.cid import CID
 from repro.crypto.keys import Address
@@ -38,6 +37,9 @@ from repro.hierarchy.crossmsg import ApplyBottomUp, ApplyTopDown, CrossMsg
 from repro.hierarchy.gateway import sca_key
 from repro.hierarchy.subnet_id import SubnetID
 from repro.net.gossip import PubsubEnvelope
+
+#: Simulated seconds a tentative credit outlives its first certificate.
+TTL = 120.0
 
 
 def acceleration_topic(subnet: SubnetID) -> str:
@@ -75,11 +77,10 @@ class PendingCertificate:
 class AccelerationService:
     """Issues and consumes pending-payment certificates for one node."""
 
-    def __init__(self, sim, node, quorum: int = 2, ttl: float = 120.0) -> None:
+    def __init__(self, sim, node) -> None:
         self.sim = sim
         self.node = node
-        self.quorum = quorum
-        self.ttl = ttl
+        self.quorum = 2  # certifiers a tentative credit needs
         # Issuer side: how far we've scanned each outgoing window.
         self._scanned: dict[int, int] = {}
         # Receiver side: message cid -> {"message", "certifiers", "first_seen"}
@@ -156,7 +157,7 @@ class AccelerationService:
                     self.sim.metrics.counter("accel.settled").inc()
 
     def _expire_stale(self) -> None:
-        horizon = self.sim.now - self.ttl
+        horizon = self.sim.now - TTL
         for cid in [c for c, e in self._pending.items() if e["first_seen"] < horizon]:
             del self._pending[cid]
             self.sim.metrics.counter("accel.expired").inc()

@@ -16,7 +16,7 @@ A checkpoint is ``⟨s, proof, prev, children, crossMeta⟩``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.crypto.cid import CID, cached_cid
 from repro.crypto.encoding import canonical_body, memo
@@ -116,3 +116,29 @@ class SignedCheckpoint:
         elif hasattr(signatures, "to_canonical"):
             signatures = canonical_body(signatures)
         return (canonical_body(self.checkpoint), signatures)
+
+
+def chain_findings(
+    last: Optional[Checkpoint], checkpoint: Checkpoint, signers: Optional[tuple]
+) -> Iterator[tuple[str, str]]:
+    """What is wrong with *checkpoint* as the successor of *last* (None: it
+    is the chain's first), as ``(rule key, description)``: it must chain
+    from *last*, advance its window and epoch, and carry a bundle the
+    signature policy accepts — *signers* is the policy's verdict on it
+    (None: no quorum).  Every reader of a checkpoint chain applies these."""
+    last_cid = ZERO_CHECKPOINT if last is None else last.cid
+    if checkpoint.prev != last_cid:
+        yield "prev", (
+            f"prev {checkpoint.prev.hex()[:16]} does not chain from last "
+            f"committed {last_cid.hex()[:16]}"
+        )
+    if last is not None and checkpoint.window <= last.window:
+        yield "window", (
+            f"window {checkpoint.window} not greater than previous window {last.window}"
+        )
+    if last is not None and checkpoint.epoch <= last.epoch:
+        yield "epoch", (
+            f"epoch {checkpoint.epoch} not greater than previous epoch {last.epoch}"
+        )
+    if signers is None:
+        yield "policy", "committed checkpoint does not satisfy the SA signature policy"

@@ -37,6 +37,17 @@ from repro.hierarchy.wallet import Wallet
 from repro.sim.observe import CheckpointSubmitted
 
 
+#: Seconds before backups also submit a window the parent still lacks.
+SUBMIT_FALLBACK_DELAY = 10.0
+# How long the designated submitter waits for stragglers before
+# submitting a partial (but still quorum-satisfying) signature set.
+# The grace deadline makes the submitted bundle deterministic: at
+# sign-time + grace every signature that will ever arrive has arrived,
+# so the bundle is "all non-withheld signatures" independent of the
+# order in which same-timestamp deliveries happened to fire.
+SUBMIT_GRACE_DELAY = 2.0
+
+
 @dataclass
 class CheckpointConfig:
     """Everything the service needs to know about its subnet's policy."""
@@ -46,14 +57,6 @@ class CheckpointConfig:
     sa_addr: str  # the SA's address on the parent chain
     validator_index: int  # position in the sorted set; share index - 1
     validator_count: int
-    submit_fallback_delay: float = 10.0  # seconds before backups also submit
-    # How long the designated submitter waits for stragglers before
-    # submitting a partial (but still quorum-satisfying) signature set.
-    # The grace deadline makes the submitted bundle deterministic: at
-    # sign-time + grace every signature that will ever arrive has arrived,
-    # so the bundle is "all non-withheld signatures" independent of the
-    # order in which same-timestamp deliveries happened to fire.
-    submit_grace_delay: float = 2.0
 
 
 @dataclass
@@ -94,12 +97,7 @@ class CheckpointService:
     # ------------------------------------------------------------------
     def on_block(self, block) -> None:
         """Called for every committed block on this subnet's chain."""
-        finality_lag = (
-            self.node.engine.params.finality_depth
-            if self.node.engine.SUPPORTS_FORKS
-            else 0
-        )
-        final_height = self.node.head().height - finality_lag
+        final_height = self.node.engine.final_height()
         # Sealed windows become actionable once their sealing block is final.
         while True:
             next_window = self._last_processed_window + 1
@@ -159,10 +157,7 @@ class CheckpointService:
             self.node.broadcast("ckpt:body", (window, forged))
         # Fallback submission if the designated submitter stalls.
         self.sim.schedule(
-            self.config.submit_fallback_delay,
-            self._fallback_submit,
-            window,
-            label="ckpt:fallback",
+            SUBMIT_FALLBACK_DELAY, self._fallback_submit, window, label="ckpt:fallback"
         )
         if self._is_designated_submitter(window):
             # Grace deadline: submit with whatever quorum exists once every
@@ -170,11 +165,7 @@ class CheckpointService:
             # then _maybe_submit only fires on a complete signature set, so
             # the submitted bundle never depends on delivery tie order.
             self.sim.schedule(
-                self.config.submit_grace_delay,
-                self._maybe_submit,
-                window,
-                True,
-                label="ckpt:grace",
+                SUBMIT_GRACE_DELAY, self._maybe_submit, window, True, label="ckpt:grace"
             )
         self._maybe_submit(window)
 
@@ -245,10 +236,7 @@ class CheckpointService:
             return
         self._try_submit(window, book)
         self.sim.schedule(
-            self.config.submit_fallback_delay,
-            self._fallback_submit,
-            window,
-            attempt + 1,
+            SUBMIT_FALLBACK_DELAY, self._fallback_submit, window, attempt + 1,
             label="ckpt:fallback",
         )
 

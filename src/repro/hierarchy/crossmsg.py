@@ -10,7 +10,7 @@ bottom-up to the least common ancestor and top-down from there).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.cid import CID, cached_cid, cid_of
@@ -85,9 +85,6 @@ class CrossMsg:
     @property
     def cid(self) -> CID:
         return cached_cid(self)
-
-    def direction_at(self, subnet: SubnetID) -> Direction:
-        return classify(subnet, self.to_subnet)
 
     def make_revert(self) -> "CrossMsg":
         """The protocol's failure response: send the funds back (§IV-B).

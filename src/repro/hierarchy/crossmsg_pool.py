@@ -27,6 +27,9 @@ from repro.hierarchy.gateway import sca_key
 from repro.hierarchy.resolution import ResolutionService
 from repro.hierarchy.subnet_id import SubnetID
 
+#: Cross-msg entries one block carries at most.
+MAX_PER_BLOCK = 100
+
 
 class CrossMsgPool:
     """One node's cache of unverified cross-msgs awaiting proposal."""
@@ -37,13 +40,11 @@ class CrossMsgPool:
         subnet_id: SubnetID,
         resolution: ResolutionService,
         parent_node=None,
-        max_per_block: int = 100,
     ) -> None:
         self.sim = sim
         self.subnet_id = subnet_id
         self.resolution = resolution
         self.parent_node = parent_node
-        self.max_per_block = max_per_block
         self._topdown: dict[int, CrossMsg] = {}
         self._td_scanned = 0  # next parent nonce to look for
         self._bu_metas: dict[int, CrossMsgMeta] = {}
@@ -106,11 +107,11 @@ class CrossMsgPool:
         """
         selected = []
         td_next = scratch_vm.state.get(sca_key("td_applied_nonce"), 0)
-        while td_next in self._topdown and len(selected) < self.max_per_block:
+        while td_next in self._topdown and len(selected) < MAX_PER_BLOCK:
             selected.append(ApplyTopDown(message=self._topdown[td_next], nonce=td_next))
             td_next += 1
         bu_next = scratch_vm.state.get(sca_key("bu_applied_nonce"), 0)
-        while bu_next in self._bu_metas and len(selected) < self.max_per_block:
+        while bu_next in self._bu_metas and len(selected) < MAX_PER_BLOCK:
             meta = self._bu_metas[bu_next]
             messages = self.resolution.resolve_local(meta.msgs_cid)
             if messages is None:

@@ -11,8 +11,10 @@ clients."
 
 :class:`CheckpointLightClient` tracks one subnet **without running its
 consensus or syncing its chain**: it consumes the signed checkpoints
-committed on the parent chain, verifies the subnet's signature policy and
-the ``prev``-linkage of the checkpoint chain, and can then answer:
+committed on the parent chain, verifies them by the chain rules the
+parent's auditor applies (:func:`~repro.hierarchy.checkpoint.chain_findings`:
+``prev``-linkage, window and epoch advance, the subnet's signature policy),
+and can then answer:
 
 - what is the latest proven subnet chain commitment (``proof`` CID)?
 - was a given batch of cross-msgs really emitted by the subnet
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 from repro.crypto.cid import CID
 from repro.crypto.keys import Address
-from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint, ZERO_CHECKPOINT
+from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint, chain_findings
 from repro.hierarchy.crossmsg import batch_cid
 from repro.hierarchy.subnet_actor import SignaturePolicy, committed_checkpoints
 from repro.hierarchy.subnet_id import SubnetID
@@ -66,8 +68,9 @@ class CheckpointLightClient:
     def observe(self, signed: SignedCheckpoint) -> VerifiedCheckpoint:
         """Verify and append the next checkpoint of the subnet's chain.
 
-        Raises :class:`VerificationError` on any policy, source or linkage
-        violation.  Observing is idempotent for the current head.
+        Raises :class:`VerificationError` on a checkpoint of another subnet
+        or on the first broken chain rule.  Observing is idempotent for the
+        current head.
         """
         checkpoint = signed.checkpoint
         if checkpoint.source != self.subnet:
@@ -77,15 +80,11 @@ class CheckpointLightClient:
         head = self.head
         if head is not None and checkpoint.cid == head.checkpoint.cid:
             return head
-        if checkpoint.prev != (head.checkpoint.cid if head else ZERO_CHECKPOINT):
-            raise VerificationError(
-                "checkpoint does not chain from the last verified checkpoint"
-            )
-        if head is not None and checkpoint.window <= head.checkpoint.window:
-            raise VerificationError("checkpoint window did not advance")
         signers = self.policy.signers(signed, self.validators, self.subnet.path)
-        if signers is None:
-            raise VerificationError("checkpoint signatures do not satisfy the policy")
+        last = None if head is None else head.checkpoint
+        finding = next(chain_findings(last, checkpoint, signers), None)
+        if finding is not None:
+            raise VerificationError(finding[1])
         verified = VerifiedCheckpoint(checkpoint=checkpoint, signers=signers)
         self.chain.append(verified)
         return verified

@@ -42,7 +42,6 @@ from repro.hierarchy.subnet_actor import (
 )
 from repro.hierarchy.subnet_id import ROOTNET, SubnetID
 from repro.hierarchy.wallet import Wallet
-from repro.net.gossip import GossipParams
 from repro.runtime import NetworkStack, ValidatorCluster, cluster_members
 from repro.sim.observe import CrossMsgSubmitted, WaitTimedOut
 from repro.vm.builtin.init_actor import INIT_ACTOR_ADDRESS, derive_actor_address
@@ -75,8 +74,6 @@ class SubnetConfig:
     min_validators: int = 1
     finality_depth: int = 5
     byzantine: dict = field(default_factory=dict)  # node index -> {behaviours}
-    cache_pushes: bool = True
-    push_drop_probability: float = 0.0
     mir_leaders: int = 4
     max_block_messages: int = 500
     gas_price: int = 0  # >0 makes every message pay fees to its block miner (§II)
@@ -97,12 +94,9 @@ class HierarchicalSystem:
         checkpoint_period: int = 10,
         min_collateral: int = 100,
         wallet_funds: Optional[dict] = None,
-        gossip_params: Optional[GossipParams] = None,
         accelerate_root: bool = False,
     ) -> None:
-        self.stack = NetworkStack(
-            seed=seed, latency=latency, loss_rate=loss_rate, gossip_params=gossip_params
-        )
+        self.stack = NetworkStack(seed=seed, latency=latency, loss_rate=loss_rate)
         self.sim = self.stack.sim
         self.gossip = self.stack.gossip
         self.registry = hierarchy_registry()
@@ -645,8 +639,6 @@ class HierarchicalSystem:
                 parent_node=parent_nodes[i % len(parent_nodes)],
                 checkpoint_config=checkpoint_config,
                 byzantine=config.byzantine.get(i),
-                cache_pushes=config.cache_pushes,
-                push_drop_probability=config.push_drop_probability,
                 accelerate=config.accelerate,
             )
 

@@ -50,8 +50,6 @@ class SubnetNode(NodeRuntime):
         parent_node: Optional["SubnetNode"] = None,
         checkpoint_config: Optional[CheckpointConfig] = None,
         byzantine: Optional[set] = None,
-        cache_pushes: bool = True,
-        push_drop_probability: float = 0.0,
         accelerate: bool = False,
     ) -> None:
         super().__init__(
@@ -76,9 +74,6 @@ class SubnetNode(NodeRuntime):
             gossip=gossip,
             # the SCA's registry in this node's own chain state
             state_reader=lambda cid_hex: self.vm.state.get(sca_key(f"registry/{cid_hex}")),
-            cache_pushes=cache_pushes,
-            push_drop_rng=sim.rng("resolution-drop", node_id),
-            push_drop_probability=push_drop_probability,
         )
         self.crosspool = CrossMsgPool(
             sim=sim,

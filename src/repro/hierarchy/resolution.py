@@ -6,8 +6,8 @@ the raw messages travel separately:
 - **push**: when a checkpoint is submitted, a subnet validator publishes
   the batch contents on the destination subnet's resolution topic.  Peers
   "may choose to pick them up and cache/store them locally or discard
-  them" — the service's ``cache_pushes`` flag (and a configurable drop
-  probability) models that choice for the E4 experiment.
+  them" — the service's ``cache_pushes`` attribute models that choice for
+  the E4 experiment.
 - **pull**: a subnet that cannot resolve a CID locally publishes a pull
   request on the *source* subnet's topic; any peer there answers by
   publishing a **resolve** message on the requester's topic, giving "every
@@ -41,18 +41,13 @@ class ResolutionService:
         subnet_id: SubnetID,
         gossip: GossipNetwork,
         state_reader: Callable[[str], Optional[tuple]],
-        cache_pushes: bool = True,
-        push_drop_rng=None,
-        push_drop_probability: float = 0.0,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
         self.subnet_id = subnet_id
         self.gossip = gossip
         self._read_registry = state_reader  # msgs_cid hex -> tuple | None
-        self.cache_pushes = cache_pushes
-        self.push_drop_probability = push_drop_probability
-        self._push_drop_rng = push_drop_rng
+        self.cache_pushes = True  # False: discard every pushed batch (§IV-C)
         self._cache: dict[CID, tuple] = {}
         self._waiting: dict[CID, list[Callable[[tuple], None]]] = {}
         gossip.subscribe(node_id, resolution_topic(subnet_id), self._on_message)
@@ -117,13 +112,7 @@ class ResolutionService:
     def _on_message(self, envelope: PubsubEnvelope) -> None:
         kind, msgs_cid, payload = envelope.data
         if kind == "push":
-            if not self.cache_pushes:
-                return
-            if self.push_drop_probability and self._push_drop_rng is not None:
-                if self._push_drop_rng.random() < self.push_drop_probability:
-                    self.sim.metrics.counter("resolution.push_dropped").inc()
-                    return
-            if self.store(msgs_cid, payload):
+            if self.cache_pushes and self.store(msgs_cid, payload):
                 self.sim.metrics.counter("resolution.push_stored").inc()
         elif kind == "pull":
             requester = SubnetID(payload)

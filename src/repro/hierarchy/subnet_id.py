@@ -15,7 +15,6 @@ destination, travelled by top-down messages) — §IV-A's path messages.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 _NAME = "[a-z0-9][a-z0-9_-]*"
 _SEGMENT = re.compile(f"^{_NAME}$")
@@ -107,9 +106,6 @@ class SubnetID:
             len(self.segments) < len(other.segments)
             and other.segments[: len(self.segments)] == self.segments
         )
-
-    def is_descendant_of(self, other: "SubnetID") -> bool:
-        return other.is_ancestor_of(self)
 
     def common_ancestor(self, other: "SubnetID") -> "SubnetID":
         """The least common ancestor (may be self/other; root at worst)."""

@@ -173,9 +173,6 @@ class GossipNetwork:
             members.discard(peer_id)
             self._rebuild_mesh(topic)
 
-    def subscribers(self, topic: str) -> set:
-        return set(self._topic_members.get(topic, set()))
-
     def _rebuild_mesh(self, topic: str) -> None:
         """Recompute the topic mesh deterministically.
 

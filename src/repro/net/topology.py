@@ -129,9 +129,6 @@ class Topology:
         else:
             self._links[key] = link
 
-    def clear_link(self, a: str, b: str) -> None:
-        self._links.pop(self._link_key(a, b), None)
-
     def clear_links(self) -> None:
         self._links = {}
 

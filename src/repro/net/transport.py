@@ -90,10 +90,6 @@ class Transport:
     def is_registered(self, peer_id: str) -> bool:
         return peer_id in self._handlers
 
-    @property
-    def peers(self) -> list[str]:
-        return sorted(self._handlers)
-
     def send(self, src: str, dst: str, kind: str, payload: Any) -> bool:
         """Send a message; returns False if dropped (loss/partition/unknown).
 

@@ -57,9 +57,7 @@ class ValidatorCluster:
         genesis_block,
         genesis_vm,
         consensus_params: ConsensusParams,
-        stack: Optional[NetworkStack] = None,
-        sim=None,
-        gossip=None,
+        stack: NetworkStack,
         node_factory: Optional[Callable[[int, ClusterMember, ValidatorSet], NodeRuntime]] = None,
         byzantine: Optional[dict] = None,
     ) -> "ValidatorCluster":
@@ -70,11 +68,6 @@ class ValidatorCluster:
         given stack.  ``byzantine`` maps node ids to behaviour sets for the
         default factory.
         """
-        if stack is not None:
-            sim = sim or stack.sim
-            gossip = gossip or stack.gossip
-        if sim is None or gossip is None:
-            raise ValueError("provide either stack or both sim and gossip")
         validators = ValidatorSet(
             Validator(node_id=m.node_id, address=m.keypair.address, power=m.power)
             for m in members
@@ -83,13 +76,13 @@ class ValidatorCluster:
 
             def node_factory(index: int, member: ClusterMember, vset: ValidatorSet):
                 return NodeRuntime(
-                    sim=sim,
+                    sim=stack.sim,
                     node_id=member.node_id,
                     keypair=member.keypair,
                     subnet_id=subnet_id,
                     genesis_block=genesis_block,
                     genesis_vm=genesis_vm,
-                    gossip=gossip,
+                    gossip=stack.gossip,
                     validators=vset,
                     consensus_params=consensus_params,
                     byzantine=(byzantine or {}).get(member.node_id),

@@ -27,9 +27,8 @@ from repro.net.gossip import GossipNetwork, PubsubEnvelope
 from repro.sim.observe import BlockCommitted, ChainReorg
 from repro.storage.backend import MemoryBackend
 from repro.storage.statetree import StateTree
-from repro.vm.builtin.reward import REWARD_ACTOR_ADDRESS
 from repro.vm.message import SignedMessage
-from repro.vm.vm import SYSTEM_ADDRESS, VM
+from repro.vm.vm import VM
 
 
 def subnet_topic(subnet_id: str) -> str:
@@ -42,6 +41,10 @@ def subnet_topic(subnet_id: str) -> str:
 #: and flat state at a block the requester can check against its parent.
 BLOCK_RANGE_RPC = "chain:blocks"
 SNAPSHOT_RPC = "chain:snapshot"
+#: A restarted node polls its head's freshness this often (simulated
+#: seconds) and starts its engine regardless after the longer wait.
+SYNC_GRACE = 1.0
+MAX_SYNC_WAIT = 15.0
 
 
 class BelowFloor(LookupError):
@@ -125,9 +128,7 @@ class NodeRuntime:
         self._restart_epoch += 1  # cancel any pending sync-grace resume
         self.gossip.unsubscribe(self.node_id, self.topic)
 
-    def restart(
-        self, sync_grace: float = 1.0, max_sync_wait: float = 15.0
-    ) -> None:
+    def restart(self) -> None:
         """Rejoin the subnet after a :meth:`stop` (crash/restart faults).
 
         Re-subscribes the chain topic immediately — gossip (eager mesh
@@ -136,21 +137,16 @@ class NodeRuntime:
         local head looks *caught up* (its timestamp within two block
         times of now).  A validator proposing off a stale head the moment
         it comes back self-commits a conflicting block on lag-0 engines,
-        so it listens passively first, polling every *sync_grace*
-        simulated seconds.  After *max_sync_wait* it starts regardless —
+        so it listens passively first, polling every ``SYNC_GRACE``
+        simulated seconds.  After ``MAX_SYNC_WAIT`` it starts regardless —
         if the whole subnet is stalled no head ever looks fresh, and a
-        proposer is exactly what the subnet is missing.  ``sync_grace=0``
-        restores the immediate restart.  Idempotent; a :meth:`stop`
-        during the wait cancels the pending resume.
+        proposer is exactly what the subnet is missing.  Idempotent; a
+        :meth:`stop` during the wait cancels the pending resume.
         """
         self.gossip.subscribe(self.node_id, self.topic, self._on_pubsub)
         self._restart_epoch += 1
         token = self._restart_epoch
-        if sync_grace <= 0:
-            if not self.engine.running:
-                self.engine.start()
-            return
-        deadline = self.sim.now + max_sync_wait
+        deadline = self.sim.now + MAX_SYNC_WAIT
         freshness = 2.0 * self.engine.params.block_time
 
         def _resume() -> None:
@@ -160,9 +156,9 @@ class NodeRuntime:
             if caught_up or self.sim.now >= deadline:
                 self.engine.start()
             else:
-                self.sim.schedule(sync_grace, _resume, label="node:restart")
+                self.sim.schedule(SYNC_GRACE, _resume, label="node:restart")
 
-        self.sim.schedule(sync_grace, _resume, label="node:restart")
+        self.sim.schedule(SYNC_GRACE, _resume, label="node:restart")
 
     def swap_engine(self, engine_factory) -> Any:
         """Replace the consensus engine in place; returns the old engine.
@@ -294,8 +290,7 @@ class NodeRuntime:
         a multiple of half the horizon, so validators a block or two apart
         name the same header."""
         if anchor is None:
-            lag = self.engine.params.finality_depth if self.engine.SUPPORTS_FORKS else 0
-            final = self.store.height - lag
+            final = self.engine.final_height()
             block = self.store.block_at_height(final - final % (self.store.prune_depth // 2))
         else:
             block = self.store.get_optional(anchor)
@@ -607,11 +602,6 @@ class NodeRuntime:
         (the telemetry span tracer correlates cross-net hops from them).
         """
         events: list = []
-        if vm.actor_code(REWARD_ACTOR_ADDRESS) == "reward":
-            receipt = vm.apply_implicit(
-                SYSTEM_ADDRESS, REWARD_ACTOR_ADDRESS, "award", {"miner": miner.raw}
-            )
-            events.extend(receipt.events)
         for cross in cross_messages:
             receipt = self.apply_cross_message(vm, cross, miner)
             if receipt is not None:

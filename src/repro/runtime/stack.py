@@ -26,19 +26,13 @@ class NetworkStack:
         self,
         seed: int = 1,
         latency: float = 0.02,
-        jitter: Optional[float] = None,
         loss_rate: float = 0.0,
         gossip_params: Optional[GossipParams] = None,
-        sim: Optional[Simulator] = None,
-        topology: Optional[Topology] = None,
     ) -> None:
-        self.sim = sim if sim is not None else Simulator(seed=seed)
-        if topology is None:
-            model = UniformLatency(
-                base=latency, jitter=latency / 2 if jitter is None else jitter
-            )
-            topology = Topology(model, loss_rate=loss_rate)
-        self.topology = topology
+        self.sim = Simulator(seed=seed)
+        self.topology = Topology(
+            UniformLatency(base=latency, jitter=latency / 2), loss_rate=loss_rate
+        )
         self.transport = Transport(self.sim, self.topology)
         self.gossip = GossipNetwork(self.sim, self.transport, gossip_params)
 

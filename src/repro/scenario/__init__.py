@@ -32,7 +32,6 @@ from repro.scenario.runner import (
     ProgressWatchdog,
     ScenarioOutcome,
     ScenarioRunner,
-    run_scenario,
 )
 from repro.scenario.spec import (
     OK_VERDICTS,
@@ -40,7 +39,6 @@ from repro.scenario.spec import (
     VERDICT_EXPECTED,
     VERDICT_STALL,
     VERDICT_UNEXPECTED,
-    CrossNetSpec,
     Expectation,
     PaymentSpec,
     Scenario,
@@ -60,7 +58,6 @@ __all__ = [
     "ChurnFault",
     "CrashFault",
     "CrossMsgSpamFault",
-    "CrossNetSpec",
     "EngineSwapFault",
     "EquivocationFault",
     "Expectation",
@@ -85,6 +82,5 @@ __all__ = [
     "VERDICT_STALL",
     "VERDICT_UNEXPECTED",
     "WorkloadSpec",
-    "run_scenario",
     "select_validators",
 ]

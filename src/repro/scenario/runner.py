@@ -37,9 +37,13 @@ from repro.scenario.spec import (
     Scenario,
 )
 from repro.telemetry import enable_telemetry
-from repro.workloads import CrossNetWorkload, PaymentWorkload
+from repro.workloads import PaymentWorkload
 
 SPAM_FUNDS = 10**9
+#: Simulated seconds spawning a subnet or funding a wallet may take.
+SETUP_TIMEOUT = 240.0
+#: Simulated seconds between two samples of the watchdog.
+WATCHDOG_INTERVAL = 1.0
 
 
 class ProgressWatchdog:
@@ -52,12 +56,9 @@ class ProgressWatchdog:
     RNG-free, hence digest-neutral.
     """
 
-    def __init__(
-        self, system, stall_after: float = 10.0, interval: float = 1.0
-    ) -> None:
+    def __init__(self, system, stall_after: float = 10.0) -> None:
         self.system = system
         self.stall_after = stall_after
-        self.interval = interval
         self.stalls: list[dict] = []
         self._last: dict[str, tuple] = {}  # path -> (height, since)
         self._flagged: set[str] = set()
@@ -66,7 +67,7 @@ class ProgressWatchdog:
     def start(self) -> "ProgressWatchdog":
         if self._stop is None:
             self._stop = self.system.sim.every(
-                self.interval, self._tick, label="scenario:watchdog",
+                WATCHDOG_INTERVAL, self._tick, label="scenario:watchdog",
                 on_error="log",
             )
         return self
@@ -154,13 +155,11 @@ class ScenarioRunner:
         seed: Optional[int] = None,
         postmortem_dir: Optional[str] = None,
         monitors: bool = True,
-        setup_timeout: float = 240.0,
     ) -> None:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.postmortem_dir = postmortem_dir
         self.monitors = monitors
-        self.setup_timeout = setup_timeout
         self.system: Optional[HierarchicalSystem] = None
         self.workloads: list = []
         self.injector: Optional[FaultInjector] = None
@@ -197,7 +196,7 @@ class ScenarioRunner:
                     checkpoint_period=subnet.checkpoint_period,
                     finality_depth=subnet.finality_depth,
                 ),
-                timeout=self.setup_timeout,
+                timeout=SETUP_TIMEOUT,
             )
         self.system = system
         self._fund_workloads()
@@ -215,15 +214,7 @@ class ScenarioRunner:
             system.ensure_funds(
                 payment.subnet,
                 [(wallet.address, payment.funds) for wallet in wallets],
-                timeout=self.setup_timeout,
-            )
-        for crossnet in self.scenario.workload.crossnet:
-            wallet_name = f"xnet-{crossnet.from_subnet}"
-            wallet = system.wallets.get(wallet_name) or system.create_wallet(wallet_name)
-            system.ensure_funds(
-                crossnet.from_subnet,
-                [(wallet.address, crossnet.funds)],
-                timeout=self.setup_timeout,
+                timeout=SETUP_TIMEOUT,
             )
         for fault in self.scenario.faults:
             if fault.KIND == "crossmsg-spam":
@@ -232,7 +223,7 @@ class ScenarioRunner:
                 system.ensure_funds(
                     fault.subnet,
                     [(wallet.address, SPAM_FUNDS)],
-                    timeout=self.setup_timeout,
+                    timeout=SETUP_TIMEOUT,
                 )
 
     def _start_workloads(self) -> None:
@@ -249,16 +240,6 @@ class ScenarioRunner:
                     wallets,
                     rate=payment.rate,
                     rng_scope=f"scenario-{self.scenario.name}-{payment.subnet}",
-                ).start()
-            )
-        for crossnet in self.scenario.workload.crossnet:
-            self.workloads.append(
-                CrossNetWorkload(
-                    system,
-                    crossnet.from_subnet,
-                    crossnet.to_subnet,
-                    system.wallets[f"xnet-{crossnet.from_subnet}"],
-                    rate=crossnet.rate,
                 ).start()
             )
 
@@ -376,14 +357,3 @@ class ScenarioRunner:
                 "events_executed": system.sim.events_executed,
             },
         )
-
-
-def run_scenario(
-    scenario: Scenario,
-    seed: Optional[int] = None,
-    postmortem_dir: Optional[str] = None,
-) -> ScenarioOutcome:
-    """Convenience: build, run and classify one scenario."""
-    return ScenarioRunner(
-        scenario, seed=seed, postmortem_dir=postmortem_dir
-    ).run()

@@ -134,21 +134,10 @@ class PaymentSpec:
 
 
 @dataclass
-class CrossNetSpec:
-    """Open-loop cross-net transfers between two subnets."""
-
-    from_subnet: str = "/root/s0"
-    to_subnet: str = "/root"
-    rate: float = 1.0
-    funds: int = 100_000
-
-
-@dataclass
 class WorkloadSpec:
     """The traffic a scenario runs under its fault schedule."""
 
     payments: list = field(default_factory=list)  # list[PaymentSpec]
-    crossnet: list = field(default_factory=list)  # list[CrossNetSpec]
 
 
 # ----------------------------------------------------------------------

@@ -371,9 +371,6 @@ class TimeSeries:
     def values(self) -> list[float]:
         return list(self._values)
 
-    def times(self) -> list[float]:
-        return list(self._times)
-
     def summary(self) -> dict:
         """How many points, and the first and last as ``[time, value]``."""
         times, values = self._times, self._values

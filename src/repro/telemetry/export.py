@@ -161,7 +161,6 @@ METRIC_CATALOG: dict = {
     # hierarchy: content resolution
     "resolution.push_sent": ("counter", "content pushes sent"),
     "resolution.push_stored": ("counter", "pushed content stored"),
-    "resolution.push_dropped": ("counter", "pushed content dropped (cache full)"),
     "resolution.pull_sent": ("counter", "content pulls sent"),
     "resolution.pull_served": ("counter", "content pulls served"),
     "resolution.pull_miss": ("counter", "content pulls that missed"),
@@ -320,9 +319,11 @@ _SUBNET_PID = 1
 _DISPATCH_PID = 2
 _PROFILE_PID = 3
 _ROUNDS_PID = 4
+#: The dispatch track shows this many labels, costliest first.
+_TOP_DISPATCH = 16
 
 
-def to_chrome_trace(sim, top_dispatch: int = 16) -> dict:
+def to_chrome_trace(sim) -> dict:
     """Chrome trace-event JSON: subnet span tracks + a dispatch profile.
 
     Cross-net/checkpoint spans (an attached
@@ -405,7 +406,7 @@ def to_chrome_trace(sim, top_dispatch: int = 16) -> dict:
     events.append(_meta(_DISPATCH_PID, "process_name", name="dispatch profile (wall clock)"))
     events.append(_meta(_DISPATCH_PID, "thread_name", tid=1, name="cumulative wall time"))
     offset = 0.0
-    for row in sim.dispatch.summary()[:top_dispatch]:
+    for row in sim.dispatch.summary()[:_TOP_DISPATCH]:
         duration = max(row["wall_s"] * 1e6, 1.0)
         events.append({
             "name": row["label"],
@@ -535,8 +536,8 @@ def _meta(pid: int, kind: str, tid: int = 0, name: str = "") -> dict:
     }
 
 
-def write_chrome_trace(path: str, sim, top_dispatch: int = 16) -> str:
+def write_chrome_trace(path: str, sim) -> str:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_chrome_trace(sim, top_dispatch), handle, allow_nan=False)
+        json.dump(to_chrome_trace(sim), handle, allow_nan=False)
         handle.write("\n")
     return path

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.hierarchy.checkpoint import Checkpoint, chain_findings
 from repro.hierarchy.firewall import books_findings
 from repro.hierarchy.gateway import SCA_ADDRESS, child_key, child_records
 from repro.hierarchy.subnet_actor import (
@@ -52,8 +53,6 @@ from repro.hierarchy.subnet_actor import (
 )
 from repro.hierarchy.subnet_id import SubnetID
 from repro.sim.observe import BlockCommitted, ChainReorg, Plane
-
-_ZERO_CID_HEX = "00" * 32
 
 
 @dataclass(frozen=True)
@@ -270,16 +269,17 @@ class SupplyAuditor(Auditor):
 class CheckpointAuditor(Auditor):
     """Walks each child's committed-checkpoint history at the parent.
 
-    Every committed checkpoint must chain (``prev``) from the previously
-    committed one, advance the window and epoch strictly, and carry
-    signatures that satisfy the SA's policy over its validator set.
+    Every committed checkpoint must pass
+    :func:`~repro.hierarchy.checkpoint.chain_findings` against the
+    previously committed one, its signatures checked by the SA's policy over
+    its current validator set.
     """
 
     name = "checkpoint-chain"
 
     def __init__(self) -> None:
-        # (parent subnet, child path) -> {"window", "cid", "epoch"}
-        self._chains: dict[tuple, dict] = {}
+        # (parent subnet, child path) -> last committed Checkpoint
+        self._chains: dict[tuple, Checkpoint] = {}
 
     def on_block_commit(self, monitor, node, block, events) -> None:
         for kind, payload in events:
@@ -294,38 +294,20 @@ class CheckpointAuditor(Auditor):
             return
         sa_raw = record["sa_addr"]
         key = (node.subnet_id, child_path)
-        tracked = self._chains.get(key, {"window": -1, "cid": _ZERO_CID_HEX, "epoch": -1})
-        for signed in committed_checkpoints(state, sa_raw, after=tracked["window"]):
+        last = self._chains.get(key)
+        after = -1 if last is None else last.window
+        for signed in committed_checkpoints(state, sa_raw, after=after):
             checkpoint = signed.checkpoint
-            window = checkpoint.window
-            if checkpoint.prev.hex() != tracked["cid"]:
-                monitor.record(
-                    self.name, node.subnet_id,
-                    f"{child_path} window {window}: prev {checkpoint.prev.hex()[:16]} "
-                    f"does not chain from last committed {tracked['cid'][:16]}",
-                    dedup_key=("prev", child_path, window),
-                )
-            if checkpoint.epoch <= tracked["epoch"]:
-                monitor.record(
-                    self.name, node.subnet_id,
-                    f"{child_path} window {window}: epoch {checkpoint.epoch} "
-                    f"not greater than previous epoch {tracked['epoch']}",
-                    dedup_key=("epoch", child_path, window),
-                )
             # Re-run the SA's signature check against its current registry.
-            if policy_signers(state, sa_raw, signed) is None:
+            signers = policy_signers(state, sa_raw, signed)
+            for rule, description in chain_findings(last, checkpoint, signers):
                 monitor.record(
                     self.name, node.subnet_id,
-                    f"{child_path} window {window}: committed checkpoint does "
-                    "not satisfy the SA signature policy",
-                    dedup_key=("policy", child_path, window),
+                    f"{child_path} window {checkpoint.window}: {description}",
+                    dedup_key=(rule, child_path, checkpoint.window),
                 )
-            tracked = {
-                "window": window,
-                "cid": checkpoint.cid.hex(),
-                "epoch": checkpoint.epoch,
-            }
-        self._chains[key] = tracked
+            last = checkpoint
+        self._chains[key] = last
 
 
 # ======================================================================
@@ -429,8 +411,8 @@ class ExactlyOnceAuditor(Auditor):
 class FinalityAuditor(Auditor):
     """No two *final* blocks at one height; no reorg past finality depth.
 
-    Final height mirrors the checkpoint service: ``head - finality_depth``
-    for fork-capable engines, the head itself otherwise.  The per-height
+    Final height is the engine's own (:meth:`ConsensusEngine.final_height`,
+    which the checkpoint service acts on too).  The per-height
     map is shared across all nodes of a subnet, so diverging *final*
     prefixes between validators surface too (e.g. a quorum-less engine
     committing solo blocks under a partition — a genuine safety breach of
@@ -443,18 +425,11 @@ class FinalityAuditor(Auditor):
         self._final: dict[tuple, str] = {}  # (subnet, height) -> block cid hex
         self._checked: dict[tuple, int] = {}  # (subnet, node) -> height
 
-    @staticmethod
-    def _finality_lag(node) -> int:
-        engine = getattr(node, "engine", None)
-        if engine is None:
-            return 0
-        return engine.params.finality_depth if engine.SUPPORTS_FORKS else 0
-
     def on_block_commit(self, monitor, node, block, events) -> None:
         store = getattr(node, "store", None)
         if store is None or block is None:
             return
-        final_height = store.height - self._finality_lag(node)
+        final_height = node.engine.final_height()
         key = (node.subnet_id, node.node_id)
         # Genesis is trivially agreed; a node that adopted a snapshot holds
         # nothing below its base, and is audited from there on.
@@ -479,7 +454,7 @@ class FinalityAuditor(Auditor):
             height += 1
 
     def on_reorg(self, monitor, node, old_head, new_head_block, depth: int) -> None:
-        lag = self._finality_lag(node)
+        lag = new_head_block.height - node.engine.final_height()
         if depth > lag:
             monitor.record(
                 self.name, node.subnet_id,

@@ -51,6 +51,9 @@ from repro.sim.scheduler import current_dispatch_label
 OUTSIDE_DISPATCH = "<outside-dispatch>"
 
 _UNKNOWN_FRAME = "<unknown>"
+#: Frames kept per sampled stack, and samples per RSS reading.
+_MAX_STACK_DEPTH = 64
+_RSS_EVERY = 32
 
 
 def read_rss_bytes() -> Optional[int]:
@@ -95,16 +98,12 @@ class SamplingProfiler(Plane):
         # still collecting hundreds of samples per benchmark run.
         interval: float = 0.01,
         memory: bool = False,
-        max_stack_depth: int = 64,
-        rss_every: int = 32,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive (got {interval})")
         self.sim = sim
         self.interval = float(interval)
         self.memory = bool(memory)
-        self.max_stack_depth = max_stack_depth
-        self.rss_every = max(1, rss_every)
 
         # CPU samples, written only by the sampler thread.
         self._samples: dict = {}  # (label, stack tuple) -> count
@@ -202,7 +201,7 @@ class SamplingProfiler(Plane):
             self._label_samples[label] = self._label_samples.get(label, 0) + 1
             self._total_samples += 1
             ticks += 1
-            if ticks % self.rss_every == 0:
+            if ticks % _RSS_EVERY == 0:
                 rss = read_rss_bytes()
                 if rss is not None:
                     self._rss_points.append(
@@ -217,7 +216,7 @@ class SamplingProfiler(Plane):
         names = self._code_names
         stack = []
         depth = 0
-        while frame is not None and depth < self.max_stack_depth:
+        while frame is not None and depth < _MAX_STACK_DEPTH:
             code = frame.f_code
             name = names.get(code)
             if name is None:

@@ -8,7 +8,7 @@ actor completely.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.vm.exitcode import ActorError, ExitCode
 
@@ -103,6 +103,3 @@ class ActorRegistry:
 
     def has(self, code: str) -> bool:
         return code in self._codes
-
-    def codes(self) -> list:
-        return sorted(self._codes)

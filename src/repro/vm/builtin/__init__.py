@@ -1,28 +1,22 @@
 """Built-in actors available in every subnet VM."""
 
 from repro.vm.actor import Actor, ActorRegistry
-from repro.vm.builtin.reward import RewardActor
-from repro.vm.builtin.token_faucet import FaucetActor
 from repro.vm.builtin.init_actor import InitActor, INIT_ACTOR_ADDRESS, derive_actor_address
 
 
 def default_registry() -> ActorRegistry:
-    """Registry with the base account actor and simple built-ins.
+    """Registry with the base account actor and the init actor.
 
     The hierarchy layer registers the SCA and SA codes on top of this.
     """
     registry = ActorRegistry()
     registry.register(Actor)
-    registry.register(RewardActor)
-    registry.register(FaucetActor)
     registry.register(InitActor)
     return registry
 
 
 __all__ = [
     "default_registry",
-    "RewardActor",
-    "FaucetActor",
     "InitActor",
     "INIT_ACTOR_ADDRESS",
     "derive_actor_address",

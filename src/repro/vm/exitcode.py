@@ -24,14 +24,6 @@ class ExitCode(enum.IntEnum):
     USR_ILLEGAL_STATE = 20
     USR_ASSERTION_FAILED = 24
 
-    @property
-    def is_success(self) -> bool:
-        return self == ExitCode.OK
-
-    @property
-    def is_system_error(self) -> bool:
-        return 1 <= self.value <= 15
-
 
 class ActorError(Exception):
     """Raised by actor code to abort the current invocation.

@@ -60,7 +60,3 @@ class GasTracker:
         if self.used > self.limit:
             what = (reason or "charge") if subject is None else f"{reason} {subject}"
             raise OutOfGas(f"gas limit {self.limit} exceeded ({what})")
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.limit - self.used)

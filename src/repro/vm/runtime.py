@@ -75,26 +75,12 @@ class InvocationContext:
         self.gas.charge(self._vm.gas_schedule.state_write, "delete", key)
         self._vm.state.delete(self._scoped(key))
 
-    def state_has(self, key: str) -> bool:
-        self.gas.charge(self._vm.gas_schedule.state_read, "has", key)
-        return self._vm.state.has(self._scoped(key))
-
-    def state_keys(self, prefix: str = "") -> list:
-        self.gas.charge(self._vm.gas_schedule.state_read, "list", prefix)
-        scope = self._scoped(prefix)
-        strip = len(self._scoped(""))
-        return [k[strip:] for k in self._vm.state.keys(scope)]
-
     # ------------------------------------------------------------------
     # Tokens
     # ------------------------------------------------------------------
     def balance_of(self, addr: Address) -> int:
         self.gas.charge(self._vm.gas_schedule.state_read, "balance")
         return self._vm.balance_of(addr)
-
-    @property
-    def own_balance(self) -> int:
-        return self.balance_of(self.actor_addr)
 
     def transfer(self, to: Address, amount: int) -> None:
         """Move tokens from this actor's balance to *to*."""

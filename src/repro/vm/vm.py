@@ -15,7 +15,7 @@ from repro.vm.runtime import InvocationContext
 
 # The address that receives burned funds' accounting (never spendable).
 BURN_ADDRESS = Address.actor(99)
-# Implicit sender for system-originated calls (block rewards, cron, cross-msg
+# Implicit sender for system-originated calls (window sealing, cross-msg
 # application by consensus).
 SYSTEM_ADDRESS = Address.actor(0)
 
@@ -225,7 +225,7 @@ class VM:
     ) -> Receipt:
         """Apply a system-originated message: no nonce, no signature, no fee.
 
-        Used for constructors, block rewards and consensus-driven cross-msg
+        Used for constructors, window sealing and consensus-driven cross-msg
         application (the paper's SCA state changes triggered by committed
         blocks and checkpoints).
         """

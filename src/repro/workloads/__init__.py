@@ -4,7 +4,6 @@ from repro.workloads.generator import (
     PaymentWorkload,
     CrossNetWorkload,
     WorkloadStats,
-    open_loop_payments,
     sender_fund_spec,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "PaymentWorkload",
     "CrossNetWorkload",
     "WorkloadStats",
-    "open_loop_payments",
     "sender_fund_spec",
 ]

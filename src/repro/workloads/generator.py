@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from repro.crypto.cid import CID
 from repro.crypto.keys import KeyPair
@@ -163,9 +162,3 @@ def sender_fund_spec(n_senders: int, funds: int = 10**9, scope: str = "openloop"
     poking node VMs directly.
     """
     return {f"{scope}-sender-{i}": funds for i in range(n_senders)}
-
-
-def open_loop_payments(sim, nodes, senders, rate: float, scope: str = "openloop") -> PaymentWorkload:
-    """Convenience: start an open-loop payment workload over pre-funded
-    *senders* (see :func:`sender_fund_spec`)."""
-    return PaymentWorkload(sim, nodes, list(senders), rate, rng_scope=scope)

@@ -71,7 +71,7 @@ def test_fork_does_not_move_head_on_tie(store_with_genesis):
     main = make_block(1, genesis.cid, tag="main")
     fork = make_block(1, genesis.cid, tag="fork")
     store.add_block(main)
-    assert not store.add_block(fork)  # same weight: incumbent wins
+    assert not store.add_block(fork)  # same height: incumbent wins
     assert store.head.cid == main.cid
     assert store.fork_count() == 1
 
@@ -187,7 +187,3 @@ def test_fork_snapshots_below_the_horizon_are_pruned(store_with_genesis):
     with pytest.raises(KeyError, match="orphan"):
         store.add_block(late)
 
-
-def test_weight_of_unknown_is_zero(store_with_genesis):
-    store, _ = store_with_genesis
-    assert store.weight_of(cid_of("nothing")) == 0

@@ -108,10 +108,9 @@ def test_pruned_store_answers_like_one_that_never_forgets(seed):
     assert pruned.height >= 300
     assert model.fork_count() == pruned.fork_count() == forks
     # The per-block entries go with the blocks.
-    assert len(pruned._weights) == len(pruned._state_snapshots) == len(pruned)
+    assert len(pruned._state_snapshots) == len(pruned)
     assert sum(map(len, pruned._by_height.values())) == len(pruned)
     assert len(pruned._canonical) == DEPTH + 1
-    assert len(model._weights) == len(model)
 
 
 def test_a_store_holds_its_horizon_and_nothing_below_it():
@@ -124,7 +123,7 @@ def test_a_store_holds_its_horizon_and_nothing_below_it():
         store.put_state(block.cid, {"h": height})
         store.add_block(block)
     held = DEPTH + 1  # heights head - DEPTH .. head
-    assert len(store) == len(store._canonical) == len(store._weights) == held
+    assert len(store) == len(store._canonical) == held
     assert len(store._state_snapshots) == len(store._by_height) == held
     assert store.base == store.floor == store.height - DEPTH
     assert store.genesis is None and store.block_at_height(store.base - 1) is None

@@ -114,7 +114,6 @@ def test_validator_set_quorum_math():
     )
     assert validators.total_power == 4
     assert validators.quorum_power == 3
-    assert validators.max_faulty == 1
 
 
 def test_validator_set_rejects_bad_input():

@@ -49,9 +49,9 @@ def test_crossmsg_cid_is_content_addressed():
 
 def test_direction_at():
     message = make_msg(src=AB, dst=C)
-    assert message.direction_at(AB) == Direction.BOTTOM_UP
-    assert message.direction_at(ROOTNET) == Direction.TOP_DOWN
-    assert message.direction_at(C) == Direction.LOCAL
+    assert classify(AB, message.to_subnet) == Direction.BOTTOM_UP
+    assert classify(ROOTNET, message.to_subnet) == Direction.TOP_DOWN
+    assert classify(C, message.to_subnet) == Direction.LOCAL
 
 
 def test_make_revert_swaps_endpoints():

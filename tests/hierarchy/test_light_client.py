@@ -76,7 +76,7 @@ def test_rejects_broken_linkage():
 
 def test_rejects_below_policy_threshold():
     client = make_client(threshold=3)
-    with pytest.raises(VerificationError, match="signatures"):
+    with pytest.raises(VerificationError, match="signature policy"):
         client.observe(signed_by(make_checkpoint(), VALIDATORS[:2]))
 
 
@@ -94,6 +94,22 @@ def test_rejects_stale_window():
     stale = make_checkpoint(window=1, prev=first.cid)
     with pytest.raises(VerificationError, match="window"):
         client.observe(signed_by(stale, VALIDATORS[:2]))
+
+
+def test_rejects_an_epoch_that_went_backwards():
+    """The ``break_epoch`` forgery: a genuine prev-link and quorum
+    signatures over a checkpoint whose epoch went back to 0."""
+    client = make_client()
+    first = make_checkpoint(window=0)  # epoch 10
+    second = make_checkpoint(window=1, prev=first.cid)  # epoch 20
+    client.observe(signed_by(first, VALIDATORS[:2]))
+    client.observe(signed_by(second, VALIDATORS[:2]))
+    rewound = Checkpoint(
+        source=SUB, proof=cid_of("rewound"), prev=second.cid, window=2, epoch=0
+    )
+    with pytest.raises(VerificationError, match="epoch 0 not greater than previous epoch 20"):
+        client.observe(signed_by(rewound, VALIDATORS[:2]))
+    assert client.head.checkpoint == second
 
 
 def test_observe_is_idempotent_for_head():

@@ -97,8 +97,8 @@ def test_whole_world_runs_and_audits(world):
     # Every chain converged across its validators.
     for subnet in list(subnets.values()) + [ROOTNET]:
         nodes = system.nodes(subnet)
-        final_lag = 2 + (nodes[0].engine.params.finality_depth
-                         if nodes[0].engine.SUPPORTS_FORKS else 0)
+        engine = nodes[0].engine
+        final_lag = 2 + engine.node.head().height - engine.final_height()
         heights = [n.head().height for n in nodes]
         assert max(heights) - min(heights) <= final_lag, f"{subnet} diverged"
 

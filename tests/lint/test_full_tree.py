@@ -55,3 +55,9 @@ def test_only_verify_reads_the_key_table():
     # it could forge a tag for any key.
     found = _spellings(r"\bsecret_for_public\b|\b_SECRETS\b", home="crypto/signature.py")
     assert [line for line in found if not line.startswith("crypto/keys.py:")] == []
+
+
+def test_only_the_engines_read_the_finality_depth():
+    # Everything else asks the engine: ConsensusEngine.final_height().
+    found = _spellings(r"params\.finality_depth\b", home="consensus/pow.py")
+    assert [line for line in found if not line.startswith("consensus/")] == []

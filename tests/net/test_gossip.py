@@ -107,7 +107,7 @@ def test_remove_peer_cleans_up():
     network.publish("p0", "topic", "post-removal")
     sim.run_until(2.0)
     assert inboxes["p2"] == []
-    assert "p2" not in network.subscribers("topic")
+    assert "p2" not in network._topic_members["topic"]
 
 
 def test_two_peer_topic():

@@ -91,7 +91,7 @@ class Audited(Run):
             sent = self.ihaves.get(peer, {})
             # A topic with nobody else on it has no one to advertise to.
             assert all(advertised[topic] == ids for topic, ids in sent.items()), peer
-            assert all(topic in sent or len(network.subscribers(topic) - {peer}) == 0
+            assert all(topic in sent or len(network._topic_members.get(topic, set()) - {peer}) == 0
                        for topic in advertised), peer
 
 

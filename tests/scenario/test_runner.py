@@ -4,7 +4,7 @@ monitor-vs-attack integration pair from the scenario library."""
 import os
 
 from repro.scenario import library
-from repro.scenario.faults import CrashFault, PartitionFault, Trigger
+from repro.scenario.faults import CrashFault, Trigger
 from repro.scenario.runner import ProgressWatchdog, ScenarioRunner
 from repro.scenario.spec import (
     Expectation,
@@ -61,7 +61,7 @@ def _watchdog_rig(stall_after=3.0):
     system.sim = sim
     system.subnets = [chain.subnet]
     system.nodes_by_subnet = {chain.subnet: [chain.node]}
-    watchdog = ProgressWatchdog(system, stall_after=stall_after, interval=1.0)
+    watchdog = ProgressWatchdog(system, stall_after=stall_after)
     return sim, chain, watchdog
 
 

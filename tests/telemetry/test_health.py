@@ -29,7 +29,7 @@ def test_probe_records_time_series(probed_system):
     series = probed_system.sim.metrics.series
     heights = series["health./root/fast.height"]
     assert len(heights.points) >= 10  # one per second of simulated time
-    times = heights.times()
+    times = [t for t, _ in heights.points]
     assert times == sorted(times)
     # Chains advance: height samples are non-decreasing and end positive.
     values = [v for _, v in heights.points]

@@ -268,18 +268,24 @@ def test_exactly_once_nonce_rules():
 # Finality auditor
 # ----------------------------------------------------------------------
 class _StubEngine:
-    SUPPORTS_FORKS = True
+    """Blocks are final five below the head (a PoW engine's depth)."""
 
-    class params:
-        finality_depth = 5
+    def __init__(self) -> None:
+        self.head_height = 0
+
+    def final_height(self) -> int:
+        return self.head_height - 5
 
 
 def test_finality_auditor_flags_deep_reorg():
     sim = Simulator(seed=1)
     monitor = sim.attach(InvariantMonitor(sim=sim, auditors=[FinalityAuditor()]))
-    node = stub_node(engine=_StubEngine())
+    engine = _StubEngine()
+    node = stub_node(engine=engine)
+    engine.head_height = 30
     sim.observe(ChainReorg, node, "old", _StubBlock("new", 30), 3)
     assert monitor.ok  # within finality depth
+    engine.head_height = 40
     sim.observe(ChainReorg, node, "old", _StubBlock("new", 40), 9)
     (violation,) = monitor.violations
     assert violation.auditor == "finality"

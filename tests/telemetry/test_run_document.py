@@ -47,7 +47,7 @@ def documents(tmp_path_factory):
     common = _bench_common()
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("BENCH_OUT_DIR", str(out))
-        common.capture_system(system)
+        common.RUN.capture(system.sim, system)
         paths["bench"] = common.write_bench_json("demo", rows=[{"latency": float("nan")}])
     return paths
 

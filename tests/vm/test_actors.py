@@ -5,8 +5,6 @@ import pytest
 from repro.crypto.keys import Address, KeyPair
 from repro.vm import VM, Actor, ActorError, ActorRegistry, ExitCode, Message, export
 from repro.vm.builtin import default_registry
-from repro.vm.builtin.reward import REWARD_ACTOR_ADDRESS, RewardActor
-from repro.vm.builtin.token_faucet import FaucetActor
 from repro.vm.vm import SYSTEM_ADDRESS
 
 
@@ -195,45 +193,6 @@ def test_registry_rejects_non_actor():
     registry = ActorRegistry()
     with pytest.raises(TypeError):
         registry.register(dict)
-
-
-def test_reward_actor_pays_subsidy(vm):
-    miner = KeyPair("miner").address
-    vm.create_actor(REWARD_ACTOR_ADDRESS, "reward", params={"per_block": 10}, balance=25)
-    first = vm.apply_implicit(SYSTEM_ADDRESS, REWARD_ACTOR_ADDRESS, "award", {"miner": miner.raw})
-    assert first.ok and first.return_value == 10
-    second = vm.apply_implicit(SYSTEM_ADDRESS, REWARD_ACTOR_ADDRESS, "award", {"miner": miner.raw})
-    third = vm.apply_implicit(SYSTEM_ADDRESS, REWARD_ACTOR_ADDRESS, "award", {"miner": miner.raw})
-    assert third.return_value == 5  # reserve exhausted
-    assert vm.balance_of(miner) == 25
-
-
-def test_reward_actor_rejects_user_calls(vm, user):
-    vm.create_actor(REWARD_ACTOR_ADDRESS, "reward", params={"per_block": 10}, balance=100)
-    vm.mint(user, 1000)
-    receipt = vm.apply_message(
-        Message(from_addr=user, to_addr=REWARD_ACTOR_ADDRESS, value=0, method="award",
-                params={"miner": user.raw})
-    )
-    assert receipt.exit_code == ExitCode.USR_FORBIDDEN
-
-
-def test_faucet_drips_once(vm, user):
-    faucet = Address.actor(20)
-    vm.create_actor(faucet, "faucet", params={"grant": 100}, balance=150)
-    vm.mint(user, 1000)
-    first = vm.apply_message(Message(from_addr=user, to_addr=faucet, value=0, method="drip"))
-    assert first.ok and first.return_value == 100
-    again = vm.apply_message(Message(from_addr=user, to_addr=faucet, value=0, method="drip", nonce=1))
-    assert again.exit_code == ExitCode.USR_FORBIDDEN
-
-
-def test_faucet_dry(vm, user):
-    faucet = Address.actor(20)
-    vm.create_actor(faucet, "faucet", params={"grant": 100}, balance=50)
-    vm.mint(user, 1000)
-    receipt = vm.apply_message(Message(from_addr=user, to_addr=faucet, value=0, method="drip"))
-    assert receipt.exit_code == ExitCode.USR_INSUFFICIENT_FUNDS
 
 
 def test_default_constructor_rejects_params(vm):
