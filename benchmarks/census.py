@@ -12,6 +12,8 @@ at the region's start and end, and prints at the region's end:
 
 - live instances of the types a run makes per operation;
 - the number of objects the cyclic collector tracks (what a full pass walks);
+- per chain, the leaves its state-root leaf table holds and the bytes the
+  table reaches (the key strings included, though the state shares them);
 - the :data:`TOP` largest heap growths over the region by file:line.
 
 With two lengths it runs the deployment once for each and exits non-zero
@@ -80,6 +82,18 @@ def held_bytes(root) -> int:
     return size
 
 
+def leaf_tables(chains: dict) -> list:
+    """(chain, leaves, bytes) per chain.  A chain's validators and every fork
+    of their states share one leaf table, so the first validator's reaches
+    it."""
+    rows = []
+    for path, nodes in sorted(chains.items()):
+        table = nodes[0].vm.state._table
+        leaves = sum(len(keys) for _tag, keys, _leaves in table.values())
+        rows.append((path, leaves, held_bytes(table)))
+    return rows
+
+
 def bounded(counts: dict, histograms) -> dict:
     """The quantities that must not grow with the region's length.  A
     histogram counts its bucket table as it stands and its buffer at its
@@ -117,6 +131,7 @@ def run(workload_name: str, seed: int, seconds: float) -> tuple:
         tracked, counts = live_counts(types)
         tracemalloc.stop()
         held = bounded(counts, workload.sim.metrics.histograms.values())
+        tables = leaf_tables(workload.chains)
         workload.end_region()
         workload.close()
     lines = [
@@ -127,6 +142,8 @@ def run(workload_name: str, seed: int, seconds: float) -> tuple:
     lines += [f"  {cls.__name__:<16}{count:>10}" for cls, count in counts.items()]
     lines.append(f"  {'gc-tracked':<16}{tracked:>10}")
     lines.append(f"  {'histogram bytes':<16}{held['histogram bytes']:>10}")
+    lines.append("state-root leaf tables:")
+    lines += [f"  {path:<16}{leaves:>10} leaves {size:>12} bytes" for path, leaves, size in tables]
     growth = sorted(end.compare_to(start, "lineno"), key=lambda stat: -stat.size_diff)
     lines.append(f"heap growth over the region, top {TOP} by file:line:")
     for stat in growth[:TOP]:

@@ -12,7 +12,9 @@ every CID computation recurses through here), falling back to an
 ``isinstance`` chain for subclasses.  Types that reach the fallback's
 ``to_canonical`` arm are promoted into the table with a precomputed name
 prefix, so each protocol object class pays the slow path once per process.
-Both paths produce identical bytes.
+A sequence appends its exact ``str``, ``int``, ``bytes`` and fragment
+elements itself, without a handler call each.  All paths produce identical
+bytes.
 
 The encoding is prefix-free TLV, so a parent's bytes are the concatenation
 of its children's.  A parent's ``to_canonical`` embeds each child through
@@ -124,13 +126,30 @@ def _enc_str(out: bytearray, value: str) -> None:
 
 def _enc_bytes(out: bytearray, value) -> None:
     out += b"b%d:" % len(value)
-    out += bytes(value)
+    out += value if type(value) is bytes else bytes(value)
 
 
 def _enc_seq(out: bytearray, value) -> None:
     out += b"l%d:" % len(value)
+    # The elements protocol tuples are mostly made of are appended here,
+    # exactly as their handlers would; anything else dispatches.
     for item in value:
-        encode_into(out, item)
+        kind = type(item)
+        if kind is str:
+            body = item.encode("utf-8")
+            out += b"s%d:" % len(body)
+            out += body
+        elif kind is int:
+            body = b"%d" % item
+            out += b"i%d:" % len(body)
+            out += body
+        elif kind is bytes:
+            out += b"b%d:" % len(item)
+            out += item
+        elif kind is _Fragment:
+            out += item
+        else:
+            encode_into(out, item)
 
 
 def _enc_dict(out: bytearray, value: dict) -> None:

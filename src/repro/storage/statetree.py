@@ -24,24 +24,28 @@ sharded into ``n_buckets`` buckets (crc32, process-independent); a bucket's
 digest is the sha-256 of the canonical encoding of its live ``{key: value}``
 dict, and the root hashes the fixed-width digests together.  A tree carries
 the digest list and the set of *keys* written since it was computed; what
-makes a root cost O(keys written) is the leaf table: one dict per chain of
-forks, shared by reference, mapping bucket -> (tag, {key: encoded leaf
-bytes}) where the tag is the digest those leaves last produced.  ``root()``
-re-encodes only the dirty keys of a touched bucket (one ``get`` each),
-re-hashes that bucket's leaves in key order and re-tags it.  When the tag
-is not the digest this tree inherited for the bucket — another fork of the
-same parent rooted in between (a sibling block, a re-proposal), or a first
-root — the bucket is rebuilt from one merged pass over the whole state,
-the only scan left.  Bucket membership and in-bucket ordering are pure
-functions of the key, so the root is independent of write order, snapshot
-layering, fork history, and event-schedule perturbations (the DET
-determinism contract).
+makes a root cost O(keys written x log bucket) is the leaf table: one dict
+per chain of forks, shared by reference, mapping bucket -> (tag, keys,
+leaves), two parallel lists in key order — the live keys and their
+``enc(key) + enc(commit value)`` bytes — where the tag is the digest those
+leaves last produced (two list slots per key on top of the leaf bytes).
+``root()`` places each dirty key of a touched bucket by bisection (one
+``get`` each) — replacing its leaf, inserting a new one, or popping a
+tombstone — and hashes the leaves as they stand, never re-sorting, then
+re-tags the bucket.  When the tag is not the digest this tree inherited
+for the bucket — another fork of the same parent rooted in between (a
+sibling block, a re-proposal), or a first root — the bucket is rebuilt
+from one merged pass over the whole state and sorted once, the only scan
+left.  Bucket membership and in-bucket ordering are pure functions of the
+key, so the root is independent of write order, snapshot layering, fork
+history, and event-schedule perturbations (the DET determinism contract).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from hashlib import sha256
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.crypto.cid import CID
 from repro.crypto.encoding import canonical_body, encode_into
@@ -90,8 +94,9 @@ class StateTree:
         self._n_buckets = n_buckets
         self._digests: Optional[list[bytes]] = None  # per-bucket, None until first root()
         self._dirty: set[str] = set()  # keys written since digests were cached
-        #: bucket -> (tag, leaves); the same dict in every fork of this tree.
-        self._table: dict[int, tuple[Optional[bytes], dict[str, bytes]]] = {}
+        #: bucket -> (tag, keys, leaves), an empty bucket's as two ``()``; the
+        #: same dict in every fork of this tree.
+        self._table: dict[int, tuple[Optional[bytes], Sequence[str], Sequence[bytes]]] = {}
         #: Buckets re-hashed / leaves encoded by the most recent ``root()``
         #: call (perf gauges).
         self.last_root_rehashed = 0
@@ -237,27 +242,35 @@ class StateTree:
         self.last_root_rehashed = len(touched)
         missed = {b for b in touched if table.get(b, _UNTAGGED)[0] != digests[b]}
         rebuilt = self._scan(missed) if missed else {}
-        encoded = sum(map(len, rebuilt.values()))
-        for bucket, keys in touched.items():
-            leaves = rebuilt.get(bucket)
-            resort = leaves is not None  # a scan fills them in merge order
-            if leaves is None:
+        encoded = sum(len(keys) for keys, _ in rebuilt.values())
+        for bucket, dirty in touched.items():
+            entry = rebuilt.get(bucket)
+            if entry is not None:
+                keys, leaves = entry
+            else:
                 # Untagged while mutated: no tree may take a half-applied
                 # bucket for the one its digest names, whatever raises below.
-                leaves = table.pop(bucket)[1]
-                for key in keys:
+                _, keys, leaves = table.pop(bucket)
+                if not keys:
+                    keys, leaves = [], []
+                for key in dirty:
                     value = self.get(key, _DELETED)
-                    if value is _DELETED:
-                        leaves.pop(key, None)
-                    else:
-                        resort = resort or key not in leaves
-                        leaves[key] = _leaf(key, value)
+                    at = bisect_left(keys, key)
+                    present = at < len(keys) and keys[at] == key
+                    if value is not _DELETED:
+                        leaf = _leaf(key, value)
                         encoded += 1
-            if resort:  # tagged leaves iterate in key order; only a new key breaks that
-                leaves = {key: leaves[key] for key in sorted(leaves)}
+                        if present:
+                            leaves[at] = leaf
+                        else:
+                            keys.insert(at, key)
+                            leaves.insert(at, leaf)
+                    elif present:
+                        del keys[at], leaves[at]
             # Exactly the bytes canonical_encode({key: commit_value}) yields.
-            digest = sha256(b"d%d:" % len(leaves) + b"".join(leaves.values())).digest()
-            table[bucket] = (digest, leaves)
+            digest = sha256(b"d%d:" % len(keys) + b"".join(leaves)).digest()
+            # Most buckets of a small state are empty: they hold no lists.
+            table[bucket] = (digest, keys, leaves) if keys else (digest, (), ())
             digests[bucket] = digest
         self._digests = digests
         self._dirty.clear()
@@ -266,16 +279,23 @@ class StateTree:
         # bytes need no canonical framing): one sha-256 over 32*N bytes.
         return CID(sha256(b"".join(digests)).digest())
 
-    def _scan(self, buckets: set[int]) -> dict[int, dict[str, bytes]]:
-        """Encoded live leaves of *buckets*, from one pass over everything."""
+    def _scan(self, buckets: set[int]) -> dict[int, tuple[list[str], list[bytes]]]:
+        """(keys, leaves) in key order for *buckets*, from one pass over
+        everything."""
         n = self._n_buckets
-        found: dict[int, dict[str, bytes]] = {bucket: {} for bucket in buckets}
-        for key, value in self._merged().items():
+        merged = self._merged()
+        found: dict[int, list[str]] = {bucket: [] for bucket in buckets}
+        for key, value in merged.items():
             if value is not _DELETED:
-                leaves = found.get(bucket_of(key, n))
-                if leaves is not None:
-                    leaves[key] = _leaf(key, value)
-        return found
+                keys = found.get(bucket_of(key, n))
+                if keys is not None:
+                    keys.append(key)
+        for keys in found.values():
+            keys.sort()
+        return {
+            bucket: (keys, [_leaf(key, merged[key]) for key in keys])
+            for bucket, keys in found.items()
+        }
 
     # ------------------------------------------------------------------
     # Forks
@@ -347,6 +367,10 @@ class StateTree:
 
 def _leaf(key: str, value: Any) -> bytes:
     """``enc(key) + enc(commit value)``: one entry of a bucket's dict encoding."""
+    if type(value) is int:  # balances, nonces, counters: most dirty keys
+        name = key.encode("utf-8")
+        digits = b"%d" % value
+        return b"s%d:%bi%d:%b" % (len(name), name, len(digits), digits)
     out = bytearray()
     encode_into(out, key)
     encode_into(out, _commit_value(value))

@@ -138,9 +138,6 @@ class VM:
     def nonce_of(self, addr: Address) -> int:
         return self.state.get(f"nonce/{addr.raw}", 0)
 
-    def _bump_nonce(self, addr: Address) -> None:
-        self.state.set(f"nonce/{addr.raw}", self.nonce_of(addr) + 1)
-
     # ------------------------------------------------------------------
     # Message application
     # ------------------------------------------------------------------
@@ -158,13 +155,15 @@ class VM:
         except OutOfGas:
             return Receipt(ExitCode.SYS_OUT_OF_GAS, gas_used=gas.used, error="intrinsic gas")
 
-        if message.nonce != self.nonce_of(message.from_addr):
+        nonce_key = f"nonce/{message.from_addr.raw}"
+        nonce = self.state.get(nonce_key, 0)  # a cold key walks the whole frozen chain: once
+        if message.nonce != nonce:
             return Receipt(
                 ExitCode.SYS_SENDER_STATE_INVALID,
                 gas_used=gas.used,
-                error=f"bad nonce {message.nonce}, expected {self.nonce_of(message.from_addr)}",
+                error=f"bad nonce {message.nonce}, expected {nonce}",
             )
-        self._bump_nonce(message.from_addr)
+        self.state.set(nonce_key, nonce + 1)
 
         max_fee = message.gas_limit * self.gas_price
         if self.balance_of(message.from_addr) < message.value + max_fee:

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.cid import CID, cid_of
-from repro.crypto.encoding import EncodingError
+from repro.crypto.encoding import EncodingError, canonical_encode
 from repro.storage.backend import MemoryBackend, bucket_of
 from repro.storage.statetree import _MAX_CHAIN_DEPTH, StateTree, _commit_value
+from repro.vm.exitcode import ExitCode
 
 
 def test_basic_set_get():
@@ -296,9 +297,29 @@ class _Account:
         return {"balance": self.balance, "history": (self.balance, [None])}
 
 
-_KEYS = ["k1", "k2", "k3", "floor", "masked"]
+def assert_table_holds(tree):
+    """Every bucket the leaf table holds under this tree's digest: keys
+    strictly ascending, exactly the tree's live keys of that bucket, one leaf
+    per key, each leaf ``enc(key) + enc(commit value)``."""
+    n = tree._n_buckets
+    live = tree.flatten()
+    for bucket, (tag, keys, leaves) in tree._table.items():
+        if tag != tree._digests[bucket]:
+            continue  # another fork's content
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert list(keys) == sorted(key for key in live if bucket_of(key, n) == bucket)
+        assert len(leaves) == len(keys)
+        for key, leaf in zip(keys, leaves):
+            assert leaf == canonical_encode(key) + canonical_encode(_commit_value(live[key]))
+
+
+# Before, between and after one another in every bucket of three.
+_KEYS = ["a", "k1", "k15", "k2", "k3", "m", "floor", "masked", "z"]
 _VALUES = st.one_of(
     st.integers(min_value=0, max_value=99),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.sampled_from(ExitCode),
     st.integers(min_value=0, max_value=99).map(_Account),
     st.integers(min_value=0, max_value=99).map(lambda i: {"n": i, "t": (i, _Account(i))}),
 )
@@ -344,9 +365,25 @@ def test_incremental_root_equals_oracle(operations):
             tree = trees[pick % len(trees)]
         elif op == "root":
             assert tree.root() == oracle_root(tree)
+            assert_table_holds(tree)
     for tree in trees:
         assert tree.root() == oracle_root(tree)
+        assert_table_holds(tree)
         assert tree.root() == oracle_root(tree)  # and with nothing dirty
+
+
+def test_new_key_in_a_wide_bucket_encodes_one_leaf():
+    """A key new to a bucket is placed among the bucket's leaves, not
+    re-sorted in with them: one leaf encoded, whatever the bucket's width."""
+    tree = StateTree(n_buckets=1)
+    for i in range(10_000):
+        tree.set(f"balance/{2 * i:05d}", i)
+    tree.root()
+    block = tree.fork()
+    block.set("balance/07777", -1)  # odd: lands between two existing keys
+    assert block.root() == oracle_root(block)
+    assert block.last_root_leaves_encoded == 1
+    assert_table_holds(block)
 
 
 def test_root_costs_the_keys_written_not_the_state():
