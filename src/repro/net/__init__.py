@@ -4,8 +4,8 @@ Substitutes libp2p: the paper's transport layer is a gossipsub topic per
 subnet ("a new attack-resilient pubsub topic that peers use as the transport
 layer", §III-A).  Here:
 
-- :class:`~repro.net.topology.Topology` models per-link latency (uniform or
-  region-based), loss and partitions;
+- :class:`~repro.net.topology.Topology` models link latency (uniform, plus
+  per-link degradations), loss and partitions;
 - :class:`~repro.net.transport.Transport` delivers point-to-point messages
   through the simulator's event queue;
 - :class:`~repro.net.gossip.GossipNetwork` implements mesh-based pubsub with

@@ -60,6 +60,9 @@ class _PeerState:
         # computed lazily on first forward and invalidated by _rebuild_mesh
         # (the only place mesh sets change).
         self.mesh_links: dict[str, tuple] = {}
+        # Per topic: the sorted peers a heartbeat samples its IHAVE targets
+        # from; dropped with mesh_links (members change only with a rebuild).
+        self.ihave_candidates: dict[str, list] = {}
         # msg id -> topic: what dedups, and what an IWANT is answered from.
         self.seen: dict[str, str] = {}  # never rebound: neighbours hold it
         # Ids in the order they were recorded, and [heartbeat_no, ids
@@ -139,6 +142,9 @@ class GossipNetwork:
         for topic in list(state.topics):
             self.unsubscribe(peer_id, topic)
         del self._peers[peer_id]
+        # Rebuilds while it is away do not reach it: a topic it still holds
+        # history of may change members meanwhile.
+        state.ihave_candidates.clear()
         self._departed[peer_id] = state
         self._peer_order = None
         self.transport.unregister(peer_id)
@@ -168,6 +174,7 @@ class GossipNetwork:
             # clear the departing peer's own view so it stops relaying.
             state.mesh.pop(topic, None)
             state.mesh_links.pop(topic, None)
+            state.ihave_candidates.pop(topic, None)
         members = self._topic_members.get(topic)
         if members:
             members.discard(peer_id)
@@ -182,6 +189,7 @@ class GossipNetwork:
         """
         for peer in self._peers.values():
             peer.mesh_links.pop(topic, None)
+            peer.ihave_candidates.pop(topic, None)
         members = sorted(self._topic_members.get(topic, set()))
         for member in members:
             self._peers[member].mesh[topic] = set()
@@ -327,18 +335,26 @@ class GossipNetwork:
             for envelope in state.recent:
                 recent_by_topic.setdefault(envelope.topic, []).append(envelope)
             for topic, envelopes in recent_by_topic.items():
-                members = self._topic_members.get(topic, set())
-                candidates = sorted(members - state.mesh.get(topic, set()) - {peer_id})
-                if not candidates:
-                    # Small topics are fully meshed; lazy gossip must still
-                    # reach mesh peers, or partition recovery has no path
-                    # to re-advertise history.
-                    candidates = sorted(members - {peer_id})
+                candidates = state.ihave_candidates.get(topic)
+                if candidates is None:
+                    candidates = state.ihave_candidates[topic] = self._ihave_candidates(
+                        state, topic
+                    )
                 if not candidates:
                     continue
                 sample_size = min(self.params.lazy_degree, len(candidates))
                 for target in self._rng.sample(candidates, sample_size):
                     self.transport.send(peer_id, target, "gossip:ihave", (topic, envelopes))
+
+    def _ihave_candidates(self, state: _PeerState, topic: str) -> list:
+        members = self._topic_members.get(topic, set())
+        candidates = sorted(members - state.mesh.get(topic, set()) - {state.peer_id})
+        if not candidates:
+            # Small topics are fully meshed; lazy gossip must still reach
+            # mesh peers, or partition recovery has no path to re-advertise
+            # history.
+            candidates = sorted(members - {state.peer_id})
+        return candidates
 
     def shutdown(self) -> None:
         """Stop the heartbeat (ends the simulation cleanly)."""

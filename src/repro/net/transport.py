@@ -68,6 +68,20 @@ class Transport:
         self._partitioned_drops = sim.metrics.counter("net.partitioned_drops")
         self._lost = sim.metrics.counter("net.lost")
         self._labels: dict[str, str] = {}
+        # The link model as of one topology version (see _compile).
+        self._model = self._compile()
+
+    def _compile(self) -> tuple:
+        """``(version, clean, jittered, low, span, routes)``: what
+        :meth:`fanout` needs of the topology, rebuilt when its version
+        moves.  ``routes`` maps a source link to ``{destination link:
+        Topology.route}``, filled as copies take them."""
+        topology = self.topology
+        latency = topology.latency
+        low = latency.base - latency.jitter
+        # random.uniform(a, b) is a + (b - a) * random(): the same draw.
+        span = (latency.base + latency.jitter) - low
+        return (topology.version, topology.is_clean, latency.jitter != 0, low, span, {})
 
     def register(self, peer_id: str, handler: Callable[[NetMessage], Any]) -> None:
         """Attach *handler* for messages addressed to *peer_id*.
@@ -110,11 +124,13 @@ class Transport:
     ) -> tuple[int, int]:
         """Send *payload* to each of *dsts*, in order; returns ``(sent, elided)``.
 
-        Every link is modelled alike: partition check, loss draw, latency
-        draw, in that order on the one RNG stream, counted in ``net.sent``
-        and ``net.latency``.  A copy to a peer in *settled* that lands
-        before *settled_until* is one the caller has proved a no-op at its
-        receiver: it is accounted, but never becomes a message or an event.
+        Every link is modelled alike: partition check, loss draw (when the
+        link's loss rate is above zero), latency draw (when the model has
+        jitter), in that order on the one RNG stream, counted in
+        ``net.sent`` and ``net.latency``.  A copy to a peer in *settled*
+        that lands before *settled_until* is one the caller has proved a
+        no-op at its receiver: it is accounted, but never becomes a message
+        or an event.
 
         *key* names what the copies are idempotent under: once a receiver's
         handler has returned true for one copy, every other copy of the key
@@ -127,9 +143,13 @@ class Transport:
         link_of = self._link_of
         link_src = link_of.get(src) or _link_name(src)
         topology = self.topology
-        clean = topology.is_clean
-        sample = topology.latency.sample
-        rng = self._rng
+        model = self._model
+        if model[0] != topology.version:
+            model = self._model = self._compile()
+        _version, clean, jittered, low, span, routes = model
+        if not clean:
+            routes = routes.get(link_src) or routes.setdefault(link_src, {})
+        draw = self._rng.random
         now = self.sim.now
         # PR 16's short path onto the heap: EventQueue.push assigns tie/seq
         # exactly as under sim.schedule_at; skipped are its kwargs packing and
@@ -147,15 +167,20 @@ class Transport:
             if link_dst is None:
                 continue
             if clean:
-                arrival = now + sample(link_src, link_dst, rng)
-            elif not topology.can_communicate(link_src, link_dst):
-                self._partitioned_drops.inc()
-                continue
-            elif topology.is_lost(link_src, link_dst, rng):
-                self._lost.inc()
-                continue
+                arrival = now + (low + span * draw() if jittered else low)
             else:
-                arrival = now + topology.sample_latency(link_src, link_dst, rng)
+                route = routes.get(link_dst)
+                if route is None:
+                    route = routes[link_dst] = topology.route(link_src, link_dst)
+                blocked, loss, extra = route
+                if blocked:
+                    self._partitioned_drops.inc()
+                    continue
+                if loss > 0 and draw() < loss:
+                    self._lost.inc()
+                    continue
+                # extra is 0.0 on an undegraded link, which adds exactly nothing.
+                arrival = now + ((low + span * draw() if jittered else low) + extra)
             if dst in settled and arrival < settled_until:
                 elided.append(arrival - now)
             elif arrival < riding_until:
@@ -236,31 +261,24 @@ class Transport:
         )
 
     def heal(self, handle: Optional[int] = None) -> None:
-        """Heal one partition (*handle*) — or, with no argument, restore a
-        pristine network: every partition healed, every link override
-        cleared."""
+        """Heal one partition or link degradation (*handle*) — or, with no
+        argument, restore a pristine network: every partition healed, every
+        link degradation cleared."""
         if handle is not None:
             self.topology.heal(handle)
             return
         self.topology.heal_all()
         self.topology.clear_links()
 
-    def set_link(
-        self,
-        a,
-        b,
-        loss: Optional[float] = None,
-        extra_latency: Optional[float] = None,
-    ) -> None:
-        """Degrade every link between peer groups *a* and *b* (symmetric).
+    def set_link(self, a, b, loss: float = 0.0, extra_latency: float = 0.0) -> int:
+        """Degrade every link between peer groups *a* and *b* (symmetric);
+        returns the handle :meth:`heal` takes to undo exactly this.
 
-        *a*/*b* are peer ids or iterables of peer ids; all cross pairs are
-        updated in sorted order.  ``loss`` stacks independently with the
-        topology-wide loss rate; ``extra_latency`` (seconds) adds onto the
-        latency model.  Zeroing both removes the override.
+        *a*/*b* are peer ids or iterables of peer ids.  ``loss`` stacks
+        independently with the topology-wide loss rate and with any other
+        degradation of the same link; ``extra_latency`` (seconds) adds onto
+        the latency model and onto theirs.
         """
-        for src in sorted(self._peer_group(a)):
-            for dst in sorted(self._peer_group(b)):
-                if src == dst:
-                    continue
-                self.topology.set_link(src, dst, loss=loss, extra_latency=extra_latency)
+        return self.topology.set_link(
+            self._peer_group(a), self._peer_group(b), loss, extra_latency
+        )

@@ -170,7 +170,8 @@ class LinkDegradeFault(Fault):
 
     Degrades every link between ``select`` and the rest of *subnet* (or
     between *subnet* and its parent's validators when
-    ``to_parent=True``).  Healing zeroes the overrides.
+    ``to_parent=True``).  Healing removes exactly this degradation; another
+    one on the same links stays in force.
     """
 
     KIND = "link-degrade"
@@ -190,7 +191,7 @@ class LinkDegradeFault(Fault):
         self.loss = loss
         self.extra_latency = extra_latency
         self.to_parent = to_parent
-        self._pairs: Optional[tuple] = None
+        self._handle: Optional[int] = None
 
     def _groups(self, system) -> tuple:
         selected = [
@@ -215,18 +216,14 @@ class LinkDegradeFault(Fault):
 
     def inject(self, system) -> None:
         selected, others = self._groups(system)
-        system.stack.transport.set_link(
+        self._handle = system.stack.transport.set_link(
             selected, others, loss=self.loss, extra_latency=self.extra_latency
         )
-        self._pairs = (tuple(selected), tuple(others))
 
     def heal(self, system) -> None:
-        if self._pairs is not None:
-            selected, others = self._pairs
-            system.stack.transport.set_link(
-                selected, others, loss=0.0, extra_latency=0.0
-            )
-            self._pairs = None
+        if self._handle is not None:
+            system.stack.transport.heal(self._handle)
+            self._handle = None
 
 
 # ----------------------------------------------------------------------

@@ -477,9 +477,7 @@ class StallDiagnoser(Plane):
             mesh[node.node_id] = sorted(topic_mesh) if topic_mesh else []
 
         return {
-            "partitions_active": sum(
-                1 for groups in topology._partitions if groups
-            ),
+            "partitions_active": topology.partitions_active,
             "unreachable_pairs": unreachable,
             "degraded_links": degraded,
             "mesh": mesh,

@@ -87,9 +87,9 @@ def test_tendermint_survives_lossy_window_and_recovers(make_cluster):
     cluster = make_cluster(4, engine="tendermint", block_time=0.5, seed=3).start()
     cluster.run(3.0)
     ids = [f"n{i}" for i in range(4)]
-    cluster.stack.transport.set_link(ids, ids, loss=0.5)
+    lossy = cluster.stack.transport.set_link(ids, ids, loss=0.5)
     cluster.run(12.0)
-    cluster.stack.transport.set_link(ids, ids, loss=0.0)
+    cluster.stack.transport.heal(lossy)
     wedged_at = max(cluster.heights())
     cluster.run(10.0)
     assert min(cluster.heights()) > wedged_at

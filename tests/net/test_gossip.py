@@ -1,5 +1,8 @@
 """Unit tests for the gossip pubsub fabric."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.net.gossip import GossipNetwork, GossipParams
 from repro.net.topology import Topology, UniformLatency
 from repro.net.transport import Transport
@@ -136,3 +139,35 @@ def test_shutdown_stops_heartbeat():
     sim.run_until(10.0)
     # After shutdown and queue drain, no recurring heartbeat remains.
     assert sim.queue.peek_time() is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["subscribe", "unsubscribe", "remove", "publish", "beat"]),
+    st.integers(0, 5), st.integers(0, 2),
+), max_size=60))
+@example([  # p0 keeps "topic" history it advertises, leaves, and the topic grows
+    ("publish", 1, 0), ("beat", 0, 0), ("unsubscribe", 0, 0), ("beat", 0, 0),
+    ("remove", 0, 0), ("subscribe", 4, 0), ("subscribe", 0, 1),
+])
+def test_cached_ihave_candidates_match_a_fresh_computation(ops):
+    """Churn drops exactly the cached candidate lists it makes stale,
+    including those of a peer that left and came back meanwhile."""
+    sim, network, _inboxes = make_network(
+        4, params=GossipParams(degree=2, lazy_degree=2, heartbeat_interval=0.5)
+    )
+    for op, peer, topic in ops:
+        peer, topic = f"p{peer}", f"t{topic}" if topic else "topic"
+        if op == "subscribe":
+            network.subscribe(peer, topic, lambda envelope: None)
+        elif op == "unsubscribe":
+            network.unsubscribe(peer, topic)
+        elif op == "remove":
+            network.remove_peer(peer)
+        elif op == "publish":
+            network.publish(peer, topic, "x")
+        else:
+            sim.run_until(sim.now + 0.5)
+        for state in network._peers.values():
+            for cached_topic, candidates in state.ihave_candidates.items():
+                assert candidates == network._ihave_candidates(state, cached_topic)

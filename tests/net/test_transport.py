@@ -97,20 +97,28 @@ def test_invalid_loss_rate():
         Topology(loss_rate=1.0)
 
 
-def test_uniform_latency_bounds():
-    import random
+def _latencies(latency, count=100):
+    sim = Simulator(seed=0)
+    transport = Transport(sim, Topology(latency))
+    transport.register("a", lambda m: None)
+    transport.register("b", lambda m: None)
+    for _ in range(count):
+        transport.send("a", "b", "t", "x")
+    sim.run()
+    return sim.metrics.histogram("net.latency"), transport._rng
 
-    model = UniformLatency(base=0.1, jitter=0.05)
-    rng = random.Random(0)
-    samples = [model.sample("a", "b", rng) for _ in range(100)]
-    assert all(0.05 <= s <= 0.15 for s in samples)
+
+def test_uniform_latency_bounds():
+    latencies, _rng = _latencies(UniformLatency(base=0.1, jitter=0.05))
+    assert latencies.count == 100
+    assert 0.05 <= latencies.min() < latencies.max() <= 0.15
 
 
 def test_uniform_latency_zero_jitter_is_constant():
-    import random
-
-    model = UniformLatency(base=0.1, jitter=0.0)
-    assert model.sample("a", "b", random.Random(0)) == 0.1
+    untouched = Simulator(seed=0).rng("net", "transport").getstate()
+    latencies, rng = _latencies(UniformLatency(base=0.1, jitter=0.0))
+    assert latencies.min() == latencies.max() == 0.1
+    assert rng.getstate() == untouched  # no jitter, no draw
 
 
 def test_uniform_latency_rejects_negative():
@@ -186,19 +194,21 @@ def test_transport_set_link_loss_and_latency():
     arrivals = []
     transport.register("a", lambda m: None)
     transport.register("b", lambda m: arrivals.append(sim.now))
-    transport.set_link("a", "b", loss=0.9)
+    lossy = transport.set_link("a", "b", loss=0.9)
     sent = sum(1 for _ in range(100) if transport.send("a", "b", "t", "x"))
     assert sent < 50  # heavy per-link loss drops most sends
+    transport.heal(lossy)
 
-    transport.set_link("a", "b", loss=0.0, extra_latency=1.0)
+    slow = transport.set_link("a", "b", extra_latency=1.0)
     sim.run()
     start = sim.now
     assert transport.send("a", "b", "t", "x")
     sim.run()
     assert arrivals[-1] - start >= 1.0  # override adds onto the model
 
-    transport.set_link("a", "b", loss=0.0, extra_latency=0.0)
-    assert transport.topology.link_profile("a", "b") is None  # all-zero removed
+    transport.heal(slow)
+    assert transport.topology.link_profile("a", "b") is None  # nothing left in force
+    assert transport.topology.is_clean
 
 
 def test_transport_set_link_is_symmetric_and_groupwise():
@@ -225,3 +235,38 @@ def test_deterministic_delivery_times():
         return arrivals
 
     assert run() == run()
+
+
+def test_overlapping_link_degradations_compose_and_heal_separately():
+    _, transport = make_transport()
+    for peer in ("a", "b", "c"):
+        transport.register(peer, lambda m: None)
+    topology = transport.topology
+    first = transport.set_link(["a"], ["b", "c"], loss=0.3)
+    second = transport.set_link(["a", "c"], ["b"], loss=0.2, extra_latency=0.5)
+    assert first != second
+    # Independent loss processes on a-b; c-b has only the second, a-c the first.
+    assert topology.link_profile("a", "b").loss == 1.0 - (1.0 - 0.3) * (1.0 - 0.2)
+    assert topology.link_profile("a", "b").extra_latency == 0.5
+    assert topology.link_profile("b", "c").loss == 0.2
+    assert topology.link_profile("a", "c").loss == 0.3
+    transport.heal(first)  # the second fault is still active
+    assert topology.link_profile("a", "b") == topology.link_profile("b", "c")
+    assert topology.link_profile("a", "b").loss == 0.2
+    assert topology.link_profile("a", "c") is None
+    transport.heal(second)
+    assert topology.link_profile("a", "b") is None and topology.is_clean
+
+
+def test_a_stale_handle_heals_nothing_after_heal_all():
+    _, transport = make_transport()
+    transport.register("a", lambda m: None)
+    transport.register("b", lambda m: None)
+    stale = transport.partition("a")
+    transport.heal()
+    fresh = transport.partition("a")
+    assert fresh != stale
+    transport.heal(stale)
+    assert not transport.send("a", "b", "t", "x")  # the newer partition holds
+    transport.heal(fresh)
+    assert transport.send("a", "b", "t", "x")

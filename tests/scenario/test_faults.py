@@ -42,16 +42,22 @@ class RecordingTransport:
         self.partitions = []
         self.healed = []
         self.links = []
+        self.issued = 0  # one handle counter, as Topology keeps
+
+    def _handle(self):
+        self.issued += 1
+        return self.issued - 1
 
     def partition(self, group):
         self.partitions.append(tuple(sorted(group)))
-        return len(self.partitions) - 1
+        return self._handle()
 
     def heal(self, handle):
         self.healed.append(handle)
 
     def set_link(self, a, b, loss=0.0, extra_latency=0.0):
         self.links.append((tuple(sorted(a)), tuple(sorted(b)), loss, extra_latency))
+        return self._handle()
 
 
 class StubStack:
@@ -174,11 +180,14 @@ def test_link_degrade_fault_reverts_overrides_on_heal():
         Trigger(at=1.0, duration=2.0), "/root/s0", select=[2], loss=0.3,
         extra_latency=0.1,
     )
+    transport = system.stack.transport
+    transport.partition(["/root/s0#0"])  # handle 0: the fault's is the next
     fault.inject(system)
-    links = system.stack.transport.links
-    assert links == [(("/root/s0#2",), ("/root/s0#0", "/root/s0#1"), 0.3, 0.1)]
+    assert transport.links == [(("/root/s0#2",), ("/root/s0#0", "/root/s0#1"), 0.3, 0.1)]
     fault.heal(system)
-    assert links[-1] == (("/root/s0#2",), ("/root/s0#0", "/root/s0#1"), 0.0, 0.0)
+    assert transport.healed == [1]  # by its own handle, not by zeroing the links
+    fault.heal(system)  # idempotent
+    assert transport.healed == [1] and len(transport.links) == 1
 
 
 def test_link_degrade_all_covers_intra_subnet_links():
