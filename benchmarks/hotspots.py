@@ -2,12 +2,15 @@
 
     python3 benchmarks/hotspots.py fault-heal --seconds 8 [--seed 1]
     python3 benchmarks/hotspots.py fault-heal --seconds 8 --callers fanout random
+    python3 benchmarks/hotspots.py pay-k8 --seconds 4 --sort cumulative --callees remove_included
 
 Builds and warms one workload of ``benchmarks/ledger/workloads.py`` the way
 ``benchmarks/ledger/run.py`` sizes it (one set-up, untraced; the workload
 module is imported, never edited), runs its measured region under cProfile
-and prints the :data:`TOP` functions by own time (``tottime``), then, for
-each ``--callers`` name, every function that calls a function of that name.
+and prints the :data:`TOP` functions by own time (``tottime``, or by
+``--sort cumulative``), then, for each ``--callers`` name, every function
+that calls a function of that name, and for each ``--callees`` name, every
+function a function of that name calls.
 
 ``run.py --trace 1`` says which layer a committed block's time goes to;
 this says which function inside it.  cProfile roughly doubles the region's
@@ -63,13 +66,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--callers", nargs="+", default=[], metavar="NAME",
                         help="function names whose callers to print")
+    parser.add_argument("--callees", nargs="+", default=[], metavar="NAME",
+                        help="function names whose callees to print")
+    parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime",
+                        help="the order of the top list")
     args = parser.parse_args(argv)
     stats, region_sim_s = profile_region(args.workload, args.seed, args.seconds)
     print(f"hotspots {args.workload} seed={args.seed} seconds={args.seconds:g}: "
           f"{region_sim_s:g} sim-s region, {stats.total_tt:.2f} s profiled")
-    stats.strip_dirs().sort_stats("tottime").print_stats(TOP)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(TOP)
     for name in args.callers:
         stats.print_callers(rf"\({re.escape(name)}\)")
+    for name in args.callees:
+        stats.print_callees(rf"\({re.escape(name)}\)")
     return 0
 
 

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.crypto.cid import CID, cached_cid
-from repro.crypto.encoding import canonical_body, memo
+from repro.crypto.encoding import canonical_body, canonical_encode, memo
 from repro.crypto.keys import Address
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import LEAF_TAG, hash_layers
 
 ZERO_CID = CID(b"\x00" * 32)
+
+# A root leaf hashes the encoding of (tag, CID digest): a fixed prefix per tag, then the digest.
+_MSG_LEAF = LEAF_TAG + canonical_encode(("msg", bytes(32)))[:-32]
+_CROSS_LEAF = LEAF_TAG + canonical_encode(("cross", bytes(32)))[:-32]
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,18 +112,31 @@ class FullBlock:
             tuple(canonical_body(m) for m in self.cross_messages),
         )
 
+    @classmethod
+    def assemble(cls, messages, cross_messages, **header_fields) -> "FullBlock":
+        """The block over this payload, born matched: its header's root is
+        computed from the very tuples it holds."""
+        messages, cross_messages = tuple(messages), tuple(cross_messages)
+        root = cls.compute_messages_root(messages, cross_messages)
+        header = BlockHeader(messages_root=root, **header_fields)
+        block = cls(header=header, messages=messages, cross_messages=cross_messages)
+        object.__setattr__(block, "_mr_ok", True)
+        return block
+
     @staticmethod
     def compute_messages_root(messages, cross_messages) -> CID:
-        """Commitment over both message lists, stored in the header."""
-        leaves = [("msg", m.cid.to_canonical()) for m in messages]
-        leaves += [("cross", m.cid.to_canonical()) for m in cross_messages]
-        return MerkleTree(leaves).root_cid
+        """Commitment over both message lists, stored in the header: the
+        merkle root over leaves ``("msg", cid)`` then ``("cross", cid)``."""
+        sha256 = hashlib.sha256
+        leaves = [sha256(_MSG_LEAF + m.cid.digest).digest() for m in messages]
+        leaves += [sha256(_CROSS_LEAF + m.cid.digest).digest() for m in cross_messages]
+        return CID(hash_layers(leaves)[-1][0])
 
     def messages_root_matches(self) -> bool:
         # Memoized (True only): the block object is immutable and every
-        # validator re-checks the same gossiped instance.  A failing check
-        # is not cached — it costs nothing extra and keeps the negative
-        # path simple.
+        # validator re-checks the same gossiped instance; :meth:`assemble`
+        # starts its block matched.  A failing check is not cached — it
+        # costs nothing extra and keeps the negative path simple.
         if self._mr_ok:
             return True
         ok = (

@@ -1,16 +1,17 @@
 """The subnet-internal message pool (mempool).
 
 Nodes keep "an internal pool to track unverified messages originating in and
-targeting the subnet" (§IV-B).  Messages are keyed by (sender, nonce);
-selection returns, per sender, a gap-free nonce run starting at the sender's
-current chain nonce so every selected message is applicable.
+targeting the subnet" (§IV-B).  Messages are keyed by (sender, nonce) only: a
+duplicate is the message already in its slot.  Selection returns, per sender,
+a gap-free nonce run starting at the sender's current chain nonce so every
+selected message is applicable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from operator import attrgetter
+from typing import Callable, Iterable
 
-from repro.crypto.cid import CID
 from repro.crypto.keys import Address
 from repro.vm.message import SignedMessage
 
@@ -21,30 +22,29 @@ class MessagePool:
     def __init__(self, capacity: int = 10_000) -> None:
         self.capacity = capacity
         self._by_sender: dict[Address, dict[int, SignedMessage]] = {}
-        self._cids: set[CID] = set()
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._cids)
+        return self._count
 
     def add(self, signed: SignedMessage) -> bool:
         """Add a verified-signature message; returns False on dup/invalid/full."""
-        cid = signed.cid
-        if cid in self._cids:
+        message = signed.message
+        sender_queue = self._by_sender.get(message.from_addr)
+        existing = sender_queue.get(message.nonce) if sender_queue else None
+        if existing is not None and (existing is signed or existing.cid == signed.cid):
             return False
-        if len(self._cids) >= self.capacity:
+        if self._count >= self.capacity:
             return False
         if not signed.verify_signature():
             return False
-        sender_queue = self._by_sender.setdefault(signed.message.from_addr, {})
-        nonce = signed.message.nonce
-        if nonce in sender_queue:
+        if existing is not None:
             return False  # first-seen wins; no replace-by-fee in this model
-        sender_queue[nonce] = signed
-        self._cids.add(cid)
+        if sender_queue is None:
+            sender_queue = self._by_sender[message.from_addr] = {}
+        sender_queue[message.nonce] = signed
+        self._count += 1
         return True
-
-    def has(self, cid: CID) -> bool:
-        return cid in self._cids
 
     def select(
         self,
@@ -59,7 +59,7 @@ class MessagePool:
         sender cannot monopolise a block.
         """
         runs = []
-        for sender in sorted(self._by_sender):
+        for sender in sorted(self._by_sender, key=attrgetter("raw")):  # Address order
             queue = self._by_sender[sender]
             next_nonce = nonce_of(sender)
             run = []
@@ -86,12 +86,12 @@ class MessagePool:
             if not queue:
                 continue
             existing = queue.get(signed.message.nonce)
-            if existing is not None and existing.cid == signed.cid:
+            if existing is not None and (existing is signed or existing.cid == signed.cid):
                 del queue[signed.message.nonce]
-                self._cids.discard(signed.cid)
                 removed += 1
             if not queue:
                 self._by_sender.pop(signed.message.from_addr, None)
+        self._count -= removed
         return removed
 
     def drop_stale(self, nonce_of: Callable[[Address], int]) -> int:
@@ -104,11 +104,11 @@ class MessagePool:
             floor = nonce_of(sender)
             queue = self._by_sender[sender]
             for nonce in [n for n in queue if n < floor]:
-                self._cids.discard(queue[nonce].cid)
                 del queue[nonce]
                 dropped += 1
             if not queue:
                 del self._by_sender[sender]
+        self._count -= dropped
         return dropped
 
     def pending_for(self, sender: Address) -> list:

@@ -16,13 +16,17 @@ class ValidationError(Exception):
     """A block failed validation; the reason is the message."""
 
 
+MAX_PAYLOAD = 10_000  # user messages plus cross-msgs, in any block
+
+
 def validate_block_shape(
     block: FullBlock,
     parent: Optional[FullBlock],
     expected_subnet: str,
-    max_messages: int = 10_000,
+    max_messages: int = MAX_PAYLOAD,
 ) -> None:
-    """Raise :class:`ValidationError` on any structural rule violation."""
+    """Raise :class:`ValidationError` on any structural rule violation;
+    *max_messages* is the subnet's block size, in user messages."""
     header = block.header
     if header.subnet_id != expected_subnet:
         raise ValidationError(
@@ -30,7 +34,8 @@ def validate_block_shape(
         )
     if header.height < 0:
         raise ValidationError("negative height")
-    if len(block.messages) + len(block.cross_messages) > max_messages:
+    count = len(block.messages)
+    if count > max_messages or count + len(block.cross_messages) > MAX_PAYLOAD:
         raise ValidationError("block exceeds message capacity")
     if not block.messages_root_matches():
         raise ValidationError("messages root does not match payload")

@@ -11,16 +11,34 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.crypto.cid import CID
 from repro.crypto.encoding import canonical_encode
 
 
+LEAF_TAG = b"leaf:"  # what a leaf hash hashes before the leaf's encoding
+
+
 def _leaf_hash(value: Any) -> bytes:
-    return hashlib.sha256(b"leaf:" + canonical_encode(value)).digest()
+    return hashlib.sha256(LEAF_TAG + canonical_encode(value)).digest()
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(b"node:" + left + right).digest()
+
+
+def hash_layers(leaves: list) -> list:
+    """Every layer over the leaf hashes *leaves*, the root's last.  Odd layers
+    duplicate their final hash (bitcoin-style); no leaves is an empty marker's."""
+    if not leaves:
+        leaves = [hashlib.sha256(b"empty-merkle").digest()]
+    layers = [leaves]
+    current = leaves
+    while len(current) > 1:
+        if len(current) % 2 == 1:
+            current = current + [current[-1]]
+            layers[-1] = current
+        current = [_node_hash(current[i], current[i + 1]) for i in range(0, len(current), 2)]
+        layers.append(current)
+    return layers
 
 
 @dataclass(frozen=True)
@@ -45,38 +63,15 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """A binary merkle tree over a sequence of values.
-
-    Odd layers duplicate the final hash (bitcoin-style) so every tree is
-    complete.  The empty tree has a defined root (hash of an empty marker).
-    """
+    """A binary merkle tree over a sequence of values (:func:`hash_layers`)."""
 
     def __init__(self, values: Sequence[Any]) -> None:
         self.values = list(values)
-        self._layers: list[list[bytes]] = []
-        leaves = [_leaf_hash(v) for v in self.values]
-        if not leaves:
-            leaves = [hashlib.sha256(b"empty-merkle").digest()]
-        self._layers.append(leaves)
-        current = leaves
-        while len(current) > 1:
-            if len(current) % 2 == 1:
-                current = current + [current[-1]]
-                self._layers[-1] = current
-            parents = [
-                _node_hash(current[i], current[i + 1])
-                for i in range(0, len(current), 2)
-            ]
-            self._layers.append(parents)
-            current = parents
+        self._layers: list[list[bytes]] = hash_layers([_leaf_hash(v) for v in self.values])
 
     @property
     def root(self) -> bytes:
         return self._layers[-1][0]
-
-    @property
-    def root_cid(self) -> CID:
-        return CID(self.root)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -415,18 +415,15 @@ class NodeRuntime:
         events = self._execute_payload(
             scratch, selected, cross, self.miner_address, height, parent_cid
         )
-        header = BlockHeader(
+        block = FullBlock.assemble(
+            selected, cross,
             subnet_id=self.subnet_id,
             height=height,
             parent=parent_cid,
             state_root=scratch.state_root(),
-            messages_root=FullBlock.compute_messages_root(selected, cross),
             timestamp=self.sim.now,
             miner=self.miner_address,
             consensus_data=consensus_data,
-        )
-        block = FullBlock(
-            header=header, messages=tuple(selected), cross_messages=tuple(cross)
         )
         self._assembled[block.cid] = (scratch, tuple(events))
         while len(self._assembled) > 16:
@@ -465,7 +462,9 @@ class NodeRuntime:
                 self.request_block_range(sender, head_height + 1, block.height - 1)
             return False
         try:
-            validate_block_shape(block, parent, self.subnet_id)
+            validate_block_shape(
+                block, parent, self.subnet_id, self.engine.params.max_block_messages
+            )
         except ValidationError as err:
             self.sim.metrics.counter("chain.*.invalid_blocks", self.subnet_id).inc()
             self.sim.trace.emit("block.invalid", self.subnet_id, block.cid.short(), err)

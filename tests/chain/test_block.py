@@ -1,12 +1,20 @@
 """Unit tests for blocks and validation rules."""
 
-import pytest
+from dataclasses import replace
 
-from repro.crypto.cid import cid_of
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.cid import CID, cid_of
 from repro.crypto.keys import KeyPair
+from repro.crypto.merkle import MerkleTree
 from repro.chain.block import BlockHeader, FullBlock, ZERO_CID
 from repro.chain.validation import ValidationError, validate_block_shape
+from repro.hierarchy.crossmsg import ApplyTopDown, CrossMsg
+from repro.hierarchy.subnet_id import SubnetID
 from repro.vm.message import Message, SignedMessage
+from tests.chain.test_chain_node import make_child, make_node
 
 
 def make_header(height=0, parent=ZERO_CID, subnet="/root", timestamp=0.0, miner=None, **extra):
@@ -54,6 +62,84 @@ def test_messages_root_matches_detects_tamper():
     header = make_header()
     block = FullBlock(header=header, messages=(signed,))
     assert not block.messages_root_matches()  # header committed to empty
+
+
+def reference_messages_root(messages, cross_messages):
+    """The messages root as a tree of encoded ``(tag, cid)`` tuple leaves:
+    what the digest leaves must reproduce byte for byte."""
+    leaves = [("msg", m.cid.to_canonical()) for m in messages]
+    leaves += [("cross", m.cid.to_canonical()) for m in cross_messages]
+    return CID(MerkleTree(leaves).root)
+
+
+SIGNED = [make_signed(nonce=n, value=n + 1) for n in range(40)]
+CROSS = [
+    ApplyTopDown(
+        CrossMsg(SubnetID("/root/a"), KeyPair("x").address, SubnetID("/root"),
+                 KeyPair("y").address, n + 1),
+        n,
+    )
+    for n in range(10)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(range(len(SIGNED))), max_size=40),
+    st.lists(st.sampled_from(range(len(CROSS))), max_size=10),
+)
+@example([], [])
+@example([0], [])
+@example([], [0])
+@example(list(range(3)), list(range(5)))
+@example(list(range(40)), list(range(9)))
+def test_messages_root_equals_tuple_leaf_reference(message_picks, cross_picks):
+    messages = tuple(SIGNED[i] for i in message_picks)
+    cross = tuple(CROSS[i] for i in cross_picks)
+    assert FullBlock.compute_messages_root(messages, cross) == reference_messages_root(
+        messages, cross
+    )
+
+
+def _proposer_with(count):
+    sim, node, user = make_node()
+    for nonce in range(count):
+        message = Message(from_addr=user.address, to_addr=KeyPair("rcpt").address,
+                          value=nonce + 1, nonce=nonce)
+        assert node.submit_message(SignedMessage.create(message, user))
+    return node, make_child(node, node.head())
+
+
+def test_assembled_block_is_born_matched(monkeypatch):
+    _, block = _proposer_with(2)
+    assert len(block.messages) == 2 and block._mr_ok is True
+
+    def must_not_run(messages, cross_messages):
+        raise AssertionError("the assembled block's root was computed again")
+
+    monkeypatch.setattr(FullBlock, "compute_messages_root", staticmethod(must_not_run))
+    assert block.messages_root_matches()
+
+
+def test_replaced_block_starts_cold():
+    _, block = _proposer_with(2)
+    swapped = replace(block, messages=block.messages[::-1])
+    assert swapped._mr_ok is None
+    assert not swapped.messages_root_matches()
+    assert replace(block)._mr_ok is None and replace(block).messages_root_matches()
+
+
+def test_validator_refuses_block_with_swapped_messages():
+    _, block = _proposer_with(2)
+    other = block.messages[0]
+    impostor = SignedMessage.create(replace(other.message, value=999), KeyPair("cn-user"))
+    for messages in (block.messages[::-1], (impostor,) + block.messages[1:]):
+        sim, validator, _ = make_node(seed=2)
+        assert not validator.receive_block(replace(block, messages=messages), final=True)
+        assert sim.metrics.counter("chain./root.invalid_blocks").value == 1
+        assert validator.head().height == 0
+    sim, validator, _ = make_node(seed=2)
+    assert validator.receive_block(block, final=True)  # the block as built is fine
 
 
 def test_validate_genesis():
@@ -141,3 +227,12 @@ def test_validate_capacity():
     block = FullBlock(header=header, messages=(signed,))
     with pytest.raises(ValidationError, match="capacity"):
         validate_block_shape(block, genesis, "/root", max_messages=0)
+
+
+def test_validate_capacity_counts_user_messages_only():
+    genesis = FullBlock(header=make_header())
+    block = FullBlock.assemble(
+        (), CROSS[:3], subnet_id="/root", height=1, parent=genesis.cid,
+        state_root=cid_of("s"), timestamp=1.0, miner=KeyPair("m").address,
+    )
+    validate_block_shape(block, genesis, "/root", max_messages=0)

@@ -16,7 +16,7 @@ from repro.sim.scheduler import Simulator
 from repro.vm.message import Message, SignedMessage
 
 
-def make_node(engine="poa", seed=1, n_validators=1):
+def make_node(engine="poa", seed=1, n_validators=1, max_block_messages=500):
     sim = Simulator(seed=seed)
     gossip = GossipNetwork(sim, Transport(sim, Topology(UniformLatency(0.01, 0.005))))
     keys = [KeyPair(f"cn-{i}") for i in range(n_validators)]
@@ -31,7 +31,8 @@ def make_node(engine="poa", seed=1, n_validators=1):
     node = NodeRuntime(
         sim=sim, node_id="cn#0", keypair=keys[0], subnet_id="/root",
         genesis_block=genesis_block, genesis_vm=genesis_vm, gossip=gossip,
-        validators=validators, consensus_params=ConsensusParams(engine=engine),
+        validators=validators,
+        consensus_params=ConsensusParams(engine=engine, max_block_messages=max_block_messages),
     )
     return sim, node, user
 
@@ -105,6 +106,24 @@ def test_submitted_messages_selected_and_cleared():
     node.receive_block(block, final=True)
     assert len(node.mempool) == 0
     assert node.vm.balance_of(KeyPair("rcpt").address) == 10
+
+
+def test_block_over_the_subnet_block_size_refused():
+    limit = 2
+    _, proposer, user = make_node(max_block_messages=limit + 1)  # ignores the subnet's limit
+    for nonce in range(limit + 1):
+        message = Message(from_addr=user.address, to_addr=user.address, value=0, nonce=nonce)
+        assert proposer.submit_message(SignedMessage.create(message, user))
+    block = make_child(proposer, proposer.head())
+    assert len(block.messages) == limit + 1
+
+    sim, validator, _ = make_node(seed=2, max_block_messages=limit)
+    assert not validator.receive_block(block, final=True)
+    assert sim.metrics.counter("chain./root.invalid_blocks").value == 1
+    assert validator.head().height == 0
+    sim, roomier, _ = make_node(seed=3, max_block_messages=limit + 1)
+    assert roomier.receive_block(block, final=True)
+    assert sim.metrics.counter("chain./root.invalid_blocks").value == 0
 
 
 def test_duplicate_submit_rejected():

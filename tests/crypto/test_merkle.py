@@ -1,10 +1,13 @@
 """Unit and property tests for merkle trees."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.encoding import canonical_encode
+from repro.crypto.merkle import LEAF_TAG, MerkleTree, hash_layers
 
 
 def test_root_depends_on_content():
@@ -62,9 +65,10 @@ def test_prove_out_of_range():
         tree.prove(-1)
 
 
-def test_root_cid_matches_root():
-    tree = MerkleTree([1, 2, 3])
-    assert tree.root_cid.digest == tree.root
+def test_tree_root_is_the_shared_layers_over_its_leaf_hashes():
+    for values in ([], [1], [1, 2, 3], list(range(8))):
+        leaves = [hashlib.sha256(LEAF_TAG + canonical_encode(v)).digest() for v in values]
+        assert hash_layers(leaves)[-1] == [MerkleTree(values).root]
 
 
 @given(st.lists(st.integers(), min_size=1, max_size=40), st.data())
