@@ -47,12 +47,6 @@ def _hierarchical_throughput(k: int):
     start = system.sim.now
     system.run_for(MEASURE_SECONDS)
     committed = sum(w.stats.committed for w in workloads)
-    profiler = system.sim.planes.get("profile")
-    if profiler is not None:
-        # End attribution here: the baseline runs that follow share the
-        # process, and their samples must not pollute this run's profile
-        # (write_bench_json's stop() is then a no-op).
-        profiler.stop()
     return committed / (system.sim.now - start), dispatch_rows(system.sim)
 
 

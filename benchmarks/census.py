@@ -5,10 +5,9 @@ region lengths, a gate on what must not grow with the length.
     python3 benchmarks/census.py pay-k8 --seconds 8 [--seed 1]
     python3 benchmarks/census.py pay-k8 --seconds 1 3
 
-Builds, warms and runs one workload of ``benchmarks/ledger/workloads.py``
-the way ``benchmarks/ledger/run.py`` sizes it (one set-up, untraced; the
-workload module is imported, never edited), with ``tracemalloc`` snapshots
-at the region's start and end, and prints at the region's end:
+Builds, warms and runs one workload's measured region the way
+``hotspots.py`` does (:func:`hotspots.measured_region`), with ``tracemalloc``
+snapshots at the region's start and end, and prints at the region's end:
 
 - live instances of the types a run makes per operation;
 - the number of objects the cyclic collector tracks (what a full pass walks);
@@ -32,12 +31,11 @@ import argparse
 import gc
 import os
 import sys
-import tempfile
 import tracemalloc
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(HERE, "ledger")]
+from hotspots import HERE, ROOT, SRC, measured_region
+
+sys.path[:0] = [SRC, os.path.join(HERE, "ledger")]
 
 #: Heap-growth rows printed, largest first.
 TOP = 15
@@ -112,17 +110,8 @@ def bounded(counts: dict, histograms) -> dict:
 
 def run(workload_name: str, seed: int, seconds: float) -> tuple:
     """(the report's lines, the :func:`bounded` quantities) for one census."""
-    from workloads import WORKLOADS
-
-    cls = WORKLOADS[workload_name]
-    region_sim_s = float(round(cls.SIM_S_PER_SECOND * seconds))
     types = per_op_types()
-    with tempfile.TemporaryDirectory() as out_dir:
-        workload = cls(seed, region_sim_s, out_dir)
-        workload.build()
-        workload.warm_up()
-        gc.collect()
-        workload.begin_region()
+    with measured_region(workload_name, seed, seconds) as workload:
         tracemalloc.start(1)
         start = tracemalloc.take_snapshot()
         workload.run_region()
@@ -132,11 +121,9 @@ def run(workload_name: str, seed: int, seconds: float) -> tuple:
         tracemalloc.stop()
         held = bounded(counts, workload.sim.metrics.histograms.values())
         tables = leaf_tables(workload.chains)
-        workload.end_region()
-        workload.close()
     lines = [
         f"census {workload_name} seed={seed} seconds={seconds:g}: "
-        f"{region_sim_s:g} sim-s region",
+        f"{workload.region_sim_s:g} sim-s region",
         "live at region end:",
     ]
     lines += [f"  {cls.__name__:<16}{count:>10}" for cls, count in counts.items()]

@@ -14,7 +14,7 @@ import time
 
 from repro.analysis import Table
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
-from repro.telemetry import enable_telemetry, telemetry_snapshot, write_chrome_trace, write_json
+from repro.telemetry import enable_telemetry, telemetry_snapshot, write_json
 from repro.workloads import PaymentWorkload
 
 class RunContext:
@@ -32,13 +32,6 @@ class RunContext:
 
     def capture(self, sim, system=None):
         """Make *sim* (run by *system*, if given) the run to write."""
-        previous = self.system
-        if previous is not None and previous is not system:
-            # A lingering sampler from an earlier system in the same process
-            # would keep profiling (and taxing) this run's thread.
-            profiler = previous.sim.planes.get("profile")
-            if profiler is not None:
-                profiler.stop()
         self.sim, self.system = sim, system
         return sim
 
@@ -86,13 +79,6 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
     """
     sim = sim if sim is not None else RUN.sim
     extra = {"bench": name, "rows": rows, **(extra or {})}
-    profiler = sim.planes.get("profile")
-    if profiler is not None:
-        # Stop before snapshotting so mem/alloc accounting is final.
-        profiler.stop()
-        out = bench_out_dir()
-        profiler.write_collapsed(os.path.join(out, f"PROFILE_{name}.collapsed"))
-        write_chrome_trace(os.path.join(out, f"TRACE_{name}_profile.json"), sim)
     if RUN.system is not None and RUN.system.sim is sim:
         # Semantic end-state digest (heads, state roots, supplies):
         # invariant across tie-shuffle seeds — CI's sanitize job runs a
@@ -147,15 +133,11 @@ def build_hierarchy(
     root_block_time: float = 0.5,
     wallet_funds=None,
     monitors: bool = True,
-    profile=None,
 ):
     """A rootnet plus *n_subnets* sibling subnets, started.
 
     Benchmarks run with live invariant monitors on by default (digest- and
     latency-neutral); postmortem bundles land in the bench output dir.
-    ``profile=None`` defers to ``$BENCH_PROFILE``; ``True`` starts the
-    sampling profiler (``write_bench_json`` stops it and emits the
-    ``profile`` section plus collapsed-stack/Perfetto artifacts).
     """
     system = HierarchicalSystem(
         seed=seed,
@@ -165,12 +147,8 @@ def build_hierarchy(
         wallet_funds=wallet_funds or {},
     ).start()
     RUN.capture(system.sim, system)
-    if profile is None:
-        profile = os.environ.get("BENCH_PROFILE", "") not in ("", "0")
-    if monitors or profile:
-        enable_telemetry(
-            system, monitors=monitors, postmortem_dir=bench_out_dir(), profile=profile
-        )
+    if monitors:
+        enable_telemetry(system, monitors=True, postmortem_dir=bench_out_dir())
     subnets = []
     for i in range(n_subnets):
         subnets.append(

@@ -45,7 +45,6 @@ class ChainStore:
         self._base = 0  # height of the lowest block held (see adopt)
         self._forks_dropped = 0
         self.hold: Optional[int] = None
-        self._reorg_listeners: list[Callable[[Optional[CID], CID], None]] = []
         self._forget_listeners: list[Callable[[CID], None]] = []
         # canonical height index, rebuilt lazily after reorgs
         self._canonical: dict[int, CID] = {}
@@ -155,8 +154,6 @@ class ChainStore:
             else:
                 self._rebuild_canonical()
             self._prune()
-            for listener in self._reorg_listeners:
-                listener(old_head, cid)
             return True
         return False
 
@@ -164,10 +161,6 @@ class ChainStore:
         self._canonical = {}
         for block in self.ancestors(self._head):
             self._canonical[block.height] = block.cid
-
-    def on_head_change(self, listener: Callable[[Optional[CID], CID], None]) -> None:
-        """Register a listener called as ``listener(old_head, new_head)``."""
-        self._reorg_listeners.append(listener)
 
     def is_extension(self, old_head: Optional[CID], new_head: CID) -> bool:
         """True when *new_head* is a descendant of *old_head* (no reorg)."""

@@ -17,7 +17,7 @@ Flagged:
   ``sim.rng(*scope)`` or an explicit ``random.Random(seed)``).
 
 Deliberately *not* flagged: ``time.perf_counter``/``monotonic`` (wall-time
-profiling is digest-neutral by design — it feeds metrics, never the trace)
+profiling is digest-neutral by design — it never feeds the trace)
 and ``random.Random(seed)`` construction (explicitly seeded).
 """
 

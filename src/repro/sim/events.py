@@ -180,12 +180,6 @@ class EventQueue:
             return None
         return self._heap[0][0]
 
-    def discard_cancelled(self) -> None:
-        """Compact the heap, dropping cancelled events eagerly."""
-        live = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(live)
-        self._heap = live
-
     def note_cancel(self) -> None:
         """Record that one previously-live event was cancelled externally."""
         if self._live > 0:

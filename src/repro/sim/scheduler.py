@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time as _wallclock
 from typing import Any, Callable, Optional
 
@@ -16,36 +15,6 @@ from repro.sim.tracing import TraceLog
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is driven incorrectly."""
-
-
-#: Per-thread stacks of the dispatch label currently executing inside
-#: :meth:`DispatchBus.dispatch`, keyed by ``threading.get_ident()``.  The
-#: executing thread pushes/pops its own stack (safe under the GIL); a
-#: *different* thread — the sampling profiler in
-#: ``repro.telemetry.profiler`` — reads it to attribute CPU samples to the
-#: event label the sim thread is running right now.  A stack, not a single
-#: slot, so nested dispatches attribute to the innermost label.
-_DISPATCH_LABEL_STACKS: dict[int, list] = {}
-#: The executing thread's own stack: dispatch runs per event, so it resolves
-#: its stack once per thread rather than by ``get_ident()`` lookup each time.
-_OWN_STACK = threading.local()
-
-
-def _register_label_stack() -> list:
-    stack = _OWN_STACK.stack = _DISPATCH_LABEL_STACKS.setdefault(threading.get_ident(), [])
-    return stack
-
-
-def current_dispatch_label(thread_id: Optional[int] = None) -> Optional[str]:
-    """The event label *thread_id* (default: this thread) is dispatching.
-
-    ``None`` when that thread is not inside :meth:`DispatchBus.dispatch` —
-    i.e. it is running scheduler machinery, test code, or is idle.
-    """
-    if thread_id is None:
-        thread_id = threading.get_ident()
-    stack = _DISPATCH_LABEL_STACKS.get(thread_id)
-    return stack[-1] if stack else None
 
 
 class DispatchBus:
@@ -63,23 +32,13 @@ class DispatchBus:
     - *post-dispatch* hooks run after the event fired (even if the callback
       raised) with the elapsed wall-clock seconds — the profiling point.
 
-    While an event's callback runs, its label is readable through
-    :func:`current_dispatch_label` (per executing thread, nesting-aware) —
-    the attribution point for the sampling profiler in
-    ``repro.telemetry.profiler``.
-
     Wall-clock timings are real (host) time, not simulated time: they answer
     "where does this run spend its CPU?".  They are kept out of the trace
-    log so trace digests stay deterministic; :meth:`publish` exports them as
-    gauges on the simulator's :class:`MetricsRegistry` on demand.
+    log and the metrics, so digests and the run document outside its
+    ``dispatch`` section (:meth:`summary`) stay deterministic.
     """
 
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
-        self.metrics = metrics
+    def __init__(self, trace: Optional[TraceLog] = None) -> None:
         self.trace = trace
         self.counts: dict[str, int] = {}
         self.wall_seconds: dict[str, float] = {}
@@ -135,17 +94,11 @@ class DispatchBus:
             if self.trace is not None:
                 self.trace.emit("dispatch.suppressed", label)
             return None
-        try:
-            label_stack = _OWN_STACK.stack
-        except AttributeError:
-            label_stack = _register_label_stack()
-        label_stack.append(label)
         start = _wallclock.perf_counter()
         try:
             return event.fire()
         finally:
             elapsed = _wallclock.perf_counter() - start
-            label_stack.pop()
             self.counts[label] = self.counts.get(label, 0) + 1
             self.wall_seconds[label] = self.wall_seconds.get(label, 0.0) + elapsed
             if elapsed > self.max_wall_seconds.get(label, 0.0):
@@ -171,18 +124,6 @@ class DispatchBus:
                 }
             )
         return rows
-
-    def publish(self, metrics: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Export per-label counts/timings as ``sim.dispatch.*`` gauges."""
-        registry = metrics or self.metrics
-        if registry is None:
-            raise SimulationError("DispatchBus has no metrics registry to publish to")
-        for row in self.summary():
-            label = row["label"]
-            registry.gauge("sim.dispatch.*.events", label).set(row["events"])
-            registry.gauge("sim.dispatch.*.wall_s", label).set(row["wall_s"])
-            registry.gauge("sim.dispatch.*.wall_max_s", label).set(row["max_s"])
-        return registry
 
     def reset(self) -> None:
         """Clear accumulated statistics (hooks stay registered)."""
@@ -234,7 +175,7 @@ class Simulator:
         self.tie_shuffle = tie_shuffle
         self.metrics = MetricsRegistry(clock=lambda: self.now)
         self.trace = TraceLog(clock=lambda: self.now)
-        self.dispatch = DispatchBus(metrics=self.metrics, trace=self.trace)
+        self.dispatch = DispatchBus(trace=self.trace)
         # The observation stream (repro.sim.observe): attached planes by
         # section, and derived from them, record type -> handlers in attach
         # order (no entry for a type nobody handles).

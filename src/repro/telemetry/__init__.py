@@ -28,7 +28,6 @@ from repro.telemetry.monitor import (
     MembershipAuditor,
     SupplyAuditor,
 )
-from repro.telemetry.profiler import SamplingProfiler
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.rounds import (
     RoundTracer,
@@ -43,7 +42,6 @@ def enable_telemetry(
     health_interval: Optional[float] = None,
     monitors: bool = False,
     postmortem_dir: Optional[str] = None,
-    profile: bool = False,
 ) -> dict:
     """Attach telemetry planes to *system*'s simulator; returns ``sim.planes``.
 
@@ -52,10 +50,8 @@ def enable_telemetry(
     sampling every that many simulated seconds; ``monitors=True`` adds
     ``invariants`` (the five default auditors) and a ``recorder`` that dumps
     a postmortem bundle into *postmortem_dir* (or ``$REPRO_POSTMORTEM_DIR``)
-    on every violation and ``wait_for`` timeout; ``profile=True`` starts a
-    sampling ``profile`` plane (stop it before reading it; benchmarks do so
-    in ``write_bench_json``).  Digest-neutral, and idempotent per plane, so
-    calls may add planes in any order.
+    on every violation and ``wait_for`` timeout.  Digest-neutral, and
+    idempotent per plane, so calls may add planes in any order.
     """
     sim = system.sim
     planes = sim.planes
@@ -72,20 +68,8 @@ def enable_telemetry(
         recorder = FlightRecorder(sim, system=system, out_dir=postmortem_dir)
         sim.attach(recorder.install())
         sim.attach(InvariantMonitor(system, recorder=recorder))
-    if profile and "profile" not in planes:
-        sim.attach(SamplingProfiler(sim).start())
     return planes
 
-
-def __getattr__(name):
-    # Lazy: importing these eagerly would shadow `python -m
-    # repro.telemetry.profdiff` (runpy warns when the CLI module is
-    # already in sys.modules via its package).
-    if name in ("diff_profiles", "render_diff"):
-        from repro.telemetry import profdiff
-
-        return getattr(profdiff, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CheckpointAuditor",
@@ -97,13 +81,10 @@ __all__ = [
     "InvariantViolation",
     "MembershipAuditor",
     "RoundTracer",
-    "SamplingProfiler",
     "SpanTracer",
     "StallDiagnoser",
     "SupplyAuditor",
-    "diff_profiles",
     "enable_telemetry",
-    "render_diff",
     "render_stall_report",
     "route_shape",
     "subnet_level",

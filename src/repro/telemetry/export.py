@@ -31,8 +31,9 @@ from repro.sim.metrics import json_safe
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 RUN_SCHEMA = "repro.run/v1"
-#: The keys of a run document that read the wall clock.  Everything else is
-#: simulated time or committed state, so two runs of one seed and workload
+#: The keys of a run document that read the wall clock (``profile`` is the
+#: function-level section ``benchmarks/hotspots.py`` adds).  Everything else
+#: is simulated time or committed state, so two runs of one seed and workload
 #: give documents equal outside these keys.
 WALL_CLOCK_KEYS = ("wall_seconds", "dispatch", "profile")
 
@@ -195,18 +196,7 @@ METRIC_CATALOG: dict = {
     "health.*.mempool": ("gauge", "subnet mempool depth over time"),
     "health.*.pending_crossmsgs": ("gauge", "pending cross-messages over time"),
     "health.*.checkpoint_lag": ("gauge", "checkpoint lag over time"),
-    # telemetry: sampling profiler
-    "profile.samples": ("gauge", "profiler samples taken"),
-    "profile.interval_s": ("gauge", "profiler sampling interval"),
-    "profile.sampler_s": ("gauge", "wall time spent inside the sampler"),
-    "profile.cpu_share.*": ("gauge", "sampled CPU share per dispatch label"),
-    "profile.alloc_bytes.*": ("gauge", "sampled allocation bytes per dispatch label"),
-    "mem.allocated_blocks": ("gauge", "tracemalloc allocated blocks"),
-    "mem.*": ("gauge", "process memory info fields"),
-    # sim scheduler / dispatch bus
-    "sim.dispatch.*.events": ("gauge", "events executed per dispatch label"),
-    "sim.dispatch.*.wall_s": ("gauge", "cumulative wall time per dispatch label"),
-    "sim.dispatch.*.wall_max_s": ("gauge", "max single-event wall time per label"),
+    # sim scheduler
     "sim.timer.errors.*": ("counter", "exceptions raised by a recurring timer"),
 }
 
@@ -317,7 +307,6 @@ def write_prometheus(path: str, sim) -> str:
 # ----------------------------------------------------------------------
 _SUBNET_PID = 1
 _DISPATCH_PID = 2
-_PROFILE_PID = 3
 _ROUNDS_PID = 4
 #: The dispatch track shows this many labels, costliest first.
 _TOP_DISPATCH = 16
@@ -330,16 +319,12 @@ def to_chrome_trace(sim) -> dict:
     :class:`~repro.telemetry.spans.SpanTracer`) use **simulated**
     microseconds; the dispatch track lays each label's cumulative
     **wall-clock** time end-to-end (a profile, not a timeline).  An
-    attached :class:`~repro.telemetry.profiler.SamplingProfiler` adds a
-    third process: per-label sampled-CPU slices (samples × interval laid
-    end-to-end, top leaf frames in the args) and an RSS counter track on
-    the profiler's real wall-clock timeline.  An attached
-    :class:`~repro.telemetry.rounds.RoundTracer` adds a fourth: one track
-    per validator carrying its consensus rounds as slices (``h12 r0`` …)
-    with votes, locks, timeouts and commits as instant events inside them.
+    attached :class:`~repro.telemetry.rounds.RoundTracer` adds a third
+    process: one track per validator carrying its consensus rounds as
+    slices (``h12 r0`` …) with votes, locks, timeouts and commits as
+    instant events inside them.
     """
     tracer = sim.planes.get("spans")
-    profiler = sim.planes.get("profile")
     rounds = sim.planes.get("rounds")
     events: list[dict] = []
     events.append(_meta(_SUBNET_PID, "process_name", name="subnets (simulated time)"))
@@ -419,46 +404,6 @@ def to_chrome_trace(sim) -> dict:
             "args": {"events": row["events"], "mean_us": row["mean_s"] * 1e6},
         })
         offset += duration
-
-    if profiler is not None:
-        snapshot = profiler.snapshot()
-        events.append(
-            _meta(_PROFILE_PID, "process_name", name="cpu profile (sampled wall clock)")
-        )
-        events.append(
-            _meta(_PROFILE_PID, "thread_name", tid=1, name="samples by dispatch label")
-        )
-        interval_us = snapshot["interval_s"] * 1e6
-        offset = 0.0
-        for label, row in snapshot["labels"].items():
-            if not row["samples"]:
-                continue
-            duration = max(row["samples"] * interval_us, 1.0)
-            events.append({
-                "name": label,
-                "cat": "profile",
-                "ph": "X",
-                "ts": offset,
-                "dur": duration,
-                "pid": _PROFILE_PID,
-                "tid": 1,
-                "args": {
-                    "samples": row["samples"],
-                    "cpu_share": row["cpu_share"],
-                    "alloc_bytes": row["alloc_bytes"],
-                    "top_frames": [frame for frame, _ in row["top_frames"][:5]],
-                },
-            })
-            offset += duration
-        for elapsed, rss in profiler.rss_series():
-            events.append({
-                "name": "mem.rss_bytes",
-                "cat": "profile",
-                "ph": "C",
-                "ts": elapsed * 1e6,
-                "pid": _PROFILE_PID,
-                "args": {"bytes": rss},
-            })
 
     if rounds is not None:
         events.extend(_round_events(rounds))

@@ -77,7 +77,6 @@ def summarize(snapshot: dict) -> dict:
         "invariants": snapshot.get("invariants"),
         "invariant_counters": _invariant_counters(counters),
         "caches": _cache_stats(gauges),
-        "profile": snapshot.get("profile"),
         "rounds": snapshot.get("rounds"),
         "round_histograms": {
             name: histograms[name]
@@ -174,26 +173,6 @@ def render(snapshot: dict) -> str:
         table = Table("caches & state-root work", ["metric", "value"])
         for name, value in caches.items():
             table.add_row(name, value)
-        sections.append(table.render())
-
-    profile = snapshot.get("profile")
-    if profile:
-        labels = profile.get("labels") or {}
-        table = Table(
-            f"CPU profile — {profile.get('samples', 0)} samples "
-            f"@ {profile.get('interval_s', '?')}s over "
-            f"{(profile.get('active_s') or 0.0):.2f}s wall",
-            ["label", "samples", "cpu %", "alloc KiB", "hottest frame"],
-        )
-        for label, row in list(labels.items())[:12]:
-            top = row.get("top_frames") or []
-            table.add_row(
-                label,
-                row.get("samples", 0),
-                row.get("cpu_share", 0.0) * 100,
-                row.get("alloc_bytes", 0) / 1024,
-                top[0][0] if top else "-",
-            )
         sections.append(table.render())
 
     histograms = snapshot.get("histograms", {})

@@ -1,8 +1,8 @@
 """Consensus-round tracing and quorum-aware stall diagnosis.
 
-Observability so far stops at *committed blocks*: span tracing (PR 2),
-invariant auditors (PR 3) and the CPU profiler (PR 6) all watch the
-chain, never the rounds that produce it.  This module watches the rounds.
+Span tracing, the invariant auditors and the dispatch profile all watch
+*committed blocks*, never the rounds that produce them.  This module
+watches the rounds.
 
 :class:`RoundTracer` receives the :class:`~repro.sim.observe.RoundEvent`
 every consensus engine reports through

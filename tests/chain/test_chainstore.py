@@ -115,15 +115,6 @@ def test_block_at_height_follows_canonical(store_with_genesis):
     assert store.block_at_height(99) is None
 
 
-def test_head_change_listener_fires(store_with_genesis):
-    store, genesis = store_with_genesis
-    changes = []
-    store.on_head_change(lambda old, new: changes.append((old, new)))
-    child = make_block(1, genesis.cid)
-    store.add_block(child)
-    assert changes == [(genesis.cid, child.cid)]
-
-
 def test_is_extension(store_with_genesis):
     store, genesis = store_with_genesis
     main1 = make_block(1, genesis.cid, tag="main")

@@ -1,0 +1,95 @@
+"""The function-level profile (benchmarks/hotspots.py): its ``profile``
+section, its diff, and a committed pair of profiles read back through it."""
+
+import importlib.util
+import json
+import os
+from types import SimpleNamespace
+
+from repro.telemetry.report import main as report_main
+
+_BENCHMARKS = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
+_spec = importlib.util.spec_from_file_location(
+    "hotspots", os.path.join(_BENCHMARKS, "hotspots.py"))
+hotspots = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(hotspots)
+
+PROFILES = os.path.join(_BENCHMARKS, "profiles")
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _document(functions):
+    """A run document whose profile holds *functions*: key -> (calls, own_s)."""
+    return {"profile": {
+        "total_s": sum(own_s for _calls, own_s in functions.values()),
+        "functions": {
+            key: {"calls": calls, "own_s": own_s, "cum_s": own_s}
+            for key, (calls, own_s) in functions.items()
+        },
+    }}
+
+
+def test_rows_that_share_a_key_are_summed_and_builtins_lose_their_address():
+    def code(path, qualname):
+        return SimpleNamespace(co_filename=os.path.join(hotspots.SRC, path),
+                               co_qualname=qualname, co_name=qualname.rsplit(".", 1)[-1])
+
+    def entry(code, calls, own_s, cum_s):
+        return SimpleNamespace(code=code, callcount=calls, inlinetime=own_s, totaltime=cum_s)
+
+    stats = [
+        entry(code("repro/a.py", "A.f"), 3, 0.25, 1.0),
+        entry(code("repro/a.py", "A.f"), 1, 0.25, 0.5),  # same name, another line
+        entry(code("repro/a.py", "B.f"), 2, 0.5, 0.5),
+        entry("<built-in method __new__ of type object at 0x7f00aa>", 5, 1.0, 1.0),
+        entry("<built-in method __new__ of type object at 0x7f00bb>", 1, 0.5, 0.5),
+    ]
+    section = hotspots.profile_section(SimpleNamespace(getstats=lambda: stats))
+    assert section == {"total_s": 2.5, "functions": {
+        "<built-in method __new__ of type object>": {"calls": 6, "own_s": 1.5, "cum_s": 1.5},
+        "repro/a.py:A.f": {"calls": 4, "own_s": 0.5, "cum_s": 1.5},
+        "repro/a.py:B.f": {"calls": 2, "own_s": 0.5, "cum_s": 0.5},
+    }}
+
+
+def test_the_diff_ranks_by_own_time_share_and_reads_an_absent_function_as_zero():
+    old = _document({"grew": (10, 1.0), "shrank": (40, 2.0), "gone": (7, 1.0), "same": (1, 0.0)})
+    new = _document({"grew": (20, 3.0), "shrank": (10, 1.0), "new": (5, 0.5), "same": (1, 0.0)})
+    rows = hotspots.diff(old, new)
+    assert [row.function for row in rows] == ["grew", "new", "same", "gone", "shrank"]
+    by_name = {row.function: row for row in rows}
+    assert (by_name["gone"].calls_old, by_name["gone"].calls_new) == (7, 0)
+    assert by_name["gone"].share_new == 0.0 and by_name["gone"].share_old == 0.25
+    assert (by_name["new"].calls_old, by_name["new"].share_old) == (0, 0.0)
+    assert by_name["grew"].change == 3.0 / 4.5 - 0.25
+    text = hotspots.render_diff(old, new)
+    regressed, improved = text.split("\nimproved")
+    assert "10 -> 20" in regressed and "0 -> 5" in regressed and "same" not in text
+    assert improved.index("shrank") < improved.index("gone")
+
+
+def test_the_block_bookkeeping_change_reproduces_from_two_committed_documents(capsys):
+    """``hotspots.py pay-k8 --seconds 4`` (seed 1) on 6f63ead and on 2627c1e,
+    where the proposer began keeping the messages root it built, root leaves
+    began hashing CID digests and the mempool dropped its CID set: the
+    bookkeeping that went, by call counts."""
+    paths = [os.path.join(PROFILES, f"pay-k8-{commit}.json") for commit in ("6f63ead", "2627c1e")]
+    assert all(os.path.getsize(path) <= 64 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = hotspots.diff(old, new)
+    calls = {row.function: (row.calls_old, row.calls_new) for row in rows}
+    assert calls["repro/vm/message.py:SignedMessage.cid"] == (436_416, 121_043)
+    assert calls["repro/chain/block.py:FullBlock.compute_messages_root"] == (3_024, 1_512)
+    assert calls["repro/crypto/merkle.py:_leaf_hash"] == (48_518, 0)
+    improved = [row.function for row in reversed(rows) if row.change < 0]
+    assert "repro/chain/message_pool.py:MessagePool.remove_included" in improved[:10]
+
+    assert hotspots.main(["--diff", *paths]) == 0
+    assert "436416 -> 121043" in capsys.readouterr().out
+    # Each is a run document like any other.
+    assert report_main([paths[1]]) == 0
+    assert "run report — sim time" in capsys.readouterr().out

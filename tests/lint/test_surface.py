@@ -25,8 +25,6 @@ KEPT = {
         "the baseline's account-to-shard rule (§I's load-balanced state), pinned by its test",
     "repro.chain.chainstore.ChainStore.canonical_chain":
         "the consensus tests compare whole chains across validators through it",
-    "repro.chain.chainstore.ChainStore.on_head_change":
-        "the store's (old head, new head) notification; its unit test pins the order",
     "repro.consensus.tendermint.TendermintEngine.equivocation_evidence":
         "the double votes the vote-level auditor of ROADMAP item 3(b) will read",
     "repro.crypto.multisig.aggregate":
@@ -49,8 +47,6 @@ KEPT = {
         "the gossip oracle's leave-and-return edge: a returning peer keeps its history",
     "repro.scenario.spec.Expectation.degrades":
         "the one way to expect the runner's degraded-SLO verdict; the runner tests use it",
-    "repro.sim.events.EventQueue.discard_cancelled":
-        "compacts the heap of cancelled events; the queue test checks the bookkeeping",
     "repro.sim.events.EventQueue.iter_pending":
         "the live events of a queue, for inspection; the queue test reads them",
     "repro.sim.events.EventQueue.peek_time":

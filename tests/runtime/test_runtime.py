@@ -130,9 +130,6 @@ def test_baselines_flow_through_instrumented_dispatch():
     baseline.run_for(3.0)
     counts = baseline.sim.dispatch.counts
     assert sum(counts.values()) == baseline.sim.events_executed
-    baseline.sim.dispatch.publish()
-    gauges = baseline.sim.metrics.snapshot()["gauges"]
-    assert any(name.startswith("sim.dispatch.") for name in gauges)
 
 
 def test_state_root_work_is_published_and_the_leaf_table_shared():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim.scheduler import SimulationError, Simulator
-from repro.sim.scheduler import DispatchBus
+from repro.sim.scheduler import Simulator
 
 
 def test_dispatch_counts_per_label():
@@ -90,23 +89,6 @@ def test_summary_sorted_busiest_first():
     assert busy["max_s"] >= busy["mean_s"]
 
 
-def test_publish_exports_gauges_to_sim_metrics():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None, label="tick")
-    sim.run()
-    sim.dispatch.publish()
-    snapshot = sim.metrics.snapshot()
-    assert snapshot["gauges"]["sim.dispatch.tick.events"] == 1
-    assert snapshot["gauges"]["sim.dispatch.tick.wall_s"] >= 0.0
-    assert snapshot["gauges"]["sim.dispatch.tick.wall_max_s"] >= 0.0
-
-
-def test_publish_without_registry_raises():
-    bus = DispatchBus()
-    with pytest.raises(SimulationError):
-        bus.publish()
-
-
 def test_reset_clears_statistics_but_keeps_hooks():
     sim = Simulator()
     calls = []
@@ -119,75 +101,6 @@ def test_reset_clears_statistics_but_keeps_hooks():
     sim.run()
     assert sim.dispatch.counts == {"tick": 1}
     assert calls == ["tick", "tick"]
-
-
-def test_current_dispatch_label_inside_and_outside_events():
-    """The profiler's attribution slot tracks the executing event's label."""
-    from repro.sim.scheduler import current_dispatch_label
-
-    seen = []
-    sim = Simulator()
-    assert current_dispatch_label() is None
-    sim.schedule(1.0, lambda: seen.append(current_dispatch_label()), label="tick")
-    sim.schedule(2.0, lambda: seen.append(current_dispatch_label()), label="other")
-    sim.run()
-    assert seen == ["tick", "other"]
-    # Cleared once dispatch returns — outside code attributes to no label.
-    assert current_dispatch_label() is None
-
-
-def test_current_dispatch_label_nests_and_unwinds():
-    from repro.sim.events import Event
-    from repro.sim.scheduler import current_dispatch_label
-
-    sim = Simulator()
-    seen = []
-
-    def inner():
-        seen.append(("inner", current_dispatch_label()))
-
-    def outer():
-        seen.append(("outer-before", current_dispatch_label()))
-        sim.dispatch.dispatch(Event(time=sim.now, seq=10**9, callback=inner, label="inner"))
-        seen.append(("outer-after", current_dispatch_label()))
-
-    sim.schedule(1.0, outer, label="outer")
-    sim.run()
-    assert seen == [
-        ("outer-before", "outer"),
-        ("inner", "inner"),
-        ("outer-after", "outer"),
-    ]
-    assert current_dispatch_label() is None
-
-
-def test_current_dispatch_label_cleared_after_event_error():
-    from repro.sim.scheduler import current_dispatch_label
-
-    sim = Simulator()
-
-    def boom():
-        raise RuntimeError("exploded")
-
-    sim.schedule(1.0, boom, label="bad")
-    with pytest.raises(RuntimeError):
-        sim.run()
-    assert current_dispatch_label() is None
-
-
-def test_current_dispatch_label_not_set_for_suppressed_events():
-    from repro.sim.scheduler import current_dispatch_label
-
-    sim = Simulator()
-    seen = []
-    sim.dispatch.on_pre_dispatch(
-        lambda event: event.cancel() if event.label == "drop" else None
-    )
-    sim.schedule(1.0, lambda: seen.append(current_dispatch_label()), label="drop")
-    sim.schedule(2.0, lambda: seen.append(current_dispatch_label()), label="keep")
-    sim.run()
-    assert seen == ["keep"]
-    assert current_dispatch_label() is None
 
 
 def test_dispatch_instrumentation_preserves_trace_determinism():

@@ -66,16 +66,6 @@ def test_len_counts_live_events():
     assert len(queue) == 4
 
 
-def test_discard_cancelled_compacts():
-    queue = EventQueue()
-    events = [queue.push(float(i), lambda: None) for i in range(10)]
-    for event in events[:9]:
-        event.cancel()
-        queue.note_cancel()
-    queue.discard_cancelled()
-    assert len(list(queue.iter_pending())) == 1
-
-
 def test_event_callback_args_and_kwargs():
     queue = EventQueue()
     results = []

@@ -2,18 +2,14 @@
 
 ``run_until``, ``run`` and repeated ``step`` are three ways into one loop
 (``Simulator._drain``); they must agree event for event on cancellation,
-halting, the event cap, dispatch hooks and failures — and the dispatch
-label must stay readable from another thread, which is what the sampling
-profiler relies on.
+halting, the event cap, dispatch hooks and failures.
 """
-
-import threading
 
 import pytest
 
 from repro.net.transport import Transport
 from repro.sim.events import EventQueue
-from repro.sim.scheduler import SimulationError, Simulator, current_dispatch_label
+from repro.sim.scheduler import SimulationError, Simulator
 
 
 def _by_run_until(sim):
@@ -35,7 +31,7 @@ DRIVERS = [_by_run_until, _by_run, _by_step]
 def _scenario(sim, fired):
     """Ties, a cancel from inside a callback, a cancelled head, a timer."""
     def note(name):
-        fired.append((sim.now, name, current_dispatch_label()))
+        fired.append((sim.now, name))
 
     head = sim.schedule(0.5, note, "head", label="head")
     sim.cancel(head)
@@ -63,10 +59,9 @@ def test_drivers_agree_event_for_event(driver):
     _scenario(other, fired)
     driver(other)
     assert fired == reference
-    assert [name for _t, name, _l in fired] == [
+    assert [name for _t, name in fired] == [
         "killer", "tie", "spawned", "tick", "kw", "tick",
     ]
-    assert all(label == name for _t, name, label in fired)
     assert other.events_executed == sim.events_executed == 7  # + the stop event
     assert other.dispatch.counts == sim.dispatch.counts
     assert len(other.queue) == 0
@@ -136,52 +131,9 @@ def test_a_raising_callback_still_runs_post_hooks_and_unwinds_the_label(driver):
     with pytest.raises(RuntimeError, match="exploded"):
         driver(sim)
     assert seen == [("bad", True)]
-    assert current_dispatch_label() is None
     assert sim.now == 1.0 and sim.dispatch.counts == {"bad": 1}
     driver(sim)  # the loop is reusable after a failure
     assert seen == [("bad", True), ("good", True)]
-
-
-def test_the_dispatch_label_is_readable_from_a_second_thread():
-    """The sampling profiler's contract: another thread, given the sim
-    thread's id, sees the label being dispatched right now."""
-    sim = Simulator()
-    sim_thread = threading.get_ident()
-    inside, release = threading.Event(), threading.Event()
-    seen = {}
-
-    def watcher():
-        inside.wait(5.0)
-        seen["during"] = current_dispatch_label(sim_thread)
-        seen["own"] = current_dispatch_label()
-        release.set()
-
-    def slow():
-        inside.set()
-        assert release.wait(5.0)
-
-    thread = threading.Thread(target=watcher)
-    thread.start()
-    sim.schedule(1.0, slow, label="slow")
-    sim.run()
-    thread.join()
-    assert seen == {"during": "slow", "own": None}
-    assert current_dispatch_label(sim_thread) is None
-
-    # A simulator driven on a worker thread publishes under that thread's id.
-    labels = {}
-
-    def drive():
-        worker = Simulator()
-        worker.schedule(
-            1.0, lambda: labels.update(mine=current_dispatch_label()), label="worker"
-        )
-        worker.run()
-
-    other = threading.Thread(target=drive)
-    other.start()
-    other.join()
-    assert labels == {"mine": "worker"} and current_dispatch_label() is None
 
 
 def test_push_is_the_only_way_onto_the_heap(monkeypatch):

@@ -72,16 +72,6 @@ def _synthetic():
     series.record(1.0, 1.0)
     series.record(2.0, 3.0)
 
-    # The profiling plane's gauge families (hand-set, no sampler thread):
-    # mem.* plus profile.* with a dispatch label full of characters the
-    # exposition format must sanitise out of the family name.
-    sim.metrics.gauge("mem.rss_bytes").set(42_000_000)
-    sim.metrics.gauge("mem.allocated_blocks").set(123456)
-    sim.metrics.gauge("profile.samples").set(200)
-    sim.metrics.gauge("profile.interval_s").set(0.005)
-    sim.metrics.gauge("profile.cpu_share.poa:/root/a#0").set(0.625)
-    sim.metrics.gauge("profile.alloc_bytes.poa:/root/a#0").set(2048)
-
     # A consensus round on /root/a: validator 0 times out of round 0,
     # skips to round 1 (f+1 catch-up), then the proposal arrives, the
     # quorum prevotes, the polka locks and the height commits.
@@ -166,19 +156,6 @@ def test_snapshot_json_round_trip(tmp_path):
     assert loaded["series"]["demo.series"] == {
         "points": 2, "first": [1.0, 1.0], "last": [2.0, 3.0],
     }
-
-
-def test_prometheus_declares_profiler_families():
-    """mem.*/profile.* gauges export with HELP/TYPE and sanitised names —
-    the dispatch label's /, # survive only in the HELP line."""
-    sim = _synthetic()
-    text = to_prometheus(sim)
-    assert "# TYPE mem_rss_bytes gauge" in text
-    assert "mem_rss_bytes 42000000" in text
-    assert "# TYPE profile_samples gauge" in text
-    assert "# TYPE profile_cpu_share_poa:_root_a_0 gauge" in text
-    assert "profile_cpu_share_poa:_root_a_0 0.625" in text
-    assert "# HELP profile_cpu_share_poa:_root_a_0 profile.cpu_share.poa:/root/a#0" in text
 
 
 def test_prometheus_declares_round_families():
@@ -322,27 +299,6 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     assert summary["invariant_counters"] == {"invariant.supply.violations": 2}
     assert summary["caches"]["state.root.buckets_rehashed"] == 7
     assert summary["caches"]["state.root.leaves_encoded"] == 9
-
-
-def test_report_renders_profile_section(tmp_path, capsys):
-    from repro.telemetry import SamplingProfiler
-
-    sim = _synthetic()
-    profiler = sim.attach(SamplingProfiler(sim, interval=0.001).start())
-    sim.schedule(1.0, lambda: __import__("time").sleep(0.03), label="busy")
-    sim.run()
-    profiler.stop()
-    path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim))
-    assert report_main([path]) == 0
-    out = capsys.readouterr().out
-    assert "CPU profile —" in out and "samples" in out
-
-    assert report_main([path, "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["profile"]["samples"] == sum(
-        row["samples"] for row in summary["profile"]["labels"].values()
-    )
 
 
 def test_report_renders_rounds_section(tmp_path, capsys):

@@ -19,9 +19,12 @@ def test_every_family_round_trips_through_registry_and_exporter(part):
         assert _catalog_entry(name) is entry, (family, name)
 
 
-def test_unknown_name_has_no_entry_and_longest_family_wins():
+def test_unknown_name_has_no_entry_and_longest_family_wins(monkeypatch):
     assert _catalog_entry("nobody.declared.this") is None
-    # Both "mem.*" and the exact key cover it: exact wins.
-    assert _catalog_entry("mem.allocated_blocks") is METRIC_CATALOG["mem.allocated_blocks"]
     # "xnet.hop.submit.L*" is more specific than anything shorter.
     assert _catalog_entry("xnet.hop.submit.L2") is METRIC_CATALOG["xnet.hop.submit.L*"]
+    # An exact key beats a wildcard family covering it.
+    entry = ("gauge", "one subnet's height")
+    monkeypatch.setitem(METRIC_CATALOG, "health.s0.height", entry)
+    assert _catalog_entry("health.s0.height") is entry
+    assert _catalog_entry("health.s1.height") is METRIC_CATALOG["health.*.height"]

@@ -1,8 +1,7 @@
 """One reader for every writer: each run document the tree writes — a plain
 dump, a violation bundle, a ``wait_for``-timeout bundle and a benchmark's
 ``BENCH_<name>.json`` — renders through ``python -m repro.telemetry.report``
-with the sections it carries, and a profiled bench document feeds
-``profdiff``."""
+with the sections it carries."""
 
 import importlib.util
 import json
@@ -13,8 +12,6 @@ import pytest
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.telemetry import enable_telemetry, telemetry_snapshot, write_json
 from repro.telemetry.export import RUN_SCHEMA
-from repro.telemetry.profdiff import load_profile
-from repro.telemetry.profdiff import main as profdiff_main
 from repro.telemetry.report import main as report_main
 
 
@@ -34,9 +31,7 @@ def documents(tmp_path_factory):
     """Every kind of run document, written by its writer from one run."""
     out = tmp_path_factory.mktemp("run")
     system = HierarchicalSystem(seed=5).start()
-    planes = enable_telemetry(
-        system, health_interval=1.0, monitors=True, postmortem_dir=str(out), profile=True
-    )
+    planes = enable_telemetry(system, health_interval=1.0, monitors=True, postmortem_dir=str(out))
     system.spawn_subnet(SubnetConfig(name="s0", validators=3, block_time=0.5))
     system.run_for(4)
     planes["invariants"].record("supply", "/root", "synthetic breach for the reader test")
@@ -70,7 +65,7 @@ RUN_SECTIONS = ("run report —", "cross-net spans", "invariants: 1 violation(s)
     ("timeout", RUN_SECTIONS + (
         "postmortem: reason=wait-timeout:never", "stall report: /root/s0",
     )),
-    ("bench", RUN_SECTIONS + ("bench: demo", "end-state digest: ", "CPU profile —")),
+    ("bench", RUN_SECTIONS + ("bench: demo", "end-state digest: ")),
 ])
 def test_report_renders_every_document(documents, capsys, kind, sections):
     path = documents[kind]
@@ -91,9 +86,3 @@ def test_bench_document_carries_rows_and_digest_under_extra(documents):
     assert extra["rows"] == [{"latency": None}]  # NaN made JSON-safe
     assert len(extra["state_digest"]) == 64
 
-
-def test_profdiff_reads_a_profiled_bench_document(documents, capsys):
-    profile = load_profile(documents["bench"])
-    assert profile["samples"] == sum(row["samples"] for row in profile["labels"].values())
-    assert profdiff_main([documents["bench"], documents["bench"]]) == 0
-    assert "profile diff" in capsys.readouterr().out
