@@ -16,7 +16,7 @@ aborts are no slower than commits.
 import pytest
 
 from repro.hierarchy import SCA_ADDRESS, HierarchicalSystem, SubnetConfig
-from repro.hierarchy.atomic import AtomicExecutionClient, AtomicParty, asset_owner
+from repro.hierarchy.atomic import AtomicExecutionClient, AtomicParty, asset_lock, asset_owner
 
 from common import RUN, run_once, show_table, write_bench_json
 
@@ -30,7 +30,7 @@ def _system_with_parties(seed: int, n_parties: int):
         checkpoint_period=PERIOD,
         wallet_funds={f"party{i}": 10**9 for i in range(n_parties)},
     ).start()
-    RUN.capture(system.sim)
+    RUN.capture(system.sim, system)
     parties = []
     for i in range(n_parties):
         subnet = system.spawn_subnet(
@@ -102,8 +102,7 @@ def _abort_path(seed: int):
     t_applied = system.sim.now
     for party in parties:
         assert asset_owner(system, party.subnet, party.assets[0]) == party.wallet.address.raw
-        record = system.sca_state(party.subnet, f"asset/{party.assets[0]}")
-        assert record["locked_by"] is None
+        assert asset_lock(system, party.subnet, party.assets[0]) is None
     return {"decide_time": t_decided - t0, "apply_time": t_applied - t0}
 
 

@@ -88,14 +88,6 @@ class Checkpoint:
     def cid(self) -> CID:
         return cached_cid(self)
 
-    def metas_for(self, subnet: SubnetID) -> list:
-        """Metas in this checkpoint destined for *subnet* itself."""
-        return [m for m in self.cross_meta if m.to_subnet == subnet]
-
-    def metas_not_for(self, subnet: SubnetID) -> list:
-        """Metas that must be propagated beyond *subnet*."""
-        return [m for m in self.cross_meta if m.to_subnet != subnet]
-
 
 @dataclass(frozen=True, slots=True)
 class SignedCheckpoint:

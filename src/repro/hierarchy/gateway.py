@@ -18,10 +18,11 @@ owns:
   relayed upward, sealed into a :class:`~repro.hierarchy.checkpoint.Checkpoint`
   every ``checkpoint_period`` epochs (§III-B, Fig. 2);
 - the content-resolution registry (msgsCid → raw messages, §IV-C);
-- atomic-execution coordination state (§IV-D) and the asset/lock records
-  used by atomic swaps in leaf subnets;
 - the ``save()`` snapshots from which users reclaim funds out of killed
   subnets (§III-C).
+
+Its §IV-D half (atomic execution) is the base class it inherits,
+:class:`~repro.hierarchy.atomic.AtomicExecutionActor`.
 
 The SCA's token balance *is* the frozen-funds pool: every top-down
 injection leaves its value here, and every bottom-up release pays out of
@@ -38,14 +39,14 @@ from typing import Any, Iterator, Optional
 from repro.crypto.cid import CID
 from repro.crypto.keys import Address
 from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.hierarchy.atomic import SCA_ADDRESS, AtomicExecutionActor
 from repro.hierarchy.checkpoint import Checkpoint, CrossMsgMeta, ZERO_CHECKPOINT
 from repro.hierarchy.crossmsg import CrossMsg, Direction, batch_cid, classify
 from repro.hierarchy.subnet_id import SubnetID
-from repro.vm.actor import Actor, export
+from repro.vm.actor import export
 from repro.vm.exitcode import ExitCode
 from repro.vm.runtime import actor_key
 
-SCA_ADDRESS = Address.actor(64)
 _SCA_SCOPE = actor_key(SCA_ADDRESS, "")
 
 STATUS_ACTIVE = "active"
@@ -83,7 +84,7 @@ def _parsed_subnet(path: str) -> SubnetID:
     return SubnetID(path)
 
 
-class SubnetCoordinatorActor(Actor):
+class SubnetCoordinatorActor(AtomicExecutionActor):
     """The per-subnet hierarchical-consensus system actor."""
 
     CODE = "sca"
@@ -630,229 +631,6 @@ class SubnetCoordinatorActor(Actor):
         ctx.state_set("last_ckpt_cid", checkpoint.cid.hex())
         ctx.state_set("last_window_sealed", window)
         ctx.emit("checkpoint.sealed", (window, checkpoint.cid.hex()))
-
-    # ==================================================================
-    # Atomic execution coordination (§IV-D, Fig. 5) — runs in the LCA
-    # ==================================================================
-    @export
-    def init_atomic(self, ctx, exec_id: str = "", parties: tuple = ()) -> None:
-        """Open an atomic execution between *parties*: ((subnet, addr), …)."""
-        ctx.require(exec_id, "exec_id required")
-        ctx.require(len(parties) >= 2, "atomic execution needs >= 2 parties")
-        ctx.require(
-            ctx.state_get(f"atomic/{exec_id}") is None,
-            f"execution {exec_id} already exists",
-            exit_code=ExitCode.USR_ILLEGAL_STATE,
-        )
-        ctx.state_set(
-            f"atomic/{exec_id}",
-            {
-                "parties": tuple((str(s), str(a)) for s, a in parties),
-                "outputs": {},
-                "status": "pending",
-                "opened_epoch": ctx.epoch,
-            },
-        )
-        ctx.emit("atomic.init", exec_id)
-
-    @export
-    def submit_output(self, ctx, exec_id: str = "", output_cid: CID = None, output: Any = None) -> str:
-        """A party commits its locally computed output state (Fig. 5).
-
-        When every party has submitted and all CIDs match, the execution is
-        marked successful and result notifications are routed to each
-        party's subnet.  Returns the execution status.
-        """
-        record = ctx.state_get(f"atomic/{exec_id}")
-        ctx.require(record is not None, f"no execution {exec_id}",
-                    exit_code=ExitCode.USR_NOT_FOUND)
-        ctx.require(
-            record["status"] == "pending",
-            f"execution is {record['status']}",
-            exit_code=ExitCode.USR_ILLEGAL_STATE,
-        )
-        party_key = None
-        for subnet, addr in record["parties"]:
-            if addr == ctx.caller.raw:
-                party_key = f"{subnet}|{addr}"
-                break
-        ctx.require(party_key is not None, "caller is not a party",
-                    exit_code=ExitCode.USR_FORBIDDEN)
-        record = dict(record)
-        outputs = dict(record["outputs"])
-        outputs[party_key] = output_cid.hex()
-        record["outputs"] = outputs
-        if output is not None:
-            ctx.state_set(f"atomic_output/{exec_id}/{output_cid.hex()}", output)
-
-        if len(outputs) == len(record["parties"]):
-            distinct = set(outputs.values())
-            if len(distinct) == 1:
-                record["status"] = "committed"
-                ctx.emit("atomic.committed", exec_id)
-                self._notify_atomic(ctx, record, exec_id, "committed", output_cid)
-            else:
-                record["status"] = "aborted"
-                ctx.emit("atomic.mismatch", exec_id)
-                self._notify_atomic(ctx, record, exec_id, "aborted", None)
-        ctx.state_set(f"atomic/{exec_id}", record)
-        return record["status"]
-
-    @export
-    def abort_atomic(self, ctx, exec_id: str = "") -> None:
-        """Any party may abort a pending execution at any time (Fig. 5)."""
-        record = ctx.state_get(f"atomic/{exec_id}")
-        ctx.require(record is not None, f"no execution {exec_id}",
-                    exit_code=ExitCode.USR_NOT_FOUND)
-        ctx.require(
-            record["status"] == "pending",
-            f"execution is {record['status']}; aborts no longer accepted",
-            exit_code=ExitCode.USR_ILLEGAL_STATE,
-        )
-        ctx.require(
-            any(addr == ctx.caller.raw for _, addr in record["parties"]),
-            "caller is not a party",
-            exit_code=ExitCode.USR_FORBIDDEN,
-        )
-        record = dict(record)
-        record["status"] = "aborted"
-        ctx.state_set(f"atomic/{exec_id}", record)
-        ctx.emit("atomic.aborted", exec_id)
-        self._notify_atomic(ctx, record, exec_id, "aborted", None)
-
-    def _notify_atomic(self, ctx, record: dict, exec_id: str, status: str, output_cid) -> None:
-        """Route result notifications to every party's subnet (Fig. 5:
-        "subnets are notified, through a cross-net message")."""
-        self_id = self._self_id(ctx)
-        output = None
-        if output_cid is not None:
-            output = ctx.state_get(f"atomic_output/{exec_id}/{output_cid.hex()}")
-        notified = set()
-        for subnet, _addr in record["parties"]:
-            if subnet in notified:
-                continue
-            notified.add(subnet)
-            destination = SubnetID(subnet)
-            if destination == self_id:
-                # A party local to the execution subnet: apply directly.
-                self.apply_atomic_result(
-                    ctx, exec_id=exec_id, status=status, output=output,
-                    _internal=True,
-                )
-                continue
-            message = CrossMsg(
-                from_subnet=self_id,
-                from_addr=ctx.actor_addr,
-                to_subnet=destination,
-                to_addr=SCA_ADDRESS,
-                value=0,
-                method="apply_atomic_result",
-                params={"exec_id": exec_id, "status": status, "output": output},
-                kind="atomic",
-            )
-            # Routed in an isolated self-send so an unroutable party subnet
-            # cannot abort the commit/abort decision itself.
-            receipt = ctx.send(
-                ctx.actor_addr, method="route_internal", params={"message": message}
-            )
-            if not receipt.ok:
-                ctx.emit("atomic.notify_failed", (subnet, receipt.error))
-
-    @export
-    def route_internal(self, ctx, message: CrossMsg = None) -> None:
-        """Self-call wrapper around :meth:`_route_outbound` so the SCA can
-        route protocol-generated messages in an isolated sub-transaction."""
-        ctx.require(
-            ctx.caller == ctx.actor_addr,
-            "route_internal is SCA-internal",
-            exit_code=ExitCode.USR_FORBIDDEN,
-        )
-        self._route_outbound(ctx, message)
-
-    # ==================================================================
-    # Atomic execution, party side: assets and locks (§IV-D)
-    # ==================================================================
-    @export
-    def create_asset(self, ctx, name: str = "") -> None:
-        """Register an asset record owned by the caller in this subnet."""
-        ctx.require(name, "asset name required")
-        ctx.require(
-            ctx.state_get(f"asset/{name}") is None,
-            f"asset {name} exists",
-            exit_code=ExitCode.USR_ILLEGAL_STATE,
-        )
-        ctx.state_set(f"asset/{name}", {"owner": ctx.caller.raw, "locked_by": None})
-
-    @export
-    def lock_atomic(self, ctx, exec_id: str = "", assets: tuple = ()) -> None:
-        """Lock the caller's input assets for an atomic execution.
-
-        "each user needs to lock, in their subnet, the state that will be
-        used as input … This prevents new messages from affecting the state"
-        (§IV-D).
-        """
-        ctx.require(exec_id, "exec_id required")
-        for name in assets:
-            asset = ctx.state_get(f"asset/{name}")
-            ctx.require(asset is not None, f"no asset {name}",
-                        exit_code=ExitCode.USR_NOT_FOUND)
-            ctx.require(
-                asset["owner"] == ctx.caller.raw,
-                f"caller does not own {name}",
-                exit_code=ExitCode.USR_FORBIDDEN,
-            )
-            ctx.require(
-                asset["locked_by"] is None,
-                f"{name} already locked by {asset['locked_by']}",
-                exit_code=ExitCode.USR_ILLEGAL_STATE,
-            )
-            ctx.state_set(f"asset/{name}", {**asset, "locked_by": exec_id})
-        locks = ctx.state_get(f"locks/{exec_id}", ())
-        ctx.state_set(f"locks/{exec_id}", tuple(locks) + tuple(assets))
-        ctx.emit("atomic.locked", (exec_id, tuple(assets)))
-
-    @export
-    def transfer_asset(self, ctx, name: str = "", to_addr: str = "") -> None:
-        """Plain (non-atomic) ownership transfer of an unlocked asset."""
-        asset = ctx.state_get(f"asset/{name}")
-        ctx.require(asset is not None, f"no asset {name}",
-                    exit_code=ExitCode.USR_NOT_FOUND)
-        ctx.require(asset["owner"] == ctx.caller.raw, "not the owner",
-                    exit_code=ExitCode.USR_FORBIDDEN)
-        ctx.require(asset["locked_by"] is None, "asset is locked",
-                    exit_code=ExitCode.USR_ILLEGAL_STATE)
-        ctx.state_set(f"asset/{name}", {**asset, "owner": to_addr})
-
-    @export
-    def apply_atomic_result(
-        self, ctx, exec_id: str = "", status: str = "", output: Any = None,
-        _internal: bool = False,
-    ) -> None:
-        """Apply a finished execution's outcome in this subnet (Fig. 5).
-
-        On commit: assets locked under *exec_id* take the owners the output
-        assigns (entries of the output that concern other subnets are
-        ignored here).  On abort: locks are simply released, state unchanged.
-        """
-        if not _internal:
-            ctx.require(
-                ctx.caller.is_system_actor or ctx.caller == ctx.actor_addr,
-                "atomic results arrive via consensus",
-                exit_code=ExitCode.USR_FORBIDDEN,
-            )
-        locked = ctx.state_get(f"locks/{exec_id}", ())
-        new_owners = {}
-        if status == "committed" and output:
-            new_owners = dict(output.get("owners", {}))
-        for name in locked:
-            asset = ctx.state_get(f"asset/{name}")
-            if asset is None:
-                continue
-            owner = new_owners.get(name, asset["owner"])
-            ctx.state_set(f"asset/{name}", {"owner": owner, "locked_by": None})
-        ctx.state_delete(f"locks/{exec_id}")
-        ctx.state_set(f"atomic_result/{exec_id}", status)
-        ctx.emit("atomic.applied", (exec_id, status))
 
     # ==================================================================
     # save() and fund recovery from dead subnets (§III-C)

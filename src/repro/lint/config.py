@@ -89,6 +89,7 @@ DET002_PACKAGES = ("consensus", "chain", "hierarchy", "storage")
 
 #: DET003 watches the value/supply accounting hot spots (§II firewall).
 DET003_FILES = (
+    "hierarchy/atomic.py",
     "hierarchy/firewall.py",
     "hierarchy/crossmsg.py",
     "hierarchy/crossmsg_pool.py",

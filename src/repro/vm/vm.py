@@ -22,6 +22,13 @@ SYSTEM_ADDRESS = Address.actor(0)
 _MAX_CALL_DEPTH = 32
 
 
+def _malformed(err: Exception, gas_used: int) -> Receipt:
+    """A message its actor cannot take (an unknown or ill-typed param) fails
+    like an ActorError: escaping, it would stay pooled and halt the chain.
+    The error is the type name alone, equal on every Python version."""
+    return Receipt(ExitCode.USR_ASSERTION_FAILED, gas_used=gas_used, error=type(err).__name__)
+
+
 class VM:
     """One subnet's execution environment.
 
@@ -202,6 +209,9 @@ class VM:
             self.state.revert(token)
             receipt = Receipt(ExitCode.SYS_OUT_OF_GAS, gas_used=message.gas_limit, error=str(err))
             gas.used = message.gas_limit
+        except Exception as err:  # a malformed message: see _malformed
+            self.state.revert(token)
+            receipt = _malformed(err, gas.used)
         self._settle_gas(message.from_addr, miner, gas)
         return receipt
 
@@ -288,7 +298,11 @@ class VM:
         except ActorError as err:
             self.state.revert(token)
             return Receipt(err.exit_code, gas_used=0, error=err.message)
-        # OutOfGas intentionally propagates: it aborts the whole top message.
+        except OutOfGas:
+            raise  # it aborts the whole top message
+        except Exception as err:  # a malformed message: see _malformed
+            self.state.revert(token)
+            return _malformed(err, 0)
 
     # ------------------------------------------------------------------
     # Commitments

@@ -6,6 +6,8 @@ locks.  The network-driven end-to-end version lives in the integration
 tests.
 """
 
+import inspect
+
 import pytest
 
 from repro.crypto.cid import cid_of
@@ -210,13 +212,35 @@ def test_apply_aborted_result_unlocks_unchanged(lca_vm, alice, bob):
 
 
 def test_user_cannot_forge_atomic_result(lca_vm, alice, bob):
-    """Unforgeability (§IV-D): users cannot inject results directly."""
+    """Unforgeability (§IV-D): users cannot inject results directly, with
+    or without a param naming an internal bypass."""
     fund(lca_vm, alice.address, 100)
     fund(lca_vm, bob.address, 100)
     call(lca_vm, alice, SCA_ADDRESS, "create_asset", params={"name": "nft-1"})
     call(lca_vm, alice, SCA_ADDRESS, "lock_atomic",
          params={"exec_id": "e1", "assets": ("nft-1",)})
-    receipt = call(lca_vm, bob, SCA_ADDRESS, "apply_atomic_result",
-                   params={"exec_id": "e1", "status": "committed",
-                           "output": {"owners": {"nft-1": bob.address.raw}}})
-    assert receipt.exit_code == ExitCode.USR_FORBIDDEN
+    forged = {"exec_id": "e1", "status": "committed",
+              "output": {"owners": {"nft-1": bob.address.raw}}}
+    for params in (forged, {**forged, "_internal": True}):
+        receipt = call(lca_vm, bob, SCA_ADDRESS, "apply_atomic_result", params=params)
+        assert not receipt.ok, params
+        asset = lca_vm.state.get(sca_key("asset/nft-1"))
+        assert asset == {"owner": alice.address.raw, "locked_by": "e1"}
+
+
+def test_no_exported_method_takes_a_private_param():
+    """A message names any param it likes, so no exported method may take
+    one that callers are meant not to pass."""
+    for code, actor_class in hierarchy_registry()._codes.items():
+        for name, fn in actor_class.exported_methods().items():
+            params = inspect.signature(fn).parameters
+            assert not [p for p in params if p.startswith("_")], f"{code}.{name}"
+
+
+def test_ill_typed_param_fails_the_message(lca_vm, alice):
+    fund(lca_vm, alice.address, 100)
+    receipt = init(lca_vm, alice, "bad", 5)
+    assert receipt.exit_code == ExitCode.USR_ASSERTION_FAILED
+    assert receipt.error == "TypeError"
+    assert atomic_state(lca_vm, "bad") is None
+    assert lca_vm.nonce_of(alice.address) == 1  # the nonce bump stays

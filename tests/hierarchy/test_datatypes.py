@@ -72,19 +72,6 @@ def test_apply_wrappers_have_distinct_cids():
     assert ApplyTopDown(message=message, nonce=1).cid != td.cid
 
 
-def test_checkpoint_meta_filters():
-    meta_root = CrossMsgMeta(from_subnet=AB, to_subnet=ROOTNET, nonce=0,
-                             msgs_cid=cid_of("x"), count=1, value=1)
-    meta_sibling = CrossMsgMeta(from_subnet=AB, to_subnet=C, nonce=1,
-                                msgs_cid=cid_of("y"), count=1, value=2)
-    checkpoint = Checkpoint(
-        source=A, proof=cid_of("p"), prev=ZERO_CHECKPOINT,
-        cross_meta=(meta_root, meta_sibling), window=0, epoch=10,
-    )
-    assert checkpoint.metas_for(ROOTNET) == [meta_root]
-    assert checkpoint.metas_not_for(ROOTNET) == [meta_sibling]
-
-
 def test_checkpoint_cid_covers_children_and_metas():
     base = Checkpoint(source=A, proof=cid_of("p"), prev=ZERO_CHECKPOINT,
                       window=0, epoch=10)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SCA_ADDRESS, SubnetConfig
-from repro.hierarchy.atomic import AtomicExecutionClient, AtomicParty, asset_owner
+from repro.hierarchy.atomic import AtomicExecutionClient, AtomicParty, asset_lock, asset_owner
 
 
 def build_system(seed=11):
@@ -52,15 +52,17 @@ def test_happy_path_swap_commits(swap_setup):
         ],
     )
     assert client.lca == ROOTNET  # closest common parent coordinates
-    status = client.run_to_completion(timeout=240.0)
-    assert status == "committed"
+    assert client.initialize(timeout=80.0)
+    client.execute_offchain()
+    client.submit_outputs()
+    assert system.wait_for(lambda: client.status_at_lca() == "committed", timeout=80.0)
+    assert client.wait_terminated(timeout=80.0)
     # Atomicity: both sides applied the swap.
     assert asset_owner(system, sub_x, "gem") == bob.address.raw
     assert asset_owner(system, sub_y, "coin") == alice.address.raw
     # Locks released.
     for subnet, asset in ((sub_x, "gem"), (sub_y, "coin")):
-        record = system.sca_state(subnet, f"asset/{asset}")
-        assert record["locked_by"] is None
+        assert asset_lock(system, subnet, asset) is None
 
 
 def test_abort_reverts_everywhere(swap_setup):
@@ -86,7 +88,7 @@ def test_abort_reverts_everywhere(swap_setup):
     assert asset_owner(system, sub_x, "gem2") == alice.address.raw
     assert asset_owner(system, sub_y, "coin2") == bob.address.raw
     for subnet, asset in ((sub_x, "gem2"), (sub_y, "coin2")):
-        assert system.sca_state(subnet, f"asset/{asset}")["locked_by"] is None
+        assert asset_lock(system, subnet, asset) is None
 
 
 def test_mismatching_outputs_abort(swap_setup):

@@ -31,13 +31,7 @@ KEPT = {
         "§III-B's multi-signature as a value; the relabelled-tag forgery test builds one",
     "repro.crypto.multisig.verify_multisig":
         "§III-B's k-of-n rule over a multi-signature; the forgery regression checks it",
-    "repro.hierarchy.atomic.AtomicExecutionClient.run_to_completion":
-        "the whole §IV-D client flow in one call; the atomic end-to-end test drives it",
-    "repro.hierarchy.checkpoint.Checkpoint.metas_for":
-        "a checkpoint's metas for one subnet; the datatype test pins the split",
-    "repro.hierarchy.checkpoint.Checkpoint.metas_not_for":
-        "a checkpoint's metas past one subnet; the datatype test pins the split",
-    "repro.hierarchy.gateway.SubnetCoordinatorActor.transfer_asset":
+    "repro.hierarchy.atomic.AtomicExecutionActor.transfer_asset":
         "the spend a §IV-D lock must refuse; the atomic VM tests check that it does",
     "repro.hierarchy.light_client.CheckpointLightClient.child_checkpoint_cids":
         "§II's children tree as a light client sees it at the top of the hierarchy",
