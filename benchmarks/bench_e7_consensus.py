@@ -63,7 +63,7 @@ def _run_engine(engine: str, seed: int):
         "throughput": workload.stats.committed / duration,
         "forks": forks,
         "reorgs": reorgs.value if reorgs else 0,
-        "instant_finality": node.engine.INSTANT_FINALITY,
+        "instant_finality": node.engine.final_height() == node.head().height,
     }
 
 

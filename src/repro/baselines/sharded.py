@@ -83,7 +83,7 @@ class ShardedBaseline:
             block, vm = subnet_genesis(subnet, allocations=allocations)
             self._genesis.append((subnet, block, vm))
         self._assignment: list[list[int]] = []
-        self._assign(initial=True)
+        self._assign()
         self._stop_reshuffle = self.sim.every(
             reshuffle_interval, self._reshuffle, label="shard:reshuffle"
         )
@@ -91,7 +91,7 @@ class ShardedBaseline:
     # ------------------------------------------------------------------
     # Controller: assignment and reshuffling
     # ------------------------------------------------------------------
-    def _assign(self, initial: bool = False) -> None:
+    def _assign(self) -> None:
         """(Re)assign the pool to shards by seeded random permutation."""
         order = list(range(len(self.pool)))
         self._rng.shuffle(order)

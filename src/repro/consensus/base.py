@@ -94,20 +94,19 @@ class ConsensusEngine:
     - ``assemble_block(height, parent_cid, consensus_data,
       message_filter=None)`` → FullBlock built from the node's pools (only
       the messages the filter admits) against the parent state
-    - ``receive_block(block, final, sender=None)`` → bool: the one block
-      intake path — validate + store + (if final or longest) apply; False
-      when invalid, already known, or parked as an orphan.  Parking a block
-      *sender* delivered from beyond ``head + 1`` also fetches the missing
-      range from that peer, so engines never sync blocks themselves
+    - ``receive_block(block, sender=None)`` → bool: the one block intake
+      path — validate, execute, store, and make the block the head if it
+      tips the longest chain; False when invalid, already known, or parked
+      as an orphan.  Parking a block *sender* delivered from beyond
+      ``head + 1`` also fetches the missing range from that peer, so
+      engines never sync blocks themselves; a peer's block reaches it only
+      once :meth:`eligible`
     - ``broadcast(kind, payload)`` → publish on the subnet's consensus topic
       (delivered back to every validator's engine via ``handle``)
     - ``is_byzantine(behaviour)`` → bool for fault-injection experiments
     """
 
     NAME = "base"
-    #: A committed block is final at once; False for fork-capable engines,
-    #: whose blocks are final only :meth:`final_height` deep.
-    INSTANT_FINALITY = True
 
     def __init__(self, sim, node, validators: ValidatorSet, params: ConsensusParams) -> None:
         self.sim = sim
@@ -126,6 +125,12 @@ class ConsensusEngine:
     # -- network --------------------------------------------------------
     def handle(self, kind: str, payload: Any, sender: str) -> None:
         """Process a consensus message published by *sender*."""
+
+    def eligible(self, block: FullBlock) -> bool:
+        """May *block*'s miner have produced it?  The one rule a block from
+        a peer passes — gossiped, or in a ``chain:blocks`` reply — before
+        the node's intake sees it."""
+        raise NotImplementedError
 
     # -- finality -------------------------------------------------------
     def final_height(self) -> int:
@@ -161,7 +166,7 @@ class ConsensusEngine:
         if block.height == head.height + 1:
             hist.observe(block.header.timestamp - head.header.timestamp)
 
-    def _publish_block(self, block: FullBlock, final: bool, **where) -> None:
+    def _publish_block(self, block: FullBlock, **where) -> None:
         """Proposer side of a self-certifying block we just assembled.
 
         Commit locally first, then broadcast to the subnet topic.  *where*
@@ -172,17 +177,21 @@ class ConsensusEngine:
             proposer=self.node.node_id, cid=block.cid.hex()[:16],
         )
         self._observe_block_interval(block)
-        self.node.receive_block(block, final=final)
+        self.node.receive_block(block)
         self._trace_round("commit", height=block.height, **where)
         self.node.broadcast("block", block)
 
-    def _accept_block(self, block: FullBlock, final: bool, sender: str) -> bool:
-        """Receiver side: hand *sender*'s eligible block to the node's intake.
+    def _accept_block(self, block: FullBlock, sender: str) -> bool:
+        """Receiver side: hand *sender*'s block to the node's intake if it
+        is :meth:`eligible`.
 
-        False covers invalid, duplicate and parked-orphan alike — the node
-        fetches any gap behind an orphan from *sender* on its own.
+        False covers ineligible, invalid, duplicate and parked-orphan alike
+        — the node fetches any gap behind an orphan from *sender* on its own.
         """
-        accepted = self.node.receive_block(block, final=final, sender=sender)
+        if not self.eligible(block):
+            self._metric("consensus.*.rejected").inc()
+            return False
+        accepted = self.node.receive_block(block, sender=sender)
         if accepted:
             self._metric("consensus.*.accepted").inc()
         return accepted

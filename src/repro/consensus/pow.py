@@ -24,7 +24,6 @@ class ProofOfWorkEngine(ConsensusEngine):
     """Exponential-race PoW with longest-chain fork choice."""
 
     NAME = "pow"
-    INSTANT_FINALITY = False
 
     def __init__(self, sim, node, validators, params) -> None:
         super().__init__(sim, node, validators, params)
@@ -94,24 +93,24 @@ class ProofOfWorkEngine(ConsensusEngine):
             },
         )
         self._metric("consensus.*.mined").inc()
-        self._publish_block(block, final=False)
+        self._publish_block(block)
         self._restart_mining()
 
     # ------------------------------------------------------------------
     # Network
     # ------------------------------------------------------------------
+    def eligible(self, block: FullBlock) -> bool:
+        """The block was mined under this engine (it carries the tag)."""
+        return block.header.consensus_data.get("engine") == self.NAME
+
     def handle(self, kind: str, payload: Any, sender: str) -> None:
         if kind != "block":
             return
         # No running guard on acceptance: a restarted node listens
         # passively (engine stopped) until its head is fresh — see
         # SlotLeaderEngine.handle.  Only mining stays gated on running.
-        block: FullBlock = payload
-        if block.header.consensus_data.get("engine") != self.NAME:
-            self._metric("consensus.*.rejected").inc()
-            return
         head_before = self.node.head()
-        if not self._accept_block(block, final=False, sender=sender):
+        if not self._accept_block(payload, sender):
             return
         head_after = self.node.head()
         if head_after.cid != head_before.cid:

@@ -3,10 +3,10 @@
 Time is cut into slots of ``slot_time`` seconds aligned to absolute
 simulated time; every slot has exactly one leader that every validator can
 compute locally.  The leader proposes a block on its head; everyone else
-commits it on receipt after checking the block's miner against the slot's
-leader — blocks are self-certifying, no votes are exchanged.  With
-honest-majority validators this gives instant finality and a steady block
-interval.
+commits it on receipt once its miner leads the slot it records
+(:meth:`SlotLeaderEngine.eligible`) — blocks are self-certifying, no votes
+are exchanged.  With honest-majority validators this gives instant
+finality and a steady block interval.
 
 A concrete engine is a ``NAME`` and a :meth:`leader_for_slot`; PoA, PoS and
 Mir are exactly that (Mir also shortens the slot and filters the mempool).
@@ -83,29 +83,27 @@ class SlotLeaderEngine(ConsensusEngine):
             message_filter=self._message_filter(slot),
         )
         self._metric("consensus.*.proposed").inc()
-        self._publish_block(block, final=True, slot=slot)
+        self._publish_block(block, slot=slot)
+
+    def eligible(self, block: FullBlock) -> bool:
+        """The block's miner leads the slot the block records."""
+        slot = block.header.consensus_data.get(self.SLOT_KEY)
+        return slot is not None and block.header.miner == self.leader_for_slot(slot).address
 
     def handle(self, kind: str, payload: Any, sender: str) -> None:
         if kind != "block":
             return
-        # No running guard: blocks are self-certifying (slot-leader
-        # eligibility below), and a restarted node listens passively —
-        # engine stopped — until its head is fresh.  Dropping deliveries
-        # here would mark them gossip-seen yet never applied, wedging the
-        # node until the MAX_SYNC_WAIT fallback.
+        # No running guard: blocks are self-certifying (eligible), and a
+        # restarted node listens passively — engine stopped — until its
+        # head is fresh.  Dropping deliveries here would mark them
+        # gossip-seen yet never applied, wedging the node until the
+        # MAX_SYNC_WAIT fallback.
         block: FullBlock = payload
-        slot = block.header.consensus_data.get(self.SLOT_KEY)
-        if slot is None:
-            self._metric("consensus.*.rejected").inc()
-            return
-        expected = self.leader_for_slot(slot)
-        if block.header.miner != expected.address:
-            self._metric("consensus.*.rejected").inc()
-            return
-        if self._accept_block(block, final=True, sender=sender):
+        if self._accept_block(block, sender):
+            slot = block.header.consensus_data[self.SLOT_KEY]
             self._trace_round(
                 "commit", height=block.height, slot=slot,
-                proposer=expected.node_id,
+                proposer=self.leader_for_slot(slot).node_id,
             )
 
     def debug_state(self) -> dict:

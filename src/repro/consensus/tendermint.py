@@ -84,6 +84,14 @@ class TendermintEngine(ConsensusEngine):
     def proposer_for(self, height: int, round_: int):
         return self.validators.round_robin(height + round_)
 
+    def eligible(self, block: FullBlock) -> bool:
+        """The block's miner proposes the round the block records (its first
+        round: a reproposal carries the block unchanged)."""
+        round_ = block.header.consensus_data.get("round")
+        return round_ is not None and (
+            block.header.miner == self.proposer_for(block.height, round_).address
+        )
+
     def _start_round(self, round_: int, skipped: bool = False) -> None:
         if not self.running:
             return
@@ -150,7 +158,7 @@ class TendermintEngine(ConsensusEngine):
         payload = {"height": self.height, "round": self.round, "block": block}
         if valid_round is not None:
             payload["valid_round"] = valid_round
-        self._on_proposal(payload, self.node.node_id)
+        self._on_proposal(payload)
         self.node.broadcast("tm:proposal", payload)
 
     # ------------------------------------------------------------------
@@ -253,11 +261,11 @@ class TendermintEngine(ConsensusEngine):
 
     def _deliver(self, kind: str, payload: Any, sender: str) -> None:
         if kind == "tm:proposal":
-            self._on_proposal(payload, sender)
+            self._on_proposal(payload)
         elif kind == "tm:vote":
             self._on_vote(payload)
 
-    def _on_proposal(self, payload: dict, sender: str) -> None:
+    def _on_proposal(self, payload: dict) -> None:
         height, round_, block = payload["height"], payload["round"], payload["block"]
         if height != self.height:
             return
@@ -453,6 +461,7 @@ class TendermintEngine(ConsensusEngine):
         return power >= self.validators.quorum_power
 
     def _on_commit_cert(self, payload: dict, sender: str) -> None:
+        # The quorum's precommits vouch for the block: no eligible check.
         block: FullBlock = payload["block"]
         votes = payload["votes"]
         if not self._verify_commit_cert(block, votes):
@@ -469,7 +478,7 @@ class TendermintEngine(ConsensusEngine):
             return
         # Strictly ahead: we are at least one full height behind.
         self._observe_block_interval(block)
-        self.node.receive_block(block, final=True, sender=sender)
+        self.node.receive_block(block, sender=sender)
         head = self.node.head()
         if head.height + 1 <= self.height:
             # An orphaned future block: its ancestors never committed
@@ -495,7 +504,7 @@ class TendermintEngine(ConsensusEngine):
 
     def _commit(self, block: FullBlock, cert: Optional[tuple] = None) -> None:
         self._observe_block_interval(block)
-        self.node.receive_block(block, final=True)
+        self.node.receive_block(block)
         self._metric("consensus.*.committed").inc()
         # Re-broadcast the certificate we received, or build one from our
         # own precommit book (a commit reached via peer certificate may

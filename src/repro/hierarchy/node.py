@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.crypto.cid import CID
-from repro.crypto.keys import Address
 from repro.chain.block import ZERO_CID
 from repro.chain.validation import ValidationError
 from repro.hierarchy.checkpointing import CheckpointConfig, CheckpointService
@@ -158,7 +157,7 @@ class SubnetNode(NodeRuntime):
         self.crosspool.scan_parent()
         return self.crosspool.select(scratch_vm)
 
-    def apply_cross_message(self, vm: VM, cross, miner: Address):
+    def apply_cross_message(self, vm: VM, cross):
         """Execute one block cross-msg entry against *vm*; returns the receipt.
 
         Failures are deterministic across nodes (same inputs, same state),

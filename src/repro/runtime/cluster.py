@@ -107,15 +107,16 @@ class ValidatorCluster:
         """Sync every node from *source*'s canonical chain (state handoff).
 
         The ladder a restarted node climbs, minus the network and with
-        *source* trusted: its blocks from the node's head on, or — when
-        those start below *source*'s floor — its snapshot and the tail.
+        *source* trusted (its blocks skip ``eligible``): its blocks from
+        the node's head on, or — when those start below *source*'s floor —
+        its snapshot and the tail.
         """
         for node in self.nodes:
             if node.head().height + 1 < source.store.floor:
                 node.adopt_snapshot(*source.snapshot_at(node.snapshot_anchor()))
             tail = source.blocks_in_range(node.head().height + 1, source.head().height)
             for block in tail:
-                node.receive_block(block, final=True)
+                node.receive_block(block)
             node.committed_txs = source.committed_txs  # same chain, same count
 
     # ------------------------------------------------------------------

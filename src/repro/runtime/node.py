@@ -78,17 +78,11 @@ class NodeRuntime:
 
         self.store = ChainStore()
         self.store.add_block(genesis_block)
-        self.vm = genesis_vm.copy()
-        self.vm.epoch = 0
+        self.vm = genesis_vm.branch(genesis_vm.state, 0)
         self.mempool = MessagePool()
-        # parent -> {cid: waiting block}; a block redelivered n times parks once
+        # parent -> {cid: waiting block}; a block redelivered n times parks
+        # once, and leaves when the store's base reaches it
         self._orphans: dict[CID, dict[CID, FullBlock]] = {}
-        # Post-states of blocks this node assembled itself, keyed by block
-        # CID: when the block comes back through receive_block unchanged,
-        # the deterministic execution need not be repeated.  Bounded; an
-        # entry is dropped on use or overflow (engines that mutate the
-        # header after assembly simply miss and re-execute).
-        self._assembled: dict[CID, tuple[VM, tuple]] = {}
         self._commit_listeners: list[Callable[[FullBlock], None]] = []
         self._restart_epoch = 0  # invalidates pending restart resumes
         # Blocks already announced, and the protocol events (receipt events)
@@ -234,13 +228,14 @@ class NodeRuntime:
         return blocks
 
     def request_block_range(self, peer: str, start: int, end: int) -> bool:
-        """Fetch blocks [start, end] from *peer* and apply them as final.
+        """Fetch blocks [start, end] from *peer* and apply them.
 
-        Used when a commit certificate proves a future block but the
-        ancestors are no longer advertisable over gossip.  One request in
-        flight at a time; the parked orphan cascade applies the rest.  A
-        peer whose floor lies above *start* says so, and the request moves
-        to :meth:`request_snapshot`.
+        One request in flight at a time; the parked orphan cascade applies
+        the rest.  A reply holding a block the engine calls not
+        ``eligible`` is refused whole; one whose first parent is unknown
+        (our head is on a branch *peer* lacks) walks back, doubling the
+        window, never below the base.  A peer whose floor lies above
+        *start* says so, and the request moves to :meth:`request_snapshot`.
         """
         if self._sync_inflight or end < start or peer == self.node_id:
             return False
@@ -252,18 +247,21 @@ class NodeRuntime:
                 self.request_snapshot(peer, end)
                 return
             # A list that does not begin where we asked cannot connect.
-            if error is not None or not result or result[0].height != start:
+            if (
+                error is not None or not result or result[0].height != start
+                or not all(map(self.engine.eligible, result))
+            ):
                 self.sim.metrics.counter("chain.*.sync_failed", self.subnet_id).inc()
+                return
+            lowest = self.store.base + 1
+            if not self.store.has(result[0].header.parent) and start > lowest:
+                self.request_block_range(peer, max(lowest, 2 * start - end - 1), end)
                 return
             self.sim.metrics.counter("chain.*.sync_blocks", self.subnet_id).inc(
                 len(result)
             )
-            # Synced blocks adopt the engine's own finality semantics —
-            # instant-finality engines only serve decided blocks, while
-            # fork-capable ones (PoW) keep depth-based finality intact.
-            final = self.engine.INSTANT_FINALITY
             for block in result:
-                self.receive_block(block, final=final)
+                self.receive_block(block)
 
         self.gossip.rpc.call(
             self.node_id, peer, BLOCK_RANGE_RPC, (start, end), _on_blocks
@@ -290,8 +288,8 @@ class NodeRuntime:
         a multiple of half the horizon, so validators a block or two apart
         name the same header."""
         if anchor is None:
-            final = self.engine.final_height()
-            block = self.store.block_at_height(final - final % (self.store.prune_depth // 2))
+            decided = self.engine.final_height()
+            block = self.store.block_at_height(decided - decided % (self.store.prune_depth // 2))
         else:
             block = self.store.get_optional(anchor)
         state = None if block is None else self._state_at(block.cid)
@@ -338,7 +336,7 @@ class NodeRuntime:
                 ):
                     adopted = True
                     self._sync_inflight = False
-                    self._retry_orphans(header.cid, self.engine.INSTANT_FINALITY)
+                    self._retry_orphans(header.cid)
                     self.request_block_range(peer, self.head().height + 1, tail_end)
                     return
             if pending == 0:
@@ -378,11 +376,10 @@ class NodeRuntime:
             self.sim.trace.emit("snapshot.refused", self.subnet_id, header.cid.short())
             return False
         self.store.adopt(header)
-        self.vm = self._vm_from_state(tree)
-        self.vm.epoch = header.height
+        self.vm = self.vm.branch(tree, header.height)
         self._notified = {header.cid}
         self._block_events.clear()
-        self._assembled.clear()
+        self._expire_orphans()
         self.mempool.drop_stale(self.vm.nonce_of)
         self.sim.metrics.counter("chain.*.snapshot_adopted", self.subnet_id).inc()
         self.sim.trace.emit(
@@ -400,9 +397,7 @@ class NodeRuntime:
         consensus_data: dict,
         message_filter: Optional[Callable[[SignedMessage], bool]] = None,
     ) -> FullBlock:
-        parent_state = self._state_at(parent_cid)
-        scratch = self._vm_from_state(parent_state)
-        scratch.epoch = height
+        scratch = self.vm.branch(self._state_at(parent_cid), height)
 
         selected = self.mempool.select(
             nonce_of=scratch.nonce_of,
@@ -420,14 +415,11 @@ class NodeRuntime:
             subnet_id=self.subnet_id,
             height=height,
             parent=parent_cid,
-            state_root=scratch.state_root(),
+            state_root=self._post_root(scratch),
             timestamp=self.sim.now,
             miner=self.miner_address,
             consensus_data=consensus_data,
         )
-        self._assembled[block.cid] = (scratch, tuple(events))
-        while len(self._assembled) > 16:
-            self._assembled.pop(next(iter(self._assembled)))
         self._publish_execution(block.cid, scratch.state, events)
         return block
 
@@ -438,9 +430,7 @@ class NodeRuntime:
     # ------------------------------------------------------------------
     # Block reception (from the engine, local or remote)
     # ------------------------------------------------------------------
-    def receive_block(
-        self, block: FullBlock, final: bool, sender: Optional[str] = None
-    ) -> bool:
+    def receive_block(self, block: FullBlock, sender: Optional[str] = None) -> bool:
         """Validate, execute and store *block*; returns acceptance.
 
         Out-of-order blocks (parent unknown) are parked and retried when
@@ -450,7 +440,8 @@ class NodeRuntime:
         outage), so the missing range is fetched from that peer directly;
         the orphan cascade then lands the parked block too.  A block at or
         below the store's base is final history that nothing will ever
-        connect: refused, never parked.
+        connect: refused, never parked, and dropped from the park once the
+        base reaches it.  The caller has checked a peer's block eligible.
         """
         if self.store.has(block.cid) or block.height <= self.store.base:
             return False
@@ -470,67 +461,56 @@ class NodeRuntime:
             self.sim.trace.emit("block.invalid", self.subnet_id, block.cid.short(), err)
             return False
 
-        assembled = self._assembled.pop(block.cid, None)
-        shared = None if assembled is not None else self._shared_execution(block.cid)
-        if assembled is not None:
-            # Our own assembly: the post-state was already computed from
-            # this exact (parent state, payload); execution is deterministic,
-            # so re-running it (and re-checking the root it produced) would
-            # only reproduce the same result.
-            scratch, events = assembled
-        elif shared is not None:
-            # Another honest validator of this subnet already executed this
-            # exact block; fork its published post-state instead of
-            # re-deriving it (identical by determinism).
-            tree, events = shared
-            scratch = self._vm_from_state(tree)
-            scratch.epoch = block.height
+        shared = self._shared_execution(block.cid)
+        if shared is not None:
+            # An honest validator of this subnet — its proposer, or the
+            # first to receive it — already executed this exact block; its
+            # post-state is ours too (identical by determinism).
+            post, events = shared
         else:
             parent_state = self._state_at(block.header.parent)
             if parent_state is None:
                 return False  # state pruned too deep to validate; ignore
-            scratch = self._vm_from_state(parent_state)
-            scratch.epoch = block.height
+            scratch = self.vm.branch(parent_state, block.height)
             events = self._execute_payload(
                 scratch, block.messages, block.cross_messages,
                 block.header.miner, block.height, block.header.parent,
             )
-            if scratch.state_root() != block.header.state_root:
+            if self._post_root(scratch) != block.header.state_root:
                 self.sim.metrics.counter("chain.*.state_mismatch", self.subnet_id).inc()
                 self.sim.trace.emit(
                     "block.state_mismatch", self.subnet_id, block.cid.short()
                 )
                 return False
-            self._publish_execution(block.cid, scratch.state, events)
-        if shared is None:
-            # Only executions that computed a root report root work: on the
-            # shared path this node never hashed anything, and publishing a
-            # zero would just mask the executing node's sample.
-            self.sim.metrics.gauge("state.root.buckets_rehashed").set(
-                scratch.state.last_root_rehashed
-            )
-            self.sim.metrics.gauge("state.root.leaves_encoded").set(
-                scratch.state.last_root_leaves_encoded
-            )
-        self.sim.metrics.gauge("state.tree.layer_depth").set(scratch.state.chain_depth)
+            post, events = self._publish_execution(block.cid, scratch.state, events)
+        self.sim.metrics.gauge("state.tree.layer_depth").set(post.chain_depth)
 
-        self.store.put_state(block.cid, scratch.state.fork())
+        self.store.put_state(block.cid, post)
         if self.sim.observed(BlockCommitted):
             # A fork that is never announced leaves with its block.
-            self._block_events[block.cid] = tuple(events)
+            self._block_events[block.cid] = events
 
         old_head = self.store.head_cid
-        head_changed = self.store.add_block(block)
-        if head_changed:
-            self.vm = scratch
+        base = self.store.base
+        if self.store.add_block(block):
+            self.vm = self.vm.branch(post, block.height)
             self._after_head_change(old_head, block)
-        self._retry_orphans(block.cid, final)
+        if self.store.base != base:
+            self._expire_orphans()
+        self._retry_orphans(block.cid)
         return True
 
-    def _retry_orphans(self, parent_cid: CID, final: bool) -> None:
+    def _retry_orphans(self, parent_cid: CID) -> None:
         waiting = self._orphans.pop(parent_cid, {})
         for orphan in waiting.values():
-            self.receive_block(orphan, final)
+            self.receive_block(orphan)
+
+    def _expire_orphans(self) -> None:
+        """Drop the parked blocks the store's base has reached."""
+        for parent in list(self._orphans):
+            waiting = self._orphans.pop(parent)
+            if kept := {c: b for c, b in waiting.items() if b.height > self.store.base}:
+                self._orphans[parent] = kept
 
     def _after_head_change(self, old_head: Optional[CID], new_head_block: FullBlock) -> None:
         """Housekeeping when the canonical head moves."""
@@ -602,7 +582,7 @@ class NodeRuntime:
         """
         events: list = []
         for cross in cross_messages:
-            receipt = self.apply_cross_message(vm, cross, miner)
+            receipt = self.apply_cross_message(vm, cross)
             if receipt is not None:
                 events.extend(receipt.events)
         for signed in messages:
@@ -610,7 +590,16 @@ class NodeRuntime:
             events.extend(receipt.events)
         return events
 
-    def apply_cross_message(self, vm: VM, cross, miner: Address):
+    def _post_root(self, vm: VM) -> CID:
+        """*vm*'s state root once a payload ran; the root gauges report what
+        computing it cost."""
+        root = vm.state_root()
+        gauge = self.sim.metrics.gauge
+        gauge("state.root.buckets_rehashed").set(vm.state.last_root_rehashed)
+        gauge("state.root.leaves_encoded").set(vm.state.last_root_leaves_encoded)
+        return root
+
+    def apply_cross_message(self, vm: VM, cross):
         """Hook for the hierarchy node; the base chain has no cross-msgs."""
         raise ValidationError("cross messages are not supported on this chain")
 
@@ -627,26 +616,17 @@ class NodeRuntime:
             return self.vm.state
         return self.store.get_state(block_cid)
 
-    def _vm_from_state(self, state) -> VM:
-        """A scratch VM branched off *state* — an O(1) fork, no state copy."""
-        vm = VM(
-            subnet_id=self.vm.subnet_id,
-            registry=self.vm.registry,
-            gas_schedule=self.vm.gas_schedule,
-            gas_price=self.vm.gas_price,
-        )
-        vm.state = state.fork()
-        return vm
-
     # Shared block-execution cache: block execution is a pure function of
     # (parent post-state, block payload), and every honest validator of a
     # subnet holds content-identical parent state for a block it accepts —
-    # so the first validator to execute a block publishes its post-state
-    # tree (a frozen fork) and receipt events, and the others fork it
-    # instead of re-deriving the identical result.  Keyed by block CID
-    # (which commits to parent, payload, and claimed state root) plus the
-    # subnet and runtime class, so subclasses with different execution
-    # hooks never share.  Byzantine nodes neither publish nor consume.
+    # so the first validator to execute a block (its proposer, assembling
+    # it) publishes its post-state tree (a frozen fork) and receipt events,
+    # and every honest validator stores that one tree as the block's
+    # post-state instead of re-deriving the identical result.  Keyed by
+    # block CID (which commits to parent, payload, and claimed state root)
+    # plus the subnet and runtime class, so subclasses with different
+    # execution hooks never share.  Byzantine nodes neither publish nor
+    # consume: a byzantine proposer re-executes its own block.
     _EXEC_CACHE_CAP = 512
 
     def _exec_cache(self) -> dict:
@@ -657,13 +637,12 @@ class NodeRuntime:
             return None
         return self._exec_cache().get((self.subnet_id, type(self).__name__, block_cid))
 
-    def _publish_execution(self, block_cid: CID, state, events) -> None:
-        if self.byzantine:
-            return
-        cache = self._exec_cache()
-        cache[(self.subnet_id, type(self).__name__, block_cid)] = (
-            state.fork(),
-            tuple(events),
-        )
-        while len(cache) > self._EXEC_CACHE_CAP:
-            cache.pop(next(iter(cache)))
+    def _publish_execution(self, block_cid: CID, state, events) -> tuple:
+        """``(post-state, events)``: *state* frozen, shared unless byzantine."""
+        executed = (state.fork(), tuple(events))
+        if not self.byzantine:
+            cache = self._exec_cache()
+            cache[(self.subnet_id, type(self).__name__, block_cid)] = executed
+            while len(cache) > self._EXEC_CACHE_CAP:
+                cache.pop(next(iter(cache)))
+        return executed

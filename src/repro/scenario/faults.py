@@ -518,11 +518,12 @@ class CrossMsgSpamFault(Fault):
 class RogueProposerEngine:
     """A PoA engine that proposes in *every* slot, leadership be damned.
 
-    Honest validators reject its blocks (wrong miner for the slot), so a
-    swapped node floods the subnet with invalid proposals — the byzantine
-    engine-swap fault.  Built through :func:`make_engine` against the
-    ``poa`` registration, then rewired: composition keeps this out of the
-    consensus package (no rogue engine in the production registry).
+    Honest validators refuse its blocks (not ``eligible``: wrong miner for
+    the slot), gossiped or range-synced, so a swapped node floods the
+    subnet with invalid proposals — the byzantine engine-swap fault.
+    Built through :func:`make_engine` against the ``poa`` registration,
+    then rewired: composition keeps this out of the consensus package (no
+    rogue engine in the production registry).
     """
 
     def __init__(self, sim, node, validators, params) -> None:
@@ -544,6 +545,9 @@ class RogueProposerEngine:
 
     def stop(self) -> None:
         self._engine.stop()
+
+    def eligible(self, block) -> bool:
+        return self._engine.eligible(block)
 
     def handle(self, kind, payload, sender) -> None:
         self._engine.handle(kind, payload, sender)

@@ -360,13 +360,17 @@ CANONICAL = (
 )
 
 #: The PR-gating subset: one honest control, two honest faults (one inside
-#: the sync horizon, one past it), two attacks.
+#: the sync horizon, one past it), two attacks on checkpoints, and the two
+#: fork scenarios — a PoW reorg past finality and a validator whose blocks
+#: its peers must refuse — that drive block intake and range sync.
 SMOKE = (
     baseline_healthy,
     partition_minority,
     long_outage,
     checkpoint_withholding,
     forged_extraction,
+    deep_reorg,
+    engine_swap,
 )
 
 _BY_NAME = {factory().name: factory for factory in CANONICAL}

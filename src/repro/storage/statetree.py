@@ -311,8 +311,8 @@ class StateTree:
         ``root()`` after k writes re-encodes only k leaves.
 
         Forking with open snapshots leaves this tree's transaction stack
-        untouched; the clone sees the merged view at depth 0 (matching the
-        old ``copy()`` semantics the VM relies on).
+        untouched; the clone sees the merged view at depth 0 (which
+        ``VM.branch`` relies on).
         """
         if len(self._layers) == 1:
             base = self._layers[0]
@@ -335,10 +335,6 @@ class StateTree:
             clone._digests = self._digests  # shared until either side's root() writes
             clone._dirty = set(self._dirty)
         return clone
-
-    def copy(self) -> "StateTree":
-        """Alias for :meth:`fork` (kept for the original API)."""
-        return self.fork()
 
     def _compacted(self) -> Optional[_FrozenLayer]:
         """Collapse the frozen chain into one layer (content-preserving).

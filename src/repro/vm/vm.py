@@ -310,14 +310,15 @@ class VM:
     def state_root(self) -> CID:
         return self.state.root()
 
-    def copy(self) -> "VM":
-        """An independent VM forked off the same state (O(1), shared history)."""
+    def branch(self, state: StateTree, epoch: int) -> "VM":
+        """A VM configured like this one over an O(1) fork of *state*
+        (shared history, no copy) at *epoch*."""
         clone = VM(
             subnet_id=self.subnet_id,
             registry=self.registry,
             gas_schedule=self.gas_schedule,
             gas_price=self.gas_price,
         )
-        clone.state = self.state.fork()
-        clone.epoch = self.epoch
+        clone.state = state.fork()
+        clone.epoch = epoch
         return clone

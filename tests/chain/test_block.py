@@ -135,11 +135,11 @@ def test_validator_refuses_block_with_swapped_messages():
     impostor = SignedMessage.create(replace(other.message, value=999), KeyPair("cn-user"))
     for messages in (block.messages[::-1], (impostor,) + block.messages[1:]):
         sim, validator, _ = make_node(seed=2)
-        assert not validator.receive_block(replace(block, messages=messages), final=True)
+        assert not validator.receive_block(replace(block, messages=messages))
         assert sim.metrics.counter("chain./root.invalid_blocks").value == 1
         assert validator.head().height == 0
     sim, validator, _ = make_node(seed=2)
-    assert validator.receive_block(block, final=True)  # the block as built is fine
+    assert validator.receive_block(block)  # the block as built is fine
 
 
 def test_validate_genesis():

@@ -51,12 +51,12 @@ def test_orphan_blocks_parked_and_retried():
     genesis = node.head()
     block1 = make_child(node, genesis)
     # Build block2 on block1 without giving the node block1 yet.
-    node.receive_block(block1, final=True)
+    node.receive_block(block1)
     block2 = make_child(node, block1)
     fresh_sim, fresh_node, _ = make_node(seed=2)
-    assert not fresh_node.receive_block(block2, final=True)  # orphan: parked
+    assert not fresh_node.receive_block(block2)  # orphan: parked
     assert fresh_node.head().height == 0
-    assert fresh_node.receive_block(block1, final=True)
+    assert fresh_node.receive_block(block1)
     # The orphan was retried automatically once its parent arrived.
     assert fresh_node.head().height == 2
 
@@ -67,10 +67,10 @@ def test_commit_listener_fires_once_per_block_in_order():
     node.on_commit(lambda b: seen.append(b.height))
     genesis = node.head()
     block1 = make_child(node, genesis)
-    node.receive_block(block1, final=True)
+    node.receive_block(block1)
     block2 = make_child(node, block1)
-    node.receive_block(block2, final=True)
-    node.receive_block(block2, final=True)  # duplicate delivery
+    node.receive_block(block2)
+    node.receive_block(block2)  # duplicate delivery
     assert seen == [1, 2]
 
 
@@ -90,7 +90,7 @@ def test_state_root_mismatch_rejected():
     )
     bad = FullBlock(header=tampered_header, messages=good.messages,
                     cross_messages=good.cross_messages)
-    assert not node.receive_block(bad, final=True)
+    assert not node.receive_block(bad)
     assert sim.metrics.counter("chain./root.state_mismatch").value == 1
 
 
@@ -103,7 +103,7 @@ def test_submitted_messages_selected_and_cleared():
     assert len(node.mempool) == 1
     block = make_child(node, node.head())
     assert len(block.messages) == 1
-    node.receive_block(block, final=True)
+    node.receive_block(block)
     assert len(node.mempool) == 0
     assert node.vm.balance_of(KeyPair("rcpt").address) == 10
 
@@ -118,11 +118,11 @@ def test_block_over_the_subnet_block_size_refused():
     assert len(block.messages) == limit + 1
 
     sim, validator, _ = make_node(seed=2, max_block_messages=limit)
-    assert not validator.receive_block(block, final=True)
+    assert not validator.receive_block(block)
     assert sim.metrics.counter("chain./root.invalid_blocks").value == 1
     assert validator.head().height == 0
     sim, roomier, _ = make_node(seed=3, max_block_messages=limit + 1)
-    assert roomier.receive_block(block, final=True)
+    assert roomier.receive_block(block)
     assert sim.metrics.counter("chain./root.invalid_blocks").value == 0
 
 
@@ -139,7 +139,7 @@ def test_cross_messages_rejected_on_base_chain():
 
     sim, node, _ = make_node()
     with pytest.raises(ValidationError):
-        node.apply_cross_message(node.vm, object(), node.miner_address)
+        node.apply_cross_message(node.vm, object())
 
 
 def test_base_node_gossip_topic_naming():
@@ -164,7 +164,7 @@ def test_reorg_counted_and_head_state_switches():
     sim, node, user = make_node(engine="pow")
     genesis = node.head()
     main1 = make_child(node, genesis, tag="main")
-    assert node.receive_block(main1, final=False)
+    assert node.receive_block(main1)
     fork1 = make_child(node, genesis, tag="fork")
     fork_child = FullBlock(  # manually extend the fork to outweigh main
         header=BlockHeader(
@@ -175,7 +175,7 @@ def test_reorg_counted_and_head_state_switches():
             consensus_data={"engine": "pow", "ticket": 42},
         ),
     )
-    assert node.receive_block(fork1, final=False)
+    assert node.receive_block(fork1)
     # fork_child's state root must match actual execution; recompute via
     # the node's own assembly instead of guessing.
     node2_head = node.store.get(fork1.cid)
@@ -183,6 +183,6 @@ def test_reorg_counted_and_head_state_switches():
         height=2, parent_cid=fork1.cid,
         consensus_data={"engine": "pow", "ticket": 42},
     )
-    assert node.receive_block(proper_child, final=False)
+    assert node.receive_block(proper_child)
     assert node.head().cid == proper_child.cid
     assert sim.metrics.counter("chain./root.reorgs").value >= 1

@@ -110,8 +110,20 @@ def test_stopped_engine_still_applies_self_certifying_blocks(make_cluster, engin
     assert requests == []
 
 
-@pytest.mark.parametrize("engine", ["poa", "pos", "mir"])
-def test_wrong_leader_block_is_rejected_and_not_stored(make_cluster, engine):
+def _serve(server, blocks):
+    """Make *server* answer every ``chain:blocks`` request with *blocks*."""
+    server.blocks_in_range = lambda start, end: list(blocks)
+
+
+@pytest.mark.parametrize(
+    "engine, delivery",
+    [
+        pytest.param(engine, delivery, id=engine if delivery == "gossip" else f"{engine}-range")
+        for delivery in ("gossip", "range")
+        for engine in ("poa", "pos", "mir")
+    ],
+)
+def test_wrong_leader_block_is_rejected_and_not_stored(make_cluster, engine, delivery):
     cluster = make_cluster(4, engine=engine, block_time=0.5, seed=33).start()
     cluster.run(2.2)
     forger, victim = cluster.nodes[1], cluster.nodes[0]
@@ -119,14 +131,65 @@ def test_wrong_leader_block_is_rejected_and_not_stored(make_cluster, engine):
         s for s in range(100, 200)
         if victim.engine.leader_for_slot(s).node_id != forger.node_id
     )
-    head = forger.head()
+    head = victim.head()
+    assert forger.store.has(head.cid)
     forged = forger.assemble_block(
         height=head.height + 1,
         parent_cid=head.cid,
         consensus_data=forger.engine._consensus_data(slot),
     )
-    rejected = cluster.sim.metrics.counter("consensus./root.rejected")
-    before = rejected.value
-    victim.engine.handle("block", forged, forger.node_id)
-    assert rejected.value == before + 1
+    if delivery == "gossip":
+        refused = cluster.sim.metrics.counter("consensus./root.rejected")
+        before = refused.value
+        victim.engine.handle("block", forged, forger.node_id)
+    else:
+        refused = cluster.sim.metrics.counter("chain./root.sync_failed")
+        before = refused.value
+        _serve(forger, [forged])
+        assert victim.request_block_range(forger.node_id, forged.height, forged.height)
+        cluster.run(0.3)
+    assert refused.value == before + 1
     assert not victim.store.has(forged.cid)
+
+
+def _ineligible_data(engine, forger, height):
+    """Consensus data under which *forger*'s block at *height* is not its
+    to make: no PoW tag, or a round another validator proposes."""
+    if engine.NAME == "pow":
+        return {"ticket": 7}
+    round_ = next(
+        r for r in range(8) if engine.proposer_for(height, r).node_id != forger.node_id
+    )
+    return {"engine": engine.NAME, "round": round_}
+
+
+@pytest.mark.parametrize("engine", ["pow", "tendermint"])
+def test_a_range_reply_with_one_ineligible_block_is_refused_whole(make_cluster, engine):
+    """The straggler asks for the chain it missed; the server appends one
+    block its engine would refuse by gossip.  Nothing of the reply is
+    applied or parked — the eligible blocks before it included.  (The slot
+    engines' case is the wrong-leader test's ``-range`` input.)"""
+    cluster, straggler, _ = _straggler_and_published(make_cluster, engine, run_for=4.0)
+    forger = cluster.nodes[1]
+    chain = forger.store.canonical_chain()[1:]
+    head = forger.head()
+    forged = forger.assemble_block(
+        height=head.height + 1,
+        parent_cid=head.cid,
+        consensus_data=_ineligible_data(straggler.engine, forger, head.height + 1),
+    )
+    assert all(map(straggler.engine.eligible, chain))
+    assert not straggler.engine.eligible(forged)
+    failed = cluster.sim.metrics.counter("chain./root.sync_failed")
+    _serve(forger, chain + [forged])
+    assert straggler.request_block_range(forger.node_id, 1, forged.height)
+    cluster.run(0.3)
+    assert failed.value == 1
+    assert straggler.head().height == 0
+    assert not straggler._orphans
+    assert not straggler.store.has(forged.cid)
+
+    _serve(forger, chain)  # the same reply without the forged block lands
+    assert straggler.request_block_range(forger.node_id, 1, head.height)
+    cluster.run(0.3)
+    assert straggler.head().cid == head.cid

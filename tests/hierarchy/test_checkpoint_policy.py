@@ -301,7 +301,7 @@ def test_sa_light_client_and_auditor_agree_on_every_bundle(kind, case):
     assert policy.signers(signed, validators, SUB.path) == expected
 
     # What the auditor sees: the bundle as if the SA had stored it.
-    audited = vm.copy()
+    audited = vm.branch(vm.state, vm.epoch)
     audited.state.set(actor_key(sa_addr, "ckpt_history/0"), signed)
     audited.state.set(actor_key(sa_addr, "last_ckpt_window"), 0)
     sim = Simulator(seed=1)

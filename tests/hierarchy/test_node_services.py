@@ -146,7 +146,7 @@ def test_subnet_node_rejects_unknown_cross_payload(system):
 
     node = system.node(SUB)
     with pytest.raises(ValidationError):
-        node.apply_cross_message(node.vm, "garbage", node.miner_address)
+        node.apply_cross_message(node.vm, "garbage")
 
 
 def test_checkpoint_books_keep_only_windows_the_parent_may_still_need():

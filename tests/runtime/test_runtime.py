@@ -153,3 +153,45 @@ def test_state_root_work_is_published_and_the_leaf_table_shared():
         id(node.store.get_state(node.store.head_cid)._table) for node in baseline.nodes
     }
     assert len(tables) == 1
+
+
+def test_one_post_state_per_block_and_a_byzantine_proposer_re_executes():
+    """Every honest validator stores the one frozen tree its block's
+    proposer published while assembling; a byzantine node shares nothing
+    either way, so its own block is executed again on receipt."""
+    stack = NetworkStack(seed=5)
+    keys = [KeyPair(("rt-validator", i)) for i in range(4)]
+    genesis_block, genesis_vm = build_genesis(GenesisParams(subnet_id="/root"))
+    members = cluster_members(keys, id_prefix="/root")
+    cluster = ValidatorCluster.build(
+        members,
+        subnet_id="/root",
+        genesis_block=genesis_block,
+        genesis_vm=genesis_vm,
+        consensus_params=ConsensusParams(engine="poa", block_time=0.5),
+        stack=stack,
+        byzantine={members[0].node_id: {"equivocate_vote"}},
+    )
+    rogue, honest = cluster[0], cluster.nodes[1:]
+    executed = {node.node_id: [] for node in cluster}
+    for node in cluster:
+        def spy(vm, messages, cross, miner, height, parent_cid=None,
+                _node=node, _execute=node._execute_payload):
+            executed[_node.node_id].append(height)
+            return _execute(vm, messages, cross, miner, height, parent_cid)
+        node._execute_payload = spy
+    cluster.start()
+    stack.run_for(5.0)
+
+    blocks = honest[0].store.canonical_chain()[1:]
+    assert len(blocks) >= 8
+    for block in blocks:
+        posts = {id(node.store.get_state(block.cid)) for node in honest}
+        assert len(posts) == 1
+        assert id(rogue.store.get_state(block.cid)) not in posts
+        proposer = next(n for n in cluster if n.miner_address == block.header.miner)
+        # Assembly executes the payload; receipt re-executes it only on the
+        # byzantine proposer.
+        runs = 2 if proposer is rogue else 1
+        assert executed[proposer.node_id].count(block.height) == runs
+    assert any(block.header.miner == rogue.miner_address for block in blocks)

@@ -86,7 +86,7 @@ def test_a_block_from_below_the_base_is_refused_not_parked(outage):
     old = [server.store.block_at_height(h) for h in (base - 1, base)]
     assert all(old)  # the server's floor is held back further
     for block in old:
-        assert not straggler.receive_block(block, final=True, sender=server.node_id)
+        assert not straggler.receive_block(block, sender=server.node_id)
     assert straggler._orphans == {}
 
 

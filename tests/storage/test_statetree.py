@@ -137,7 +137,7 @@ def test_root_ignores_snapshot_layering():
 def test_copy_is_independent():
     tree = StateTree()
     tree.set("a", 1)
-    clone = tree.copy()
+    clone = tree.fork()
     clone.set("a", 2)
     assert tree.get("a") == 1
     assert clone.get("a") == 2
@@ -148,7 +148,7 @@ def test_copy_flattens_snapshots():
     tree.set("a", 1)
     tree.snapshot()
     tree.set("b", 2)
-    clone = tree.copy()
+    clone = tree.fork()
     assert clone.depth == 0
     assert clone.get("b") == 2
 

@@ -175,7 +175,7 @@ def test_state_root_changes_with_state(vm, alice):
 
 def test_copy_is_independent(vm, alice):
     vm.mint(alice, 100)
-    clone = vm.copy()
+    clone = vm.branch(vm.state, vm.epoch)
     clone.mint(alice, 1)
     assert vm.balance_of(alice) == 100
     assert clone.balance_of(alice) == 101
