@@ -12,7 +12,9 @@ snapshots at the region's start and end, and prints at the region's end:
 - live instances of the types a run makes per operation;
 - the number of objects the cyclic collector tracks (what a full pass walks);
 - per chain, the leaves its state-root leaf table holds and the bytes the
-  table reaches (the key strings included, though the state shares them);
+  table reaches (the key strings included, though the state shares them),
+  and its head state's frozen chain: layers and the entries they hold
+  (reported, not gated: state grows with the run);
 - the :data:`TOP` largest heap growths over the region by file:line.
 
 With two lengths it runs the deployment once for each and exits non-zero
@@ -81,14 +83,19 @@ def held_bytes(root) -> int:
 
 
 def leaf_tables(chains: dict) -> list:
-    """(chain, leaves, bytes) per chain.  A chain's validators and every fork
-    of their states share one leaf table, so the first validator's reaches
-    it."""
+    """(chain, leaves, bytes, frozen layers, frozen entries) per chain.  A
+    chain's validators and every fork of their states share one leaf table,
+    so the first validator's reaches it; the frozen chain is that
+    validator's head state's."""
     rows = []
     for path, nodes in sorted(chains.items()):
-        table = nodes[0].vm.state._table
-        leaves = sum(len(keys) for _tag, keys, _leaves in table.values())
-        rows.append((path, leaves, held_bytes(table)))
+        state = nodes[0].vm.state
+        leaves = sum(len(keys) for _tag, keys, _leaves in state._table.values())
+        entries, frozen = 0, state._frozen
+        while frozen is not None:
+            entries += len(frozen.entries)
+            frozen = frozen.parent
+        rows.append((path, leaves, held_bytes(state._table), state.chain_depth, entries))
     return rows
 
 
@@ -129,8 +136,11 @@ def run(workload_name: str, seed: int, seconds: float) -> tuple:
     lines += [f"  {cls.__name__:<16}{count:>10}" for cls, count in counts.items()]
     lines.append(f"  {'gc-tracked':<16}{tracked:>10}")
     lines.append(f"  {'histogram bytes':<16}{held['histogram bytes']:>10}")
-    lines.append("state-root leaf tables:")
-    lines += [f"  {path:<16}{leaves:>10} leaves {size:>12} bytes" for path, leaves, size in tables]
+    lines.append("state-root leaf tables and frozen chains:")
+    lines += [
+        f"  {path:<16}{leaves:>10} leaves {size:>12} bytes {depth:>4} layers {entries:>9} entries"
+        for path, leaves, size, depth, entries in tables
+    ]
     growth = sorted(end.compare_to(start, "lineno"), key=lambda stat: -stat.size_diff)
     lines.append(f"heap growth over the region, top {TOP} by file:line:")
     for stat in growth[:TOP]:

@@ -232,10 +232,11 @@ class ChainStore:
 
         The store is agnostic to the snapshot representation; the runtime
         passes frozen :class:`~repro.storage.statetree.StateTree` forks, so
-        a snapshot costs O(delta) and shares structure with its neighbours.
-        The horizon drops a fork's reference; deltas no longer reachable
-        from any retained fork are reclaimed (the trees compact their
-        shared chains as they grow).
+        a snapshot costs amortised O(delta x log) and shares structure with
+        its neighbours.  The horizon drops a fork's reference; deltas no
+        longer reachable from any retained fork are reclaimed (a fork
+        merges its delta with the layers of its size class into new
+        dicts, never into a layer a retained fork holds).
         """
         self._state_snapshots[cid] = state
 

@@ -99,7 +99,7 @@ class NodeRuntime:
         # State snapshots are kept for every engine (pruned by depth): even
         # "fork-free" engines fork transiently under partitions, and a
         # recovering node must be able to validate blocks off its own head.
-        # Snapshots are O(1) tree forks sharing structure with the live VM.
+        # Snapshots are tree forks sharing structure with the live VM.
         self.store.put_state(genesis_block.cid, self.vm.state.fork())
 
         self.topic = subnet_topic(subnet_id)

@@ -1,7 +1,7 @@
 """Versioned state storage.
 
 - :class:`~repro.storage.statetree.StateTree` — versioned key/value state
-  with O(1) snapshot/revert and O(1) ``fork()`` (structural sharing), used
+  with O(1) snapshot/revert and cheap ``fork()`` (structural sharing), used
   by the VM for transactional message application and by the runtime for
   per-block state branching.
 - :class:`~repro.storage.backend.StateBackend` — the read-only floor a

@@ -1,4 +1,4 @@
-"""Versioned state tree with snapshot/revert, O(1) forks and an
+"""Versioned state tree with snapshot/revert, cheap forks and an
 incremental (bucketed) state-root commitment.
 
 The VM wraps every message application in a snapshot: if the message aborts,
@@ -14,10 +14,12 @@ Structure — three read levels, newest wins:
 A snapshot pushes a new mutable layer; writes always go to the top layer;
 commit folds the top layer into its parent; revert drops it.  ``fork()``
 freezes the mutable base layer onto the frozen chain and hands out a clone
-sharing that chain — O(delta-since-last-fork), independent of state size —
-which is how block assembly/validation branch off a parent state without
-copying it.  The chain is compacted once it grows past a bound, so lookup
-depth and memory stay amortised O(1) per fork.
+sharing that chain, which is how block assembly/validation branch off a
+parent state without copying it.  The chain keeps one layer per size class
+(a layer's ``len(entries).bit_length()``): the new layer merges, into a new
+dict, with every layer below it of the same or a smaller class.  Classes
+then strictly grow with depth, so a read probes at most the largest layer's
+bit length of frozen layers, and a fork costs amortised O(delta x log).
 
 ``root()`` is the state-root commitment block headers carry.  Keys are
 sharded into ``n_buckets`` buckets (crc32, process-independent); a bucket's
@@ -53,11 +55,6 @@ from repro.storage.backend import EMPTY_BACKEND, StateBackend, bucket_of
 
 _DELETED = object()
 
-#: Frozen-chain length that triggers compaction on the next fork.  Bounds
-#: read-path walk depth; the collapse cost is amortised over the forks that
-#: grew the chain.
-_MAX_CHAIN_DEPTH = 32
-
 #: Default bucket count for the sharded root commitment.
 DEFAULT_BUCKETS = 256
 
@@ -81,7 +78,7 @@ class _FrozenLayer:
 
 
 class StateTree:
-    """A layered key-value state with cheap snapshot/revert and O(1) forks."""
+    """A layered key-value state with cheap snapshot/revert and forks."""
 
     def __init__(
         self,
@@ -106,29 +103,22 @@ class StateTree:
     # Reads / writes
     # ------------------------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
-        for layer in reversed(self._layers):
+        layers = self._layers
+        for layer in reversed(layers) if len(layers) > 1 else layers:
             if key in layer:
                 value = layer[key]
                 return default if value is _DELETED else value
         frozen = self._frozen
         while frozen is not None:
-            if key in frozen.entries:
-                value = frozen.entries[key]
+            entries = frozen.entries
+            if key in entries:
+                value = entries[key]
                 return default if value is _DELETED else value
             frozen = frozen.parent
         return self._backend.get(key, default)
 
     def has(self, key: str) -> bool:
-        sentinel = _DELETED
-        for layer in reversed(self._layers):
-            if key in layer:
-                return layer[key] is not sentinel
-        frozen = self._frozen
-        while frozen is not None:
-            if key in frozen.entries:
-                return frozen.entries[key] is not sentinel
-            frozen = frozen.parent
-        return self._backend.has(key)
+        return self.get(key, _DELETED) is not _DELETED
 
     def set(self, key: str, value: Any) -> None:
         if value is _DELETED:
@@ -144,17 +134,17 @@ class StateTree:
 
     def keys(self, prefix: str = "") -> Iterator[str]:
         """Yield live keys (sorted) that start with *prefix*."""
-        merged = self._merged()
-        for key in sorted(merged):
-            if merged[key] is not _DELETED and key.startswith(prefix):
-                yield key
+        for key, _ in self.items(prefix):
+            yield key
 
     def items(self, prefix: str = "") -> Iterator[tuple[str, Any]]:
         merged = self._merged()
-        for key in sorted(merged):
-            value = merged[key]
-            if value is not _DELETED and key.startswith(prefix):
-                yield key, value
+        live = [
+            key for key, value in merged.items()
+            if value is not _DELETED and key.startswith(prefix)
+        ]
+        for key in sorted(live):
+            yield key, merged[key]
 
     def _merged(self) -> dict[str, Any]:
         """Full merged map including tombstones (newest wins)."""
@@ -301,32 +291,28 @@ class StateTree:
     # Forks
     # ------------------------------------------------------------------
     def fork(self) -> "StateTree":
-        """Branch off the current state in O(delta), sharing history.
+        """Branch off the current state, sharing history.
 
-        The mutable base layer is frozen onto the shared chain (an
+        The mutable base layer is stacked onto the shared chain (an
         externally-invisible repacking: reads, depth and tokens are
         unchanged) and the clone points at the same chain with a fresh
-        private write layer — no key/value is copied.  Cached bucket
-        digests and the leaf table transfer to the clone, so its first
-        ``root()`` after k writes re-encodes only k leaves.
+        private write layer.  Cached bucket digests and the leaf table
+        transfer to the clone, so its first ``root()`` after k writes
+        re-encodes only k leaves.
 
         Forking with open snapshots leaves this tree's transaction stack
         untouched; the clone sees the merged view at depth 0 (which
         ``VM.branch`` relies on).
         """
         if len(self._layers) == 1:
-            base = self._layers[0]
-            if base:
-                self._frozen = _FrozenLayer(base, self._frozen)
-                self._layers = [{}]
-            if self._frozen is not None and self._frozen.depth > _MAX_CHAIN_DEPTH:
-                self._frozen = self._compacted()
+            self._frozen = self._stacked(self._layers[0])
+            self._layers = [{}]
             shared = self._frozen
         else:
             merged: dict[str, Any] = {}
             for layer in self._layers:
                 merged.update(layer)
-            shared = _FrozenLayer(merged, self._frozen) if merged else self._frozen
+            shared = self._stacked(merged)
 
         clone = StateTree(backend=self._backend, n_buckets=self._n_buckets)
         clone._frozen = shared
@@ -336,29 +322,32 @@ class StateTree:
             clone._dirty = set(self._dirty)
         return clone
 
-    def _compacted(self) -> Optional[_FrozenLayer]:
-        """Collapse the frozen chain into one layer (content-preserving).
+    def _stacked(self, entries: dict[str, Any]) -> Optional[_FrozenLayer]:
+        """The frozen chain with *entries* on top (content-preserving).
 
-        Tombstones survive only if they still mask a backend entry;
-        otherwise they are dead weight and dropped.
+        *entries* merges into each layer below it of the same or a smaller
+        size class, into a new dict: layers older forks share are never
+        mutated.  A merge that reaches the bottom drops the tombstones that
+        mask no backend entry.
         """
-        merged: dict[str, Any] = {}
-        chain: list[_FrozenLayer] = []
-        frozen = self._frozen
-        while frozen is not None:
-            chain.append(frozen)
-            frozen = frozen.parent
-        for layer in reversed(chain):  # oldest first
-            merged.update(layer.entries)
-        backend = self._backend
-        merged = {
-            key: value
-            for key, value in merged.items()
-            if value is not _DELETED or backend.has(key)
-        }
-        if not merged:
-            return None
-        return _FrozenLayer(merged, None)
+        below = self._frozen
+        if not entries:
+            return below
+        size_class = len(entries).bit_length()
+        while below is not None and len(below.entries).bit_length() <= size_class:
+            entries = {**below.entries, **entries}
+            size_class = len(entries).bit_length()
+            below = below.parent
+            if below is None:
+                backend = self._backend
+                entries = {
+                    key: value
+                    for key, value in entries.items()
+                    if value is not _DELETED or backend.has(key)
+                }
+                if not entries:
+                    return None
+        return _FrozenLayer(entries, below)
 
 
 def _leaf(key: str, value: Any) -> bytes:

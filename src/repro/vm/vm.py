@@ -163,7 +163,7 @@ class VM:
             return Receipt(ExitCode.SYS_OUT_OF_GAS, gas_used=gas.used, error="intrinsic gas")
 
         nonce_key = f"nonce/{message.from_addr.raw}"
-        nonce = self.state.get(nonce_key, 0)  # a cold key walks the whole frozen chain: once
+        nonce = self.state.get(nonce_key, 0)  # a cold key probes each frozen layer: once
         if message.nonce != nonce:
             return Receipt(
                 ExitCode.SYS_SENDER_STATE_INVALID,
@@ -311,7 +311,7 @@ class VM:
         return self.state.root()
 
     def branch(self, state: StateTree, epoch: int) -> "VM":
-        """A VM configured like this one over an O(1) fork of *state*
+        """A VM configured like this one over a fork of *state*
         (shared history, no copy) at *epoch*."""
         clone = VM(
             subnet_id=self.subnet_id,

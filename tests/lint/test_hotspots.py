@@ -93,3 +93,19 @@ def test_the_block_bookkeeping_change_reproduces_from_two_committed_documents(ca
     # Each is a run document like any other.
     assert report_main([paths[1]]) == 0
     assert "run report — sim time" in capsys.readouterr().out
+
+
+def test_the_size_class_chain_reproduces_from_two_committed_documents():
+    """``hotspots.py state-wide --seconds 4`` (seed 1) on 4b98397 and on the
+    change after it, where the frozen chain began keeping one layer per size
+    class instead of collapsing past 32 layers: as many state reads, each
+    probing fewer layers."""
+    paths = [os.path.join(PROFILES, f"state-wide-{name}.json") for name in ("4b98397", "sizeclass")]
+    assert all(os.path.getsize(path) <= 64 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = {row.function: row for row in hotspots.diff(old, new)}
+    get = rows["repro/storage/statetree.py:StateTree.get"]
+    assert (get.calls_old, get.calls_new) == (160_553, 160_553)
+    assert get.share_new < get.share_old
+    compacted = rows["repro/storage/statetree.py:StateTree._compacted"]
+    assert (compacted.calls_old, compacted.calls_new) == (1, 0)

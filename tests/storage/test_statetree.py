@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.crypto.cid import CID, cid_of
 from repro.crypto.encoding import EncodingError, canonical_encode
 from repro.storage.backend import MemoryBackend, bucket_of
-from repro.storage.statetree import _MAX_CHAIN_DEPTH, StateTree, _commit_value
+from repro.storage.statetree import StateTree, _commit_value
 from repro.vm.exitcode import ExitCode
 
 
@@ -241,10 +241,22 @@ def test_fork_with_open_snapshot_leaves_transaction_stack_alone():
     assert clone.get("a") == 2  # the clone keeps the merged view it saw
 
 
+def assert_depth_bound(tree):
+    """One frozen layer per size class, classes growing with depth: the chain
+    is never deeper than the bit length of its largest layer."""
+    sizes, frozen = [], tree._frozen
+    while frozen is not None:
+        sizes.append(len(frozen.entries))
+        frozen = frozen.parent
+    classes = [size.bit_length() for size in sizes]
+    assert all(upper < lower for upper, lower in zip(classes, classes[1:])), sizes
+    assert tree.chain_depth == len(sizes) <= max(sizes, default=0).bit_length()
+
+
 def test_fork_compaction_preserves_content():
     tree = StateTree()
     expected = {}
-    for i in range(_MAX_CHAIN_DEPTH * 2 + 5):
+    for i in range(69):
         key = f"k{i % 7}"
         if i % 5 == 4:
             tree.delete(key)
@@ -253,7 +265,7 @@ def test_fork_compaction_preserves_content():
             tree.set(key, i)
             expected[key] = i
         tree = tree.fork()
-        assert tree.chain_depth <= _MAX_CHAIN_DEPTH + 1
+        assert_depth_bound(tree)
     assert tree.flatten() == expected
 
 
@@ -266,11 +278,112 @@ def test_backend_is_visible_through_tree_and_forks():
     assert fork.get("floor") == "value"
     assert not fork.has("masked")
     assert dict(fork.items()) == {"floor": "value"}
-    # Deep fork chains compact; the tombstone must keep masking the backend.
-    for _ in range(_MAX_CHAIN_DEPTH + 2):
+    # Merges that reach the bottom of the chain keep the tombstone that
+    # masks the backend and drop the one that masks nothing.
+    fork.delete("never/there")
+    for i in range(34):
+        fork.set(f"k{i}", i)
         fork = fork.fork()
-    assert not fork.has("masked")
-    assert fork.flatten() == {"floor": "value"}
+        assert_depth_bound(fork)
+    assert not fork.has("masked") and not fork.has("never/there")
+    assert fork.flatten() == {"floor": "value", **{f"k{i}": i for i in range(34)}}
+    bottom = fork._frozen
+    while bottom.parent is not None:
+        bottom = bottom.parent
+    assert "masked" in bottom.entries and "never/there" not in bottom.entries
+
+
+_FORK_KEYS = ["floor", "masked", "a", "b", "c", "d", "e", "f", "g", "h"]
+_ABSENT = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["set", "set", "delete", "snapshot", "commit", "revert", "fork", "switch"]
+            ),
+            st.sampled_from(_FORK_KEYS),
+            st.integers(min_value=0, max_value=99),
+        ),
+        max_size=60,
+    )
+)
+def test_every_kept_fork_matches_its_dict_model(operations):
+    """Writes, tombstones (also over backend entries), transactions and forks
+    on any kept tree: after every step each tree ever forked reads exactly
+    as its own dict model does — a merge that wrote into a layer another
+    fork shares would show here."""
+    backend = MemoryBackend({"floor": 1, "masked": 2})
+    trees = [(StateTree(backend=backend), [{"floor": 1, "masked": 2}])]
+    tree, models = trees[0]
+    for op, key, value in operations:
+        if op == "set":
+            tree.set(key, value)
+            models[-1][key] = value
+        elif op == "delete":
+            tree.delete(key)
+            models[-1].pop(key, None)
+        elif op == "snapshot":
+            tree.snapshot()
+            models.append(dict(models[-1]))
+        elif op == "commit" and tree.depth:
+            tree.commit()
+            top = models.pop()
+            models[-1] = top
+        elif op == "revert" and tree.depth:
+            tree.revert()
+            models.pop()
+        elif op == "fork":
+            trees.append((tree.fork(), [dict(models[-1])]))
+        elif op == "switch":
+            tree, models = trees[value % len(trees)]
+        for kept, kept_models in trees:
+            model = kept_models[-1]
+            assert kept.flatten() == model
+            for probe in _FORK_KEYS:
+                assert kept.get(probe, _ABSENT) == model.get(probe, _ABSENT)
+                assert kept.has(probe) == (probe in model)
+            assert_depth_bound(kept)
+
+
+_DELTAS = {
+    "constant": [[f"k{i}/{j}" for j in range(10)] for i in range(250)],
+    "shrinking": [[f"k{n}/{j}" for j in range(n)] for n in range(100, 0, -1)],
+    "hot-keys": [[f"hot{j}" for j in range(8)] for _ in range(200)],
+}
+
+
+@pytest.mark.parametrize("deltas", _DELTAS.values(), ids=_DELTAS.keys())
+def test_fork_chain_depth_stays_within_the_size_class_bound(deltas):
+    """One fork per delta.  Shrinking deltas never merge under a rule that
+    merges only into a layer no larger than the new one: there the chain
+    would grow by one layer a fork."""
+    tree, expected = StateTree(), {}
+    for step, written in enumerate(deltas):
+        for key in written:
+            tree.set(key, step)
+            expected[key] = step
+        tree = tree.fork()
+        assert_depth_bound(tree)
+    assert tree.flatten() == expected
+
+
+def test_prefix_scans_over_a_wide_backend_are_sorted():
+    backend = MemoryBackend({f"balance/{(i * 7919) % 5000:05d}": i for i in range(5000)})
+    tree = StateTree(backend=backend)
+    for name in ["child/c", "child/a", "chi", "child/b", "childx", "balance/00003"]:
+        tree.set(name, name)
+    tree.delete("child/b")
+    fork = tree.fork()
+    fork.set("child/0", 0)
+    assert list(fork.keys("child/")) == ["child/0", "child/a", "child/c"]
+    assert list(fork.items("child")) == [
+        ("child/0", 0), ("child/a", "child/a"), ("child/c", "child/c"), ("childx", "childx")
+    ]
+    keys = list(fork.keys("balance/"))
+    assert keys == sorted(keys) and len(keys) == 5000
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +585,7 @@ def test_roots_across_many_forks_and_compactions():
     backend = MemoryBackend({f"floor{i}": i for i in range(20)})
     tree = StateTree(backend=backend, n_buckets=5)
     stale = []
-    for i in range(_MAX_CHAIN_DEPTH * 3):
+    for i in range(96):
         tree.set(f"k{i % 11}", _Account(i))
         if i % 4 == 3:
             tree.delete(f"floor{i % 20}")  # tombstone over the backend
@@ -482,7 +595,7 @@ def test_roots_across_many_forks_and_compactions():
         assert tree.root() == oracle_root(tree)
         if i % 10 == 0:
             stale.append((tree.fork(), tree.root()))
-    assert tree.chain_depth <= _MAX_CHAIN_DEPTH + 1
+        assert_depth_bound(tree)
     for snapshot, root in stale:  # old snapshots, long since re-tagged over
         snapshot.set("k0", "late")
         assert snapshot.root() == oracle_root(snapshot) != root
