@@ -30,6 +30,7 @@ BLOCK_TIME = 0.5
 BLOCK_CAPACITY = 20  # messages per block -> 40 tx/s per chain
 PER_CHAIN_LOAD = 60.0  # offered tx/s per chain: saturating
 SUBNET_COUNTS = (1, 2, 4, 8)
+ROOT_BLOCK_TIME = 0.5
 
 
 def _hierarchical_throughput(k: int):
@@ -39,15 +40,17 @@ def _hierarchical_throughput(k: int):
         subnet_block_time=BLOCK_TIME,
         max_block_messages=BLOCK_CAPACITY,
         checkpoint_period=20,
+        root_block_time=ROOT_BLOCK_TIME,
     )
-    workloads = []
-    for subnet in subnets:
-        wallets = fund_subnet_senders(system, subnet, 4, 10**9, tag=f"e1k{k}")
-        workloads.append(start_subnet_payments(system, subnet, wallets, PER_CHAIN_LOAD))
-    start = system.sim.now
+    senders = fund_subnet_senders(system, subnets, 4, 10**9, tag=f"e1k{k}")
+    workloads = [
+        start_subnet_payments(system, subnet, senders[subnet], PER_CHAIN_LOAD)
+        for subnet in subnets
+    ]
+    start = system.sim.now  # the end of set-up: start() ran at t = 0
     system.run_for(MEASURE_SECONDS)
     committed = sum(w.stats.committed for w in workloads)
-    return committed / (system.sim.now - start), dispatch_rows(system.sim)
+    return committed / (system.sim.now - start), start, dispatch_rows(system.sim)
 
 
 def _single_chain_throughput(offered: float) -> float:
@@ -91,13 +94,14 @@ def test_e1_horizontal_scaling(benchmark):
         dispatch = None
         single = _single_chain_throughput(PER_CHAIN_LOAD * max(SUBNET_COUNTS))
         for k in SUBNET_COUNTS:
-            hierarchical, dispatch = _hierarchical_throughput(k)
+            hierarchical, setup, dispatch = _hierarchical_throughput(k)
             rows.append(
                 {
                     "subnets": k,
                     "hierarchical": hierarchical,
                     "single_chain": single,
                     "sharded": _sharded_throughput(k),
+                    "setup_sim_s": setup,
                 }
             )
         return rows, dispatch
@@ -107,9 +111,10 @@ def test_e1_horizontal_scaling(benchmark):
     show_table(
         "E1 — throughput (tx/s) vs number of subnets "
         f"(capacity {BLOCK_CAPACITY} msg / {BLOCK_TIME}s block per chain)",
-        ["subnets", "hierarchical", "single chain", "sharded (reshuffling)"],
+        ["subnets", "hierarchical", "single chain", "sharded (reshuffling)", "set-up sim s"],
         [
-            (row["subnets"], row["hierarchical"], row["single_chain"], row["sharded"])
+            (row["subnets"], row["hierarchical"], row["single_chain"], row["sharded"],
+             row["setup_sim_s"])
             for row in rows
         ],
     )
@@ -135,3 +140,7 @@ def test_e1_horizontal_scaling(benchmark):
     # Sharding scales too but pays reshuffle downtime at equal shard count.
     assert by_k[8]["sharded"] > by_k[1]["single_chain"]
     assert by_k[8]["hierarchical"] >= by_k[8]["sharded"]
+    # Set-up (spawn + funded senders) is one batch per phase: its sim time
+    # is flat in k, within one root block.
+    setups = [row["setup_sim_s"] for row in rows]
+    assert max(setups) - min(setups) <= ROOT_BLOCK_TIME

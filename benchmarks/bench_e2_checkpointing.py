@@ -37,7 +37,7 @@ def _measure_offsets():
         seed=211, n_subnets=1, subnet_block_time=BLOCK_TIME,
         checkpoint_period=PERIOD, root_block_time=0.5,
     )
-    (sender,) = fund_subnet_senders(system, subnet, 1, 10**9, tag="e2")
+    (sender,) = fund_subnet_senders(system, [subnet], 1, 10**9, tag="e2")[subnet]
     node = system.node(subnet)
     results = []
     for index, fraction in enumerate(OFFSET_FRACTIONS):

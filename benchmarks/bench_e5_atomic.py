@@ -31,12 +31,13 @@ def _system_with_parties(seed: int, n_parties: int):
         wallet_funds={f"party{i}": 10**9 for i in range(n_parties)},
     ).start()
     RUN.capture(system.sim, system)
+    subnets = system.spawn_subnets(
+        SubnetConfig(name=f"p{i}", validators=3, block_time=BLOCK_TIME,
+                     checkpoint_period=PERIOD)
+        for i in range(n_parties)
+    )
     parties = []
-    for i in range(n_parties):
-        subnet = system.spawn_subnet(
-            SubnetConfig(name=f"p{i}", validators=3, block_time=BLOCK_TIME,
-                         checkpoint_period=PERIOD)
-        )
+    for i, subnet in enumerate(subnets):
         wallet = system.wallets[f"party{i}"]
         wallet.send(system.node(subnet), SCA_ADDRESS,
                     method="create_asset", params={"name": f"asset-{i}"})

@@ -36,7 +36,7 @@ def _run_engine(engine: str, seed: int):
         seed=seed, n_subnets=1, subnet_validators=4, engine=engine,
         subnet_block_time=BLOCK_TIME, checkpoint_period=20,
     )
-    wallets = fund_subnet_senders(system, subnet, 4, 10**9, tag=f"e7{engine}")
+    wallets = fund_subnet_senders(system, [subnet], 4, 10**9, tag=f"e7{engine}")[subnet]
     workload = PaymentWorkload(
         system.sim, system.nodes(subnet), wallets, rate=30.0,
         rng_scope=f"e7-{engine}",

@@ -149,37 +149,40 @@ def build_hierarchy(
     RUN.capture(system.sim, system)
     if monitors:
         enable_telemetry(system, monitors=True, postmortem_dir=bench_out_dir())
-    subnets = []
-    for i in range(n_subnets):
-        subnets.append(
-            system.spawn_subnet(
-                SubnetConfig(
-                    name=f"s{i}",
-                    validators=subnet_validators,
-                    engine=engine,
-                    block_time=subnet_block_time,
-                    checkpoint_period=checkpoint_period,
-                    max_block_messages=max_block_messages,
-                )
-            )
+    subnets = system.spawn_subnets(
+        SubnetConfig(
+            name=f"s{i}",
+            validators=subnet_validators,
+            engine=engine,
+            block_time=subnet_block_time,
+            checkpoint_period=checkpoint_period,
+            max_block_messages=max_block_messages,
         )
+        for i in range(n_subnets)
+    )
     return system, subnets
 
 
-def fund_subnet_senders(system, subnet, n_senders: int, funds: int, tag: str):
-    """Create and fund *n_senders* wallets inside *subnet* (in-protocol)."""
-    wallets = [
-        system.create_wallet(f"{tag}-{subnet.name}-{i}") for i in range(n_senders)
-    ]
-    for wallet in wallets:
-        system.fund_subnet(system.treasury, subnet, wallet.address, funds)
+def fund_subnet_senders(system, subnets, n_senders: int, funds: int, tag: str) -> dict:
+    """Create and fund *n_senders* wallets inside each of *subnets*
+    (in-protocol), with one wait for all of them; returns subnet -> wallets."""
+    senders = {
+        subnet: [system.create_wallet(f"{tag}-{subnet.name}-{i}") for i in range(n_senders)]
+        for subnet in subnets
+    }
+    for subnet, wallets in senders.items():
+        for wallet in wallets:
+            system.fund_subnet(system.treasury, subnet, wallet.address, funds)
     ok = system.wait_for(
-        lambda: all(system.balance(subnet, w.address) >= funds for w in wallets),
+        lambda: all(
+            system.balance(subnet, w.address) >= funds
+            for subnet, wallets in senders.items() for w in wallets
+        ),
         timeout=120.0,
     )
     if not ok:
-        raise RuntimeError(f"funding senders in {subnet} timed out")
-    return wallets
+        raise RuntimeError(f"funding senders in {', '.join(s.path for s in senders)} timed out")
+    return senders
 
 
 def start_subnet_payments(system, subnet, wallets, rate: float) -> PaymentWorkload:

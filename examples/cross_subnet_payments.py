@@ -28,20 +28,18 @@ def main() -> None:
     ).start()
 
     print("building the hierarchy:")
-    apps = system.spawn_subnet(
+    # One batch builds the whole tree, one level at a time: games waits for
+    # its parent apps; apps and storage spawn side by side.
+    apps, games, storage = system.spawn_subnets([
         SubnetConfig(name="apps", validators=3, engine="poa",
-                     block_time=0.25, checkpoint_period=6)
-    )
-    print(f"  spawned {apps}")
-    games = system.spawn_subnet(
-        SubnetConfig(name="games", parent=apps, validators=3, engine="mir",
-                     block_time=0.5, checkpoint_period=6)
-    )
-    print(f"  spawned {games} (mir multi-leader)")
-    storage = system.spawn_subnet(
+                     block_time=0.25, checkpoint_period=6),
+        SubnetConfig(name="games", parent="/root/apps", validators=3, engine="mir",
+                     block_time=0.5, checkpoint_period=6),
         SubnetConfig(name="storage", validators=3, engine="pos",
-                     block_time=0.5, checkpoint_period=6)
-    )
+                     block_time=0.5, checkpoint_period=6),
+    ])
+    print(f"  spawned {apps}")
+    print(f"  spawned {games} (mir multi-leader)")
     print(f"  spawned {storage} (proof-of-stake)")
 
     alice, bob = system.wallets["alice"], system.wallets["bob"]

@@ -25,24 +25,30 @@ def measure(n_subnets: int) -> float:
         seed=1000 + n_subnets, root_validators=3, root_block_time=BLOCK_TIME,
         checkpoint_period=20,
     ).start()
-    workloads = []
-    for i in range(n_subnets):
-        subnet = system.spawn_subnet(
-            SubnetConfig(name=f"lane{i}", validators=3, block_time=BLOCK_TIME,
-                         checkpoint_period=20, max_block_messages=CAPACITY)
+    # All lanes spawn in one batch: one wait per spawn phase, not per lane.
+    lanes = system.spawn_subnets(
+        SubnetConfig(name=f"lane{i}", validators=3, block_time=BLOCK_TIME,
+                     checkpoint_period=20, max_block_messages=CAPACITY)
+        for i in range(n_subnets)
+    )
+    senders = {
+        lane: [system.create_wallet(f"lane{i}-user{j}") for j in range(4)]
+        for i, lane in enumerate(lanes)
+    }
+    for lane, wallets in senders.items():
+        for wallet in wallets:
+            system.fund_subnet(system.treasury, lane, wallet.address, 10**9)
+    system.wait_for(
+        lambda: all(
+            system.balance(lane, w.address) > 0
+            for lane, wallets in senders.items() for w in wallets
         )
-        senders = []
-        for j in range(4):
-            wallet = system.create_wallet(f"lane{i}-user{j}")
-            system.fund_subnet(system.treasury, subnet, wallet.address, 10**9)
-            senders.append(wallet)
-        system.wait_for(
-            lambda: all(system.balance(subnet, w.address) > 0 for w in senders)
-        )
-        workloads.append(
-            PaymentWorkload(system.sim, system.nodes(subnet), senders,
-                            rate=LOAD_PER_CHAIN, rng_scope=f"scale{i}").start()
-        )
+    )
+    workloads = [
+        PaymentWorkload(system.sim, system.nodes(lane), senders[lane],
+                        rate=LOAD_PER_CHAIN, rng_scope=f"scale{i}").start()
+        for i, lane in enumerate(lanes)
+    ]
     start = system.sim.now
     system.run_for(MEASURE)
     return sum(w.stats.committed for w in workloads) / (system.sim.now - start)

@@ -12,6 +12,11 @@ All networking is composed through :class:`repro.runtime.NetworkStack`
 :class:`~repro.hierarchy.node.SubnetNode` runtimes — this module only
 orchestrates; it owns no delivery or block-production loop of its own.
 
+Subnets spawn through one path, :meth:`HierarchicalSystem.spawn_subnets`:
+one tree level at a time, each phase (fund, deploy, join) with one wait
+for the whole level, so set-up sim time grows with depth, not with the
+number of subnets.  ``spawn_subnet`` is a batch of one: the serial flow.
+
 Typical use (see ``examples/quickstart.py``)::
 
     system = HierarchicalSystem(seed=42)
@@ -78,6 +83,11 @@ class SubnetConfig:
     max_block_messages: int = 500
     gas_price: int = 0  # >0 makes every message pay fees to its block miner (§II)
     accelerate: bool = False  # issue/accept pending-payment certificates (§IV-A)
+
+    @property
+    def subnet(self) -> SubnetID:
+        """The ID this config spawns: *name* under *parent*."""
+        return SubnetID(self.parent).child(self.name)
 
 
 class HierarchicalSystem:
@@ -433,98 +443,109 @@ class HierarchicalSystem:
     # Spawning subnets (§III-A)
     # ------------------------------------------------------------------
     def spawn_subnet(self, config: SubnetConfig, timeout: float = 240.0) -> SubnetID:
-        """Spawn a subnet through the full in-protocol flow.
+        """Spawn one subnet: a batch of one (see :meth:`spawn_subnets`)."""
+        return self.spawn_subnets([config], timeout)[0]
 
-        1. fund the prospective validators' wallets on the parent chain;
-        2. deploy the Subnet Actor via the parent's init actor;
-        3. validators join with stake until the SA registers with the SCA;
-        4. once the parent SCA marks the child *active*, instantiate the
-           child chain (genesis + SCA), its validator nodes, consensus
-           engine, checkpoint service and cross-msg machinery.
+    def spawn_subnets(self, configs, timeout: float = 240.0) -> list:
+        """Spawn every subnet in *configs*; returns their IDs in config order.
 
-        Advances simulated time as needed; raises :class:`SpawnError` on
-        timeout.
+        The batch runs one tree level at a time — a config whose parent is
+        in the batch goes in a later level, so list order does not matter —
+        and each level runs the four §III-A phases, with one wait per phase
+        for the whole level: fund every new validator's wallet on its
+        parent chain; deploy every Subnet Actor through the parent's init
+        actor; every validator joins with stake, until each parent SCA marks
+        its child *active*; then instantiate each child chain (genesis + SCA,
+        nodes, engine, checkpointing), in config order.  A batch of one is
+        exactly the serial one-subnet flow.
+
+        Every config is checked before any wallet or message exists, so a
+        bad batch changes nothing.  Raises :class:`SpawnError` on a bad
+        batch or a timed-out phase.
         """
         if not self._started:
             raise SpawnError("call start() before spawning subnets")
-        parent = SubnetID(config.parent)
-        if parent not in self.nodes_by_subnet:
-            raise SpawnError(f"parent subnet {parent} does not exist")
-        subnet = parent.child(config.name)
-        if subnet in self.nodes_by_subnet:
-            raise SpawnError(f"{subnet} already exists")
+        batch: dict[SubnetID, SubnetConfig] = {}
+        for config in configs:
+            if config.subnet in self.nodes_by_subnet:
+                raise SpawnError(f"{config.subnet} already exists")
+            if config.subnet in batch:
+                raise SpawnError(f"{config.subnet} is repeated in the batch")
+            batch[config.subnet] = config
+        levels: dict[int, list] = {}
+        for subnet, config in batch.items():
+            depth, parent = 0, subnet.parent()
+            while parent in batch:
+                depth, parent = depth + 1, parent.parent()
+            if parent not in self.nodes_by_subnet:
+                raise SpawnError(f"parent subnet {parent} does not exist")
+            levels.setdefault(depth, []).append(config)
+        for depth in sorted(levels):
+            self._spawn_level(levels[depth], timeout)
+        return list(batch)
 
-        validator_wallets = [
-            self._make_wallet(f"{subnet.path}-val{i}") for i in range(config.validators)
-        ]
-        self._fund_on_subnet(
-            parent,
-            [(w.address, config.stake_per_validator * 2) for w in validator_wallets],
+    def _spawn_level(self, configs: list, timeout: float) -> None:
+        """Spawn one tree level of a batch; every parent chain already runs."""
+        subnets = [config.subnet for config in configs]
+        sa_addrs = {subnet: self.sa_address(subnet) for subnet in subnets}
+        wallets, funded = {}, {}
+        for subnet, config in zip(subnets, configs):
+            wallets[subnet] = [
+                self._make_wallet(f"{subnet.path}-val{i}") for i in range(config.validators)
+            ]
+            grants = [(w.address, config.stake_per_validator * 2) for w in wallets[subnet]]
+            funded[subnet] = self._submit_funds(subnet.parent(), grants, timeout)
+        self._await_all("validators-funded", subnets, lambda s: funded[s](), timeout)
+
+        for subnet, config in zip(subnets, configs):
+            wallets[subnet][0].send(
+                self.node(subnet.parent()), INIT_ACTOR_ADDRESS, method="deploy",
+                params={"code": "subnet-actor", "label": subnet.path, "params": {
+                    "subnet_path": subnet.path, "consensus": config.engine,
+                    "checkpoint_period": config.checkpoint_period,
+                    "activation_collateral": config.activation_collateral,
+                    "policy": config.policy, "min_validators": config.min_validators,
+                }},
+            )
+        self._await_all(
+            "sa-deployed", subnets,
+            lambda s: self.node(s.parent()).vm.actor_code(sa_addrs[s]) == "subnet-actor",
             timeout,
         )
 
-        # Deploy the SA through consensus.
-        sa_addr = self.sa_address(subnet)
-        deployer = validator_wallets[0]
-        deployer.send(
-            self.node(parent),
-            INIT_ACTOR_ADDRESS,
-            method="deploy",
-            params={
-                "code": "subnet-actor",
-                "label": subnet.path,
-                "params": {
-                    "subnet_path": subnet.path,
-                    "consensus": config.engine,
-                    "checkpoint_period": config.checkpoint_period,
-                    "activation_collateral": config.activation_collateral,
-                    "policy": config.policy,
-                    "min_validators": config.min_validators,
-                },
-            },
+        # Validators stake; each SA registers with its SCA at activation.
+        for subnet, config in zip(subnets, configs):
+            for wallet in wallets[subnet]:
+                wallet.send(
+                    self.node(subnet.parent()), sa_addrs[subnet], method="join",
+                    value=config.stake_per_validator,
+                )
+        self._await_all(
+            "sa-active", subnets,
+            lambda s: (self.child_record(s.parent(), s) or {}).get("status") == "active",
+            timeout,
         )
-        if not self.wait_for(
-            lambda: self.node(parent).vm.actor_code(sa_addr) == "subnet-actor",
-            timeout=timeout,
-            label=f"sa-deployed:{subnet.path}",
-        ):
-            raise SpawnError(
-                f"SA deployment for {subnet} timed out{self.timeout_detail()}"
-            )
+        for subnet, config in zip(subnets, configs):
+            self._instantiate_subnet(subnet, config, wallets[subnet], sa_addrs[subnet])
 
-        # Validators stake; the SA registers with the SCA at activation.
-        for wallet in validator_wallets:
-            wallet.send(
-                self.node(parent), sa_addr, method="join",
-                value=config.stake_per_validator,
-            )
-        if not self.wait_for(
-            lambda: (self.child_record(parent, subnet) or {}).get("status") == "active",
-            timeout=timeout,
-            label=f"sa-active:{subnet.path}",
-        ):
-            raise SpawnError(
-                f"{subnet} never became active in the parent SCA"
-                f"{self.timeout_detail()}"
-            )
-
-        self._instantiate_subnet(subnet, config, validator_wallets, sa_addr)
-        return subnet
-
-    def _fund_on_subnet(self, subnet: SubnetID, grants: list, timeout: float) -> None:
-        """Ensure each (address, amount) holds on *subnet*'s chain,
-        injecting from the treasury through the hierarchy as needed."""
-        needed = [
-            (addr, amount)
-            for addr, amount in grants
-            if self.balance(subnet, addr) < amount
-        ]
-        if not needed:
+    def _await_all(self, label: str, subnets: list, done, timeout: float) -> None:
+        """One wait until ``done(subnet)`` holds for every subnet; on timeout
+        the wait label and :class:`SpawnError` name the subnets still missing."""
+        if self.stack.wait_for(lambda: all(map(done, subnets)), timeout=timeout):
             return
-        if subnet.is_root:
+        missing = ",".join(subnet.path for subnet in subnets if not done(subnet))
+        self._note_wait_timeout(f"{label}:{missing}", timeout)
+        raise SpawnError(f"{label} timed out for {missing}{self.timeout_detail()}")
+
+    def _submit_funds(self, subnet: SubnetID, grants: list, timeout: float):
+        """Submit what makes each (address, amount) hold on *subnet*'s chain,
+        injecting from the treasury through the hierarchy as needed; returns
+        the predicate that they all hold."""
+        needed = [(addr, amount) for addr, amount in grants if self.balance(subnet, addr) < amount]
+        if needed and subnet.is_root:
             for addr, amount in needed:
                 self.transfer(self.treasury, ROOTNET, addr, amount)
-        else:
+        elif needed:
             # fund() executes on the subnet's parent chain, so the treasury
             # must hold funds there first — provision recursively down the
             # hierarchy (each hop is itself a top-down injection).
@@ -532,15 +553,7 @@ class HierarchicalSystem:
             self._ensure_treasury_funds(subnet.parent(), total, timeout)
             for addr, amount in needed:
                 self.fund_subnet(self.treasury, subnet, addr, amount)
-        ok = self.wait_for(
-            lambda: all(self.balance(subnet, addr) >= amount for addr, amount in needed),
-            timeout=timeout,
-            label=f"validators-funded:{subnet.path}",
-        )
-        if not ok:
-            raise SpawnError(
-                f"funding validators on {subnet} timed out{self.timeout_detail()}"
-            )
+        return lambda: all(self.balance(subnet, addr) >= amount for addr, amount in needed)
 
     def ensure_funds(self, subnet, grants, timeout: float = 240.0) -> None:
         """Ensure each ``(address, amount)`` balance holds on *subnet*.
@@ -549,7 +562,9 @@ class HierarchicalSystem:
         scenario drivers stage their senders through it instead of poking
         node VMs (funds always flow in-protocol).
         """
-        self._fund_on_subnet(SubnetID(subnet), list(grants), timeout)
+        subnet = SubnetID(subnet)
+        funded = self._submit_funds(subnet, list(grants), timeout)
+        self._await_all("validators-funded", [subnet], lambda _: funded(), timeout)
 
     def provision_treasury(self, subnet, amount: int, timeout: float = 240.0) -> None:
         """Public helper: ensure the treasury can spend *amount* on *subnet*.
@@ -569,15 +584,10 @@ class HierarchicalSystem:
         # this injection and must keep headroom for its own later traffic.
         self._ensure_treasury_funds(subnet.parent(), top_up * 2, timeout)
         self.fund_subnet(self.treasury, subnet, self.treasury.address, top_up)
-        ok = self.wait_for(
-            lambda: self.balance(subnet, self.treasury.address) >= amount,
-            timeout=timeout,
-            label=f"treasury-funded:{subnet.path}",
+        self._await_all(
+            "treasury-funded", [subnet],
+            lambda _: self.balance(subnet, self.treasury.address) >= amount, timeout,
         )
-        if not ok:
-            raise SpawnError(
-                f"provisioning treasury on {subnet} timed out{self.timeout_detail()}"
-            )
 
     def _instantiate_subnet(
         self, subnet: SubnetID, config: SubnetConfig, validator_wallets, sa_addr

@@ -7,8 +7,13 @@ campaign grid (:mod:`repro.scenario.campaign`) and the canonical library
 (:mod:`repro.scenario.library`).  CLI entry points:
 ``python -m repro.scenario`` runs campaigns,
 ``python -m repro.scenario.report`` triages their JSON output.
+
+A topology lists its subnets as ``SubnetConfig`` records; ``SubnetSpec``
+is an alias of ``SubnetConfig`` kept for the ledger harness.
 """
 
+# The ledger harness (benchmarks/ledger/workloads.py) still imports this name.
+from repro.hierarchy.network import SubnetConfig as SubnetSpec
 from repro.scenario.campaign import CampaignRunner
 from repro.scenario.errors import ScenarioError
 from repro.scenario.faults import (
@@ -42,7 +47,6 @@ from repro.scenario.spec import (
     Expectation,
     PaymentSpec,
     Scenario,
-    SubnetSpec,
     TopologySpec,
     WorkloadSpec,
 )

@@ -62,17 +62,16 @@ from repro.scenario.spec import (
     Expectation,
     PaymentSpec,
     Scenario,
-    SubnetSpec,
     TopologySpec,
     WorkloadSpec,
+    scenario_subnet,
 )
 
 SUBNET = "/root/s0"
 
 
 def _topology(**overrides) -> TopologySpec:
-    subnet = SubnetSpec(**overrides)
-    return TopologySpec(root_validators=3, subnets=[subnet])
+    return TopologySpec(root_validators=3, subnets=[scenario_subnet(**overrides)])
 
 
 def _payments(rate: float = 4.0) -> WorkloadSpec:

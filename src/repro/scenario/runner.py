@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.hierarchy import HierarchicalSystem
 from repro.scenario.faults import FaultInjector
 from repro.scenario.spec import (
     OK_VERDICTS,
@@ -185,19 +185,7 @@ class ScenarioRunner:
                 system, monitors=True, postmortem_dir=self.postmortem_dir,
                 health_interval=1.0,
             )
-        for subnet in spec.subnets:
-            system.spawn_subnet(
-                SubnetConfig(
-                    name=subnet.name,
-                    parent=subnet.parent,
-                    validators=subnet.validators,
-                    engine=subnet.engine,
-                    block_time=subnet.block_time,
-                    checkpoint_period=subnet.checkpoint_period,
-                    finality_depth=subnet.finality_depth,
-                ),
-                timeout=SETUP_TIMEOUT,
-            )
+        system.spawn_subnets(spec.subnets, timeout=SETUP_TIMEOUT)
         self.system = system
         self._fund_workloads()
         return system

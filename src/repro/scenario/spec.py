@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.hierarchy.network import SubnetConfig
 from repro.scenario.errors import ScenarioError
 from repro.scenario.faults import Fault
 from repro.telemetry.monitor import AUDITORS
@@ -27,6 +28,9 @@ VERDICT_CLEAN = "clean"
 VERDICT_EXPECTED = "expected-violation"
 VERDICT_UNEXPECTED = "unexpected-violation"
 VERDICT_STALL = "liveness-stall"
+
+#: What :meth:`Scenario.as_dict` records of each subnet, besides its path.
+SUBNET_KEYS = ("validators", "engine", "block_time", "checkpoint_period", "finality_depth")
 
 #: Verdicts that do NOT fail a campaign.
 OK_VERDICTS = (VERDICT_CLEAN, VERDICT_EXPECTED)
@@ -91,23 +95,11 @@ class Expectation:
 # ----------------------------------------------------------------------
 # Topology / workload
 # ----------------------------------------------------------------------
-@dataclass
-class SubnetSpec:
-    """One subnet to spawn (a declarative
-    :class:`~repro.hierarchy.network.SubnetConfig` subset)."""
-
-    name: str = "s0"
-    parent: str = "/root"
-    validators: int = 3
-    engine: str = "poa"
-    block_time: float = 0.25
-    checkpoint_period: int = 5
-    finality_depth: int = 5
-
-    @property
-    def path(self) -> str:
-        return f"{self.parent.rstrip('/')}/{self.name}" if self.parent != "/root" \
-            else f"/root/{self.name}"
+def scenario_subnet(**overrides) -> SubnetConfig:
+    """The subnet a scenario spawns unless it says otherwise: a
+    :class:`SubnetConfig` on the scenario defaults, with *overrides*."""
+    defaults = {"name": "s0", "validators": 3, "block_time": 0.25, "checkpoint_period": 5}
+    return SubnetConfig(**{**defaults, **overrides})
 
 
 @dataclass
@@ -120,7 +112,7 @@ class TopologySpec:
     latency: float = 0.02
     loss_rate: float = 0.0
     checkpoint_period: int = 5
-    subnets: list = field(default_factory=lambda: [SubnetSpec()])
+    subnets: list = field(default_factory=lambda: [scenario_subnet()])  # list[SubnetConfig]
 
 
 @dataclass
@@ -163,7 +155,7 @@ class Scenario:
         for fault in self.faults:
             if not isinstance(fault, Fault):
                 raise ScenarioError(f"not a Fault: {fault!r}")
-        known = {"/root"} | {spec.path for spec in self.topology.subnets}
+        known = {"/root"} | {config.subnet.path for config in self.topology.subnets}
         for fault in self.faults:
             subnet = getattr(fault, "subnet", None)
             if subnet is not None and subnet not in known:
@@ -179,6 +171,10 @@ class Scenario:
             "seed": self.seed,
             "duration": self.duration,
             "expect": self.expect.as_dict(),
-            "subnets": [vars(spec) for spec in self.topology.subnets],
+            "subnets": [
+                {"name": config.name, "parent": config.subnet.parent().path,
+                 **{key: getattr(config, key) for key in SUBNET_KEYS}}
+                for config in self.topology.subnets
+            ],
             "faults": [fault.describe() for fault in self.faults],
         }

@@ -69,3 +69,40 @@ def test_digest_is_stable_for_idle_system(monkeypatch, seed):
     before = system.end_state_digest()
     # Digesting must not mutate state.
     assert system.end_state_digest() == before
+
+
+def _run_batched_tree(monkeypatch, tie_shuffle):
+    if tie_shuffle is None:
+        monkeypatch.delenv("REPRO_TIE_SHUFFLE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_TIE_SHUFFLE", str(tie_shuffle))
+    system = HierarchicalSystem(
+        seed=9, root_validators=3, root_block_time=0.5, checkpoint_period=4,
+        wallet_funds={"alice": 10_000},
+    ).start()
+    # Two levels, four engines, the child listed before its parent.
+    leaf = system.spawn_subnets([
+        SubnetConfig(name="leaf", parent="/root/tm", validators=3, engine="poa",
+                     block_time=0.25, checkpoint_period=4),
+        SubnetConfig(name="tm", validators=4, engine="tendermint", block_time=0.5,
+                     checkpoint_period=4),
+        SubnetConfig(name="pos", validators=3, engine="pos", block_time=0.5,
+                     checkpoint_period=4),
+        SubnetConfig(name="mir", validators=4, engine="mir", block_time=0.5,
+                     checkpoint_period=4),
+    ])[0]
+    alice = system.wallets["alice"]
+    system.cross_send(alice, ROOTNET, leaf, alice.address, 1_000)
+    assert system.wait_for(
+        lambda: system.balance(leaf, alice.address) >= 1_000, timeout=60.0
+    )
+    system.run_until(20.0)
+    return system
+
+
+def test_batched_mixed_engine_spawn_is_tie_invariant(monkeypatch):
+    digests = {
+        seed: _run_batched_tree(monkeypatch, seed).end_state_digest()
+        for seed in (None, 1, 2)
+    }
+    assert len(set(digests.values())) == 1, digests

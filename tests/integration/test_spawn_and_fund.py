@@ -5,6 +5,7 @@ import pytest
 from repro.hierarchy import (
     ROOTNET,
     HierarchicalSystem,
+    SpawnError,
     SubnetConfig,
     audit_system,
 )
@@ -93,3 +94,100 @@ def test_all_subnet_nodes_converge(system):
         for node in system.nodes(sub)
     }
     assert len(cids) == 1
+
+
+# ----------------------------------------------------------------------
+# Batched spawning
+# ----------------------------------------------------------------------
+def _fresh(seed=5):
+    return HierarchicalSystem(
+        seed=seed, root_validators=3, root_block_time=0.5, checkpoint_period=6
+    ).start()
+
+
+def _lane(name, parent=ROOTNET, engine="poa"):
+    return SubnetConfig(name=name, parent=parent, validators=3, engine=engine,
+                        block_time=0.25, checkpoint_period=6)
+
+
+def _fingerprint(system):
+    heads = {subnet.path: system.node(subnet).head().cid for subnet in system.subnets}
+    return system.sim.now, system.sim.events_executed, system.sim.trace.digest(), heads
+
+
+def test_batch_of_one_is_the_serial_spawn():
+    serial, batched = _fresh(), _fresh()
+    assert serial.spawn_subnet(_lane("solo", engine="tendermint")) == ROOTNET.child("solo")
+    assert batched.spawn_subnets([_lane("solo", engine="tendermint")]) == [ROOTNET.child("solo")]
+    # Fund, deploy and join each take one 0.5 s root block, in that order.
+    assert (batched.sim.now, batched.sim.events_executed) == (1.5, 34)
+    assert _fingerprint(serial) == _fingerprint(batched)
+    serial.run_for(3.0)
+    batched.run_for(3.0)
+    assert _fingerprint(serial) == _fingerprint(batched)
+
+
+def test_set_up_sim_time_does_not_grow_with_width():
+    ends = []
+    for width in (2, 12):
+        system = _fresh()
+        subnets = system.spawn_subnets(_lane(f"w{i}") for i in range(width))
+        assert subnets == [ROOTNET.child(f"w{i}") for i in range(width)]
+        assert all(
+            system.child_record(ROOTNET, subnet)["status"] == "active" for subnet in subnets
+        )
+        ends.append(system.sim.now)
+    assert ends[0] == ends[1]
+
+
+def test_two_level_batch_listed_child_first_keeps_config_order():
+    system = _fresh()
+    configs = [
+        _lane("leaf", parent="/root/mid/low"),
+        _lane("low", parent="/root/mid", engine="tendermint"),
+        _lane("side"),
+        _lane("mid"),
+    ]
+    subnets = system.spawn_subnets(configs)
+    assert [subnet.path for subnet in subnets] == [
+        "/root/mid/low/leaf", "/root/mid/low", "/root/side", "/root/mid",
+    ]
+    assert sorted(subnets) == system.subnets[1:]
+    system.run_for(3.0)
+    assert all(system.node(subnet).head().height > 0 for subnet in subnets)
+
+
+def _unchanged_by(system, configs):
+    before = (dict(system.wallets), system.sim.now, system.sim.events_executed)
+    with pytest.raises(SpawnError):
+        system.spawn_subnets(configs)
+    assert (dict(system.wallets), system.sim.now, system.sim.events_executed) == before
+
+
+def test_bad_batch_before_start_changes_nothing():
+    system = HierarchicalSystem(seed=5, root_validators=3)
+    _unchanged_by(system, [_lane("a")])
+
+
+def test_bad_batch_with_unknown_parent_changes_nothing():
+    system = _fresh()
+    _unchanged_by(system, [_lane("a"), _lane("b", parent="/root/nowhere")])
+    # A parent in the batch is known; its own missing parent is not.
+    _unchanged_by(system, [_lane("a"), _lane("c", parent="/root/x/y"), _lane("y", parent="/root/x")])
+
+
+def test_bad_batch_with_repeated_subnet_changes_nothing():
+    system = _fresh()
+    _unchanged_by(system, [_lane("a"), _lane("b"), _lane("a")])
+    system.spawn_subnet(_lane("a"))
+    _unchanged_by(system, [_lane("b"), _lane("a")])
+
+
+def test_timed_out_phase_names_every_missing_subnet():
+    system = _fresh()
+    stuck = [_lane(name) for name in ("stuck0", "stuck1")]
+    for config in stuck:
+        config.activation_collateral = 10**6  # more than 3 validators ever stake
+    with pytest.raises(SpawnError, match="sa-active timed out for /root/stuck0,/root/stuck1"):
+        system.spawn_subnets([stuck[0], _lane("fine"), stuck[1]], timeout=5.0)
+    assert system.last_timeout["label"] == "sa-active:/root/stuck0,/root/stuck1"

@@ -19,24 +19,20 @@ def world():
         seed=151, root_validators=3, root_block_time=0.5, checkpoint_period=6,
         wallet_funds={"whale": 10**12},
     ).start()
-    subnets = {
-        "poa": system.spawn_subnet(
-            SubnetConfig(name="poa", validators=3, engine="poa",
-                         block_time=0.25, checkpoint_period=6)),
-        "tm": system.spawn_subnet(
-            SubnetConfig(name="tm", validators=4, engine="tendermint",
-                         block_time=0.5, checkpoint_period=6)),
-        "mir": system.spawn_subnet(
-            SubnetConfig(name="mir", validators=4, engine="mir",
-                         block_time=0.5, checkpoint_period=6)),
-        "pow": system.spawn_subnet(
-            SubnetConfig(name="pow", validators=3, engine="pow",
-                         block_time=0.4, checkpoint_period=6, finality_depth=3)),
-    }
-    subnets["deep"] = system.spawn_subnet(
-        SubnetConfig(name="deep", parent=subnets["poa"], validators=3,
-                     engine="poa", block_time=0.25, checkpoint_period=6)
-    )
+    # One batch, two levels: "deep" waits for its parent "poa".
+    spawned = system.spawn_subnets([
+        SubnetConfig(name="poa", validators=3, engine="poa",
+                     block_time=0.25, checkpoint_period=6),
+        SubnetConfig(name="tm", validators=4, engine="tendermint",
+                     block_time=0.5, checkpoint_period=6),
+        SubnetConfig(name="mir", validators=4, engine="mir",
+                     block_time=0.5, checkpoint_period=6),
+        SubnetConfig(name="pow", validators=3, engine="pow",
+                     block_time=0.4, checkpoint_period=6, finality_depth=3),
+        SubnetConfig(name="deep", parent="/root/poa", validators=3,
+                     engine="poa", block_time=0.25, checkpoint_period=6),
+    ])
+    subnets = {subnet.name: subnet for subnet in spawned}
     return system, subnets
 
 

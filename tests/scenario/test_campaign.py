@@ -17,7 +17,6 @@ from repro.scenario.spec import (
     Expectation,
     PaymentSpec,
     Scenario,
-    SubnetSpec,
     TopologySpec,
     WorkloadSpec,
 )
@@ -27,7 +26,7 @@ def _tiny(name="tiny-ok", expect=None, faults=None):
     def factory():
         return Scenario(
             name=name,
-            topology=TopologySpec(subnets=[SubnetSpec(name="s0")]),
+            topology=TopologySpec(),
             workload=WorkloadSpec(
                 payments=[PaymentSpec(subnet="/root/s0", rate=2.0, senders=2)]
             ),

@@ -10,7 +10,6 @@ from repro.scenario.spec import (
     Expectation,
     PaymentSpec,
     Scenario,
-    SubnetSpec,
     TopologySpec,
     WorkloadSpec,
 )
@@ -102,7 +101,7 @@ def test_watchdog_tracks_the_best_head_not_the_laggard():
 def _tiny_scenario(name="tiny", **overrides):
     defaults = dict(
         name=name,
-        topology=TopologySpec(subnets=[SubnetSpec(name="s0")]),
+        topology=TopologySpec(),
         workload=WorkloadSpec(
             payments=[PaymentSpec(subnet="/root/s0", rate=2.0, senders=2)]
         ),

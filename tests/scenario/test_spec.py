@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.hierarchy import SubnetConfig
 from repro.scenario.errors import ScenarioError
 from repro.scenario.faults import CrashFault, PartitionFault, Trigger
 from repro.scenario.spec import (
     Expectation,
     PaymentSpec,
     Scenario,
-    SubnetSpec,
     TopologySpec,
     WorkloadSpec,
 )
@@ -65,7 +65,7 @@ def test_every_library_scenario_still_constructs():
 def _scenario(**overrides):
     defaults = dict(
         name="unit",
-        topology=TopologySpec(subnets=[SubnetSpec(name="s0")]),
+        topology=TopologySpec(),
         workload=WorkloadSpec(payments=[PaymentSpec(subnet="/root/s0")]),
         faults=[],
         duration=10.0,
@@ -74,9 +74,19 @@ def _scenario(**overrides):
     return Scenario(**defaults)
 
 
-def test_subnet_spec_path_derivation():
-    assert SubnetSpec(name="s0").path == "/root/s0"
-    assert SubnetSpec(name="deep", parent="/root/s0").path == "/root/s0/deep"
+def test_subnet_config_path_derivation():
+    assert SubnetConfig(name="s0").subnet.path == "/root/s0"
+    assert SubnetConfig(name="deep", parent="/root/s0").subnet.path == "/root/s0/deep"
+
+
+def test_default_topology_is_the_scenario_subnet():
+    (subnet,) = TopologySpec().subnets
+    assert (subnet.subnet.path, subnet.validators, subnet.block_time,
+            subnet.checkpoint_period) == ("/root/s0", 3, 0.25, 5)
+    assert _scenario().as_dict()["subnets"] == [{
+        "name": "s0", "parent": "/root", "validators": 3, "engine": "poa",
+        "block_time": 0.25, "checkpoint_period": 5, "finality_depth": 5,
+    }]
 
 
 def test_scenario_requires_a_name():
