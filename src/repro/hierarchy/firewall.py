@@ -21,7 +21,7 @@ Two tools here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from repro.crypto.cid import CID, cid_of
 from repro.crypto.keys import Address
@@ -31,7 +31,6 @@ from repro.hierarchy.crossmsg import CrossMsg
 from repro.hierarchy.gateway import SCA_ADDRESS, child_records
 from repro.hierarchy.subnet_actor import last_committed_window
 from repro.hierarchy.subnet_id import SubnetID
-from repro.hierarchy.wallet import Wallet
 
 
 @dataclass
@@ -118,7 +117,9 @@ class CompromisedSubnet:
     cross-msg meta claims *value* flowing bottom-up to an attacker address
     in the parent, signs it with the subnet's genuine validator keys,
     pushes the forged batch into the resolution layer (so the parent can
-    apply it), and submits the checkpoint through the SA.
+    apply it), and submits the checkpoint through the SA from validator
+    0's checkpoint-service wallet, whose nonce follows any genuine
+    submission still pending.
     """
 
     def __init__(self, system, subnet) -> None:
@@ -127,8 +128,6 @@ class CompromisedSubnet:
         self.parent = self.subnet.parent()
         self.nodes = system.nodes(self.subnet)
         self.sa_addr = system.sa_address(self.subnet)
-        self._wallet = Wallet(self.nodes[0].keypair)
-        self._window_bump = 0
 
     def forge_extraction(
         self,
@@ -137,18 +136,20 @@ class CompromisedSubnet:
         count: int = 1,
         break_prev: bool = False,
         break_epoch: bool = False,
-    ) -> CrossMsgMeta:
+    ) -> Optional[Checkpoint]:
         """Submit a forged checkpoint claiming *value* (split over *count*
-        messages) for *attacker* on the parent chain.
+        messages) for *attacker* on the parent chain, for the window after
+        the last one the parent's SA holds.
 
-        Returns the forged meta.  The parent's firewall decides how much of
-        it ever pays out.  ``break_prev`` points the forged prev-link at
-        garbage — the SCA's prev-chaining check rejects that outright, so
-        it probes the defense rather than bypassing it.  ``break_epoch``
-        keeps the prev-link genuine but claims epoch 0: the commit path
-        validates window monotonicity, prev and signatures but *not* epoch
-        monotonicity, so the forgery commits — exactly the gap the
-        checkpoint-chain auditor exists to catch.
+        Returns the forged checkpoint, or ``None`` when the parent's
+        mempool refused the submission.  The parent's firewall decides how
+        much of it ever pays out.  ``break_prev`` points the forged
+        prev-link at garbage — the SCA's prev-chaining check rejects that
+        outright, so it probes the defense rather than bypassing it.
+        ``break_epoch`` keeps the prev-link genuine but claims epoch 0: the
+        commit path validates window monotonicity, prev and signatures but
+        *not* epoch monotonicity, so the forgery commits — exactly the gap
+        the checkpoint-chain auditor exists to catch.
         """
         per_message = value // count
         amounts = [per_message] * count
@@ -167,8 +168,7 @@ class CompromisedSubnet:
         msgs_cid = cid_of(forged_messages)
         record = self.system.child_record(self.parent, self.subnet) or {}
         parent_state = self.system.node(self.parent).vm.state
-        window = last_committed_window(parent_state, self.sa_addr) + 1 + self._window_bump
-        self._window_bump += 1
+        window = last_committed_window(parent_state, self.sa_addr) + 1
         meta = CrossMsgMeta(
             from_subnet=self.subnet,
             to_subnet=self.parent,
@@ -201,10 +201,10 @@ class CompromisedSubnet:
             node.resolution.store(msgs_cid, forged_messages)
         self.nodes[0].resolution.push(self.parent, msgs_cid, forged_messages)
         # Submit through the SA like any checkpoint.
-        self._wallet.send(
+        submitted = self.nodes[0].checkpoints.wallet.send(
             self.system.node(self.parent),
             self.sa_addr,
             method="submit_checkpoint",
             params={"signed": signed},
         )
-        return meta
+        return None if submitted is None else checkpoint

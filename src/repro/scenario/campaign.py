@@ -27,14 +27,12 @@ CAMPAIGN_SCHEMA = "repro.campaign/v1"
 def _jitter_schedule(scenario: Scenario, rng: random.Random, spread: float) -> None:
     """Randomize trigger offsets/durations in place by ±``spread``.
 
-    Only ``at=`` offsets and durations move — predicate triggers already
-    depend on run dynamics.  The jitter RNG is seeded from the campaign,
-    scenario and seed names, so a randomized campaign replays bit-for-bit.
+    The jitter RNG is seeded from the campaign, scenario and seed names, so
+    a randomized campaign replays bit-for-bit.
     """
     for fault in scenario.faults:
         trigger = fault.trigger
-        if trigger.at is not None:
-            trigger.at = max(0.0, trigger.at * (1.0 + spread * rng.uniform(-1, 1)))
+        trigger.at = max(0.0, trigger.at * (1.0 + spread * rng.uniform(-1, 1)))
         if trigger.duration is not None:
             trigger.duration = max(
                 0.05, trigger.duration * (1.0 + spread * rng.uniform(-1, 1))

@@ -6,10 +6,12 @@ swap_engine), the runtime-mutable ``node.byzantine`` behaviour set, the
 resolution/SA path (forged checkpoints), or the workload layer (spam) —
 so injecting a fault never forks protocol code.
 
-A fault is *armed* by the :class:`FaultInjector` according to its
-:class:`Trigger` (a sim-time offset, or a predicate polled on a fixed
-cadence), *injected* once, and — if the trigger carries a ``duration`` —
-*healed* that many simulated seconds later, reverting whatever it changed.
+A fault is *armed* by the :class:`FaultInjector` at its :class:`Trigger`'s
+sim-time offset, *injected* once, and — if the trigger carries a
+``duration`` — *healed* that many simulated seconds later, reverting
+whatever it changed.  A trigger is two numbers and a fault's parameters
+are plain values, so a whole schedule prints as data
+(:meth:`Fault.describe`).
 
 Validator selectors resolve over the live topology at injection time:
 ``"all"``, ``"leader"`` (index 0), ``"minority"`` (largest strict
@@ -20,7 +22,7 @@ minority, taken from the tail so index 0 stays honest), ``"majority"``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.consensus.base import ConsensusParams, make_engine
 from repro.scenario.errors import ScenarioError
@@ -33,31 +35,21 @@ from repro.scenario.errors import ScenarioError
 class Trigger:
     """When a fault fires and for how long it stays active.
 
-    Exactly one of ``at`` (seconds after the scenario's fault clock
-    starts) or ``when`` (a callable ``predicate(system) -> bool``) must be
-    set.  ``duration=None`` means the fault is never healed.
+    ``at`` counts seconds after the scenario's fault clock starts;
+    ``duration=None`` means the fault is never healed.
     """
 
-    at: Optional[float] = None
-    when: Optional[Callable] = None
+    at: float
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if (self.at is None) == (self.when is None):
-            raise ScenarioError("trigger needs exactly one of at= or when=")
-        if self.when is not None and not callable(self.when):
-            raise ScenarioError(f"trigger when= must be callable, got {self.when!r}")
-        if self.at is not None and self.at < 0:
+        if self.at < 0:
             raise ScenarioError("trigger offset cannot be negative")
         if self.duration is not None and self.duration <= 0:
             raise ScenarioError("trigger duration must be positive")
 
     def as_dict(self) -> dict:
-        return {
-            "at": self.at,
-            "when": None if self.when is None else "<callable>",
-            "duration": self.duration,
-        }
+        return {"at": self.at, "duration": self.duration}
 
 
 # ----------------------------------------------------------------------
@@ -95,12 +87,13 @@ def select_validators(system, subnet, select) -> list:
 # Fault base
 # ----------------------------------------------------------------------
 class Fault:
-    """One injectable fault: a trigger, a target, inject() and heal()."""
+    """One injectable fault: a trigger, a target subnet, inject() and heal()."""
 
     KIND = "fault"
 
-    def __init__(self, trigger: Trigger) -> None:
+    def __init__(self, trigger: Trigger, subnet: str) -> None:
         self.trigger = trigger
+        self.subnet = subnet
         self.injected_at: Optional[float] = None
         self.healed_at: Optional[float] = None
 
@@ -111,8 +104,9 @@ class Fault:
         """Revert the fault; default is irreversible (nothing to do)."""
 
     def describe(self) -> dict:
+        """The fault as JSON data: kind, trigger and public parameters."""
         detail = {
-            key: value
+            key: list(value) if isinstance(value, tuple) else value
             for key, value in vars(self).items()
             if not key.startswith("_")
             and key not in ("trigger", "injected_at", "healed_at")
@@ -124,13 +118,44 @@ class Fault:
 # ----------------------------------------------------------------------
 # Network faults — transport partition/link tables
 # ----------------------------------------------------------------------
-class PartitionFault(Fault):
+class _TransportFault(Fault):
+    """A fault that is one transport handle.
+
+    Injecting partitions the ``select``-ed validators of *subnet* from
+    everyone else (a subclass installs another handle through
+    :meth:`_install`); healing removes exactly that handle, so another
+    fault on the same links stays in force.
+    """
+
+    def __init__(self, trigger: Trigger, subnet: str, select="minority") -> None:
+        super().__init__(trigger, subnet)
+        self.select = select
+        self._handle: Optional[int] = None
+
+    def _selected(self, system) -> list:
+        return [
+            node.node_id
+            for node in select_validators(system, self.subnet, self.select)
+        ]
+
+    def _install(self, system) -> int:
+        return system.stack.transport.partition(self._selected(system))
+
+    def inject(self, system) -> None:
+        self._handle = self._install(system)
+
+    def heal(self, system) -> None:
+        if self._handle is not None:
+            system.stack.transport.heal(self._handle)
+            self._handle = None
+
+
+class PartitionFault(_TransportFault):
     """Split a subnet (or the whole network) along validator groups.
 
     ``select`` names the group to split off within *subnet* (default
     ``"minority"``); ``isolate_subnet=True`` instead cuts the entire
     subnet off from the rest of the network (the parent-link partition).
-    Healing removes exactly this partition.
     """
 
     KIND = "partition"
@@ -142,36 +167,21 @@ class PartitionFault(Fault):
         select="minority",
         isolate_subnet: bool = False,
     ) -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
-        self.select = select
+        super().__init__(trigger, subnet, select)
         self.isolate_subnet = isolate_subnet
-        self._handle: Optional[int] = None
 
-    def inject(self, system) -> None:
-        transport = system.stack.transport
+    def _selected(self, system) -> list:
         if self.isolate_subnet:
-            group = [node.node_id for node in system.nodes(self.subnet)]
-        else:
-            group = [
-                node.node_id
-                for node in select_validators(system, self.subnet, self.select)
-            ]
-        self._handle = transport.partition(group)
-
-    def heal(self, system) -> None:
-        if self._handle is not None:
-            system.stack.transport.heal(self._handle)
-            self._handle = None
+            return [node.node_id for node in system.nodes(self.subnet)]
+        return super()._selected(system)
 
 
-class LinkDegradeFault(Fault):
+class LinkDegradeFault(_TransportFault):
     """Per-link loss and/or latency spike between two validator groups.
 
     Degrades every link between ``select`` and the rest of *subnet* (or
     between *subnet* and its parent's validators when
-    ``to_parent=True``).  Healing removes exactly this degradation; another
-    one on the same links stays in force.
+    ``to_parent=True``).
     """
 
     KIND = "link-degrade"
@@ -185,19 +195,13 @@ class LinkDegradeFault(Fault):
         extra_latency: float = 0.0,
         to_parent: bool = False,
     ) -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
-        self.select = select
+        super().__init__(trigger, subnet, select)
         self.loss = loss
         self.extra_latency = extra_latency
         self.to_parent = to_parent
-        self._handle: Optional[int] = None
 
-    def _groups(self, system) -> tuple:
-        selected = [
-            node.node_id
-            for node in select_validators(system, self.subnet, self.select)
-        ]
+    def _install(self, system) -> int:
+        selected = self._selected(system)
         if self.to_parent:
             from repro.hierarchy.subnet_id import SubnetID
 
@@ -212,18 +216,9 @@ class LinkDegradeFault(Fault):
             ]
             if not others:  # degrading "all" means every intra-subnet link
                 others = selected
-        return selected, others
-
-    def inject(self, system) -> None:
-        selected, others = self._groups(system)
-        self._handle = system.stack.transport.set_link(
+        return system.stack.transport.set_link(
             selected, others, loss=self.loss, extra_latency=self.extra_latency
         )
-
-    def heal(self, system) -> None:
-        if self._handle is not None:
-            system.stack.transport.heal(self._handle)
-            self._handle = None
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +230,7 @@ class CrashFault(Fault):
     KIND = "crash"
 
     def __init__(self, trigger: Trigger, subnet: str, select="minority") -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
+        super().__init__(trigger, subnet)
         self.select = select
         self._crashed: list = []
 
@@ -269,8 +263,7 @@ class ChurnFault(Fault):
         period: float = 5.0,
         downtime: float = 2.0,
     ) -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
+        super().__init__(trigger, subnet)
         self.period = period
         self.downtime = downtime
         self._stop = None
@@ -327,8 +320,7 @@ class ByzantineFault(Fault):
     KIND = "byzantine"
 
     def __init__(self, trigger: Trigger, subnet: str, behaviours, select="all") -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
+        super().__init__(trigger, subnet)
         self.behaviours = tuple(
             (behaviours,) if isinstance(behaviours, str) else behaviours
         )
@@ -378,6 +370,10 @@ class CheckpointWithholdFault(ByzantineFault):
 # ----------------------------------------------------------------------
 # Attack faults — forged checkpoints through the SA seam
 # ----------------------------------------------------------------------
+#: Forgeries one :class:`ForgedCheckpointFault` submits at most.
+FORGE_ATTEMPTS = 4
+
+
 class ForgedCheckpointFault(Fault):
     """Mount the §II compromised-subnet attack at trigger time.
 
@@ -388,7 +384,13 @@ class ForgedCheckpointFault(Fault):
     checks epoch monotonicity, so the forgery commits and the
     checkpoint-chain auditor catches it.  ``break_prev`` instead detaches
     the prev-link, which the SCA rejects outright (a probe that the
-    defense holds).  Irreversible — there is nothing to heal.
+    defense holds).
+
+    A forgery can lose its window: the mempool refuses it, or a genuine
+    checkpoint still in flight lands first.  On every later parent block
+    the SA has not recorded the forgery although its window is decided,
+    the fault forges again against the current parent state, up to
+    :data:`FORGE_ATTEMPTS` forgeries.  Irreversible — nothing to heal.
     """
 
     KIND = "forged-checkpoint"
@@ -402,31 +404,61 @@ class ForgedCheckpointFault(Fault):
         break_prev: bool = False,
         break_epoch: bool = False,
     ) -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
+        super().__init__(trigger, subnet)
         self.value = value
         self.count = count
         self.break_prev = break_prev
         self.break_epoch = break_epoch
+        self._attempts_left = FORGE_ATTEMPTS
 
     def inject(self, system) -> None:
-        from repro.crypto.keys import KeyPair
         from repro.hierarchy.firewall import CompromisedSubnet
 
-        attacker = KeyPair(("scenario-attacker", self.subnet)).address
-        CompromisedSubnet(system, self.subnet).forge_extraction(
-            attacker,
+        self._adversary = CompromisedSubnet(system, self.subnet)
+        self._forge()
+        system.node(self._adversary.parent).on_commit(self._on_parent_block)
+
+    def _forge(self) -> None:
+        from repro.crypto.keys import KeyPair
+
+        self._attempts_left -= 1
+        self._forged = self._adversary.forge_extraction(
+            KeyPair(("scenario-attacker", self.subnet)).address,
             self.value,
             count=self.count,
             break_prev=self.break_prev,
             break_epoch=self.break_epoch,
         )
 
+    def _on_parent_block(self, _block) -> None:
+        from repro.hierarchy.subnet_actor import (
+            committed_checkpoints,
+            last_committed_window,
+        )
+
+        if not self._attempts_left:
+            return
+        adversary = self._adversary
+        forged = self._forged
+        if forged is not None:
+            state = adversary.system.node(adversary.parent).vm.state
+            if last_committed_window(state, adversary.sa_addr) < forged.window:
+                return  # its window is still open
+            if any(
+                signed.checkpoint.cid == forged.cid
+                for signed in committed_checkpoints(
+                    state, adversary.sa_addr, after=forged.window - 1
+                )
+            ):
+                self._attempts_left = 0  # the SA holds it
+                return
+        self._forge()
+
 
 # ----------------------------------------------------------------------
 # Long-range reorg — partition a fork-capable subnet past finality
 # ----------------------------------------------------------------------
-class ReorgFault(Fault):
+class ReorgFault(_TransportFault):
     """Trigger a long-range reorg on a fork-capable (e.g. PoW) subnet.
 
     Partitions the selected minority so both sides keep mining; healing
@@ -436,24 +468,6 @@ class ReorgFault(Fault):
     """
 
     KIND = "reorg"
-
-    def __init__(self, trigger: Trigger, subnet: str, select="minority") -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
-        self.select = select
-        self._handle: Optional[int] = None
-
-    def inject(self, system) -> None:
-        group = [
-            node.node_id
-            for node in select_validators(system, self.subnet, self.select)
-        ]
-        self._handle = system.stack.transport.partition(group)
-
-    def heal(self, system) -> None:
-        if self._handle is not None:
-            system.stack.transport.heal(self._handle)
-            self._handle = None
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +491,7 @@ class CrossMsgSpamFault(Fault):
         rate: float = 20.0,
         value: int = 1,
     ) -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
+        super().__init__(trigger, subnet)
         self.to_subnet = to_subnet
         self.rate = rate
         self.value = value
@@ -515,42 +528,21 @@ class CrossMsgSpamFault(Fault):
 # ----------------------------------------------------------------------
 # Byzantine engine swap — the make_engine plug point
 # ----------------------------------------------------------------------
-class RogueProposerEngine:
+def rogue_proposer_engine(sim, node, validators, params):
     """A PoA engine that proposes in *every* slot, leadership be damned.
 
     Honest validators refuse its blocks (not ``eligible``: wrong miner for
     the slot), gossiped or range-synced, so a swapped node floods the
     subnet with invalid proposals — the byzantine engine-swap fault.
     Built through :func:`make_engine` against the ``poa`` registration,
-    then rewired: composition keeps this out of the consensus package (no
-    rogue engine in the production registry).
+    then given an instance leader rule: no rogue engine in the production
+    registry.  Takes :meth:`NodeRuntime.swap_engine`'s factory arguments.
     """
-
-    def __init__(self, sim, node, validators, params) -> None:
-        base = ConsensusParams(**{**vars(params), "engine": "poa"})
-        self._engine = make_engine(sim, node, validators, base)
-        # Every slot is "ours": propose regardless of the rotation.
-        self._engine.leader_for_slot = lambda slot: validators.by_node(node.node_id)
-
-    @property
-    def running(self) -> bool:
-        return self._engine.running
-
-    @property
-    def params(self):
-        return self._engine.params
-
-    def start(self) -> None:
-        self._engine.start()
-
-    def stop(self) -> None:
-        self._engine.stop()
-
-    def eligible(self, block) -> bool:
-        return self._engine.eligible(block)
-
-    def handle(self, kind, payload, sender) -> None:
-        self._engine.handle(kind, payload, sender)
+    base = ConsensusParams(**{**vars(params), "engine": "poa"})
+    engine = make_engine(sim, node, validators, base)
+    # Every slot is "ours": propose regardless of the rotation.
+    engine.leader_for_slot = lambda slot: validators.by_node(node.node_id)
+    return engine
 
 
 class EngineSwapFault(Fault):
@@ -564,24 +556,19 @@ class EngineSwapFault(Fault):
     KIND = "engine-swap"
 
     def __init__(self, trigger: Trigger, subnet: str, select="minority") -> None:
-        super().__init__(trigger)
-        self.subnet = subnet
+        super().__init__(trigger, subnet)
         self.select = select
         self._originals: list = []
 
     def inject(self, system) -> None:
         self._originals = []
         for node in select_validators(system, self.subnet, self.select):
-            old = node.swap_engine(RogueProposerEngine)
+            old = node.swap_engine(rogue_proposer_engine)
             self._originals.append((node, old))
 
     def heal(self, system) -> None:
         for node, old in self._originals:
-            was_running = node.engine.running
-            node.engine.stop()
-            node.engine = old
-            if was_running:
-                old.start()
+            node.swap_engine(lambda *_: old)
         self._originals = []
 
 
@@ -591,56 +578,30 @@ class EngineSwapFault(Fault):
 class FaultInjector:
     """Arms a fault schedule against a running system.
 
-    ``at`` triggers become simulator events relative to the injector's
-    start time; ``when`` predicates are polled every ``poll_interval``
-    simulated seconds.  Each fault fires once; its optional heal is
+    Each trigger's ``at`` becomes a simulator event relative to the
+    injector's start time; each fault fires once, and its optional heal is
     scheduled ``duration`` later.  ``log`` records (time, event, fault
-    description) tuples for the campaign report.
+    description) entries for the campaign report.
     """
 
-    def __init__(self, system, faults, poll_interval: float = 0.25) -> None:
+    def __init__(self, system, faults) -> None:
         self.system = system
         self.faults = list(faults)
-        self.poll_interval = poll_interval
         self.log: list[dict] = []
-        self._pending: list = []  # faults awaiting their when=
-        self._stop_poll = None
 
     def arm(self) -> "FaultInjector":
-        sim = self.system.sim
         for fault in self.faults:
-            if fault.trigger.when is None:
-                sim.schedule(
-                    fault.trigger.at, self._fire, fault,
-                    label=f"fault:{fault.KIND}",
-                )
-            else:
-                self._pending.append(fault)
-        if self._pending:
-            self._stop_poll = sim.every(
-                self.poll_interval, self._poll, label="fault:poll", on_error="log"
+            self.system.sim.schedule(
+                fault.trigger.at, self._fire, fault, label=f"fault:{fault.KIND}",
             )
         return self
 
     def disarm(self) -> None:
-        """Stop polling and heal every still-active revertible fault."""
-        if self._stop_poll is not None:
-            self._stop_poll()
-            self._stop_poll = None
-        self._pending = []
+        """Heal every still-active revertible fault."""
         for fault in self.faults:
             if fault.injected_at is not None and fault.healed_at is None:
                 if fault.trigger.duration is not None:
                     self._heal(fault)
-
-    def _poll(self) -> None:
-        fired = [fault for fault in self._pending if fault.trigger.when(self.system)]
-        for fault in fired:
-            self._pending.remove(fault)
-            self._fire(fault)
-        if not self._pending and self._stop_poll is not None:
-            self._stop_poll()
-            self._stop_poll = None
 
     def _fire(self, fault: Fault) -> None:
         sim = self.system.sim

@@ -2,19 +2,18 @@
 
 :class:`ScenarioRunner` turns a declarative
 :class:`~repro.scenario.spec.Scenario` into a live
-:class:`~repro.hierarchy.network.HierarchicalSystem` with invariant
-monitors and the flight recorder armed, drives the workload, arms the
-fault schedule through a :class:`~repro.scenario.faults.FaultInjector`,
-and classifies the outcome:
+:class:`~repro.hierarchy.network.HierarchicalSystem` with every telemetry
+plane attached (invariant monitors, flight recorder, a 1 Hz health
+probe), drives the workload, arms the fault schedule through a
+:class:`~repro.scenario.faults.FaultInjector`, and classifies the outcome:
 
 - ``clean`` — no invariant violation, no liveness stall;
 - ``expected-violation`` — exactly the expected auditors (plus tolerated
-  side effects) tripped, or the expected SLO degraded;
+  side effects) tripped;
 - ``unexpected-violation`` — an unexpected auditor tripped, or an
   expected one never fired;
-- ``liveness-stall`` — the :class:`ProgressWatchdog` saw a subnet's head
-  stop advancing for ``stall_after`` simulated seconds (and the scenario
-  didn't declare that degradation).
+- ``liveness-stall`` — the :class:`ProgressWatchdog` saw a subnet's
+  frontier stop advancing for ``stall_after`` simulated seconds.
 
 Anything not ``clean``/``expected-violation`` dumps a postmortem bundle
 tagged with the scenario and verdict, carrying the watchdog's stall
@@ -23,7 +22,7 @@ reports, so triage starts from evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.hierarchy import HierarchicalSystem
@@ -36,58 +35,42 @@ from repro.scenario.spec import (
     VERDICT_UNEXPECTED,
     Scenario,
 )
+from repro.sim.observe import HealthSampled, Plane
 from repro.telemetry import enable_telemetry
 from repro.workloads import PaymentWorkload
 
 SPAM_FUNDS = 10**9
 #: Simulated seconds spawning a subnet or funding a wallet may take.
 SETUP_TIMEOUT = 240.0
-#: Simulated seconds between two samples of the watchdog.
-WATCHDOG_INTERVAL = 1.0
 
 
-class ProgressWatchdog:
-    """Liveness oracle: flags subnets whose best head stops advancing.
+class ProgressWatchdog(Plane):
+    """Liveness oracle: flags subnets whose frontier stops advancing.
 
-    Samples the *maximum* head height across each subnet's validators
-    (so a single crashed or partitioned laggard is not a stall — the
-    subnet as a whole must stop).  A stall is recorded once per
-    stagnation episode; progress re-arms the watchdog.  Read-only and
-    RNG-free, hence digest-neutral.
+    Reads the health probe's rounds (:class:`~repro.sim.observe.HealthSampled`),
+    whose ``height`` is the best head across a subnet's validators, so a
+    single crashed or partitioned laggard is not a stall — the subnet as a
+    whole must stop.  A stall is recorded once per stagnation episode;
+    progress re-arms the watchdog.  It watches from attach to detach, and
+    adds no section to the run document.
     """
 
-    def __init__(self, system, stall_after: float = 10.0) -> None:
-        self.system = system
+    section = "watchdog"
+    observes = {HealthSampled: "on_health"}
+
+    def __init__(self, sim, stall_after: float = 10.0) -> None:
+        self.sim = sim
         self.stall_after = stall_after
         self.stalls: list[dict] = []
         self._last: dict[str, tuple] = {}  # path -> (height, since)
         self._flagged: set[str] = set()
-        self._stop = None
-
-    def start(self) -> "ProgressWatchdog":
-        if self._stop is None:
-            self._stop = self.system.sim.every(
-                WATCHDOG_INTERVAL, self._tick, label="scenario:watchdog",
-                on_error="log",
-            )
-        return self
-
-    def stop(self) -> None:
-        if self._stop is not None:
-            self._stop()
-            self._stop = None
 
     def stalled_subnets(self) -> list:
         return sorted({stall["subnet"] for stall in self.stalls})
 
-    def _tick(self) -> None:
-        now = self.system.sim.now
-        for subnet in self.system.subnets:
-            path = subnet.path
-            height = max(
-                node.head().height
-                for node in self.system.nodes_by_subnet[subnet]
-            )
+    def on_health(self, record: HealthSampled) -> None:
+        for path, sample in record.latest.items():
+            height, now = sample["height"], sample["time"]
             previous = self._last.get(path)
             if previous is None or height > previous[0]:
                 self._last[path] = (height, now)
@@ -97,7 +80,7 @@ class ProgressWatchdog:
             if now - since >= self.stall_after and path not in self._flagged:
                 self._flagged.add(path)
                 stall = {"subnet": path, "height": height, "since": since, "time": now}
-                diagnoser = self.system.sim.planes.get("stall")
+                diagnoser = self.sim.planes.get("stall")
                 if diagnoser is not None:
                     # Diagnose at flag time, while the wedged round state
                     # is live — by classification time the fault may have
@@ -129,21 +112,7 @@ class ScenarioOutcome:
         return self.verdict in OK_VERDICTS
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "expected": self.expected,
-            "ok": self.ok,
-            "notes": list(self.notes),
-            "tripped": list(self.tripped),
-            "violations": list(self.violations),
-            "stalls": list(self.stalls),
-            "fault_log": list(self.fault_log),
-            "heights": dict(self.heights),
-            "bundles": list(self.bundles),
-            "sim": dict(self.sim),
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 class ScenarioRunner:
@@ -154,12 +123,10 @@ class ScenarioRunner:
         scenario: Scenario,
         seed: Optional[int] = None,
         postmortem_dir: Optional[str] = None,
-        monitors: bool = True,
     ) -> None:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.postmortem_dir = postmortem_dir
-        self.monitors = monitors
         self.system: Optional[HierarchicalSystem] = None
         self.workloads: list = []
         self.injector: Optional[FaultInjector] = None
@@ -180,11 +147,10 @@ class ScenarioRunner:
             root_block_time=spec.root_block_time,
             checkpoint_period=spec.checkpoint_period,
         ).start()
-        if self.monitors:
-            enable_telemetry(
-                system, monitors=True, postmortem_dir=self.postmortem_dir,
-                health_interval=1.0,
-            )
+        enable_telemetry(
+            system, monitors=True, postmortem_dir=self.postmortem_dir,
+            health_interval=1.0,
+        )
         system.spawn_subnets(spec.subnets, timeout=SETUP_TIMEOUT)
         self.system = system
         self._fund_workloads()
@@ -240,15 +206,15 @@ class ScenarioRunner:
             self.build()
         system = self.system
         self._start_workloads()
-        self.watchdog = ProgressWatchdog(
-            system, stall_after=scenario.stall_after
-        ).start()
+        self.watchdog = system.sim.attach(
+            ProgressWatchdog(system.sim, stall_after=scenario.stall_after)
+        )
         self.injector = FaultInjector(system, scenario.faults).arm()
         system.run_for(scenario.duration)
         for workload in self.workloads:
             workload.stop()
         self.injector.disarm()
-        self.watchdog.stop()
+        system.sim.detach(self.watchdog)
         return self._classify()
 
     # ------------------------------------------------------------------
@@ -257,66 +223,37 @@ class ScenarioRunner:
     def _classify(self) -> ScenarioOutcome:
         scenario = self.scenario
         system = self.system
-        monitor = system.sim.planes.get("invariants")
-        violations = list(monitor.violations) if monitor is not None else []
+        violations = list(system.sim.planes["invariants"].violations)
         tripped = sorted({violation.auditor for violation in violations})
         stalls = list(self.watchdog.stalls)
         expect = scenario.expect
 
         notes: list[str] = []
-        verdict = VERDICT_CLEAN
         if expect.kind == "safe":
             if tripped:
-                verdict = VERDICT_UNEXPECTED
-                notes.append(
-                    f"safe scenario tripped auditors: {', '.join(tripped)}"
-                )
-            elif stalls:
-                verdict = VERDICT_STALL
-                notes.append(
-                    "progress stalled on "
-                    + ", ".join(self.watchdog.stalled_subnets())
-                )
-        elif expect.kind == "violates":
-            required = set(expect.auditors)
-            allowed = required | set(expect.tolerate)
-            extra = sorted(set(tripped) - allowed)
-            missing = sorted(required - set(tripped))
+                notes.append(f"safe scenario tripped auditors: {', '.join(tripped)}")
+        else:
+            extra = sorted(set(tripped) - set(expect.auditors) - set(expect.tolerate))
+            missing = sorted(set(expect.auditors) - set(tripped))
             if extra:
-                verdict = VERDICT_UNEXPECTED
                 notes.append(f"unexpected auditors tripped: {', '.join(extra)}")
             if missing:
-                verdict = VERDICT_UNEXPECTED
-                notes.append(
-                    f"expected violation never fired: {', '.join(missing)}"
-                )
-            if verdict == VERDICT_CLEAN:
-                if stalls:
-                    verdict = VERDICT_STALL
-                    notes.append(
-                        "progress stalled on "
-                        + ", ".join(self.watchdog.stalled_subnets())
-                    )
-                else:
-                    verdict = VERDICT_EXPECTED
-                    notes.append(f"tripped as expected: {', '.join(tripped)}")
-        else:  # degrades
-            slo_subnet = expect.slo.split(":", 1)[1]
-            degraded = slo_subnet in self.watchdog.stalled_subnets()
-            if tripped:
-                verdict = VERDICT_UNEXPECTED
-                notes.append(
-                    f"degradation scenario tripped auditors: {', '.join(tripped)}"
-                )
-            elif not degraded:
-                verdict = VERDICT_UNEXPECTED
-                notes.append(f"SLO {expect.slo!r} never degraded")
-            else:
-                verdict = VERDICT_EXPECTED
-                notes.append(f"SLO {expect.slo!r} degraded as expected")
+                notes.append(f"expected violation never fired: {', '.join(missing)}")
+        if notes:
+            verdict = VERDICT_UNEXPECTED
+        elif stalls:
+            verdict = VERDICT_STALL
+            notes.append(
+                "progress stalled on " + ", ".join(self.watchdog.stalled_subnets())
+            )
+        elif expect.kind == "safe":
+            verdict = VERDICT_CLEAN
+        else:
+            verdict = VERDICT_EXPECTED
+            notes.append(f"tripped as expected: {', '.join(tripped)}")
 
-        recorder = system.sim.planes.get("recorder")
-        if recorder is not None and verdict not in OK_VERDICTS:
+        recorder = system.sim.planes["recorder"]
+        if verdict not in OK_VERDICTS:
             recorder.dump(
                 reason=f"scenario:{scenario.name}:{verdict}",
                 stall_reports=[
@@ -338,7 +275,7 @@ class ScenarioRunner:
                 subnet.path: system.node(subnet).head().height
                 for subnet in system.subnets
             },
-            bundles=list(recorder.paths) if recorder is not None else [],
+            bundles=list(recorder.paths),
             sim={
                 "now": system.sim.now,
                 "seed": system.sim.seed,

@@ -1,23 +1,23 @@
 """Scenario specs: topology + workload + fault schedule + expected verdict.
 
 A :class:`Scenario` is declarative and inert — building one touches no
-simulator.  The :class:`~repro.scenario.runner.ScenarioRunner` turns it
-into a live :class:`~repro.hierarchy.network.HierarchicalSystem`, drives
-the workload, injects the fault schedule and classifies the outcome
-against the scenario's :class:`Expectation`:
+simulator, and :meth:`Scenario.as_dict` is all of it as JSON-ready data.
+The :class:`~repro.scenario.runner.ScenarioRunner` turns it into a live
+:class:`~repro.hierarchy.network.HierarchicalSystem`, drives the
+workload, injects the fault schedule and classifies the outcome against
+the scenario's :class:`Expectation`:
 
 - ``Expectation.safe()`` — no invariant violation and no liveness stall;
 - ``Expectation.violates("supply", ...)`` — the named auditors must trip
   (any other auditor tripping is UNEXPECTED); ``tolerate=`` lists
-  auditors whose collateral violations are acceptable side effects;
-- ``Expectation.degrades("progress:<subnet>")`` — the named SLO must be
-  breached (currently: a progress stall on the named subnet).
+  auditors whose collateral violations are acceptable side effects.
+
+Either way a liveness stall fails the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.hierarchy.network import SubnetConfig
 from repro.scenario.errors import ScenarioError
@@ -43,10 +43,9 @@ OK_VERDICTS = (VERDICT_CLEAN, VERDICT_EXPECTED)
 class Expectation:
     """What a scenario is supposed to do to the invariant monitors."""
 
-    kind: str = "safe"  # "safe" | "violates" | "degrades"
+    kind: str = "safe"  # "safe" | "violates"
     auditors: tuple = ()  # for "violates": auditors that MUST trip
     tolerate: tuple = ()  # extra auditors allowed to trip alongside
-    slo: Optional[str] = None  # for "degrades": e.g. "progress:/root/s0"
 
     def __post_init__(self) -> None:
         # A name no armed auditor answers to can never trip, so an expectation
@@ -68,27 +67,16 @@ class Expectation:
             raise ScenarioError("violates() needs at least one auditor name")
         return cls(kind="violates", auditors=tuple(auditors), tolerate=tuple(tolerate))
 
-    @classmethod
-    def degrades(cls, slo: str) -> "Expectation":
-        if not slo.startswith("progress:"):
-            raise ScenarioError(
-                f"unknown SLO {slo!r}; supported: 'progress:<subnet>'"
-            )
-        return cls(kind="degrades", slo=slo)
-
     def render(self) -> str:
         if self.kind == "safe":
             return "safe"
-        if self.kind == "violates":
-            return f"violates({', '.join(self.auditors)})"
-        return f"degrades({self.slo})"
+        return f"violates({', '.join(self.auditors)})"
 
     def as_dict(self) -> dict:
         return {
             "kind": self.kind,
             "auditors": list(self.auditors),
             "tolerate": list(self.tolerate),
-            "slo": self.slo,
         }
 
 
@@ -152,15 +140,13 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ScenarioError("scenario needs a name")
+        known = {"/root"} | {config.subnet.path for config in self.topology.subnets}
         for fault in self.faults:
             if not isinstance(fault, Fault):
                 raise ScenarioError(f"not a Fault: {fault!r}")
-        known = {"/root"} | {config.subnet.path for config in self.topology.subnets}
-        for fault in self.faults:
-            subnet = getattr(fault, "subnet", None)
-            if subnet is not None and subnet not in known:
+            if fault.subnet not in known:
                 raise ScenarioError(
-                    f"fault {fault.KIND} targets unknown subnet {subnet!r}; "
+                    f"fault {fault.KIND} targets unknown subnet {fault.subnet!r}; "
                     f"topology has {sorted(known)}"
                 )
 

@@ -11,7 +11,7 @@ import pytest
 from repro.consensus import (
     MirEngine, ProofOfStakeEngine, RoundRobinEngine, SlotLeaderEngine,
 )
-from repro.scenario.faults import RogueProposerEngine
+from repro.scenario.faults import rogue_proposer_engine
 from repro.telemetry import RoundTracer
 
 # (kind, fields-without-cid) per engine, as seen by n0 then n1; 3 validators,
@@ -129,13 +129,13 @@ def test_an_engine_is_a_leader_rule():
 
 
 def test_instance_assigned_leader_rule_drives_proposal(make_cluster):
-    """``RogueProposerEngine`` swaps the rule on one instance: it proposes
+    """``rogue_proposer_engine`` swaps the rule on one instance: it proposes
     in every slot and accepts nobody else's blocks, while honest validators
     — still on the real rule — reject whatever it mines out of turn."""
     cluster = make_cluster(4, engine="poa", block_time=0.5, seed=23).start()
     cluster.run(2.2)
     rogue = cluster.nodes[3]
-    rogue.swap_engine(RogueProposerEngine)
+    rogue.swap_engine(rogue_proposer_engine)
     rejected = cluster.sim.metrics.counter("consensus./root.rejected")
     before = rejected.value
     cluster.run(2.0)  # slots 5..8: n3 leads one of them, proposes in all four

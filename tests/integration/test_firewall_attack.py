@@ -137,3 +137,24 @@ def test_honest_users_unaffected_in_other_subnets():
     )
     # Attack impact bounded by the victim's circulating supply.
     assert system.balance(ROOTNET, attacker) <= 2_000
+
+
+def test_forgery_queues_behind_a_pending_genuine_submission():
+    """The adversary holds validator 0's key and submits through validator
+    0's checkpoint-service wallet: a genuine submission still in the
+    parent's mempool keeps its nonce and the forgery takes the next one,
+    instead of one of the two being refused as a duplicate."""
+    system = build_system(seed=43)
+    sub = ROOTNET.child("victim")
+    service = system.nodes(sub)[0].checkpoints
+    root = system.node(ROOTNET)
+    genuine = service.wallet.send(root, KeyPair("ckpt-sink").address)
+    forged = CompromisedSubnet(system, sub).forge_extraction(
+        KeyPair("attacker-queued").address, value=1
+    )
+    assert genuine is not None and forged is not None
+    pending = root.mempool.pending_for(service.wallet.address)
+    assert [signed.message.nonce for signed in pending] == [
+        genuine.message.nonce, genuine.message.nonce + 1
+    ]
+    assert pending[0] is genuine

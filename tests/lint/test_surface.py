@@ -39,8 +39,6 @@ KEPT = {
         "the lint rule tests feed their in-memory fixtures through it",
     "repro.net.gossip.GossipNetwork.remove_peer":
         "the gossip oracle's leave-and-return edge: a returning peer keeps its history",
-    "repro.scenario.spec.Expectation.degrades":
-        "the one way to expect the runner's degraded-SLO verdict; the runner tests use it",
     "repro.sim.events.EventQueue.iter_pending":
         "the live events of a queue, for inspection; the queue test reads them",
     "repro.sim.events.EventQueue.peek_time":

@@ -80,19 +80,6 @@ class StubSystem:
 # ----------------------------------------------------------------------
 # Triggers
 # ----------------------------------------------------------------------
-def _always(system):
-    return True
-
-
-def test_trigger_needs_exactly_one_of_at_or_when():
-    with pytest.raises(ScenarioError):
-        Trigger()
-    with pytest.raises(ScenarioError):
-        Trigger(at=1.0, when=_always)
-    assert Trigger(at=0.0).at == 0.0
-    assert Trigger(when=_always).when is _always
-
-
 def test_trigger_rejects_bad_numbers():
     with pytest.raises(ScenarioError):
         Trigger(at=-1.0)
@@ -100,17 +87,6 @@ def test_trigger_rejects_bad_numbers():
         Trigger(at=1.0, duration=0.0)
     with pytest.raises(ScenarioError):
         Trigger(at=1.0, duration=-2.0)
-
-
-def test_trigger_predicate_forms():
-    assert Trigger(at=3.0).when is None
-    with pytest.raises(ScenarioError):
-        Trigger(when="time >= 4")  # the string grammar is gone, not ignored
-
-
-def test_trigger_as_dict_masks_callables():
-    as_dict = Trigger(when=lambda s: True, duration=2.0).as_dict()
-    assert as_dict == {"at": None, "when": "<callable>", "duration": 2.0}
 
 
 # ----------------------------------------------------------------------
@@ -259,18 +235,6 @@ def test_injector_fires_at_triggers_and_heals_after_duration():
     assert fault.healed_at == 5.0
     events = [(entry["time"], entry["event"]) for entry in injector.log]
     assert events == [(2.0, "inject"), (5.0, "heal")]
-
-
-def test_injector_polls_predicate_triggers():
-    from repro.sim.scheduler import Simulator
-
-    system = StubSystem()
-    system.sim = Simulator(seed=1)
-    fault = _ProbeFault(Trigger(when=lambda system: system.sim.now >= 1.6), "/root/s0")
-    FaultInjector(system, [fault], poll_interval=0.5).arm()
-    system.sim.run_until(5.0)
-    assert fault.injected_at == 2.0  # first poll tick past 1.6
-    assert fault.healed_at is None  # no duration: never healed
 
 
 def test_injector_disarm_heals_active_revertible_faults():

@@ -1,4 +1,4 @@
-"""Runner tests: the progress watchdog, digest neutrality, and the
+"""Runner tests: the progress watchdog, reproducibility, and the
 monitor-vs-attack integration pair from the scenario library."""
 
 import os
@@ -13,90 +13,41 @@ from repro.scenario.spec import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.sim.observe import HealthSampled
 from repro.sim.scheduler import Simulator
 
 
 # ----------------------------------------------------------------------
-# Watchdog (stub system, real simulator)
+# Watchdog (health samples fed through a real simulator's stream)
 # ----------------------------------------------------------------------
-class _StubSubnet:
-    def __init__(self, path):
-        self.path = path
-
-
-class _StubHead:
-    def __init__(self, owner):
-        self._owner = owner
-
-    @property
-    def height(self):
-        return self._owner.height
-
-
-class _StubNode:
-    def __init__(self, owner):
-        self._head = _StubHead(owner)
-
-    def head(self):
-        return self._head
-
-
-class _StubChain:
-    def __init__(self, sim, path):
-        self.sim = sim
-        self.height = 0
-        self.subnet = _StubSubnet(path)
-        self.node = _StubNode(self)
-
-
-def _watchdog_rig(stall_after=3.0):
-    sim = Simulator(seed=1)
-    chain = _StubChain(sim, "/root/s0")
-
-    class System:
-        pass
-
-    system = System()
-    system.sim = sim
-    system.subnets = [chain.subnet]
-    system.nodes_by_subnet = {chain.subnet: [chain.node]}
-    watchdog = ProgressWatchdog(system, stall_after=stall_after)
-    return sim, chain, watchdog
+def _sample(sim, now, height, path="/root/s0"):
+    sim.now = now
+    sim.observe(HealthSampled, {path: {"height": height, "time": now}})
 
 
 def test_watchdog_flags_one_stall_per_episode_and_rearms():
-    sim, chain, watchdog = _watchdog_rig(stall_after=3.0)
-    watchdog.start()
+    sim = Simulator(seed=1)
+    watchdog = sim.attach(ProgressWatchdog(sim, stall_after=3.0))
     # Progress until t=4, then freeze until t=10, resume, freeze again.
-    stop_growth = sim.every(1.0, lambda: setattr(chain, "height", chain.height + 1))
-    sim.run_until(4.0)
-    stop_growth()
-    sim.run_until(10.0)
+    for now in range(1, 5):
+        _sample(sim, float(now), now)
+    for now in range(5, 11):
+        _sample(sim, float(now), 4)
     assert len(watchdog.stalls) == 1  # one episode, flagged once
+    assert watchdog.stalls[0]["since"] == 4.0 and watchdog.stalls[0]["time"] == 7.0
     assert watchdog.stalled_subnets() == ["/root/s0"]
 
-    chain.height += 1  # progress re-arms the watchdog
-    sim.run_until(16.0)
+    for now in range(11, 17):  # progress at t=11 re-arms the watchdog
+        _sample(sim, float(now), 5)
     assert len(watchdog.stalls) == 2  # second episode flagged again
-    watchdog.stop()
-    final = len(watchdog.stalls)
-    sim.run_until(30.0)
-    assert len(watchdog.stalls) == final  # stopped watchdog stays quiet
-
-
-def test_watchdog_tracks_the_best_head_not_the_laggard():
-    sim, chain, watchdog = _watchdog_rig(stall_after=3.0)
-    laggard = _StubChain(sim, "/root/s0")  # height pinned at 0
-    subnet = chain.subnet
-    watchdog.system.nodes_by_subnet[subnet] = [chain.node, laggard.node]
-    watchdog.start()
-    sim.every(1.0, lambda: setattr(chain, "height", chain.height + 1))
-    sim.run_until(12.0)
-    assert watchdog.stalls == []  # one healthy head is enough
+    sim.detach(watchdog)
+    for now in range(17, 30):  # a third episode, from t=17 on
+        _sample(sim, float(now), 6)
+    assert len(watchdog.stalls) == 2  # a detached watchdog stays quiet
 
 
 # ----------------------------------------------------------------------
-# Digest neutrality of the instrumentation
+# Whole runs
 # ----------------------------------------------------------------------
 def _tiny_scenario(name="tiny", **overrides):
     defaults = dict(
@@ -111,19 +62,6 @@ def _tiny_scenario(name="tiny", **overrides):
     )
     defaults.update(overrides)
     return Scenario(**defaults)
-
-
-def test_monitoring_is_digest_neutral():
-    """The monitors, recorder and watchdog observe the run without
-    perturbing it: with and without them, the end state digest matches."""
-
-    def digest(monitors):
-        runner = ScenarioRunner(_tiny_scenario(), seed=5, monitors=monitors)
-        outcome = runner.run()
-        assert outcome.verdict == "clean"
-        return runner.system.end_state_digest()
-
-    assert digest(monitors=True) == digest(monitors=False)
 
 
 def test_scenario_runs_are_reproducible():
@@ -227,18 +165,3 @@ def test_liveness_stall_bundle_carries_stall_reports(tmp_path, capsys):
     assert reports[0]["quorum"]["line"] in out
     # The bundle is the stall's one artifact beside the campaign JSON.
     assert os.listdir(tmp_path) == [os.path.basename(path)]
-
-
-def test_degrades_expectation_matches_stall():
-    """A permanent full-subnet crash is a declared degradation: the
-    watchdog's stall satisfies the SLO expectation instead of failing."""
-    scenario = _tiny_scenario(
-        name="declared-stall",
-        faults=[CrashFault(Trigger(at=2.0), "/root/s0", select="all")],
-        duration=16.0,
-        expect=Expectation.degrades("progress:/root/s0"),
-    )
-    outcome = ScenarioRunner(scenario, seed=13).run()
-    assert outcome.verdict == "expected-violation"
-    assert outcome.ok
-    assert outcome.stalls

@@ -1,8 +1,11 @@
 """Unit tests for scenario specs: expectations and validation."""
 
+import json
+
 import pytest
 
 from repro.hierarchy import SubnetConfig
+from repro.scenario import library
 from repro.scenario.errors import ScenarioError
 from repro.scenario.faults import CrashFault, PartitionFault, Trigger
 from repro.scenario.spec import (
@@ -23,18 +26,11 @@ def test_expectation_constructors_and_render():
     assert violates.auditors == ("supply", "finality")
     assert violates.tolerate == ("membership",)
     assert violates.render() == "violates(supply, finality)"
-    degrades = Expectation.degrades("progress:/root/s0")
-    assert degrades.render() == "degrades(progress:/root/s0)"
 
 
 def test_expectation_violates_needs_an_auditor():
     with pytest.raises(ScenarioError):
         Expectation.violates()
-
-
-def test_expectation_degrades_refuses_an_unknown_slo():
-    with pytest.raises(ScenarioError):
-        Expectation.degrades("latency:/root")
 
 
 @pytest.mark.parametrize(
@@ -54,8 +50,6 @@ def test_expectation_refuses_an_auditor_no_monitor_arms(build):
 
 
 def test_every_library_scenario_still_constructs():
-    from repro.scenario import library
-
     assert len([library.get(name)() for name in library.names()]) == 15
 
 
@@ -117,3 +111,13 @@ def test_scenario_accepts_faults_on_root_and_declared_subnets():
     assert as_dict["name"] == "unit"
     assert [fault["kind"] for fault in as_dict["faults"]] == ["partition", "crash"]
     assert as_dict["expect"]["kind"] == "safe"
+
+
+@pytest.mark.parametrize("factory", library.CANONICAL, ids=lambda factory: factory().name)
+def test_library_scenario_is_plain_data(factory):
+    """A whole scenario, fault schedule included, is JSON data: it prints
+    and reads back unchanged, with no placeholder for a value JSON lacks."""
+    as_dict = factory().as_dict()
+    text = json.dumps(as_dict)
+    assert json.loads(text) == as_dict
+    assert "<" not in text

@@ -86,3 +86,24 @@ def test_crashed_validator_zero_does_not_freeze_a_live_subnet():
     recent = planes["recorder"].dump(reason="health-check")["recorder"]["health_ring"][-1]
     assert recent[sub.path]["height"] == sample["height"]
     assert recent[sub.path]["min_height"] == frozen
+
+
+def test_the_frontier_is_the_best_head_not_the_laggard():
+    """``height`` is what the scenario watchdog reads: with one validator
+    down and the other three committing, it keeps rising, the frozen
+    laggard shows up only in ``min_height``, and no stall is flagged."""
+    from repro.scenario.runner import ProgressWatchdog
+
+    system = HierarchicalSystem(seed=37)
+    system.start()
+    planes = enable_telemetry(system, health_interval=1.0)
+    sub = system.spawn_subnet(SubnetConfig(name="lag", validators=4, block_time=0.5))
+    system.run_for(2)
+    laggard = system.nodes(sub)[3]
+    laggard.stop()
+    watchdog = system.sim.attach(ProgressWatchdog(system.sim, stall_after=3.0))
+    system.run_for(12)
+
+    sample = planes["health"].latest[sub.path]
+    assert sample["min_height"] == laggard.head().height < sample["height"]
+    assert watchdog.stalls == []

@@ -187,7 +187,7 @@ def test_partitioned_tendermint_subnet_yields_named_stall_report(tmp_path, capsy
     )
     system.run_for(5.0)
 
-    watchdog = ProgressWatchdog(system, stall_after=8.0).start()
+    watchdog = system.sim.attach(ProgressWatchdog(system.sim, stall_after=8.0))
     nodes = system.nodes(sub)
     members = {node.node_id for node in nodes}
     kept = {node.node_id for node in nodes[:2]}
