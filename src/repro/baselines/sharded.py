@@ -35,26 +35,23 @@ from repro.runtime import ClusterMember, NetworkStack, NodeRuntime, ValidatorClu
 
 
 class ShardedBaseline:
-    """k shards over a global pool with periodic random reshuffling."""
+    """k PoA shards over a global pool with periodic random reshuffling."""
 
     def __init__(
         self,
         seed: int = 1,
         shards: int = 4,
         validators_per_shard: int = 4,
-        engine: str = "poa",
         block_time: float = 1.0,
-        latency: float = 0.02,
         reshuffle_interval: float = 30.0,
         reshuffle_downtime: float = 2.0,
         wallet_funds: Optional[dict] = None,
     ) -> None:
-        self.stack = NetworkStack(seed=seed, latency=latency)
+        self.stack = NetworkStack(seed=seed)
         self.sim = self.stack.sim
         self.gossip = self.stack.gossip
         self.shards = shards
         self.validators_per_shard = validators_per_shard
-        self.engine = engine
         self.block_time = block_time
         self.reshuffle_interval = reshuffle_interval
         self.reshuffle_downtime = reshuffle_downtime
@@ -113,7 +110,7 @@ class ShardedBaseline:
             ClusterMember(node_id=f"{subnet.path}#{i}", keypair=self.pool[i])
             for i in self._assignment[shard]
         ]
-        params = ConsensusParams(engine=self.engine, block_time=self.block_time)
+        params = ConsensusParams(engine="poa", block_time=self.block_time)
         cluster = ValidatorCluster.build(
             members,
             subnet_id=subnet.path,

@@ -31,11 +31,10 @@ class SingleChainBaseline:
         validators: int = 4,
         engine: str = "poa",
         block_time: float = 1.0,
-        latency: float = 0.02,
         max_block_messages: int = 500,
         wallet_funds: Optional[dict] = None,
     ) -> None:
-        self.stack = NetworkStack(seed=seed, latency=latency)
+        self.stack = NetworkStack(seed=seed)
         self.sim = self.stack.sim
         self.gossip = self.stack.gossip
         self.wallets = {

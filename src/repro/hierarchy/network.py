@@ -52,6 +52,9 @@ from repro.sim.observe import CrossMsgSubmitted, WaitTimedOut
 from repro.vm.builtin.init_actor import INIT_ACTOR_ADDRESS, derive_actor_address
 
 TREASURY_FUNDS = 10**15
+# The rootnet SCA's minCollateral (§III-A), which every child subnet's SCA
+# inherits at genesis.
+MIN_COLLATERAL = 100
 
 
 class SpawnError(RuntimeError):
@@ -76,10 +79,8 @@ class SubnetConfig:
     policy: SignaturePolicy = field(default_factory=lambda: SignaturePolicy("multisig", 2))
     stake_per_validator: int = 100
     activation_collateral: int = 100
-    min_validators: int = 1
     finality_depth: int = 5
     byzantine: dict = field(default_factory=dict)  # node index -> {behaviours}
-    mir_leaders: int = 4
     max_block_messages: int = 500
     gas_price: int = 0  # >0 makes every message pay fees to its block miner (§II)
     accelerate: bool = False  # issue/accept pending-payment certificates (§IV-A)
@@ -96,22 +97,19 @@ class HierarchicalSystem:
     def __init__(
         self,
         seed: int = 1,
-        latency: float = 0.02,
         loss_rate: float = 0.0,
         root_validators: int = 4,
         root_engine: str = "poa",
         root_block_time: float = 1.0,
         checkpoint_period: int = 10,
-        min_collateral: int = 100,
         wallet_funds: Optional[dict] = None,
         accelerate_root: bool = False,
     ) -> None:
-        self.stack = NetworkStack(seed=seed, latency=latency, loss_rate=loss_rate)
+        self.stack = NetworkStack(seed=seed, loss_rate=loss_rate)
         self.sim = self.stack.sim
         self.gossip = self.stack.gossip
         self.registry = hierarchy_registry()
         self.checkpoint_period = checkpoint_period
-        self.min_collateral = min_collateral
 
         self.wallets: dict[str, Wallet] = {}
         self.treasury = self._make_wallet("treasury")
@@ -149,7 +147,7 @@ class HierarchicalSystem:
         genesis_block, genesis_vm = subnet_genesis(
             ROOTNET,
             checkpoint_period=self.checkpoint_period,
-            min_collateral=self.min_collateral,
+            min_collateral=MIN_COLLATERAL,
             allocations=allocations,
             registry=self.registry,
         )
@@ -207,7 +205,6 @@ class HierarchicalSystem:
         self,
         predicate: Callable[[], bool],
         timeout: float = 120.0,
-        step: float = 0.25,
         label: Optional[str] = None,
     ) -> bool:
         """Advance simulated time until *predicate* holds; False on timeout.
@@ -219,7 +216,7 @@ class HierarchicalSystem:
         postmortem bundle tagged ``wait-timeout:<label>``), so a stalled
         campaign or spawn leaves evidence instead of a bare ``False``.
         """
-        ok = self.stack.wait_for(predicate, timeout=timeout, step=step)
+        ok = self.stack.wait_for(predicate, timeout=timeout)
         if not ok:
             self._note_wait_timeout(
                 label or getattr(predicate, "__name__", None) or "<predicate>",
@@ -504,7 +501,7 @@ class HierarchicalSystem:
                     "subnet_path": subnet.path, "consensus": config.engine,
                     "checkpoint_period": config.checkpoint_period,
                     "activation_collateral": config.activation_collateral,
-                    "policy": config.policy, "min_validators": config.min_validators,
+                    "policy": config.policy, "min_validators": 1,
                 }},
             )
         self._await_all(
@@ -607,7 +604,7 @@ class HierarchicalSystem:
         genesis_block, genesis_vm = subnet_genesis(
             subnet,
             checkpoint_period=config.checkpoint_period,
-            min_collateral=self.min_collateral,
+            min_collateral=MIN_COLLATERAL,
             registry=self.registry,
             timestamp=self.sim.now,
             gas_price=config.gas_price,
@@ -616,7 +613,6 @@ class HierarchicalSystem:
             engine=config.engine,
             block_time=config.block_time,
             finality_depth=config.finality_depth,
-            mir_leaders=config.mir_leaders,
             max_block_messages=config.max_block_messages,
         )
         config.policy.deal(

@@ -18,6 +18,9 @@ from repro.net.topology import Topology, UniformLatency
 from repro.net.transport import Transport
 from repro.sim.scheduler import Simulator
 
+# Sim seconds between two checks of a wait_for predicate.
+WAIT_STEP = 0.25
+
 
 class NetworkStack:
     """Simulator + topology + transport + gossip, composed once."""
@@ -51,15 +54,13 @@ class NetworkStack:
         self.sim.run_until(time)
         return self
 
-    def wait_for(
-        self, predicate: Callable[[], bool], timeout: float = 120.0, step: float = 0.25
-    ) -> bool:
+    def wait_for(self, predicate: Callable[[], bool], timeout: float = 120.0) -> bool:
         """Advance simulated time until *predicate* holds; False on timeout."""
         deadline = self.sim.now + timeout
         while self.sim.now < deadline:
             if predicate():
                 return True
-            self.sim.run_until(min(self.sim.now + step, deadline))
+            self.sim.run_until(min(self.sim.now + WAIT_STEP, deadline))
         return predicate()
 
     def shutdown(self) -> None:

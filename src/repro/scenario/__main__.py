@@ -44,11 +44,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--randomize", action="store_true",
-        help="jitter fault trigger offsets/durations per (scenario, seed)",
-    )
-    parser.add_argument(
-        "--jitter", type=float, default=0.2,
-        help="relative jitter spread for --randomize (default: 0.2)",
+        help="jitter fault trigger offsets/durations by ±20%% per (scenario, seed)",
     )
     args = parser.parse_args(argv)
 
@@ -64,7 +60,6 @@ def main(argv: Optional[list] = None) -> int:
         out_dir=args.out,
         postmortem_dir=args.postmortem_dir,
         randomize=args.randomize,
-        time_jitter=args.jitter,
         progress=print,
     )
     report = runner.run()

@@ -4,8 +4,8 @@ A campaign takes scenario *factories* (callables returning a fresh
 :class:`~repro.scenario.spec.Scenario` — faults are stateful, so every
 run gets its own objects), runs each across a seed list, optionally
 randomizes the fault schedule (trigger offsets and durations jittered by
-a per-``(campaign, scenario, seed)`` RNG — deterministic across
-processes), and writes ``CAMPAIGN_<name>.json`` for
+±:data:`TIME_JITTER` with a per-``(campaign, scenario, seed)`` RNG —
+deterministic across processes), and writes ``CAMPAIGN_<name>.json`` for
 ``python -m repro.scenario.report`` to triage.
 """
 
@@ -15,27 +15,29 @@ import json
 import os
 import random
 import time
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from repro.scenario.errors import ScenarioError
 from repro.scenario.runner import ScenarioOutcome, ScenarioRunner
 from repro.scenario.spec import OK_VERDICTS, Scenario
 
 CAMPAIGN_SCHEMA = "repro.campaign/v1"
+#: Relative spread of a randomized trigger offset or duration.
+TIME_JITTER = 0.2
 
 
-def _jitter_schedule(scenario: Scenario, rng: random.Random, spread: float) -> None:
-    """Randomize trigger offsets/durations in place by ±``spread``.
+def _jitter_schedule(scenario: Scenario, rng: random.Random) -> None:
+    """Randomize trigger offsets/durations in place by ±:data:`TIME_JITTER`.
 
     The jitter RNG is seeded from the campaign, scenario and seed names, so
     a randomized campaign replays bit-for-bit.
     """
     for fault in scenario.faults:
         trigger = fault.trigger
-        trigger.at = max(0.0, trigger.at * (1.0 + spread * rng.uniform(-1, 1)))
+        trigger.at = max(0.0, trigger.at * (1.0 + TIME_JITTER * rng.uniform(-1, 1)))
         if trigger.duration is not None:
             trigger.duration = max(
-                0.05, trigger.duration * (1.0 + spread * rng.uniform(-1, 1))
+                0.05, trigger.duration * (1.0 + TIME_JITTER * rng.uniform(-1, 1))
             )
 
 
@@ -45,12 +47,11 @@ class CampaignRunner:
     def __init__(
         self,
         name: str,
-        scenarios: Sequence[Union[Scenario, Callable[[], Scenario]]],
+        scenarios: Sequence[Callable[[], Scenario]],
         seeds: Sequence[int] = (1,),
         out_dir: Optional[str] = None,
         postmortem_dir: Optional[str] = None,
         randomize: bool = False,
-        time_jitter: float = 0.2,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
         if not name:
@@ -61,34 +62,23 @@ class CampaignRunner:
         self.out_dir = out_dir or "."
         self.postmortem_dir = postmortem_dir
         self.randomize = randomize
-        self.time_jitter = time_jitter
         self.progress = progress or (lambda message: None)
         self.outcomes: list[ScenarioOutcome] = []
         self._wall_seconds = 0.0
 
     # ------------------------------------------------------------------
-    def _materialize(self, entry, seed: int) -> Scenario:
-        scenario = entry() if callable(entry) else entry
-        if not isinstance(scenario, Scenario):
-            raise ScenarioError(f"not a Scenario (or factory of one): {entry!r}")
-        if callable(entry):
-            pass  # fresh object, safe to mutate
-        elif len(self.seeds) > 1 or self.randomize:
-            raise ScenarioError(
-                f"scenario {scenario.name!r} must be a factory (faults are "
-                "stateful) when running multiple seeds or randomizing"
-            )
+    def _materialize(self, factory: Callable[[], Scenario], seed: int) -> Scenario:
+        scenario = factory()
         if self.randomize:
-            rng = random.Random(f"{self.name}:{scenario.name}:{seed}")
-            _jitter_schedule(scenario, rng, self.time_jitter)
+            _jitter_schedule(scenario, random.Random(f"{self.name}:{scenario.name}:{seed}"))
         return scenario
 
     def run(self) -> dict:
         """Run the grid; returns (and writes) the campaign report dict."""
         started = time.perf_counter()
-        for entry in self.scenarios:
+        for factory in self.scenarios:
             for seed in self.seeds:
-                scenario = self._materialize(entry, seed)
+                scenario = self._materialize(factory, seed)
                 self.progress(f"run {scenario.name} seed={seed}")
                 outcome = ScenarioRunner(
                     scenario, seed=seed, postmortem_dir=self.postmortem_dir

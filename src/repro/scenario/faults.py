@@ -273,8 +273,7 @@ class ChurnFault(Fault):
     def inject(self, system) -> None:
         self._system = system
         self._stop = system.sim.every(
-            self.period, self._churn_one, label=f"fault:churn:{self.subnet}",
-            on_error="log",
+            self.period, self._churn_one, label=f"fault:churn:{self.subnet}"
         )
 
     def _churn_one(self) -> None:
@@ -515,8 +514,7 @@ class CrossMsgSpamFault(Fault):
             )
 
         self._stop = system.sim.every(
-            1.0 / self.rate, spam_one, label=f"fault:spam:{self.subnet}",
-            on_error="log",
+            1.0 / self.rate, spam_one, label=f"fault:spam:{self.subnet}"
         )
 
     def heal(self, system) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import Optional
 
 from repro.analysis.report import Table
@@ -81,49 +80,22 @@ def main(argv: Optional[list] = None) -> int:
         description="Triage repro.scenario campaign reports.",
     )
     parser.add_argument("paths", nargs="+", help="CAMPAIGN_*.json files")
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit a machine-readable triage summary instead of tables",
-    )
     args = parser.parse_args(argv)
 
     exit_code = 0
-    summaries = []
     for path in args.paths:
         report = load_campaign(path)
         bad = [run for run in report["runs"] if run["verdict"] not in OK_VERDICTS]
         if bad:
             exit_code = 1
-        summaries.append(
-            {
-                "path": path,
-                "name": report["name"],
-                "ok": report["ok"] and not bad,
-                "summary": report["summary"],
-                "triage": [
-                    {
-                        "scenario": run["scenario"],
-                        "seed": run["seed"],
-                        "verdict": run["verdict"],
-                        "notes": run["notes"],
-                        "bundles": run["bundles"],
-                    }
-                    for run in bad
-                ],
-            }
+        _verdict_table(report).show()
+        for run in bad:
+            print("\n" + _triage_detail(run))
+        status = "OK" if not bad else "NOT OK"
+        print(
+            f"\ncampaign {report['name']}: {status} "
+            f"({len(report['runs'])} runs, {report['summary']})"
         )
-        if not args.as_json:
-            _verdict_table(report).show()
-            for run in bad:
-                print("\n" + _triage_detail(run))
-            status = "OK" if not bad else "NOT OK"
-            print(
-                f"\ncampaign {report['name']}: {status} "
-                f"({len(report['runs'])} runs, {report['summary']})"
-            )
-    if args.as_json:
-        json.dump({"ok": exit_code == 0, "campaigns": summaries}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
     return exit_code
 
 

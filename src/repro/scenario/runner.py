@@ -121,11 +121,11 @@ class ScenarioRunner:
     def __init__(
         self,
         scenario: Scenario,
-        seed: Optional[int] = None,
+        seed: int,
         postmortem_dir: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
+        self.seed = seed
         self.postmortem_dir = postmortem_dir
         self.system: Optional[HierarchicalSystem] = None
         self.workloads: list = []
@@ -140,10 +140,7 @@ class ScenarioRunner:
         spec = self.scenario.topology
         system = HierarchicalSystem(
             seed=self.seed,
-            latency=spec.latency,
-            loss_rate=spec.loss_rate,
             root_validators=spec.root_validators,
-            root_engine=spec.root_engine,
             root_block_time=spec.root_block_time,
             checkpoint_period=spec.checkpoint_period,
         ).start()

@@ -17,7 +17,7 @@ Either way a liveness stall fails the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.hierarchy.network import SubnetConfig
 from repro.scenario.errors import ScenarioError
@@ -95,10 +95,7 @@ class TopologySpec:
     """The hierarchy to build: rootnet knobs plus subnets to spawn."""
 
     root_validators: int = 3
-    root_engine: str = "poa"
     root_block_time: float = 0.5
-    latency: float = 0.02
-    loss_rate: float = 0.0
     checkpoint_period: int = 5
     subnets: list = field(default_factory=lambda: [scenario_subnet()])  # list[SubnetConfig]
 
@@ -134,7 +131,6 @@ class Scenario:
     faults: list = field(default_factory=list)  # list[Fault]
     duration: float = 30.0  # sim-seconds of fault campaign after setup
     expect: Expectation = field(default_factory=Expectation.safe)
-    seed: int = 1
     stall_after: float = 10.0  # progress-watchdog threshold (sim-seconds)
 
     def __post_init__(self) -> None:
@@ -151,16 +147,23 @@ class Scenario:
                 )
 
     def as_dict(self) -> dict:
+        topology = self.topology
         return {
             "name": self.name,
             "description": self.description,
-            "seed": self.seed,
             "duration": self.duration,
+            "stall_after": self.stall_after,
             "expect": self.expect.as_dict(),
+            "root": {
+                "validators": topology.root_validators,
+                "block_time": topology.root_block_time,
+                "checkpoint_period": topology.checkpoint_period,
+            },
             "subnets": [
                 {"name": config.name, "parent": config.subnet.parent().path,
                  **{key: getattr(config, key) for key in SUBNET_KEYS}}
-                for config in self.topology.subnets
+                for config in topology.subnets
             ],
+            "payments": [asdict(payment) for payment in self.workload.payments],
             "faults": [fault.describe() for fault in self.faults],
         }

@@ -23,12 +23,9 @@ class DispatchBus:
     Every event executed by the :class:`Simulator` flows through this bus,
     which records per-label dispatch counts and cumulative/max wall-clock
     timings (label falls back to the callback's ``__name__``), and exposes
-    pre/post-dispatch hooks:
+    pre/post-dispatch hooks.  Hooks observe; they cannot stop an event:
 
-    - *pre-dispatch* hooks run before the event fires and may call
-      ``event.cancel()`` to suppress it — the fault-injection point for
-      dropping timers, consensus steps or deliveries without touching the
-      component under test;
+    - *pre-dispatch* hooks run just before the event fires;
     - *post-dispatch* hooks run after the event fired (even if the callback
       raised) with the elapsed wall-clock seconds — the profiling point.
 
@@ -38,12 +35,10 @@ class DispatchBus:
     ``dispatch`` section (:meth:`summary`) stay deterministic.
     """
 
-    def __init__(self, trace: Optional[TraceLog] = None) -> None:
-        self.trace = trace
+    def __init__(self) -> None:
         self.counts: dict[str, int] = {}
         self.wall_seconds: dict[str, float] = {}
         self.max_wall_seconds: dict[str, float] = {}
-        self.suppressed: dict[str, int] = {}
         self._pre_hooks: list[Callable[[Event], None]] = []
         self._post_hooks: list[Callable[[Event, float], None]] = []
         # Tuple snapshots iterated by dispatch(): registration is rare but
@@ -89,11 +84,6 @@ class DispatchBus:
         label = event.label or getattr(event.callback, "__name__", "?")
         for hook in self._pre_snapshot:
             hook(event)
-        if event.cancelled:
-            self.suppressed[label] = self.suppressed.get(label, 0) + 1
-            if self.trace is not None:
-                self.trace.emit("dispatch.suppressed", label)
-            return None
         start = _wallclock.perf_counter()
         try:
             return event.fire()
@@ -120,17 +110,9 @@ class DispatchBus:
                     "wall_s": wall,
                     "mean_s": wall / count if count else 0.0,
                     "max_s": self.max_wall_seconds.get(label, 0.0),
-                    "suppressed": self.suppressed.get(label, 0),
                 }
             )
         return rows
-
-    def reset(self) -> None:
-        """Clear accumulated statistics (hooks stay registered)."""
-        self.counts.clear()
-        self.wall_seconds.clear()
-        self.max_wall_seconds.clear()
-        self.suppressed.clear()
 
 
 class Simulator:
@@ -175,7 +157,7 @@ class Simulator:
         self.tie_shuffle = tie_shuffle
         self.metrics = MetricsRegistry(clock=lambda: self.now)
         self.trace = TraceLog(clock=lambda: self.now)
-        self.dispatch = DispatchBus(trace=self.trace)
+        self.dispatch = DispatchBus()
         # The observation stream (repro.sim.observe): attached planes by
         # section, and derived from them, record type -> handlers in attach
         # order (no entry for a type nobody handles).
@@ -233,7 +215,6 @@ class Simulator:
         *args: Any,
         start_after: Optional[float] = None,
         label: str = "",
-        on_error: str = "log",
         **kwargs: Any,
     ) -> Callable[[], None]:
         """Run *callback* periodically every *interval* seconds.
@@ -251,19 +232,12 @@ class Simulator:
         same-timestamp ties, correct components must not rely on this
         accident; ``tie_shuffle`` exists to flush out code that does.
 
-        ``on_error`` decides what an exception raised by *callback* does to
-        the recurrence:
-
-        - ``"log"`` (default): record a ``timer.error`` trace + metric and
-          keep ticking — one bad tick must not silently kill a heartbeat;
-        - ``"stop"``: record the error and end the recurrence;
-        - ``"raise"``: end the recurrence and propagate the exception out of
-          the run loop (the pre-existing behaviour).
+        An exception raised by *callback* is recorded as a ``timer.error``
+        trace and metric, and the recurrence keeps ticking: one bad tick
+        must not silently kill a heartbeat.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
-        if on_error not in ("log", "stop", "raise"):
-            raise SimulationError(f"unknown on_error policy {on_error!r}")
         state = {"stopped": False, "event": None}
 
         def _tick() -> None:
@@ -272,15 +246,9 @@ class Simulator:
             try:
                 callback(*args, **kwargs)
             except Exception as err:
-                if on_error == "raise":
-                    state["stopped"] = True
-                    raise
                 name = label or getattr(callback, "__name__", "?")
                 self.trace.emit("timer.error", name, type(err).__name__, err)
                 self.metrics.counter("sim.timer.errors.*", name).inc()
-                if on_error == "stop":
-                    state["stopped"] = True
-                    return
             if not state["stopped"]:
                 state["event"] = self.schedule(interval, _tick, label=label)
 

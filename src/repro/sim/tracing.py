@@ -46,15 +46,12 @@ class TraceLog:
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self.records: deque = deque(maxlen=RING)
-        self.enabled = True
         self._emitted = 0
         self._counts: dict[str, int] = {}
         self._hasher = hashlib.sha256()
 
     def emit(self, kind: str, subject: str, *detail: Any) -> None:
         """Record an entry at the current simulated time."""
-        if not self.enabled:
-            return
         now, subject, detail = self._clock(), str(subject), tuple(map(str, detail))
         self.records.append(TraceRecord(now, kind, subject, detail))
         self._emitted += 1

@@ -19,16 +19,8 @@ source of truth for the key → bucket placement of the state-root commitment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_checkable
 from zlib import crc32
-
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - very old interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 def bucket_of(key: str, n_buckets: int) -> int:

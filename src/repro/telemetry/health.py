@@ -49,9 +49,7 @@ class HealthProbe(Plane):
 
     def start(self) -> "HealthProbe":
         if self._stop is None:
-            self._stop = self.sim.every(
-                self.interval, self.sample, label="telemetry:health", on_error="log"
-            )
+            self._stop = self.sim.every(self.interval, self.sample, label="telemetry:health")
         return self
 
     def stop(self) -> None:

@@ -90,6 +90,11 @@ class Auditor:
         """The node abandoned *depth* blocks of its previous canonical chain."""
 
 
+#: Postmortem bundles a monitor asks its recorder for; later violations
+#: are recorded without one.
+MAX_BUNDLES = 8
+
+
 class InvariantMonitor(Plane):
     """Registry of auditors fed from commit-time events.
 
@@ -111,7 +116,6 @@ class InvariantMonitor(Plane):
         auditors: Optional[list] = None,
         check_interval: int = 10,
         recorder=None,
-        max_bundles: int = 8,
     ) -> None:
         if sim is None:
             if system is None:
@@ -121,7 +125,6 @@ class InvariantMonitor(Plane):
         self.sim = sim
         self.check_interval = max(1, check_interval)
         self.recorder = recorder
-        self.max_bundles = max_bundles
         self.auditors = list(
             auditors if auditors is not None else (auditor() for auditor in AUDITORS)
         )
@@ -171,7 +174,7 @@ class InvariantMonitor(Plane):
         self.violations.append(violation)
         self.sim.metrics.counter("invariant.violations").inc()
         self.sim.metrics.counter("invariant.*.violations", auditor).inc()
-        if self.recorder is not None and len(self.recorder.bundles) < self.max_bundles:
+        if self.recorder is not None and len(self.recorder.bundles) < MAX_BUNDLES:
             self.recorder.dump(violation=violation)
         return violation
 

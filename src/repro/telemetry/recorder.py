@@ -25,8 +25,11 @@ from collections import deque
 from typing import Optional
 
 from repro.sim.observe import HealthSampled, Plane, WaitTimedOut
-from repro.sim.tracing import RING
 from repro.telemetry.export import telemetry_snapshot, write_json
+
+#: Trace records and dispatched events a bundle's tails hold; at most the
+#: trace log's :data:`~repro.sim.tracing.RING`, or the trace tail is cut short.
+TAIL = 256
 
 
 class FlightRecorder(Plane):
@@ -41,18 +44,14 @@ class FlightRecorder(Plane):
         self,
         sim,
         system=None,
-        capacity: int = 256,
         out_dir: Optional[str] = None,
     ) -> None:
-        if capacity > RING:
-            raise ValueError(f"capacity {capacity} exceeds the trace log's ring of {RING}")
         self.sim = sim
         self.system = system
-        self.capacity = capacity
         self.out_dir = out_dir if out_dir is not None else os.environ.get(
             "REPRO_POSTMORTEM_DIR"
         )
-        self._dispatch_ring: deque = deque(maxlen=capacity)
+        self._dispatch_ring: deque = deque(maxlen=TAIL)
         self._health_ring: deque = deque(maxlen=32)
         self._remove_hook = None
         self.bundles: list[dict] = []
@@ -97,7 +96,7 @@ class FlightRecorder(Plane):
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         return {
-            "trace_tail": [r.render() for r in self.sim.trace.tail(self.capacity)],
+            "trace_tail": [r.render() for r in self.sim.trace.tail(TAIL)],
             "dispatch_tail": list(self._dispatch_ring),
             "health_ring": list(self._health_ring),
             "heads": self._heads(),

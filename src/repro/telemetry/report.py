@@ -65,45 +65,6 @@ def _cache_stats(gauges: dict) -> dict:
     }
 
 
-def summarize(snapshot: dict) -> dict:
-    """The report's content as plain data — what ``--json`` emits."""
-    histograms = snapshot.get("histograms", {})
-    counters = snapshot.get("counters", {}) or {}
-    gauges = snapshot.get("gauges", {}) or {}
-    return {
-        "sim": snapshot.get("sim", {}),
-        "wall_seconds": snapshot.get("wall_seconds"),
-        "spans": snapshot.get("spans"),
-        "invariants": snapshot.get("invariants"),
-        "invariant_counters": _invariant_counters(counters),
-        "caches": _cache_stats(gauges),
-        "rounds": snapshot.get("rounds"),
-        "round_histograms": {
-            name: histograms[name]
-            for name in sorted(histograms)
-            if name.startswith("consensus.round.")
-        },
-        "hops": [
-            {"hop": kind, "level": level, **summary}
-            for kind, level, summary in _latency_rows(histograms)
-        ],
-        "e2e": {
-            name[len("xnet.e2e."):]: histograms[name]
-            for name in sorted(histograms)
-            if name.startswith("xnet.e2e.")
-        },
-        "checkpoints": {
-            name: histograms[name]
-            for name in sorted(histograms)
-            if name.startswith("checkpoint.lag") or name.startswith("checkpoint.hop.")
-        },
-        "dispatch": (snapshot.get("dispatch") or [])[:10],
-        "health": snapshot.get("health"),
-        "trace_log": snapshot.get("trace_log"),
-        "extra": snapshot.get("extra"),
-    }
-
-
 def render(snapshot: dict) -> str:
     sections = []
     sim = snapshot.get("sim", {})
@@ -318,10 +279,6 @@ def main(argv=None) -> int:
         description="Render a run document.",
     )
     parser.add_argument("dump", help="path to a run document: a telemetry dump, BENCH_*.json or postmortem_*.json")
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the parsed summary as JSON instead of tables",
-    )
     args = parser.parse_args(argv)
     try:
         with open(args.dump, "r", encoding="utf-8") as handle:
@@ -335,10 +292,7 @@ def main(argv=None) -> int:
             "rendering best-effort", file=sys.stderr,
         )
     try:
-        if args.json:
-            print(json.dumps(summarize(snapshot), indent=2, allow_nan=False))
-        else:
-            print(render(snapshot))
+        print(render(snapshot))
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; suppress the
         # interpreter-shutdown flush error and exit cleanly.

@@ -45,6 +45,9 @@ from typing import Optional
 from repro.hierarchy.subnet_id import SubnetID
 from repro.sim.observe import Plane, RoundEvent, WaitTimedOut
 
+#: Round events kept per validator timeline, newest last.
+TIMELINE_CAPACITY = 512
+
 #: Event kinds engines feed (see ConsensusEngine._trace_round):
 #:   round_start  — a validator entered (height, round); fields carry the
 #:                  proposer plus quorum/total power
@@ -72,10 +75,9 @@ class RoundTracer(Plane):
     section = "rounds"
     observes = {RoundEvent: "on_round_event"}
 
-    def __init__(self, sim, timeline_capacity: int = 512) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         self.metrics = sim.metrics
-        self.timeline_capacity = timeline_capacity
         # (subnet, node_id) -> ring of (time, kind, fields)
         self.timelines: dict[tuple, deque] = {}
         # subnet -> frontier bookkeeping
@@ -103,7 +105,7 @@ class RoundTracer(Plane):
         key = (subnet, node_id)
         ring = self.timelines.get(key)
         if ring is None:
-            ring = self.timelines[key] = deque(maxlen=self.timeline_capacity)
+            ring = self.timelines[key] = deque(maxlen=TIMELINE_CAPACITY)
         ring.append((time, kind, fields))
 
         counts = self._counts.get(subnet)

@@ -20,7 +20,7 @@ Model:
 """
 
 from repro.vm.exitcode import ActorError, ExitCode
-from repro.vm.gas import GasSchedule, GasTracker, OutOfGas
+from repro.vm.gas import GasTracker, OutOfGas
 from repro.vm.message import Message, Receipt, SignedMessage
 from repro.vm.actor import Actor, ActorRegistry, export
 from repro.vm.runtime import InvocationContext
@@ -29,7 +29,6 @@ from repro.vm.vm import VM
 __all__ = [
     "ActorError",
     "ExitCode",
-    "GasSchedule",
     "GasTracker",
     "OutOfGas",
     "Message",

@@ -8,7 +8,6 @@ subnets are rewarded with fees for the transactions executed in the subnet"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.encoding import canonical_encode
@@ -18,33 +17,30 @@ class OutOfGas(Exception):
     """Raised internally when an invocation exhausts its gas limit."""
 
 
-@dataclass(frozen=True)
-class GasSchedule:
-    """Cost constants (in gas units)."""
+# Cost constants (in gas units).
+BASE_MESSAGE = 100  # flat cost of including any message
+PER_PARAM_BYTE = 1  # serialized parameter size
+METHOD_INVOCATION = 50  # dispatching into an actor
+STATE_READ = 5
+STATE_WRITE = 20
+NESTED_SEND = 30
+VALUE_TRANSFER = 25
 
-    base_message: int = 100  # flat cost of including any message
-    per_param_byte: int = 1  # serialized parameter size
-    method_invocation: int = 50  # dispatching into an actor
-    state_read: int = 5
-    state_write: int = 20
-    nested_send: int = 30
-    value_transfer: int = 25
 
-    def message_intrinsic(self, params) -> int:
-        """Intrinsic cost of a message before any execution."""
-        try:
-            size = len(canonical_encode(params))
-        except TypeError:
-            size = 64  # opaque params get a flat estimate
-        return self.base_message + self.per_param_byte * size
+def message_intrinsic(params) -> int:
+    """Intrinsic cost of a message before any execution."""
+    try:
+        size = len(canonical_encode(params))
+    except TypeError:
+        size = 64  # opaque params get a flat estimate
+    return BASE_MESSAGE + PER_PARAM_BYTE * size
 
 
 class GasTracker:
     """Tracks gas consumption against a limit for one top-level message."""
 
-    def __init__(self, limit: int, schedule: GasSchedule) -> None:
+    def __init__(self, limit: int) -> None:
         self.limit = limit
-        self.schedule = schedule
         self.used = 0
 
     def charge(self, amount: int, reason: str = "", subject: Optional[str] = None) -> None:

@@ -6,7 +6,7 @@ from typing import Any, Optional
 
 from repro.crypto.keys import Address
 from repro.vm.exitcode import ActorError, ExitCode
-from repro.vm.gas import GasTracker
+from repro.vm.gas import NESTED_SEND, STATE_READ, STATE_WRITE, VALUE_TRANSFER, GasTracker
 
 
 def actor_key(addr, key: str) -> str:
@@ -64,32 +64,32 @@ class InvocationContext:
         return f"actor/{self.actor_addr.raw}/{key}"
 
     def state_get(self, key: str, default: Any = None) -> Any:
-        self.gas.charge(self._vm.gas_schedule.state_read, "read", key)
+        self.gas.charge(STATE_READ, "read", key)
         return self._vm.state.get(self._scoped(key), default)
 
     def state_set(self, key: str, value: Any) -> None:
-        self.gas.charge(self._vm.gas_schedule.state_write, "write", key)
+        self.gas.charge(STATE_WRITE, "write", key)
         self._vm.state.set(self._scoped(key), value)
 
     def state_delete(self, key: str) -> None:
-        self.gas.charge(self._vm.gas_schedule.state_write, "delete", key)
+        self.gas.charge(STATE_WRITE, "delete", key)
         self._vm.state.delete(self._scoped(key))
 
     # ------------------------------------------------------------------
     # Tokens
     # ------------------------------------------------------------------
     def balance_of(self, addr: Address) -> int:
-        self.gas.charge(self._vm.gas_schedule.state_read, "balance")
+        self.gas.charge(STATE_READ, "balance")
         return self._vm.balance_of(addr)
 
     def transfer(self, to: Address, amount: int) -> None:
         """Move tokens from this actor's balance to *to*."""
-        self.gas.charge(self._vm.gas_schedule.value_transfer, "transfer")
+        self.gas.charge(VALUE_TRANSFER, "transfer")
         self._vm.transfer(self.actor_addr, to, amount)
 
     def burn(self, amount: int) -> None:
         """Destroy tokens from this actor's balance (cross-net fund burns)."""
-        self.gas.charge(self._vm.gas_schedule.value_transfer, "burn")
+        self.gas.charge(VALUE_TRANSFER, "burn")
         self._vm.burn(self.actor_addr, amount)
 
     def mint(self, to: Address, amount: int) -> None:
@@ -97,7 +97,7 @@ class InvocationContext:
         the paper's top-down fund minting (§IV-A) is done by the SCA."""
         if not self.actor_addr.is_system_actor:
             raise ActorError(ExitCode.USR_FORBIDDEN, "only system actors may mint")
-        self.gas.charge(self._vm.gas_schedule.value_transfer, "mint")
+        self.gas.charge(VALUE_TRANSFER, "mint")
         self._vm.mint(to, amount)
 
     # ------------------------------------------------------------------
@@ -126,7 +126,7 @@ class InvocationContext:
             raise ActorError(
                 ExitCode.USR_FORBIDDEN, "caller impersonation is system-only"
             )
-        self.gas.charge(self._vm.gas_schedule.nested_send, "send", method)
+        self.gas.charge(NESTED_SEND, "send", method)
         return self._vm.internal_send(self, to, method, params, value, caller=caller)
 
     def create_actor(self, addr: Address, code: str, params: Optional[dict] = None) -> None:
@@ -134,7 +134,7 @@ class InvocationContext:
 
         Aborts if an actor already exists there or its constructor fails.
         """
-        self.gas.charge(self._vm.gas_schedule.state_write * 2, "create actor")
+        self.gas.charge(STATE_WRITE * 2, "create actor")
         receipt = self._vm.create_actor(addr, code, params)
         if not receipt.ok:
             raise ActorError(receipt.exit_code, f"constructor failed: {receipt.error}")

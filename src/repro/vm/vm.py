@@ -9,7 +9,7 @@ from repro.crypto.keys import Address
 from repro.storage.statetree import StateTree
 from repro.vm.actor import Actor, ActorRegistry
 from repro.vm.exitcode import ActorError, ExitCode
-from repro.vm.gas import GasSchedule, GasTracker, OutOfGas
+from repro.vm.gas import METHOD_INVOCATION, GasTracker, OutOfGas, message_intrinsic
 from repro.vm.message import Message, Receipt
 from repro.vm.runtime import InvocationContext
 
@@ -41,14 +41,12 @@ class VM:
         self,
         subnet_id: str = "/root",
         registry: Optional[ActorRegistry] = None,
-        gas_schedule: Optional[GasSchedule] = None,
         gas_price: int = 0,
     ) -> None:
         self.subnet_id = subnet_id
         self.registry = registry or ActorRegistry()
         if not self.registry.has(Actor.CODE):
             self.registry.register(Actor)
-        self.gas_schedule = gas_schedule or GasSchedule()
         self.gas_price = gas_price
         self.state = StateTree()
         self.epoch = 0
@@ -156,9 +154,9 @@ class VM:
         which are kept so failed messages still cost their sender (and cannot
         be replayed).
         """
-        gas = GasTracker(message.gas_limit, self.gas_schedule)
+        gas = GasTracker(message.gas_limit)
         try:
-            gas.charge(self.gas_schedule.message_intrinsic(message.params), "intrinsic")
+            gas.charge(message_intrinsic(message.params), "intrinsic")
         except OutOfGas:
             return Receipt(ExitCode.SYS_OUT_OF_GAS, gas_used=gas.used, error="intrinsic gas")
 
@@ -193,7 +191,7 @@ class VM:
         )
         try:
             self.transfer(message.from_addr, message.to_addr, message.value)
-            gas.charge(self.gas_schedule.method_invocation, message.method)
+            gas.charge(METHOD_INVOCATION, message.method)
             result = self._instance(message.to_addr).dispatch(ctx, message.method, message.params)
             self.state.commit(token)
             receipt = Receipt(
@@ -238,7 +236,7 @@ class VM:
         application (the paper's SCA state changes triggered by committed
         blocks and checkpoints).
         """
-        gas = GasTracker(gas_limit, self.gas_schedule)
+        gas = GasTracker(gas_limit)
         token = self.state.snapshot()
         ctx = InvocationContext(
             vm=self,
@@ -316,7 +314,6 @@ class VM:
         clone = VM(
             subnet_id=self.subnet_id,
             registry=self.registry,
-            gas_schedule=self.gas_schedule,
             gas_price=self.gas_price,
         )
         clone.state = state.fork()

@@ -31,6 +31,19 @@ def test_join_activates_and_registers(root_vm, users, deployed_sa):
     assert root_vm.balance_of(SCA_ADDRESS) == 150
 
 
+def test_an_sca_call_uses_pinned_gas(root_vm, users, deployed_sa):
+    """A ``fund`` reads and writes SCA state and pays for every access: its
+    gas is pinned, so a moved gas constant shows here."""
+    join(root_vm, users, deployed_sa)
+    fund(root_vm, users["alice"].address, 1000)
+    receipt = call(
+        root_vm, users["alice"], SCA_ADDRESS, "fund",
+        params={"subnet_path": "/root/sub", "to_addr": users["bob"].address.raw}, value=50,
+    )
+    assert receipt.ok, receipt.error
+    assert receipt.gas_used == 331
+
+
 def test_join_below_activation_stays_instantiated(root_vm, users, deployed_sa):
     fund(root_vm, users["miner1"].address, 1000)
     receipt = call(root_vm, users["miner1"], deployed_sa, "join", value=50)

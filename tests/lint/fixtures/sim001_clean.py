@@ -10,7 +10,7 @@ def add_event(sim, callback):
 
 
 def heartbeat(sim, callback):
-    stop = sim.every(5.0, callback, on_error="log")
+    stop = sim.every(5.0, callback)
     deadline = sim.now + 60.0
     sim.schedule_at(deadline, stop)
     return stop

@@ -10,6 +10,13 @@ registered by a decorator (an engine) counts as used.
 
 Names that only tests call are either deleted together with those tests or
 listed in :data:`KEPT` with the reason they stay.
+
+The same rule holds for settings: every defaulted parameter (or dataclass
+field) of an entry point in :data:`ENTRY_POINTS` is passed, by keyword or by
+position, at some call of that name in ``src/``, ``benchmarks/`` or
+``examples/``.  A setting that only tests pass is a module constant, or is
+listed in :data:`SET_ONLY_BY_TESTS` with the reason a test needs another
+value.
 """
 
 import ast
@@ -47,6 +54,49 @@ KEPT = {
         "part of the dispatch API SIM001 points event code to; the run-loop tests use it",
     "repro.sim.tracing.TraceLog.filter":
         "the one query over the trace ring by kind and subject; tests read records with it",
+}
+
+#: Where users configure a run: classes (their ``__init__``, or their fields
+#: for a dataclass), functions and methods, by qualified name.
+ENTRY_POINTS = (
+    "repro.hierarchy.network.HierarchicalSystem",
+    "repro.hierarchy.network.HierarchicalSystem.wait_for",
+    "repro.hierarchy.network.SubnetConfig",
+    "repro.scenario.spec.TopologySpec",
+    "repro.scenario.spec.Scenario",
+    "repro.scenario.runner.ScenarioRunner",
+    "repro.scenario.campaign.CampaignRunner",
+    "repro.baselines.single_chain.SingleChainBaseline",
+    "repro.baselines.sharded.ShardedBaseline",
+    "repro.runtime.stack.NetworkStack",
+    "repro.telemetry.monitor.InvariantMonitor",
+    "repro.telemetry.recorder.FlightRecorder",
+    "repro.telemetry.rounds.RoundTracer",
+    "repro.telemetry.health.HealthProbe",
+    "repro.telemetry.enable_telemetry",
+    "repro.sim.scheduler.Simulator.every",
+)
+
+#: Settings of an entry point that only tests pass: ``qualified(name)`` -> why.
+SET_ONLY_BY_TESTS = {
+    "repro.hierarchy.network.HierarchicalSystem(loss_rate)":
+        "the fault-injection test runs a whole hierarchy over lossy links",
+    "repro.hierarchy.network.HierarchicalSystem(root_engine)":
+        "§III-A lets any level pick its engine; the PoW-rootnet test puts PoW at the root",
+    "repro.hierarchy.network.SubnetConfig(stake_per_validator)":
+        "the stake-weighting and lifecycle tests give validators unequal or partial stake",
+    "repro.hierarchy.network.SubnetConfig(activation_collateral)":
+        "§III-A's activation threshold; the lifecycle test sets it above one validator's stake",
+    "repro.hierarchy.network.SubnetConfig(gas_price)":
+        "§II's miner fees; the fee test turns them on and off",
+    "repro.runtime.stack.NetworkStack(latency)":
+        "the PoW tests raise latency toward the block time to provoke fork races",
+    "repro.telemetry.monitor.InvariantMonitor(sim)":
+        "the auditor unit tests build a monitor on a bare simulator, with no system",
+    "repro.telemetry.monitor.InvariantMonitor(auditors)":
+        "the auditor unit tests arm one auditor at a time",
+    "repro.telemetry.monitor.InvariantMonitor(check_interval)":
+        "the supply sweep tests run the periodic check on every commit",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -168,6 +218,184 @@ def unreferenced(repo_root: str) -> list:
         return False
 
     return sorted(q for q, name, is_method in definitions if not used(q, name, is_method))
+
+
+def _resolve(src: str, qualified: str):
+    """The AST node *qualified* names under *src*: a module-level function
+    or class, or a method of a module-level class."""
+    parts = qualified.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        base = os.path.join(src, *parts[:cut])
+        for path in (base + ".py", os.path.join(base, "__init__.py")):
+            if os.path.exists(path):
+                with open(path, encoding="utf-8") as handle:
+                    node = ast.parse(handle.read(), filename=path)
+                for name in parts[cut:]:
+                    node = next(
+                        item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name == name
+                    )
+                return node
+    raise LookupError(qualified)
+
+
+def _parameters(node) -> tuple:
+    """``(positional names, defaulted names)`` of a function, a class's
+    ``__init__`` (without ``self``) or a dataclass's fields."""
+    if isinstance(node, ast.ClassDef):
+        if any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+            fields = [
+                item for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+            return (
+                [field.target.id for field in fields],
+                [field.target.id for field in fields if field.value is not None],
+            )
+        node = next(
+            item for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        )
+    args = node.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    if positional[:1] == ["self"]:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+    return positional, defaulted
+
+
+def _call_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passed(repo_root: str) -> dict:
+    """Call name -> every parameter name passed by keyword, and every
+    position passed, at calls of that name outside the tests.  Calls of an
+    import's ``as`` name count for the name it stands for, and calls of a
+    function that hands its ``**`` keywords to another call count for that
+    call's name too."""
+    calls = []  # (name, call)
+    forwards: dict = {}  # function name -> the call names its **keywords reach
+    for folder in ("src", "benchmarks", "examples"):
+        for path in _python_files(os.path.join(repo_root, folder)):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            aliases = {
+                alias.asname: alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.asname
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = _call_name(node)
+                    calls.append((aliases.get(name, name), node))
+                elif isinstance(node, ast.FunctionDef) and node.args.kwarg is not None:
+                    forwarded = node.args.kwarg.arg
+                    forwards.setdefault(node.name, set()).update(
+                        aliases.get(_call_name(call), _call_name(call))
+                        for call in ast.walk(node) if isinstance(call, ast.Call)
+                        for keyword in call.keywords
+                        if keyword.arg is None and any(
+                            isinstance(part, ast.Name) and part.id == forwarded
+                            for part in ast.walk(keyword.value)
+                        )
+                    )
+    passed: dict = {}
+    for name, call in calls:
+        reached, pending = set(), [name]
+        while pending:
+            current = pending.pop()
+            if current not in reached:
+                reached.add(current)
+                pending.extend(forwards.get(current, ()))
+        for target in reached:
+            keywords, positions = passed.setdefault(target, (set(), set()))
+            keywords.update(keyword.arg for keyword in call.keywords if keyword.arg)
+            if target == name:
+                for index, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    positions.add(index)
+    return passed
+
+
+def unset_settings(repo_root: str, entry_points=ENTRY_POINTS) -> list:
+    """``qualified(name)`` of every defaulted setting of *entry_points* that
+    no call outside the tests passes."""
+    src = os.path.join(repo_root, "src")
+    passed = _passed(repo_root)
+    unset = []
+    for qualified in entry_points:
+        positional, defaulted = _parameters(_resolve(src, qualified))
+        keywords, positions = passed.get(qualified.rsplit(".", 1)[-1], (set(), set()))
+        for name in defaulted:
+            index = positional.index(name) if name in positional else None
+            if name not in keywords and index not in positions:
+                unset.append(f"{qualified}({name})")
+    return unset
+
+
+def test_every_setting_has_a_caller():
+    missing = [name for name in unset_settings(REPO_ROOT) if name not in SET_ONLY_BY_TESTS]
+    assert missing == [], (
+        "make these module constants, or justify them in SET_ONLY_BY_TESTS:\n"
+        + "\n".join(missing)
+    )
+
+
+def test_every_setting_kept_for_tests_is_still_unset_and_says_why():
+    unset = set(unset_settings(REPO_ROOT))
+    for name, reason in SET_ONLY_BY_TESTS.items():
+        assert name in unset, f"{name} has a caller now (or is gone): drop it from SET_ONLY_BY_TESTS"
+        assert reason.strip(), f"{name} is kept without a reason"
+
+
+def test_a_planted_setting_fails(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        textwrap.dedent(
+            """
+            from dataclasses import dataclass
+
+            class Engine:
+                def __init__(self, seed, rate=1.0, planted=2, *, label=""):
+                    self.seed = seed
+
+                def tick(self, every=1.0, planted=0):
+                    return every
+
+            @dataclass
+            class Spec:
+                name: str
+                size: int = 3
+                planted: int = 4
+
+            def spec(**overrides):
+                return Spec(**{"name": "s", **overrides})
+            """
+        )
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        textwrap.dedent(
+            """
+            from repro.mod import Engine as Motor, spec
+
+            Motor(1, 2.0, label="x").tick(0.5)
+            spec(size=5)
+            """
+        )
+    )
+    entry_points = ("repro.mod.Engine", "repro.mod.Engine.tick", "repro.mod.Spec")
+    assert unset_settings(str(tmp_path), entry_points) == [
+        "repro.mod.Engine(planted)", "repro.mod.Engine.tick(planted)", "repro.mod.Spec(planted)",
+    ]
 
 
 def test_every_public_name_has_a_caller():

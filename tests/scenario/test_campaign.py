@@ -63,18 +63,6 @@ def test_campaign_needs_a_name():
         CampaignRunner("", [_tiny()])
 
 
-def test_campaign_rejects_bare_scenarios_on_multi_seed(tmp_path):
-    bare = _tiny()()
-    runner = CampaignRunner(
-        "bare", [bare], seeds=(1, 2), out_dir=str(tmp_path)
-    )
-    with pytest.raises(ScenarioError):
-        runner.run()
-    # A single-seed unrandomized campaign may take a bare instance.
-    single = CampaignRunner("bare1", [bare], seeds=(1,), out_dir=str(tmp_path))
-    assert single.run()["ok"]
-
-
 def test_jitter_is_deterministic_per_campaign_scenario_seed():
     def jittered(key):
         scenario = _tiny(
@@ -82,7 +70,7 @@ def test_jitter_is_deterministic_per_campaign_scenario_seed():
                 PartitionFault(Trigger(at=4.0, duration=8.0), "/root/s0")
             ]
         )()
-        _jitter_schedule(scenario, random.Random(key), spread=0.2)
+        _jitter_schedule(scenario, random.Random(key))
         trigger = scenario.faults[0].trigger
         return trigger.at, trigger.duration
 
@@ -118,16 +106,6 @@ def test_report_cli_flags_unexpected_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "<-- TRIAGE" in out
     assert "expected violation never fired: supply" in out
-
-
-def test_report_cli_json_mode(tmp_path, capsys):
-    CampaignRunner("js", [_tiny()], seeds=(1,), out_dir=str(tmp_path)).run()
-    path = str(tmp_path / "CAMPAIGN_js.json")
-    assert report_cli.main([path, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"]
-    assert payload["campaigns"][0]["name"] == "js"
-    assert payload["campaigns"][0]["triage"] == []
 
 
 def test_report_cli_rejects_wrong_schema(tmp_path):

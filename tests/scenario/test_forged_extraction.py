@@ -28,7 +28,7 @@ from repro.scenario.runner import ScenarioRunner
 def test_jittered_forged_extraction_trips_the_supply_auditor(campaign, seed):
     scenario = library.forged_extraction()
     # Keyed exactly as CampaignRunner(randomize=True) keys it.
-    _jitter_schedule(scenario, random.Random(f"{campaign}:{scenario.name}:{seed}"), 0.2)
+    _jitter_schedule(scenario, random.Random(f"{campaign}:{scenario.name}:{seed}"))
     outcome = ScenarioRunner(scenario, seed=seed).run()
     assert outcome.verdict == "expected-violation", outcome.notes
     assert "supply" in outcome.tripped

@@ -14,7 +14,7 @@ RECOVERY_BOUND_S = 2.0
 
 
 def test_long_outage_recovers_by_snapshot_within_its_bound():
-    runner = ScenarioRunner(library.get("long-outage")())
+    runner = ScenarioRunner(library.get("long-outage")(), seed=1)
     system = runner.build()
     subnet = library.SUBNET
     victim, peer = system.nodes(subnet)[-1], system.nodes(subnet)[0]

@@ -113,6 +113,18 @@ def test_scenario_accepts_faults_on_root_and_declared_subnets():
     assert as_dict["expect"]["kind"] == "safe"
 
 
+@pytest.mark.parametrize("overrides", [
+    {"topology": TopologySpec(root_validators=4)},
+    {"topology": TopologySpec(root_block_time=1.0)},
+    {"topology": TopologySpec(checkpoint_period=10)},
+    {"workload": WorkloadSpec(payments=[PaymentSpec(subnet="/root/s0", rate=8.0)])},
+    {"stall_after": 20.0},
+], ids=["root_validators", "root_block_time", "checkpoint_period", "payments", "stall_after"])
+def test_as_dict_records_every_field_a_run_reads(overrides):
+    """Two scenarios that differ in one field print differently."""
+    assert _scenario(**overrides).as_dict() != _scenario().as_dict()
+
+
 @pytest.mark.parametrize("factory", library.CANONICAL, ids=lambda factory: factory().name)
 def test_library_scenario_is_plain_data(factory):
     """A whole scenario, fault schedule included, is JSON data: it prints

@@ -146,9 +146,9 @@ def test_events_executed_counter():
 
 
 # ----------------------------------------------------------------------
-# every(): error policies
+# every(): a raising callback
 # ----------------------------------------------------------------------
-def test_every_callback_error_keeps_ticking_by_default():
+def test_every_callback_error_keeps_ticking():
     """Regression: one bad tick must not silently kill the recurrence."""
     sim = Simulator()
     ticks = []
@@ -166,40 +166,6 @@ def test_every_callback_error_keeps_ticking_by_default():
     assert record.subject == "flaky"
     assert "transient failure" in record.detail
     assert sim.metrics.counter("sim.timer.errors.flaky").value == 1
-
-
-def test_every_on_error_stop_ends_recurrence_and_logs():
-    sim = Simulator()
-    ticks = []
-
-    def bad():
-        ticks.append(sim.now)
-        raise RuntimeError("fatal")
-
-    sim.every(1.0, bad, on_error="stop", label="bad")
-    sim.run_until(5.0)
-    assert ticks == [1.0]
-    assert sim.trace.count("timer.error") == 1
-
-
-def test_every_on_error_raise_propagates():
-    sim = Simulator()
-
-    def bad():
-        raise RuntimeError("boom")
-
-    sim.every(1.0, bad, on_error="raise")
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run_until(5.0)
-    # The recurrence died with the exception; nothing further is scheduled.
-    sim.run_until(10.0)
-    assert sim.trace.count("timer.error") == 0
-
-
-def test_every_rejects_unknown_on_error_policy():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.every(1.0, lambda: None, on_error="ignore")
 
 
 # ----------------------------------------------------------------------

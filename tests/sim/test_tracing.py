@@ -61,14 +61,6 @@ def test_unbounded_log_never_drops():
     assert log.tail(0) == [] and len(log.tail(RING + 100)) == RING
 
 
-def test_disabled_log_drops_records():
-    log = TraceLog()
-    log.enabled = False
-    log.emit("k", "s")
-    assert len(log) == 0
-    assert log.count("k") == 0
-
-
 def test_identical_simulations_have_identical_digests():
     def run():
         sim = Simulator(seed=99)

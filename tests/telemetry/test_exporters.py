@@ -265,20 +265,6 @@ def test_report_cli_unparseable_file(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
 
-def test_report_cli_json_flag(tmp_path, capsys):
-    sim = _synthetic()
-    path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, wall_seconds=0.5))
-    assert report_main([path, "--json"]) == 0
-    out = capsys.readouterr().out
-    summary = json.loads(out)  # machine-readable
-    assert summary["spans"]["delivered"] == 1
-    assert summary["wall_seconds"] == 0.5
-    assert any(h["hop"] == "topdown" and h["level"] == "L1" for h in summary["hops"])
-    assert "topdown" in summary["e2e"]
-    assert "checkpoint.lag" in summary["checkpoints"]
-
-
 def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     sim = _synthetic()
     sim.metrics.counter("invariant.supply.violations").inc(2)
@@ -294,12 +280,6 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     assert "state.root.buckets_rehashed" in out
     assert "state.root.leaves_encoded" in out
 
-    assert report_main([path, "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["invariant_counters"] == {"invariant.supply.violations": 2}
-    assert summary["caches"]["state.root.buckets_rehashed"] == 7
-    assert summary["caches"]["state.root.leaves_encoded"] == 9
-
 
 def test_report_renders_rounds_section(tmp_path, capsys):
     sim = _synthetic()
@@ -309,16 +289,6 @@ def test_report_renders_rounds_section(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "consensus rounds per subnet" in out
     assert "h3 r1" in out
-
-    assert report_main([path, "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    entry = summary["rounds"]["subnets"]["/root/a"]
-    assert entry["frontier_height"] == 3
-    assert entry["frontier_round"] == 1
-    assert entry["quorum_power"] == 3
-    assert entry["prevote_power"] == 3
-    assert entry["counts"]["round_skip"] == 1
-    assert "consensus.round./root/a.duration" in summary["round_histograms"]
 
 
 def test_report_renders_invariants_section(tmp_path, capsys):

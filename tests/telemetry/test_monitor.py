@@ -16,6 +16,7 @@ from repro.telemetry import (
     SupplyAuditor,
     enable_telemetry,
 )
+from repro.telemetry.monitor import MAX_BUNDLES
 from repro.vm.vm import VM
 from tests.telemetry.feeds import commit, stub_node
 
@@ -110,13 +111,11 @@ class _StubRecorder:
 def test_violation_triggers_recorder_dump_up_to_cap():
     sim = Simulator(seed=1)
     recorder = _StubRecorder()
-    monitor = InvariantMonitor(
-        sim=sim, auditors=[], recorder=recorder, max_bundles=2
-    )
-    for i in range(4):
+    monitor = InvariantMonitor(sim=sim, auditors=[], recorder=recorder)
+    for i in range(MAX_BUNDLES + 2):
         monitor.record("supply", "/root", f"violation {i}")
-    assert len(monitor.violations) == 4
-    assert len(recorder.bundles) == 2  # capped
+    assert len(monitor.violations) == MAX_BUNDLES + 2
+    assert len(recorder.bundles) == MAX_BUNDLES  # capped
     assert recorder.bundles[0].description == "violation 0"
 
 

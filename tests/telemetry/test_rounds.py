@@ -16,6 +16,7 @@ from repro.sim.scheduler import Simulator
 from repro.telemetry import RoundTracer, enable_telemetry, render_stall_report
 from repro.telemetry.report import main as report_main
 from repro.telemetry.report import render as render_report
+from repro.telemetry.rounds import TIMELINE_CAPACITY
 
 SUBNET = "/root/a"
 VAL = "/root/a#0"
@@ -92,12 +93,12 @@ def test_vote_books_are_kept_for_the_frontier_height_only():
 
 
 def test_timeline_ring_is_bounded():
-    _sim, tracer = _tracer(timeline_capacity=4)
-    for i in range(10):
+    _sim, tracer = _tracer()
+    for i in range(TIMELINE_CAPACITY + 6):
         _feed(tracer, "timeout", float(i), height=1, round=i)
     timeline = tracer.timeline(SUBNET, VAL)
-    assert len(timeline) == 4
-    assert [entry[0] for entry in timeline] == [6.0, 7.0, 8.0, 9.0]
+    assert len(timeline) == TIMELINE_CAPACITY
+    assert timeline[0][0] == 6.0 and timeline[-1][0] == TIMELINE_CAPACITY + 5.0
 
 
 def test_round_duration_and_per_height_histograms():
