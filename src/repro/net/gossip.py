@@ -104,7 +104,6 @@ class GossipNetwork:
         # every gossiped message).
         self._published = sim.metrics.counter("gossip.published")
         self._delivered = sim.metrics.counter("gossip.delivered")
-        self._latency = sim.metrics.histogram("gossip.latency")
         self._elided = sim.metrics.counter("gossip.duplicates_elided")
         self._heartbeat_no = 0
         self._rpc: Optional[RpcChannel] = None
@@ -264,7 +263,6 @@ class GossipNetwork:
         else:
             runs.append([self._heartbeat_no, 1])
         self._delivered.inc()
-        self._latency.observe(self.sim.now - envelope.published_at)
         handler(envelope)
         links = state.mesh_links.get(topic)
         if links is None:
@@ -282,7 +280,8 @@ class GossipNetwork:
             state.peer_id, links[0], "gossip:pub", envelope,
             settled, envelope.published_at + lifetime, msg_id,
         )
-        self._elided.inc(elided)
+        if elided:
+            self._elided.inc(elided)
         return True
 
     # ------------------------------------------------------------------

@@ -12,21 +12,20 @@ class NetMessage:
     """A delivered network message.
 
     A copy sent under a *key* (:meth:`Transport.fanout`) also knows when it
-    lands, and holds its ``riders``: ``(arrival, src, sent_at, msg_id)`` of
-    each later-landing copy of the key that was accounted behind it.
+    lands, and holds its ``riders``: ``(arrival, src, msg_id)`` of each
+    later-landing copy of the key that was accounted behind it.
     """
 
-    __slots__ = ("src", "dst", "kind", "payload", "sent_at", "msg_id", "key", "arrival", "riders")
+    __slots__ = ("src", "dst", "kind", "payload", "msg_id", "key", "arrival", "riders")
 
     def __init__(
-        self, src: str, dst: str, kind: str, payload: Any, sent_at: float, msg_id: int = 0,
+        self, src: str, dst: str, kind: str, payload: Any, msg_id: int = 0,
         key: Any = None, arrival: float = 0.0,
     ) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
         self.payload = payload
-        self.sent_at = sent_at
         self.msg_id = msg_id
         self.key = key
         self.arrival = arrival
@@ -64,7 +63,6 @@ class Transport:
         # every simulated packet).
         self._sent = sim.metrics.counter("net.sent")
         self._delivered = sim.metrics.counter("net.delivered")
-        self._latency = sim.metrics.histogram("net.latency")
         self._partitioned_drops = sim.metrics.counter("net.partitioned_drops")
         self._lost = sim.metrics.counter("net.lost")
         self._labels: dict[str, str] = {}
@@ -127,10 +125,10 @@ class Transport:
         Every link is modelled alike: partition check, loss draw (when the
         link's loss rate is above zero), latency draw (when the model has
         jitter), in that order on the one RNG stream, counted in
-        ``net.sent`` and ``net.latency``.  A copy to a peer in *settled*
-        that lands before *settled_until* is one the caller has proved a
-        no-op at its receiver: it is accounted, but never becomes a message
-        or an event.
+        ``net.sent``.  A copy to a peer in *settled* that lands before
+        *settled_until* is one the caller has proved a no-op at its
+        receiver: it is counted among the *elided*, but never becomes a
+        message or an event.
 
         *key* names what the copies are idempotent under: once a receiver's
         handler has returned true for one copy, every other copy of the key
@@ -161,7 +159,7 @@ class Transport:
         label = self._labels.get(kind) or self._labels.setdefault(kind, f"net:{kind}")
         first_id = self._next_msg_id
         sent = 0
-        elided = []  # latencies of the copies that stay off the queue
+        elided = 0  # copies that stay off the queue
         for dst in dsts:
             link_dst = link_of.get(dst)
             if link_dst is None:
@@ -182,30 +180,28 @@ class Transport:
                 # extra is 0.0 on an undegraded link, which adds exactly nothing.
                 arrival = now + ((low + span * draw() if jittered else low) + extra)
             if dst in settled and arrival < settled_until:
-                elided.append(arrival - now)
+                elided += 1
             elif arrival < riding_until:
                 table = queued[dst]
                 ahead = table.get(key)
                 if ahead is not None and ahead.arrival <= arrival:
-                    rider = (arrival, src, now, first_id + sent)
+                    rider = (arrival, src, first_id + sent)
                     if ahead.riders is None:
                         ahead.riders = [rider]
                     else:
                         ahead.riders.append(rider)
-                    elided.append(arrival - now)
+                    elided += 1
                 else:  # the first copy on its way, or one that overtakes it
-                    message = NetMessage(src, dst, kind, payload, now, first_id + sent, key, arrival)
+                    message = NetMessage(src, dst, kind, payload, first_id + sent, key, arrival)
                     table[key] = message
                     push(arrival, deliver, (message,), None, label)
             else:
-                message = NetMessage(src, dst, kind, payload, now, first_id + sent)
+                message = NetMessage(src, dst, kind, payload, first_id + sent)
                 push(arrival, deliver, (message,), None, label)
             sent += 1
         self._next_msg_id = first_id + sent
         self._sent.inc(sent)
-        if elided:
-            self._latency.observe_many(elided)
-        return sent, len(elided)
+        return sent, elided
 
     def _deliver(self, message: NetMessage) -> None:
         dst = message.dst
@@ -219,19 +215,18 @@ class Transport:
             recorded = False  # peer left between send and delivery
         else:
             self._delivered.inc()
-            self._latency.observe(self.sim.now - message.sent_at)
             recorded = handler(message)
         if message.riders and not recorded:
             # Dropped unrecorded, so its riders are not proven no-ops: each
             # becomes the event it would have been, at the time it drew.
-            for arrival, src, sent_at, msg_id in message.riders:
-                rider = NetMessage(src, dst, message.kind, message.payload, sent_at, msg_id)
+            for arrival, src, msg_id in message.riders:
+                rider = NetMessage(src, dst, message.kind, message.payload, msg_id)
                 self.sim.schedule_at(
                     arrival, self._deliver_rider, rider, label=self._labels[message.kind]
                 )
 
     def _deliver_rider(self, message: NetMessage) -> None:
-        """A re-queued rider lands; it was counted and observed when sent."""
+        """A re-queued rider lands; it was counted when sent."""
         handler = self._handlers.get(message.dst)
         if handler is not None:
             handler(message)

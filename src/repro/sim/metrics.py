@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter as _Tally
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 def json_safe(value):
@@ -190,16 +190,6 @@ class Histogram:
             buffer.append(value)
         if len(buffer) > BUFFER_SIZE:
             self._fold()
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        buffer = self._buffer
-        if buffer.typecode == "d":
-            buffer.extend(values)
-            if len(buffer) > BUFFER_SIZE:
-                self._fold()
-        else:  # a failed extend would keep what came before the float
-            for value in values:
-                self.observe(value)
 
     def _promote(self) -> array:
         """Doubles from here on: the buffer, the extremes and the table."""

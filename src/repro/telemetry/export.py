@@ -90,16 +90,15 @@ def write_json(path: str, snapshot: dict) -> str:
 #: a quantile is exact over ints and within ``EPSILON`` (2**-8, 0.39 %) of
 #: the exact one over floats.
 METRIC_CATALOG: dict = {
-    # net/transport
+    # net/transport: counts only; a copy's latency is the model's draw,
+    # seen above the transport as its delivery time, and never sampled
     "net.sent": ("counter", "messages handed to the transport"),
     "net.delivered": ("counter", "materialised deliveries: queued messages handed to a registered peer"),
-    "net.latency": ("summary", "per-message simulated delivery latency"),
     "net.partitioned_drops": ("counter", "messages dropped by an active partition"),
     "net.lost": ("counter", "messages dropped by random loss"),
     # net/gossip
     "gossip.published": ("counter", "pubsub messages published"),
     "gossip.delivered": ("counter", "pubsub deliveries to subscriber handlers"),
-    "gossip.latency": ("summary", "publish-to-handler simulated latency"),
     "gossip.duplicates_elided": (
         "counter", "mesh copies sent, not queued: peer has the id or an earlier-landing copy queued"
     ),

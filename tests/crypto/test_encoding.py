@@ -91,7 +91,7 @@ class _Record:
 # The identity below is about keys and framing; a leaf only has to be *some*
 # value of each encodable shape (scalar, record, tuple, nested dict), so the
 # leaves recurse over scalars, not over json_like's own recursion — which
-# made this the one tier-1 test over its 3 s budget (ROADMAP item 7).
+# made this the one tier-1 test over the 3 s budget each tier-1 test has.
 leaf_values = st.recursive(
     scalars | st.builds(_Record, st.lists(scalars, max_size=3)),
     lambda children: st.lists(children, max_size=3).map(tuple)

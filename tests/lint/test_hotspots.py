@@ -109,3 +109,26 @@ def test_the_size_class_chain_reproduces_from_two_committed_documents():
     assert get.share_new < get.share_old
     compacted = rows["repro/storage/statetree.py:StateTree._compacted"]
     assert (compacted.calls_old, compacted.calls_new) == (1, 0)
+
+
+def test_the_counted_network_reproduces_from_two_committed_documents():
+    """``hotspots.py fault-heal --seconds 8`` (seed 1) on dc81270 and on the
+    change after it, where the transport and the gossip fabric stopped
+    observing a latency per modelled copy and per accept: the same copies
+    fanned out, far fewer histogram observations, and less own time in
+    ``Transport.fanout``."""
+    paths = [os.path.join(PROFILES, f"fault-heal-{name}.json") for name in ("dc81270", "counted")]
+    assert all(os.path.getsize(path) <= 160 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = {row.function: row for row in hotspots.diff(old, new)}
+    observe, observe_many = (rows[f"repro/sim/metrics.py:Histogram.{name}"]
+                             for name in ("observe", "observe_many"))
+    assert (observe.calls_old + observe_many.calls_old, observe.calls_new + observe_many.calls_new) == (
+        408_565, 13_070)
+    fanout = rows["repro/net/transport.py:Transport.fanout"]
+    assert (fanout.calls_old, fanout.calls_new) == (146_279, 146_279)
+    assert fanout.share_new < fanout.share_old
+    # Only observation went: every copy is counted as before.
+    assert old["counters"] == new["counters"]
+    assert {"net.latency", "gossip.latency"} <= set(old["histograms"])
+    assert not {"net.latency", "gossip.latency"} & set(new["histograms"])

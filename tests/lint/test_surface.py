@@ -33,7 +33,7 @@ KEPT = {
     "repro.chain.chainstore.ChainStore.canonical_chain":
         "the consensus tests compare whole chains across validators through it",
     "repro.consensus.tendermint.TendermintEngine.equivocation_evidence":
-        "the double votes the vote-level auditor of ROADMAP item 3(b) will read",
+        "the double votes the vote-level auditor of ROADMAP item 4(a) will read",
     "repro.crypto.multisig.aggregate":
         "§III-B's multi-signature as a value; the relabelled-tag forgery test builds one",
     "repro.crypto.multisig.verify_multisig":

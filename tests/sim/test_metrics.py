@@ -38,8 +38,7 @@ def test_gauge_set_and_add():
 
 
 def test_histogram_summary_statistics():
-    histogram = Histogram("h")
-    histogram.observe_many(range(1, 101))
+    histogram = _filled(range(1, 101))
     assert histogram.count == 100
     assert histogram.mean() == pytest.approx(50.5)
     assert histogram.percentile(50) == pytest.approx(50.5)
@@ -48,8 +47,7 @@ def test_histogram_summary_statistics():
 
 
 def test_histogram_percentile_interpolates():
-    histogram = Histogram("h")
-    histogram.observe_many([0.0, 10.0])
+    histogram = _filled([0.0, 10.0])
     assert histogram.percentile(25) == pytest.approx(2.5)
 
 
@@ -67,8 +65,7 @@ def test_histogram_percentile_bounds():
 
 
 def test_histogram_stdev():
-    histogram = Histogram("h")
-    histogram.observe_many([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
+    histogram = _filled([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
     assert histogram.stdev() == pytest.approx(2.138, abs=1e-3)
     single = Histogram("s")
     single.observe(1.0)
@@ -88,8 +85,7 @@ def test_histogram_summary_is_json_safe_when_empty():
 def test_histogram_summary_values_round_trip():
     import json
 
-    histogram = Histogram("h")
-    histogram.observe_many([1.0, 2.0, 3.0])
+    histogram = _filled([1.0, 2.0, 3.0])
     summary = histogram.summary()
     assert summary["count"] == 3
     assert summary["mean"] == pytest.approx(2.0)
@@ -139,14 +135,10 @@ EXACT_INTS = st.integers(-(2**53), 2**53)  # what a double holds exactly
 MIXED = st.lists(st.one_of(st.floats(-1e150, 1e150), EXACT_INTS), max_size=40)
 
 
-def _filled(*batches):
+def _filled(values):
     histogram = Histogram("h")
-    for index, batch in enumerate(batches):  # both ways in
-        if index % 2:
-            histogram.observe_many(batch)
-        else:
-            for value in batch:
-                histogram.observe(value)
+    for value in values:
+        histogram.observe(value)
     return histogram
 
 
@@ -154,7 +146,7 @@ def _filled(*batches):
 def test_histogram_reads_like_a_list_of_its_observations(values, q):
     """Same values of the same types, NaN and infinities included: an
     all-int histogram still summarises and exports as ints."""
-    histogram, reference = _filled(values[:7], values[7:]), ListHistogram(values)
+    histogram, reference = _filled(values), ListHistogram(values)
     assert repr(histogram.summary()) == repr(reference.summary())
     assert repr(histogram.percentile(q)) == repr(reference.percentile(q))
     assert repr(histogram.total) == repr(sum(values)) and histogram.count == len(values)
@@ -164,7 +156,7 @@ def test_histogram_reads_like_a_list_of_its_observations(values, q):
 @given(MIXED, st.one_of(FLOATS, st.lists(EXACT_INTS, max_size=40)), st.floats(0, 100))
 def test_histogram_mixed_observations_keep_every_value(values, more, q):
     """Ints read back as floats of equal value once a float has been seen."""
-    histogram = _filled(values, more[:5], [], more[5:])
+    histogram = _filled(values + more)
     observed = values + more
     if any(type(value) is float for value in observed):  # so the sums round alike
         observed = [float(value) for value in observed]
@@ -197,7 +189,7 @@ def test_histogram_past_its_buffer_is_within_epsilon(shape):
     stdev within EPSILON of the quadratic mean."""
     rng = random.Random(7)
     values = [DRAWS[shape](rng) for _ in range(3 * BUFFER_SIZE + 123)]
-    histogram = _filled(values[:5000], values[5000:])
+    histogram = _filled(values)
     reference = ListHistogram(values)
     assert histogram.count == len(values)
     assert (histogram.min(), histogram.max()) == (min(values), max(values))
@@ -227,7 +219,7 @@ def test_histogram_is_exact_through_its_buffer_and_folds_one_later():
 
 
 def test_histogram_past_its_buffer_keeps_infinities_and_nan():
-    histogram = _filled([1.0] * BUFFER_SIZE, [math.inf, -math.inf, 2.0])
+    histogram = _filled([1.0] * BUFFER_SIZE + [math.inf, -math.inf, 2.0])
     assert (histogram.min(), histogram.max()) == (-math.inf, math.inf)
     assert histogram.percentile(0) == -math.inf and histogram.percentile(100) == math.inf
     assert abs(histogram.percentile(50) - 1.0) <= EPSILON
@@ -279,13 +271,12 @@ def held_bytes(root) -> int:
 def test_histogram_holds_the_same_after_a_million_observations_as_after_ten_thousand():
     """The bucket table grows with the range of values, not their number."""
     draws = random.Random(5)
-    histogram = Histogram("net.latency")
-    histogram.observe(draws.uniform(0.020, 0.021))  # doubles from here: a chunk folds whole
+    histogram = Histogram("checkpoint.lag")
     held = []
-    for total in (10_000, 1_000_000):
+    # Each total is a whole number of folds: the buffer has just emptied.
+    for total in (3 * (BUFFER_SIZE + 1), 245 * (BUFFER_SIZE + 1)):
         while histogram.count < total:
-            chunk = min(10_000, total - histogram.count)
-            histogram.observe_many([draws.uniform(0.020, 0.021) for _ in range(chunk)])
+            histogram.observe(draws.uniform(0.020, 0.021))
         held.append(held_bytes(histogram))
     assert held[0] == held[1] < 8 * 10_000
 
