@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
-from repro.telemetry import enable_telemetry, write_chrome_trace, write_prometheus
+from repro.telemetry import enable_telemetry, write_chrome_trace
 
 from common import (
     RUN,
@@ -136,14 +136,13 @@ def test_e3_crossmsg_latency_vs_depth(benchmark):
     )
 
     # Export the full telemetry of the run: the run document with the bench
-    # rows (`python -m repro.telemetry.report` renders it), a Prometheus
-    # text file, and a Perfetto-loadable Chrome trace.
+    # rows (`python -m repro.telemetry.report` renders it) and a
+    # Perfetto-loadable Chrome trace.
     system = _SYSTEM
     tracer = system.sim.planes["spans"]
     out = bench_out_dir()
     with open(write_bench_json("e3_crossmsgs", rows=rows), encoding="utf-8") as handle:
         dump = json.load(handle)
-    write_prometheus(os.path.join(out, "TELEMETRY_e3.prom"), system.sim)
     write_chrome_trace(os.path.join(out, "TRACE_e3.json"), system.sim)
     # Spawn-time funding also traces, so at least the measured transfers.
     assert tracer.delivered_count() >= len(rows), "every transfer should be spanned"

@@ -20,8 +20,7 @@ snapshots at the region's start and end, and prints at the region's end:
 With two lengths it runs the deployment once for each and exits non-zero
 when one of the :func:`bounded` quantities grew by more than :data:`GROWTH`
 from the first to the second: live ``HeaderOnly`` and ``FullBlock`` blocks
-and the bytes the histograms hold.  Time series keep every point by design
-and are not counted.
+and the bytes the metrics registry holds.
 
 Tracing allocations makes the run 2-3x slower in wall time; the simulated
 work is the same as the benchmark's.
@@ -70,9 +69,10 @@ def live_counts(types: tuple) -> tuple:
     return len(objects), counts
 
 
-def held_bytes(root) -> int:
-    """``sys.getsizeof`` summed over *root* and everything it reaches."""
-    seen, todo, size = set(), [root], 0
+def held_bytes(root, skip=()) -> int:
+    """``sys.getsizeof`` summed over *root* and everything it reaches, bar
+    the objects in *skip* and what only they reach."""
+    seen, todo, size = set(map(id, skip)), [root], 0
     while todo:
         obj = todo.pop()
         if id(obj) not in seen and not isinstance(obj, type):
@@ -99,19 +99,25 @@ def leaf_tables(chains: dict) -> list:
     return rows
 
 
-def bounded(counts: dict, histograms) -> dict:
-    """The quantities that must not grow with the region's length.  A
-    histogram counts its bucket table as it stands and its buffer at its
-    bound, since the buffer refills and folds as the run goes."""
-    from repro.chain.block import FullBlock, HeaderOnly
+def registry_bytes(metrics) -> int:
+    """The bytes every table of the metrics registry reaches: each metric,
+    its name and what it keeps.  A histogram's buffer counts at its bound,
+    since the buffer refills and folds as the run goes."""
     from repro.sim.metrics import BUFFER_SIZE
+
+    tables = [table for table in vars(metrics).values() if isinstance(table, dict)]
+    buffers = [histogram._buffer for histogram in metrics.histograms.values()]
+    return held_bytes(tables, skip=buffers) + 8 * BUFFER_SIZE * len(buffers)
+
+
+def bounded(counts: dict, metrics) -> dict:
+    """The quantities that must not grow with the region's length."""
+    from repro.chain.block import FullBlock, HeaderOnly
 
     return {
         "HeaderOnly": counts[HeaderOnly],
         "FullBlock": counts[FullBlock],
-        "histogram bytes": sum(
-            8 * BUFFER_SIZE + held_bytes(histogram._buckets) for histogram in histograms
-        ),
+        "metrics bytes": registry_bytes(metrics),
     }
 
 
@@ -126,7 +132,7 @@ def run(workload_name: str, seed: int, seconds: float) -> tuple:
         end = tracemalloc.take_snapshot()
         tracked, counts = live_counts(types)
         tracemalloc.stop()
-        held = bounded(counts, workload.sim.metrics.histograms.values())
+        held = bounded(counts, workload.sim.metrics)
         tables = leaf_tables(workload.chains)
     lines = [
         f"census {workload_name} seed={seed} seconds={seconds:g}: "
@@ -135,7 +141,7 @@ def run(workload_name: str, seed: int, seconds: float) -> tuple:
     ]
     lines += [f"  {cls.__name__:<16}{count:>10}" for cls, count in counts.items()]
     lines.append(f"  {'gc-tracked':<16}{tracked:>10}")
-    lines.append(f"  {'histogram bytes':<16}{held['histogram bytes']:>10}")
+    lines.append(f"  {'metrics bytes':<16}{held['metrics bytes']:>10}")
     lines.append("state-root leaf tables and frozen chains:")
     lines += [
         f"  {path:<16}{leaves:>10} leaves {size:>12} bytes {depth:>4} layers {entries:>9} entries"

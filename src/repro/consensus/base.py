@@ -189,12 +189,8 @@ class ConsensusEngine:
         — the node fetches any gap behind an orphan from *sender* on its own.
         """
         if not self.eligible(block):
-            self._metric("consensus.*.rejected").inc()
             return False
-        accepted = self.node.receive_block(block, sender=sender)
-        if accepted:
-            self._metric("consensus.*.accepted").inc()
-        return accepted
+        return self.node.receive_block(block, sender=sender)
 
 
 _ENGINES: dict[str, type] = {}

@@ -81,7 +81,6 @@ class ProofOfWorkEngine(ConsensusEngine):
             self._restart_mining()
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("consensus.*.withheld").inc()
             self._restart_mining()
             return
         block = self.node.assemble_block(

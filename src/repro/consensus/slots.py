@@ -73,7 +73,6 @@ class SlotLeaderEngine(ConsensusEngine):
         if self.leader_for_slot(slot).node_id != self.node.node_id:
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("consensus.*.withheld").inc()
             return
         head = self.node.head()
         block = self.node.assemble_block(

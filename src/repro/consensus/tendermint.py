@@ -124,7 +124,6 @@ class TendermintEngine(ConsensusEngine):
 
     def _propose(self) -> None:
         if self.node.is_byzantine("withhold_block"):
-            self._metric("consensus.*.withheld").inc()
             return
         head = self.node.head()
         valid_round = None
@@ -199,7 +198,6 @@ class TendermintEngine(ConsensusEngine):
         if not self.validators.contains(self.node.node_id):
             return  # observers do not vote
         if self.node.is_byzantine("withhold_vote"):
-            self._metric("consensus.*.votes_withheld").inc()
             return
         vote = Vote(self.height, self.round, vote_type, block_cid, self.node.node_id)
         self._on_vote(vote)
@@ -207,7 +205,6 @@ class TendermintEngine(ConsensusEngine):
         if self.node.is_byzantine("equivocate_vote") and block_cid is not None:
             # Double-vote: also vote nil for the same (h, r, type).
             conflicting = Vote(self.height, self.round, vote_type, None, self.node.node_id)
-            self._metric("consensus.*.equivocations_sent").inc()
             self.node.broadcast("tm:vote", conflicting)
 
     def _vote_book(self, vote_type: str, height: int, round_: int) -> dict:
@@ -223,7 +220,6 @@ class TendermintEngine(ConsensusEngine):
         if existing is not _ABSENT:
             if existing != vote.block_cid:
                 self._equivocations.append((vote.voter, existing, vote.block_cid))
-                self._metric("consensus.*.equivocations_observed").inc()
             return False  # first vote stands
         book[vote.voter] = vote.block_cid
         return True
@@ -280,7 +276,6 @@ class TendermintEngine(ConsensusEngine):
             valid_round = None
             expected = self.proposer_for(height, round_)
         if block.header.miner != expected.address:
-            self._metric("consensus.*.rejected").inc()
             return
         self._proposals[(height, round_)] = block
         self._blocks[block.cid] = block
@@ -366,7 +361,6 @@ class TendermintEngine(ConsensusEngine):
             self.validators.total_power // 3 + 1
         ):
             return False
-        self._metric("consensus.*.round_skips").inc()
         height = self.height
         self._start_round(round_, skipped=True)
         if self.height != height:
@@ -465,7 +459,6 @@ class TendermintEngine(ConsensusEngine):
         block: FullBlock = payload["block"]
         votes = payload["votes"]
         if not self._verify_commit_cert(block, votes):
-            self._metric("consensus.*.rejected").inc()
             return
         if block.height < self.height:
             return  # already decided locally
@@ -488,7 +481,6 @@ class TendermintEngine(ConsensusEngine):
             return
         # Jump to the head the certificate (plus any retried orphans)
         # established and rejoin consensus at the next height.
-        self._metric("consensus.*.caught_up").inc()
         self._gc_height(head.height)
         self._height_started_at = self.sim.now
         self._await_height(head.height + 1, pacing=0.0)
@@ -515,9 +507,6 @@ class TendermintEngine(ConsensusEngine):
                 "tm:commit",
                 {"block": block, "votes": cert or self._commit_certificate(block)},
             )
-        self.sim.metrics.histogram(
-            "consensus.*.commit_round", self.node.subnet_id
-        ).observe(self.round)
         self._trace_round(
             "commit", height=block.height, round=max(self.round, 0),
             cid=block.cid.hex()[:16],

@@ -119,7 +119,6 @@ class AccelerationService:
                     acceleration_topic(message.to_subnet),
                     certificate,
                 )
-                self.sim.metrics.counter("accel.certified").inc()
             self._scanned[w] = max(start, count)
 
     # ------------------------------------------------------------------
@@ -143,7 +142,6 @@ class AccelerationService:
             },
         )
         entry["certifiers"].add(certificate.certifier)
-        self.sim.metrics.counter("accel.received").inc()
 
     def _clear_settled(self, block) -> None:
         """Drop tentative entries once the real cross-msg applies here."""
@@ -160,7 +158,6 @@ class AccelerationService:
         horizon = self.sim.now - TTL
         for cid in [c for c, e in self._pending.items() if e["first_seen"] < horizon]:
             del self._pending[cid]
-            self.sim.metrics.counter("accel.expired").inc()
 
     # ------------------------------------------------------------------
     # Queries

@@ -147,9 +147,6 @@ class CheckpointService:
                 epoch=checkpoint.epoch,
             )
             forged_sig = self._produce_signature(forged.cid.hex())
-            self.sim.metrics.counter(
-                "checkpoint.*.equivocations", self.node.subnet_id
-            ).inc()
             self.node.broadcast(
                 "ckpt:sig", (window, forged.cid, self.node.node_id, forged_sig)
             )

@@ -36,12 +36,10 @@ class CrossMsgPool:
 
     def __init__(
         self,
-        sim,
         subnet_id: SubnetID,
         resolution: ResolutionService,
         parent_node=None,
     ) -> None:
-        self.sim = sim
         self.subnet_id = subnet_id
         self.resolution = resolution
         self.parent_node = parent_node
@@ -72,8 +70,6 @@ class CrossMsgPool:
             self._topdown[self._td_scanned] = message
             self._td_scanned += 1
             found += 1
-        if found:
-            self.sim.metrics.counter("crosspool.*.topdown_seen", self.subnet_id).inc(found)
         return found
 
     def scan_own(self, node) -> int:
@@ -91,8 +87,6 @@ class CrossMsgPool:
             found += 1
             # Fetch the raw messages (push may already have cached them).
             self.resolution.request(meta.from_subnet, meta.msgs_cid)
-        if found:
-            self.sim.metrics.counter("crosspool.*.bottomup_seen", self.subnet_id).inc(found)
         return found
 
     # ------------------------------------------------------------------

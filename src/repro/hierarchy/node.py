@@ -75,7 +75,6 @@ class SubnetNode(NodeRuntime):
             state_reader=lambda cid_hex: self.vm.state.get(sca_key(f"registry/{cid_hex}")),
         )
         self.crosspool = CrossMsgPool(
-            sim=sim,
             subnet_id=subnet,
             resolution=self.resolution,
             parent_node=parent_node,
@@ -170,17 +169,16 @@ class SubnetNode(NodeRuntime):
                 {"message": cross.message, "nonce": cross.nonce},
             )
             direction = "topdown"
-            family = "crossmsg.*.topdown_ok" if receipt.ok else "crossmsg.*.topdown_failed"
         elif isinstance(cross, ApplyBottomUp):
             receipt = vm.apply_implicit(
                 SYSTEM_ADDRESS, SCA_ADDRESS, "apply_bottomup",
                 {"nonce": cross.nonce, "messages": cross.messages},
             )
             direction = "bottomup"
-            family = "crossmsg.*.bottomup_ok" if receipt.ok else "crossmsg.*.bottomup_failed"
+            if not receipt.ok:
+                self.sim.metrics.counter("crossmsg.*.bottomup_failed", self.subnet_id).inc()
         else:
             raise ValidationError(f"unknown cross-msg payload {type(cross).__name__}")
-        self.sim.metrics.counter(family, self.subnet_id).inc()
         if not receipt.ok:
             self.sim.trace.emit("crossmsg.apply_failed", self.subnet_id, direction, receipt.error)
         return receipt

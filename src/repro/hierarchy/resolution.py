@@ -69,7 +69,6 @@ class ResolutionService:
         """Cache a batch after verifying it hashes to its CID."""
         messages = tuple(messages)
         if batch_cid(messages) != msgs_cid:
-            self.sim.metrics.counter("resolution.bad_content").inc()
             return False
         self._cache[msgs_cid] = messages
         for callback in self._waiting.pop(msgs_cid, []):
@@ -81,7 +80,6 @@ class ResolutionService:
     # ------------------------------------------------------------------
     def push(self, destination: SubnetID, msgs_cid: CID, messages: tuple) -> None:
         """Publish a batch on the destination subnet's topic (Fig. 4)."""
-        self.sim.metrics.counter("resolution.push_sent").inc()
         self.gossip.publish(
             self.node_id,
             resolution_topic(destination),
@@ -118,7 +116,6 @@ class ResolutionService:
             requester = SubnetID(payload)
             content = self.resolve_local(msgs_cid)
             if content is None:
-                self.sim.metrics.counter("resolution.pull_miss").inc()
                 return
             self.sim.metrics.counter("resolution.pull_served").inc()
             self.gossip.publish(

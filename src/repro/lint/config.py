@@ -102,4 +102,4 @@ SIM001_EXEMPT_PACKAGES = ("sim",)
 #: MET001 looks at the first argument of a call to any of these names: the
 #: ``MetricsRegistry`` accessors, plus the helpers that forward their own
 #: first argument to one (``ConsensusEngine._metric(family)``).
-METRIC_CALLS = ("counter", "gauge", "histogram", "timeseries", "mark", "_metric")
+METRIC_CALLS = ("counter", "gauge", "histogram", "_metric")

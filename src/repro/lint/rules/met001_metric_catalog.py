@@ -1,6 +1,6 @@
 """MET001 — a metric family is spelled once, the way ``METRIC_CATALOG`` spells it.
 
-``MetricsRegistry.counter / gauge / histogram / timeseries`` take the
+``MetricsRegistry.counter / gauge / histogram`` take the
 family as their first argument — ``counter("chain.*.reorgs", subnet)`` —
 so an emit site and the exporter's catalog agree by string equality, and
 this rule looks at one AST node at a time:

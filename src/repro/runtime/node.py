@@ -251,7 +251,6 @@ class NodeRuntime:
                 error is not None or not result or result[0].height != start
                 or not all(map(self.engine.eligible, result))
             ):
-                self.sim.metrics.counter("chain.*.sync_failed", self.subnet_id).inc()
                 return
             lowest = self.store.base + 1
             if not self.store.has(result[0].header.parent) and start > lowest:
@@ -341,7 +340,6 @@ class NodeRuntime:
                     return
             if pending == 0:
                 self._sync_inflight = False
-                self.sim.metrics.counter("chain.*.sync_failed", self.subnet_id).inc()
 
         for server in servers:
             self.gossip.rpc.call(
@@ -372,7 +370,6 @@ class NodeRuntime:
         ahead = header.subnet_id == self.subnet_id and header.height > self.store.height
         tree = StateTree(backend=MemoryBackend(items))
         if not ahead or tree.root() != header.state_root:
-            self.sim.metrics.counter("chain.*.snapshot_refused", self.subnet_id).inc()
             self.sim.trace.emit("snapshot.refused", self.subnet_id, header.cid.short())
             return False
         self.store.adopt(header)
@@ -381,7 +378,6 @@ class NodeRuntime:
         self._block_events.clear()
         self._expire_orphans()
         self.mempool.drop_stale(self.vm.nonce_of)
-        self.sim.metrics.counter("chain.*.snapshot_adopted", self.subnet_id).inc()
         self.sim.trace.emit(
             "snapshot.adopted", self.subnet_id, f"h={header.height}", header.cid.short()
         )
@@ -457,7 +453,6 @@ class NodeRuntime:
                 block, parent, self.subnet_id, self.engine.params.max_block_messages
             )
         except ValidationError as err:
-            self.sim.metrics.counter("chain.*.invalid_blocks", self.subnet_id).inc()
             self.sim.trace.emit("block.invalid", self.subnet_id, block.cid.short(), err)
             return False
 
@@ -477,7 +472,6 @@ class NodeRuntime:
                 block.header.miner, block.height, block.header.parent,
             )
             if self._post_root(scratch) != block.header.state_root:
-                self.sim.metrics.counter("chain.*.state_mismatch", self.subnet_id).inc()
                 self.sim.trace.emit(
                     "block.state_mismatch", self.subnet_id, block.cid.short()
                 )
@@ -527,7 +521,6 @@ class NodeRuntime:
                 if self.store.is_canonical(block.cid):
                     break
                 depth += 1
-            self.sim.metrics.histogram("chain.*.reorg.depth", self.subnet_id).observe(depth)
             self.sim.observe(ChainReorg, self, old_head, new_head_block, depth)
         # Newly canonical segment, oldest first.  Each block is announced to
         # commit listeners at most once ever, even across reorgs (listeners
@@ -542,12 +535,9 @@ class NodeRuntime:
         added.reverse()
         for block in added:
             self._notified.add(block.cid)
-        now, metrics = self.sim.now, self.sim.metrics
         for block in added:
             self.mempool.remove_included(block.messages)
             self.committed_txs += len(block.messages)
-            metrics.timeseries("chain.*.txs", self.subnet_id).record(now, len(block.messages))
-            metrics.timeseries("chain.*.blocks", self.subnet_id).record(now, 1)
             self.sim.trace.emit(
                 "block.commit", self.subnet_id,
                 f"h={block.height}", block.cid.short(), f"msgs={len(block.messages)}",

@@ -143,7 +143,8 @@ def lossy_links() -> Scenario:
 
 
 def round_desync() -> Scenario:
-    """Regression for the lossy-links liveness stall (see ROADMAP).
+    """Regression for the lossy-links liveness stall: Tendermint must stay
+    live through a lossy window.
 
     A 50% loss window over 12s used to wedge Tendermint through three
     distinct defects: a reentrancy clobber in the polka path (nodes stuck

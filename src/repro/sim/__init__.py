@@ -11,7 +11,7 @@ bit-for-bit: identical seeds yield identical traces (see
 from repro.sim.events import Event, EventQueue
 from repro.sim.scheduler import Simulator
 from repro.sim.rng import SeedSequence, derive_seed
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TimeSeries",
     "TraceLog",
     "TraceRecord",
 ]

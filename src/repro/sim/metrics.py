@@ -149,7 +149,7 @@ class Histogram:
 
     The first :data:`BUFFER_SIZE` observations are kept exactly, unboxed, in
     arrival order: C int64s while every observation has been an ``int``
-    (round counts, reorg depths: they summarise as ints), C doubles from the
+    (rounds per height: they summarise as ints), C doubles from the
     first float on (ints already seen, and any that follow, then read back
     as floats of equal value).  Up to there every statistic is the one a
     plain list of the observations gives.
@@ -328,76 +328,6 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean():.4f})"
 
 
-def _appended(column: array, value: float) -> array:
-    """*column* with *value* appended: C int64s while every value has been
-    an ``int``, a copy of C doubles from the first float on."""
-    try:
-        column.append(value)
-    except (TypeError, OverflowError):  # first float (or an int past 63 bits)
-        column = array("d", column)
-        column.append(value)
-    return column
-
-
-class TimeSeries:
-    """(time, value) observations, e.g. throughput over a run: every point
-    is exported, so both columns keep every value, unboxed the way a
-    :class:`Histogram` buffers its first observations."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._times = array("q")
-        self._values = array("q")
-
-    def record(self, time: float, value: float) -> None:
-        self._times = _appended(self._times, time)
-        self._values = _appended(self._values, value)
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        """The observations as a fresh list of pairs, in recording order."""
-        return list(zip(self._times, self._values))
-
-    def values(self) -> list[float]:
-        return list(self._values)
-
-    def summary(self) -> dict:
-        """How many points, and the first and last as ``[time, value]``."""
-        times, values = self._times, self._values
-        if not times:
-            return {"points": 0, "first": None, "last": None}
-        return {
-            "points": len(times),
-            "first": [times[0], values[0]],
-            "last": [times[-1], values[-1]],
-        }
-
-    def rate(self, window: Optional[tuple[float, float]] = None) -> Optional[float]:
-        """Events per second: count of points over the covered interval.
-
-        Degenerate inputs return ``None`` (JSON null) rather than a fake
-        0.0, NaN or a ZeroDivisionError — matching ``Histogram.summary()``:
-        an empty series, fewer than two points without an explicit window,
-        or a window of non-positive span have no defined rate.  A genuine
-        zero (a positive-span window covering no points of a non-empty
-        series) still reads 0.0.
-        """
-        times = self._times
-        if not times:
-            return None
-        if window is not None:
-            lo, hi = window
-            count = sum(1 for t in times if lo <= t <= hi)
-            span = hi - lo
-        else:
-            if len(times) < 2:
-                return None
-            count, span = len(times), times[-1] - times[0]
-        if span <= 0:
-            return None
-        return count / span
-
-
 def _expand(family: str, parts: tuple) -> str:
     """*family* with its ``*``s replaced, in order, by ``str()`` of *parts*."""
     pieces = family.split("*")
@@ -420,17 +350,11 @@ class MetricsRegistry:
     ``ValueError``.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock or (lambda: 0.0)
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.series: dict[str, TimeSeries] = {}
         self._names: dict[tuple, str] = {}  # (family, parts) -> expanded name
-
-    @property
-    def now(self) -> float:
-        return self._clock()
 
     def _name(self, family: str, parts: tuple) -> str:
         """The name of *family* with *parts*, expanded once per registry: a
@@ -461,24 +385,12 @@ class MetricsRegistry:
             self.histograms[name] = Histogram(name)
         return self.histograms[name]
 
-    def timeseries(self, family: str, *parts) -> TimeSeries:
-        name = self._name(family, parts) if parts or "*" in family else family
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
-
-    def mark(self, name: str, value: float = 1.0) -> None:
-        """Record a timestamped point on the named time series."""
-        self.timeseries(name).record(self.now, value)
-
     def snapshot(self) -> dict:
         """Every metric as plain JSON-safe data, by sorted name: a counter
         or gauge as its value (a NaN/inf gauge as null), a histogram as its
-        :meth:`Histogram.summary`, a series as its :meth:`TimeSeries.summary`.
-        """
+        :meth:`Histogram.summary`."""
         return {
             "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "gauges": {n: json_safe(g.value) for n, g in sorted(self.gauges.items())},
             "histograms": {n: h.summary() for n, h in sorted(self.histograms.items())},
-            "series": {n: s.summary() for n, s in sorted(self.series.items())},
         }

@@ -155,7 +155,7 @@ class Simulator:
         if tie_shuffle is not None:
             self.queue.set_tie_shuffle(tie_shuffle)
         self.tie_shuffle = tie_shuffle
-        self.metrics = MetricsRegistry(clock=lambda: self.now)
+        self.metrics = MetricsRegistry()
         self.trace = TraceLog(clock=lambda: self.now)
         self.dispatch = DispatchBus()
         # The observation stream (repro.sim.observe): attached planes by
@@ -233,8 +233,8 @@ class Simulator:
         accident; ``tie_shuffle`` exists to flush out code that does.
 
         An exception raised by *callback* is recorded as a ``timer.error``
-        trace and metric, and the recurrence keeps ticking: one bad tick
-        must not silently kill a heartbeat.
+        trace record, and the recurrence keeps ticking: one bad tick must
+        not silently kill a heartbeat.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
@@ -248,7 +248,6 @@ class Simulator:
             except Exception as err:
                 name = label or getattr(callback, "__name__", "?")
                 self.trace.emit("timer.error", name, type(err).__name__, err)
-                self.metrics.counter("sim.timer.errors.*", name).inc()
             if not state["stopped"]:
                 state["event"] = self.schedule(interval, _tick, label=label)
 

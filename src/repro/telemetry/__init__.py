@@ -2,8 +2,8 @@
 
 Everything here is an *observer* of the simulation: each plane attaches
 to the simulator's observation stream (:mod:`repro.sim.observe`), writes
-only to ``sim.metrics`` (never the trace log) and consumes no RNG, so
-enabling telemetry cannot change the determinism digest.
+only its own state and ``sim.metrics`` (never the trace log) and consumes
+no RNG, so enabling telemetry cannot change the determinism digest.
 :func:`enable_telemetry` attaches them to a system; the exporters read
 them back from ``sim.planes``.  See DESIGN.md § Observability.
 """
@@ -13,10 +13,8 @@ from typing import Optional
 from repro.telemetry.export import (
     telemetry_snapshot,
     to_chrome_trace,
-    to_prometheus,
     write_chrome_trace,
     write_json,
-    write_prometheus,
 )
 from repro.telemetry.health import HealthProbe
 from repro.telemetry.monitor import (
@@ -90,8 +88,6 @@ __all__ = [
     "subnet_level",
     "telemetry_snapshot",
     "to_chrome_trace",
-    "to_prometheus",
     "write_chrome_trace",
     "write_json",
-    "write_prometheus",
 ]

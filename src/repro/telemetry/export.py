@@ -1,6 +1,6 @@
-"""Telemetry exporters: the run document, Prometheus text format, Chrome trace.
+"""Telemetry exporters: the run document and the Chrome trace.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 - :func:`telemetry_snapshot` / :func:`write_json` — the run document
   (``repro.run/v1``), the one serialization of a run: metrics, dispatch
@@ -8,27 +8,23 @@ Three consumers, three formats:
   caller adds under ``extra`` (a postmortem bundle's reason, violation and
   stall reports; a benchmark's rows and end-state digest).  ``python -m
   repro.telemetry.report`` renders whichever sections it carries.
-- :func:`to_prometheus` / :func:`write_prometheus` — Prometheus text
-  exposition (counters, gauges, histogram summaries with quantile labels)
-  for scraping or offline ``promtool`` analysis.
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` — Chrome
   trace-event JSON loadable in Perfetto (https://ui.perfetto.dev): one
   track per subnet carrying the cross-net hop spans and checkpoint
   anchoring spans (simulated time), plus a DispatchBus profile track
   (wall-clock CPU attribution per event label).
 
-All of them take the simulator and find the planes on ``sim.planes``.
+Both take the simulator and find the planes on ``sim.planes``.
+:data:`METRIC_CATALOG` is the metric surface: every family, with the file
+that reads it.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Optional
 
 from repro.sim.metrics import json_safe
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 RUN_SCHEMA = "repro.run/v1"
 #: The keys of a run document that read the wall clock (``profile`` is the
@@ -76,229 +72,93 @@ def write_json(path: str, snapshot: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Prometheus text exposition
+# The metric surface
 # ----------------------------------------------------------------------
-#: The declared metric surface: every family the system emits, keyed by a
-#: dotted name pattern (``*`` = one interpolated segment, e.g. a subnet
-#: path; a trailing ``*`` covers one or more), mapping to its Prometheus
-#: type and HELP text.  ``repro.lint``'s MET001 cross-checks this table
-#: against every emit site in the tree — both ways — so keep it in sync
-#: when adding or renaming metrics.  Interpolated values (subnet paths,
-#: node ids, dispatch labels) never contain dots.  A ``summary`` is a
-#: :class:`~repro.sim.metrics.Histogram`: exact up to ``BUFFER_SIZE``
-#: (4 096) observations; past that, count, sum, min and max stay exact, and
-#: a quantile is exact over ints and within ``EPSILON`` (2**-8, 0.39 %) of
-#: the exact one over floats.
+_LEDGER = "benchmarks/ledger/layers.py"
+_REPORT = "src/repro/telemetry/report.py"
+_GOSSIP_ORACLE = "tests/net/test_gossip_oracle.py"
+
+#: Every family the system emits, keyed by a dotted name pattern (``*`` =
+#: one interpolated segment, e.g. a subnet path or a level), mapping to
+#: ``(reader, description)``: *reader* is the repo-relative file that reads
+#: the family, and it spells the family's name
+#: (``tests/lint/test_surface.py`` checks that).  A family nothing reads
+#: does not belong here, nor does its emit site.  ``repro.lint``'s MET001
+#: cross-checks this table against every emit site in the tree — both
+#: ways.  Interpolated values (subnet paths, levels) never contain dots.
+#: A histogram is a :class:`~repro.sim.metrics.Histogram`: exact up to
+#: ``BUFFER_SIZE`` (4 096) observations; past that, count, sum, min and
+#: max stay exact, and a quantile is exact over ints and within
+#: ``EPSILON`` (2**-8, 0.39 %) of the exact one over floats.
 METRIC_CATALOG: dict = {
     # net/transport: counts only; a copy's latency is the model's draw,
     # seen above the transport as its delivery time, and never sampled
-    "net.sent": ("counter", "messages handed to the transport"),
-    "net.delivered": ("counter", "materialised deliveries: queued messages handed to a registered peer"),
-    "net.partitioned_drops": ("counter", "messages dropped by an active partition"),
-    "net.lost": ("counter", "messages dropped by random loss"),
+    "net.sent": (_LEDGER, "messages handed to the transport"),
+    "net.delivered": (
+        _GOSSIP_ORACLE, "materialised deliveries: queued messages handed to a registered peer"
+    ),
+    "net.partitioned_drops": (_LEDGER, "messages dropped by an active partition"),
+    "net.lost": (_LEDGER, "messages dropped by random loss"),
     # net/gossip
-    "gossip.published": ("counter", "pubsub messages published"),
-    "gossip.delivered": ("counter", "pubsub deliveries to subscriber handlers"),
+    "gossip.published": (_LEDGER, "pubsub messages published"),
+    "gossip.delivered": (_LEDGER, "pubsub deliveries to subscriber handlers"),
     "gossip.duplicates_elided": (
-        "counter", "mesh copies sent, not queued: peer has the id or an earlier-landing copy queued"
+        _GOSSIP_ORACLE,
+        "mesh copies sent, not queued: peer has the id or an earlier-landing copy queued",
     ),
     # chain/runtime (per-subnet)
-    "chain.*.blocks": ("gauge", "blocks committed (event series)"),
-    "chain.*.txs": ("gauge", "transactions committed (event series)"),
-    "chain.*.invalid_blocks": ("counter", "blocks rejected by validation"),
-    "chain.*.reorgs": ("counter", "chain reorganisations applied"),
-    "chain.*.reorg.depth": ("summary", "depth of applied reorgs"),
-    "chain.*.state_mismatch": ("counter", "blocks rejected on state-root mismatch"),
-    "chain.*.sync_blocks": ("counter", "blocks applied via range sync"),
-    "chain.*.sync_failed": ("counter", "failed range or snapshot sync attempts"),
-    "chain.*.snapshot_adopted": ("counter", "snapshots adopted as the chain's floor"),
-    "chain.*.snapshot_refused": ("counter", "served snapshots that failed verification"),
+    "chain.*.reorgs": (_LEDGER, "chain reorganisations applied"),
+    "chain.*.sync_blocks": ("tests/scenario/test_long_outage.py", "blocks applied via range sync"),
     # state
-    "state.root.buckets_rehashed": ("gauge", "buckets rehashed by the last incremental root"),
-    "state.root.leaves_encoded": ("gauge", "leaves re-encoded by the last incremental root"),
-    "state.tree.layer_depth": ("gauge", "depth of the state hash tree"),
+    "state.root.buckets_rehashed": (_REPORT, "buckets rehashed by the last incremental root"),
+    "state.root.leaves_encoded": (_REPORT, "leaves re-encoded by the last incremental root"),
+    "state.tree.layer_depth": (_REPORT, "depth of the state hash tree"),
     # consensus engines (per-subnet)
-    "consensus.*.proposed": ("counter", "blocks proposed by this engine"),
-    "consensus.*.mined": ("counter", "blocks mined (PoW)"),
-    "consensus.*.accepted": ("counter", "proposals accepted"),
-    "consensus.*.rejected": ("counter", "proposals rejected"),
-    "consensus.*.withheld": ("counter", "proposals withheld by a byzantine engine"),
-    "consensus.*.votes_withheld": ("counter", "votes withheld by a byzantine engine"),
-    "consensus.*.equivocations_sent": ("counter", "equivocating proposals sent"),
-    "consensus.*.equivocations_observed": ("counter", "equivocations observed"),
-    "consensus.*.round_skips": ("counter", "rounds skipped on timeout"),
-    "consensus.*.rounds": ("counter", "consensus rounds started"),
-    "consensus.*.caught_up": ("counter", "catch-up syncs completed"),
-    "consensus.*.committed": ("counter", "blocks committed by consensus"),
-    "consensus.*.block_interval": ("summary", "inter-block simulated time"),
-    "consensus.*.commit_round": ("summary", "round number at commit"),
+    "consensus.*.proposed": (_LEDGER, "blocks proposed by this engine"),
+    "consensus.*.mined": (_LEDGER, "blocks mined (PoW)"),
+    "consensus.*.rounds": (_LEDGER, "consensus rounds started"),
+    "consensus.*.committed": (_LEDGER, "blocks committed by consensus"),
+    "consensus.*.block_interval": (
+        "benchmarks/bench_e7_consensus.py", "inter-block simulated time"
+    ),
     # consensus round tracer (per-subnet)
-    "consensus.round.*.duration": ("summary", "simulated duration of a round"),
-    "consensus.round.*.per_height": ("summary", "rounds needed per committed height"),
-    "consensus.round.*.skips": ("counter", "round skips observed by the tracer"),
-    "consensus.round.*.timeouts": ("counter", "round timeouts observed by the tracer"),
-    "consensus.round.*.locks": ("counter", "value locks observed by the tracer"),
-    "consensus.round.*.height": ("gauge", "current working height"),
-    "consensus.round.*.number": ("gauge", "current round number"),
-    "consensus.round.*.quorum_power": ("gauge", "power required for quorum"),
-    "consensus.round.*.prevote_power": ("gauge", "prevote power held at the frontier"),
-    "consensus.round.*.precommit_power": ("gauge", "precommit power held at the frontier"),
+    "consensus.round.*.per_height": (_REPORT, "rounds needed per committed height"),
     # hierarchy: checkpointing (per-subnet) and anchoring spans
-    "checkpoint.*.submitted": ("counter", "checkpoints submitted to the parent"),
-    "checkpoint.*.equivocations": ("counter", "checkpoint equivocations detected"),
-    "checkpoint.*.fraud_proofs": ("counter", "checkpoint fraud proofs accepted"),
-    "checkpoint.lag": ("summary", "seal-to-commit lag of anchored checkpoints"),
-    "checkpoint.lag.L*": ("summary", "checkpoint lag by source-subnet level"),
-    "checkpoint.hop.seal_to_submit": ("summary", "checkpoint seal-to-submit hop time"),
-    "checkpoint.hop.submit_to_commit": ("summary", "checkpoint submit-to-commit hop time"),
+    "checkpoint.*.submitted": (_LEDGER, "checkpoints submitted to the parent"),
+    "checkpoint.*.fraud_proofs": (
+        "benchmarks/bench_e8_lifecycle.py", "checkpoint fraud proofs accepted"
+    ),
+    "checkpoint.lag": (_REPORT, "seal-to-commit lag of anchored checkpoints"),
+    "checkpoint.lag.L*": (_REPORT, "checkpoint lag by source-subnet level"),
+    "checkpoint.hop.seal_to_submit": (_REPORT, "checkpoint seal-to-submit hop time"),
+    "checkpoint.hop.submit_to_commit": (_REPORT, "checkpoint submit-to-commit hop time"),
     # hierarchy: cross-net messaging (per-subnet)
-    "crossmsg.*.topdown_ok": ("counter", "top-down cross-messages applied"),
-    "crossmsg.*.topdown_failed": ("counter", "top-down cross-messages failed"),
-    "crossmsg.*.bottomup_ok": ("counter", "bottom-up cross-messages applied"),
-    "crossmsg.*.bottomup_failed": ("counter", "bottom-up cross-messages failed"),
-    "crosspool.*.topdown_seen": ("counter", "top-down cross-messages pooled"),
-    "crosspool.*.bottomup_seen": ("counter", "bottom-up cross-messages pooled"),
+    "crossmsg.*.bottomup_failed": (
+        "benchmarks/bench_e9_revert.py", "bottom-up cross-messages failed"
+    ),
     # hierarchy: content resolution
-    "resolution.push_sent": ("counter", "content pushes sent"),
-    "resolution.push_stored": ("counter", "pushed content stored"),
-    "resolution.pull_sent": ("counter", "content pulls sent"),
-    "resolution.pull_served": ("counter", "content pulls served"),
-    "resolution.pull_miss": ("counter", "content pulls that missed"),
-    "resolution.resolved": ("counter", "contents resolved end-to-end"),
-    "resolution.bad_content": ("counter", "contents failing CID verification"),
+    "resolution.push_stored": ("benchmarks/bench_e4_resolution.py", "pushed content stored"),
+    "resolution.pull_sent": (_LEDGER, "content pulls sent"),
+    "resolution.pull_served": ("benchmarks/bench_e4_resolution.py", "content pulls served"),
+    "resolution.resolved": ("benchmarks/bench_e4_resolution.py", "contents resolved end-to-end"),
     # hierarchy: checkpoint acceleration
-    "accel.certified": ("counter", "acceleration certificates issued"),
-    "accel.received": ("counter", "acceleration certificates received"),
-    "accel.settled": ("counter", "accelerated checkpoints settled"),
-    "accel.expired": ("counter", "acceleration certificates expired"),
-    "accel.bad_certificates": ("counter", "invalid acceleration certificates"),
+    "accel.settled": (
+        "tests/integration/test_acceleration_and_fees.py", "accelerated checkpoints settled"
+    ),
+    "accel.bad_certificates": (
+        "tests/integration/test_acceleration_and_fees.py", "invalid acceleration certificates"
+    ),
     # telemetry: cross-net span tracer
-    "xnet.spans.started": ("counter", "cross-net spans started"),
-    "xnet.spans.delivered": ("counter", "cross-net spans delivered"),
-    "xnet.spans.failed": ("counter", "cross-net spans failed"),
-    "xnet.hop.submit": ("summary", "submit-to-enqueue hop time"),
-    "xnet.hop.submit.L*": ("summary", "submit hop time by source level"),
-    "xnet.hop.topdown": ("summary", "top-down hop time"),
-    "xnet.hop.topdown.L*": ("summary", "top-down hop time by level"),
-    "xnet.hop.bottomup": ("summary", "bottom-up hop time"),
-    "xnet.hop.bottomup.L*": ("summary", "bottom-up hop time by level"),
-    "xnet.e2e.topdown": ("summary", "end-to-end top-down delivery time"),
-    "xnet.e2e.bottomup": ("summary", "end-to-end bottom-up delivery time"),
-    "xnet.e2e.path": ("summary", "end-to-end delivery time via an LCA path"),
+    "xnet.hop.submit.L*": (_REPORT, "submit hop time by source level"),
+    "xnet.hop.topdown.L*": (_REPORT, "top-down hop time by level"),
+    "xnet.hop.bottomup.L*": (_REPORT, "bottom-up hop time by level"),
+    "xnet.e2e.topdown": (_REPORT, "end-to-end top-down delivery time"),
+    "xnet.e2e.bottomup": (_REPORT, "end-to-end bottom-up delivery time"),
+    "xnet.e2e.path": (_REPORT, "end-to-end delivery time via an LCA path"),
     # telemetry: invariant monitor
-    "invariant.violations": ("counter", "invariant violations recorded (all auditors)"),
-    "invariant.*.violations": ("counter", "invariant violations per auditor"),
-    "invariant.exactly_once.fork_replays": ("counter", "cross-message replays on rival forks"),
-    "invariant.exactly_once.nonce_gaps": ("counter", "cross-message nonce gaps observed"),
-    # telemetry: health probe (per-subnet time series)
-    "health.*.height": ("gauge", "subnet chain height over time"),
-    "health.*.mempool": ("gauge", "subnet mempool depth over time"),
-    "health.*.pending_crossmsgs": ("gauge", "pending cross-messages over time"),
-    "health.*.checkpoint_lag": ("gauge", "checkpoint lag over time"),
-    # sim scheduler
-    "sim.timer.errors.*": ("counter", "exceptions raised by a recurring timer"),
+    "invariant.exactly_once.fork_replays": (_REPORT, "cross-message replays on rival forks"),
+    "invariant.exactly_once.nonce_gaps": (_REPORT, "cross-message nonce gaps observed"),
 }
-
-
-#: The wildcard families as compiled patterns, most specific (longest)
-#: first.  ``*`` matches any run: a part may itself contain dots.
-_WILDCARD_FAMILIES = tuple(
-    (re.compile(re.escape(family).replace("\\*", ".*")), METRIC_CATALOG[family])
-    for family in sorted(METRIC_CATALOG, key=lambda f: (-len(f), f))
-    if "*" in family
-)
-
-
-def _catalog_entry(raw: str):
-    """The ``(type, help)`` catalog entry a raw metric name falls under:
-    its exact key, else the most specific wildcard family matching it."""
-    entry = METRIC_CATALOG.get(raw)
-    if entry is not None:
-        return entry
-    for pattern, entry in _WILDCARD_FAMILIES:
-        if pattern.fullmatch(raw):
-            return entry
-    return None
-
-
-def _prom_name(name: str) -> str:
-    cleaned = _NAME_RE.sub("_", name)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] in "_:"):
-        cleaned = "_" + cleaned
-    return cleaned
-
-
-def _escape_help(text: str) -> str:
-    """Escape a ``# HELP`` payload per the text exposition format."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def to_prometheus(sim) -> str:
-    """Render the sim's metrics registry in Prometheus text format.
-
-    Each family gets ``# HELP`` (the original dotted metric name — the
-    sanitised family name loses it — plus the :data:`METRIC_CATALOG`
-    description when the name falls under a declared family) and
-    ``# TYPE`` lines, and label values are escaped, so the output passes
-    ``promtool check metrics``.
-    """
-    metrics = sim.metrics
-    lines: list[str] = []
-    emitted: set = set()
-
-    def emit(name: str, raw: str, kind: str, body: list) -> None:
-        if name in emitted:  # sanitisation collision: keep the first
-            return
-        emitted.add(name)
-        entry = _catalog_entry(raw)
-        help_text = raw if entry is None else f"{raw}: {entry[1]}"
-        lines.append(f"# HELP {name} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.extend(body)
-
-    for raw, counter in sorted(metrics.counters.items()):
-        name = _prom_name(raw)
-        emit(name, raw, "counter", [f"{name} {counter.value}"])
-    for raw, gauge in sorted(metrics.gauges.items()):
-        name = _prom_name(raw)
-        emit(name, raw, "gauge", [f"{name} {_fmt(gauge.value)}"])
-    for raw, histogram in sorted(metrics.histograms.items()):
-        name = _prom_name(raw)
-        summary = histogram.summary()
-        body = []
-        for label, quantile in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
-            value = summary[label]
-            if value is not None:
-                quantile_value = _escape_label_value(quantile)
-                body.append(f'{name}{{quantile="{quantile_value}"}} {_fmt(value)}')
-        body.append(f"{name}_count {summary['count']}")
-        body.append(f"{name}_sum {_fmt(histogram.total)}")
-        emit(name, raw, "summary", body)
-    for raw, series in sorted(metrics.series.items()):
-        name = _prom_name(raw)
-        values = series.values()
-        if values:
-            emit(name, raw, "gauge", [f"{name} {_fmt(values[-1])}"])
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def write_prometheus(path: str, sim) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_prometheus(sim))
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Periodic per-subnet health sampling.
 
-:class:`HealthProbe` rides the simulator's ``every()`` timer, takes
+:class:`HealthProbe` rides the simulator's ``every()`` timer and takes
 :meth:`HierarchicalSystem.health_snapshot()
-<repro.hierarchy.network.HierarchicalSystem.health_snapshot>` and records
-each subnet's vital signs onto :class:`~repro.sim.metrics.TimeSeries`:
+<repro.hierarchy.network.HierarchicalSystem.health_snapshot>` — per subnet:
 
-- ``health.<subnet>.height`` — the frontier: the highest head among the
-  subnet's validators (one crashed validator does not freeze it);
-- ``health.<subnet>.mempool`` — pending user messages;
-- ``health.<subnet>.pending_crossmsgs`` — cross-msg pool depth
-  (unapplied top-down messages + unresolved bottom-up metas);
-- ``health.<subnet>.checkpoint_lag`` — windows sealed locally but not yet
-  recorded by the parent's SA (0 = fully anchored).
+- ``height`` — the frontier: the highest head among the subnet's
+  validators (one crashed validator does not freeze it);
+- ``min_height`` — the laggard;
+- ``mempool`` — pending user messages;
+- ``pending_crossmsgs`` — cross-msg pool depth (unapplied top-down
+  messages + unresolved bottom-up metas);
+- ``checkpoint_lag`` — windows sealed locally but not yet recorded by the
+  parent's SA (0 = fully anchored).
 
-Each sample also carries ``min_height`` (the laggard) and its ``time``, and
-every completed round is reported as a
-:class:`~repro.sim.observe.HealthSampled`.
+Each sample also carries its ``time``.  Every completed round is reported
+as a :class:`~repro.sim.observe.HealthSampled` (the recorder and the
+scenario watchdog read it), and the latest round is the run document's
+``health`` section.
 
 Sampling is read-only: it never touches chain state, RNG streams or the
 trace log, so enabling the probe cannot change the determinism digest.
@@ -25,18 +26,9 @@ from __future__ import annotations
 
 from repro.sim.observe import HealthSampled, Plane
 
-#: Sample field -> the time-series family it is recorded on.
-_SERIES = {
-    "height": "health.*.height",
-    "mempool": "health.*.mempool",
-    "pending_crossmsgs": "health.*.pending_crossmsgs",
-    "checkpoint_lag": "health.*.checkpoint_lag",
-}
-FIELDS = tuple(_SERIES)
-
 
 class HealthProbe(Plane):
-    """Samples per-subnet health onto the sim's metrics time series."""
+    """Samples per-subnet health every *interval* simulated seconds."""
 
     section = "health"
 
@@ -61,14 +53,9 @@ class HealthProbe(Plane):
     def sample(self) -> dict:
         """Take one sample of every subnet; returns {path: sample}."""
         now = self.sim.now
-        metrics = self.sim.metrics
         latest = self.system.health_snapshot()
-        for path, sample in latest.items():
+        for sample in latest.values():
             sample["time"] = now
-            for field, family in _SERIES.items():
-                value = sample[field]
-                if value is not None:
-                    metrics.timeseries(family, path).record(now, value)
         self.latest = latest  # a fresh dict per round: records never alias
         self.sim.observe(HealthSampled, latest)
         return latest

@@ -30,9 +30,10 @@ Five auditors ship by default:
   live validator cluster of every active child subnet.
 
 Determinism contract (same as the span tracer, DESIGN.md § Observability):
-auditors read committed state and write only to ``sim.metrics``, their own
-violation list and (via the :class:`~repro.telemetry.recorder.FlightRecorder`)
-postmortem bundles — never to ``sim.trace``, never to RNG streams, and
+auditors read committed state and write only their own violation list
+(the run document's ``invariants`` section, with a count per auditor), the
+exactly-once auditor's two ``invariant.exactly_once.*`` counters and (via
+the :class:`~repro.telemetry.recorder.FlightRecorder`) postmortem bundles — never to ``sim.trace``, never to RNG streams, and
 never with wall-clock time — so the trace digest is byte-identical with
 monitors on or off.  Violations are deduplicated first-observation-wins,
 which is deterministic on a deterministic simulator.
@@ -172,8 +173,6 @@ class InvariantMonitor(Plane):
             description=description,
         )
         self.violations.append(violation)
-        self.sim.metrics.counter("invariant.violations").inc()
-        self.sim.metrics.counter("invariant.*.violations", auditor).inc()
         if self.recorder is not None and len(self.recorder.bundles) < MAX_BUNDLES:
             self.recorder.dump(violation=violation)
         return violation

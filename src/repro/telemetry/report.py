@@ -30,6 +30,10 @@ _HOP_PREFIXES = (
     ("xnet.hop.topdown.", "topdown"),
     ("xnet.hop.bottomup.", "bottomup"),
 )
+_INVARIANT_COUNTERS = ("invariant.exactly_once.fork_replays", "invariant.exactly_once.nonce_gaps")
+_STATE_GAUGES = ("state.root.buckets_rehashed", "state.root.leaves_encoded", "state.tree.layer_depth")
+_E2E_HISTOGRAMS = ("xnet.e2e.topdown", "xnet.e2e.bottomup", "xnet.e2e.path")
+_CHECKPOINT_HOPS = ("checkpoint.hop.seal_to_submit", "checkpoint.hop.submit_to_commit")
 
 
 def _fmt(value) -> str:
@@ -48,21 +52,9 @@ def _latency_rows(histograms: dict) -> list:
     return rows
 
 
-def _invariant_counters(counters: dict) -> dict:
-    return {
-        name: counters[name]
-        for name in sorted(counters)
-        if name.startswith("invariant.")
-    }
-
-
-def _cache_stats(gauges: dict) -> dict:
-    """State-root work gauges."""
-    return {
-        name: gauges[name]
-        for name in sorted(gauges)
-        if name.startswith("state.root.") or name.startswith("state.tree.")
-    }
+def _present(metrics: dict, names: tuple) -> dict:
+    """The metrics of *names* that *metrics* holds, by sorted name."""
+    return {name: metrics[name] for name in sorted(names) if name in metrics}
 
 
 def render(snapshot: dict) -> str:
@@ -122,14 +114,14 @@ def render(snapshot: dict) -> str:
     counters = snapshot.get("counters", {}) or {}
     gauges = snapshot.get("gauges", {}) or {}
 
-    invariant_counters = _invariant_counters(counters)
+    invariant_counters = _present(counters, _INVARIANT_COUNTERS)
     if invariant_counters:
         table = Table("invariant counters", ["counter", "value"])
         for name, value in invariant_counters.items():
             table.add_row(name, value)
         sections.append(table.render())
 
-    caches = _cache_stats(gauges)
+    caches = _present(gauges, _STATE_GAUGES)
     if caches:
         table = Table("caches & state-root work", ["metric", "value"])
         for name, value in caches.items():
@@ -178,9 +170,8 @@ def render(snapshot: dict) -> str:
         sections.append(table.render())
 
     e2e = {
-        name[len("xnet.e2e."):]: histograms[name]
-        for name in sorted(histograms)
-        if name.startswith("xnet.e2e.")
+        name[len("xnet.e2e."):]: summary
+        for name, summary in _present(histograms, _E2E_HISTOGRAMS).items()
     }
     if e2e:
         table = Table(
@@ -197,7 +188,7 @@ def render(snapshot: dict) -> str:
     ckpt = {
         name: histograms[name]
         for name in sorted(histograms)
-        if name.startswith("checkpoint.lag") or name.startswith("checkpoint.hop.")
+        if name.startswith("checkpoint.lag") or name in _CHECKPOINT_HOPS
     }
     if ckpt:
         table = Table(

@@ -13,11 +13,11 @@ produces:
 
 - per-validator round **timelines** (bounded rings, exported as one
   Perfetto track per validator by :mod:`repro.telemetry.export`);
-- ``consensus.round.*`` quorum-progress **gauges** per subnet: the
-  working frontier ``(height, round)``, prevote/precommit power held at
-  the frontier vs. the quorum power needed;
-- round-duration and rounds-per-height **histograms**, plus timeout /
-  round-skip / lock counters.
+- per-subnet quorum progress in its ``rounds`` section: the working
+  frontier ``(height, round)``, prevote/precommit power held at the
+  frontier vs. the quorum power needed, and a count per event kind;
+- the ``consensus.round.*.per_height`` histogram (rounds needed per
+  committed height).
 
 :class:`StallDiagnoser` turns a stalled subnet into a *stall report*: it
 snapshots every validator's live engine state
@@ -31,10 +31,10 @@ quorum line.  The scenario :class:`~repro.scenario.runner.ProgressWatchdog`
 and ``wait_for`` timeouts attach these reports to their diagnostics, and a
 postmortem bundle carries them under ``extra.stall_reports``.
 
-Determinism: the tracer writes only to ``sim.metrics`` (never the trace
-log, never RNG, never wall clock) and the diagnoser is a pure read of
-engine/network state, so enabling either cannot change the end-state
-digest.
+Determinism: the tracer writes only its own state and ``sim.metrics``
+(never the trace log, never RNG, never wall clock) and the diagnoser is a
+pure read of engine/network state, so enabling either cannot change the
+end-state digest.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class RoundTracer(Plane):
     """Collects per-validator consensus-round events from every engine.
 
     ``sim.attach(RoundTracer(sim))`` and every engine's
-    ``_trace_round`` reaches it.  Metrics-only writes keep it
-    digest-neutral; timelines live in bounded per-validator rings.
+    ``_trace_round`` reaches it.  It writes nothing the simulation reads,
+    so it is digest-neutral; timelines live in bounded per-validator rings.
     """
 
     section = "rounds"
@@ -88,14 +88,8 @@ class RoundTracer(Plane):
         # observers: the first validator to record a voter's vote wins,
         # which is deterministic on a deterministic simulator.
         self._votes: dict[str, dict] = {}
-        # (subnet, node_id) -> time the current round started
-        self._round_started: dict[tuple, float] = {}
         # per-subnet counts for summary()
         self._counts: dict[str, dict] = {}
-        # subnet -> its five gauges, and the subnets whose frontier, quorum
-        # or frontier vote books moved since their gauges were last set
-        self._gauges: dict[str, tuple] = {}
-        self._stale: set[str] = set()
 
     # ------------------------------------------------------------------
     # Feed
@@ -117,41 +111,23 @@ class RoundTracer(Plane):
         round_ = fields.get("round")
 
         if kind in ("round_start", "round_skip"):
-            started = self._round_started.get(key)
-            if started is not None:
-                self.metrics.histogram(
-                    "consensus.round.*.duration", subnet
-                ).observe(time - started)
-            self._round_started[key] = time
-            quorum, total = fields.get("quorum"), fields.get("total")
-            if quorum is not None and self._quorum.get(subnet) != (quorum, total):
-                self._quorum[subnet] = (quorum, total)
-                self._stale.add(subnet)
-            if kind == "round_skip":
-                self.metrics.counter("consensus.round.*.skips", subnet).inc()
-        elif kind == "timeout":
-            self.metrics.counter("consensus.round.*.timeouts", subnet).inc()
-        elif kind == "lock":
-            self.metrics.counter("consensus.round.*.locks", subnet).inc()
+            quorum = fields.get("quorum")
+            if quorum is not None:
+                self._quorum[subnet] = (quorum, fields.get("total"))
         elif kind == "vote":
             frontier = self._frontier.get(subnet)
             if height is not None and (frontier is None or height >= frontier[0]):
-                voter = fields.get("voter")
                 books = self._votes.get(subnet)
                 if books is None:
                     books = self._votes[subnet] = {}
                 book = books.setdefault((height, round_, fields.get("vote_type")), {})
-                if voter not in book:
-                    book[voter] = fields.get("power", 1)
-                    if (height, round_) == frontier:
-                        self._stale.add(subnet)
+                book.setdefault(fields.get("voter"), fields.get("power", 1))
         elif kind == "commit":
             # Rounds are 0-based; a height that committed at round r took
             # r+1 rounds.  Slot engines commit at "round" 0 (their slot).
             self.metrics.histogram(
                 "consensus.round.*.per_height", subnet
             ).observe((round_ or 0) + 1)
-            self._round_started.pop(key, None)
 
         self._advance_frontier(subnet, height, round_)
 
@@ -164,40 +140,10 @@ class RoundTracer(Plane):
         frontier = self._frontier.get(subnet)
         if frontier is None or candidate > frontier:
             self._frontier[subnet] = candidate
-            self._stale.add(subnet)
             books = self._votes.get(subnet)
             if books and frontier is not None and height > frontier[0]:
                 for key in [key for key in books if key[0] < height]:
                     del books[key]
-        if subnet in self._stale:
-            self._stale.remove(subnet)
-            self._refresh_gauges(subnet)
-
-    def _refresh_gauges(self, subnet: str) -> None:
-        height, round_ = self._frontier[subnet]
-        quorum = self._quorum.get(subnet, (None,))[0]
-        gauges = self._gauges.get(subnet)
-        if gauges is None or (gauges[2] is None and quorum is not None):
-            # Named here only, in the order an export lists them:
-            # quorum_power exists from the first quorum an engine reports.
-            metrics = self.metrics
-            gauges = self._gauges[subnet] = (
-                metrics.gauge("consensus.round.*.height", subnet),
-                metrics.gauge("consensus.round.*.number", subnet),
-                None if quorum is None
-                else metrics.gauge("consensus.round.*.quorum_power", subnet),
-                metrics.gauge("consensus.round.*.prevote_power", subnet),
-                metrics.gauge("consensus.round.*.precommit_power", subnet),
-            )
-        at_height, at_round, needed, prevotes, precommits = gauges
-        at_height.set(height)
-        at_round.set(round_)
-        if quorum is not None:
-            needed.set(quorum)
-        books = self._votes.get(subnet, {})
-        for gauge, vote_type in ((prevotes, "prevote"), (precommits, "precommit")):
-            book = books.get((height, round_, vote_type))
-            gauge.set(sum(book.values()) if book else 0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -189,7 +189,6 @@ class SpanTracer(Plane):
         if events is None:
             events = self.traces[trace_id] = []
             self.trace_info[trace_id] = {"status": "in-flight"}
-            self.metrics.counter("xnet.spans.started").inc()
         info = self.trace_info[trace_id]
         if to_subnet is not None:
             info.setdefault("to_subnet", to_subnet)
@@ -204,9 +203,9 @@ class SpanTracer(Plane):
             if pending:
                 t_submit = pending.popleft()
                 events.append(SpanEvent(t_submit, "submit", subnet))
-                hop = now - t_submit
-                self.metrics.histogram("xnet.hop.submit.L*", subnet_level(subnet)).observe(hop)
-                self.metrics.histogram("xnet.hop.submit").observe(hop)
+                self.metrics.histogram("xnet.hop.submit.L*", subnet_level(subnet)).observe(
+                    now - t_submit
+                )
 
         prev = events[-1] if events else None
         events.append(SpanEvent(now, phase, subnet))
@@ -215,10 +214,8 @@ class SpanTracer(Plane):
             level, hop = subnet_level(subnet), now - prev.time
             if level > subnet_level(prev.subnet):
                 self.metrics.histogram("xnet.hop.topdown.L*", level).observe(hop)
-                self.metrics.histogram("xnet.hop.topdown").observe(hop)
             else:
                 self.metrics.histogram("xnet.hop.bottomup.L*", level).observe(hop)
-                self.metrics.histogram("xnet.hop.bottomup").observe(hop)
 
         if phase == "deliver":
             info["status"] = "delivered"
@@ -226,10 +223,8 @@ class SpanTracer(Plane):
             shape = route_shape(first.subnet, subnet)
             info.setdefault("shape", shape)
             self.metrics.histogram(_E2E_FAMILY[shape]).observe(now - first.time)
-            self.metrics.counter("xnet.spans.delivered").inc()
         elif phase == "fail":
             info["status"] = "failed"
-            self.metrics.counter("xnet.spans.failed").inc()
 
     def _observe_ckpt(
         self,

@@ -41,7 +41,7 @@ def test_tendermint_timeouts_are_traced(make_cluster):
     tracer = cluster.sim.attach(RoundTracer(cluster.sim))
     cluster.start().run(20.0)
     # n0's proposer slots time out: the propose-timeout path narrates.
-    assert cluster.sim.metrics.counter("consensus.round./root.timeouts").value > 0
+    assert tracer.summary()["subnets"]["/root"]["counts"]["timeout"] > 0
     timeline = tracer.timeline("/root", "n1")
     timeouts = [fields for _, kind, fields in timeline if kind == "timeout"]
     assert timeouts
@@ -77,7 +77,7 @@ def test_tendermint_round_skip_on_f_plus_1_future_votes(make_cluster):
              if kind == "round_skip"]
     assert any(entry["round"] == target and entry["height"] == height
                for entry in skips)
-    assert cluster.sim.metrics.counter("consensus.round./root.skips").value >= 1
+    assert tracer.summary()["subnets"]["/root"]["counts"]["round_skip"] >= 1
 
 
 def test_tendermint_commit_wait_ignores_future_round_votes(make_cluster):

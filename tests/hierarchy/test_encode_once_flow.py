@@ -86,15 +86,11 @@ def _warm_batch(users, count=3):
 def test_resolution_store_refuses_a_swapped_message_among_warm_siblings(system, users):
     node = system.node(ROOTNET)
     genuine, tampered = _warm_batch(users)
-    bad = system.sim.metrics.counter("resolution.bad_content")
-    before = bad.value
     assert not node.resolution.store(batch_cid(genuine), tampered)
     assert not node.resolution.store(batch_cid(genuine), genuine[:2])
-    assert bad.value == before + 2
     assert node.resolution.resolve_local(batch_cid(genuine)) is None
     assert node.resolution.store(batch_cid(genuine), list(genuine))
     assert node.resolution.resolve_local(batch_cid(genuine)) == genuine
-    assert bad.value == before + 2
 
 
 def test_apply_bottomup_refuses_a_swapped_message_among_warm_siblings(pair, users):  # noqa: F811

@@ -150,9 +150,10 @@ def test_subnet_node_rejects_unknown_cross_payload(system):
 
 
 def test_checkpoint_books_keep_only_windows_the_parent_may_still_need():
-    """ROADMAP 6b: 30 windows on a 3-validator PoA child leave a validator
-    the newest window its parent holds and the ones it does not yet — not
-    one book per window ever sealed."""
+    """Checkpoint books are bounded: a window's book is dropped once the
+    parent holds a newer window.  30 windows on a 3-validator PoA child
+    leave a validator the newest window its parent holds and the ones it
+    does not yet — not one book per window ever sealed."""
     period, windows = 4, 30
     system = HierarchicalSystem(
         seed=72, root_validators=3, root_block_time=0.5, checkpoint_period=period,

@@ -3,7 +3,21 @@ behaviours, asserting the system degrades and recovers as designed."""
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
 from repro.hierarchy.subnet_actor import last_committed_window
+from repro.sim.observe import ChainReorg, Plane
 from repro.telemetry import enable_telemetry
+
+
+class Reorgs(Plane):
+    """Every reorg a node reports, in order."""
+
+    section = "reorgs"
+    observes = {ChainReorg: "on_reorg"}
+
+    def __init__(self):
+        self.seen = []
+
+    def on_reorg(self, reorg):
+        self.seen.append(reorg)
 
 
 def test_subnet_recovers_from_internal_partition():
@@ -133,12 +147,13 @@ def test_partition_with_monitors_keeps_supply_invariants():
 
 def test_audit_holds_mid_reorg_on_pow_subnet():
     """Partition a PoW subnet so both sides mine, heal, and audit while the
-    minority reorgs back onto the majority chain; the reorg-depth histogram
-    records the abandoned blocks."""
+    minority reorgs back onto the majority chain; each reorg reports the
+    abandoned blocks as its depth."""
     system = HierarchicalSystem(
         seed=93, root_validators=3, root_block_time=0.5, checkpoint_period=5,
     ).start()
     enable_telemetry(system, monitors=True)
+    reorgs = system.sim.attach(Reorgs())
     sub = system.spawn_subnet(
         SubnetConfig(name="fork", validators=3, engine="pow", block_time=0.4,
                      checkpoint_period=5)
@@ -158,11 +173,11 @@ def test_audit_holds_mid_reorg_on_pow_subnet():
     monitor = system.sim.planes["invariants"]
     assert monitor.violations_for("supply") == []
     assert monitor.violations_for("checkpoint-chain") == []
-    reorgs = system.sim.metrics.counters.get(f"chain.{sub.path}.reorgs")
-    if reorgs is not None and reorgs.value > 0:
-        depth = system.sim.metrics.histograms[f"chain.{sub.path}.reorg.depth"]
-        assert depth.count == reorgs.value
-        assert depth.summary()["max"] >= 1
+    counted = system.sim.metrics.counters.get(f"chain.{sub.path}.reorgs")
+    if counted is not None and counted.value > 0:
+        depths = [r.depth for r in reorgs.seen if r.node.subnet_id == sub.path]
+        assert len(depths) == counted.value
+        assert max(depths) >= 1
 
 
 def test_deterministic_full_system_run():

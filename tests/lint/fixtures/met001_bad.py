@@ -18,5 +18,5 @@ def frontier(tracer, subnet, height):
     gauge(f"consensus.round.{subnet}.height").set(height)
 
 
-def sample(metrics, path, field, now, value):
-    metrics.timeseries("health.%s.%s" % (path, field)).record(now, value)
+def synced(metrics, path, blocks):
+    metrics.counter("chain.%s.sync_blocks" % path).inc(blocks)

@@ -17,12 +17,18 @@ position, at some call of that name in ``src/``, ``benchmarks/`` or
 ``examples/``.  A setting that only tests pass is a module constant, or is
 listed in :data:`SET_ONLY_BY_TESTS` with the reason a test needs another
 value.
+
+And for metrics: every family in ``METRIC_CATALOG`` names the file that
+reads it, and that file spells the family (:func:`unread`).  A test may be
+the reader only where it is listed in :data:`TEST_READERS`.
 """
 
 import ast
 import os
 import re
 import textwrap
+
+import pytest
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -97,6 +103,21 @@ SET_ONLY_BY_TESTS = {
         "the auditor unit tests arm one auditor at a time",
     "repro.telemetry.monitor.InvariantMonitor(check_interval)":
         "the supply sweep tests run the periodic check on every commit",
+}
+
+#: Families whose one reader is a test: it checks a protocol property
+#: through the family and has no other observable for it.  family -> why.
+TEST_READERS = {
+    "net.delivered":
+        "the gossip conservation law: after a drain, sent = delivered + elided",
+    "gossip.duplicates_elided":
+        "the gossip conservation law: after a drain, sent = delivered + elided",
+    "chain.*.sync_blocks":
+        "a validator back from a long outage range-syncs fewer blocks than the prune depth",
+    "accel.settled":
+        "a tentative credit settles once the real cross-message applies",
+    "accel.bad_certificates":
+        "a forged acceleration certificate is refused",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -435,3 +456,100 @@ def test_a_planted_unused_function_fails(tmp_path):
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text("from repro import Actor\nActor().called()\n")
     assert unreferenced(str(tmp_path)) == ["repro.mod.planted"]
+
+
+def spellings(family: str) -> tuple:
+    """What the reader of *family* must spell: the dotted segments before
+    the one holding its first ``*`` (the whole name when it has none), and
+    the text after its last ``*`` when there is any."""
+    if "*" not in family:
+        return (family,)
+    head = ".".join(family[: family.index("*")].split(".")[:-1])
+    tail = family[family.rindex("*") + 1:]
+    return (head, tail) if tail else (head,)
+
+
+@pytest.mark.parametrize("family, spelled", [
+    ("net.delivered", ("net.delivered",)),  # no "*": the whole name
+    ("chain.*.reorgs", ("chain", ".reorgs")),  # head and tail
+    ("consensus.round.*.per_height", ("consensus.round", ".per_height")),
+    ("xnet.hop.submit.L*", ("xnet.hop.submit",)),  # the "*" in a segment; no tail
+    ("a.*.b.*.c", ("a", ".c")),  # first "*" for the head, last for the tail
+    ("*.orphans", ("", ".orphans")),  # no head: unread() refuses it
+])
+def test_spellings(family, spelled):
+    assert spellings(family) == spelled
+
+
+def unread(repo_root: str, catalog: dict) -> list:
+    """One line per family of *catalog* whose reader does not read it: the
+    reader is missing, is a test not in :data:`TEST_READERS`, or does not
+    spell the family (:func:`spellings`)."""
+    problems = []
+    for family, (reader, _description) in sorted(catalog.items()):
+        path = os.path.join(repo_root, reader)
+        if not os.path.isfile(path):
+            problems.append(f"{family}: its reader {reader} does not exist")
+            continue
+        if reader.startswith("tests/") and family not in TEST_READERS:
+            problems.append(f"{family}: {reader} is a test, and not in TEST_READERS")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        needed = spellings(family)
+        if not needed[0]:
+            problems.append(f"{family}: no dotted segment before its first '*'")
+            continue
+        for spelling in needed:
+            if spelling not in text:
+                problems.append(f"{family}: {reader} never spells {spelling!r}")
+    return problems
+
+
+def test_every_metric_family_names_a_reader_that_spells_it():
+    from repro.telemetry.export import METRIC_CATALOG
+
+    problems = unread(REPO_ROOT, METRIC_CATALOG)
+    assert problems == [], (
+        "a family nothing reads goes, with its emit site:\n" + "\n".join(problems)
+    )
+
+
+def test_every_test_reader_is_still_one_and_says_why():
+    from repro.telemetry.export import METRIC_CATALOG
+
+    for family, reason in TEST_READERS.items():
+        assert METRIC_CATALOG[family][0].startswith("tests/"), (
+            f"{family} has a reader outside the tests now: drop it from TEST_READERS"
+        )
+        assert reason.strip(), f"{family} is read by a test without a reason"
+
+
+def test_a_planted_unread_family_fails(tmp_path):
+    (tmp_path / "bench.py").write_text(
+        textwrap.dedent(
+            """
+            sent = counters["app.sent"]
+            reorgs = counters[f"chain.{path}.reorgs"]
+            lag = histograms.get("app.lag.L1")
+            """
+        )
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_app.py").write_text('assert counters["app.queued"] == 0\n')
+    catalog = {
+        "app.sent": ("bench.py", "read"),
+        "chain.*.reorgs": ("bench.py", "read: head and tail spelled"),
+        "app.lag.L*": ("bench.py", "read: no tail to spell"),
+        "chain.*.forks": ("bench.py", "planted: the tail is never spelled"),
+        "app.sent_bytes": ("bench.py", "planted: a prefix of it is spelled, not it"),
+        "app.queued": ("tests/test_app.py", "planted: a test that is no listed reader"),
+        "app.lost": ("gone.py", "planted: the reader does not exist"),
+        "*.orphans": ("bench.py", "planted: no segment before the '*'"),
+    }
+    assert unread(str(tmp_path), catalog) == [
+        "*.orphans: no dotted segment before its first '*'",
+        "app.lost: its reader gone.py does not exist",
+        "app.queued: tests/test_app.py is a test, and not in TEST_READERS",
+        "app.sent_bytes: bench.py never spells 'app.sent_bytes'",
+        "chain.*.forks: bench.py never spells '.forks'",
+    ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.sim import metrics
 from repro.sim.metrics import (
-    BUFFER_SIZE, EPSILON, Counter, Gauge, Histogram, MetricsRegistry, TimeSeries,
+    BUFFER_SIZE, EPSILON, Counter, Gauge, Histogram, MetricsRegistry,
 )
 
 
@@ -281,33 +281,11 @@ def test_histogram_holds_the_same_after_a_million_observations_as_after_ten_thou
     assert held[0] == held[1] < 8 * 10_000
 
 
-def test_timeseries_rate():
-    series = TimeSeries("t")
-    for t in range(11):
-        series.record(float(t), 1.0)
-    assert series.rate() == pytest.approx(11 / 10)
-    assert series.rate(window=(0.0, 5.0)) == pytest.approx(6 / 5)
-
-
-def test_timeseries_rate_degenerate():
-    """Undefined rates are None (JSON null), like Histogram.summary()."""
-    series = TimeSeries("t")
-    assert series.rate() is None  # empty series
-    assert series.rate(window=(0.0, 5.0)) is None  # still empty
-    series.record(1.0, 1.0)
-    assert series.rate() is None  # single point: no span
-    assert series.rate(window=(3.0, 3.0)) is None  # zero-span window
-    assert series.rate(window=(5.0, 2.0)) is None  # inverted window
-    # A genuine zero: positive-span window covering no points.
-    assert series.rate(window=(10.0, 20.0)) == 0.0
-
-
 def test_registry_reuses_instances():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
     assert registry.histogram("b") is registry.histogram("b")
     assert registry.gauge("c") is registry.gauge("c")
-    assert registry.timeseries("d") is registry.timeseries("d")
 
 
 def test_registry_substitutes_parts_for_stars_in_order():
@@ -316,8 +294,8 @@ def test_registry_substitutes_parts_for_stars_in_order():
     assert registry.histogram("hop.L*", 2) is registry.histogram("hop.L2")  # partial segment
     assert registry.gauge("d.*.e.*", "x", "y") is registry.gauge("d.x.e.y")
     assert registry.gauge("d.*.e.*", "*", "y").name == "d.*.e.y"  # a part is never re-read
-    assert registry.timeseries("s.*", 3.5) is registry.timeseries("s.3.5")  # str() of the part
-    assert set(registry.counters) == {"a.x.b"}
+    assert registry.counter("s.*", 3.5) is registry.counter("s.3.5")  # str() of the part
+    assert set(registry.counters) == {"a.x.b", "s.3.5"}
 
 
 @pytest.mark.parametrize(
@@ -325,19 +303,10 @@ def test_registry_substitutes_parts_for_stars_in_order():
 )
 def test_registry_refuses_a_part_count_that_differs_from_the_star_count(family, parts):
     registry = MetricsRegistry()
-    for accessor in (registry.counter, registry.gauge, registry.histogram, registry.timeseries):
+    for accessor in (registry.counter, registry.gauge, registry.histogram):
         with pytest.raises(ValueError, match="part"):
             accessor(family, *parts)
-    assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
-
-
-def test_registry_mark_uses_clock():
-    time = {"now": 0.0}
-    registry = MetricsRegistry(clock=lambda: time["now"])
-    registry.mark("events")
-    time["now"] = 2.0
-    registry.mark("events")
-    assert [t for t, _ in registry.timeseries("events").points] == [0.0, 2.0]
+    assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 def test_registry_snapshot_shape():
@@ -345,18 +314,13 @@ def test_registry_snapshot_shape():
     registry.counter("c").inc()
     registry.gauge("g").set(1.0)
     registry.histogram("h").observe(1.0)
-    registry.mark("s")
-    registry.timeseries("empty")
     registry.counter("a").inc(2)
     snapshot = registry.snapshot()
     assert snapshot["counters"] == {"a": 2, "c": 1}
     assert list(snapshot["counters"]) == ["a", "c"]  # sorted by name
     assert snapshot["gauges"] == {"g": 1.0}
     assert snapshot["histograms"]["h"]["count"] == 1
-    assert snapshot["series"] == {
-        "empty": {"points": 0, "first": None, "last": None},
-        "s": {"points": 1, "first": [0.0, 1.0], "last": [0.0, 1.0]},
-    }
+    assert list(snapshot) == ["counters", "gauges", "histograms"]
 
 
 def test_registry_snapshot_is_nan_safe():

@@ -18,7 +18,6 @@ from repro.telemetry import (
     SpanTracer,
     telemetry_snapshot,
     to_chrome_trace,
-    to_prometheus,
     write_json,
 )
 from repro.telemetry.report import main as report_main
@@ -68,9 +67,6 @@ def _synthetic():
     sim.metrics.gauge("state.root.buckets_rehashed").set(18)
     sim.metrics.gauge("state.root.leaves_encoded").set(19)
     sim.metrics.histogram("demo.empty")  # summary must export as nulls
-    series = sim.metrics.timeseries("demo.series")
-    series.record(1.0, 1.0)
-    series.record(2.0, 3.0)
 
     # A consensus round on /root/a: validator 0 times out of round 0,
     # skips to round 1 (f+1 catch-up), then the proposal arrives, the
@@ -103,11 +99,6 @@ def _check_golden(name: str, text: str) -> None:
         path.write_text(text, encoding="utf-8")
     golden = path.read_text(encoding="utf-8")
     assert text == golden, f"{name} drifted from golden (UPDATE_GOLDENS=1 to accept)"
-
-
-def test_prometheus_golden():
-    sim = _synthetic()
-    _check_golden("synthetic.prom", to_prometheus(sim))
 
 
 def test_chrome_trace_golden():
@@ -151,31 +142,7 @@ def test_snapshot_json_round_trip(tmp_path):
     }
     assert loaded["histograms"]["demo.empty"]["mean"] is None
     assert loaded["histograms"]["xnet.e2e.topdown"]["count"] == 1
-    assert loaded["counters"]["xnet.spans.failed"] == 1
     assert loaded["gauges"]["demo.gauge"] == 2.5
-    assert loaded["series"]["demo.series"] == {
-        "points": 2, "first": [1.0, 1.0], "last": [2.0, 3.0],
-    }
-
-
-def test_prometheus_declares_round_families():
-    """consensus.round.* gauges/counters/histograms export with HELP/TYPE."""
-    sim = _synthetic()
-    text = to_prometheus(sim)
-    assert "# TYPE consensus_round__root_a_height gauge" in text
-    assert "# HELP consensus_round__root_a_height consensus.round./root/a.height" in text
-    assert "consensus_round__root_a_height 3" in text
-    assert "consensus_round__root_a_number 1" in text
-    assert "# TYPE consensus_round__root_a_quorum_power gauge" in text
-    assert "consensus_round__root_a_quorum_power 3" in text
-    assert "consensus_round__root_a_prevote_power 3" in text
-    assert "# TYPE consensus_round__root_a_skips counter" in text
-    assert "consensus_round__root_a_skips 1" in text
-    assert "consensus_round__root_a_timeouts 1" in text
-    assert "consensus_round__root_a_locks 1" in text
-    assert "# TYPE consensus_round__root_a_duration summary" in text
-    assert "# TYPE consensus_round__root_a_per_height summary" in text
-    assert "consensus_round__root_a_per_height_count 1" in text
 
 
 def test_chrome_trace_round_tracks():
@@ -196,47 +163,6 @@ def test_chrome_trace_round_tracks():
     assert instants == [
         "timeout", "proposal", "vote", "vote", "vote", "lock", "commit",
     ]
-
-
-def test_prometheus_sanitizes_names():
-    sim = _synthetic()
-    sim.metrics.counter("weird.name-with/slash").inc()
-    text = to_prometheus(sim)
-    assert "weird_name_with_slash 1" in text
-    # The dotted original survives only in the HELP line.
-    assert "# HELP weird_name_with_slash weird.name-with/slash" in text
-
-
-def test_prometheus_lint_clean():
-    """Every family has HELP before TYPE and nothing else starts with #."""
-    sim = _synthetic()
-    lines = to_prometheus(sim).strip().splitlines()
-    families = set()
-    for i, line in enumerate(lines):
-        if line.startswith("# TYPE "):
-            name, kind = line.split()[2:4]
-            assert kind in ("counter", "gauge", "summary")
-            assert lines[i - 1].startswith(f"# HELP {name} "), name
-            assert name not in families, f"duplicate family {name}"
-            families.add(name)
-        elif line.startswith("#"):
-            assert line.startswith("# HELP "), f"stray comment: {line}"
-    # Every sample line belongs to a declared family.
-    for line in lines:
-        if not line.startswith("#"):
-            sample = line.split("{")[0].split()[0]
-            base = sample
-            for suffix in ("_count", "_sum"):
-                if sample.endswith(suffix) and sample[: -len(suffix)] in families:
-                    base = sample[: -len(suffix)]
-            assert base in families, f"sample {sample} without TYPE"
-
-
-def test_prometheus_escaping_helpers():
-    from repro.telemetry.export import _escape_help, _escape_label_value
-
-    assert _escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-    assert _escape_help("back\\slash\nnewline") == "back\\\\slash\\nnewline"
 
 
 def test_report_cli_renders_dump(tmp_path, capsys):
@@ -267,7 +193,7 @@ def test_report_cli_unparseable_file(tmp_path, capsys):
 
 def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     sim = _synthetic()
-    sim.metrics.counter("invariant.supply.violations").inc(2)
+    sim.metrics.counter("invariant.exactly_once.nonce_gaps").inc(2)
     sim.metrics.gauge("state.root.buckets_rehashed").set(7)
     sim.metrics.gauge("state.root.leaves_encoded").set(9)
     path = str(tmp_path / "dump.json")
@@ -275,7 +201,7 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "invariant counters" in out
-    assert "invariant.supply.violations" in out
+    assert "invariant.exactly_once.nonce_gaps" in out
     assert "caches & state-root work" in out
     assert "state.root.buckets_rehashed" in out
     assert "state.root.leaves_encoded" in out

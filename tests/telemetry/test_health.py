@@ -1,40 +1,64 @@
-"""HealthProbe: periodic per-subnet vitals on the metrics time series."""
+"""HealthProbe: periodic per-subnet vitals, one round per interval."""
 
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.observe import HealthSampled, Plane
 from repro.telemetry import enable_telemetry
-from repro.telemetry.health import FIELDS, HealthProbe
+from repro.telemetry.health import HealthProbe
+
+FIELDS = ("height", "min_height", "mempool", "pending_crossmsgs", "checkpoint_lag", "time")
+
+
+class Rounds(Plane):
+    """Every round the probe reports, in order."""
+
+    section = "health_rounds"
+    observes = {HealthSampled: "on_round"}
+
+    def __init__(self):
+        self.rounds = []
+
+    def on_round(self, sampled):
+        self.rounds.append(sampled.latest)
 
 
 @pytest.fixture(scope="module")
 def probed_system():
     system = HierarchicalSystem(seed=23)
     system.start()
+    system.sim.attach(Rounds())
     enable_telemetry(system, health_interval=1.0)
     system.spawn_subnet(SubnetConfig(name="fast", validators=3, block_time=0.5))
     system.run_for(15)
     return system
 
 
+def _heights(system, path):
+    """(time, height) of *path* in every round that sampled it."""
+    rounds = system.sim.planes["health_rounds"].rounds
+    return [(r[path]["time"], r[path]["height"]) for r in rounds if path in r]
+
+
 def test_probe_samples_every_subnet(probed_system):
     latest = probed_system.sim.planes["health"].latest
     assert set(latest) == {"/root", "/root/fast"}
     for sample in latest.values():
-        for field in FIELDS + ("min_height", "time"):
-            assert field in sample
+        assert set(FIELDS) <= set(sample)
 
 
-def test_probe_records_time_series(probed_system):
-    series = probed_system.sim.metrics.series
-    heights = series["health./root/fast.height"]
-    assert len(heights.points) >= 10  # one per second of simulated time
-    times = [t for t, _ in heights.points]
-    assert times == sorted(times)
+def test_probe_reports_one_round_per_interval(probed_system):
+    heights = _heights(probed_system, "/root/fast")
+    assert len(heights) >= 10  # one per second of simulated time
+    times = [t for t, _ in heights]
+    assert times == sorted(set(times))
     # Chains advance: height samples are non-decreasing and end positive.
-    values = [v for _, v in heights.points]
+    values = [v for _, v in heights]
     assert values == sorted(values)
     assert values[-1] > 0
+    assert heights[-1] == (
+        probed_system.sim.planes["health"].latest["/root/fast"]["time"], values[-1]
+    )
 
 
 def test_checkpoint_lag_semantics(probed_system):
@@ -42,15 +66,14 @@ def test_checkpoint_lag_semantics(probed_system):
     assert latest["/root"]["checkpoint_lag"] is None  # root anchors to nothing
     lag = latest["/root/fast"]["checkpoint_lag"]
     assert isinstance(lag, int) and lag >= 0
-    assert "health./root.checkpoint_lag" not in probed_system.sim.metrics.series
 
 
 def test_probe_stop_halts_sampling(probed_system):
     probe = probed_system.sim.planes["health"]
     probe.stop()
-    before = len(probed_system.sim.metrics.series["health./root.height"].points)
+    before = len(_heights(probed_system, "/root"))
     probed_system.run_for(5)
-    after = len(probed_system.sim.metrics.series["health./root.height"].points)
+    after = len(_heights(probed_system, "/root"))
     assert after == before
     probe.start()  # re-arm for any later test using the fixture
 
@@ -80,8 +103,7 @@ def test_crashed_validator_zero_does_not_freeze_a_live_subnet():
     sample = planes["health"].latest[sub.path]
     assert sample["min_height"] == frozen
     assert sample["height"] >= frozen + 10
-    heights = system.sim.metrics.series[f"health.{sub.path}.height"]
-    assert heights.points[-1][1] == sample["height"]
+    assert system.sim.planes["health"].summary()[sub.path]["height"] == sample["height"]
     # And the same frontier reaches every postmortem's health ring.
     recent = planes["recorder"].dump(reason="health-check")["recorder"]["health_ring"][-1]
     assert recent[sub.path]["height"] == sample["height"]

@@ -9,6 +9,9 @@ progress watchdog flags the stall, and the attached stall report must
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.scenario.runner import ProgressWatchdog
 from repro.sim.observe import RoundEvent
@@ -101,21 +104,16 @@ def test_timeline_ring_is_bounded():
     assert timeline[0][0] == 6.0 and timeline[-1][0] == TIMELINE_CAPACITY + 5.0
 
 
-def test_round_duration_and_per_height_histograms():
+def test_rounds_per_height_histogram():
     sim, tracer = _tracer()
     _feed(tracer, "round_start", 1.0, height=2, round=0, quorum=3, total=4)
     _feed(tracer, "round_skip", 3.5, height=2, round=2, quorum=3, total=4)
-    duration = sim.metrics.histogram(f"consensus.round.{SUBNET}.duration")
-    assert duration.summary() == {
-        "count": 1, "mean": 2.5, "stdev": 0.0,
-        "p50": 2.5, "p95": 2.5, "p99": 2.5, "min": 2.5, "max": 2.5,
-    }
     _feed(tracer, "commit", 4.0, height=2, round=2)
     per_height = sim.metrics.histogram(f"consensus.round.{SUBNET}.per_height")
     assert per_height.summary() == {  # rounds are 0-based: r2 = 3 rounds
         "count": 1, "mean": 3.0, "stdev": 0.0, "p50": 3, "p95": 3, "p99": 3, "min": 3, "max": 3,
     }
-    assert sim.metrics.counter(f"consensus.round.{SUBNET}.skips").value == 1
+    assert tracer.summary()["subnets"][SUBNET]["counts"]["round_skip"] == 1
 
 
 def test_summary_reports_frontier_power_and_counts():
@@ -138,6 +136,69 @@ def test_summary_reports_frontier_power_and_counts():
     assert entry["counts"] == {"round_start": 1, "vote": 3}
     assert summary["events"] == 4
     json.dumps(summary, allow_nan=False)  # exporters embed this verbatim
+
+
+class RecomputeAlways:
+    """Keeps its own books of the whole event stream and recomputes the
+    ``rounds`` section's frontier, quorum and vote power from them."""
+
+    def __init__(self):
+        self.frontier = self.quorum = None
+        self.books = {}  # (height, round, vote_type) -> {voter: power}
+
+    def feed(self, kind, height=None, round=None, quorum=None, total=None, vote_type=None,
+             voter=None, power=None):
+        if kind in ("round_start", "round_skip") and quorum is not None:
+            self.quorum = (quorum, total)
+        if kind == "vote":
+            self.books.setdefault((height, round, vote_type), {}).setdefault(voter, power)
+        if height is not None:
+            self.frontier = max(filter(None, [self.frontier, (height, round or 0)]))
+
+    def shown(self):
+        quorum, total = self.quorum or (None, None)
+        shown = {
+            "frontier_height": self.frontier and self.frontier[0],
+            "frontier_round": self.frontier and self.frontier[1],
+            "quorum_power": quorum, "total_power": total,
+        }
+        if self.frontier is not None:
+            for vote_type in ("prevote", "precommit"):
+                shown[f"{vote_type}_power"] = sum(
+                    self.books.get((*self.frontier, vote_type), {}).values())
+        return shown
+
+
+HEIGHT = st.one_of(st.none(), st.integers(1, 3))
+ROUND = st.one_of(st.none(), st.integers(0, 2))
+EVENTS = st.one_of(
+    st.tuples(st.sampled_from(["round_start", "round_skip"]), st.fixed_dictionaries(
+        {"height": HEIGHT, "round": ROUND,
+         "quorum": st.sampled_from([None, 3, 3, 5]), "total": st.sampled_from([4, 7])})),
+    st.tuples(st.just("vote"), st.fixed_dictionaries(
+        {"height": HEIGHT, "round": ROUND, "vote_type": st.sampled_from(["prevote", "precommit"]),
+         "voter": st.sampled_from(["v0", "v1", "v2"]), "power": st.integers(1, 3)})),
+    st.tuples(st.sampled_from(["commit", "timeout", "lock", "proposal"]),
+              st.fixed_dictionaries({"height": HEIGHT, "round": ROUND})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(EVENTS, min_size=1, max_size=30))
+def test_summary_reads_as_if_recomputed_from_the_whole_stream(events):
+    """The tracer keeps vote books at the frontier height only; its summary
+    must read as a model that keeps every book does, after each event:
+    stragglers, heightless events, repeated votes and quorum changes
+    included."""
+    _sim, tracer = _tracer()
+    model = RecomputeAlways()
+    for index, (kind, fields) in enumerate(events):
+        fields = {name: value for name, value in fields.items() if value is not None}
+        _feed(tracer, kind, float(index), **fields)
+        model.feed(kind, **fields)
+        entry = tracer.summary()["subnets"][SUBNET]
+        shown = {key: value for key, value in entry.items() if key not in ("counts", "validators")}
+        assert shown == model.shown()
 
 
 # ----------------------------------------------------------------------
