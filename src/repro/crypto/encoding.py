@@ -12,18 +12,22 @@ every CID computation recurses through here), falling back to an
 ``isinstance`` chain for subclasses.  Types that reach the fallback's
 ``to_canonical`` arm are promoted into the table with a precomputed name
 prefix, so each protocol object class pays the slow path once per process.
-A sequence appends its exact ``str``, ``int``, ``bytes`` and fragment
-elements itself, without a handler call each.  All paths produce identical
-bytes.
+A sequence appends its exact ``str``, ``int``, ``bytes``, ``None`` and
+fragment elements itself, without a handler call each, and a mapping whose
+keys are all exact ``str`` sorts its items plainly and appends its keys
+itself.  All paths produce identical bytes.
 
 The encoding is prefix-free TLV, so a parent's bytes are the concatenation
 of its children's.  A parent's ``to_canonical`` embeds each child through
 :func:`canonical_body`; a child class that declares ``_body = memo()``
-then carries its bytes and is encoded once per lifetime.
+then carries its bytes and is encoded once per lifetime.  A signed
+message's CID is joined from the bytes its message was signed over
+(``crypto.signature.seal``), which are then dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import field
 from typing import Any, Callable, Dict
@@ -148,11 +152,26 @@ def _enc_seq(out: bytearray, value) -> None:
             out += item
         elif kind is _Fragment:
             out += item
+        elif item is None:
+            out += b"N"
         else:
             encode_into(out, item)
 
 
+_STR_ONLY = frozenset((str,))
+
+
 def _enc_dict(out: bytearray, value: dict) -> None:
+    if set(map(type, value)) <= _STR_ONLY:
+        # Exact str keys, all distinct: a plain sort orders them as their
+        # text does and never compares two values.
+        out += b"d%d:" % len(value)
+        for key, item in sorted(value.items()):
+            body = key.encode("utf-8")
+            out += b"s%d:" % len(body)
+            out += body
+            encode_into(out, item)
+        return
     items = sorted(value.items(), key=lambda kv: str(kv[0]))
     out += b"d%d:" % len(items)
     last = None
@@ -191,15 +210,23 @@ _HANDLERS: Dict[type, Callable[[bytearray, Any], None]] = {
 }
 
 
+@functools.cache
+def object_prefix(tp: type) -> bytes:
+    """What an instance of the ``to_canonical`` type *tp* encodes as before
+    its tuple: ``o`` and the type's name as a string."""
+    name = tp.__name__.encode("utf-8")
+    return b"os%d:" % len(name) + name
+
+
 def _make_object_encoder(tp: type) -> Callable[[bytearray, Any], None]:
     """Handler for a ``to_canonical`` type, name prefix baked in."""
-    name = tp.__name__.encode("utf-8")
-    prefix = b"os%d:" % len(name) + name
+    prefix = object_prefix(tp)
     if "_body" in getattr(tp, "__dataclass_fields__", ()):  # carries its bytes: join them
 
         def encode(out: bytearray, value: Any) -> None:
             out += prefix
-            out += canonical_body(value)
+            body = value._body
+            out += canonical_body(value) if body is None else body
 
     else:
 

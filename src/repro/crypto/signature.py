@@ -19,7 +19,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto.encoding import canonical_encode
+from repro.crypto.cid import join_cid
+from repro.crypto.encoding import canonical_encode, encode_into, object_prefix
 from repro.crypto.keys import Address, KeyPair, secret_for_public
 
 
@@ -52,6 +53,29 @@ def message_digest(message: Any) -> bytes:
     if kept is None:  # declared and still cold
         object.__setattr__(message, "_msg_digest", digest)
     return digest
+
+
+def seal(envelope: type, message: Any, keypair: KeyPair) -> Any:
+    """``envelope(message, sign(keypair, message))`` from one encode of the
+    message (a ``vm.message.Message``).
+
+    The bytes hashed into the digest that gets signed are the message's
+    name prefix and its tuple, and they yield two more memos before they
+    are dropped: the envelope's CID, a join of that tuple and the
+    signature's (:func:`~repro.crypto.cid.join_cid`), and the message's
+    ``_params_size``, its params' share of the tuple
+    (``Message.params_size``), which the VM's intrinsic charge measures.
+    """
+    body = canonical_encode(message)
+    start = len(object_prefix(type(message)))
+    object.__setattr__(message, "_msg_digest", hashlib.sha256(body).digest())
+    object.__setattr__(message, "_params_size", message.params_size(body, start))
+    signature = sign(keypair, message)
+    sealed = envelope(message, signature)
+    signature_bytes = bytearray()
+    encode_into(signature_bytes, signature.to_canonical())
+    join_cid(sealed, (memoryview(body)[start:], signature_bytes))
+    return sealed
 
 
 def _tag(public: bytes, secret: bytes, digest: bytes) -> bytes:

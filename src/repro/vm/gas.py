@@ -27,12 +27,14 @@ NESTED_SEND = 30
 VALUE_TRANSFER = 25
 
 
-def message_intrinsic(params) -> int:
-    """Intrinsic cost of a message before any execution."""
-    try:
-        size = len(canonical_encode(params))
-    except TypeError:
-        size = 64  # opaque params get a flat estimate
+def message_intrinsic(params, size: Optional[int] = None) -> int:
+    """Intrinsic cost of a message before any execution: a flat base plus
+    its params' canonical size, *size* when signing measured it."""
+    if size is None:
+        try:
+            size = len(canonical_encode(params))
+        except TypeError:
+            size = 64  # opaque params get a flat estimate
     return BASE_MESSAGE + PER_PARAM_BYTE * size
 
 

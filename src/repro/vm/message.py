@@ -8,7 +8,7 @@ from typing import Any, Optional
 from repro.crypto.cid import CID, cached_cid
 from repro.crypto.encoding import canonical_body, memo
 from repro.crypto.keys import Address, KeyPair
-from repro.crypto.signature import Signature, sign, verify
+from repro.crypto.signature import Signature, seal, verify
 from repro.vm.exitcode import ExitCode
 
 DEFAULT_GAS_LIMIT = 1_000_000
@@ -31,7 +31,8 @@ class Message:
     nonce: int = 0
     gas_limit: int = DEFAULT_GAS_LIMIT
     _cid: Optional[CID] = memo()  # cached_cid's
-    _msg_digest: Optional[bytes] = memo()  # message_digest's
+    _msg_digest: Optional[bytes] = memo()  # message_digest's, seal's
+    _params_size: Optional[int] = memo()  # seal's
 
     def __post_init__(self):
         if self.value < 0:
@@ -55,6 +56,32 @@ class Message:
             self.gas_limit,
         )
 
+    def params_size(self, encoded: bytes, start: int) -> Optional[int]:
+        """The bytes the params take of *encoded*, this message's encoding
+        whose tuple starts at *start*: the element after four scalars
+        (from, to, value, method), each a tag, its length and ``:``, and
+        before two ints (nonce, gas limit), each ``i<n>:`` and digits.
+
+        None where that slice is not the params' own encoding (an object
+        encodes with its name, its tuple without) or another field's type
+        would not parse that way.
+        """
+        params = self.params
+        if params is None:  # a payment's: ``N``
+            return 1
+        if hasattr(params, "to_canonical") or (
+            type(self.value), type(self.method), type(self.nonce), type(self.gas_limit)
+        ) != (int, str, int, int):
+            return None
+        pos = encoded.index(b":", start) + 1
+        for _field in range(4):
+            colon = encoded.index(b":", pos)
+            pos = colon + 1 + int(encoded[pos + 1:colon])
+        end = len(encoded)
+        for _field in range(2):  # digits hold neither ``:`` nor ``i``
+            end = encoded.rindex(b"i", 0, encoded.rindex(b":", 0, end))
+        return end - pos
+
     @property
     def cid(self) -> CID:
         return cached_cid(self)
@@ -73,7 +100,7 @@ class SignedMessage:
     def create(cls, message: Message, keypair: KeyPair) -> "SignedMessage":
         if keypair.address != message.from_addr:
             raise ValueError("signer does not match message sender")
-        return cls(message=message, signature=sign(keypair, message))
+        return seal(cls, message, keypair)
 
     def verify_signature(self) -> bool:
         # Memoized, either way: verify() recomputes the tag from the

@@ -149,26 +149,30 @@ class VM:
     def apply_message(self, message: Message, miner: Optional[Address] = None) -> Receipt:
         """Apply a top-level user message transactionally.
 
-        Checks nonce and balance, transfers value, dispatches the method and
-        commits — or reverts everything except the nonce bump and gas fee,
+        Checks and bumps the nonce before any charge, checks the balance,
+        transfers value, dispatches the method and commits — or reverts
+        everything except the nonce bump and gas fee (at most the limit),
         which are kept so failed messages still cost their sender (and cannot
         be replayed).
         """
-        gas = GasTracker(message.gas_limit)
-        try:
-            gas.charge(message_intrinsic(message.params), "intrinsic")
-        except OutOfGas:
-            return Receipt(ExitCode.SYS_OUT_OF_GAS, gas_used=gas.used, error="intrinsic gas")
-
+        intrinsic = message_intrinsic(message.params, message._params_size)
         nonce_key = f"nonce/{message.from_addr.raw}"
         nonce = self.state.get(nonce_key, 0)  # a cold key probes each frozen layer: once
         if message.nonce != nonce:
             return Receipt(
                 ExitCode.SYS_SENDER_STATE_INVALID,
-                gas_used=gas.used,
+                gas_used=min(intrinsic, message.gas_limit),
                 error=f"bad nonce {message.nonce}, expected {nonce}",
             )
         self.state.set(nonce_key, nonce + 1)
+
+        gas = GasTracker(message.gas_limit)
+        try:
+            gas.charge(intrinsic, "intrinsic")
+        except OutOfGas:
+            gas.used = message.gas_limit
+            self._settle_gas(message.from_addr, miner, gas)
+            return Receipt(ExitCode.SYS_OUT_OF_GAS, gas_used=gas.used, error="intrinsic gas")
 
         max_fee = message.gas_limit * self.gas_price
         if self.balance_of(message.from_addr) < message.value + max_fee:

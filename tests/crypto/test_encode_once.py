@@ -37,12 +37,13 @@ from repro.net.gossip import PubsubEnvelope
 from repro.sim.tracing import TraceRecord
 from repro.storage.statetree import StateTree
 from repro.vm.exitcode import ExitCode
+from repro.vm.gas import BASE_MESSAGE, PER_PARAM_BYTE, message_intrinsic
 from repro.vm.message import Message, Receipt, SignedMessage
 
 KEYS = [KeyPair(name) for name in ("alice", "bob", "carol")]
 ALICE, BOB = KEYS[0], KEYS[1]
 SUBNETS = [SubnetID(path) for path in ("/root", "/root/a", "/root/a/b", "/root/c")]
-MEMO_NAMES = ("_cid", "_body", "_msg_digest", "_sig_ok", "_mr_ok")
+MEMO_NAMES = ("_cid", "_body", "_msg_digest", "_params_size", "_sig_ok", "_mr_ok")
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +339,55 @@ def test_pinned_cids_of_fixed_values():
         tree.set("ckpt/4", values["checkpoint"])
         tree.set("queue", [values["crossmsg"], {"m": values["crossmsg"]}])
         assert tree.root().hex() == PINNED_STATE_ROOT
+
+
+# ----------------------------------------------------------------------
+# (iii) Signing encodes the message once: the digest, the signed message's
+# CID and the params' size all come from that one encode
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _Order:
+    """Params that are an object: encoded alone, they carry their name."""
+
+    payload: object
+
+    def to_canonical(self):
+        return ("order", self.payload)
+
+
+signing_params = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.text(max_size=6)
+    | st.binary(max_size=6) | addresses,
+    lambda children: st.dictionaries(st.text(max_size=4), children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple) | st.builds(_Order, children),
+    max_leaves=6,
+) | crossmsgs
+signed_by_alice = st.builds(
+    lambda to, value, method, params, nonce, gas_limit: Message(
+        ALICE.address, to, value, method, params, nonce, gas_limit
+    ),
+    addresses, st.integers(0, 10**24), st.sampled_from(["send", "cross_send", "", "ünï:i"]),
+    signing_params, st.integers(0, 10**12), st.integers(1, 10**15),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_by_alice)
+def test_signing_yields_digest_cid_and_intrinsic_gas_of_the_memo_free_reference(message):
+    signed = SignedMessage.create(message, ALICE)
+    assert message._msg_digest == hashlib.sha256(ref_encode(message)).digest()
+    assert signed._cid is not None  # born with the signed message
+    assert signed.cid.digest == hashlib.sha256(ref_encode(signed)).digest() == cid_of(signed).digest
+    assert signed.verify_signature()
+
+    params = message.params
+    expected = message_intrinsic(params)
+    assert expected == BASE_MESSAGE + PER_PARAM_BYTE * len(ref_encode(params))
+    assert message_intrinsic(params, message._params_size) == expected
+    if hasattr(params, "to_canonical"):  # its slice of the message lacks the name
+        assert message._params_size is None
+    else:
+        assert message._params_size == len(ref_encode(params))
 
 
 # ----------------------------------------------------------------------

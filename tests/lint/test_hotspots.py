@@ -132,3 +132,35 @@ def test_the_counted_network_reproduces_from_two_committed_documents():
     assert old["counters"] == new["counters"]
     assert {"net.latency", "gossip.latency"} <= set(old["histograms"])
     assert not {"net.latency", "gossip.latency"} & set(new["histograms"])
+
+
+def test_the_one_pass_signing_reproduces_from_two_committed_documents():
+    """``hotspots.py xnet-deep --seconds 4`` (seed 1) on 63c01cb and on the
+    change after it, where signing a message began encoding it once: the
+    digest, the signed message's CID and the params' size for the
+    intrinsic charge come from that one encode, string-keyed mappings and
+    ``None`` elements take the encoder's fast paths, and an object that
+    carries its bytes is joined without a ``canonical_body`` call."""
+    paths = [os.path.join(PROFILES, f"xnet-deep-{name}.json") for name in ("63c01cb", "onepass")]
+    assert all(os.path.getsize(path) <= 64 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = {row.function: row for row in hotspots.diff(old, new)}
+
+    def calls(name):
+        return rows[name].calls_old, rows[name].calls_new
+
+    assert calls("repro/crypto/encoding.py:canonical_encode") == (25_054, 16_260)
+    assert calls("repro/crypto/cid.py:cid_of") == (15_913, 11_511)
+    assert calls("repro/crypto/encoding.py:_enc_dict") == (14_131, 5_337)
+    assert calls("repro/crypto/encoding.py:_enc_dict.<locals>.<lambda>") == (56_092, 0)
+    assert calls("repro/vm/message.py:SignedMessage.to_canonical") == (4_402, 0)
+    assert calls("repro/crypto/encoding.py:canonical_body") == (90_993, 28_412)
+    assert calls("repro/crypto/signature.py:sign") == (4_389, 4_389)
+    # The intrinsic charge is made as often, but reads the size signing
+    # measured: nothing below it is called any more.
+    assert calls("repro/vm/gas.py:message_intrinsic") == (4_392, 4_392)
+    intrinsic = "repro/vm/gas.py:message_intrinsic"
+    (before, after) = (doc["profile"]["functions"][intrinsic] for doc in (old, new))
+    assert before["cum_s"] > 10 * before["own_s"] and after["cum_s"] == after["own_s"]
+    # The same run: every counter equal.
+    assert old["counters"] == new["counters"]

@@ -141,6 +141,26 @@ def test_out_of_gas_reverts(vm, alice, bob):
     assert vm.balance_of(bob) == 0
 
 
+def test_a_limit_below_the_intrinsic_cost_is_charged_once_and_never_replays(alice, bob):
+    """A limit the intrinsic charge (101 for ``None`` params) overruns still
+    bumps the nonce and pays at most the limit, like a later out-of-gas;
+    the same message again is a bad nonce, not a free retry."""
+    vm = VM(registry=default_registry(), gas_price=1)
+    miner = KeyPair("miner").address
+    vm.mint(alice, 1_000)
+    message = Message(from_addr=alice, to_addr=bob, value=10, gas_limit=50)
+    first = vm.apply_message(message, miner=miner)
+    assert (first.exit_code, first.gas_used) == (ExitCode.SYS_OUT_OF_GAS, 50)
+    assert vm.nonce_of(alice) == 1
+    assert (vm.balance_of(alice), vm.balance_of(miner), vm.balance_of(bob)) == (950, 50, 0)
+
+    replay = vm.apply_message(message, miner=miner)
+    assert replay.exit_code == ExitCode.SYS_SENDER_STATE_INVALID
+    assert replay.error == "bad nonce 0, expected 1"
+    assert replay.gas_used <= message.gas_limit
+    assert vm.nonce_of(alice) == 1 and vm.balance_of(alice) == 950
+
+
 def test_out_of_gas_names_the_charge_that_hit_the_limit():
     """The reason is put together only on the raise, and reads as it did
     when every charge formatted it: ``(verb subject)``, ``(verb)`` without
