@@ -31,7 +31,7 @@ def _run_period(period: int, seed: int):
         checkpoint_period=period, accelerate_root=True,
         wallet_funds={"payer": 10**9},
     ).start()
-    RUN.capture(system.sim)
+    RUN.capture(system.sim, system)
     subnet = system.spawn_subnet(
         SubnetConfig(name="acc", validators=3, block_time=BLOCK_TIME,
                      checkpoint_period=period, accelerate=True)

@@ -8,14 +8,16 @@ and atomic executions — all on one deterministic simulator.
 
 All networking is composed through :class:`repro.runtime.NetworkStack`
 (simulator + topology + transport + gossip) and every validator is a
-:class:`repro.runtime.ValidatorCluster` of
-:class:`~repro.hierarchy.node.SubnetNode` runtimes — this module only
+:class:`~repro.hierarchy.node.SubnetNode` runtime — this module only
 orchestrates; it owns no delivery or block-production loop of its own.
 
-Subnets spawn through one path, :meth:`HierarchicalSystem.spawn_subnets`:
-one tree level at a time, each phase (fund, deploy, join) with one wait
-for the whole level, so set-up sim time grows with depth, not with the
-number of subnets.  ``spawn_subnet`` is a batch of one: the serial flow.
+Every chain, the rootnet included, is described by one
+:class:`SubnetConfig` (``configs``) and stood up by one method, which
+keeps its nodes in ``nodes_by_subnet``.  Subnets spawn through one path,
+:meth:`HierarchicalSystem.spawn_subnets`: one tree level at a time, each
+phase (fund, deploy, join) with one wait for the whole level, so set-up
+sim time grows with depth, not with the number of subnets.
+``spawn_subnet`` is a batch of one: the serial flow.
 
 Typical use (see ``examples/quickstart.py``)::
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.crypto.keys import Address, KeyPair
-from repro.consensus.base import ConsensusParams
+from repro.consensus.base import ConsensusParams, Validator, ValidatorSet
 from repro.hierarchy.checkpointing import CheckpointConfig
 from repro.hierarchy.gateway import SCA_ADDRESS, child_key, child_records, sca_key
 from repro.hierarchy.genesis import hierarchy_registry, subnet_genesis
@@ -47,7 +49,7 @@ from repro.hierarchy.subnet_actor import (
 )
 from repro.hierarchy.subnet_id import ROOTNET, SubnetID
 from repro.hierarchy.wallet import Wallet
-from repro.runtime import NetworkStack, ValidatorCluster, cluster_members
+from repro.runtime import NetworkStack
 from repro.sim.observe import CrossMsgSubmitted, WaitTimedOut
 from repro.vm.builtin.init_actor import INIT_ACTOR_ADDRESS, derive_actor_address
 
@@ -118,13 +120,15 @@ class HierarchicalSystem:
             wallet = self._make_wallet(name)
             genesis_allocations[wallet.address] = funds
 
-        self.clusters: dict[SubnetID, ValidatorCluster] = {}
-        self.nodes_by_subnet: dict[SubnetID, list] = {}  # kept in sync with clusters
+        self.nodes_by_subnet: dict[SubnetID, list] = {}
         self.configs: dict[SubnetID, SubnetConfig] = {}
-        self._accelerate_root = accelerate_root
-        self._spawn_root(
-            root_validators, root_engine, root_block_time, genesis_allocations
+        root = SubnetConfig(
+            name="root", validators=root_validators, engine=root_engine,
+            block_time=root_block_time, checkpoint_period=checkpoint_period,
+            accelerate=accelerate_root,
         )
+        keys = [KeyPair(("validator", "/root", i)) for i in range(root_validators)]
+        self._instantiate(ROOTNET, root, keys, [1] * root_validators, genesis_allocations)
         self._started = False
         self.last_timeout: Optional[dict] = None
 
@@ -138,58 +142,13 @@ class HierarchicalSystem:
         self.wallets[name] = wallet
         return wallet
 
-    def _register_cluster(self, subnet: SubnetID, cluster: ValidatorCluster) -> None:
-        self.clusters[subnet] = cluster
-        self.nodes_by_subnet[subnet] = cluster.nodes
-
-    def _spawn_root(self, n_validators, engine, block_time, allocations) -> None:
-        keys = [KeyPair(("validator", "/root", i)) for i in range(n_validators)]
-        genesis_block, genesis_vm = subnet_genesis(
-            ROOTNET,
-            checkpoint_period=self.checkpoint_period,
-            min_collateral=MIN_COLLATERAL,
-            allocations=allocations,
-            registry=self.registry,
-        )
-        params = ConsensusParams(engine=engine, block_time=block_time)
-
-        def root_node(index, member, validators):
-            return SubnetNode(
-                sim=self.sim,
-                node_id=member.node_id,
-                keypair=member.keypair,
-                subnet=ROOTNET,
-                genesis_block=genesis_block,
-                genesis_vm=genesis_vm,
-                gossip=self.gossip,
-                validators=validators,
-                consensus_params=params,
-                checkpoint_period=self.checkpoint_period,
-                parent_node=None,
-                accelerate=self._accelerate_root,
-            )
-
-        cluster = ValidatorCluster.build(
-            cluster_members(keys, id_prefix=ROOTNET.path),
-            subnet_id=ROOTNET.path,
-            genesis_block=genesis_block,
-            genesis_vm=genesis_vm,
-            consensus_params=params,
-            stack=self.stack,
-            node_factory=root_node,
-        )
-        self._register_cluster(ROOTNET, cluster)
-        self.configs[ROOTNET] = SubnetConfig(
-            name="root", validators=n_validators, engine=engine, block_time=block_time,
-            checkpoint_period=self.checkpoint_period,
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "HierarchicalSystem":
         if not self._started:
-            self.clusters[ROOTNET].start()
+            for node in self.nodes_by_subnet[ROOTNET]:
+                node.start()
             self._started = True
         return self
 
@@ -225,8 +184,9 @@ class HierarchicalSystem:
         return ok
 
     def stop(self) -> None:
-        for cluster in self.clusters.values():
-            cluster.stop()
+        for nodes in self.nodes_by_subnet.values():
+            for node in nodes:
+                node.stop()
         self.stack.shutdown()
 
     # ------------------------------------------------------------------
@@ -452,9 +412,9 @@ class HierarchicalSystem:
         for the whole level: fund every new validator's wallet on its
         parent chain; deploy every Subnet Actor through the parent's init
         actor; every validator joins with stake, until each parent SCA marks
-        its child *active*; then instantiate each child chain (genesis + SCA,
-        nodes, engine, checkpointing), in config order.  A batch of one is
-        exactly the serial one-subnet flow.
+        its child *active*; then instantiate and start each child chain
+        (genesis + SCA, nodes, engine, checkpointing), in config order.  A
+        batch of one is exactly the serial one-subnet flow.
 
         Every config is checked before any wallet or message exists, so a
         bad batch changes nothing.  Raises :class:`SpawnError` on a bad
@@ -523,7 +483,20 @@ class HierarchicalSystem:
             timeout,
         )
         for subnet, config in zip(subnets, configs):
-            self._instantiate_subnet(subnet, config, wallets[subnet], sa_addrs[subnet])
+            # Nodes sign blocks and checkpoints with the same keypairs that
+            # staked via the SA — the SA's signature policy validates against
+            # the addresses in its validator set.  Stake-weighted engines
+            # (pos, pow) read each validator's power from the stake recorded
+            # in the SA; equal-vote engines ignore power.
+            staked = registered_validators(self.node(subnet.parent()).vm.state, sa_addrs[subnet])
+            keys = [wallet.keypair for wallet in wallets[subnet]]
+            powers = [
+                max(1, staked.get(key.address.raw, config.stake_per_validator)) for key in keys
+            ]
+            for node in self._instantiate(subnet, config, keys, powers, sa_addr=sa_addrs[subnet]):
+                node.start()
+            self.sim.trace.emit("subnet.spawned", subnet.path, f"n={config.validators}",
+                                config.engine)
 
     def _await_all(self, label: str, subnets: list, done, timeout: float) -> None:
         """One wait until ``done(subnet)`` holds for every subnet; on timeout
@@ -586,25 +559,21 @@ class HierarchicalSystem:
             lambda _: self.balance(subnet, self.treasury.address) >= amount, timeout,
         )
 
-    def _instantiate_subnet(
-        self, subnet: SubnetID, config: SubnetConfig, validator_wallets, sa_addr
-    ) -> None:
-        parent = subnet.parent()
-        # Nodes sign blocks and checkpoints with the same keypairs that
-        # staked via the SA — the SA's signature policy validates against
-        # the addresses in its validator set.
-        keys = [wallet.keypair for wallet in validator_wallets]
-        # Stake-weighted engines (pos, pow) read each validator's power from
-        # the stake recorded in the SA; equal-vote engines ignore power.
-        sa_validators = registered_validators(self.node(parent).vm.state, sa_addr)
-        powers = [
-            max(1, sa_validators.get(wallet.address.raw, config.stake_per_validator))
-            for wallet in validator_wallets
-        ]
+    def _instantiate(
+        self, subnet: SubnetID, config: SubnetConfig, keys: list, powers: list,
+        allocations: Optional[dict] = None, sa_addr: Optional[Address] = None,
+    ) -> list:
+        """Stand up *subnet*'s chain as *config* describes it and return its
+        nodes, not yet started: a genesis with its SCA and *allocations*,
+        and one :class:`SubnetNode` per key, with the voting power beside
+        it.  A child (*sa_addr*: its SA on the parent) checkpoints to the
+        parent, node *i* through parent node *i* modulo their number; the
+        rootnet (no SA) anchors to nothing."""
         genesis_block, genesis_vm = subnet_genesis(
             subnet,
             checkpoint_period=config.checkpoint_period,
             min_collateral=MIN_COLLATERAL,
+            allocations=allocations,
             registry=self.registry,
             timestamp=self.sim.now,
             gas_price=config.gas_price,
@@ -615,26 +584,31 @@ class HierarchicalSystem:
             finality_depth=config.finality_depth,
             max_block_messages=config.max_block_messages,
         )
-        config.policy.deal(
-            subnet.path, config.validators, self.sim.seeds.seed_for("tss", subnet.path)
+        validators = ValidatorSet(
+            Validator(node_id=f"{subnet.path}#{i}", address=key.address, power=power)
+            for i, (key, power) in enumerate(zip(keys, powers))
         )
-        parent_nodes = self.nodes_by_subnet[parent]
-
-        def subnet_node(i, member, validators):
-            # The checkpoint-submission wallet is the validator wallet that
-            # staked on the parent; its keypair must match the node keypair
-            # for signature policies, so nodes use the wallet keypairs.
-            checkpoint_config = CheckpointConfig(
-                period=config.checkpoint_period,
-                policy=config.policy,
-                sa_addr=sa_addr.raw,
-                validator_index=i,
-                validator_count=config.validators,
+        if sa_addr is not None:
+            config.policy.deal(
+                subnet.path, config.validators, self.sim.seeds.seed_for("tss", subnet.path)
             )
-            return SubnetNode(
+            parent_nodes = self.nodes_by_subnet[subnet.parent()]
+        nodes = []
+        for i, key in enumerate(keys):
+            parent_node = checkpoint_config = None
+            if sa_addr is not None:
+                parent_node = parent_nodes[i % len(parent_nodes)]
+                checkpoint_config = CheckpointConfig(
+                    period=config.checkpoint_period,
+                    policy=config.policy,
+                    sa_addr=sa_addr.raw,
+                    validator_index=i,
+                    validator_count=config.validators,
+                )
+            nodes.append(SubnetNode(
                 sim=self.sim,
-                node_id=member.node_id,
-                keypair=member.keypair,
+                node_id=f"{subnet.path}#{i}",
+                keypair=key,
                 subnet=subnet,
                 genesis_block=genesis_block,
                 genesis_vm=genesis_vm,
@@ -642,23 +616,11 @@ class HierarchicalSystem:
                 validators=validators,
                 consensus_params=params,
                 checkpoint_period=config.checkpoint_period,
-                parent_node=parent_nodes[i % len(parent_nodes)],
+                parent_node=parent_node,
                 checkpoint_config=checkpoint_config,
                 byzantine=config.byzantine.get(i),
                 accelerate=config.accelerate,
-            )
-
-        cluster = ValidatorCluster.build(
-            cluster_members(keys, id_prefix=subnet.path, powers=powers),
-            subnet_id=subnet.path,
-            genesis_block=genesis_block,
-            genesis_vm=genesis_vm,
-            consensus_params=params,
-            stack=self.stack,
-            node_factory=subnet_node,
-        )
-        self._register_cluster(subnet, cluster)
+            ))
+        self.nodes_by_subnet[subnet] = nodes
         self.configs[subnet] = config
-        cluster.start()
-        self.sim.trace.emit("subnet.spawned", subnet.path, f"n={config.validators}",
-                            config.engine)
+        return nodes

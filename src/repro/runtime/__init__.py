@@ -13,11 +13,12 @@ that claim in code — one runtime, three compositions:
   transport + gossipsub fabric, built once and shared by every node of a
   deployment;
 - :class:`~repro.runtime.cluster.ValidatorCluster` — N nodes validating one
-  chain, with shared lifecycle and measurement helpers.
+  chain, with shared lifecycle and measurement helpers: the baselines' and
+  the consensus tests' validator set.
 
-The hierarchy layer (:class:`~repro.hierarchy.node.SubnetNode`), both
-baselines and the consensus test harness all instantiate these rather than
-keeping private node/network stacks.
+The hierarchy layer composes :class:`~repro.hierarchy.node.SubnetNode`\\ s
+(node runtimes) on one stack directly; both baselines and the consensus
+test harness build clusters.  None keeps a private node/network stack.
 """
 
 from repro.runtime.node import NodeRuntime, subnet_topic

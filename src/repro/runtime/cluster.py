@@ -1,16 +1,16 @@
 """`ValidatorCluster` — N :class:`NodeRuntime`\\ s validating one chain.
 
-Every place that used to hand-roll the same loop — build keys, derive a
-:class:`~repro.consensus.base.ValidatorSet`, construct one node per
-validator, start them — now goes through :meth:`ValidatorCluster.build`.
-A ``node_factory`` hook lets callers construct subclasses (the hierarchy's
-``SubnetNode``) or attach per-node extras without re-duplicating the loop.
+The baselines and the consensus tests build their validator sets through
+:meth:`ValidatorCluster.build`: keys, a
+:class:`~repro.consensus.base.ValidatorSet`, one node per validator, and
+their lifecycle.  The hierarchy composes its
+:class:`~repro.hierarchy.node.SubnetNode`\\ s itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.crypto.keys import KeyPair
 from repro.consensus.base import ConsensusParams, Validator, ValidatorSet
@@ -58,37 +58,29 @@ class ValidatorCluster:
         genesis_vm,
         consensus_params: ConsensusParams,
         stack: NetworkStack,
-        node_factory: Optional[Callable[[int, ClusterMember, ValidatorSet], NodeRuntime]] = None,
         byzantine: Optional[dict] = None,
     ) -> "ValidatorCluster":
-        """Build one node per member.
-
-        ``node_factory(index, member, validators)`` overrides node
-        construction; the default instantiates :class:`NodeRuntime` on the
-        given stack.  ``byzantine`` maps node ids to behaviour sets for the
-        default factory.
-        """
+        """Build one :class:`NodeRuntime` per member on *stack*;
+        ``byzantine`` maps node ids to behaviour sets."""
         validators = ValidatorSet(
             Validator(node_id=m.node_id, address=m.keypair.address, power=m.power)
             for m in members
         )
-        if node_factory is None:
-
-            def node_factory(index: int, member: ClusterMember, vset: ValidatorSet):
-                return NodeRuntime(
-                    sim=stack.sim,
-                    node_id=member.node_id,
-                    keypair=member.keypair,
-                    subnet_id=subnet_id,
-                    genesis_block=genesis_block,
-                    genesis_vm=genesis_vm,
-                    gossip=stack.gossip,
-                    validators=vset,
-                    consensus_params=consensus_params,
-                    byzantine=(byzantine or {}).get(member.node_id),
-                )
-
-        nodes = [node_factory(i, member, validators) for i, member in enumerate(members)]
+        nodes = [
+            NodeRuntime(
+                sim=stack.sim,
+                node_id=member.node_id,
+                keypair=member.keypair,
+                subnet_id=subnet_id,
+                genesis_block=genesis_block,
+                genesis_vm=genesis_vm,
+                gossip=stack.gossip,
+                validators=validators,
+                consensus_params=consensus_params,
+                byzantine=(byzantine or {}).get(member.node_id),
+            )
+            for member in members
+        ]
         return cls(subnet_id, validators, nodes)
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter as _Tally
 from itertools import accumulate, chain
-from typing import Callable, Iterator, Optional
+from typing import Callable
 
 
 def json_safe(value):
@@ -81,11 +81,7 @@ _DROP, _CUT, _HALF = (4, 5, 1) if sys.byteorder == "little" else (3, 2, 0)
 _TOP3 = bytes(byte & 0xE0 for byte in range(256))
 _BUCKET = 1 << 13  # one bucket's width, in key units
 _EXPONENT = 0x7FF00000
-_DOUBLE, _BITS, _KEY = struct.Struct("<d"), struct.Struct("<Q"), struct.Struct("=I")
-# Buckets a fold can count by one-byte offsets from a histogram's origin,
-# and where the low byte of a native 32-bit field is.
-_WINDOW = 256
-_LOW_BYTE = 0 if sys.byteorder == "little" else 3
+_DOUBLE, _BITS = struct.Struct("<d"), struct.Struct("<Q")
 
 
 def _bucket_keys(values: array):
@@ -95,44 +91,6 @@ def _bucket_keys(values: array):
     keys[_DROP::8] = bytes(len(values))
     keys[_CUT::8] = raw[_CUT::8].translate(_TOP3)
     return memoryview(keys).cast("I")[_HALF::2]
-
-
-def _offsets(values: array, origin: int) -> Optional[bytes]:
-    """Each double's bucket as one byte, counted in buckets from the key
-    *origin* — or None unless every one lies in the :data:`_WINDOW` buckets
-    from there.  The keys, packed into one integer, are shifted all at
-    once: a key below the origin borrows from its neighbour, and an offset
-    past the window, like the borrow, leaves a field's upper bytes set."""
-    n = len(values)
-    packed = int.from_bytes(_bucket_keys(values).tobytes(), sys.byteorder)
-    spread = packed - int.from_bytes(_KEY.pack(origin) * n, sys.byteorder)
-    if spread < 0:
-        return None
-    fields = (spread >> 13).to_bytes(4 * n, sys.byteorder)
-    offsets = fields[_LOW_BYTE::4]
-    if fields.count(0) - offsets.count(0) != 3 * n:
-        return None
-    return offsets
-
-
-def _members(values: array, offsets: bytes, offset: int) -> Iterator[float]:
-    """The values whose byte in *offsets* is *offset*."""
-    mark = bytes((offset,))
-    at = offsets.find(mark)
-    while at >= 0:
-        yield values[at]
-        at = offsets.find(mark, at + 1)
-
-
-def _origin(low: float, high: float) -> Optional[int]:
-    """The key a window over ``[low, high]`` starts at, if one holds them:
-    positive, finite, and no further apart than the window (clear of the
-    keys of infinity and NaN)."""
-    if not 0 < low <= high < math.inf:
-        return None
-    first, last = _bucket_keys(array("d", (low, high)))
-    reach = _WINDOW * _BUCKET
-    return first if last - first < reach and first + reach <= _EXPONENT else None
 
 
 def _key_value(key: int) -> float:
@@ -168,7 +126,7 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "_buffer", "_buckets", "_folded", "_total", "_low", "_high", "_origin",
+        "name", "_buffer", "_buckets", "_folded", "_total", "_low", "_high",
     )
 
     def __init__(self, name: str) -> None:
@@ -179,7 +137,6 @@ class Histogram:
         self._total = 0  # their left-to-right sum
         self._low: tuple = ()  # (their min,), kept as min() would fold it
         self._high: tuple = ()
-        self._origin: Optional[int] = None  # see _offsets: set by the first float fold
 
     def observe(self, value: float) -> None:
         buffer = self._buffer
@@ -206,23 +163,12 @@ class Histogram:
         buffer = self._buffer
         self._total = sum(buffer, self._total)
         self._folded += len(buffer)
-        offsets = None if self._origin is None else _offsets(buffer, self._origin)
-        if offsets is not None:
-            # The cheap fold: one-byte counts, and the extremes looked for
-            # only among the values of the lowest and highest buckets.
-            counts, table, origin = _Tally(offsets), self._buckets, self._origin
-            for offset, n in counts.items():
-                table[origin + offset * _BUCKET] += n
-            self._low = (min(chain(self._low, _members(buffer, offsets, min(counts)))),)
-            self._high = (max(chain(self._high, _members(buffer, offsets, max(counts)))),)
+        self._low = (min(chain(self._low, buffer)),)
+        self._high = (max(chain(self._high, buffer)),)
+        if buffer.typecode == "q":
+            self._buckets.update(buffer)
         else:
-            self._low = (min(chain(self._low, buffer)),)
-            self._high = (max(chain(self._high, buffer)),)
-            if buffer.typecode == "q":
-                self._buckets.update(buffer)
-            else:
-                self._buckets.update(_bucket_keys(buffer))
-                self._origin = _origin(self._low[0], self._high[0])
+            self._buckets.update(_bucket_keys(buffer))
         del buffer[:]
 
     def _table(self) -> list:

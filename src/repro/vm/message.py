@@ -35,6 +35,11 @@ class Message:
     _params_size: Optional[int] = memo()  # seal's
 
     def __post_init__(self):
+        # A bool is an int that compares and hashes like one but encodes
+        # apart: it would give an equal message another CID.
+        if (type(self.value) is not int or type(self.nonce) is not int
+                or type(self.gas_limit) is not int):
+            raise TypeError("message value, nonce and gas limit must be ints")
         if self.value < 0:
             raise ValueError("message value cannot be negative")
         if self.nonce < 0:

@@ -1,5 +1,7 @@
 """Tests for the unified node/network runtime package."""
 
+from dataclasses import replace
+
 from repro.crypto.keys import KeyPair
 from repro.baselines import ShardedBaseline, SingleChainBaseline
 from repro.chain.genesis import GenesisParams, build_genesis
@@ -115,13 +117,33 @@ def test_hierarchical_system_runs_on_cluster_runtime():
     system = HierarchicalSystem(seed=4, root_block_time=0.5).start()
     from repro.hierarchy import ROOTNET
 
-    assert ROOTNET in system.clusters
-    assert system.nodes_by_subnet[ROOTNET] is system.clusters[ROOTNET].nodes
     assert all(isinstance(n, NodeRuntime) for n in system.nodes(ROOTNET))
     system.run_for(3.0)
     assert system.node(ROOTNET).head().height >= 3
     # Dispatch instrumentation observed the run's event labels.
     assert system.sim.dispatch.counts
+    system.stop()
+
+
+def test_the_root_config_is_the_one_description_of_the_rootnet():
+    """The root is stood up from ``configs[ROOTNET]`` exactly as a child
+    is from its own config: a child spawned from a copy of it gets equal
+    consensus parameters, and both run the acceleration service."""
+    system = HierarchicalSystem(
+        seed=3, root_engine="pow", root_validators=5, root_block_time=0.7,
+        checkpoint_period=6, accelerate_root=True,
+    ).start()
+    from repro.hierarchy import ROOTNET
+
+    root = system.configs[ROOTNET]
+    assert (root.engine, root.validators, root.block_time) == ("pow", 5, 0.7)
+    assert (root.checkpoint_period, root.accelerate) == (6, True)
+    twin = system.spawn_subnet(replace(root, name="twin"))
+    child_params = system.node(twin).engine.params
+    assert len(system.nodes(ROOTNET)) == 5
+    for node in system.nodes(ROOTNET) + system.nodes(twin):
+        assert node.engine.params == child_params
+        assert node.acceleration is not None
     system.stop()
 
 

@@ -236,14 +236,12 @@ def test_histogram_past_its_buffer_keeps_infinities_and_nan():
     st.sampled_from([None, 0.0, -1.0, 0.99, 4.5, math.inf, 5e-324, 1e300]),
 )
 def test_histogram_counts_a_fold_the_same_whichever_way_it_counts_it(seed, base, outlier):
-    """Once every value of the folds so far sits within a window of 256
-    buckets, a fold counts one-byte offsets and looks for the extremes in
-    the end buckets only; a value outside the window (*outlier*, scaled by
-    *base* where finite and nonzero) sends that fold the general way.  The
-    table and the extremes come out the same either way."""
+    """Four folds of values within a narrow range, the third perhaps with
+    an *outlier* (scaled by *base* where finite and nonzero) far outside
+    it, count the table and the extremes that the values give."""
     rng = random.Random(seed)
     values = [base * rng.uniform(1, 3) for _ in range(4 * BUFFER_SIZE)]
-    if outlier is not None:  # into the third fold, the second the one-byte way may count
+    if outlier is not None:  # into the third fold
         third = range(2 * BUFFER_SIZE + 2, 3 * BUFFER_SIZE + 3)
         at = rng.choice([third[0], third[-1], rng.choice(third)])
         scale = base if math.isfinite(outlier) and abs(outlier) not in (0, 5e-324, 1e300) else 1
@@ -252,8 +250,6 @@ def test_histogram_counts_a_fold_the_same_whichever_way_it_counts_it(seed, base,
     keys = Tally(metrics._bucket_keys(array("d", values)))
     assert histogram._table() == sorted((metrics._key_value(k), n) for k, n in keys.items())
     assert (histogram.min(), histogram.max()) == (min(values), max(values))
-    if outlier is None:
-        assert histogram._origin is not None  # the one-byte way was taken
 
 
 def held_bytes(root) -> int:

@@ -92,6 +92,20 @@ def test_message_validation():
         Message(from_addr=alice, to_addr=bob, value=0, gas_limit=0)
 
 
+@pytest.mark.parametrize("field", ["value", "nonce", "gas_limit"])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_message_refuses_what_only_compares_like_an_int(field, bad):
+    """``True == 1`` and ``hash(True) == hash(1)``, but a bool encodes
+    apart from an int, so a message that took one would equal another
+    message and carry a different CID: only a plain int passes."""
+    alice, bob = KeyPair("a").address, KeyPair("b").address
+    fields = {"value": 1, "nonce": 1, "gas_limit": 1}
+    fields[field] = bad
+    with pytest.raises(TypeError):
+        Message(from_addr=alice, to_addr=bob, **fields)
+    Message(from_addr=alice, to_addr=bob, **{**fields, field: 1})
+
+
 def test_signed_message_roundtrip():
     from repro.vm.message import SignedMessage
 
