@@ -157,10 +157,6 @@ class ShardedBaseline:
     def node(self, shard: int) -> NodeRuntime:
         return self.shard_clusters[shard].primary
 
-    def shard_for(self, sender_addr: str) -> int:
-        """Deterministic account→shard placement by address hash."""
-        return sum(sender_addr.encode()) % self.shards
-
     def committed_tx_count(self) -> int:
         return sum(cluster.committed_tx_count() for cluster in self.shard_clusters)
 

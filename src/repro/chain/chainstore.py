@@ -20,7 +20,7 @@ class ChainStore:
     and (``put_state``) its post-state; below it
     the store keeps nothing — canonical block or fork, header included —
     so every header-level query (``block_at_height``, ``ancestors``,
-    ``canonical_chain``, ``is_canonical``) answers from the floor up, and
+    ``is_canonical``) answers from the floor up, and
     ``fork_count`` still counts the forks it dropped.  History below the
     horizon is final and held elsewhere: by the parent's checkpoints, and
     by the snapshot every peer serves at or above its floor.  A block
@@ -107,14 +107,6 @@ class ChainStore:
                 return
             yield block
             current = block.header.parent
-
-    def canonical_chain(self) -> list:
-        """The canonical chain, lowest block held first."""
-        if self._head is None:
-            return []
-        chain = list(self.ancestors(self._head))
-        chain.reverse()
-        return chain
 
     def is_canonical(self, cid: CID) -> bool:
         block = self._blocks.get(cid)

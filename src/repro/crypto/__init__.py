@@ -8,8 +8,9 @@ equivalents that preserve the properties the protocol logic relies on
 - content addressing: equal content → equal :class:`~repro.crypto.cid.CID`;
 - unforgeability-in-simulation: producing a valid signature for a key
   requires holding that :class:`~repro.crypto.keys.KeyPair` object;
-- aggregation: multi-signatures and k-of-n threshold signatures verify only
-  when the policy quorum actually signed.
+- quorums: a set of individual signatures (:func:`~repro.crypto.signature.valid_signers`)
+  and a k-of-n threshold signature count only the signers that actually
+  signed.
 
 See DESIGN.md §1 for why this substitution preserves the behaviours the
 experiments measure.
@@ -19,7 +20,6 @@ from repro.crypto.encoding import canonical_encode
 from repro.crypto.cid import CID, cid_of
 from repro.crypto.keys import Address, KeyPair
 from repro.crypto.signature import Signature, sign, verify
-from repro.crypto.multisig import MultiSignature, aggregate, verify_multisig
 from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.crypto.merkle import MerkleTree, MerkleProof
 
@@ -32,9 +32,6 @@ __all__ = [
     "Signature",
     "sign",
     "verify",
-    "MultiSignature",
-    "aggregate",
-    "verify_multisig",
     "ThresholdScheme",
     "ThresholdSignature",
     "MerkleTree",

@@ -64,9 +64,11 @@ def memo() -> Any:
     Not an ``__init__`` argument (``dataclasses.replace`` starts cold) and
     invisible to ``==``/``hash``/``repr``.  ``__init__`` fills it with
     ``None``, so every instance owns the slot from construction and the
-    one later write never makes it grow an attribute dict.
+    one later write never makes it grow an attribute dict: every class that
+    declares one is a ``slots=True`` dataclass, whose ``__init__`` sets an
+    ``init=False`` field's plain default (no factory call per instance).
     """
-    return field(default_factory=lambda: None, init=False, repr=False, compare=False)
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 class _Fragment(bytes):

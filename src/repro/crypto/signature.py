@@ -1,4 +1,4 @@
-"""Single-key signatures (simulated).
+"""Single-key signatures (simulated), and who among a set of keys signed.
 
 A signature tag is ``sha256("sig:" || pub || secret || message_digest)``.
 Producing a tag requires the :class:`~repro.crypto.keys.KeyPair` object,
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.crypto.cid import join_cid
 from repro.crypto.encoding import canonical_encode, encode_into, object_prefix
@@ -104,3 +104,20 @@ def verify(signature: Signature, message: Any, keypair: Optional[KeyPair] = None
         return False
     secret = secret_for_public(public)
     return secret is not None and _tag(public, secret, digest) == signature.tag
+
+
+def valid_signers(
+    signatures: Iterable[Signature], message: Any, authorized: Iterable[Address]
+) -> set:
+    """The authorised addresses that validly signed *message*.
+
+    Signatures from unauthorised addresses are ignored rather than causing
+    rejection — a quorum of honest signatures should not be invalidated by
+    appended junk.
+    """
+    allowed = set(authorized)
+    return {
+        signature.signer
+        for signature in signatures
+        if signature.signer in allowed and verify(signature, message)
+    }

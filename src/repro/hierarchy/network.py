@@ -67,13 +67,14 @@ class SpawnError(RuntimeError):
 class SubnetConfig:
     """Everything needed to spawn one subnet (§III-A).
 
-    ``parent`` defaults to the rootnet.  ``policy`` governs checkpoint
+    ``parent`` defaults to the rootnet; the rootnet's own config has none.
+    ``policy`` governs checkpoint
     signatures; ``stake_per_validator × validators`` must reach both the
     SA's ``activation_collateral`` and the parent SCA's ``minCollateral``.
     """
 
     name: str = "subnet"
-    parent: SubnetID = field(default_factory=lambda: ROOTNET)
+    parent: Optional[SubnetID] = field(default_factory=lambda: ROOTNET)
     validators: int = 4
     engine: str = "poa"
     block_time: float = 0.5
@@ -89,7 +90,10 @@ class SubnetConfig:
 
     @property
     def subnet(self) -> SubnetID:
-        """The ID this config spawns: *name* under *parent*."""
+        """The ID this config spawns: *name* under *parent*, or the
+        top-level *name* when there is no parent."""
+        if self.parent is None:
+            return SubnetID((self.name,))
         return SubnetID(self.parent).child(self.name)
 
 
@@ -123,11 +127,13 @@ class HierarchicalSystem:
         self.nodes_by_subnet: dict[SubnetID, list] = {}
         self.configs: dict[SubnetID, SubnetConfig] = {}
         root = SubnetConfig(
-            name="root", validators=root_validators, engine=root_engine,
+            name=ROOTNET.name, parent=None, validators=root_validators, engine=root_engine,
             block_time=root_block_time, checkpoint_period=checkpoint_period,
             accelerate=accelerate_root,
         )
         keys = [KeyPair(("validator", "/root", i)) for i in range(root_validators)]
+        for i, key in enumerate(keys):  # as a child's, over its node keys
+            self.wallets[f"{ROOTNET.path}-val{i}"] = Wallet(key)
         self._instantiate(ROOTNET, root, keys, [1] * root_validators, genesis_allocations)
         self._started = False
         self.last_timeout: Optional[dict] = None
@@ -424,6 +430,8 @@ class HierarchicalSystem:
             raise SpawnError("call start() before spawning subnets")
         batch: dict[SubnetID, SubnetConfig] = {}
         for config in configs:
+            if config.parent is None:
+                raise SpawnError(f"{config.subnet} has no parent: a hierarchy has one rootnet")
             if config.subnet in self.nodes_by_subnet:
                 raise SpawnError(f"{config.subnet} already exists")
             if config.subnet in batch:

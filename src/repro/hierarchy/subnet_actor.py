@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.crypto.keys import Address, KeyPair
-from repro.crypto.multisig import valid_signers
-from repro.crypto.signature import Signature, sign
+from repro.crypto.signature import Signature, sign, valid_signers
 from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint
 from repro.hierarchy.gateway import SCA_ADDRESS

@@ -21,7 +21,7 @@ the assumption into a checked one:
   at module scope or inside a function;
 - **SIM001** — event handlers must not mutate scheduler state
   (``sim.now``, the queue's internals) except through the dispatch API
-  (``schedule``/``schedule_at``/``cancel``/``every``/``halt``);
+  (``schedule``/``schedule_at``/``cancel``/``every``);
 - **MET001** — a metric family is spelled once, the way the exporter's
   ``METRIC_CATALOG`` spells it: a computed string as a metric name is a
   finding, a literal name must be a catalog key, and every catalog key

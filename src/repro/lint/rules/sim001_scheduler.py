@@ -6,14 +6,14 @@ argument stands on.  A component that writes ``sim.now``, reaches into
 dispatch bus (no instrumentation, no tie ordering, no trace) and can move
 time backwards or reorder events invisibly.  Outside ``repro/sim``, the
 only legal verbs are the scheduling API: ``schedule``, ``schedule_at``,
-``cancel``, ``every``, ``halt`` (plus read-only access to ``sim.now``).
+``cancel`` and ``every`` (plus read-only access to ``sim.now``).
 
 Flagged outside the sim package:
 
 - assignments (plain or augmented) to a ``.now`` attribute of a sim-like
   receiver (``sim``, ``self.sim``, ``*.sim``) or to ``.queue``;
 - any access to private simulator/queue internals through a sim-like
-  receiver (``sim._halted``, ``sim.queue._heap``, ``queue._seq`` …);
+  receiver (``sim._events_executed``, ``sim.queue._heap``, ``queue._seq`` …);
 - any load of ``<anything>.queue.push`` / ``.queue.pop``: the direct call,
   and the hoisted form (``push = self.sim.queue.push`` … ``push(...)``).
 """
@@ -27,7 +27,7 @@ from repro.lint.config import SIM001_EXEMPT_PACKAGES, package_of
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, dotted_name, has_noqa
 
-_PRIVATE_SIM_ATTRS = {"_heap", "_seq", "_live", "_events_executed", "_halted", "_tie_shuffle"}
+_PRIVATE_SIM_ATTRS = {"_heap", "_seq", "_live", "_events_executed", "_tie_shuffle"}
 
 
 def _is_sim_receiver(node: ast.AST) -> bool:
@@ -50,7 +50,7 @@ def _is_queue_receiver(node: ast.AST) -> bool:
 class Sim001SchedulerMutation(Rule):
     rule_id = "SIM001"
     fix_hint = (
-        "use the dispatch API: sim.schedule/schedule_at/cancel/every/halt; "
+        "use the dispatch API: sim.schedule/schedule_at/cancel/every; "
         "never write sim.now or touch queue internals"
     )
 

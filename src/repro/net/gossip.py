@@ -92,11 +92,10 @@ class GossipNetwork:
         self.sim = sim
         self.transport = transport or Transport(sim)
         self.params = params or GossipParams()
+        # Peers never leave the fabric (a stopped node unsubscribes its
+        # topics), so a peer keeps its dedup history and its sequence
+        # numbers for the whole run.
         self._peers: dict[str, _PeerState] = {}
-        # A removed peer's state waits here for its return: a peer that
-        # comes back under the same id keeps its dedup history and its
-        # sequence numbers (a fresh ``seq`` would reissue old message ids).
-        self._departed: dict[str, _PeerState] = {}
         self._peer_order: Optional[tuple] = None  # sorted ids, for the heartbeat
         self._topic_members: dict[str, set[str]] = {}
         self._rng = sim.rng("net", "gossip")
@@ -130,23 +129,9 @@ class GossipNetwork:
         """Register a peer on the fabric (idempotent)."""
         if peer_id in self._peers:
             return
-        self._peers[peer_id] = self._departed.pop(peer_id, None) or _PeerState(peer_id)
+        self._peers[peer_id] = _PeerState(peer_id)
         self._peer_order = None
         self.transport.register(peer_id, self._on_transport_message)
-
-    def remove_peer(self, peer_id: str) -> None:
-        state = self._peers.get(peer_id)
-        if state is None:
-            return
-        for topic in list(state.topics):
-            self.unsubscribe(peer_id, topic)
-        del self._peers[peer_id]
-        # Rebuilds while it is away do not reach it: a topic it still holds
-        # history of may change members meanwhile.
-        state.ihave_candidates.clear()
-        self._departed[peer_id] = state
-        self._peer_order = None
-        self.transport.unregister(peer_id)
 
     def subscribe(
         self, peer_id: str, topic: str, handler: Callable[[PubsubEnvelope], None]
@@ -248,7 +233,7 @@ class GossipNetwork:
         topic = envelope.topic
         handler = state.topics.get(topic)
         if handler is None:
-            # Not subscribed — a departed peer catching an in-flight
+            # Not subscribed — a stopped peer catching an in-flight
             # delivery, or a bare publisher (whose flood publish() seeds
             # explicitly).  Recording the message as seen here would make
             # IHAVE repair skip it forever once the peer (re)subscribes,
@@ -288,9 +273,7 @@ class GossipNetwork:
     # Transport plumbing
     # ------------------------------------------------------------------
     def _on_transport_message(self, message: NetMessage) -> Optional[bool]:
-        state = self._peers.get(message.dst)
-        if state is None:
-            return
+        state = self._peers[message.dst]
         if message.kind == "gossip:pub":
             return self._accept(state, message.payload)
         elif message.kind == "gossip:ihave":

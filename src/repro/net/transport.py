@@ -94,11 +94,6 @@ class Transport:
         self._link_of[peer_id] = _link_name(peer_id)
         self._queued[peer_id] = {}
 
-    def unregister(self, peer_id: str) -> None:
-        self._handlers.pop(peer_id, None)
-        self._link_of.pop(peer_id, None)
-        self._queued.pop(peer_id, None)
-
     def is_registered(self, peer_id: str) -> bool:
         return peer_id in self._handlers
 
@@ -207,15 +202,11 @@ class Transport:
         dst = message.dst
         key = message.key
         if key is not None:
-            table = self._queued.get(dst)
-            if table is not None and table.get(key) is message:
+            table = self._queued[dst]
+            if table.get(key) is message:
                 del table[key]
-        handler = self._handlers.get(dst)
-        if handler is None:
-            recorded = False  # peer left between send and delivery
-        else:
-            self._delivered.inc()
-            recorded = handler(message)
+        self._delivered.inc()
+        recorded = self._handlers[dst](message)
         if message.riders and not recorded:
             # Dropped unrecorded, so its riders are not proven no-ops: each
             # becomes the event it would have been, at the time it drew.
@@ -227,9 +218,7 @@ class Transport:
 
     def _deliver_rider(self, message: NetMessage) -> None:
         """A re-queued rider lands; it was counted when sent."""
-        handler = self._handlers.get(message.dst)
-        if handler is not None:
-            handler(message)
+        self._handlers[message.dst](message)
 
     # ------------------------------------------------------------------
     # Fault-injection conveniences (deterministic ordering throughout)

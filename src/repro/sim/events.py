@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 _MIX_MULT = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier (splitmix64)
 _MASK64 = (1 << 64) - 1
@@ -172,19 +172,7 @@ class EventQueue:
                 return event
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next live event, or ``None``."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def note_cancel(self) -> None:
         """Record that one previously-live event was cancelled externally."""
         if self._live > 0:
             self._live -= 1
-
-    def iter_pending(self) -> Iterator[Event]:
-        """Yield live events in an arbitrary order (inspection only)."""
-        return (entry[3] for entry in self._heap if not entry[3].cancelled)

@@ -169,7 +169,6 @@ class Simulator:
         # only avoid recomputing results that are pure functions of it.
         self.memo: dict = {}
         self._events_executed = 0
-        self._halted = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -267,7 +266,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _drain(self, horizon: float, limit: Optional[int]) -> int:
         """The run loop: pop, advance the clock, dispatch — until no event
-        is due by *horizon*, *limit* events ran, or one of them halted."""
+        is due by *horizon*, or *limit* events ran."""
         pop_due = self.queue.pop_due
         dispatch = self.dispatch.dispatch
         executed = 0
@@ -281,43 +280,30 @@ class Simulator:
             self._events_executed += 1
             executed += 1
             dispatch(event)
-            if self._halted:
-                break
         return executed
-
-    def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` if the queue is empty."""
-        return self._drain(math.inf, 1) == 1
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events until simulated *time* (inclusive of events at *time*).
 
-        Returns the number of events executed.  Unless halted, the clock is
-        advanced to *time* even if the queue drains earlier, so subsequent
-        scheduling is relative to the requested horizon; a :meth:`halt`
-        leaves the clock at the halting event's time.
+        Returns the number of events executed.  The clock is advanced to
+        *time* even if the queue drains earlier, so subsequent scheduling is
+        relative to the requested horizon.
         """
-        self._halted = False
         executed = self._drain(time, max_events)
         if executed == max_events:
             raise SimulationError(
                 f"exceeded max_events={max_events} before reaching t={time}"
             )
-        if not self._halted and self.now < time:
+        if self.now < time:
             self.now = time
         return executed
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue is exhausted.  Returns events executed."""
-        self._halted = False
         executed = self._drain(math.inf, max_events)
         if executed == max_events:
             raise SimulationError(f"exceeded max_events={max_events}")
         return executed
-
-    def halt(self) -> None:
-        """Stop the current :meth:`run`/:meth:`run_until` after this event."""
-        self._halted = True
 
     @property
     def events_executed(self) -> int:

@@ -18,7 +18,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 #: Records the log holds: the newest, at least the flight recorder's tail.
 RING = 1024
@@ -60,15 +60,6 @@ class TraceLog:
         # render(), spelled inline: this runs for every record.
         line = _LINE % (now, kind, subject, ", ".join(detail)) + "\n"
         self._hasher.update(line.encode("utf-8"))
-
-    def filter(self, kind: Optional[str] = None, subject: Optional[str] = None) -> Iterator[TraceRecord]:
-        """Yield the ring's records matching the given kind and/or subject."""
-        for record in self.records:
-            if kind is not None and record.kind != kind:
-                continue
-            if subject is not None and record.subject != subject:
-                continue
-            yield record
 
     def tail(self, n: int) -> list:
         """The newest *n* records still in the ring, oldest first."""

@@ -73,11 +73,17 @@ def test_sharded_validator_sets_change_on_reshuffle():
     assert set(before) != set(after)
 
 
-def test_shard_for_is_deterministic():
-    baseline = ShardedBaseline(seed=13, shards=4, validators_per_shard=2,
-                               reshuffle_interval=1000.0)
-    assert baseline.shard_for("f1abc") == baseline.shard_for("f1abc")
-    assert 0 <= baseline.shard_for("f1xyz") < 4
+def test_shard_assignment_is_seeded_and_partitions_the_pool():
+    def assignment(seed):
+        baseline = ShardedBaseline(seed=seed, shards=4, validators_per_shard=2,
+                                   reshuffle_interval=1000.0)
+        return [[n.keypair.address for n in nodes] for nodes in baseline.shard_nodes]
+
+    shards = assignment(13)
+    assert shards == assignment(13)
+    assert [len(nodes) for nodes in shards] == [2] * 4
+    members = [address for nodes in shards for address in nodes]
+    assert len(set(members)) == len(members) == 8  # every validator in one shard
 
 
 def test_compromise_probability_monotone_in_adversary():

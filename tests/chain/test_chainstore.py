@@ -90,16 +90,16 @@ def test_heavier_fork_reorgs(store_with_genesis):
     assert not store.is_canonical(main1.cid)
 
 
-def test_canonical_chain_order(store_with_genesis):
+def test_ancestors_walk_from_the_head_back_to_genesis(store_with_genesis):
     store, genesis = store_with_genesis
     parent = genesis
     for height in range(1, 5):
         parent_new = make_block(height, parent.cid)
         store.add_block(parent_new)
         parent = parent_new
-    chain = store.canonical_chain()
-    assert [b.height for b in chain] == [0, 1, 2, 3, 4]
-    assert chain[0].cid == genesis.cid
+    chain = list(store.ancestors(store.head.cid))
+    assert [b.height for b in chain] == [4, 3, 2, 1, 0]
+    assert chain[-1].cid == genesis.cid
 
 
 def test_block_at_height_follows_canonical(store_with_genesis):

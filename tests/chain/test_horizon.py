@@ -22,6 +22,7 @@ import pytest
 from repro.chain.block import FullBlock, HeaderOnly, ZERO_CID
 from repro.chain.chainstore import ChainStore
 
+from tests.chain.canonical import canonical_chain
 from tests.chain.test_chainstore import make_block
 
 DEPTH = 8
@@ -38,7 +39,7 @@ def _header_view(store: ChainStore, base: int, recent) -> dict:
             store.block_at_height(h).cid for h in range(base, store.height + 1)
         ],
         "ancestors": [b.cid for b in store.ancestors(head) if b.height >= base],
-        "chain": [b.height for b in store.canonical_chain() if b.height >= base],
+        "chain": [b.height for b in canonical_chain(store) if b.height >= base],
         "canonical": [store.is_canonical(cid) for cid in recent],
         "extends": [store.is_extension(cid, head) for cid in recent[-12:]],
     }
@@ -127,7 +128,7 @@ def test_a_store_holds_its_horizon_and_nothing_below_it():
     assert len(store._state_snapshots) == len(store._by_height) == held
     assert store.base == store.floor == store.height - DEPTH
     assert store.genesis is None and store.block_at_height(store.base - 1) is None
-    assert [b.height for b in store.canonical_chain()] == list(
+    assert [b.height for b in canonical_chain(store)] == list(
         range(store.base, store.height + 1)
     )
 
@@ -194,7 +195,7 @@ def test_adopt_restarts_the_store_at_a_header():
     assert store.head_cid == anchor.cid and store.height == 40
     assert (store.base, store.floor, len(store)) == (40, 41, 1)
     assert not store.has(genesis.cid) and store.block_at_height(0) is None
-    assert [b.height for b in store.canonical_chain()] == [40]
+    assert [b.height for b in canonical_chain(store)] == [40]
     assert not store.is_extension(genesis.cid, anchor.cid)
     child = make_block(41, anchor.cid)
     assert store.add_block(child) and store.head_cid == child.cid

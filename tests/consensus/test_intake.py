@@ -9,6 +9,8 @@ so nothing but the engine's ``handle`` and the runtime's intake runs.
 
 import pytest
 
+from tests.chain.canonical import canonical_chain
+
 ENGINES = ["poa", "pos", "mir", "pow", "tendermint"]
 #: The message kind each engine carries a decided block in.
 BLOCK_KINDS = ("block", "tm:commit")
@@ -37,7 +39,7 @@ def _straggler_and_published(make_cluster, engine, run_for):
     cluster.start()
     straggler.stop()
     cluster.run(run_for)
-    canonical = {b.cid for b in cluster.nodes[0].store.canonical_chain()}
+    canonical = {b.cid for b in canonical_chain(cluster.nodes[0].store)}
     by_height = {}
     for kind, payload, sender in published:
         block = _block_of(payload)
@@ -176,7 +178,7 @@ def test_a_range_reply_with_one_ineligible_block_is_refused_whole(make_cluster, 
     engines' case is the wrong-leader test's ``-range`` input.)"""
     cluster, straggler, _ = _straggler_and_published(make_cluster, engine, run_for=4.0)
     forger = cluster.nodes[1]
-    chain = forger.store.canonical_chain()[1:]
+    chain = canonical_chain(forger.store)[1:]
     head = forger.head()
     forged = forger.assemble_block(
         height=head.height + 1,

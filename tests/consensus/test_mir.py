@@ -1,8 +1,6 @@
 """Tests for the Mir-style multi-leader engine."""
 
-import pytest
-
-from repro.vm.message import Message, SignedMessage
+from tests.chain.canonical import canonical_chain
 
 
 def test_mir_multiplies_block_rate(make_cluster):
@@ -26,7 +24,7 @@ def test_mir_converges(make_cluster):
 def test_mir_leaders_interleave(make_cluster):
     cluster = make_cluster(4, engine="mir", seed=7).start()
     cluster.run(10.0)
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     miners = {b.header.miner for b in chain[1:]}
     assert len(miners) == 4
 
@@ -40,7 +38,7 @@ def test_mir_bucket_partitioning_no_duplicates(make_cluster):
         for user in range(4):
             cluster.submit_payment(user, nonce, value=1)
     cluster.run(15.0)
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     seen = set()
     for block in chain:
         for signed in block.messages:

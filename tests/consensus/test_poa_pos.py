@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.chain.canonical import canonical_chain
+
 
 def test_poa_produces_blocks(make_cluster):
     cluster = make_cluster(4, engine="poa", block_time=1.0).start()
@@ -20,7 +22,7 @@ def test_poa_all_nodes_converge(make_cluster):
 def test_poa_leaders_rotate(make_cluster):
     cluster = make_cluster(3, engine="poa").start()
     cluster.run(9.5)
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     miners = [block.header.miner for block in chain[1:]]
     assert len(set(miners)) == 3  # every validator led at least once
 
@@ -47,7 +49,7 @@ def test_poa_byzantine_leader_skips_slot(make_cluster):
     # Chain still advances, just slower: 1/4 of slots are skipped.
     heights = cluster.heights()
     assert all(7 <= h <= 10 for h in heights)
-    chain = cluster.nodes[1].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[1].store)
     miners = {block.header.miner for block in chain[1:]}
     assert cluster.keys[0].address not in miners
 
@@ -77,7 +79,7 @@ def test_pos_produces_blocks_and_converges(make_cluster):
 def test_pos_stake_weighting_biases_leadership(make_cluster):
     cluster = make_cluster(3, engine="pos", powers=[10, 1, 1], block_time=0.5).start()
     cluster.run(60.0)
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     miners = [block.header.miner for block in chain[1:]]
     heavy = sum(1 for m in miners if m == cluster.keys[0].address)
     # The heavy validator (10/12 of stake) should lead the large majority.
@@ -98,7 +100,7 @@ def test_pos_deterministic(make_cluster):
     def run():
         cluster = make_cluster(3, engine="pos", seed=5).start()
         cluster.run(10.0)
-        return [b.cid for b in cluster.nodes[0].store.canonical_chain()]
+        return [b.cid for b in canonical_chain(cluster.nodes[0].store)]
 
     assert run() == run()
 
@@ -106,7 +108,7 @@ def test_pos_deterministic(make_cluster):
 def test_block_interval_matches_target(make_cluster):
     cluster = make_cluster(4, engine="poa", block_time=2.0).start()
     cluster.run(30.0)
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     intervals = [
         b.header.timestamp - a.header.timestamp for a, b in zip(chain[1:], chain[2:])
     ]

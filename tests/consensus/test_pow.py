@@ -1,6 +1,6 @@
 """Tests for the simulated PoW engine: mining races, forks, reorgs."""
 
-import pytest
+from tests.chain.canonical import canonical_chain
 
 
 def test_pow_produces_blocks(make_cluster):
@@ -23,7 +23,7 @@ def test_pow_mining_power_share(make_cluster):
         2, engine="pow", block_time=0.5, powers=[3, 1], seed=11
     ).start()
     cluster.run(120.0)
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     miners = [b.header.miner for b in chain[1:]]
     heavy_share = sum(1 for m in miners if m == cluster.keys[0].address) / len(miners)
     assert 0.55 <= heavy_share <= 0.95  # expected 0.75
@@ -68,7 +68,7 @@ def test_pow_byzantine_withholder_excluded(make_cluster):
         byzantine={"n0": {"withhold_block"}},
     ).start()
     cluster.run(40.0)
-    chain = cluster.nodes[1].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[1].store)
     miners = {b.header.miner for b in chain[1:]}
     assert cluster.keys[0].address not in miners
     assert cluster.heights()[1] > 5  # others still make progress
@@ -78,7 +78,7 @@ def test_pow_deterministic(make_cluster):
     def run():
         cluster = make_cluster(3, engine="pow", seed=29).start()
         cluster.run(20.0)
-        return [b.cid for b in cluster.nodes[0].store.canonical_chain()]
+        return [b.cid for b in canonical_chain(cluster.nodes[0].store)]
 
     assert run() == run()
 

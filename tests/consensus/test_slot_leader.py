@@ -14,6 +14,8 @@ from repro.consensus import (
 from repro.scenario.faults import rogue_proposer_engine
 from repro.telemetry import RoundTracer
 
+from tests.chain.canonical import canonical_chain
+
 # (kind, fields-without-cid) per engine, as seen by n0 then n1; 3 validators,
 # block_time 1.0, seed 21, mir_leaders 2, run for 3.2 s.
 PINNED = {
@@ -94,7 +96,7 @@ def test_slot_engines_keep_their_wire_and_trace_shape(make_cluster, engine):
     cluster.start().run(3.2)
 
     pinned = PINNED[engine]
-    chain = cluster.nodes[0].store.canonical_chain()
+    chain = canonical_chain(cluster.nodes[0].store)
     assert [b.header.consensus_data for b in chain[1:]] == pinned["consensus_data"]
     assert {label for label in labels if label.startswith(f"{engine}:")} == {
         f"{engine}:n0", f"{engine}:n1", f"{engine}:n2"
@@ -138,7 +140,7 @@ def test_instance_assigned_leader_rule_drives_proposal(make_cluster):
     rogue.swap_engine(rogue_proposer_engine)
     cluster.run(2.0)  # slots 5..8: n3 leads one of them, proposes in all four
     rogue_blocks = [
-        b for b in rogue.store.canonical_chain()
+        b for b in canonical_chain(rogue.store)
         if b.header.miner == rogue.miner_address and b.header.timestamp > 2.2
     ]
     assert len(rogue_blocks) == 4
@@ -150,7 +152,7 @@ def test_instance_assigned_leader_rule_drives_proposal(make_cluster):
     for node in honest:
         assert not any(node.store.has(b.cid) for b in out_of_turn)
     honest_blocks = [
-        b for b in honest[0].store.canonical_chain()
+        b for b in canonical_chain(honest[0].store)
         if b.header.miner != rogue.miner_address and b.header.timestamp > 2.2
     ]
     assert len(honest_blocks) == 3

@@ -5,6 +5,8 @@ import pytest
 from repro.consensus.base import Validator, ValidatorSet
 from repro.telemetry import RoundTracer
 
+from tests.chain.canonical import canonical_chain
+
 
 def test_tendermint_commits_blocks(make_cluster):
     cluster = make_cluster(4, engine="tendermint", block_time=1.0).start()
@@ -103,7 +105,7 @@ def test_tendermint_deterministic(make_cluster):
     def run():
         cluster = make_cluster(4, engine="tendermint", seed=41).start()
         cluster.run(12.0)
-        return [b.cid for b in cluster.nodes[0].store.canonical_chain()]
+        return [b.cid for b in canonical_chain(cluster.nodes[0].store)]
 
     chain_a, chain_b = run(), run()
     assert chain_a == chain_b and len(chain_a) > 3

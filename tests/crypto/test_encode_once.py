@@ -440,8 +440,11 @@ def test_per_op_values_are_slotted_frozen_and_still_copy(value):
         setattr(value, dataclasses.fields(value)[0].name, None)
     with pytest.raises((AttributeError, TypeError)):  # TypeError: CPython 3.11's frozen + slots
         value.annotation = 1
-    memos = [f.name for f in dataclasses.fields(value) if not f.init]
+    memo_fields = [f for f in dataclasses.fields(value) if not f.init]
+    memos = [f.name for f in memo_fields]
     assert set(memos) <= set(MEMO_NAMES)
+    # A plain default: the slotted __init__ sets it without a call per instance.
+    assert all(f.default is None and f.default_factory is dataclasses.MISSING for f in memo_fields)
     if "_cid" in memos:
         assert value.cid is value._cid  # cached_cid's object.__setattr__ reaches the slot
     replaced = dataclasses.replace(value)

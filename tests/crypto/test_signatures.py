@@ -1,11 +1,10 @@
-"""Unit tests for keys, signatures and multisignatures."""
+"""Unit tests for keys, signatures and the signers of a signature set."""
 
 import gc
 import tracemalloc
 
 from repro.crypto.keys import Address, KeyPair
-from repro.crypto.multisig import aggregate, verify_multisig
-from repro.crypto.signature import Signature, sign, verify
+from repro.crypto.signature import Signature, sign, valid_signers, verify
 
 
 def test_keypair_is_deterministic():
@@ -56,50 +55,34 @@ def test_replaying_tag_on_other_message_fails():
     assert verify(replay, "original")  # same message still fine
 
 
-def test_aggregate_dedupes_and_sorts():
-    keys = [KeyPair(f"k{i}") for i in range(3)]
-    signatures = [sign(k, "m") for k in keys] + [sign(keys[0], "m")]
-    multisig = aggregate(signatures)
-    assert len(multisig) == 3
-    assert list(multisig.signers) == sorted(multisig.signers)
-
-
-def test_aggregate_is_order_independent():
-    keys = [KeyPair(f"k{i}") for i in range(4)]
-    signatures = [sign(k, "m") for k in keys]
-    forward = aggregate(signatures)
-    backward = aggregate(reversed(signatures))
-    assert forward == backward
-
-
-def test_multisig_threshold_met():
+def test_valid_signers_counts_each_authorised_key_once():
     keys = [KeyPair(f"k{i}") for i in range(4)]
     authorized = [k.address for k in keys]
-    multisig = aggregate(sign(k, "m") for k in keys[:3])
-    assert verify_multisig(multisig, "m", authorized, threshold=3)
-    assert not verify_multisig(multisig, "m", authorized, threshold=4)
+    signatures = [sign(k, "m") for k in keys[:3]] + [sign(keys[0], "m")]
+    assert valid_signers(signatures, "m", authorized) == {k.address for k in keys[:3]}
 
 
-def test_multisig_ignores_unauthorized_signers():
+def test_valid_signers_is_order_independent():
+    keys = [KeyPair(f"k{i}") for i in range(4)]
+    authorized = [k.address for k in keys]
+    signatures = [sign(k, "m") for k in keys]
+    forward = valid_signers(signatures, "m", authorized)
+    assert forward == valid_signers(reversed(signatures), "m", reversed(authorized))
+    assert forward == set(authorized)
+
+
+def test_valid_signers_ignores_unauthorized_signers():
     keys = [KeyPair(f"k{i}") for i in range(3)]
     outsider = KeyPair("outsider")
     authorized = [k.address for k in keys]
-    multisig = aggregate([sign(keys[0], "m"), sign(outsider, "m")])
-    assert verify_multisig(multisig, "m", authorized, threshold=1)
-    assert not verify_multisig(multisig, "m", authorized, threshold=2)
+    signatures = [sign(keys[0], "m"), sign(outsider, "m")]
+    assert valid_signers(signatures, "m", authorized) == {keys[0].address}
 
 
-def test_multisig_rejects_wrong_message():
+def test_valid_signers_rejects_wrong_message():
     keys = [KeyPair(f"k{i}") for i in range(2)]
-    multisig = aggregate(sign(k, "m") for k in keys)
-    assert not verify_multisig(multisig, "other", [k.address for k in keys], threshold=1)
-
-
-def test_multisig_threshold_must_be_positive():
-    import pytest
-
-    with pytest.raises(ValueError):
-        verify_multisig(aggregate([]), "m", [], threshold=0)
+    signatures = [sign(k, "m") for k in keys]
+    assert valid_signers(signatures, "other", [k.address for k in keys]) == set()
 
 
 # A tag is checked against the key it claims, so it is bound to that key.
@@ -116,14 +99,12 @@ def test_a_genuine_tag_relabelled_with_another_key_does_not_verify():
     assert not verify(relabelled, "msg")
 
 
-def test_one_tag_relabelled_three_times_is_not_a_three_of_three_multisig():
+def test_one_tag_relabelled_three_times_is_one_signer_not_three():
     keys = [KeyPair(f"k{i}") for i in range(3)]
     tag = sign(keys[0], "m").tag
-    forged = aggregate(Signature(signer=k.address, public=k.public, tag=tag) for k in keys)
+    forged = [Signature(signer=k.address, public=k.public, tag=tag) for k in keys]
     authorized = [k.address for k in keys]
-    assert len(forged) == 3
-    assert not verify_multisig(forged, "m", authorized, threshold=3)
-    assert verify_multisig(forged, "m", authorized, threshold=1)  # keys[0]'s own is genuine
+    assert valid_signers(forged, "m", authorized) == {keys[0].address}  # its own is genuine
 
 
 def test_signing_and_verifying_keep_nothing_per_signature():

@@ -91,6 +91,19 @@ def test_multisig_policy_refuses_one_tag_relabelled_as_every_validator():
     assert submit(vm, sa_addr, miners[0], SignedCheckpoint(checkpoint, honest)).ok
 
 
+def test_multisig_policy_counts_a_repeated_signature_once_and_sorts_its_signers():
+    policy = SignaturePolicy(kind="multisig", threshold=3)
+    miners = [KeyPair(f"miner-{i}") for i in range(3)]
+    validators = [m.address for m in miners]
+    checkpoint = make_checkpoint()
+    payload = checkpoint.cid.hex()
+    repeated = tuple(sign(m, payload) for m in (miners[1], miners[0], miners[1]))
+    assert policy.signers(SignedCheckpoint(checkpoint, repeated), validators, SUB.path) is None
+    shuffled = repeated + (sign(miners[2], payload),)
+    signers = policy.signers(SignedCheckpoint(checkpoint, shuffled), validators, SUB.path)
+    assert signers == tuple(sorted(validators))
+
+
 def test_multisig_rejects_outsider_signatures():
     vm, sa_addr, miners = make_parent(SignaturePolicy(kind="multisig", threshold=2))
     outsiders = [KeyPair(f"outsider-{i}") for i in range(2)]

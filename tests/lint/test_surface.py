@@ -9,7 +9,9 @@ identifier: actor methods and plane handlers are named by strings.  A class
 registered by a decorator (an engine) counts as used.
 
 Names that only tests call are either deleted together with those tests or
-listed in :data:`KEPT` with the reason they stay.
+listed in :data:`KEPT` with the reason they stay, and a test must call each
+of them (:func:`untested`): a name kept for tests that none calls has no
+reason left.
 
 The same rule holds for settings: every defaulted parameter (or dataclass
 field) of an entry point in :data:`ENTRY_POINTS` is passed, by keyword or by
@@ -34,32 +36,14 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 #: Public names kept although only tests call them: qualified name -> why.
 KEPT = {
-    "repro.baselines.sharded.ShardedBaseline.shard_for":
-        "the baseline's account-to-shard rule (§I's load-balanced state), pinned by its test",
-    "repro.chain.chainstore.ChainStore.canonical_chain":
-        "the consensus tests compare whole chains across validators through it",
     "repro.consensus.tendermint.TendermintEngine.equivocation_evidence":
         "the double votes the vote-level auditor of ROADMAP item 4(a) will read",
-    "repro.crypto.multisig.aggregate":
-        "§III-B's multi-signature as a value; the relabelled-tag forgery test builds one",
-    "repro.crypto.multisig.verify_multisig":
-        "§III-B's k-of-n rule over a multi-signature; the forgery regression checks it",
     "repro.hierarchy.atomic.AtomicExecutionActor.transfer_asset":
         "the spend a §IV-D lock must refuse; the atomic VM tests check that it does",
     "repro.hierarchy.light_client.CheckpointLightClient.child_checkpoint_cids":
         "§II's children tree as a light client sees it at the top of the hierarchy",
     "repro.lint.engine.LintEngine.check_source":
         "the lint rule tests feed their in-memory fixtures through it",
-    "repro.net.gossip.GossipNetwork.remove_peer":
-        "the gossip oracle's leave-and-return edge: a returning peer keeps its history",
-    "repro.sim.events.EventQueue.iter_pending":
-        "the live events of a queue, for inspection; the queue test reads them",
-    "repro.sim.events.EventQueue.peek_time":
-        "the next live event's time; the gossip shutdown test checks none is left",
-    "repro.sim.scheduler.Simulator.halt":
-        "part of the dispatch API SIM001 points event code to; the run-loop tests use it",
-    "repro.sim.tracing.TraceLog.filter":
-        "the one query over the trace ring by kind and subject; tests read records with it",
 }
 
 #: Where users configure a run: classes (their ``__init__``, or their fields
@@ -429,6 +413,30 @@ def test_every_kept_name_still_exists_and_says_why():
     for name, reason in KEPT.items():
         assert name in missing, f"{name} has a caller now (or is gone): drop it from KEPT"
         assert reason.strip(), f"{name} is kept without a reason"
+
+
+def untested(repo_root: str, kept=KEPT) -> list:
+    """Qualified names of *kept* whose name no file under ``tests/`` refers
+    to, this one aside (it spells every entry)."""
+    referenced = set()
+    for path in _python_files(os.path.join(repo_root, "tests")):
+        if os.path.abspath(path) != os.path.abspath(__file__):
+            references = _scan(path, "tests")[1]
+            referenced.update(references.names, references.attributes)
+    return sorted(q for q in kept if q.rsplit(".", 1)[-1] not in referenced)
+
+
+def test_every_kept_name_is_called_by_a_test():
+    assert untested(REPO_ROOT) == [], "no test calls these: drop them from KEPT and delete them"
+
+
+def test_a_planted_stale_kept_name_fails(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import Actor\n\ndef test_it():\n    Actor().inspect()\n"
+    )
+    kept = {"repro.mod.Actor.inspect": "read by a test", "repro.mod.Actor.stale": "read by none"}
+    assert untested(str(tmp_path), kept) == ["repro.mod.Actor.stale"]
 
 
 def test_a_planted_unused_function_fails(tmp_path):

@@ -5,7 +5,7 @@ to keep one ``(heartbeat_no, msg_id)`` tuple per id.  The model below is
 that deque.  After every heartbeat both must hold the same ``seen`` keys
 for every registered peer and have advertised the same IHAVE id lists —
 under bursts longer than the 50-id advertisement, idle heartbeats, short
-histories, ``stop``/``restart`` and ``remove_peer``/``add_peer``.
+histories and ``stop``/``restart``.
 """
 
 from collections import deque

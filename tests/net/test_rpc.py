@@ -57,12 +57,11 @@ def test_unreachable_target_errors_immediately():
 def test_timeout_fires_when_partitioned_after_send():
     sim, transport, rpc = make_rpc(timeout=2.0)
     rpc.expose("server", "slow", lambda caller, params: "late")
-    # Partition *after* registration so send succeeds but response cannot
-    # come back... actually partition before call: send fails -> unreachable.
-    # Instead simulate response loss: unregister the client's rpc endpoint.
+    # Partition the client *after* the call: the request is already in
+    # flight and lands, the response is dropped at send time.
     results = []
     rpc.call("client", "server", "slow", None, lambda r, e: results.append((r, e)))
-    transport.unregister("rpc:client")
+    transport.partition("client")
     sim.run_until(5.0)
     assert results == [(None, "timeout")]
 

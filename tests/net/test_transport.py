@@ -39,12 +39,11 @@ def test_duplicate_registration_rejected():
         transport.register("a", lambda m: None)
 
 
-def test_unregister_then_reregister():
+def test_is_registered_reports_registered_peers_only():
     _, transport = make_transport()
+    assert not transport.is_registered("a")
     transport.register("a", lambda m: None)
-    transport.unregister("a")
-    transport.register("a", lambda m: None)
-    assert transport.is_registered("a")
+    assert transport.is_registered("a") and not transport.is_registered("b")
 
 
 def test_partition_blocks_send():

@@ -2,11 +2,13 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.crypto.keys import KeyPair
 from repro.baselines import ShardedBaseline, SingleChainBaseline
 from repro.chain.genesis import GenesisParams, build_genesis
 from repro.consensus.base import ConsensusParams
-from repro.hierarchy import HierarchicalSystem
+from repro.hierarchy import ROOTNET, HierarchicalSystem, SpawnError, SubnetConfig
 from repro.hierarchy.node import SubnetNode
 from repro.runtime import (
     ClusterMember,
@@ -15,6 +17,8 @@ from repro.runtime import (
     ValidatorCluster,
     cluster_members,
 )
+
+from tests.chain.canonical import canonical_chain
 
 
 def build_cluster(n=3, engine="poa", seed=5, block_time=0.5):
@@ -50,6 +54,24 @@ def test_cluster_produces_blocks_on_shared_runtime():
     assert min(heights) >= 5  # PoA at 0.5s block time
     assert len(cluster) == 3
     assert cluster[0] is cluster.primary
+    cluster.stop()
+
+
+def test_a_stopped_node_leaves_its_topic_but_not_the_fabric():
+    stack, cluster = build_cluster()
+    cluster.start()
+    stack.run_for(2.0)
+    node = cluster[2]
+    node.stop()
+    assert stack.transport.is_registered(node.node_id)  # peers never leave
+    assert node.node_id not in stack.gossip._topic_members[node.topic]
+    height = node.head().height
+    stack.run_for(3.0)
+    assert node.head().height == height < cluster[0].head().height
+    node.restart()
+    assert node.node_id in stack.gossip._topic_members[node.topic]
+    stack.run_for(5.0)
+    assert node.head().height >= cluster[0].head().height - 1
     cluster.stop()
 
 
@@ -133,18 +155,39 @@ def test_the_root_config_is_the_one_description_of_the_rootnet():
         seed=3, root_engine="pow", root_validators=5, root_block_time=0.7,
         checkpoint_period=6, accelerate_root=True,
     ).start()
-    from repro.hierarchy import ROOTNET
-
     root = system.configs[ROOTNET]
     assert (root.engine, root.validators, root.block_time) == ("pow", 5, 0.7)
     assert (root.checkpoint_period, root.accelerate) == (6, True)
-    twin = system.spawn_subnet(replace(root, name="twin"))
+    twin = system.spawn_subnet(replace(root, name="twin", parent=ROOTNET))
     child_params = system.node(twin).engine.params
     assert len(system.nodes(ROOTNET)) == 5
     for node in system.nodes(ROOTNET) + system.nodes(twin):
         assert node.engine.params == child_params
         assert node.acceleration is not None
     system.stop()
+
+
+def test_the_root_config_names_the_rootnet_and_spawns_nothing_else():
+    system = HierarchicalSystem(seed=3, root_validators=3).start()
+    root = system.configs[ROOTNET]
+    assert root.subnet == ROOTNET and root.parent is None
+    with pytest.raises(SpawnError, match="no parent"):
+        system.spawn_subnet(replace(root, name="twin"))
+    system.stop()
+
+
+def test_a_config_names_its_subnet_under_its_parent_or_at_the_top():
+    assert SubnetConfig(name="a").subnet == ROOTNET.child("a")
+    nested = SubnetConfig(name="b", parent=ROOTNET.child("a")).subnet
+    assert nested.path == "/root/a/b" and nested.parent() == ROOTNET.child("a")
+    assert SubnetConfig(name="root", parent=None).subnet == ROOTNET
+
+
+def test_the_root_validators_wallets_hold_the_keys_its_nodes_sign_with():
+    """As a child's do; the root's keys are its own, not wallet keys."""
+    system = HierarchicalSystem(seed=3, root_validators=3)
+    wallets = system.validator_wallets(ROOTNET)
+    assert [w.keypair for w in wallets] == [node.keypair for node in system.nodes(ROOTNET)]
 
 
 def test_baselines_flow_through_instrumented_dispatch():
@@ -205,7 +248,7 @@ def test_one_post_state_per_block_and_a_byzantine_proposer_re_executes():
     cluster.start()
     stack.run_for(5.0)
 
-    blocks = honest[0].store.canonical_chain()[1:]
+    blocks = canonical_chain(honest[0].store)[1:]
     assert len(blocks) >= 8
     for block in blocks:
         posts = {id(node.store.get_state(block.cid)) for node in honest}

@@ -45,7 +45,10 @@ def test_a_node_behind_the_floor_recovers_from_its_parents_checkpoint(outage):
     restarted = system.sim.now
     # Read the adoption off the trace ring before newer records push it out.
     assert system.wait_for(lambda: system.sim.trace.count("snapshot.adopted") == 1, timeout=3.0)
-    (adopted,) = system.sim.trace.filter("snapshot.adopted", str(sub))
+    (adopted,) = [
+        record for record in system.sim.trace.records
+        if record.kind == "snapshot.adopted" and record.subject == str(sub)
+    ]
     height, short_cid = int(adopted.detail[0].removeprefix("h=")), adopted.detail[1]
     system.run_until(restarted + 3.0)
     heads = [node.head().height for node in system.nodes(sub)]

@@ -44,17 +44,26 @@ def test_pop_empty_raises():
         queue.pop()
 
 
-def test_peek_time_skips_cancelled():
+def test_a_queue_of_only_cancelled_events_is_empty():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
+    for event in [queue.push(float(i), lambda: None) for i in range(3)]:
+        event.cancel()
+        queue.note_cancel()
+    assert len(queue) == 0 and not queue
+    with pytest.raises(IndexError):
+        queue.pop()
+
+
+def test_pop_due_returns_only_live_events_at_or_before_the_horizon():
+    queue = EventQueue()
+    head = queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
-    event.cancel()
+    queue.push(3.0, lambda: None)
+    head.cancel()
     queue.note_cancel()
-    assert queue.peek_time() == 2.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
+    assert queue.pop_due(1.5) is None  # the cancelled head is not due
+    assert queue.pop_due(2.0).time == 2.0  # inclusive of the horizon
+    assert queue.pop_due(2.5) is None and len(queue) == 1
 
 
 def test_len_counts_live_events():

@@ -1,8 +1,8 @@
 """The folded run loop is still the scheduler.
 
-``run_until``, ``run`` and repeated ``step`` are three ways into one loop
-(``Simulator._drain``); they must agree event for event on cancellation,
-halting, the event cap, dispatch hooks and failures.
+``run_until``, ``run`` and ``run_until`` re-entered in short slices are
+three ways into one loop (``Simulator._drain``); they must agree event for
+event on cancellation, the event cap, dispatch hooks and failures.
 """
 
 import pytest
@@ -20,12 +20,13 @@ def _by_run(sim):
     sim.run()
 
 
-def _by_step(sim):
-    while sim.step():
-        pass
+def _by_slices(sim):
+    """Re-enter the loop at horizons that fall between and on event times."""
+    while sim.queue:
+        sim.run_until(sim.now + 0.25)
 
 
-DRIVERS = [_by_run_until, _by_run, _by_step]
+DRIVERS = [_by_run_until, _by_run, _by_slices]
 
 
 def _scenario(sim, fired):
@@ -71,24 +72,7 @@ def test_run_until_advances_the_clock_to_the_horizon_on_an_empty_queue():
     sim = Simulator()
     assert sim.run_until(5.0) == 0
     assert sim.now == 5.0
-    assert sim.step() is False and sim.now == 5.0
     assert sim.run() == 0 and sim.now == 5.0
-
-
-@pytest.mark.parametrize("driver", [_by_run_until, _by_run])
-def test_halt_stops_after_the_halting_event(driver):
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append("a"), sim.halt()))
-    sim.schedule(2.0, fired.append, "b")
-    driver(sim)
-    assert fired == ["a"] and sim.now == 1.0 and len(sim.queue) == 1
-    driver(sim)  # a new run clears the halt
-    assert fired == ["a", "b"]
-    # step() executes exactly one event, whatever an earlier run left behind.
-    sim.schedule(1.0, fired.append, "c")
-    sim.halt()
-    assert sim.step() is True and fired[-1] == "c"
 
 
 def test_max_events_raises_after_exactly_that_many():

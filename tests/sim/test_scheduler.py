@@ -41,6 +41,18 @@ def test_run_until_executes_inclusive_boundary():
     assert sim.now == 2.0
 
 
+def test_run_until_resumes_where_the_last_horizon_left_off():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1))
+    sim.schedule(2.0, lambda: fired.append(2))
+    assert sim.run_until(1.5) == 1
+    assert fired == [1] and sim.now == 1.5  # the clock stops at the horizon
+    # Resuming picks up the remaining event and then advances the clock.
+    assert sim.run_until(10.0) == 1
+    assert fired == [1, 2] and sim.now == 10.0
+
+
 def test_run_until_advances_clock_even_when_queue_drains():
     sim = Simulator()
     sim.run_until(10.0)
@@ -94,18 +106,6 @@ def test_every_rejects_nonpositive_interval():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.every(0.0, lambda: None)
-
-
-def test_halt_stops_run():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append(1), sim.halt()))
-    sim.schedule(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [1]
-    # A new run resumes.
-    sim.run()
-    assert fired == [1, 2]
 
 
 def test_run_until_max_events_guard():
@@ -162,7 +162,7 @@ def test_every_callback_error_keeps_ticking():
     sim.run_until(4.5)
     assert ticks == [1.0, 2.0, 3.0, 4.0]
     assert sim.trace.count("timer.error") == 1
-    record = next(sim.trace.filter(kind="timer.error"))
+    (record,) = [r for r in sim.trace.records if r.kind == "timer.error"]
     assert record.subject == "flaky"
     assert "transient failure" in record.detail
 
@@ -205,21 +205,6 @@ def test_cancel_already_fired_event_is_noop_for_queue():
     sim.run()
     assert fired.get("later") is True
     assert later.popped
-
-
-def test_halt_during_run_until_leaves_clock_at_halt_time():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append(1), sim.halt()))
-    sim.schedule(2.0, lambda: fired.append(2))
-    executed = sim.run_until(10.0)
-    assert executed == 1
-    assert fired == [1]
-    assert sim.now == 1.0  # not advanced to the horizon
-    # Resuming picks up the remaining event and then advances the clock.
-    sim.run_until(10.0)
-    assert fired == [1, 2]
-    assert sim.now == 10.0
 
 
 def test_schedule_at_now_ordering_ties_run_in_insertion_order():
