@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.crypto.cid import CID, cached_cid
 from repro.crypto.encoding import canonical_body, canonical_encode, memo
@@ -128,8 +128,8 @@ class FullBlock:
         """Commitment over both message lists, stored in the header: the
         merkle root over leaves ``("msg", cid)`` then ``("cross", cid)``."""
         sha256 = hashlib.sha256
-        leaves = [sha256(_MSG_LEAF + m.cid.digest).digest() for m in messages]
-        leaves += [sha256(_CROSS_LEAF + m.cid.digest).digest() for m in cross_messages]
+        leaves = [sha256(_MSG_LEAF + m.cid).digest() for m in messages]
+        leaves += [sha256(_CROSS_LEAF + m.cid).digest() for m in cross_messages]
         return CID(hash_layers(leaves)[-1][0])
 
     def messages_root_matches(self) -> bool:

@@ -458,10 +458,10 @@ class TendermintEngine(ConsensusEngine):
         # The quorum's precommits vouch for the block: no eligible check.
         block: FullBlock = payload["block"]
         votes = payload["votes"]
+        if block.height < self.height:
+            return  # already decided locally; verifying has no side effects
         if not self._verify_commit_cert(block, votes):
             return
-        if block.height < self.height:
-            return  # already decided locally
         if block.height == self.height:
             # Our working height: commit through the ordinary path so the
             # block-interval pacing stays identical to a self-commit (a

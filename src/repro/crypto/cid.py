@@ -15,21 +15,21 @@ from repro.crypto.encoding import canonical_encode, object_prefix
 _PREFIX = "bafy"  # cosmetic, to make CIDs recognisable in traces
 
 
-class CID:
-    """An immutable content identifier."""
+class CID(bytes):
+    """An immutable content identifier: the 32-byte digest itself.
 
-    __slots__ = ("digest",)
+    Hashing, equality and ordering are bytes' own, so a CID-keyed dict or
+    set probe never re-enters the interpreter, and a CID equals its raw
+    digest.  It still encodes as an object (``to_canonical``), never as
+    plain bytes.
+    """
 
-    def __init__(self, digest: bytes) -> None:
+    __slots__ = ()
+
+    def __new__(cls, digest: bytes) -> "CID":
         if not isinstance(digest, bytes) or len(digest) != 32:
             raise ValueError("CID requires a 32-byte digest")
-        object.__setattr__(self, "digest", digest)
-
-    def __setattr__(self, name, value):  # immutability
-        raise AttributeError("CID is immutable")
-
-    def __reduce__(self):  # copy/pickle rebuild through __init__, not setattr
-        return (CID, (self.digest,))
+        return super().__new__(cls, digest)
 
     @classmethod
     def from_hex(cls, text: str) -> "CID":
@@ -37,33 +37,18 @@ class CID:
             text = text[len(_PREFIX):]
         return cls(bytes.fromhex(text))
 
-    def hex(self) -> str:
-        return self.digest.hex()
-
     def short(self) -> str:
         """Abbreviated form for logs and traces."""
-        return _PREFIX + self.digest.hex()[:10]
+        return _PREFIX + self.hex()[:10]
 
-    def to_canonical(self):
-        return self.digest
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CID) and other.digest == self.digest
-
-    def __hash__(self) -> int:
-        # CIDs key mempools, chain stores and dedup sets: hashing happens far
-        # more often than construction — and a bytes object keeps its own
-        # hash once computed, so a second copy here would be 40 B per CID.
-        return hash(self.digest)
-
-    def __lt__(self, other: "CID") -> bool:
-        return self.digest < other.digest
+    def to_canonical(self) -> bytes:
+        return bytes(self)
 
     def __repr__(self) -> str:
         return f"CID({self.short()})"
 
     def __str__(self) -> str:
-        return _PREFIX + self.digest.hex()
+        return _PREFIX + self.hex()
 
 
 def cid_of(value: Any) -> CID:

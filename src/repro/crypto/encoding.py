@@ -240,8 +240,16 @@ def _make_object_encoder(tp: type) -> Callable[[bytearray, Any], None]:
 
 
 def _encode_fallback(out: bytearray, value: Any) -> None:
-    """Subclasses and first-seen protocol objects (identical bytes)."""
-    if isinstance(value, bool):
+    """Subclasses and first-seen protocol objects (identical bytes).
+
+    A type that defines ``to_canonical`` encodes as an object even when it
+    subclasses a builtin (a ``CID`` is ``bytes``), so that arm comes first.
+    """
+    if hasattr(type(value), "to_canonical"):
+        handler = _make_object_encoder(type(value))
+        _HANDLERS[type(value)] = handler
+        handler(out, value)
+    elif isinstance(value, bool):
         out += b"T" if value else b"F"
     elif isinstance(value, int):
         _enc_int(out, value)
@@ -257,10 +265,6 @@ def _encode_fallback(out: bytearray, value: Any) -> None:
         _enc_dict(out, value)
     elif isinstance(value, (set, frozenset)):
         _enc_set(out, value)
-    elif hasattr(type(value), "to_canonical"):
-        handler = _make_object_encoder(type(value))
-        _HANDLERS[type(value)] = handler
-        handler(out, value)
     elif hasattr(value, "to_canonical"):
         # to_canonical set per instance, not on the class: don't cache.
         out += b"o"

@@ -34,6 +34,8 @@ def resolution_topic(subnet_id: SubnetID) -> str:
 class ResolutionService:
     """One node's participation in the content resolution protocol."""
 
+    _VERIFIED_CAP = 512
+
     def __init__(
         self,
         sim,
@@ -66,10 +68,20 @@ class ResolutionService:
         return from_state
 
     def store(self, msgs_cid: CID, messages: tuple) -> bool:
-        """Cache a batch after verifying it hashes to its CID."""
+        """Cache a batch after verifying it hashes to its CID.
+
+        A pushed or resolved batch reaches every subscriber as one tuple, so
+        the simulator verifies each tuple once: the memo keeps the object
+        that hashed to the CID, and any other object is hashed again.
+        """
         messages = tuple(messages)
-        if batch_cid(messages) != msgs_cid:
-            return False
+        verified = self.sim.memo.setdefault("resolution.verified", {})
+        if verified.get(msgs_cid) is not messages:
+            if batch_cid(messages) != msgs_cid:
+                return False
+            verified[msgs_cid] = messages
+            while len(verified) > self._VERIFIED_CAP:
+                verified.pop(next(iter(verified)))
         self._cache[msgs_cid] = messages
         for callback in self._waiting.pop(msgs_cid, []):
             callback(messages)

@@ -149,16 +149,11 @@ class GossipNetwork:
         if state is None:
             return
         state.topics.pop(topic, None)
-        self._leave_topic(peer_id, topic)
-
-    def _leave_topic(self, peer_id: str, topic: str) -> None:
-        state = self._peers.get(peer_id)
-        if state is not None:
-            # _rebuild_mesh only resets mesh entries for remaining members;
-            # clear the departing peer's own view so it stops relaying.
-            state.mesh.pop(topic, None)
-            state.mesh_links.pop(topic, None)
-            state.ihave_candidates.pop(topic, None)
+        # _rebuild_mesh only resets mesh entries for remaining members;
+        # clear the departing peer's own view so it stops relaying.
+        state.mesh.pop(topic, None)
+        state.mesh_links.pop(topic, None)
+        state.ihave_candidates.pop(topic, None)
         members = self._topic_members.get(topic)
         if members:
             members.discard(peer_id)

@@ -11,11 +11,10 @@ a directory service.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Optional
+from typing import Any
 
 from repro.crypto.keys import Address
 from repro.vm.actor import Actor, export
-from repro.vm.exitcode import ExitCode
 
 INIT_ACTOR_ADDRESS = Address.actor(3)
 

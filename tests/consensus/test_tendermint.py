@@ -134,3 +134,28 @@ def test_validator_set_rejects_bad_input():
         )
     with pytest.raises(ValueError):
         ValidatorSet([Validator(node_id="a", address=KeyPair("a").address, power=0)])
+
+
+def test_stale_commit_certificate_is_never_verified(make_cluster):
+    cluster = make_cluster(4, engine="tendermint").start()
+    engines = [node.engine for node in cluster.nodes]
+    checked = []
+    for engine in engines:
+        verify = engine._verify_commit_cert
+
+        def counted(block, votes, engine=engine, verify=verify):
+            checked.append((block.height, engine.height))
+            return verify(block, votes)
+
+        engine._verify_commit_cert = counted
+    cluster.run(10.0)
+    assert checked, "certificates for the working height or ahead are verified"
+    assert all(block_height >= height for block_height, height in checked)
+    # A certificate below the working height is dropped unread, even one
+    # whose votes would not verify.
+    engine = engines[0]
+    old = cluster.nodes[0].store.block_at_height(1)
+    assert old is not None and engine.height > 1
+    before = len(checked)
+    engine.handle("tm:commit", {"block": old, "votes": ()}, "n1")
+    assert len(checked) == before

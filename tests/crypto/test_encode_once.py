@@ -76,18 +76,18 @@ LAYOUTS = {
     ),
     SignedMessage: lambda s: (ref_body(s.message), ref_body(s.signature)),
     CrossMsgMeta: lambda m: (
-        m.from_subnet.path, m.to_subnet.path, m.nonce, m.msgs_cid.digest, m.count, m.value,
+        m.from_subnet.path, m.to_subnet.path, m.nonce, bytes(m.msgs_cid), m.count, m.value,
     ),
     Checkpoint: lambda c: (
-        c.source.path, c.proof.digest, c.prev.digest,
-        tuple((path, cid.digest) for path, cid in c.children),
+        c.source.path, bytes(c.proof), bytes(c.prev),
+        tuple((path, bytes(cid)) for path, cid in c.children),
         tuple(ref_body(meta) for meta in c.cross_meta),
         c.window, c.epoch,
     ),
     SignedCheckpoint: lambda s: (ref_body(s.checkpoint), _signatures_body(s.signatures)),
     BlockHeader: lambda h: (
-        h.subnet_id, h.height, h.parent.digest, h.state_root.digest,
-        h.messages_root.digest, h.timestamp, h.miner.raw, h.consensus_data,
+        h.subnet_id, h.height, bytes(h.parent), bytes(h.state_root),
+        bytes(h.messages_root), h.timestamp, h.miner.raw, h.consensus_data,
     ),
     FullBlock: lambda b: (
         ref_body(b.header),
@@ -117,6 +117,8 @@ def ref_encode(value) -> bytes:
     if isinstance(value, str):
         text = value.encode("utf-8")
         return b"s%d:" % len(text) + text
+    if isinstance(value, CID):  # bytes, yet it encodes as an object
+        return b"o" + ref_encode("CID") + ref_encode(bytes(value))
     if isinstance(value, (bytes, bytearray)):
         return b"b%d:" % len(value) + bytes(value)
     if isinstance(value, (list, tuple)):
@@ -238,7 +240,7 @@ protocol_values = (
 
 def _warm(values) -> None:
     for value in values:
-        assert value.cid.digest == hashlib.sha256(ref_encode(value)).digest()
+        assert value.cid == hashlib.sha256(ref_encode(value)).digest()
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +258,9 @@ def test_encoding_matches_memo_free_reference(value, children_first):
     assert canonical_encode(value) == expected
     if hasattr(type(value), "cid") and type(value) is not FullBlock:
         digest = hashlib.sha256(expected).digest()
-        assert value.cid.digest == digest  # computes and keeps it
-        assert value.cid.digest == digest  # reads what it kept
-        assert cid_of(value).digest == digest
+        assert value.cid == digest  # computes and keeps it
+        assert value.cid == digest  # reads what it kept
+        assert cid_of(value) == digest
     assert canonical_encode(value) == expected
     assert ref_encode(value) == expected  # nothing a memo wrote reaches the fields
 
@@ -269,8 +271,8 @@ def test_batch_cid_and_registry_leaf_match_reference(batch, warm_first):
     if warm_first:
         _warm(batch)
     expected = hashlib.sha256(ref_encode(batch)).digest()
-    assert batch_cid(batch).digest == expected
-    assert batch_cid(list(batch)).digest == expected  # any ordered container
+    assert batch_cid(batch) == expected
+    assert batch_cid(list(batch)) == expected  # any ordered container
 
     stored = {"registry/x": batch, "queue": [batch[0], {"m": batch[-1]}], "n": 7}
     carried, plain_tree = StateTree(), StateTree()
@@ -279,7 +281,7 @@ def test_batch_cid_and_registry_leaf_match_reference(batch, warm_first):
         plain_tree.set(key, ref_commit(value))
     assert carried.root() == plain_tree.root()
     _warm(batch)
-    assert batch_cid(batch).digest == expected
+    assert batch_cid(batch) == expected
     rewritten = StateTree()
     for key, value in stored.items():
         rewritten.set(key, value)
@@ -377,7 +379,7 @@ def test_signing_yields_digest_cid_and_intrinsic_gas_of_the_memo_free_reference(
     signed = SignedMessage.create(message, ALICE)
     assert message._msg_digest == hashlib.sha256(ref_encode(message)).digest()
     assert signed._cid is not None  # born with the signed message
-    assert signed.cid.digest == hashlib.sha256(ref_encode(signed)).digest() == cid_of(signed).digest
+    assert signed.cid == hashlib.sha256(ref_encode(signed)).digest() == cid_of(signed)
     assert signed.verify_signature()
 
     params = message.params
@@ -401,7 +403,7 @@ def test_replace_is_cold_and_copies_keep_the_cid():
     changed = dataclasses.replace(message, value=message.value + 1)
     assert changed._cid is None and changed._body is None
     assert changed.cid != cid
-    assert changed.cid.digest == hashlib.sha256(ref_encode(changed)).digest()
+    assert changed.cid == hashlib.sha256(ref_encode(changed)).digest()
     with pytest.raises(ValueError):
         dataclasses.replace(message, _cid=changed.cid)  # a memo is not an argument
 
@@ -507,7 +509,7 @@ def test_memos_never_materialise_an_instance_dict():
     )
     block = FullBlock(header, (signed,), (payload,))
 
-    assert message_digest(message) == message.cid.digest
+    assert message_digest(message) == message.cid
     assert signed.verify_signature() and signed.verify_signature()
     assert block.messages_root_matches() and block.messages_root_matches()
     for value in (message, signed, cross, payload, header, block):

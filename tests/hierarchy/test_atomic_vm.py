@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 from repro.crypto.cid import cid_of
-from repro.crypto.keys import Address, KeyPair
+from repro.crypto.keys import KeyPair
 from repro.hierarchy.gateway import SCA_ADDRESS, sca_key
 from repro.vm.exitcode import ExitCode
 from repro.vm.vm import SYSTEM_ADDRESS, VM

@@ -10,7 +10,7 @@ firewall bound on release.
 import pytest
 
 from repro.crypto.cid import cid_of
-from repro.crypto.keys import Address, KeyPair
+from repro.crypto.keys import Address
 from repro.hierarchy.checkpoint import Checkpoint, CrossMsgMeta, ZERO_CHECKPOINT
 from repro.hierarchy.crossmsg import CrossMsg
 from repro.hierarchy.gateway import SCA_ADDRESS, sca_key

@@ -93,6 +93,27 @@ def test_resolution_store_refuses_a_swapped_message_among_warm_siblings(system, 
     assert node.resolution.resolve_local(batch_cid(genuine)) == genuine
 
 
+def test_resolution_verifies_each_batch_object_once_per_simulator(system, users, monkeypatch):
+    """A pushed batch reaches every subscriber as one tuple: it is hashed
+    once, and any other object under its CID is hashed again."""
+    from repro.hierarchy import resolution
+
+    hashed = []
+    monkeypatch.setattr(resolution, "batch_cid", lambda m: hashed.append(m) or batch_cid(m))
+    nodes = system.nodes_by_subnet[ROOTNET]
+    batch = tuple(
+        CrossMsg(SUB, users["alice"].address, ROOT, users["bob"].address, 70 + n, origin_nonce=n)
+        for n in range(4)
+    )
+    cid = batch_cid(batch)
+    assert len(nodes) > 1 and all(node.resolution.store(cid, batch) for node in nodes)
+    assert len(hashed) == 1
+    assert nodes[0].resolution.store(cid, tuple(list(batch))) and len(hashed) == 2
+    forged = (batch[0], batch[2], batch[1], batch[3])
+    assert not nodes[1].resolution.store(cid, forged) and len(hashed) == 3
+    assert nodes[1].resolution.resolve_local(cid) is batch
+
+
 def test_apply_bottomup_refuses_a_swapped_message_among_warm_siblings(pair, users):  # noqa: F811
     parent, _child, sa_addr = pair
     genuine, tampered = _warm_batch(users)

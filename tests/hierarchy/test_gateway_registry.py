@@ -1,8 +1,5 @@
 """VM-level tests for SCA child registration, collateral and lifecycle."""
 
-import pytest
-
-from repro.crypto.keys import Address
 from repro.hierarchy.gateway import (
     SCA_ADDRESS,
     STATUS_ACTIVE,

@@ -1,7 +1,5 @@
 """VM-level tests for SA membership policies (§III-A)."""
 
-import pytest
-
 from repro.crypto.keys import Address, KeyPair
 from repro.vm.exitcode import ExitCode
 from repro.vm.vm import VM

@@ -15,7 +15,6 @@ ledger invariants after every step:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

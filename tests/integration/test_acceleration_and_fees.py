@@ -1,7 +1,5 @@
 """Integration: accelerated cross-msgs (§IV-A) and miner fee economics (§II)."""
 
-import pytest
-
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
 
 

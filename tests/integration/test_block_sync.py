@@ -9,7 +9,7 @@ repair alone leaves the restarted node orphaned forever.
 
 import pytest
 
-from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
+from repro.hierarchy import HierarchicalSystem, SubnetConfig, audit_system
 
 
 def _deep_outage(engine: str, seed: int = 42) -> None:

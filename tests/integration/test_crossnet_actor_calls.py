@@ -3,7 +3,6 @@ messages'), carrying the original sender's identity into the callee."""
 
 import pytest
 
-from repro.crypto.keys import Address
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SCA_ADDRESS, SubnetConfig
 from repro.hierarchy.gateway import sca_key
 

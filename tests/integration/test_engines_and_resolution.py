@@ -1,8 +1,6 @@
 """Integration: per-subnet consensus diversity, resolution pull path,
 checkpoint equivocation slashing, and threshold-signed checkpoints."""
 
-import pytest
-
 from repro.hierarchy import (
     ROOTNET,
     HierarchicalSystem,

@@ -1,7 +1,5 @@
 """Integration: the §II firewall property under an actual subnet compromise."""
 
-import pytest
-
 from repro.crypto.keys import KeyPair
 from repro.hierarchy import (
     ROOTNET,

@@ -1,7 +1,5 @@
 """Integration: subnet lifecycle — leave, inactive, kill, save, claim (§III-C)."""
 
-import pytest
-
 from repro.crypto.merkle import MerkleTree
 from repro.hierarchy import (
     ROOTNET,

@@ -1,7 +1,5 @@
 """Integration: subnet consensus power follows SA stakes (§III-A policies)."""
 
-import pytest
-
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
 from repro.hierarchy.subnet_actor import registered_validators
 

@@ -397,7 +397,7 @@ def oracle_root(tree):
     buckets = [{} for _ in range(tree._n_buckets)]
     for key, value in tree.flatten().items():
         buckets[bucket_of(key, tree._n_buckets)][key] = _commit_value(value)
-    return CID(sha256(b"".join(cid_of(bucket).digest for bucket in buckets)).digest())
+    return CID(sha256(b"".join(cid_of(bucket) for bucket in buckets)).digest())
 
 
 class _Account:

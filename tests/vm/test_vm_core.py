@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crypto.keys import Address, KeyPair
-from repro.vm import VM, Actor, ActorError, ExitCode, Message, export
+from repro.crypto.keys import KeyPair
+from repro.vm import VM, ActorError, ExitCode, Message
 from repro.vm.builtin import default_registry
 from repro.vm.vm import BURN_ADDRESS, SYSTEM_ADDRESS
 
