@@ -60,6 +60,21 @@ class BlockHeader:
         return self.height == 0 and self.parent == ZERO_CID
 
 
+def _derived():
+    """A field a block copies from its header once, at construction, so
+    that reading it (store lookups, fork choice, vote and commit checks)
+    is a slot read and not a chain of property calls.  Like a memo it is
+    no ``__init__`` argument and invisible to ``==``/``repr``, but it is
+    never cold: ``dataclasses.replace`` and copies carry it too."""
+    return field(init=False, repr=False, compare=False)
+
+
+def _read_header(block) -> None:
+    header = block.header
+    object.__setattr__(block, "cid", header.cid)
+    object.__setattr__(block, "height", header.height)
+
+
 @dataclass(frozen=True, slots=True)
 class HeaderOnly:
     """What a store keeps of the block it adopted a snapshot at: the header
@@ -71,14 +86,10 @@ class HeaderOnly:
     """
 
     header: BlockHeader
+    cid: CID = _derived()
+    height: int = _derived()
 
-    @property
-    def cid(self) -> CID:
-        return self.header.cid
-
-    @property
-    def height(self) -> int:
-        return self.header.height
+    __post_init__ = _read_header
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,14 +107,10 @@ class FullBlock:
     messages: tuple = field(default_factory=tuple)
     cross_messages: tuple = field(default_factory=tuple)
     _mr_ok: Optional[bool] = memo()  # messages_root_matches' (True only)
+    cid: CID = _derived()
+    height: int = _derived()
 
-    @property
-    def cid(self) -> CID:
-        return self.header.cid
-
-    @property
-    def height(self) -> int:
-        return self.header.height
+    __post_init__ = _read_header
 
     def to_canonical(self):
         return (

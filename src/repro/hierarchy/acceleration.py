@@ -178,8 +178,3 @@ class AccelerationService:
             for entry in self._pending.values()
             if entry["message"].to_addr == addr
         ]
-
-    def detach(self) -> None:
-        self.node.gossip.unsubscribe(
-            f"{self.node.node_id}/accel", acceleration_topic(self.node.subnet)
-        )

@@ -138,6 +138,3 @@ class ResolutionService:
         elif kind == "resolve":
             if self.store(msgs_cid, payload):
                 self.sim.metrics.counter("resolution.resolved").inc()
-
-    def detach(self) -> None:
-        self.gossip.unsubscribe(self.node_id, resolution_topic(self.subnet_id))

@@ -56,12 +56,12 @@ class _PeerState:
         self.peer_id = peer_id
         self.topics: dict[str, Callable[[PubsubEnvelope], None]] = {}
         self.mesh: dict[str, set[str]] = {}
-        # Per topic: (sorted mesh neighbours, (neighbour, its ``seen``) pairs),
-        # computed lazily on first forward and invalidated by _rebuild_mesh
-        # (the only place mesh sets change).
+        # Per topic: the transport row of each mesh neighbour, sorted by id,
+        # its ``seen`` as the row's record (Transport.row); built by
+        # _rebuild_mesh, the only place mesh sets change.
         self.mesh_links: dict[str, tuple] = {}
         # Per topic: the sorted peers a heartbeat samples its IHAVE targets
-        # from; dropped with mesh_links (members change only with a rebuild).
+        # from; dropped by every rebuild (members change only with one).
         self.ihave_candidates: dict[str, list] = {}
         # msg id -> topic: what dedups, and what an IWANT is answered from.
         self.seen: dict[str, str] = {}  # never rebound: neighbours hold it
@@ -105,6 +105,8 @@ class GossipNetwork:
         self._delivered = sim.metrics.counter("gossip.delivered")
         self._elided = sim.metrics.counter("gossip.duplicates_elided")
         self._heartbeat_no = 0
+        # How long a record made at or after publication surely lasts.
+        self._lifetime = (self.params.history_length - 1) * self.params.heartbeat_interval
         self._rpc: Optional[RpcChannel] = None
         self._stop_heartbeat = sim.every(
             self.params.heartbeat_interval, self._heartbeat, label="gossip:heartbeat"
@@ -167,11 +169,11 @@ class GossipNetwork:
         workloads, so the simplicity beats incremental GRAFT/PRUNE.
         """
         for peer in self._peers.values():
-            peer.mesh_links.pop(topic, None)
             peer.ihave_candidates.pop(topic, None)
         members = sorted(self._topic_members.get(topic, set()))
         for member in members:
             self._peers[member].mesh[topic] = set()
+            self._peers[member].mesh_links[topic] = ()
         if len(members) <= 1:
             return
         rng = self.sim.seeds.rng("gossip-mesh", topic, len(members))
@@ -182,6 +184,12 @@ class GossipNetwork:
             for neighbour in others[:degree]:
                 self._peers[member].mesh[topic].add(neighbour)
                 self._peers[neighbour].mesh[topic].add(member)
+        row = self.transport.row
+        for member in members:
+            state = self._peers[member]
+            state.mesh_links[topic] = tuple(
+                row(n, self._peers[n].seen) for n in sorted(state.mesh[topic])
+            )
 
     # ------------------------------------------------------------------
     # Publishing
@@ -213,7 +221,8 @@ class GossipNetwork:
                 fanout = members if len(members) <= self.params.degree else rng.sample(
                     members, self.params.degree
                 )
-                self.transport.fanout(peer_id, fanout, "gossip:pub", envelope)
+                row = self.transport.row
+                self.transport.fanout(peer_id, [row(m) for m in fanout], "gossip:pub", envelope)
         return msg_id
 
     def _accept(self, state: _PeerState, envelope: PubsubEnvelope) -> bool:
@@ -244,21 +253,13 @@ class GossipNetwork:
             runs.append([self._heartbeat_no, 1])
         self._delivered.inc()
         handler(envelope)
-        links = state.mesh_links.get(topic)
-        if links is None:
-            neighbours = tuple(sorted(state.mesh.get(topic, ())))
-            tables = tuple((n, self._peers[n].seen) for n in neighbours)
-            links = state.mesh_links[topic] = (neighbours, tables)
-        # A neighbour that has recorded this id will drop the copy on its
+        # A neighbour whose ``seen`` holds this id will drop the copy on its
         # first check, and a record made at or after publication outlives
         # history_length - 1 further heartbeats: until then the copy is a
         # proven no-op, which the transport accounts without scheduling.
-        settled = [n for n, seen in links[1] if msg_id in seen]
-        params = self.params
-        lifetime = (params.history_length - 1) * params.heartbeat_interval
         _sent, elided = self.transport.fanout(
-            state.peer_id, links[0], "gossip:pub", envelope,
-            settled, envelope.published_at + lifetime, msg_id,
+            state.peer_id, state.mesh_links[topic], "gossip:pub", envelope,
+            msg_id, envelope.published_at + self._lifetime,
         )
         if elided:
             self._elided.inc(elided)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, Iterable, Optional
+from typing import Any, Callable, Container, Iterable, Optional
 
 from repro.sim.scheduler import Simulator
 from repro.net.topology import Topology
@@ -32,6 +32,10 @@ class NetMessage:
         self.riders: Optional[list] = None
 
 
+#: The record of a row whose receiver keeps none: no key is ever on it.
+_NO_RECORD: frozenset = frozenset()
+
+
 def _link_name(endpoint: str) -> str:
     """Endpoint namespaces (rpc:<peer>) share the peer's physical link:
     partitions, loss and latency overrides keyed by the bare peer id must
@@ -53,10 +57,11 @@ class Transport:
         self.sim = sim
         self.topology = topology or Topology()
         self._handlers: dict[str, Callable[[NetMessage], Any]] = {}
-        self._link_of: dict[str, str] = {}  # registered endpoint -> link name
         # Registered endpoint -> key -> the earliest-landing copy of that key
         # still queued for it: the one later copies ride behind.
         self._queued: dict[str, dict[Any, NetMessage]] = {}
+        # Registered endpoint -> its plain row (see row()).
+        self._rows: dict[str, tuple] = {}
         self._next_msg_id = 0
         self._rng = sim.rng("net", "transport")
         # Hot-path metric handles, resolved once (send/deliver run for
@@ -91,11 +96,25 @@ class Transport:
         if peer_id in self._handlers:
             raise ValueError(f"peer {peer_id} already registered")
         self._handlers[peer_id] = handler
-        self._link_of[peer_id] = _link_name(peer_id)
-        self._queued[peer_id] = {}
+        queued = self._queued[peer_id] = {}
+        self._rows[peer_id] = (peer_id, _link_name(peer_id), _NO_RECORD, queued)
 
     def is_registered(self, peer_id: str) -> bool:
         return peer_id in self._handlers
+
+    def row(self, peer_id: str, record: Optional[Container] = None) -> tuple:
+        """The row :meth:`fanout` sends to registered *peer_id* over:
+        ``(peer_id, link name, record, queued)``, ``queued`` being this
+        transport's table of the keyed copies on their way to it.
+
+        *record* is the receiver's own table of the keys it holds on record
+        (a gossip peer's ``seen``), read when a copy is sent; without one
+        the row is the endpoint's plain row, whose record is empty.
+        """
+        plain = self._rows[peer_id]
+        if record is None:
+            return plain
+        return (peer_id, plain[1], record, plain[3])
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> bool:
         """Send a message; returns False if dropped (loss/partition/unknown).
@@ -103,38 +122,47 @@ class Transport:
         Delivery happens asynchronously through the simulator queue after a
         sampled latency.
         """
-        return self.fanout(src, (dst,), kind, payload)[0] == 1
+        row = self._rows.get(dst)
+        if row is None:
+            return False
+        return self.fanout(src, (row,), kind, payload)[0] == 1
 
     def fanout(
         self,
         src: str,
-        dsts: Iterable[str],
+        rows: Iterable[tuple],
         kind: str,
         payload: Any,
-        settled: Collection[str] = (),
-        settled_until: float = 0.0,
         key: Any = None,
+        until: float = 0.0,
     ) -> tuple[int, int]:
-        """Send *payload* to each of *dsts*, in order; returns ``(sent, elided)``.
+        """Send *payload* over each of *rows* (:meth:`row`), in order;
+        returns ``(sent, elided)``.
 
         Every link is modelled alike: partition check, loss draw (when the
         link's loss rate is above zero), latency draw (when the model has
         jitter), in that order on the one RNG stream, counted in
-        ``net.sent``.  A copy to a peer in *settled* that lands before
-        *settled_until* is one the caller has proved a no-op at its
-        receiver: it is counted among the *elided*, but never becomes a
-        message or an event.
+        ``net.sent``.  Then each copy is decided in the same pass.
 
-        *key* names what the copies are idempotent under: once a receiver's
-        handler has returned true for one copy, every other copy of the key
-        landing before *settled_until* is a no-op there.  Which of two
-        queued copies lands first is fixed when the second is sent, so a
-        keyed copy landing no earlier than one already queued for its
-        receiver is accounted the same way and *rides* on that copy until
-        :meth:`_deliver` learns whether the key was recorded.
+        *key* names what the copies are idempotent under, and *until* how
+        long a receiver's record of it is sure to last; a send without a
+        key leaves *until* at 0.  A copy landing before *until* is:
+
+        - *settled* if its row's record holds the key: the receiver will
+          drop it as a no-op, so it is counted among the *elided* but never
+          becomes a message or an event;
+        - a *rider* if it lands no earlier than a copy of the key already
+          queued for its receiver: which of the two lands first is fixed
+          when the second is sent, so it is accounted the same way and
+          rides on that copy until :meth:`_deliver` learns whether the key
+          was recorded;
+        - otherwise the first copy on its way (or one that overtakes it),
+          kept in its row's ``queued`` table for later copies to ride on.
+
+        Any other copy is a plain message and event.
         """
-        link_of = self._link_of
-        link_src = link_of.get(src) or _link_name(src)
+        plain = self._rows.get(src)
+        link_src = plain[1] if plain else _link_name(src)
         topology = self.topology
         model = self._model
         if model[0] != topology.version:
@@ -149,16 +177,11 @@ class Transport:
         # its past-time check (arrival >= now by construction).
         push = self.sim.queue.push  # lint: disable=SIM001
         deliver = self._deliver
-        queued = self._queued
-        riding_until = settled_until if key is not None else 0.0
         label = self._labels.get(kind) or self._labels.setdefault(kind, f"net:{kind}")
         first_id = self._next_msg_id
         sent = 0
         elided = 0  # copies that stay off the queue
-        for dst in dsts:
-            link_dst = link_of.get(dst)
-            if link_dst is None:
-                continue
+        for dst, link_dst, record, table in rows:
             if clean:
                 arrival = now + (low + span * draw() if jittered else low)
             else:
@@ -174,10 +197,9 @@ class Transport:
                     continue
                 # extra is 0.0 on an undegraded link, which adds exactly nothing.
                 arrival = now + ((low + span * draw() if jittered else low) + extra)
-            if dst in settled and arrival < settled_until:
+            if key in record and arrival < until:
                 elided += 1
-            elif arrival < riding_until:
-                table = queued[dst]
+            elif arrival < until:
                 ahead = table.get(key)
                 if ahead is not None and ahead.arrival <= arrival:
                     rider = (arrival, src, first_id + sent)

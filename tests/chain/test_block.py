@@ -1,5 +1,7 @@
 """Unit tests for blocks and validation rules."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from repro.crypto.cid import CID, cid_of
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleTree
-from repro.chain.block import BlockHeader, FullBlock, ZERO_CID
+from repro.chain.block import BlockHeader, FullBlock, HeaderOnly, ZERO_CID
 from repro.chain.validation import ValidationError, validate_block_shape
 from repro.hierarchy.crossmsg import ApplyTopDown, CrossMsg
 from repro.hierarchy.subnet_id import SubnetID
@@ -127,6 +129,23 @@ def test_replaced_block_starts_cold():
     assert swapped._mr_ok is None
     assert not swapped.messages_root_matches()
     assert replace(block)._mr_ok is None and replace(block).messages_root_matches()
+
+
+def test_a_block_carries_its_headers_cid_and_height_wherever_it_is_made():
+    header = make_header(height=3, parent=cid_of("p"))
+    block = FullBlock(header)
+    assert (block.cid, block.height) == (header.cid, 3)
+    assert block.cid is header._cid  # read once, through the header's memo
+    other = make_header(height=4, parent=block.cid)
+    moved = replace(block, header=other)
+    assert (moved.cid, moved.height) == (other.cid, 4)
+    adopted = HeaderOnly(other)
+    assert (adopted.cid, adopted.height) == (other.cid, 4)
+    for clone in (copy.copy(block), pickle.loads(pickle.dumps(block))):
+        assert clone == block and (clone.cid, clone.height) == (header.cid, 3)
+    with pytest.raises(ValueError):
+        replace(block, cid=other.cid)  # derived, not an argument
+    assert repr(block) == f"FullBlock(header={header!r}, messages=(), cross_messages=())"
 
 
 def test_validator_refuses_block_with_swapped_messages():

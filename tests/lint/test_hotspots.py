@@ -189,3 +189,33 @@ def test_the_bytes_cid_reproduces_from_two_committed_documents():
     assert total_new < 0.92 * total_old
     # The same run: every counter equal.
     assert old["counters"] == new["counters"]
+
+
+def test_the_one_pass_copy_loop_reproduces_from_two_committed_documents():
+    """``hotspots.py bft-votes --seconds 4`` (seed 1) on 7128332 and on the
+    change after it, where a mesh link became a row per neighbour that the
+    transport decides each copy over in one pass (settled, rider or
+    materialised), and a block began to carry its header's CID and height:
+    the same copies fanned out, no settled list built per forward, and no
+    call left behind a block's CID."""
+    paths = [os.path.join(PROFILES, f"bft-votes-{name}.json") for name in ("7128332", "onepass")]
+    assert all(os.path.getsize(path) <= 64 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = {row.function: row for row in hotspots.diff(old, new)}
+
+    def calls(name):
+        return rows[name].calls_old, rows[name].calls_new
+
+    assert calls("repro/net/gossip.py:GossipNetwork._accept.<locals>.<listcomp>") == (65_282, 0)
+    assert calls("repro/net/transport.py:Transport.fanout") == (67_786, 67_786)
+    assert calls("<method 'random' of '_random.Random' objects>") == (336_353, 336_353)
+    assert calls("repro/chain/block.py:FullBlock.cid") == (99_200, 0)
+    assert calls("repro/chain/block.py:FullBlock.height") == (117_165, 0)
+    # What still reads a header's CID directly is all that calls it.
+    assert calls("repro/chain/block.py:BlockHeader.cid") == (99_200, 960)
+    assert calls("repro/crypto/cid.py:cached_cid") == (125_084, 26_844)
+    total_old, total_new = (sum(row["calls"] for row in doc["profile"]["functions"].values())
+                            for doc in (old, new))
+    assert total_new < 0.9 * total_old
+    # The same run: every counter equal.
+    assert old["counters"] == new["counters"]

@@ -28,8 +28,8 @@ HEARTBEAT = 0.5
 class ScheduleEverything(Transport):
     """The oracle: no copy is ever settled, every send is an event."""
 
-    def fanout(self, src, dsts, kind, payload, settled=(), settled_until=0.0, key=None):
-        return super().fanout(src, dsts, kind, payload)
+    def fanout(self, src, rows, kind, payload, key=None, until=0.0):
+        return super().fanout(src, rows, kind, payload)
 
 
 class Run:

@@ -109,7 +109,8 @@ def play(config, script):
         routed.sim.run_until(routed.sim.now + dt)
         if op == "fanout":
             src, dsts = ENDPOINTS[args[0]], [ENDPOINTS[i] for i in args[1]]
-            transport.fanout(src, dsts, "t", None)
+            rows = [transport.row(d) for d in dsts if transport.is_registered(d)]
+            transport.fanout(src, rows, "t", None)
             reference.fanout(routed.sim.now, src, dsts, transport._handlers)
         elif op == "partition":
             handles.append(transport.partition(*({PEERS[i] for i in group} for group in args[0])))

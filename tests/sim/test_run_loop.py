@@ -134,7 +134,8 @@ def test_push_is_the_only_way_onto_the_heap(monkeypatch):
     sim.schedule_at(2.0, lambda: None)
     stop = sim.every(1.0, lambda: None)
     transport.send("a", "b", "ping", None)
-    assert transport.fanout("a", ("a", "b"), "ping", None, settled=("b",), settled_until=9.0) == (2, 1)
+    rows = (transport.row("a"), transport.row("b", record={"k"}))
+    assert transport.fanout("a", rows, "ping", None, key="k", until=9.0) == (2, 1)
     sim.run_until(3.5)
     queued = sim.events_executed + len(sim.queue)
     assert len(pushes) == queued == 8  # 2 one-shots, 4 timer arms, 2 materialised sends
