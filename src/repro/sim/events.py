@@ -10,7 +10,7 @@ of same-timestamp events is an equally valid discrete-event schedule, and
 protocol outcomes must not depend on which one the queue happens to pick.
 :meth:`EventQueue.set_tie_shuffle` deterministically permutes ties under a
 seed so that hidden tie-order dependence becomes detectable (see
-``Simulator(tie_shuffle=...)`` and ``repro.lint``).
+``Simulator(tie_shuffle=...)``; the static rules are ``tests/lint/rules.py``).
 """
 
 from __future__ import annotations

@@ -83,9 +83,9 @@ _GOSSIP_ORACLE = "tests/net/test_gossip_oracle.py"
 #: ``(reader, description)``: *reader* is the repo-relative file that reads
 #: the family, and it spells the family's name
 #: (``tests/lint/test_surface.py`` checks that).  A family nothing reads
-#: does not belong here, nor does its emit site.  ``repro.lint``'s MET001
-#: cross-checks this table against every emit site in the tree — both
-#: ways.  Interpolated values (subnet paths, levels) never contain dots.
+#: does not belong here, nor does its emit site.  MET001
+#: (``tests/lint/rules.py``, run by ``pytest tests/lint``) cross-checks
+#: this table against every emit site in the tree — both ways.  Interpolated values (subnet paths, levels) never contain dots.
 #: A histogram is a :class:`~repro.sim.metrics.Histogram`: exact up to
 #: ``BUFFER_SIZE`` (4 096) observations; past that, count, sum, min and
 #: max stay exact, and a quantile is exact over ints and within

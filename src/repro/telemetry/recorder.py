@@ -66,11 +66,6 @@ class FlightRecorder(Plane):
             self._remove_hook = self.sim.dispatch.on_post_dispatch(self._on_dispatch)
         return self
 
-    def uninstall(self) -> None:
-        if self._remove_hook is not None:
-            self._remove_hook()
-            self._remove_hook = None
-
     # ------------------------------------------------------------------
     # Feeds
     # ------------------------------------------------------------------

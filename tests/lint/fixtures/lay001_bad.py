@@ -1,9 +1,11 @@
 """LAY001 golden fixture: upward imports, at module scope and inside a
-function body (both fire).
+function body, first or later in an import's names (all fire).
 
 Checked under a fake path inside ``repro/sim/`` — the bottom layer
 importing the top one.
 """
+import repro.sim, repro.telemetry  # noqa: E401
+from repro import sim, telemetry
 from repro.telemetry import SpanTracer
 
 

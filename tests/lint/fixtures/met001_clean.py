@@ -17,5 +17,5 @@ class Engine:
 
     def apply(self, ok):
         self.sim.metrics.counter(
-            "crossmsg.*.topdown_ok" if ok else "crossmsg.*.topdown_failed", self.subnet
+            "consensus.*.committed" if ok else "crossmsg.*.bottomup_failed", self.subnet
         ).inc()

@@ -32,6 +32,8 @@ import textwrap
 
 import pytest
 
+from tests.lint.index import parse
+
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 #: Public names kept although only tests call them: qualified name -> why.
@@ -42,8 +44,6 @@ KEPT = {
         "the spend a §IV-D lock must refuse; the atomic VM tests check that it does",
     "repro.hierarchy.light_client.CheckpointLightClient.child_checkpoint_cids":
         "§II's children tree as a light client sees it at the top of the hierarchy",
-    "repro.lint.engine.LintEngine.check_source":
-        "the lint rule tests feed their in-memory fixtures through it",
 }
 
 #: Where users configure a run: classes (their ``__init__``, or their fields
@@ -107,17 +107,18 @@ TEST_READERS = {
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _python_files(root: str):
-    for directory, subdirs, files in os.walk(root):
-        subdirs[:] = sorted(d for d in subdirs if d not in ("tests", "__pycache__"))
-        for name in sorted(files):
-            if name.endswith(".py"):
-                yield os.path.join(directory, name)
+def _files(index: dict, folder: str) -> dict:
+    """The modules of *index* under *folder* that no ``tests`` folder below it holds."""
+    return {
+        path: module for path, module in index.items()
+        if path.startswith(f"{folder}/") and "tests" not in path.split("/")[1:-1]
+    }
 
 
-def _module_name(src: str, path: str) -> str:
-    relative = os.path.relpath(path, src)[: -len(".py")].replace(os.sep, ".")
-    return relative[: -len(".__init__")] if relative.endswith(".__init__") else relative
+def _module_name(path: str) -> str:
+    """``repro.net.gossip`` for ``src/repro/net/gossip.py``, ``repro.net`` for its ``__init__``."""
+    name = path[len("src/"): -len(".py")].replace("/", ".")
+    return name[: -len(".__init__")] if name.endswith(".__init__") else name
 
 
 def _is_public(name: str) -> bool:
@@ -188,28 +189,23 @@ class _References(ast.NodeVisitor):
             self._note(self.attributes, node.value)
 
 
-def _scan(path: str, module: str, reexports: bool = False) -> tuple:
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), filename=path)
+def _references(tree: ast.Module, module: str, reexports: bool = False) -> _References:
     references = _References(module, reexports)
     references.visit(tree)
-    return tree, references
+    return references
 
 
-def unreferenced(repo_root: str) -> list:
+def unreferenced(index: dict) -> list:
     """Qualified names of the public definitions under ``src/repro`` that
     nothing outside the tests refers to."""
-    src = os.path.join(repo_root, "src")
     definitions = []  # (qualified, name, is_method)
     scans = []
-    for path in _python_files(os.path.join(src, "repro")):
-        module = _module_name(src, path)
-        tree, references = _scan(path, module, path.endswith("__init__.py"))
-        definitions += _definitions(module, tree)
-        scans.append(references)
+    for path, source in _files(index, "src/repro").items():
+        module = _module_name(path)
+        definitions += _definitions(module, source.tree)
+        scans.append(_references(source.tree, module, path.endswith("__init__.py")))
     for folder in ("benchmarks", "examples"):
-        for path in _python_files(os.path.join(repo_root, folder)):
-            scans.append(_scan(path, folder)[1])
+        scans += [_references(source.tree, folder) for source in _files(index, folder).values()]
 
     def used(qualified: str, name: str, is_method: bool) -> bool:
         # A reference from inside the definition itself does not count.
@@ -225,22 +221,21 @@ def unreferenced(repo_root: str) -> list:
     return sorted(q for q, name, is_method in definitions if not used(q, name, is_method))
 
 
-def _resolve(src: str, qualified: str):
-    """The AST node *qualified* names under *src*: a module-level function
-    or class, or a method of a module-level class."""
+def _resolve(index: dict, qualified: str):
+    """The AST node *qualified* names under ``src/``: a module-level
+    function or class, or a method of a module-level class."""
     parts = qualified.split(".")
     for cut in range(len(parts) - 1, 0, -1):
-        base = os.path.join(src, *parts[:cut])
-        for path in (base + ".py", os.path.join(base, "__init__.py")):
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as handle:
-                    node = ast.parse(handle.read(), filename=path)
-                for name in parts[cut:]:
-                    node = next(
-                        item for item in node.body
-                        if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name == name
-                    )
-                return node
+        base = "src/" + "/".join(parts[:cut])
+        source = index.get(f"{base}.py") or index.get(f"{base}/__init__.py")
+        if source is not None:
+            node = source.tree
+            for name in parts[cut:]:
+                node = next(
+                    item for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name == name
+                )
+            return node
     raise LookupError(qualified)
 
 
@@ -277,7 +272,7 @@ def _call_name(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _passed(repo_root: str) -> dict:
+def _passed(index: dict) -> dict:
     """Call name -> every parameter name passed by keyword, and every
     position passed, at calls of that name outside the tests.  Calls of an
     import's ``as`` name count for the name it stands for, and calls of a
@@ -286,9 +281,7 @@ def _passed(repo_root: str) -> dict:
     calls = []  # (name, call)
     forwards: dict = {}  # function name -> the call names its **keywords reach
     for folder in ("src", "benchmarks", "examples"):
-        for path in _python_files(os.path.join(repo_root, folder)):
-            with open(path, encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=path)
+        for tree in (source.tree for source in _files(index, folder).values()):
             aliases = {
                 alias.asname: alias.name
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -321,39 +314,38 @@ def _passed(repo_root: str) -> dict:
             keywords, positions = passed.setdefault(target, (set(), set()))
             keywords.update(keyword.arg for keyword in call.keywords if keyword.arg)
             if target == name:
-                for index, arg in enumerate(call.args):
+                for position, arg in enumerate(call.args):
                     if isinstance(arg, ast.Starred):
                         break
-                    positions.add(index)
+                    positions.add(position)
     return passed
 
 
-def unset_settings(repo_root: str, entry_points=ENTRY_POINTS) -> list:
+def unset_settings(index: dict, entry_points=ENTRY_POINTS) -> list:
     """``qualified(name)`` of every defaulted setting of *entry_points* that
     no call outside the tests passes."""
-    src = os.path.join(repo_root, "src")
-    passed = _passed(repo_root)
+    passed = _passed(index)
     unset = []
     for qualified in entry_points:
-        positional, defaulted = _parameters(_resolve(src, qualified))
+        positional, defaulted = _parameters(_resolve(index, qualified))
         keywords, positions = passed.get(qualified.rsplit(".", 1)[-1], (set(), set()))
         for name in defaulted:
-            index = positional.index(name) if name in positional else None
-            if name not in keywords and index not in positions:
+            position = positional.index(name) if name in positional else None
+            if name not in keywords and position not in positions:
                 unset.append(f"{qualified}({name})")
     return unset
 
 
-def test_every_setting_has_a_caller():
-    missing = [name for name in unset_settings(REPO_ROOT) if name not in SET_ONLY_BY_TESTS]
+def test_every_setting_has_a_caller(index):
+    missing = [name for name in unset_settings(index) if name not in SET_ONLY_BY_TESTS]
     assert missing == [], (
         "make these module constants, or justify them in SET_ONLY_BY_TESTS:\n"
         + "\n".join(missing)
     )
 
 
-def test_every_setting_kept_for_tests_is_still_unset_and_says_why():
-    unset = set(unset_settings(REPO_ROOT))
+def test_every_setting_kept_for_tests_is_still_unset_and_says_why(index):
+    unset = set(unset_settings(index))
     for name, reason in SET_ONLY_BY_TESTS.items():
         assert name in unset, f"{name} has a caller now (or is gone): drop it from SET_ONLY_BY_TESTS"
         assert reason.strip(), f"{name} is kept without a reason"
@@ -398,36 +390,36 @@ def test_a_planted_setting_fails(tmp_path):
         )
     )
     entry_points = ("repro.mod.Engine", "repro.mod.Engine.tick", "repro.mod.Spec")
-    assert unset_settings(str(tmp_path), entry_points) == [
+    assert unset_settings(parse(tmp_path), entry_points) == [
         "repro.mod.Engine(planted)", "repro.mod.Engine.tick(planted)", "repro.mod.Spec(planted)",
     ]
 
 
-def test_every_public_name_has_a_caller():
-    missing = [name for name in unreferenced(REPO_ROOT) if name not in KEPT]
+def test_every_public_name_has_a_caller(index):
+    missing = [name for name in unreferenced(index) if name not in KEPT]
     assert missing == [], "delete these, or justify them in KEPT:\n" + "\n".join(missing)
 
 
-def test_every_kept_name_still_exists_and_says_why():
-    missing = set(unreferenced(REPO_ROOT))
+def test_every_kept_name_still_exists_and_says_why(index):
+    missing = set(unreferenced(index))
     for name, reason in KEPT.items():
         assert name in missing, f"{name} has a caller now (or is gone): drop it from KEPT"
         assert reason.strip(), f"{name} is kept without a reason"
 
 
-def untested(repo_root: str, kept=KEPT) -> list:
+def untested(index: dict, kept=KEPT) -> list:
     """Qualified names of *kept* whose name no file under ``tests/`` refers
     to, this one aside (it spells every entry)."""
     referenced = set()
-    for path in _python_files(os.path.join(repo_root, "tests")):
-        if os.path.abspath(path) != os.path.abspath(__file__):
-            references = _scan(path, "tests")[1]
+    for path, source in _files(index, "tests").items():
+        if path != "tests/lint/test_surface.py":
+            references = _references(source.tree, "tests")
             referenced.update(references.names, references.attributes)
     return sorted(q for q in kept if q.rsplit(".", 1)[-1] not in referenced)
 
 
-def test_every_kept_name_is_called_by_a_test():
-    assert untested(REPO_ROOT) == [], "no test calls these: drop them from KEPT and delete them"
+def test_every_kept_name_is_called_by_a_test(index):
+    assert untested(index) == [], "no test calls these: drop them from KEPT and delete them"
 
 
 def test_a_planted_stale_kept_name_fails(tmp_path):
@@ -436,7 +428,7 @@ def test_a_planted_stale_kept_name_fails(tmp_path):
         "from repro.mod import Actor\n\ndef test_it():\n    Actor().inspect()\n"
     )
     kept = {"repro.mod.Actor.inspect": "read by a test", "repro.mod.Actor.stale": "read by none"}
-    assert untested(str(tmp_path), kept) == ["repro.mod.Actor.stale"]
+    assert untested(parse(tmp_path), kept) == ["repro.mod.Actor.stale"]
 
 
 def test_a_planted_unused_function_fails(tmp_path):
@@ -463,7 +455,7 @@ def test_a_planted_unused_function_fails(tmp_path):
     )
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text("from repro import Actor\nActor().called()\n")
-    assert unreferenced(str(tmp_path)) == ["repro.mod.planted"]
+    assert unreferenced(parse(tmp_path)) == ["repro.mod.planted"]
 
 
 def spellings(family: str) -> tuple:

@@ -7,14 +7,13 @@ explicit re-exports.  Ruff's other selected rules are not checked here."""
 
 import ast
 import fnmatch
-import pathlib
 
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
     import tomli as tomllib
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
+from tests.lint.index import ROOT
 
 
 def _names(tree):
@@ -34,16 +33,14 @@ def _names(tree):
     return names
 
 
-def unused_imports(root=ROOT):
-    with open(root / "pyproject.toml", "rb") as handle:
+def unused_imports(index):
+    with open(ROOT / "pyproject.toml", "rb") as handle:
         ignores = tomllib.load(handle)["tool"]["ruff"]["lint"]["per-file-ignores"]
     skip = [pattern for pattern, rules in ignores.items() if "F401" in rules]
-    for path in sorted(p for top in ("src", "tests", "benchmarks") for p in (root / top).rglob("*.py")):
-        relative = path.relative_to(root).as_posix()
-        if any(fnmatch.fnmatch(relative, pattern) for pattern in skip):
+    for relative, (text, tree) in index.items():
+        if relative.startswith("examples/") or any(fnmatch.fnmatch(relative, p) for p in skip):
             continue
-        text = path.read_text(encoding="utf-8")
-        tree, lines = ast.parse(text), text.splitlines()
+        lines = text.splitlines()
         used = _names(tree)
         for stmt in tree.body:
             if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or "noqa" in lines[stmt.lineno - 1]:
@@ -54,5 +51,5 @@ def unused_imports(root=ROOT):
                     yield f"{relative}:{stmt.lineno}: {name}"
 
 
-def test_no_unused_top_level_import():
-    assert list(unused_imports()) == []
+def test_no_unused_top_level_import(index):
+    assert list(unused_imports(index)) == []
