@@ -28,6 +28,9 @@ from common import (
 
 BLOCK_TIME = 0.5
 MEASURE_SECONDS = 40.0
+#: Simulated seconds run after the workload stops, before the end-state
+#: digest (CI's sanitize job diffs it, and ``head``, across schedules).
+DRAIN_SECONDS = 10.0
 ENGINES = ("poa", "pos", "tendermint", "mir", "pow")
 
 
@@ -54,7 +57,8 @@ def _run_engine(engine: str, seed: int):
     )
     forks = sum(n.store.fork_count() for n in system.nodes(subnet))
     reorgs = system.sim.metrics.counters.get(f"chain.{subnet.path}.reorgs")
-    return {
+    head = node.head()
+    row = {
         "engine": engine,
         "blocks_per_s": blocks / duration,
         "interval_mean": interval_hist.mean() if interval_hist else math.nan,
@@ -63,8 +67,16 @@ def _run_engine(engine: str, seed: int):
         "throughput": workload.stats.committed / duration,
         "forks": forks,
         "reorgs": reorgs.value if reorgs else 0,
-        "instant_finality": node.engine.final_height() == node.head().height,
+        "instant_finality": node.engine.final_height() == head.height,
+        # Where the cut found the chain: a slot or round schedule fixes it
+        # whatever the tie order, and a clock outside the simulation moves it.
+        "head": f"{head.height}@{head.header.timestamp!r}",
     }
+    # The value-level end state is tie-order invariant only once quiescent:
+    # at the cut, which in-flight payments made it depends on the schedule.
+    system.run_for(DRAIN_SECONDS)
+    row["state_digest"] = system.end_state_digest()
+    return row
 
 
 @pytest.mark.benchmark(group="e7")

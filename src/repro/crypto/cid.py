@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.crypto.encoding import canonical_encode, object_prefix
+from repro.crypto.encoding import canonical_encode
 
 _PREFIX = "bafy"  # cosmetic, to make CIDs recognisable in traces
 
@@ -78,24 +78,6 @@ def cached_cid(value: Any) -> CID:
     cid = cid_of(value)
     if kept is None:  # declared and still cold
         object.__setattr__(value, "_cid", cid)
-    return cid
-
-
-def join_cid(value: Any, parts) -> CID:
-    """Keep and return *value*'s CID, hashed from *parts*: the encodings of
-    the elements of its ``to_canonical()`` tuple, in order.
-
-    An object encodes as its name prefix and that tuple, so this hashes the
-    bytes ``cid_of`` would, joined from encodings a caller already made.
-    The value's class must declare ``_cid = memo()`` and be immutable, as
-    for :func:`cached_cid`.
-    """
-    digest = hashlib.sha256(object_prefix(type(value)))
-    digest.update(b"l%d:" % len(parts))
-    for part in parts:
-        digest.update(part)
-    cid = CID(digest.digest())
-    object.__setattr__(value, "_cid", cid)
     return cid
 
 

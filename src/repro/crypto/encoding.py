@@ -21,8 +21,8 @@ The encoding is prefix-free TLV, so a parent's bytes are the concatenation
 of its children's.  A parent's ``to_canonical`` embeds each child through
 :func:`canonical_body`; a child class that declares ``_body = memo()``
 then carries its bytes and is encoded once per lifetime.  A signed
-message's CID is joined from the bytes its message was signed over
-(``crypto.signature.seal``), which are then dropped.
+message's bytes are formatted to this layout in one step, never passed
+through here but for its params (``crypto.signature.seal``).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A :class:`KeyPair`'s secret is derived deterministically from a seed path so
 that simulations are reproducible, but the secret never reaches protocol
-code: it handles only :class:`Address` and public key bytes.  Besides the
-object, the secret is held only by this module's key table, which
+code: it handles only :class:`Address` and public key bytes.  Besides
+itself, a key pair is held only by this module's key table, which
 :func:`repro.crypto.signature.verify` consults in place of public-key math.
 """
 
@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Optional
 
-# Public key -> secret of every KeyPair built in this process: the
-# simulation's stand-in for the public-key math that lets anyone check a
-# tag against a public key.  One entry per key, so it is bounded by the
-# deployment, not by its traffic.
-_SECRETS: dict[bytes, bytes] = {}
+# Public key -> every KeyPair built in this process: the simulation's
+# stand-in for the public-key math that lets anyone check a tag against a
+# public key (and the address derived from it).  One entry per key, so it
+# is bounded by the deployment, not by its traffic.
+_KEYS: dict[bytes, "KeyPair"] = {}
 
 
 class Address:
@@ -84,7 +84,7 @@ class KeyPair:
         self.public = hashlib.sha256(b"pub:" + self._secret).digest()
         self.address = Address.from_pubkey(self.public)
         self.name = name or self.address.raw
-        _SECRETS[self.public] = self._secret
+        _KEYS[self.public] = self
 
     def secret_for_signing(self) -> bytes:
         """Return the private bytes.  Only :mod:`repro.crypto.signature` and
@@ -95,8 +95,8 @@ class KeyPair:
         return f"KeyPair({self.name}, addr={self.address})"
 
 
-def secret_for_public(public: bytes) -> Optional[bytes]:
-    """The secret behind *public*, or None for a key no KeyPair holds.
+def key_for_public(public: bytes) -> Optional[KeyPair]:
+    """The key pair behind *public*, or None for a key no KeyPair holds.
     Only :func:`repro.crypto.signature.verify` calls this (the full-tree
     lint test holds every other module to that)."""
-    return _SECRETS.get(public)
+    return _KEYS.get(public)

@@ -3,14 +3,16 @@
 A signature tag is ``sha256("sig:" || pub || secret || message_digest)``.
 Producing a tag requires the :class:`~repro.crypto.keys.KeyPair` object,
 while verification must work with public data only — as with real
-asymmetric signatures.  Public verifiability is emulated by a *key oracle*:
-:mod:`repro.crypto.keys` keeps one public -> secret entry per key pair, and
-:func:`verify` recomputes the tag from the signature's own public key and
-the message, the way :meth:`ThresholdScheme.verify` checks a group tag
-against the group secret.  A tag therefore verifies only for the key that
-produced it and the message it was produced over: a fabricated tag fails,
-and so does a genuine one relabelled with another signer's address and
-public key.  Nothing is kept per signature.
+asymmetric signatures.  Public verifiability is emulated by a *key table*:
+:mod:`repro.crypto.keys` keeps one public key -> key pair entry per key
+pair, and :func:`verify` looks the signature's public key up there once,
+for the address derived from it at key creation (the signer it must name)
+and the secret to recompute the tag over the message with, the way
+:meth:`ThresholdScheme.verify` checks a group tag against the group
+secret.  A tag therefore verifies only for the key that produced it and
+the message it was produced over: a fabricated tag fails, and so does a
+genuine one relabelled with another signer's address and public key.
+Nothing is kept per signature.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.crypto.cid import join_cid
+from repro.crypto.cid import CID
 from repro.crypto.encoding import canonical_encode, encode_into, object_prefix
-from repro.crypto.keys import Address, KeyPair, secret_for_public
+from repro.crypto.keys import Address, KeyPair, key_for_public
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,25 +58,53 @@ def message_digest(message: Any) -> bytes:
 
 
 def seal(envelope: type, message: Any, keypair: KeyPair) -> Any:
-    """``envelope(message, sign(keypair, message))`` from one encode of the
-    message (a ``vm.message.Message``).
+    """``envelope(message, sign(keypair, message))``, for a
+    ``vm.message.Message``, with its memos written from one format.
 
-    The bytes hashed into the digest that gets signed are the message's
-    name prefix and its tuple, and they yield two more memos before they
-    are dropped: the envelope's CID, a join of that tuple and the
-    signature's (:func:`~repro.crypto.cid.join_cid`), and the message's
-    ``_params_size``, its params' share of the tuple
-    (``Message.params_size``), which the VM's intrinsic charge measures.
+    The message's tuple is formatted as the encoder would write it (every
+    field's type is fixed by ``Message.__post_init__``; only the params go
+    through :func:`~repro.crypto.encoding.encode_into`).  Its name prefix
+    and that tuple are the digest that gets signed; the tuple and the
+    signature's give the envelope's CID (an envelope encodes as its name
+    and the pair of them); and the params' own share of it is the
+    message's ``_params_size``, which the VM's intrinsic charge measures —
+    None for an object param, whose share lacks the object's name.
     """
-    body = canonical_encode(message)
-    start = len(object_prefix(type(message)))
-    object.__setattr__(message, "_msg_digest", hashlib.sha256(body).digest())
-    object.__setattr__(message, "_params_size", message.params_size(body, start))
+    params = message.params
+    if params is None:
+        params_bytes, params_size = b"N", 1
+    else:
+        out = bytearray()
+        if hasattr(params, "to_canonical"):
+            encode_into(out, params.to_canonical())
+            params_size = None
+        else:
+            encode_into(out, params)
+            params_size = len(out)
+        params_bytes = out
+    sender = message.from_addr.raw.encode()
+    to = message.to_addr.raw.encode()
+    method = message.method.encode()
+    value = b"%d" % message.value
+    nonce = b"%d" % message.nonce
+    gas_limit = b"%d" % message.gas_limit
+    body = b"l7:s%d:%bs%d:%bi%d:%bs%d:%b%bi%d:%bi%d:%b" % (
+        len(sender), sender, len(to), to, len(value), value, len(method), method,
+        params_bytes, len(nonce), nonce, len(gas_limit), gas_limit,
+    )
+    object.__setattr__(
+        message, "_msg_digest", hashlib.sha256(object_prefix(type(message)) + body).digest()
+    )
+    object.__setattr__(message, "_params_size", params_size)
     signature = sign(keypair, message)
     sealed = envelope(message, signature)
-    signature_bytes = bytearray()
-    encode_into(signature_bytes, signature.to_canonical())
-    join_cid(sealed, (memoryview(body)[start:], signature_bytes))
+    signer = signature.signer.raw.encode()
+    public, tag = signature.public, signature.tag
+    signed = b"l3:s%d:%bb%d:%bb%d:%b" % (
+        len(signer), signer, len(public), public, len(tag), tag,
+    )
+    cid = CID(hashlib.sha256(object_prefix(envelope) + b"l2:" + body + signed).digest())
+    object.__setattr__(sealed, "_cid", cid)
     return sealed
 
 
@@ -91,19 +121,18 @@ def sign(keypair: KeyPair, message: Any) -> Signature:
 def verify(signature: Signature, message: Any, keypair: Optional[KeyPair] = None) -> bool:
     """Verify *signature* over *message* using public data.
 
-    The signer address must match the embedded public key, and the tag must
-    be the one that key produces for this exact message.  When *keypair* is
-    supplied (a node re-checking its own output), it must also be the key
-    that signed.
+    The signer address must be the one derived from the embedded public
+    key, and the tag must be the one that key produces for this exact
+    message.  When *keypair* is supplied (a node re-checking its own
+    output), it must also be the key that signed.
     """
     public = signature.public
-    if Address.from_pubkey(public) != signature.signer:
+    holder = key_for_public(public)
+    if holder is None or holder.address != signature.signer:
         return False
-    digest = message_digest(message)
     if keypair is not None and keypair.public != public:
         return False
-    secret = secret_for_public(public)
-    return secret is not None and _tag(public, secret, digest) == signature.tag
+    return _tag(public, holder.secret_for_signing(), message_digest(message)) == signature.tag
 
 
 def valid_signers(

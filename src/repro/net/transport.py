@@ -65,7 +65,8 @@ class Transport:
         self._next_msg_id = 0
         self._rng = sim.rng("net", "transport")
         # Hot-path metric handles, resolved once (send/deliver run for
-        # every simulated packet).
+        # every simulated packet); those paths add to a handle's value
+        # directly, sparing an interpreted ``Counter.inc`` call per copy.
         self._sent = sim.metrics.counter("net.sent")
         self._delivered = sim.metrics.counter("net.delivered")
         self._partitioned_drops = sim.metrics.counter("net.partitioned_drops")
@@ -191,10 +192,10 @@ class Transport:
                     route = routes[link_dst] = topology.route(link_src, link_dst)
                 blocked, loss, extra = route
                 if blocked:
-                    self._partitioned_drops.inc()
+                    self._partitioned_drops.value += 1
                     continue
                 if loss > 0 and draw() < loss:
-                    self._lost.inc()
+                    self._lost.value += 1
                     continue
                 # extra is 0.0 on an undegraded link, which adds exactly nothing.
                 arrival = now + ((low + span * draw() if jittered else low) + extra)
@@ -218,7 +219,7 @@ class Transport:
                 push(arrival, deliver, (message,), None, label)
             sent += 1
         self._next_msg_id = first_id + sent
-        self._sent.inc(sent)
+        self._sent.value += sent
         return sent, elided
 
     def _deliver(self, message: NetMessage) -> None:
@@ -228,7 +229,7 @@ class Transport:
             table = self._queued[dst]
             if table.get(key) is message:
                 del table[key]
-        self._delivered.inc()
+        self._delivered.value += 1
         recorded = self._handlers[dst](message)
         if message.riders and not recorded:
             # Dropped unrecorded, so its riders are not proven no-ops: each

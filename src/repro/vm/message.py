@@ -36,10 +36,13 @@ class Message:
 
     def __post_init__(self):
         # A bool is an int that compares and hashes like one but encodes
-        # apart: it would give an equal message another CID.
+        # apart: it would give an equal message another CID.  And seal
+        # formats each of these fields as the encoder writes its exact type.
         if (type(self.value) is not int or type(self.nonce) is not int
                 or type(self.gas_limit) is not int):
             raise TypeError("message value, nonce and gas limit must be ints")
+        if type(self.method) is not str:
+            raise TypeError("message method must be a str")
         if self.value < 0:
             raise ValueError("message value cannot be negative")
         if self.nonce < 0:
@@ -60,32 +63,6 @@ class Message:
             self.nonce,
             self.gas_limit,
         )
-
-    def params_size(self, encoded: bytes, start: int) -> Optional[int]:
-        """The bytes the params take of *encoded*, this message's encoding
-        whose tuple starts at *start*: the element after four scalars
-        (from, to, value, method), each a tag, its length and ``:``, and
-        before two ints (nonce, gas limit), each ``i<n>:`` and digits.
-
-        None where that slice is not the params' own encoding (an object
-        encodes with its name, its tuple without) or another field's type
-        would not parse that way.
-        """
-        params = self.params
-        if params is None:  # a payment's: ``N``
-            return 1
-        if hasattr(params, "to_canonical") or (
-            type(self.value), type(self.method), type(self.nonce), type(self.gas_limit)
-        ) != (int, str, int, int):
-            return None
-        pos = encoded.index(b":", start) + 1
-        for _field in range(4):
-            colon = encoded.index(b":", pos)
-            pos = colon + 1 + int(encoded[pos + 1:colon])
-        end = len(encoded)
-        for _field in range(2):  # digits hold neither ``:`` nor ``i``
-            end = encoded.rindex(b"i", 0, encoded.rindex(b":", 0, end))
-        return end - pos
 
     @property
     def cid(self) -> CID:

@@ -13,6 +13,7 @@ import gc
 import hashlib
 import pickle
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -344,8 +345,9 @@ def test_pinned_cids_of_fixed_values():
 
 
 # ----------------------------------------------------------------------
-# (iii) Signing encodes the message once: the digest, the signed message's
-# CID and the params' size all come from that one encode
+# (iii) Signing writes the message's bytes once, outside the encoder but
+# for its params: the digest, the signed message's CID and the params'
+# size all come from them
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class _Order:
@@ -390,6 +392,75 @@ def test_signing_yields_digest_cid_and_intrinsic_gas_of_the_memo_free_reference(
         assert message._params_size is None
     else:
         assert message._params_size == len(ref_encode(params))
+
+
+class _Tagged(bytes):
+    """A bytes subclass from outside the encoder, shaped like encoded data."""
+
+
+DIRECTED = {
+    "non-ascii method": Message(ALICE.address, BOB.address, 1, method="ünï:i日本"),
+    "ints up to 10**30": Message(
+        ALICE.address, BOB.address, 10**30, nonce=10**30 - 1, gas_limit=10**30
+    ),
+    "object param": Message(ALICE.address, BOB.address, 0, method="call", params=_Order((1, "x"))),
+    "bytes-subclass param": Message(ALICE.address, BOB.address, 2, params=_Tagged(b"l0:")),
+    "payment": Message(ALICE.address, BOB.address, 3, nonce=4),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECTED))
+def test_sealed_bytes_equal_the_memo_free_reference(name):
+    message = dataclasses.replace(DIRECTED[name])  # cold
+    signed = SignedMessage.create(message, ALICE)
+    assert message._msg_digest == hashlib.sha256(ref_encode(message)).digest()
+    assert signed._cid == hashlib.sha256(ref_encode(signed)).digest()
+    assert signed.signature == sign(ALICE, dataclasses.replace(message))
+    params = message.params
+    if hasattr(params, "to_canonical"):
+        assert message._params_size is None
+    else:
+        assert message._params_size == len(ref_encode(params))
+
+
+def _encoder_entries(action):
+    """``(function, value)`` of each call that enters ``crypto/encoding.py``
+    or ``crypto/cid.py`` from outside them while *action* runs, but for a
+    type's name prefix and a CID's construction."""
+    import repro.crypto.cid as cid_module
+    import repro.crypto.encoding as encoding_module
+
+    watched = {encoding_module.__file__, cid_module.__file__}
+    entries, depth = [], [0]
+
+    def profile(frame, event, _arg):
+        if frame.f_code.co_filename not in watched:
+            return
+        if event == "call":
+            if depth[0] == 0:
+                entries.append((frame.f_code.co_name, frame.f_locals.get("value")))
+            depth[0] += 1
+        elif event == "return":
+            depth[0] -= 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return [entry for entry in entries if entry[0] not in ("object_prefix", "__new__")]
+
+
+def test_sealing_encodes_only_the_params():
+    payment = Message(ALICE.address, BOB.address, 5, nonce=1)
+    assert _encoder_entries(lambda: SignedMessage.create(payment, ALICE)) == []
+    for params, encoded in (
+        ({"n": 1, "to": BOB.address}, {"n": 1, "to": BOB.address}),
+        (_Order((1, "x")), ("order", (1, "x"))),
+    ):
+        message = Message(ALICE.address, BOB.address, 5, method="call", params=params)
+        entries = _encoder_entries(lambda: SignedMessage.create(message, ALICE))
+        assert entries == [("encode_into", encoded)]
 
 
 # ----------------------------------------------------------------------
@@ -469,10 +540,6 @@ def test_memos_are_invisible_to_eq_hash_and_repr():
 # ----------------------------------------------------------------------
 # (vi) Only the encoder's own fragments are appended verbatim
 # ----------------------------------------------------------------------
-class _Tagged(bytes):
-    """A bytes subclass from outside the encoder, shaped like encoded data."""
-
-
 def test_bytes_subclass_in_params_keeps_its_header():
     payload = b"l0:"
     for carrier in (

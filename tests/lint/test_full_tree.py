@@ -67,9 +67,9 @@ def test_only_the_signature_policy_branches_on_its_kind(index):
 
 
 def test_only_verify_reads_the_key_table(index):
-    # crypto.keys defines the public -> secret oracle; anything else reading
-    # it could forge a tag for any key.
-    found = _spellings(index, r"\bsecret_for_public\b|\b_SECRETS\b", home="crypto/signature.py")
+    # crypto.keys defines the public key -> key pair table; anything else
+    # reading it could forge a tag for any key.
+    found = _spellings(index, r"\bkey_for_public\b|\b_KEYS\b", home="crypto/signature.py")
     assert [line for line in found if not line.startswith("crypto/keys.py:")] == []
 
 

@@ -219,3 +219,37 @@ def test_the_one_pass_copy_loop_reproduces_from_two_committed_documents():
     assert total_new < 0.9 * total_old
     # The same run: every counter equal.
     assert old["counters"] == new["counters"]
+
+
+def test_the_one_format_seal_reproduces_from_two_committed_documents():
+    """``hotspots.py pay-k8 --seconds 4`` (seed 1) on 28467f4 and on the
+    change after it, where ``seal`` began formatting a message's and its
+    signature's tuples itself, calling the encoder for params alone, and
+    ``verify`` began reading the signer's address from the key table: the
+    same signing and verifying, and no encode, join or address derivation
+    left behind them."""
+    paths = [os.path.join(PROFILES, f"pay-k8-{name}.json") for name in ("28467f4", "oneformat")]
+    assert all(os.path.getsize(path) <= 64 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = {row.function: row for row in hotspots.diff(old, new)}
+
+    def calls(name):
+        return rows[name].calls_old, rows[name].calls_new
+
+    assert calls("repro/crypto/signature.py:seal") == (24_266, 24_266)
+    assert calls("repro/crypto/signature.py:sign") == (24_464, 24_464)
+    assert calls("repro/crypto/signature.py:verify") == (24_467, 24_467)
+    # Each seal encoded its message once; what still encodes is not a seal
+    # (a payment has no params).
+    assert calls("repro/crypto/encoding.py:canonical_encode") == (26_252, 1_986)
+    assert calls("repro/crypto/cid.py:cid_of") == (1_587, 1_587)
+    # verify derived the signer's address per call; the key table holds it.
+    assert calls("repro/crypto/keys.py:Address.from_pubkey") == (24_467, 0)
+    assert calls("repro/crypto/keys.py:key_for_public") == (0, 24_467)
+    for gone in ("repro/crypto/cid.py:join_cid", "repro/vm/message.py:Message.params_size"):
+        assert calls(gone) == (24_266, 0)
+        assert gone not in new["profile"]["functions"]
+    # The per-copy network counts add to their handles directly.
+    assert calls("repro/sim/metrics.py:Counter.inc") == (297_463, 27_554)
+    # The same run: every counter equal.
+    assert old["counters"] == new["counters"]

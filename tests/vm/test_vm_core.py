@@ -106,6 +106,19 @@ def test_message_refuses_what_only_compares_like_an_int(field, bad):
     Message(from_addr=alice, to_addr=bob, **{**fields, field: 1})
 
 
+class _Method(str):
+    """A str subclass: it would encode like its text, yet seal formats only
+    the exact type the encoder's own fast path writes."""
+
+
+@pytest.mark.parametrize("bad", [None, b"send", 1, _Method("send")])
+def test_message_refuses_a_method_that_is_not_a_str(bad):
+    alice, bob = KeyPair("a").address, KeyPair("b").address
+    with pytest.raises(TypeError):
+        Message(from_addr=alice, to_addr=bob, value=1, method=bad)
+    Message(from_addr=alice, to_addr=bob, value=1, method="send")
+
+
 def test_signed_message_roundtrip():
     from repro.vm.message import SignedMessage
 
