@@ -17,6 +17,7 @@ period, so acceleration's advantage widens with slower checkpointing.
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
+from repro.sim.tracing import TraceLog
 
 from common import RUN, run_once, show_table, write_bench_json
 
@@ -30,7 +31,11 @@ def _run_period(period: int, seed: int):
         seed=seed, root_validators=3, root_block_time=0.5,
         checkpoint_period=period, accelerate_root=True,
         wallet_funds={"payer": 10**9},
-    ).start()
+    )
+    # The bench document's `trace` section: CI holds its digest across
+    # hash seeds.
+    system.sim.attach(TraceLog(system.sim))
+    system.start()
     RUN.capture(system.sim, system)
     subnet = system.spawn_subnet(
         SubnetConfig(name="acc", validators=3, block_time=BLOCK_TIME,

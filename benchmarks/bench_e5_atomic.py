@@ -17,6 +17,7 @@ import pytest
 
 from repro.hierarchy import SCA_ADDRESS, HierarchicalSystem, SubnetConfig
 from repro.hierarchy.atomic import AtomicExecutionClient, AtomicParty, asset_lock, asset_owner
+from repro.sim.tracing import TraceLog
 
 from common import RUN, run_once, show_table, write_bench_json
 
@@ -29,7 +30,11 @@ def _system_with_parties(seed: int, n_parties: int):
         seed=seed, root_validators=3, root_block_time=0.5,
         checkpoint_period=PERIOD,
         wallet_funds={f"party{i}": 10**9 for i in range(n_parties)},
-    ).start()
+    )
+    # The bench document's `trace` section: CI holds its digest across
+    # hash seeds.
+    system.sim.attach(TraceLog(system.sim))
+    system.start()
     RUN.capture(system.sim, system)
     subnets = system.spawn_subnets(
         SubnetConfig(name=f"p{i}", validators=3, block_time=BLOCK_TIME,

@@ -157,14 +157,6 @@ class ShardedBaseline:
     def node(self, shard: int) -> NodeRuntime:
         return self.shard_clusters[shard].primary
 
-    def committed_tx_count(self) -> int:
-        return sum(cluster.committed_tx_count() for cluster in self.shard_clusters)
-
-    def throughput(self) -> float:
-        if self.sim.now == 0:
-            return 0.0
-        return self.committed_tx_count() / self.sim.now
-
 
 def shard_compromise_probability(
     pool_size: int,

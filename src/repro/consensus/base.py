@@ -18,9 +18,6 @@ class Validator:
     address: Address
     power: int = 1
 
-    def to_canonical(self):
-        return (self.node_id, self.address.raw, self.power)
-
 
 class ValidatorSet:
     """An ordered set of validators with power-weighted helpers."""
@@ -125,6 +122,7 @@ class ConsensusEngine:
     # -- network --------------------------------------------------------
     def handle(self, kind: str, payload: Any, sender: str) -> None:
         """Process a consensus message published by *sender*."""
+        raise NotImplementedError
 
     def eligible(self, block: FullBlock) -> bool:
         """May *block*'s miner have produced it?  The one rule a block from

@@ -41,10 +41,6 @@ class Vote:
     block_cid: Optional[CID]
     voter: str
 
-    def to_canonical(self):
-        cid = self.block_cid.to_canonical() if self.block_cid else None
-        return (self.height, self.round, self.vote_type, cid, self.voter)
-
 
 @register_engine
 class TendermintEngine(ConsensusEngine):

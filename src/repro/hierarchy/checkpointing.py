@@ -34,7 +34,7 @@ from repro.hierarchy.checkpoint import Checkpoint, SignedCheckpoint
 from repro.hierarchy.gateway import sca_key
 from repro.hierarchy.subnet_actor import SignaturePolicy, last_committed_window
 from repro.hierarchy.wallet import Wallet
-from repro.sim.observe import CheckpointSubmitted
+from repro.sim.observe import CheckpointSubmitted, Noted
 
 
 #: Seconds before backups also submit a window the parent still lacks.
@@ -253,10 +253,6 @@ class CheckpointService:
         )
         book.submitted = True
         self.sim.metrics.counter("checkpoint.*.submitted", self.node.subnet_id).inc()
-        self.sim.trace.emit(
-            "checkpoint.submit", str(self.node.subnet_id),
-            f"window={window}", checkpoint.cid.short(),
-        )
         self.sim.observe(
             CheckpointSubmitted, checkpoint.cid.hex(), str(self.node.subnet_id), window
         )
@@ -313,4 +309,6 @@ class CheckpointService:
             params={"first": proofs[0], "second": proofs[1]},
         )
         self.sim.metrics.counter("checkpoint.*.fraud_proofs", self.node.subnet_id).inc()
-        self.sim.trace.emit("checkpoint.fraud_proof", str(self.node.subnet_id), f"window={window}")
+        self.sim.observe(
+            Noted, "checkpoint.fraud_proof", str(self.node.subnet_id), (f"window={window}",)
+        )

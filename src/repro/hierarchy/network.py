@@ -50,7 +50,7 @@ from repro.hierarchy.subnet_actor import (
 from repro.hierarchy.subnet_id import ROOTNET, SubnetID
 from repro.hierarchy.wallet import Wallet
 from repro.runtime import NetworkStack
-from repro.sim.observe import CrossMsgSubmitted, WaitTimedOut
+from repro.sim.observe import CrossMsgSubmitted, Noted, WaitTimedOut
 from repro.vm.builtin.init_actor import INIT_ACTOR_ADDRESS, derive_actor_address
 
 TREASURY_FUNDS = 10**15
@@ -503,8 +503,8 @@ class HierarchicalSystem:
             ]
             for node in self._instantiate(subnet, config, keys, powers, sa_addr=sa_addrs[subnet]):
                 node.start()
-            self.sim.trace.emit("subnet.spawned", subnet.path, f"n={config.validators}",
-                                config.engine)
+            self.sim.observe(Noted, "subnet.spawned", subnet.path,
+                             (f"n={config.validators}", config.engine))
 
     def _await_all(self, label: str, subnets: list, done, timeout: float) -> None:
         """One wait until ``done(subnet)`` holds for every subnet; on timeout

@@ -28,6 +28,7 @@ from repro.hierarchy.resolution import ResolutionService
 from repro.hierarchy.subnet_actor import last_committed_checkpoint
 from repro.hierarchy.subnet_id import SubnetID
 from repro.runtime.node import NodeRuntime
+from repro.sim.observe import Noted
 from repro.vm.vm import SYSTEM_ADDRESS, VM
 
 
@@ -180,7 +181,9 @@ class SubnetNode(NodeRuntime):
         else:
             raise ValidationError(f"unknown cross-msg payload {type(cross).__name__}")
         if not receipt.ok:
-            self.sim.trace.emit("crossmsg.apply_failed", self.subnet_id, direction, receipt.error)
+            self.sim.observe(
+                Noted, "crossmsg.apply_failed", self.subnet_id, (direction, receipt.error)
+            )
         return receipt
 
     # ------------------------------------------------------------------
@@ -206,9 +209,9 @@ class SubnetNode(NodeRuntime):
             )
             events.extend(receipt.events)
             if not receipt.ok:
-                self.sim.trace.emit(
-                    "checkpoint.seal_failed", self.subnet_id,
-                    f"window={window}", receipt.error,
+                self.sim.observe(
+                    Noted, "checkpoint.seal_failed", self.subnet_id,
+                    (f"window={window}", receipt.error),
                 )
         events.extend(
             super()._execute_payload(vm, messages, cross_messages, miner, height, parent_cid)

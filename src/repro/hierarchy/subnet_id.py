@@ -160,9 +160,6 @@ class SubnetID:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def to_canonical(self):
-        return self.path
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubnetID) and other.segments == self.segments
 

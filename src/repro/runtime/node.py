@@ -24,7 +24,7 @@ from repro.chain.message_pool import MessagePool
 from repro.chain.validation import ValidationError, validate_block_shape
 from repro.consensus.base import ConsensusParams, ValidatorSet, make_engine
 from repro.net.gossip import GossipNetwork, PubsubEnvelope
-from repro.sim.observe import BlockCommitted, ChainReorg
+from repro.sim.observe import BlockCommitted, ChainReorg, Noted
 from repro.storage.backend import MemoryBackend
 from repro.storage.statetree import StateTree
 from repro.vm.message import SignedMessage
@@ -370,7 +370,7 @@ class NodeRuntime:
         ahead = header.subnet_id == self.subnet_id and header.height > self.store.height
         tree = StateTree(backend=MemoryBackend(items))
         if not ahead or tree.root() != header.state_root:
-            self.sim.trace.emit("snapshot.refused", self.subnet_id, header.cid.short())
+            self.sim.observe(Noted, "snapshot.refused", self.subnet_id, (header.cid.short(),))
             return False
         self.store.adopt(header)
         self.vm = self.vm.branch(tree, header.height)
@@ -378,8 +378,8 @@ class NodeRuntime:
         self._block_events.clear()
         self._expire_orphans()
         self.mempool.drop_stale(self.vm.nonce_of)
-        self.sim.trace.emit(
-            "snapshot.adopted", self.subnet_id, f"h={header.height}", header.cid.short()
+        self.sim.observe(
+            Noted, "snapshot.adopted", self.subnet_id, (f"h={header.height}", header.cid.short())
         )
         return True
 
@@ -453,7 +453,7 @@ class NodeRuntime:
                 block, parent, self.subnet_id, self.engine.params.max_block_messages
             )
         except ValidationError as err:
-            self.sim.trace.emit("block.invalid", self.subnet_id, block.cid.short(), err)
+            self.sim.observe(Noted, "block.invalid", self.subnet_id, (block.cid.short(), err))
             return False
 
         shared = self._shared_execution(block.cid)
@@ -472,8 +472,8 @@ class NodeRuntime:
                 block.header.miner, block.height, block.header.parent,
             )
             if self._post_root(scratch) != block.header.state_root:
-                self.sim.trace.emit(
-                    "block.state_mismatch", self.subnet_id, block.cid.short()
+                self.sim.observe(
+                    Noted, "block.state_mismatch", self.subnet_id, (block.cid.short(),)
                 )
                 return False
             post, events = self._publish_execution(block.cid, scratch.state, events)
@@ -511,9 +511,6 @@ class NodeRuntime:
         new_head = new_head_block.cid
         if old_head is not None and not self.store.is_extension(old_head, new_head):
             self.sim.metrics.counter("chain.*.reorgs", self.subnet_id).inc()
-            self.sim.trace.emit(
-                "chain.reorg", self.subnet_id, old_head.short(), new_head.short()
-            )
             # Depth = abandoned blocks of the old branch (back to the fork
             # point, which is canonical again by now).
             depth = 0
@@ -538,10 +535,6 @@ class NodeRuntime:
         for block in added:
             self.mempool.remove_included(block.messages)
             self.committed_txs += len(block.messages)
-            self.sim.trace.emit(
-                "block.commit", self.subnet_id,
-                f"h={block.height}", block.cid.short(), f"msgs={len(block.messages)}",
-            )
             self.sim.observe(
                 BlockCommitted, self, block, self._block_events.pop(block.cid, ())
             )

@@ -4,8 +4,8 @@ Every component in the reproduction (network, consensus engines, nodes,
 checkpointing timers) is driven by a single :class:`~repro.sim.scheduler.Simulator`
 event loop with a simulated clock.  All randomness flows from a single root
 seed through :class:`~repro.sim.rng.SeedSequence`, so a run is reproducible
-bit-for-bit: identical seeds yield identical traces (see
-:mod:`repro.sim.tracing`).
+bit-for-bit: identical seeds yield identical trace logs (see
+:mod:`repro.sim.tracing`, a plane on the observation stream).
 """
 
 from repro.sim.events import Event, EventQueue

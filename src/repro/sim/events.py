@@ -59,8 +59,8 @@ class Event:
     ) -> None:
         self.time = time
         self.seq = seq
-        # Secondary sort key among same-timestamp events.  0 under the
-        # default FIFO rule (comparison then falls through to seq); a keyed
+        # Secondary heap key among same-timestamp events.  0 under the
+        # default FIFO rule (the order then falls through to seq); a keyed
         # hash of seq under tie-shuffle (see EventQueue.set_tie_shuffle).
         self.tie = tie
         self.callback = callback
@@ -81,10 +81,7 @@ class Event:
             return self.callback(*self.args)
         return self.callback(*self.args, **self.kwargs)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.tie, self.seq) < (other.time, other.tie, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         name = self.label or getattr(self.callback, "__name__", "?")
         return f"Event(t={self.time:.6f}, seq={self.seq}, {name}, {state})"
@@ -105,8 +102,7 @@ class EventQueue:
     def __init__(self) -> None:
         # Heap entries are (time, tie, seq, event) tuples: seq is unique, so
         # comparisons resolve on the first three fields in C and never reach
-        # the Event object.  The key is exactly Event.__lt__'s key, so pop
-        # order is identical to a heap of bare events.
+        # the Event object, which defines no order of its own.
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0

@@ -9,7 +9,7 @@ section name.  The record types below are the whole contract between the
 protocol and whatever watches it, so a new plane edits no producer.
 
 Planes observe, never participate: a handler writes to ``sim.metrics`` and
-its own structures — never the trace log, an RNG stream or chain state —
+its own structures — never another plane, an RNG stream or chain state —
 so attaching one cannot move a digest.  Protocol code that must *react* to
 a commit registers with ``NodeRuntime.on_commit`` and stays off the stream.
 """
@@ -37,6 +37,10 @@ CheckpointSubmitted = namedtuple("CheckpointSubmitted", "cid_hex subnet window")
 CrossMsgSubmitted = namedtuple("CrossMsgSubmitted", "source destination to_addr value")
 #: A health probe finished a round: *latest* maps subnet path -> sample.
 HealthSampled = namedtuple("HealthSampled", "latest")
+#: Something worth a line in the trace log (:mod:`repro.sim.tracing`) that no
+#: other record says: *kind* names it (``snapshot.adopted``, ``timer.error``,
+#: …), *subject* is what it happened to, *detail* a tuple of what it adds.
+Noted = namedtuple("Noted", "kind subject detail")
 #: ``HierarchicalSystem.wait_for`` gave up.  The one record subscribers add
 #: to: *diagnosis* arrives with label, timeout, time and health, handlers
 #: attach ``stall_reports`` / ``postmortem``, the system keeps the result.

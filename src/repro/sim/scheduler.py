@@ -9,8 +9,8 @@ from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricsRegistry
+from repro.sim.observe import Noted
 from repro.sim.rng import SeedSequence
-from repro.sim.tracing import TraceLog
 
 
 class SimulationError(RuntimeError):
@@ -30,9 +30,9 @@ class DispatchBus:
       raised) with the elapsed wall-clock seconds — the profiling point.
 
     Wall-clock timings are real (host) time, not simulated time: they answer
-    "where does this run spend its CPU?".  They are kept out of the trace
-    log and the metrics, so digests and the run document outside its
-    ``dispatch`` section (:meth:`summary`) stay deterministic.
+    "where does this run spend its CPU?".  They are kept off the observation
+    stream and out of the metrics, so digests and the run document outside
+    its ``dispatch`` section (:meth:`summary`) stay deterministic.
     """
 
     def __init__(self) -> None:
@@ -121,10 +121,11 @@ class Simulator:
     The simulator owns the simulated clock (:attr:`now`, in seconds), the
     event queue, the root :class:`~repro.sim.rng.SeedSequence` from which all
     component RNGs are derived, a :class:`~repro.sim.metrics.MetricsRegistry`,
-    a :class:`~repro.sim.tracing.TraceLog`, a :class:`DispatchBus` through
-    which every executed event flows, and the observation stream
-    (:meth:`attach` / :meth:`observe`) through which components report what
-    happened to whatever planes are watching.
+    a :class:`DispatchBus` through which every executed event flows, and the
+    observation stream (:meth:`attach` / :meth:`observe`) through which
+    components report what happened to whatever planes are watching — the
+    trace log among them (:class:`~repro.sim.tracing.TraceLog`, attached
+    like any other plane: a run nobody watches keeps no log).
 
     Typical use::
 
@@ -156,7 +157,6 @@ class Simulator:
             self.queue.set_tie_shuffle(tie_shuffle)
         self.tie_shuffle = tie_shuffle
         self.metrics = MetricsRegistry()
-        self.trace = TraceLog(clock=lambda: self.now)
         self.dispatch = DispatchBus()
         # The observation stream (repro.sim.observe): attached planes by
         # section, and derived from them, record type -> handlers in attach
@@ -231,9 +231,9 @@ class Simulator:
         same-timestamp ties, correct components must not rely on this
         accident; ``tie_shuffle`` exists to flush out code that does.
 
-        An exception raised by *callback* is recorded as a ``timer.error``
-        trace record, and the recurrence keeps ticking: one bad tick must
-        not silently kill a heartbeat.
+        An exception raised by *callback* is reported as a ``timer.error``
+        :class:`~repro.sim.observe.Noted` record, and the recurrence keeps
+        ticking: one bad tick must not silently kill a heartbeat.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
@@ -246,7 +246,7 @@ class Simulator:
                 callback(*args, **kwargs)
             except Exception as err:
                 name = label or getattr(callback, "__name__", "?")
-                self.trace.emit("timer.error", name, type(err).__name__, err)
+                self.observe(Noted, "timer.error", name, (type(err).__name__, err))
             if not state["stopped"]:
                 state["event"] = self.schedule(interval, _tick, label=label)
 

@@ -4,19 +4,16 @@
   with O(1) snapshot/revert and cheap ``fork()`` (structural sharing), used
   by the VM for transactional message application and by the runtime for
   per-block state branching.
-- :class:`~repro.storage.backend.StateBackend` — the read-only floor a
-  state tree bottoms out on; :class:`~repro.storage.backend.MemoryBackend`
-  is the in-memory default and what a snapshot-synced node's tree is
-  rebuilt over (``NodeRuntime.adopt_snapshot``); an out-of-core
-  implementation can slot in without touching the VM/chain/runtime layers.
+- :class:`~repro.storage.backend.MemoryBackend` — the read-only floor a
+  state tree bottoms out on: empty by default, and what a snapshot-synced
+  node's tree is rebuilt over (``NodeRuntime.adopt_snapshot``).
 """
 
-from repro.storage.backend import MemoryBackend, StateBackend, bucket_of
+from repro.storage.backend import MemoryBackend, bucket_of
 from repro.storage.statetree import StateTree
 
 __all__ = [
     "StateTree",
-    "StateBackend",
     "MemoryBackend",
     "bucket_of",
 ]

@@ -9,7 +9,7 @@ Structure — three read levels, newest wins:
 
     mutable layers   [{...}, {...}]     snapshot/commit/revert transactions
     frozen chain     F2 -> F1 -> None   immutable deltas shared across forks
-    backend          StateBackend       read-only floor (in-memory default)
+    backend          MemoryBackend      read-only floor (empty by default)
 
 A snapshot pushes a new mutable layer; writes always go to the top layer;
 commit folds the top layer into its parent; revert drops it.  ``fork()``
@@ -51,7 +51,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 from repro.crypto.cid import CID
 from repro.crypto.encoding import canonical_body, encode_into
-from repro.storage.backend import EMPTY_BACKEND, StateBackend, bucket_of
+from repro.storage.backend import EMPTY_BACKEND, MemoryBackend, bucket_of
 
 _DELETED = object()
 
@@ -82,10 +82,10 @@ class StateTree:
 
     def __init__(
         self,
-        backend: Optional[StateBackend] = None,
+        backend: Optional[MemoryBackend] = None,
         n_buckets: int = DEFAULT_BUCKETS,
     ) -> None:
-        self._backend: StateBackend = backend if backend is not None else EMPTY_BACKEND
+        self._backend: MemoryBackend = backend if backend is not None else EMPTY_BACKEND
         self._frozen: Optional[_FrozenLayer] = None
         self._layers: list[dict[str, Any]] = [{}]
         self._n_buckets = n_buckets

@@ -2,7 +2,7 @@
 
 Everything here is an *observer* of the simulation: each plane attaches
 to the simulator's observation stream (:mod:`repro.sim.observe`), writes
-only its own state and ``sim.metrics`` (never the trace log) and consumes
+only its own state and ``sim.metrics`` (never another plane) and consumes
 no RNG, so enabling telemetry cannot change the determinism digest.
 :func:`enable_telemetry` attaches them to a system; the exporters read
 them back from ``sim.planes``.  See DESIGN.md § Observability.
@@ -10,6 +10,7 @@ them back from ``sim.planes``.  See DESIGN.md § Observability.
 
 from typing import Optional
 
+from repro.sim.tracing import TraceLog
 from repro.telemetry.export import (
     telemetry_snapshot,
     to_chrome_trace,
@@ -46,9 +47,10 @@ def enable_telemetry(
     The one place that decides which planes a run gets.  Always ``spans``,
     ``rounds`` and ``stall``.  *health_interval* adds a ``health`` probe
     sampling every that many simulated seconds; ``monitors=True`` adds
-    ``invariants`` (the five default auditors) and a ``recorder`` that dumps
+    ``invariants`` (the five default auditors), a ``recorder`` that dumps
     a postmortem bundle into *postmortem_dir* (or ``$REPRO_POSTMORTEM_DIR``)
-    on every violation and ``wait_for`` timeout.  Digest-neutral, and
+    on every violation and ``wait_for`` timeout, and the ``trace`` log the
+    recorder's bundles carry the tail of.  Digest-neutral, and
     idempotent per plane, so calls may add planes in any order.
     """
     sim = system.sim
@@ -63,6 +65,10 @@ def enable_telemetry(
     if health_interval is not None and "health" not in planes:
         sim.attach(HealthProbe(system, interval=health_interval).start())
     if monitors and "invariants" not in planes:
+        # The trace log before the monitor: a violation's bundle then ends
+        # its trace tail with the commit that tripped it.
+        if "trace" not in planes:
+            sim.attach(TraceLog(sim))
         recorder = FlightRecorder(sim, system=system, out_dir=postmortem_dir)
         sim.attach(recorder.install())
         sim.attach(InvariantMonitor(system, recorder=recorder))

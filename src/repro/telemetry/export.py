@@ -53,7 +53,6 @@ def telemetry_snapshot(
         "wall_seconds": wall_seconds,
         **sim.metrics.snapshot(),
         "dispatch": sim.dispatch.summary(),
-        "trace_log": {"records": len(sim.trace)},
     }
     for section, plane in sorted(sim.planes.items()):
         summary = plane.summary()

@@ -33,10 +33,11 @@ Determinism contract (same as the span tracer, DESIGN.md § Observability):
 auditors read committed state and write only their own violation list
 (the run document's ``invariants`` section, with a count per auditor), the
 exactly-once auditor's two ``invariant.exactly_once.*`` counters and (via
-the :class:`~repro.telemetry.recorder.FlightRecorder`) postmortem bundles — never to ``sim.trace``, never to RNG streams, and
-never with wall-clock time — so the trace digest is byte-identical with
-monitors on or off.  Violations are deduplicated first-observation-wins,
-which is deterministic on a deterministic simulator.
+the :class:`~repro.telemetry.recorder.FlightRecorder`) postmortem bundles —
+never to the trace log, never to RNG streams, and never with wall-clock
+time — so the trace digest is byte-identical with monitors on or off.
+Violations are deduplicated first-observation-wins, which is
+deterministic on a deterministic simulator.
 """
 
 from __future__ import annotations

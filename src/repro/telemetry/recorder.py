@@ -1,8 +1,9 @@
 """Flight recorder: bounded rings of recent activity + postmortem bundles.
 
 The :class:`FlightRecorder` keeps what a crashed benchmark or a tripped
-invariant needs for a diagnosis — the tail of the trace log, recent
-dispatch activity, recent health samples — in bounded ring buffers, and
+invariant needs for a diagnosis — recent dispatch activity and recent
+health samples — in bounded ring buffers, adds the tail of an attached
+trace log (:class:`~repro.sim.tracing.TraceLog`, ``sim.planes["trace"]``), and
 reports them, with every subnet's head and the open cross-net spans, as
 its ``recorder`` section of the run document.  On demand (or
 automatically on every :class:`~repro.telemetry.monitor.InvariantViolation`
@@ -91,7 +92,7 @@ class FlightRecorder(Plane):
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         return {
-            "trace_tail": [r.render() for r in self.sim.trace.tail(TAIL)],
+            "trace_tail": self._trace_tail(),
             "dispatch_tail": list(self._dispatch_ring),
             "health_ring": list(self._health_ring),
             "heads": self._heads(),
@@ -125,6 +126,10 @@ class FlightRecorder(Plane):
             os.makedirs(self.out_dir, exist_ok=True)
             self.paths.append(write_json(path, bundle))
         return bundle
+
+    def _trace_tail(self) -> list:
+        log = self.sim.planes.get("trace")
+        return [] if log is None else [record.render() for record in log.tail(TAIL)]
 
     def _open_spans(self, cap: int = 64) -> list:
         tracer = self.sim.planes.get("spans")

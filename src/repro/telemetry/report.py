@@ -257,9 +257,9 @@ def render(snapshot: dict) -> str:
                 + "\n".join(f"  {line}" for line in shown)
             )
 
-    log = snapshot.get("trace_log")
+    log = snapshot.get("trace")
     if log:
-        sections.append(f"trace log: {log.get('records', 0)} records")
+        sections.append(f"trace log: {log.get('records', 0)} records, digest {log.get('digest')}")
 
     return "\n\n".join(sections)
 

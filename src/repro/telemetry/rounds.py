@@ -282,7 +282,9 @@ class StallDiagnoser(Plane):
         height anywhere in the books, and *misaligned* when its votes
         exist but only at rounds other than the busiest one (the
         round-desync signature).  Slot engines have no votes — for them
-        the analysis reports the expected leader instead.
+        the analysis reports the expected leader instead.  PoW has no
+        leader either: its analysis is the mining race, the heads being
+        mined on and the height every validator holds final.
         """
         engine = nodes[0].engine
         vset = engine.validators
@@ -290,26 +292,27 @@ class StallDiagnoser(Plane):
             "needed_power": vset.quorum_power,
             "total_power": vset.total_power,
         }
+        heights = [v["head_height"] for v in validators if v["head_height"] is not None]
+        spread = max(heights) - min(heights) if heights else None
+        states = [v["state"] for v in validators]
 
-        books = [v["state"].get("prevotes") for v in validators]
-        if not any(books):
-            # Slot/mining engine: no votes to analyse; name the leader.
-            leader = None
-            state = validators[0]["state"]
-            for key in ("leader", "expected_leader"):
-                if state.get(key) is not None:
-                    leader = state[key]
-                    break
-            heights = [
-                v["head_height"] for v in validators
-                if v["head_height"] is not None
-            ]
+        if engine.NAME == "pow":
+            result.update({
+                "kind": "mining-race",
+                "head_spread": spread,
+                "mining_on": sorted({s.get("mining_on") for s in states} - {None}),
+                "final_height": min(
+                    (s["final_height"] for s in states if "final_height" in s), default=None
+                ),
+            })
+            return result
+
+        if not any(state.get("prevotes") for state in states):
+            # Slot engine: no votes to analyse; name the leader.
             result.update({
                 "kind": "leader-schedule",
-                "expected_leader": leader,
-                "head_spread": (
-                    max(heights) - min(heights) if heights else None
-                ),
+                "expected_leader": states[0].get("leader"),
+                "head_spread": spread,
             })
             return result
 
@@ -434,11 +437,18 @@ class StallDiagnoser(Plane):
 
 def _quorum_line(quorum: dict) -> str:
     """A stall report's quorum analysis in one line: the power held against
-    the power needed and who is missing, or a slot engine's leader."""
+    the power needed and who is missing, a slot engine's leader, or a
+    mining race's heads."""
     if quorum["kind"] == "leader-schedule":
         return (
             f"slot engine: expected leader {quorum['expected_leader']}, "
             f"head spread {quorum['head_spread']}"
+        )
+    if quorum["kind"] == "mining-race":
+        heads = quorum["mining_on"]
+        return (
+            f"mining race: head spread {quorum['head_spread']}, mining on "
+            f"{len(heads)} head(s) [{', '.join(heads)}], final height {quorum['final_height']}"
         )
     missing = (
         quorum["silent"] + quorum["unreachable"]
@@ -450,6 +460,11 @@ def _quorum_line(quorum: dict) -> str:
         f"(of {quorum['total_power']}), short {quorum['missing_power']}; "
         f"missing: {', '.join(missing) or '-'}"
     )
+
+
+#: The ``debug_state`` keys a report prints per validator: a BFT engine's
+#: position, a slot engine's slot, a miner's race.
+_STATE_KEYS = ("height", "round", "step", "slot", "mining_on", "power", "final_height")
 
 
 def render_stall_report(report: dict) -> str:
@@ -482,8 +497,7 @@ def render_stall_report(report: dict) -> str:
     for v in report.get("validators") or []:
         state = v.get("state") or {}
         detail = " ".join(
-            f"{k}={state[k]}" for k in ("height", "round", "step", "slot")
-            if state.get(k) is not None
+            f"{k}={state[k]}" for k in _STATE_KEYS if state.get(k) is not None
         )
         out.append(
             f"  {v['node']}: head={v.get('head_height')} "

@@ -32,7 +32,7 @@ Determinism: the tracer receives every node's
 :class:`~repro.sim.observe.BlockCommitted`.  Observations are deduplicated
 on ``(trace id, phase, subnet)`` — the first committing node wins, which is
 deterministic on a deterministic simulator.  The tracer writes **only**
-to ``sim.metrics``; it never touches ``sim.trace``, so the determinism
+to ``sim.metrics``; it never touches the trace log, so the determinism
 digest is byte-identical with tracing enabled or disabled.
 """
 

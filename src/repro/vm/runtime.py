@@ -51,11 +51,6 @@ class InvocationContext:
         """Current chain epoch (block height) of the executing chain."""
         return self._vm.epoch
 
-    @property
-    def subnet_id(self) -> str:
-        """The executing subnet's ID string (set by the chain layer)."""
-        return self._vm.subnet_id
-
     # ------------------------------------------------------------------
     # Actor state (scoped)
     # ------------------------------------------------------------------
@@ -78,10 +73,6 @@ class InvocationContext:
     # ------------------------------------------------------------------
     # Tokens
     # ------------------------------------------------------------------
-    def balance_of(self, addr: Address) -> int:
-        self.gas.charge(STATE_READ, "balance")
-        return self._vm.balance_of(addr)
-
     def transfer(self, to: Address, amount: int) -> None:
         """Move tokens from this actor's balance to *to*."""
         self.gas.charge(VALUE_TRANSFER, "transfer")

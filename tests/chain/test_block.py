@@ -155,7 +155,7 @@ def test_validator_refuses_block_with_swapped_messages():
     for messages in (block.messages[::-1], (impostor,) + block.messages[1:]):
         sim, validator, _ = make_node(seed=2)
         assert not validator.receive_block(replace(block, messages=messages))
-        assert sim.trace.count("block.invalid") == 1
+        assert sim.planes["trace"].count("block.invalid") == 1
         assert validator.head().height == 0
     sim, validator, _ = make_node(seed=2)
     assert validator.receive_block(block)  # the block as built is fine

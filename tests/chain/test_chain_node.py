@@ -13,11 +13,15 @@ from repro.net.gossip import GossipNetwork
 from repro.net.topology import Topology, UniformLatency
 from repro.net.transport import Transport
 from repro.sim.scheduler import Simulator
+from repro.sim.tracing import TraceLog
 from repro.vm.message import Message, SignedMessage
 
 
 def make_node(engine="poa", seed=1, n_validators=1, max_block_messages=500):
+    """A lone node on a simulator whose trace log (``sim.planes["trace"]``)
+    counts the blocks it refuses."""
     sim = Simulator(seed=seed)
+    sim.attach(TraceLog(sim))
     gossip = GossipNetwork(sim, Transport(sim, Topology(UniformLatency(0.01, 0.005))))
     keys = [KeyPair(f"cn-{i}") for i in range(n_validators)]
     user = KeyPair("cn-user")
@@ -91,7 +95,7 @@ def test_state_root_mismatch_rejected():
     bad = FullBlock(header=tampered_header, messages=good.messages,
                     cross_messages=good.cross_messages)
     assert not node.receive_block(bad)
-    assert sim.trace.count("block.state_mismatch") == 1
+    assert sim.planes["trace"].count("block.state_mismatch") == 1
 
 
 def test_submitted_messages_selected_and_cleared():
@@ -119,11 +123,11 @@ def test_block_over_the_subnet_block_size_refused():
 
     sim, validator, _ = make_node(seed=2, max_block_messages=limit)
     assert not validator.receive_block(block)
-    assert sim.trace.count("block.invalid") == 1
+    assert sim.planes["trace"].count("block.invalid") == 1
     assert validator.head().height == 0
     sim, roomier, _ = make_node(seed=3, max_block_messages=limit + 1)
     assert roomier.receive_block(block)
-    assert sim.trace.count("block.invalid") == 0
+    assert sim.planes["trace"].count("block.invalid") == 0
 
 
 def test_duplicate_submit_rejected():

@@ -199,3 +199,21 @@ def test_a_range_reply_with_one_ineligible_block_is_refused_whole(make_cluster, 
     assert straggler.request_block_range(forger.node_id, 1, head.height)
     cluster.run(0.3)
     assert straggler.head().cid == head.cid
+
+
+def test_an_engine_must_say_how_it_handles_and_what_is_eligible():
+    """The two hooks every engine implements (and a slot engine's third):
+    the base classes refuse rather than accept silently."""
+    from repro.consensus.base import ConsensusEngine
+    from repro.consensus.slots import SlotLeaderEngine
+
+    # No simulator, node or validators: only the hooks are called.
+    engine = object.__new__(type("Bare", (ConsensusEngine,), {}))
+    slot_engine = object.__new__(type("BareSlots", (SlotLeaderEngine,), {}))
+    for call in (
+        lambda: engine.handle("block", None, "peer"),
+        lambda: engine.eligible(None),
+        lambda: slot_engine.leader_for_slot(0),
+    ):
+        with pytest.raises(NotImplementedError):
+            call()

@@ -3,6 +3,8 @@
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.crypto.keys import Address, KeyPair
 from repro.crypto.signature import Signature, sign, valid_signers, verify
 
@@ -123,3 +125,17 @@ def test_signing_and_verifying_keep_nothing_per_signature():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024, grown
+
+
+def test_keys_are_immutable_and_say_who_they_are():
+    alice = KeyPair("alice", name="alice")
+    with pytest.raises(AttributeError):
+        alice.address.raw = "f1forged"
+    assert repr(alice) == f"KeyPair(alice, addr={alice.address})"
+
+
+def test_a_wallet_says_whose_it_is():
+    from repro.hierarchy.wallet import Wallet
+
+    alice = KeyPair("alice", name="alice")
+    assert repr(Wallet(alice)) == f"Wallet(alice, {alice.address})"

@@ -11,6 +11,7 @@ must not.
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
+from repro.sim.tracing import TraceLog
 
 
 def _run_scenario(monkeypatch, tie_shuffle):
@@ -21,7 +22,9 @@ def _run_scenario(monkeypatch, tie_shuffle):
     system = HierarchicalSystem(
         seed=7, root_validators=3, root_block_time=0.5,
         checkpoint_period=4, wallet_funds={"alice": 10_000},
-    ).start()
+    )
+    system.sim.attach(TraceLog(system.sim))
+    system.start()
     subnet = system.spawn_subnet(
         SubnetConfig(name="s0", validators=3, block_time=0.25, checkpoint_period=4)
     )
@@ -45,7 +48,7 @@ def test_end_state_digest_invariant_across_tie_shuffles(monkeypatch):
     for seed in (None, 1, 2):
         system = _run_scenario(monkeypatch, seed)
         digests[seed] = system.end_state_digest()
-        traces[seed] = system.sim.trace.digest()
+        traces[seed] = system.sim.planes["trace"].digest()
     assert len(set(digests.values())) == 1, digests
     # Sanity: the shuffled schedules really were different schedules.
     assert traces[1] != traces[None] or traces[2] != traces[None]
@@ -54,7 +57,7 @@ def test_end_state_digest_invariant_across_tie_shuffles(monkeypatch):
 def test_same_shuffle_seed_reproduces_byte_identical_runs(monkeypatch):
     first = _run_scenario(monkeypatch, 5)
     second = _run_scenario(monkeypatch, 5)
-    assert first.sim.trace.digest() == second.sim.trace.digest()
+    assert first.sim.planes["trace"].digest() == second.sim.planes["trace"].digest()
     assert first.end_state_digest() == second.end_state_digest()
 
 

@@ -4,6 +4,7 @@ behaviours, asserting the system degrades and recovers as designed."""
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
 from repro.hierarchy.subnet_actor import last_committed_window
 from repro.sim.observe import ChainReorg, Plane
+from repro.sim.tracing import TraceLog
 from repro.telemetry import enable_telemetry
 
 
@@ -187,13 +188,15 @@ def test_deterministic_full_system_run():
         system = HierarchicalSystem(
             seed=91, root_validators=3, root_block_time=0.5, checkpoint_period=5,
             wallet_funds={"alice": 10**6},
-        ).start()
+        )
+        system.sim.attach(TraceLog(system.sim))
+        system.start()
         sub = system.spawn_subnet(
             SubnetConfig(name="det", validators=3, block_time=0.25, checkpoint_period=5)
         )
         alice = system.wallets["alice"]
         system.fund_subnet(alice, sub, alice.address, 10_000)
         system.run_for(20.0)
-        return system.sim.trace.digest()
+        return system.sim.planes["trace"].digest()
 
     assert run() == run()

@@ -4,6 +4,7 @@ a cross-msg that fails this way takes the revert path."""
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SCA_ADDRESS, SubnetConfig
 from repro.sim.observe import BlockCommitted, Plane
+from repro.sim.tracing import TraceLog
 
 
 class FailedCrossMsgs(Plane):
@@ -21,7 +22,9 @@ class FailedCrossMsgs(Plane):
 def test_a_malformed_tx_fails_and_the_chain_keeps_committing():
     system = HierarchicalSystem(
         seed=5, root_validators=3, root_block_time=0.5, wallet_funds={"alice": 10**6},
-    ).start()
+    )
+    system.sim.attach(TraceLog(system.sim))
+    system.start()
     alice = system.wallets["alice"]
     alice.send(
         system.node(ROOTNET), SCA_ADDRESS, method="init_atomic",
@@ -29,7 +32,7 @@ def test_a_malformed_tx_fails_and_the_chain_keeps_committing():
     )
     system.run_for(10.0)
     assert system.node(ROOTNET).head().height >= 15
-    assert system.sim.trace.count("timer.error") == 0
+    assert system.sim.planes["trace"].count("timer.error") == 0
     assert system.node(ROOTNET).vm.nonce_of(alice.address) == 1  # included, and failed
     assert system.sca_state(ROOTNET, "atomic/x") is None
 
@@ -38,7 +41,9 @@ def test_a_malformed_crossmsg_reverts_and_the_child_keeps_committing():
     system = HierarchicalSystem(
         seed=6, root_validators=3, root_block_time=0.5, checkpoint_period=6,
         wallet_funds={"bob": 10**6},
-    ).start()
+    )
+    system.sim.attach(TraceLog(system.sim))
+    system.start()
     failed = FailedCrossMsgs()
     system.sim.attach(failed)
     child = system.spawn_subnet(
@@ -53,7 +58,7 @@ def test_a_malformed_crossmsg_reverts_and_the_child_keeps_committing():
     start = system.node(child).head().height
     system.run_for(10.0)
     assert system.node(child).head().height >= start + 30
-    assert system.sim.trace.count("timer.error") == 0
+    assert system.sim.planes["trace"].count("timer.error") == 0
     assert [error for _addr, error, _cid in failed.payloads][:1] == ["TypeError"]
     assert system.sca_state(child, "asset/deed") is None
     # The revert brings the value back up to bob.

@@ -1,6 +1,6 @@
 """The observation stream end to end: a plane defined here, attached to a
 live hierarchy, receives every record kind the protocol emits — and a run
-nobody watches builds no record at all."""
+nobody watches builds no record at all, not even a trace log line."""
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.sim.observe import (
@@ -9,15 +9,22 @@ from repro.sim.observe import (
     CheckpointSubmitted,
     CrossMsgSubmitted,
     HealthSampled,
+    Noted,
     Plane,
     RoundEvent,
     WaitTimedOut,
 )
+from repro.sim.tracing import TraceLog, TraceRecord
 from repro.telemetry import HealthProbe
+
+#: The digest of ``_run(traced=True)``'s log: 133 commits, 4 checkpoint
+#: submissions and a spawn.  It is the digest this run's log had when the
+#: simulator kept the log itself and every producer wrote its own line.
+TRACE_DIGEST = "b794e0b0fd1f193476998247cd78057ad663bf959d1b63def8572c022182a4c7"
 
 KINDS = (
     BlockCommitted, ChainReorg, RoundEvent, CheckpointSubmitted,
-    CrossMsgSubmitted, HealthSampled, WaitTimedOut,
+    CrossMsgSubmitted, HealthSampled, WaitTimedOut, Noted,
 )
 
 
@@ -52,14 +59,18 @@ class Witness(Plane):
         return out
 
 
-def _run(*planes):
+def _run(*planes, traced=False):
     """Rootnet (PoA, a slot engine) + a Tendermint subnet: one top-down
     transfer, a checkpoint window or two, health sampling, and a
-    ``wait_for`` that cannot succeed."""
+    ``wait_for`` that cannot succeed; *traced* attaches a trace log at
+    construction."""
     system = HierarchicalSystem(
         seed=17, root_validators=3, root_block_time=0.5, checkpoint_period=4,
         wallet_funds={"alice": 100_000},
-    ).start()
+    )
+    if traced:
+        system.sim.attach(TraceLog(system.sim))
+    system.start()
     for plane in planes:
         system.sim.attach(plane)
     HealthProbe(system, interval=1.0).start()
@@ -127,6 +138,9 @@ def test_a_plane_defined_here_receives_every_record_kind():
     (timed_out,) = [t for t in witness.of(WaitTimedOut) if t.diagnosis["label"] == "never"]
     assert timed_out.diagnosis is system.last_timeout
 
+    # What only the trace log renders: the subnet's spawn.
+    assert Noted("subnet.spawned", sub.path, ("n=4", "tendermint")) in witness.of(Noted)
+
 
 def test_an_unwatched_run_builds_no_record(monkeypatch):
     built = []
@@ -138,22 +152,34 @@ def test_an_unwatched_run_builds_no_record(monkeypatch):
 
         monkeypatch.setattr(kind, "__new__", staticmethod(counting))
 
+    def line(record, *fields, _init=TraceRecord.__init__):
+        built.append(TraceRecord)
+        _init(record, *fields)
+
+    monkeypatch.setattr(TraceRecord, "__init__", line)
+
     system, _sub = _run()
     assert system.node("/root").head().height > 10  # plenty happened
     assert built == []
 
     _run(Witness())
     assert {kind for kind in KINDS if kind in built} == set(KINDS) - {ChainReorg}
+    assert TraceRecord not in built
+    built.clear()
+    _run(traced=True)
+    assert TraceRecord in built and Noted in built
 
 
 def test_watching_changes_nothing_and_attach_order_changes_no_view():
-    unwatched, _ = _run()
+    only_traced, _ = _run(traced=True)
     a1, b1 = Witness("a"), Witness("b")
-    a_then_b, _ = _run(a1, b1)
+    a_then_b, _ = _run(a1, b1, traced=True)
     a2, b2 = Witness("a"), Witness("b")
     _run(b2, a2)
 
-    assert a_then_b.sim.trace.digest() == unwatched.sim.trace.digest()
+    trace = a_then_b.sim.planes["trace"].summary()
+    assert trace == only_traced.sim.planes["trace"].summary()
+    assert trace == {"records": 138, "digest": TRACE_DIGEST}
     assert a1.rendered() == b1.rendered() == a2.rendered() == b2.rendered()
     assert len(a1.records) > 100
 

@@ -9,6 +9,7 @@ from repro.hierarchy import (
     SubnetConfig,
     audit_system,
 )
+from repro.sim.tracing import TraceLog
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +101,11 @@ def test_all_subnet_nodes_converge(system):
 # Batched spawning
 # ----------------------------------------------------------------------
 def _fresh(seed=5):
-    return HierarchicalSystem(
+    system = HierarchicalSystem(
         seed=seed, root_validators=3, root_block_time=0.5, checkpoint_period=6
-    ).start()
+    )
+    system.sim.attach(TraceLog(system.sim))
+    return system.start()
 
 
 def _lane(name, parent=ROOTNET, engine="poa"):
@@ -112,7 +115,7 @@ def _lane(name, parent=ROOTNET, engine="poa"):
 
 def _fingerprint(system):
     heads = {subnet.path: system.node(subnet).head().cid for subnet in system.subnets}
-    return system.sim.now, system.sim.events_executed, system.sim.trace.digest(), heads
+    return system.sim.now, system.sim.events_executed, system.sim.planes["trace"].digest(), heads
 
 
 def test_batch_of_one_is_the_serial_spawn():

@@ -140,7 +140,7 @@ def test_deterministic_gossip_run():
         for i in range(3):
             network.publish(f"p{i}", "topic", f"m{i}")
         sim.run_until(5.0)
-        return sim.trace.digest(), {
+        return sim.events_executed, {
             p: sorted(e.data for e in inbox) for p, inbox in inboxes.items()
         }
 

@@ -14,13 +14,16 @@ from repro.baselines import SingleChainBaseline
 from repro.hierarchy import HierarchicalSystem, SubnetConfig, audit_system
 from repro.hierarchy.subnet_actor import committed_checkpoints
 from repro.runtime.node import BelowFloor
+from repro.sim.tracing import TraceLog
 
 
 @pytest.fixture
 def outage():
     """(system, subnet, straggler, server): the straggler is down and more
     than ``prune_depth`` blocks behind; nothing has been restarted yet."""
-    system = HierarchicalSystem(seed=42).start()
+    system = HierarchicalSystem(seed=42)
+    system.sim.attach(TraceLog(system.sim))
+    system.start()
     sub = system.spawn_subnet(
         SubnetConfig(name="deep", validators=4, block_time=0.25, checkpoint_period=5)
     )
@@ -43,17 +46,18 @@ def test_a_node_behind_the_floor_recovers_from_its_parents_checkpoint(outage):
     old_head = straggler.head().height
     straggler.restart()
     restarted = system.sim.now
-    # Read the adoption off the trace ring before newer records push it out.
-    assert system.wait_for(lambda: system.sim.trace.count("snapshot.adopted") == 1, timeout=3.0)
+    # Read the adoption off the trace log's ring before newer records push it out.
+    trace = system.sim.planes["trace"]
+    assert system.wait_for(lambda: trace.count("snapshot.adopted") == 1, timeout=3.0)
     (adopted,) = [
-        record for record in system.sim.trace.records
+        record for record in trace.records
         if record.kind == "snapshot.adopted" and record.subject == str(sub)
     ]
     height, short_cid = int(adopted.detail[0].removeprefix("h=")), adopted.detail[1]
     system.run_until(restarted + 3.0)
     heads = [node.head().height for node in system.nodes(sub)]
     assert max(heads) - min(heads) <= 1
-    assert system.sim.trace.count("snapshot.adopted") == 1
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 1
     assert _synced(system, sub) > 0  # the tail, by range
     # It restarted at the proof of a checkpoint the parent committed, and
     # holds nothing older.
@@ -85,7 +89,7 @@ def test_a_block_from_below_the_base_is_refused_not_parked(outage):
     system, sub, straggler, server = outage
     straggler.restart()
     system.run_for(3.0)
-    assert system.sim.trace.count("snapshot.adopted") == 1
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 1
     base = straggler.store.base
     old = [server.store.block_at_height(h) for h in (base - 1, base)]
     assert all(old)  # the server's floor is held back further
@@ -112,7 +116,7 @@ def test_refuses_a_state_with_one_leaf_changed(outage):
     before = straggler.head().cid
     assert not straggler.adopt_snapshot(header, tampered)
     assert straggler.head().cid == before
-    assert system.sim.trace.count("snapshot.refused") == 1
+    assert system.sim.planes["trace"].count("snapshot.refused") == 1
     assert straggler.adopt_snapshot(header, items)
     assert straggler.head().cid == header.cid
     assert straggler.vm.state_root() == header.state_root
@@ -147,7 +151,7 @@ def test_refuses_a_header_that_is_not_the_checkpoints_proof(outage):
     )
     assert answered  # the peers replied, and the replies were refused
     assert straggler.head().cid == old_head
-    assert system.sim.trace.count("snapshot.adopted") == 0
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 0
 
 
 def test_refuses_a_superseded_checkpoint(outage):
@@ -178,12 +182,12 @@ def test_refuses_a_superseded_checkpoint(outage):
     system.run_for(8.0)
     assert asked and asked[0] != straggler.snapshot_anchor()
     assert straggler.head().cid == old_head
-    assert system.sim.trace.count("snapshot.adopted") == 0
-    assert system.sim.trace.count("snapshot.refused") == 0  # never got to the state
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 0
+    assert system.sim.planes["trace"].count("snapshot.refused") == 0  # never got to the state
     assert landed and not any(landed)  # honest replies, all refused as stale
     rpc.call = call  # the link recovers: the next attempt goes through
     system.run_for(3.0)
-    assert system.sim.trace.count("snapshot.adopted") == 1
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 1
 
 
 def test_refuses_a_short_answer_to_a_range_below_the_floor(outage):

@@ -13,6 +13,7 @@ from repro.scenario.faults import (
     CheckpointWithholdFault,
     CrashFault,
     EquivocationFault,
+    Fault,
     FaultInjector,
     LinkDegradeFault,
     PartitionFault,
@@ -221,6 +222,29 @@ def test_specialized_byzantine_faults_set_their_vocabulary():
 # ----------------------------------------------------------------------
 class _ProbeFault(PartitionFault):
     pass
+
+
+class _IrreversibleFault(Fault):
+    """Inherits ``Fault.heal``: nothing to revert."""
+
+    KIND = "irreversible"
+
+    def inject(self, system) -> None:
+        system.marked = True
+
+
+def test_a_fault_must_say_how_to_inject_but_may_heal_as_nothing():
+    from repro.sim.scheduler import Simulator
+
+    with pytest.raises(NotImplementedError):
+        Fault(Trigger(at=1.0), "/root/s0").inject(StubSystem())
+    system = StubSystem()
+    system.sim = Simulator(seed=1)
+    fault = _IrreversibleFault(Trigger(at=1.0, duration=2.0), "/root/s0")
+    injector = FaultInjector(system, [fault]).arm()
+    system.sim.run_until(5.0)
+    assert system.marked and (fault.injected_at, fault.healed_at) == (1.0, 3.0)
+    assert [entry["event"] for entry in injector.log] == ["inject", "heal"]
 
 
 def test_injector_fires_at_triggers_and_heals_after_duration():

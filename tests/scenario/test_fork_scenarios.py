@@ -51,7 +51,7 @@ def test_a_node_on_a_lost_branch_range_syncs_back_to_the_fork_point(name):
     runner.run()
     heights = [node.head().height for node in system.nodes(library.SUBNET)]
     assert max(heights) - min(heights) <= 2, heights
-    assert system.sim.trace.count("snapshot.adopted") == 0
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 0
 
 
 def test_parked_blocks_leave_once_the_base_passes_them():

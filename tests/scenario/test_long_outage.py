@@ -41,8 +41,8 @@ def test_long_outage_recovers_by_snapshot_within_its_bound():
     # RPC ran, and the range that followed carried only the tail.
     mine = [method for caller, method in rpcs if caller == victim.node_id]
     assert mine[:3] == ["chain:blocks", "chain:snapshot", "chain:blocks"]
-    assert system.sim.trace.count("snapshot.adopted") == 1
-    assert system.sim.trace.count("snapshot.refused") == 0
+    assert system.sim.planes["trace"].count("snapshot.adopted") == 1
+    assert system.sim.planes["trace"].count("snapshot.refused") == 0
     synced = system.sim.metrics.counter(f"chain.{subnet}.sync_blocks").value
     assert 0 < synced < peer.store.prune_depth
     assert victim.store.base > peer.store.prune_depth

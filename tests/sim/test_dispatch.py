@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.sim.observe import Noted
 from repro.sim.scheduler import Simulator
+from repro.sim.tracing import TraceLog
 
 
 def test_dispatch_counts_per_label():
@@ -67,6 +69,19 @@ def test_post_dispatch_hook_receives_elapsed_and_runs_on_error():
     assert sim.dispatch.counts == {"ok": 1, "bad": 1}
 
 
+def test_removed_post_dispatch_hook_stops_running():
+    sim = Simulator()
+    seen = []
+    remove = sim.dispatch.on_post_dispatch(lambda event, _elapsed: seen.append(event.label))
+    sim.schedule(1.0, lambda: None, label="before")
+    sim.run()
+    remove()
+    remove()  # idempotent
+    sim.schedule(1.0, lambda: None, label="after")
+    sim.run()
+    assert seen == ["before"]
+
+
 def test_summary_sorted_busiest_first():
     sim = Simulator()
     for i in range(3):
@@ -86,9 +101,10 @@ def test_dispatch_instrumentation_preserves_trace_determinism():
 
     def digest(seed):
         sim = Simulator(seed=seed)
-        stop = sim.every(0.5, lambda: sim.trace.emit("app.tick", "t"), label="app")
+        log = sim.attach(TraceLog(sim))
+        stop = sim.every(0.5, lambda: sim.observe(Noted, "app.tick", "t", ()), label="app")
         sim.run_until(5.0)
         stop()
-        return sim.trace.digest()
+        return log.digest()
 
     assert digest(9) == digest(9)

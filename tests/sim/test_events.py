@@ -16,6 +16,14 @@ def test_pop_orders_by_time():
     assert fired == ["a", "b", "c"]
 
 
+def test_an_event_says_when_and_what():
+    queue = EventQueue()
+    event = queue.push(1.5, lambda: None, (), None, "net:deliver")
+    assert repr(event) == "Event(t=1.500000, seq=0, net:deliver, pending)"
+    event.cancel()
+    assert repr(event).endswith("cancelled)")
+
+
 def test_equal_times_fire_in_insertion_order():
     queue = EventQueue()
     fired = []

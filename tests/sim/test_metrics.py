@@ -25,6 +25,15 @@ def test_counter_increments():
     assert counter.value == 5
 
 
+def test_metrics_say_what_they_hold():
+    counter, gauge, histogram = Counter("c"), Gauge("g"), _filled([1.0, 2.0])
+    counter.inc(2)
+    gauge.set(1.5)
+    assert [repr(counter), repr(gauge), repr(histogram)] == [
+        "Counter(c=2)", "Gauge(g=1.5)", f"Histogram({histogram.name}, n=2, mean=1.5000)",
+    ]
+
+
 def test_counter_rejects_negative():
     with pytest.raises(ValueError):
         Counter("c").inc(-1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.scheduler import SimulationError, Simulator
+from repro.sim.tracing import TraceLog
 
 
 def test_schedule_advances_clock():
@@ -151,6 +152,7 @@ def test_events_executed_counter():
 def test_every_callback_error_keeps_ticking():
     """Regression: one bad tick must not silently kill the recurrence."""
     sim = Simulator()
+    log = sim.attach(TraceLog(sim))
     ticks = []
 
     def flaky():
@@ -161,8 +163,8 @@ def test_every_callback_error_keeps_ticking():
     sim.every(1.0, flaky, label="flaky")
     sim.run_until(4.5)
     assert ticks == [1.0, 2.0, 3.0, 4.0]
-    assert sim.trace.count("timer.error") == 1
-    (record,) = [r for r in sim.trace.records if r.kind == "timer.error"]
+    assert log.count("timer.error") == 1
+    (record,) = [r for r in log.records if r.kind == "timer.error"]
     assert record.subject == "flaky"
     assert "transient failure" in record.detail
 

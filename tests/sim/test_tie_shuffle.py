@@ -4,7 +4,9 @@ digest stability, and the tie-shuffle race detector."""
 import pytest
 
 from repro.sim.events import EventQueue, tie_mix
+from repro.sim.observe import Noted
 from repro.sim.scheduler import Simulator
+from repro.sim.tracing import TraceLog
 
 
 # ----------------------------------------------------------------------
@@ -14,12 +16,13 @@ def _run_trace(schedule_order):
     """Schedule labelled events (time, label) in the given order; return
     the trace digest of their firing order."""
     sim = Simulator(seed=1)
+    log = sim.attach(TraceLog(sim))
     for time, label in schedule_order:
         sim.schedule_at(
-            time, lambda lbl=label: sim.trace.emit("fired", lbl), label=label
+            time, lambda lbl=label: sim.observe(Noted, "fired", lbl, ()), label=label
         )
     sim.run()
-    return sim.trace.digest()
+    return log.digest()
 
 
 def test_permuted_insertion_of_distinct_times_yields_identical_digests():

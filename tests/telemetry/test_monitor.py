@@ -9,6 +9,7 @@ from repro.hierarchy.gateway import SCA_ADDRESS, child_key
 from repro.hierarchy.genesis import hierarchy_registry
 from repro.sim.observe import ChainReorg
 from repro.sim.scheduler import Simulator
+from repro.sim.tracing import TraceLog
 from repro.telemetry import (
     ExactlyOnceAuditor,
     FinalityAuditor,
@@ -22,8 +23,10 @@ from tests.telemetry.feeds import commit, stub_node
 
 
 def _run_system(monitors: bool):
-    """Root + one subnet; one top-down and one bottom-up transfer."""
+    """Root + one subnet; one top-down and one bottom-up transfer, traced
+    from construction on."""
     system = HierarchicalSystem(seed=11)
+    system.sim.attach(TraceLog(system.sim))
     system.start()
     if monitors:
         enable_telemetry(system, monitors=True)
@@ -60,9 +63,9 @@ def test_honest_run_has_zero_violations(monitored_system):
 
 
 def test_digest_unchanged_with_monitors(monitored_system):
-    plain = _run_system(monitors=False)
-    assert plain.sim.trace.digest() == monitored_system.sim.trace.digest()
-    assert len(plain.sim.trace) == len(monitored_system.sim.trace)
+    plain = _run_system(monitors=False)  # the trace log is its only plane
+    assert list(plain.sim.planes) == ["trace"]
+    assert plain.sim.planes["trace"].summary() == monitored_system.sim.planes["trace"].summary()
 
 
 def test_enable_telemetry_is_idempotent(monitored_system):

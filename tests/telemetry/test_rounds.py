@@ -330,3 +330,31 @@ def test_on_demand_diagnosis_of_a_healthy_slot_subnet():
     assert "slot engine" in rendered
     assert "expected leader" in rendered
     json.dumps(report, allow_nan=False)
+
+
+def test_on_demand_diagnosis_of_a_pow_subnet_names_the_mining_race():
+    """PoW has neither votes nor a leader: the report is the race — the
+    heads being mined on, the head spread and the final height — and each
+    validator's line carries its miner state."""
+    system = HierarchicalSystem(seed=3, root_engine="pow").start()
+    enable_telemetry(system)
+    system.run_for(10.0)
+
+    report = system.sim.planes["stall"].diagnose("/root")
+    quorum = report["quorum"]
+    states = [validator["state"] for validator in report["validators"]]
+    assert quorum["kind"] == "mining-race"
+    assert quorum["head_spread"] == 0
+    assert quorum["mining_on"] == sorted({state["mining_on"] for state in states})
+    assert quorum["final_height"] == min(state["final_height"] for state in states) > 0
+    assert "expected leader" not in quorum["line"]
+    assert f"final height {quorum['final_height']}" in quorum["line"]
+    rendered = render_stall_report(report)
+    for validator in report["validators"]:
+        state = validator["state"]
+        assert (
+            f"{validator['node']}: head={validator['head_height']} running=True "
+            f"mining_on={state['mining_on']} power={state['power']} "
+            f"final_height={state['final_height']}"
+        ) in rendered
+    json.dumps(report, allow_nan=False)

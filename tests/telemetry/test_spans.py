@@ -5,13 +5,16 @@ import pytest
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.sim.observe import CrossMsgSubmitted
 from repro.sim.scheduler import Simulator
+from repro.sim.tracing import TraceLog
 from repro.telemetry import SpanTracer, enable_telemetry, route_shape, subnet_level
 from tests.telemetry.feeds import commit
 
 
 def _run_system(telemetry: bool):
-    """Root + one subnet; one top-down and one bottom-up transfer."""
+    """Root + one subnet; one top-down and one bottom-up transfer, traced
+    from construction on."""
     system = HierarchicalSystem(seed=11)
+    system.sim.attach(TraceLog(system.sim))
     system.start()
     if telemetry:
         enable_telemetry(system)
@@ -134,10 +137,10 @@ def test_hop_latencies_deterministic_under_fixed_seed(traced_system):
 
 
 def test_digest_unchanged_with_telemetry(traced_system):
-    plain = _run_system(telemetry=False)
-    assert plain.sim.trace.digest() == traced_system.sim.trace.digest()
-    # And telemetry wrote nothing to the trace log itself.
-    assert len(plain.sim.trace) == len(traced_system.sim.trace)
+    plain = _run_system(telemetry=False)  # the trace log is its only plane
+    assert list(plain.sim.planes) == ["trace"]
+    # Same digest, and telemetry wrote nothing to the trace log itself.
+    assert plain.sim.planes["trace"].summary() == traced_system.sim.planes["trace"].summary()
 
 
 # ----------------------------------------------------------------------
