@@ -405,7 +405,7 @@ class TendermintEngine(ConsensusEngine):
                 block = self._blocks.get(cid)
                 if block is None:
                     return  # wait for the proposal to arrive
-                self._commit(block)
+                self._commit(block, round_)
                 return
         # >2/3 nil precommits: move to the next round immediately.
         if tally.get(None, 0) >= quorum and round_ == self.round and self.step == PRECOMMIT:
@@ -418,11 +418,18 @@ class TendermintEngine(ConsensusEngine):
     # peers GC their vote books after committing and never re-send, so
     # without help it rounds forever at a height everyone else has left
     # (the catch-up problem production Tendermint solves with block sync).
-    # On every commit we therefore broadcast the block together with its
-    # >2/3 precommit set; a lagging validator verifies the certificate,
-    # adopts the block, and jumps to the chain head.  Gossip's lazy
-    # IHAVE/IWANT repair replays recent certificates to nodes that were
-    # partitioned or crashed when they were first published.
+    # One certificate per height helps it: the block with its >2/3
+    # precommit set, published by the proposer of the round whose quorum
+    # it saw in its own book.  That is the proposer of the committing
+    # round, not the block's miner: a reproposed block carries its first
+    # proposer, who may have crashed since.  A validator that commits
+    # through a received certificate publishes nothing — the gossip flood
+    # already carries that one certificate to every peer, and IHAVE/IWANT
+    # repair replays it to nodes partitioned or crashed when it went out.
+    # A lagging validator verifies the certificate, adopts the block, and
+    # jumps to the chain head; if the publisher dies before publishing,
+    # the next height's certificate lands as an orphan whose gap the node
+    # fetches by range sync.
     def _commit_certificate(self, block: FullBlock) -> tuple:
         votes = []
         for (height, round_), book in self._precommits.items():
@@ -463,7 +470,7 @@ class TendermintEngine(ConsensusEngine):
             # block-interval pacing stays identical to a self-commit (a
             # zero-delay jump here would let fast peers drag followers
             # ahead of the paced schedule and desynchronise rounds).
-            self._commit(block, cert=votes)
+            self._commit(block)
             return
         # Strictly ahead: we are at least one full height behind.
         self._observe_block_interval(block)
@@ -490,18 +497,23 @@ class TendermintEngine(ConsensusEngine):
         self.step = "commit-wait"
         self.sim.schedule(pacing, self._begin_height, height, label="tm:pace")
 
-    def _commit(self, block: FullBlock, cert: Optional[tuple] = None) -> None:
+    def _commit(self, block: FullBlock, round_: Optional[int] = None) -> None:
+        """Decide *block*: through our own precommit quorum at *round_*, or
+        (no round) through a received certificate."""
         self._observe_block_interval(block)
         self.node.receive_block(block)
         self._metric("consensus.*.committed").inc()
-        # Re-broadcast the certificate we received, or build one from our
-        # own precommit book (a commit reached via peer certificate may
-        # hold fewer than quorum local precommits).  A stopped engine
-        # (catching up before a restart resume) stays silent.
-        if self.running:
+        # The committing round's proposer publishes the height's one
+        # certificate; a stopped engine (catching up before a restart
+        # resume) stays silent.
+        if (
+            round_ is not None
+            and self.running
+            and self.proposer_for(block.height, round_).node_id == self.node.node_id
+        ):
             self.node.broadcast(
                 "tm:commit",
-                {"block": block, "votes": cert or self._commit_certificate(block)},
+                {"block": block, "votes": self._commit_certificate(block)},
             )
         self._trace_round(
             "commit", height=block.height, round=max(self.round, 0),

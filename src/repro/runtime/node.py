@@ -87,8 +87,9 @@ class NodeRuntime:
         self._restart_epoch = 0  # invalidates pending restart resumes
         # Blocks already announced, and the protocol events (receipt events)
         # of executed-but-not-yet-announced ones — the latter kept only while
-        # a commit-time observer (span tracer or invariant monitor) is
-        # installed on the simulator.  Both forget a block when the store does.
+        # an attached plane reads them (``Plane.reads_block_events``: the
+        # span tracer, the invariant monitor).  Both forget a block when the
+        # store does.
         self._notified: set[CID] = {genesis_block.cid}
         self._block_events: dict[CID, tuple] = {}
         self.store.on_forget(self._forget_block)
@@ -480,7 +481,7 @@ class NodeRuntime:
         self.sim.metrics.gauge("state.tree.layer_depth").set(post.chain_depth)
 
         self.store.put_state(block.cid, post)
-        if self.sim.observed(BlockCommitted):
+        if self.sim.block_events_read:
             # A fork that is never announced leaves with its block.
             self._block_events[block.cid] = events
 

@@ -20,7 +20,8 @@ from collections import namedtuple
 from typing import Optional
 
 #: A block became canonical on one node (every validator reports its own);
-#: *events* are the ``(kind, payload)`` receipt events of its payload.
+#: *events* are the ``(kind, payload)`` receipt events of its payload, kept
+#: only while an attached plane sets ``reads_block_events`` (else empty).
 BlockCommitted = namedtuple("BlockCommitted", "node block events")
 #: A node's head moved to a block that does not extend *old_head* (a CID);
 #: *depth* counts the abandoned blocks back to the fork point.
@@ -54,6 +55,9 @@ class Plane:
     section: str = ""
     #: Record type -> name of the handler method (looked up when attaching).
     observes: dict = {}
+    #: Whether it reads :data:`BlockCommitted`'s ``events``: nodes keep each
+    #: executed block's receipt events only while such a plane is attached.
+    reads_block_events: bool = False
 
     def summary(self) -> Optional[dict]:
         """This plane's section of the run document; ``None`` = none."""

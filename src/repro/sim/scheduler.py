@@ -163,6 +163,8 @@ class Simulator:
         # order (no entry for a type nobody handles).
         self.planes: dict = {}
         self._handlers: dict = {}
+        #: Whether an attached plane reads a BlockCommitted record's events.
+        self.block_events_read = False
         # Scratch space for cross-component memoization of deterministic
         # computations (e.g. the runtime's shared block-execution cache).
         # Contents must never influence observable simulation behaviour —
@@ -334,10 +336,9 @@ class Simulator:
             for kind, name in plane.observes.items():
                 handlers.setdefault(kind, []).append(getattr(plane, name))
         self._handlers = handlers
-
-    def observed(self, kind) -> bool:
-        """Whether any attached plane handles *kind* records."""
-        return kind in self._handlers
+        self.block_events_read = any(
+            plane.reads_block_events for plane in self.planes.values()
+        )
 
     def observe(self, kind, *fields) -> None:
         """Say that something happened: one *kind* record built from

@@ -110,6 +110,7 @@ class InvariantMonitor(Plane):
 
     section = "invariants"
     observes = {BlockCommitted: "on_block_commit", ChainReorg: "on_reorg"}
+    reads_block_events = True
 
     def __init__(
         self,

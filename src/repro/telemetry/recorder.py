@@ -14,9 +14,11 @@ at that moment, with the reason, the violation and any stall reports under
 Determinism: the rings hold simulated time and committed state — never
 wall-clock, never RNG — so producing bundles cannot perturb the run and
 re-running a seed reproduces a bundle outside the document's wall-clock
-keys.  The recorder observes the dispatch bus through a post-dispatch hook
-that only appends to a Python deque; it writes nothing back into the
-simulation.
+keys.  The recorder observes the dispatch bus through a pre-dispatch hook
+that is the dispatch ring's own ``append`` — no Python frame per event —
+and names the events (simulated time and label) only when a bundle is
+taken, so a bundle taken inside an event ends with that event.  It writes
+nothing back into the simulation.
 """
 
 from __future__ import annotations
@@ -64,17 +66,12 @@ class FlightRecorder(Plane):
     def install(self) -> "FlightRecorder":
         """Start recording dispatch activity (idempotent)."""
         if self._remove_hook is None:
-            self._remove_hook = self.sim.dispatch.on_post_dispatch(self._on_dispatch)
+            self._remove_hook = self.sim.dispatch.on_pre_dispatch(self._dispatch_ring.append)
         return self
 
     # ------------------------------------------------------------------
     # Feeds
     # ------------------------------------------------------------------
-    def _on_dispatch(self, event, _wall_elapsed: float) -> None:
-        # Simulated time + label only: the wall-clock duration the hook
-        # receives must stay out of anything a bundle serializes.
-        self._dispatch_ring.append((self.sim.now, self.sim.dispatch.label_of(event)))
-
     def note_health(self, sampled: HealthSampled) -> None:
         self._health_ring.append(sampled.latest)
 
@@ -91,9 +88,12 @@ class FlightRecorder(Plane):
     # Bundles
     # ------------------------------------------------------------------
     def summary(self) -> dict:
+        label_of = self.sim.dispatch.label_of
         return {
             "trace_tail": self._trace_tail(),
-            "dispatch_tail": list(self._dispatch_ring),
+            "dispatch_tail": [
+                (event.time, label_of(event)) for event in self._dispatch_ring
+            ],
             "health_ring": list(self._health_ring),
             "heads": self._heads(),
             "open_spans": self._open_spans(),

@@ -284,19 +284,21 @@ class StallDiagnoser(Plane):
         round-desync signature).  Slot engines have no votes — for them
         the analysis reports the expected leader instead.  PoW has no
         leader either: its analysis is the mining race, the heads being
-        mined on and the height every validator holds final.
+        mined on and the height every validator holds final — and, a race
+        having no power threshold, no ``needed_power``.
         """
         engine = nodes[0].engine
         vset = engine.validators
+        racing = engine.NAME == "pow"
         result = {
-            "needed_power": vset.quorum_power,
+            "needed_power": None if racing else vset.quorum_power,
             "total_power": vset.total_power,
         }
         heights = [v["head_height"] for v in validators if v["head_height"] is not None]
         spread = max(heights) - min(heights) if heights else None
         states = [v["state"] for v in validators]
 
-        if engine.NAME == "pow":
+        if racing:
             result.update({
                 "kind": "mining-race",
                 "head_spread": spread,

@@ -95,6 +95,7 @@ class SpanTracer(Plane):
         CheckpointSubmitted: "checkpoint_submitted",
         CrossMsgSubmitted: "note_submit",
     }
+    reads_block_events = True
 
     def __init__(self, sim) -> None:
         self.sim = sim

@@ -78,8 +78,10 @@ def test_gap_is_fetched_once_from_the_sender_and_the_cascade_lands(
     kind, payload, sender = by_height[height]
     block = _block_of(payload)
     requests = _range_requests(cluster)
-    # Every Tendermint validator re-broadcasts the certificate of a block
-    # it commits, so one future block arrives once per peer.
+    # A future block can reach a node more than once: a slot engine's
+    # block from each mesh peer, a Tendermint certificate from the
+    # proposer of each round whose quorum some validator saw.  The gap is
+    # still fetched once.
     for _ in range(3):
         straggler.engine.handle(kind, payload, sender)
 

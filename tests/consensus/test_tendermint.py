@@ -159,3 +159,80 @@ def test_stale_commit_certificate_is_never_verified(make_cluster):
     before = len(checked)
     engine.handle("tm:commit", {"block": old, "votes": ()}, "n1")
     assert len(checked) == before
+
+
+def _spy_certificates(cluster):
+    """Record every ``tm:commit`` a validator publishes, as
+    ``(height, sender, block)``."""
+    published = []
+    for node in cluster.nodes:
+        def spy(kind, payload, _node=node, _publish=node.broadcast):
+            if kind == "tm:commit":
+                published.append((payload["block"].height, _node.node_id, payload["block"]))
+            _publish(kind, payload)
+        node.broadcast = spy
+    return published
+
+
+def test_a_height_publishes_one_certificate_from_the_committing_proposer(make_cluster):
+    """Happy path, seven validators: each committed height floods exactly
+    one certificate, sent by the proposer of the round that committed it
+    (every block here commits in the round it was proposed in)."""
+    cluster = make_cluster(7, engine="tendermint", block_time=0.5, seed=5)
+    published = _spy_certificates(cluster)
+    cluster.start().run(10.0)
+
+    chain = [b for b in canonical_chain(cluster.nodes[0].store) if b.height > 0]
+    assert len(chain) >= 15
+    decided = min(cluster.heights())
+    by_height = {}
+    for height, sender, block in published:
+        by_height.setdefault(height, []).append((sender, block.cid))
+    engine = cluster.nodes[0].engine
+    for block in chain:
+        if block.height > decided:
+            continue
+        proposer = engine.proposer_for(block.height, block.header.consensus_data["round"])
+        assert by_height[block.height] == [(proposer.node_id, block.cid)]
+
+
+def test_a_straggler_catches_up_when_the_certificate_publisher_is_cut_off(make_cluster):
+    """The committing proposer is cut off the instant it commits, so its
+    height's certificate never leaves it, while a straggler is partitioned
+    away.  Once healed, the straggler reaches the head through the next
+    height's certificate (its block lands as an orphan) and range sync of
+    the gap — within ``CATCH_UP_HEIGHTS`` heights of the cluster's head at
+    the heal."""
+    CATCH_UP_HEIGHTS = 4
+    cluster = make_cluster(7, engine="tendermint", block_time=0.5, seed=5)
+    transport = cluster.stack.transport
+    straggler = cluster.nodes[6]
+    cut = []
+    for node in cluster.nodes[:6]:
+        def cut_on_certificate(kind, payload, _node=node, _publish=node.broadcast):
+            if kind == "tm:commit" and not cut and transport.topology.partitions_active:
+                cut.append((_node, payload["block"].height))
+                transport.partition(_node.node_id)
+                return  # the certificate never leaves the publisher
+            _publish(kind, payload)
+        node.broadcast = cut_on_certificate
+    cluster.start().run(3.0)
+    isolated = transport.partition(straggler.node_id)
+    cluster.run(3.0)
+
+    (publisher, lost_height), = cut
+    assert straggler.head().height < lost_height
+    live = [node for node in cluster.nodes if node not in (straggler, publisher)]
+    assert min(node.head().height for node in live) > lost_height
+    transport.heal(isolated)
+    head_at_heal = max(node.head().height for node in live)
+    for _ in range(40):
+        cluster.run(0.25)
+        head = max(node.head().height for node in live)
+        if straggler.head().height >= head - 1:
+            break
+    assert straggler.head().height >= head - 1
+    assert head - head_at_heal <= CATCH_UP_HEIGHTS
+    assert straggler.store.block_at_height(lost_height).cid == (
+        live[0].store.block_at_height(lost_height).cid
+    )

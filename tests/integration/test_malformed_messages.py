@@ -10,6 +10,7 @@ from repro.sim.tracing import TraceLog
 class FailedCrossMsgs(Plane):
     section = "failed-crossmsgs"
     observes = {BlockCommitted: "on_commit"}
+    reads_block_events = True
 
     def __init__(self):
         self.payloads = []

@@ -18,9 +18,10 @@ from repro.sim.tracing import TraceLog, TraceRecord
 from repro.telemetry import HealthProbe
 
 #: The digest of ``_run(traced=True)``'s log: 133 commits, 4 checkpoint
-#: submissions and a spawn.  It is the digest this run's log had when the
-#: simulator kept the log itself and every producer wrote its own line.
-TRACE_DIGEST = "b794e0b0fd1f193476998247cd78057ad663bf959d1b63def8572c022182a4c7"
+#: submissions and a spawn.  The Tendermint subnet publishes one commit
+#: certificate per height (its committing proposer's), so its gossip, the
+#: link draws and the blocks' timestamps are those of that protocol.
+TRACE_DIGEST = "39de251db60153dddad0741e286953296dd4601c0418d4770a354d7909d5462d"
 
 KINDS = (
     BlockCommitted, ChainReorg, RoundEvent, CheckpointSubmitted,
@@ -33,6 +34,7 @@ class Witness(Plane):
     compared across runs (node and block objects by their ids)."""
 
     observes = {kind: "on_record" for kind in KINDS}
+    reads_block_events = True
 
     def __init__(self, section="witness"):
         self.section = section

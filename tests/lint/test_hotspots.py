@@ -253,3 +253,28 @@ def test_the_one_format_seal_reproduces_from_two_committed_documents():
     assert calls("repro/sim/metrics.py:Counter.inc") == (297_463, 27_554)
     # The same run: every counter equal.
     assert old["counters"] == new["counters"]
+
+
+def test_the_one_certificate_height_reproduces_from_two_committed_documents():
+    """``hotspots.py fault-heal --seconds 8`` (seed 1) on 8c4c4e9 and on the
+    change after it, where only the proposer of the committing round
+    publishes a Tendermint height's certificate, and the flight recorder's
+    dispatch hook became its ring's own ``append``: as many commits, one
+    certificate built per height instead of one per validator, and no
+    interpreted call per dispatched event."""
+    paths = [os.path.join(PROFILES, f"fault-heal-{name}.json") for name in ("8c4c4e9", "onecert")]
+    assert all(os.path.getsize(path) <= 160 * 1024 for path in paths)
+    old, new = (_load(path) for path in paths)
+    rows = {row.function: row for row in hotspots.diff(old, new)}
+
+    def calls(name):
+        return rows[name].calls_old, rows[name].calls_new
+
+    tendermint = "repro/consensus/tendermint.py:TendermintEngine"
+    assert calls(f"{tendermint}._commit") == (3_470, 3_470)
+    assert calls(f"{tendermint}._commit_certificate") == (3_402, 503)
+    assert calls(f"{tendermint}._on_commit_cert") == (20_525, 2_972)
+    assert calls("repro/sim/scheduler.py:DispatchBus.dispatch") == (165_639, 145_674)
+    assert calls("repro/net/transport.py:Transport.fanout") == (146_279, 125_655)
+    assert calls("repro/telemetry/recorder.py:FlightRecorder._on_dispatch") == (165_639, 0)
+    assert calls("repro/sim/scheduler.py:DispatchBus.label_of") == (165_639, 0)

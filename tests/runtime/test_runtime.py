@@ -18,6 +18,9 @@ from repro.runtime import (
     cluster_members,
 )
 
+from repro.sim.tracing import TraceLog
+from repro.telemetry import SpanTracer
+
 from tests.chain.canonical import canonical_chain
 
 
@@ -260,3 +263,35 @@ def test_one_post_state_per_block_and_a_byzantine_proposer_re_executes():
         runs = 2 if proposer is rogue else 1
         assert executed[proposer.node_id].count(block.height) == runs
     assert any(block.header.miner == rogue.miner_address for block in blocks)
+
+
+class _Recorded(dict):
+    """A dict that remembers every key ever stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("reader", [False, True])
+def test_receipt_events_are_kept_only_for_a_plane_that_reads_them(reader):
+    """The trace log observes every commit but renders no receipt event,
+    so a trace-only run keeps none; a span tracer reads them, so with it
+    attached every executed block's events wait for its announcement."""
+    stack, cluster = build_cluster()
+    trace = stack.sim.attach(TraceLog(stack.sim))
+    if reader:
+        stack.sim.attach(SpanTracer(stack.sim))
+    for node in cluster:
+        node._block_events = _Recorded()
+    cluster.start()
+    stack.run_for(3.0)
+
+    assert trace.count("block.commit") >= 3 * len(cluster.nodes)
+    for node in cluster:
+        assert not node._block_events
+        assert bool(node._block_events.stored) is reader

@@ -147,3 +147,18 @@ def test_recorder_tail_cannot_outgrow_the_trace_ring():
     """A trace tail longer than the log's ring would be cut short without
     notice."""
     assert TAIL <= RING
+
+
+def test_a_bundle_taken_inside_an_event_ends_with_that_event():
+    """The recorder's ring takes each event as it is dispatched, so a
+    bundle dumped from inside an event closes with that event itself."""
+    system = HierarchicalSystem(seed=23).start()
+    enable_telemetry(system, monitors=True)
+    recorder = system.sim.planes["recorder"]
+    bundles = []
+    system.sim.schedule(
+        1.25, lambda: bundles.append(recorder.dump(reason="mid-event")), label="test:dump"
+    )
+    system.run_for(2)
+    (bundle,) = bundles
+    assert bundle["recorder"]["dispatch_tail"][-1] == [1.25, "test:dump"]

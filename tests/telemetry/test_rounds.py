@@ -344,6 +344,7 @@ def test_on_demand_diagnosis_of_a_pow_subnet_names_the_mining_race():
     quorum = report["quorum"]
     states = [validator["state"] for validator in report["validators"]]
     assert quorum["kind"] == "mining-race"
+    assert quorum["needed_power"] is None  # a race has no power threshold
     assert quorum["head_spread"] == 0
     assert quorum["mining_on"] == sorted({state["mining_on"] for state in states})
     assert quorum["final_height"] == min(state["final_height"] for state in states) > 0
